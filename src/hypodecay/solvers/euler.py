@@ -18,9 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..analysis import TimeSeries
 from ..errors import CflViolation, DomainEscape, SmallnessBreached, VacuumApproached
 from ..grids import BOUNDARY_TOL, boundary_amplitude, d_dx, fourth_difference, l2_norm
+from .march import march, rk4, step_size
 
 CFL_MAX = 0.7
 VACUUM_FLOOR_REL = 1e-6
@@ -95,15 +95,15 @@ def simulate_euler(espec, grid, rho0, u0, T, cfl=0.4, nu=0.0, sample_stride=1,
     speed0 = float((np.abs(u) + half_g * (ct + c_bar)).max())
     speed_ref = SPEED_HEADROOM * max(speed0, half_g * c_bar)
     dt_limit = cfl * grid.dx / speed_ref
-    nsteps = max(1, math.ceil(T / dt_limit - 1e-12))
-    dt = T / nsteps
+    _, dt = step_size(T, dt_limit)
     decay_half = math.exp(-0.5 * espec.lam * dt)
     dx = grid.dx
 
     if wave is not None:
         wave.check_mass(grid, rho - espec.rho_bar)
 
-    def rhs(ct, u):
+    def rhs(state):
+        ct, u = state
         ctx = d_dx(grid, ct)
         ux = d_dx(grid, u)
         c = ct + c_bar
@@ -114,19 +114,23 @@ def simulate_euler(espec, grid, rho0, u0, T, cfl=0.4, nu=0.0, sample_stride=1,
             du -= (nu / dx) * fourth_difference(grid, u)
         return dct, du
 
+    def step(state, dt):
+        ct, u = state
+        ct, u = rk4(rhs, (ct, u * decay_half), dt)
+        if float(ct.min()) <= c_floor:
+            raise VacuumApproached(f"density reached the floor {floor:.3e}")
+        return ct, u * decay_half
+
     escape_tol = BOUNDARY_TOL * max(
         1.0, float(np.abs(rho - espec.rho_bar).max()), float(np.abs(u).max())
     )
-    snap_steps = {int(round(ts / dt)): float(ts) for ts in snapshot_times}
-    snapshots = {}
-    times, chans = [], {}
     x_integral = 0.0
     prev_integrand = None
     prev_t = None
 
-    def record(j, ct, u):
+    def record(t, state):
         nonlocal x_integral, prev_integrand, prev_t
-        t = j * dt
+        ct, u = state
         c = ct + c_bar
         rho_now = espec.density_of_sound(c)
         n = rho_now - espec.rho_bar
@@ -164,13 +168,9 @@ def simulate_euler(espec, grid, rho0, u0, T, cfl=0.4, nu=0.0, sample_stride=1,
         if weight is not None:
             row["weighted_l2"] = l2_norm(grid, np.column_stack([n, u]), weight=weight)
         if wave is not None:
-            state = np.column_stack([n, rho_now * u])
-            we, wh = wave.record(grid, t, state, 1)
+            we, wh = wave.record(grid, t, np.column_stack([n, rho_now * u]), 1)
             row["wave_energy"] = we
             row["wave_dissipation"] = wh
-        times.append(t)
-        for k, v in row.items():
-            chans.setdefault(k, []).append(v)
         if h2_raw > smallness_cap:
             raise SmallnessBreached(
                 f"perturbation size {h2_raw:.4f} exceeds cap {smallness_cap} at t={t:.4g}"
@@ -188,42 +188,20 @@ def simulate_euler(espec, grid, rho0, u0, T, cfl=0.4, nu=0.0, sample_stride=1,
                 raise DomainEscape(
                     f"boundary amplitude {b:.3e} at t={t:.4g} exceeds {escape_tol:.1e}"
                 )
-        return rho_now
+        return row
 
-    rho_now = record(0, ct, u)
-    if 0 in snap_steps:
-        snapshots[snap_steps[0]] = np.column_stack([rho_now - espec.rho_bar, u])
-    for j in range(1, nsteps + 1):
-        u = u * decay_half
-        k1 = rhs(ct, u)
-        k2 = rhs(ct + 0.5 * dt * k1[0], u + 0.5 * dt * k1[1])
-        k3 = rhs(ct + 0.5 * dt * k2[0], u + 0.5 * dt * k2[1])
-        k4 = rhs(ct + dt * k3[0], u + dt * k3[1])
-        ct = ct + (dt / 6.0) * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0])
-        u = u + (dt / 6.0) * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])
-        u = u * decay_half
-        if float(ct.min()) <= c_floor:
-            raise VacuumApproached(f"density reached the floor at step {j}")
-        if j % sample_stride == 0 or j == nsteps:
-            rho_now = record(j, ct, u)
-            if j in snap_steps:
-                snapshots[snap_steps[j]] = np.column_stack(
-                    [rho_now - espec.rho_bar, u]
-                )
-        elif j in snap_steps:
-            rho_now = espec.density_of_sound(ct + c_bar)
-            snapshots[snap_steps[j]] = np.column_stack([rho_now - espec.rho_bar, u])
+    def snapshot(state):
+        ct, u = state
+        n = espec.density_of_sound(ct + c_bar) - espec.rho_bar
+        return np.column_stack([n, u])
 
-    series = TimeSeries(
-        t=np.array(times),
-        channels={k: np.array(v) for k, v in chans.items()},
-        meta={
-            "dt_step": dt,
-            "n_steps": nsteps,
-            "sample_stride": sample_stride,
-            "scheme": "strang-exp/rk4-centered",
-            "nu": nu,
-            "smallness_cap": smallness_cap,
-        },
+    return march(
+        (ct, u), T, dt_limit,
+        step=step,
+        record=record,
+        sample_stride=sample_stride,
+        snapshot_times=snapshot_times,
+        snapshot=snapshot,
+        meta={"scheme": "strang-exp/rk4-centered", "nu": nu,
+              "smallness_cap": smallness_cap},
     )
-    return series, snapshots

@@ -6,13 +6,11 @@ periodic corner entries are folded in with the Sherman-Morrison rank-one
 update so the banded factorization stays tridiagonal.
 """
 
-import math
-
 import numpy as np
 from scipy.linalg import solve_banded
 
-from ..analysis import TimeSeries
 from ..grids import d_dx, l2_norm
+from .march import march, step_size
 
 
 def _laplacian(u, dx, periodic):
@@ -36,10 +34,8 @@ def heat_solve(grid, u0, T, dt=None, sample_stride=1, weight=None,
     if u.shape != (grid.N,):
         raise ValueError("u0 must be a scalar field on the grid")
     dx = grid.dx
-    if dt is None:
-        dt = dx
-    nsteps = max(1, math.ceil(T / dt - 1e-12))
-    dt = T / nsteps
+    dt_limit = dx if dt is None else dt
+    _, dt = step_size(T, dt_limit)
     rcoef = 0.5 * dt / dx**2
     N = grid.N
 
@@ -78,12 +74,10 @@ def heat_solve(grid, u0, T, dt=None, sample_stride=1, weight=None,
         b[-1] = 0.0
         return solve_banded((1, 1), ab, b)
 
-    snap_steps = {int(round(ts / dt)): float(ts) for ts in snapshot_times}
-    snapshots = {}
-    times, chans = [], {}
+    def step(u, dt):
+        return implicit_solve(u + 0.5 * dt * _laplacian(u, dx, grid.periodic))
 
-    def record(j, u):
-        t = j * dt
+    def record(t, u):
         row = {
             "l2": l2_norm(grid, u),
             "dx_l2": l2_norm(grid, d_dx(grid, u)),
@@ -91,25 +85,8 @@ def heat_solve(grid, u0, T, dt=None, sample_stride=1, weight=None,
         }
         if weight is not None:
             row["weighted_l2"] = l2_norm(grid, u, weight=weight)
-        times.append(t)
-        for k, val in row.items():
-            chans.setdefault(k, []).append(val)
+        return row
 
-    record(0, u)
-    if 0 in snap_steps:
-        snapshots[snap_steps[0]] = u.copy()
-    for j in range(1, nsteps + 1):
-        b = u + 0.5 * dt * _laplacian(u, dx, grid.periodic)
-        u = implicit_solve(b)
-        if j % sample_stride == 0 or j == nsteps:
-            record(j, u)
-        if j in snap_steps:
-            snapshots[snap_steps[j]] = u.copy()
-
-    series = TimeSeries(
-        t=np.array(times),
-        channels={k: np.array(val) for k, val in chans.items()},
-        meta={"dt_step": dt, "n_steps": nsteps, "sample_stride": sample_stride,
-              "scheme": "crank-nicolson"},
-    )
-    return series, snapshots
+    return march(u, T, dt_limit, step=step, record=record,
+                 sample_stride=sample_stride, snapshot_times=snapshot_times,
+                 snapshot=np.copy, meta={"scheme": "crank-nicolson"})

@@ -7,16 +7,15 @@ applied exactly: half-step matrix exponential, RK4 on the advection
 overall, with no time-step restriction from the damping strength.
 """
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..analysis import TimeSeries
 from ..corrector import lyapunov_value
 from ..errors import CflViolation, DomainEscape
 from ..grids import BOUNDARY_TOL, boundary_amplitude, d_dx, fourth_difference, inner, l2_norm
 from ..linalg import jacobi_eigensystem, expm_sym
+from .march import march, rk4, step_size
 
 CFL_MAX = 0.7
 
@@ -64,12 +63,7 @@ def step_linear(U, sim, dt=None, half=None):
         raise CflViolation(f"dt {dt:.3e} exceeds the advective limit {sim.dt:.3e}")
     if half is None:
         half = damping_half_step(sim.spec, dt)
-    U = U @ half.T
-    k1 = advection_rhs(sim, U)
-    k2 = advection_rhs(sim, U + 0.5 * dt * k1)
-    k3 = advection_rhs(sim, U + 0.5 * dt * k2)
-    k4 = advection_rhs(sim, U + dt * k3)
-    U = U + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    U = rk4(lambda V: advection_rhs(sim, V), U @ half.T, dt)
     return U @ half.T
 
 
@@ -88,19 +82,13 @@ def simulate_linear(sim, U0, T, sample_stride=1, coeffs=None, weight=None,
         raise ValueError(f"U0 must have shape ({grid.N}, {spec.n}), got {U.shape}")
     if T <= 0.0:
         raise ValueError("T must be positive")
-    nsteps = max(1, math.ceil(T / sim.dt - 1e-12))
-    dt = T / nsteps
+    _, dt = step_size(T, sim.dt)
     half = damping_half_step(spec, dt)
     if wave is not None:
         wave.check_mass(grid, U[:, : spec.n1])
     escape_tol = BOUNDARY_TOL * max(1.0, float(np.abs(U).max()))
-    snap_steps = {int(round(ts / dt)): float(ts) for ts in snapshot_times}
-    snapshots = {}
 
-    times, chans = [], {}
-
-    def record(j, U):
-        t = j * dt
+    def record(t, U):
         dUx = d_dx(grid, U)
         U2 = U[:, spec.n1:]
         row = {
@@ -118,35 +106,20 @@ def simulate_linear(sim, U0, T, sample_stride=1, coeffs=None, weight=None,
             we, wh = wave.record(grid, t, U, spec.n1)
             row["wave_energy"] = we
             row["wave_dissipation"] = wh
-        times.append(t)
-        for k, v in row.items():
-            chans.setdefault(k, []).append(v)
         if not grid.periodic:
             b = boundary_amplitude(grid, U)
             if b > escape_tol:
                 raise DomainEscape(
                     f"boundary amplitude {b:.3e} at t={t:.4g} exceeds {escape_tol:.1e}"
                 )
+        return row
 
-    record(0, U)
-    if 0 in snap_steps:
-        snapshots[snap_steps[0]] = U.copy()
-    for j in range(1, nsteps + 1):
-        U = step_linear(U, sim, dt=dt, half=half)
-        if j % sample_stride == 0 or j == nsteps:
-            record(j, U)
-        if j in snap_steps:
-            snapshots[snap_steps[j]] = U.copy()
-
-    series = TimeSeries(
-        t=np.array(times),
-        channels={k: np.array(v) for k, v in chans.items()},
-        meta={
-            "dt_step": dt,
-            "n_steps": nsteps,
-            "sample_stride": sample_stride,
-            "scheme": "strang-exp/rk4-centered",
-            "nu": sim.nu,
-        },
+    return march(
+        U, T, sim.dt,
+        step=lambda U, dt: step_linear(U, sim, dt=dt, half=half),
+        record=record,
+        sample_stride=sample_stride,
+        snapshot_times=snapshot_times,
+        snapshot=np.copy,
+        meta={"scheme": "strang-exp/rk4-centered", "nu": sim.nu},
     )
-    return series, snapshots

@@ -1,0 +1,82 @@
+"""The time-marching driver shared by the four solvers.
+
+Each solver hands `march` its one-step map and its `record(t, state)`
+observer.  The driver owns everything else about a run: the uniform step
+count, the sampling stride, the snapshot steps and the assembly of the
+recorded series.  `rk4` is the one classical Runge-Kutta stage sequence.
+"""
+
+import math
+
+import numpy as np
+
+from ..analysis import TimeSeries
+
+
+def step_size(T, dt_limit):
+    """Fewest uniform steps reaching T with dt <= dt_limit: (nsteps, dt)."""
+    nsteps = max(1, math.ceil(T / dt_limit - 1e-12))
+    return nsteps, T / nsteps
+
+
+def rk4(rhs, state, dt):
+    """One classical RK4 step of y' = rhs(y).
+
+    The state is an array or a tuple of arrays, and rhs returns the same
+    kind of object.
+    """
+    if not isinstance(state, tuple):
+        return rk4(lambda y: (rhs(y[0]),), (state,), dt)[0]
+
+    def shifted(a, k):
+        return tuple(y + a * ky for y, ky in zip(state, k))
+
+    k1 = rhs(state)
+    k2 = rhs(shifted(0.5 * dt, k1))
+    k3 = rhs(shifted(0.5 * dt, k2))
+    k4 = rhs(shifted(dt, k3))
+    return tuple(
+        y + (dt / 6.0) * (a + 2.0 * b + 2.0 * c + d)
+        for y, a, b, c, d in zip(state, k1, k2, k3, k4)
+    )
+
+
+def march(state, T, dt_limit, step, record, sample_stride, snapshot_times,
+          snapshot, meta):
+    """Advance `state` to T in uniform steps of at most dt_limit.
+
+    `step(state, dt)` returns the next state.  `record(t, state)` returns
+    a dict of channel values; it runs at step 0, at every multiple of
+    `sample_stride` and at the last step, and raises to abort the run.
+    `snapshot(state)` returns the array stored at the step nearest each
+    of `snapshot_times`, which must lie in [0, T].  Returns the recorded
+    TimeSeries, whose meta is `meta` plus dt_step, n_steps and
+    sample_stride, and the snapshots keyed by time.
+    """
+    nsteps, dt = step_size(T, dt_limit)
+    for ts in snapshot_times:
+        if not 0.0 <= ts <= T:
+            raise ValueError(f"snapshot time {ts} lies outside [0, {T}]")
+    snap_steps = {int(round(ts / dt)): float(ts) for ts in snapshot_times}
+    snapshots = {}
+    times, chans = [], {}
+
+    for j in range(nsteps + 1):
+        if j > 0:
+            state = step(state, dt)
+        if j % sample_stride == 0 or j == nsteps:
+            t = j * dt
+            row = record(t, state)
+            times.append(t)
+            for k, v in row.items():
+                chans.setdefault(k, []).append(v)
+        if j in snap_steps:
+            snapshots[snap_steps[j]] = snapshot(state)
+
+    series = TimeSeries(
+        t=np.array(times),
+        channels={k: np.array(v) for k, v in chans.items()},
+        meta={"dt_step": dt, "n_steps": nsteps, "sample_stride": sample_stride,
+              **meta},
+    )
+    return series, snapshots

@@ -19,9 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..analysis import TimeSeries
 from ..errors import CflViolation, DomainEscape, RBandViolation
 from ..grids import BOUNDARY_TOL, antiderivative, boundary_amplitude, d_dx, fourth_difference
+from .march import march, rk4
 
 CFL_MAX = 0.7
 
@@ -58,10 +58,9 @@ def simulate_psystem(pspec, grid, rho0, u0, T, cfl=0.4, nu=0.0, sample_stride=1,
     eta2 = pspec.eta2
     dx = grid.dx
     dt_limit = cfl * dx
-    nsteps = max(1, math.ceil(T / dt_limit - 1e-12))
-    dt = T / nsteps
 
-    def rhs(rho, u):
+    def rhs(state):
+        rho, u = state
         drho = -d_dx(grid, u)
         du = -d_dx(grid, rho) - np.abs(u) ** (r - 1.0) * u
         if nu > 0.0:
@@ -70,12 +69,9 @@ def simulate_psystem(pspec, grid, rho0, u0, T, cfl=0.4, nu=0.0, sample_stride=1,
         return drho, du
 
     escape_tol = BOUNDARY_TOL * max(1.0, float(np.abs(rho).max()), float(np.abs(u).max()))
-    snap_steps = {int(round(ts / dt)): float(ts) for ts in snapshot_times}
-    snapshots = {}
-    times, chans = [], {}
 
-    def record(j, rho, u):
-        t = j * dt
+    def record(t, state):
+        rho, u = state
         dr = d_dx(grid, rho)
         du_ = d_dx(grid, u)
         l22 = float(grid.qw @ (rho * rho + u * u))
@@ -108,42 +104,20 @@ def simulate_psystem(pspec, grid, rho0, u0, T, cfl=0.4, nu=0.0, sample_stride=1,
             we, wh = wave.record(grid, t, w, -u, rho)
             row["wave_energy"] = we
             row["wave_dissipation"] = wh
-        times.append(t)
-        for k, v in row.items():
-            chans.setdefault(k, []).append(v)
         if not grid.periodic:
             b = max(boundary_amplitude(grid, rho), boundary_amplitude(grid, u))
             if b > escape_tol:
                 raise DomainEscape(
                     f"boundary amplitude {b:.3e} at t={t:.4g} exceeds {escape_tol:.1e}"
                 )
+        return row
 
-    record(0, rho, u)
-    if 0 in snap_steps:
-        snapshots[snap_steps[0]] = np.column_stack([rho, u])
-    for j in range(1, nsteps + 1):
-        k1 = rhs(rho, u)
-        k2 = rhs(rho + 0.5 * dt * k1[0], u + 0.5 * dt * k1[1])
-        k3 = rhs(rho + 0.5 * dt * k2[0], u + 0.5 * dt * k2[1])
-        k4 = rhs(rho + dt * k3[0], u + dt * k3[1])
-        rho = rho + (dt / 6.0) * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0])
-        u = u + (dt / 6.0) * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])
-        if j % sample_stride == 0 or j == nsteps:
-            record(j, rho, u)
-        if j in snap_steps:
-            snapshots[snap_steps[j]] = np.column_stack([rho, u])
-
-    series = TimeSeries(
-        t=np.array(times),
-        channels={k: np.array(v) for k, v in chans.items()},
-        meta={
-            "dt_step": dt,
-            "n_steps": nsteps,
-            "sample_stride": sample_stride,
-            "scheme": "rk4-centered",
-            "nu": nu,
-            "r": r,
-            "eta2": eta2,
-        },
+    return march(
+        (rho, u), T, dt_limit,
+        step=lambda state, dt: rk4(rhs, state, dt),
+        record=record,
+        sample_stride=sample_stride,
+        snapshot_times=snapshot_times,
+        snapshot=np.column_stack,
+        meta={"scheme": "rk4-centered", "nu": nu, "r": r, "eta2": eta2},
     )
-    return series, snapshots

@@ -324,3 +324,65 @@ def test_heat_guards():
         heat_solve(grid, np.zeros(128), T=0.0)
     with pytest.raises(ValueError):
         heat_solve(grid, np.zeros(64), T=1.0)
+
+
+# --- shared time-marching driver --------------------------------------------
+
+
+def _linear_run(stride, snaps):
+    grid = Grid1D(L=20.0, N=128, bc="compact_support")
+    U0 = np.stack([np.exp(-grid.x**2), 0.5 * np.exp(-grid.x**2)], axis=1)
+    sim = LinearSim(spec=STANDARD, grid=grid, nu=0.01)
+    return simulate_linear(sim, U0, T=1.0, sample_stride=stride,
+                           snapshot_times=snaps)
+
+
+def _euler_run(stride, snaps):
+    grid = Grid1D(L=20.0, N=128, bc="compact_support")
+    rho0 = 1.0 + 0.01 * np.exp(-grid.x**2)
+    u0 = 0.01 * np.exp(-((grid.x / 2.0) ** 2))
+    return simulate_euler(EulerSpec(), grid, rho0, u0, T=1.0, nu=0.01,
+                          sample_stride=stride, snapshot_times=snaps)
+
+
+def _psystem_run(stride, snaps):
+    grid = Grid1D(L=20.0, N=128, bc="compact_support")
+    rho0 = -0.1 * grid.x * np.exp(-grid.x**2)
+    u0 = 0.05 * np.exp(-grid.x**2)
+    return simulate_psystem(PSystemSpec(r=2.0), grid, rho0, u0, T=1.0,
+                            nu=0.01, sample_stride=stride, snapshot_times=snaps)
+
+
+def _heat_run(stride, snaps):
+    grid = Grid1D(L=20.0, N=128, bc="periodic")
+    return heat_solve(grid, np.exp(-grid.x**2), T=1.0, sample_stride=stride,
+                      snapshot_times=snaps)
+
+
+DRIVEN = {"linear": _linear_run, "euler": _euler_run,
+          "psystem": _psystem_run, "heat": _heat_run}
+
+
+@pytest.mark.parametrize("solve", DRIVEN.values(), ids=DRIVEN.keys())
+def test_driver_sampling_and_off_grid_snapshots(solve):
+    """Samples sit at {0, s dt, 2 s dt, ...} plus the final step, and a
+    snapshot between samples equals the one a stride-1 run takes."""
+    ref, _ = solve(1, ())
+    n, dt = ref.meta["n_steps"], ref.meta["dt_step"]
+    assert np.array_equal(ref.t, np.arange(n + 1) * dt)
+    stride = next(s for s in (3, 4, 5, 7) if n % s)
+    ts = (stride + 1) * dt
+    _, on_grid = solve(1, (ts,))
+    series, off_grid = solve(stride, (ts,))
+    steps = list(range(0, n + 1, stride)) + [n]
+    assert np.array_equal(series.t, np.array(steps) * dt)
+    assert series.t[-1] == pytest.approx(1.0, rel=1e-14)
+    assert series.meta["sample_stride"] == stride
+    assert off_grid[ts].tobytes() == on_grid[ts].tobytes()
+
+
+@pytest.mark.parametrize("solve", DRIVEN.values(), ids=DRIVEN.keys())
+def test_driver_rejects_snapshot_outside_run(solve):
+    for ts in (1.5, -0.2):
+        with pytest.raises(ValueError):
+            solve(1, (ts,))
