@@ -22,8 +22,6 @@ function of the budget.
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats
-from scipy.stats import qmc
 
 from .errors import (
     ConstraintSearchFailed,
@@ -31,7 +29,7 @@ from .errors import (
     SKConditionFails,
 )
 from .grids import WeightSpec, d_dx, h1_norm, inner, l2_norm
-from .linalg import kalman_gram, spectral_norm
+from .linalg import kalman_gram, min_eig_sym, spectral_norm
 
 REFERENCE_SAFETY = 0.5
 
@@ -174,31 +172,16 @@ def estimate_c_bound(spec):
     return 8.0 * base * base
 
 
-def estimate_ck(spec, sample_log2=14, refine_iters=2000):
-    """Equivalence constant sup |y|^2 / N(y)^2 over the unit sphere.
+def estimate_ck(spec):
+    """Equivalence constant 2 sup |y|^2 / N(y)^2 over the unit sphere.
 
-    Quasi-random directions (deterministic Sobol points mapped through
-    the Gaussian inverse CDF) seed a shifted power iteration toward the
-    flattest direction of the seminorm; the result carries a 2x safety
-    factor.  Requires full Kalman rank.
+    N(y)^2 = y^T (K^T K) y, so the supremum is 1 / lambda_min(K^T K); the
+    result carries a 2x safety factor.  Requires full Kalman rank, which
+    is exactly when K^T K is positive definite.
     """
     if not spec.sk_holds:
         raise SKConditionFails("seminorm degenerates: stacked matrix is rank deficient")
-    G = kalman_gram(spec)
-    sob = qmc.Sobol(d=spec.n, scramble=False)
-    u = sob.random_base2(m=sample_log2)
-    u = np.clip(u, 2.0**-32, 1.0 - 2.0**-32)
-    Y = stats.norm.ppf(u)
-    lengths = np.linalg.norm(Y, axis=1)
-    Y = Y[lengths > 1e-12] / lengths[lengths > 1e-12, None]
-    vals = np.einsum("ij,jk,ik->i", Y, G, Y)
-    y = Y[int(np.argmin(vals))]
-    shift = spectral_norm(G) * (1.0 + 1e-3)
-    M = shift * np.eye(spec.n) - G
-    for _ in range(refine_iters):
-        y = M @ y
-        y /= np.linalg.norm(y)
-    n2_min = float(y @ G @ y)
+    n2_min = min_eig_sym(kalman_gram(spec))
     if n2_min <= 0.0:
         raise SKConditionFails("seminorm minimum collapsed to zero on the sphere")
     return 2.0 / n2_min

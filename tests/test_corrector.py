@@ -1,8 +1,14 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hypodecay
 from hypodecay.corrector import (
     CorrectorCoeffs,
     constraint_margins,
@@ -91,6 +97,16 @@ def test_ck_dual_route(spec):
     ck = estimate_ck(spec)
     lam = min_eig_sym(kalman_gram(spec))
     assert 1.0 <= lam * ck <= 2.0 + 1e-6
+
+
+def test_experiment_import_skips_scipy_stats():
+    """scipy.stats costs more to import than the rest of the package."""
+    src = str(Path(hypodecay.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, hypodecay.experiment; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "False"
 
 
 def test_selected_constants_standard():
