@@ -271,7 +271,7 @@ def apply_override(doc, dotted, value):
     return doc
 
 
-def build_fields(cfg, grid, n_components, rng=None):
+def build_fields(cfg, grid, n_components):
     """Evaluate the initial-data descriptors into an (N, n) array.
 
     `bumps` entries draw `count` random Gaussian bumps from the
@@ -280,6 +280,7 @@ def build_fields(cfg, grid, n_components, rng=None):
     """
     x = grid.x
     U = np.zeros((grid.N, n_components))
+    rng = np.random.Generator(np.random.Philox(cfg.seed))
     for d in cfg.data:
         if d.component >= n_components:
             raise ConfigError(
@@ -293,8 +294,6 @@ def build_fields(cfg, grid, n_components, rng=None):
             z = (x - d.center) / d.width
             U[:, d.component] += d.amp * (-2.0 * z / d.width) * np.exp(-(z**2))
         elif d.kind == "bumps":
-            if rng is None:
-                rng = np.random.Generator(np.random.Philox(cfg.seed))
             for _ in range(d.count):
                 amp = rng.uniform(-1.0, 1.0) * d.amp
                 center = rng.uniform(-d.width, d.width)

@@ -142,15 +142,6 @@ def h1_norm(grid, f, weight=None):
     return float(np.sqrt(a * a + b * b))
 
 
-def lr_norm(grid, f, p):
-    """L^p norm by trapezoid, p >= 1; components contribute |f_k|^p."""
-    if p < 1:
-        raise ValueError("p must be >= 1")
-    f = np.asarray(f, dtype=float)
-    s = np.abs(f) ** p if f.ndim == 1 else (np.abs(f) ** p).sum(axis=1)
-    return float((grid.qw @ s) ** (1.0 / p))
-
-
 def antiderivative(grid, f):
     """Cumulative trapezoid primitive from the left edge, plus total mass.
 

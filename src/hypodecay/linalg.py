@@ -22,7 +22,6 @@ from .errors import AsymmetricMatrix, DimensionMismatch, DNotPositiveDefinite
 
 SYM_TOL = 1e-12
 RANK_TOL = 1e-10
-CHAR_TOL = 1e-9
 
 
 def check_symmetric(M, name="matrix", sym_tol=SYM_TOL):
@@ -102,31 +101,6 @@ def expm_sym(M):
     return (V * np.exp(w)) @ V.T
 
 
-def cayley_coeffs(A, ch_tol=CHAR_TOL):
-    """Coefficients c with A^n = sum_j c_j A^j (j = 0..n-1).
-
-    Uses the characteristic polynomial built from the Jacobi eigenvalues;
-    the reconstruction residual is verified against ch_tol.
-    """
-    A = check_symmetric(A, "A")
-    n = A.shape[0]
-    w, _ = jacobi_eigensystem(A)
-    poly = np.poly(w)  # [1, a_{n-1}, ..., a_0]
-    c = -poly[:0:-1]  # c_j multiplies A^j
-    powers = [np.eye(n)]
-    for _ in range(n):
-        powers.append(powers[-1] @ A)
-    recon = sum(cj * P for cj, P in zip(c, powers[:n]))
-    scale = max(1.0, np.abs(A).max()) ** n
-    resid = np.abs(powers[n] - recon).max()
-    if resid > ch_tol * scale:
-        raise ValueError(
-            f"characteristic-polynomial reconstruction residual {resid:.3e} "
-            f"exceeds {ch_tol:.1e} * scale"
-        )
-    return c
-
-
 @dataclass(frozen=True)
 class SystemSpec:
     """Validated description of the damped system matrices.
@@ -148,7 +122,6 @@ class SystemSpec:
     kalman_rank: int = field(init=False)
     a11_zero: bool = field(init=False)
     a12_invertible: bool = field(init=False)
-    a12a21_posdef: bool = field(init=False)
     sk_holds: bool = field(init=False)
 
     def __post_init__(self):
@@ -182,12 +155,9 @@ class SystemSpec:
         if n1 == n2 and A12.size:
             s_min = smallest_singular_value(A12)
             a12_invertible = s_min > self.rank_tol * max(1.0, spectral_norm(A12))
-        G = A12 @ A12.T  # A symmetric => A21 = A12^T
-        a12a21_posdef = bool(G.size and min_eig_sym(G) > 0.0)
         object.__setattr__(self, "kalman_rank", rank)
         object.__setattr__(self, "a11_zero", a11_zero)
         object.__setattr__(self, "a12_invertible", a12_invertible)
-        object.__setattr__(self, "a12a21_posdef", a12a21_posdef)
         object.__setattr__(self, "sk_holds", rank == n)
 
     @property
@@ -201,10 +171,6 @@ class SystemSpec:
     @property
     def A21(self):
         return self.A[self.n1:, : self.n1]
-
-    @property
-    def A22(self):
-        return self.A[self.n1:, self.n1:]
 
     def damped_powers(self):
         """The list [B, BA, ..., BA^{n-1}] used by seminorm and corrector."""

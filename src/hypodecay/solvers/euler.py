@@ -34,7 +34,6 @@ class EulerSpec:
     gamma: float = 2.0
     rho_bar: float = 1.0
     lam: float = 1.0
-    form: str = "symmetrized_cu"
 
     def __post_init__(self):
         if not self.gamma > 1.0:
@@ -43,8 +42,6 @@ class EulerSpec:
             raise ValueError("background density must be positive")
         if not self.lam > 0.0:
             raise ValueError("friction strength must be positive")
-        if self.form not in ("symmetrized_cu", "momentum_nm"):
-            raise ValueError(f"unknown form {self.form!r}")
 
     def pressure(self, rho):
         return rho**self.gamma

@@ -13,7 +13,6 @@ from hypodecay.grids import (
     h1_norm,
     inner,
     l2_norm,
-    lr_norm,
     occupancy_ok,
 )
 
@@ -133,16 +132,6 @@ def test_h1_norm_pythagoras():
     f = np.sin(g.x)
     a, b = l2_norm(g, f), l2_norm(g, d_dx(g, f))
     assert h1_norm(g, f) == pytest.approx(np.hypot(a, b), rel=1e-14)
-
-
-def test_lr_norm():
-    g = Grid1D(L=10.0, N=512, bc="periodic")
-    f = np.exp(-g.x**2)
-    assert lr_norm(g, f, 2.0) == pytest.approx(l2_norm(g, f), rel=1e-14)
-    # int e^{-x^2} dx = sqrt(pi)
-    assert lr_norm(g, f, 1.0) == pytest.approx(np.pi**0.5, rel=1e-12)
-    with pytest.raises(ValueError):
-        lr_norm(g, f, 0.5)
 
 
 def test_antiderivative_round_trip():

@@ -12,7 +12,6 @@ from hypodecay.errors import (
 )
 from hypodecay.linalg import (
     SystemSpec,
-    cayley_coeffs,
     expm_sym,
     jacobi_eigensystem,
     kalman_gram,
@@ -61,18 +60,6 @@ def test_expm_sym_diagonal():
 def test_check_symmetric_rejects():
     with pytest.raises(AsymmetricMatrix):
         min_eig_sym(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-
-def test_cayley_coeffs_involution():
-    # A^2 = I for the exchange matrix: coefficients (1, 0)
-    c = cayley_coeffs(np.array([[0.0, 1.0], [1.0, 0.0]]))
-    assert c == pytest.approx([1.0, 0.0], abs=1e-12)
-
-
-def test_cayley_coeffs_identity():
-    # I^2 = 2 I - I: coefficients (-1, 2)
-    c = cayley_coeffs(np.eye(2))
-    assert c == pytest.approx([-1.0, 2.0], abs=1e-12)
 
 
 def test_kalman_matrix_standard():
@@ -131,7 +118,6 @@ def test_spec_validation_errors():
 def test_structural_flags_standard():
     assert STANDARD.a11_zero
     assert STANDARD.a12_invertible
-    assert STANDARD.a12a21_posdef
     assert STANDARD.kappa == 1.0
 
 
@@ -197,22 +183,6 @@ def test_seminorm_homogeneity_and_triangle(c, y0, y1, z0, z1):
     assert kalman_seminorm(STANDARD, c * y) == pytest.approx(abs(c) * Ny, abs=1e-9)
     lhs = kalman_seminorm(STANDARD, y + z)
     assert lhs <= Ny + kalman_seminorm(STANDARD, z) + 1e-9
-
-
-@settings(max_examples=30, deadline=None)
-@given(
-    entries=st.lists(
-        st.floats(min_value=-3.0, max_value=3.0, allow_nan=False),
-        min_size=6, max_size=6,
-    )
-)
-def test_cayley_residual_property(entries):
-    """Reconstruction residual stays under the advertised tolerance."""
-    A = np.zeros((3, 3))
-    A[np.triu_indices(3)] = entries
-    A = A + np.triu(A, 1).T
-    c = cayley_coeffs(A)
-    assert len(c) == 3
 
 
 def test_smallest_singular_value_oracle():

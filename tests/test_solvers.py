@@ -140,8 +140,6 @@ def test_euler_spec_validation():
         EulerSpec(rho_bar=0.0)
     with pytest.raises(ValueError):
         EulerSpec(lam=0.0)
-    with pytest.raises(ValueError):
-        EulerSpec(form="primitive")
 
 
 def test_euler_sound_speed_oracles():
