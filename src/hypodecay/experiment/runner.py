@@ -416,23 +416,20 @@ def _check_bounded_product(claim, ctx):
     return res.pop("passed"), res
 
 
-def _psystem_subrun(cfg, N, T, amp, width, nu=0.0):
-    doc = serialize_config(cfg)
-    doc["grid"] = dict(doc["grid"], N=int(N))
-    doc["time"] = dict(doc["time"], T=float(T), sample_stride=1, nu=nu)
-    doc["data"] = [{"kind": "gaussian", "component": 0,
-                    "amp": amp, "width": width, "center": 0.0}]
-    doc["weights"] = []
+def derived_run(ctx, patch):
+    """Series of a certificate sub-run: the run's config with `patch` applied.
+
+    `patch` maps top-level config keys to new values; a dict updates that
+    section key by key, anything else replaces it.  Sub-runs take no
+    snapshots.
+    """
+    doc = serialize_config(ctx.cfg)
+    for key, value in patch.items():
+        doc[key] = {**doc[key], **value} if isinstance(value, dict) else value
     doc["outputs"] = {"snapshots": []}
     sub = parse_config(doc)
     grid = build_grid(sub)
-    pspec = PSystemSpec(r=float(sub.system.get("r", 2.0)),
-                        eta2=float(sub.system.get("eta2", 0.5)))
-    fields_ = build_fields(sub, grid, 2)
-    series, _ = simulate_psystem(pspec, grid, fields_[:, 0], fields_[:, 1],
-                                 float(sub.time["T"]),
-                                 cfl=float(sub.time["cfl"]), nu=nu,
-                                 sample_stride=1)
+    series, _ = _simulate(sub, grid, RunContext(cfg=sub, grid=grid, out_dir=ctx.out_dir))
     return series
 
 
@@ -441,7 +438,13 @@ def _check_psystem_refinement(claim, ctx):
     lo, hi = claim["band"]
     resids = []
     for N in ref["N"]:
-        series = _psystem_subrun(ctx.cfg, N, ref["T"], ref["amp"], ref["width"])
+        series = derived_run(ctx, {
+            "grid": {"N": int(N)},
+            "time": {"T": float(ref["T"]), "sample_stride": 1, "nu": 0.0},
+            "data": [{"kind": "gaussian", "component": 0, "amp": ref["amp"],
+                      "width": ref["width"], "center": 0.0}],
+            "weights": [],
+        })
         ctx.extra_series[f"series_refine_{int(N)}"] = series
         resids.append(check_energy_law(series)["l1_residual"])
     ratio = resids[0] / resids[1]
@@ -454,13 +457,7 @@ def _check_psystem_refinement(claim, ctx):
 def _check_energy_refinement(claim, ctx):
     lo, hi = claim["band"]
     base = check_energy_law(ctx.series)["l1_residual"]
-    doc = serialize_config(ctx.cfg)
-    doc["grid"] = dict(doc["grid"], N=int(claim["refine_N"]))
-    doc["outputs"] = {"snapshots": []}
-    sub = parse_config(doc)
-    grid = build_grid(sub)
-    subctx = RunContext(cfg=sub, grid=grid, out_dir=ctx.out_dir)
-    series, _ = _simulate(sub, grid, subctx)
+    series = derived_run(ctx, {"grid": {"N": int(claim["refine_N"])}})
     ctx.extra_series["series_fine"] = series
     fine = check_energy_law(series)["l1_residual"]
     ratio = base / fine
@@ -485,16 +482,12 @@ def _check_heat_closed_form(claim, ctx):
 
 
 def _check_heat_weighted_fit(claim, ctx):
-    doc = serialize_config(ctx.cfg)
     d = claim["data"]
-    doc["data"] = [{"kind": d["kind"], "component": 0, "amp": d["amp"],
-                    "width": d["width"], "center": 0.0}]
-    doc["weights"] = [{"role": "spatial", "kind": "power", "mu": 1.0}]
-    doc["outputs"] = {"snapshots": []}
-    sub = parse_config(doc)
-    grid = build_grid(sub)
-    subctx = RunContext(cfg=sub, grid=grid, out_dir=ctx.out_dir)
-    series, _ = _simulate(sub, grid, subctx)
+    series = derived_run(ctx, {
+        "data": [{"kind": d["kind"], "component": 0, "amp": d["amp"],
+                  "width": d["width"], "center": 0.0}],
+        "weights": [{"role": "spatial", "kind": "power", "mu": 1.0}],
+    })
     ctx.extra_series["series_weighted"] = series
     lo, hi = claim["band"]
     t0, t1 = claim["window"]
