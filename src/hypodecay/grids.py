@@ -11,6 +11,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import DomainEscape
+
 BOUNDARY_TOL = 1e-10
 
 _BCS = ("periodic", "compact_support")
@@ -160,6 +162,20 @@ def boundary_amplitude(grid, f):
     """Max |f| on the two boundary nodes (compact-support escape monitor)."""
     f = np.asarray(f, dtype=float)
     return float(max(np.abs(f[0]).max(), np.abs(f[-1]).max()))
+
+
+def escape_tol(*fields):
+    """Boundary-amplitude budget of a compact-support run started from `fields`."""
+    return BOUNDARY_TOL * max(1.0, *(float(np.abs(f).max()) for f in fields))
+
+
+def check_escape(grid, t, tol, *fields):
+    """Raise DomainEscape once a field on a compact-support grid reaches the ends."""
+    if grid.periodic:
+        return
+    b = max(boundary_amplitude(grid, f) for f in fields)
+    if b > tol:
+        raise DomainEscape(f"boundary amplitude {b:.3e} at t={t:.4g} exceeds {tol:.1e}")
 
 
 def occupancy_ok(grid, speed, T, support_radius, fraction=0.9):

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import CflViolation, DomainEscape, SmallnessBreached, VacuumApproached
-from ..grids import BOUNDARY_TOL, boundary_amplitude, d_dx, fourth_difference, l2_norm
+from ..errors import CflViolation, SmallnessBreached, VacuumApproached
+from ..grids import check_escape, d_dx, escape_tol, fourth_difference, l2_norm
 from .march import march, rk4, step_size
 
 CFL_MAX = 0.7
@@ -118,9 +118,7 @@ def simulate_euler(espec, grid, rho0, u0, T, cfl=0.4, nu=0.0, sample_stride=1,
             raise VacuumApproached(f"density reached the floor {floor:.3e}")
         return ct, u * decay_half
 
-    escape_tol = BOUNDARY_TOL * max(
-        1.0, float(np.abs(rho - espec.rho_bar).max()), float(np.abs(u).max())
-    )
+    tol = escape_tol(rho - espec.rho_bar, u)
     x_integral = 0.0
     prev_integrand = None
     prev_t = None
@@ -177,14 +175,7 @@ def simulate_euler(espec, grid, rho0, u0, T, cfl=0.4, nu=0.0, sample_stride=1,
             raise CflViolation(
                 f"wave speed {speed:.3f} at t={t:.4g} violates the step budget"
             )
-        if not grid.periodic:
-            b = max(
-                boundary_amplitude(grid, n), boundary_amplitude(grid, u)
-            )
-            if b > escape_tol:
-                raise DomainEscape(
-                    f"boundary amplitude {b:.3e} at t={t:.4g} exceeds {escape_tol:.1e}"
-                )
+        check_escape(grid, t, tol, n, u)
         return row
 
     def snapshot(state):
@@ -192,13 +183,6 @@ def simulate_euler(espec, grid, rho0, u0, T, cfl=0.4, nu=0.0, sample_stride=1,
         n = espec.density_of_sound(ct + c_bar) - espec.rho_bar
         return np.column_stack([n, u])
 
-    return march(
-        (ct, u), T, dt_limit,
-        step=step,
-        record=record,
-        sample_stride=sample_stride,
-        snapshot_times=snapshot_times,
-        snapshot=snapshot,
-        meta={"scheme": "strang-exp/rk4-centered", "nu": nu,
-              "smallness_cap": smallness_cap},
-    )
+    meta = {"scheme": "strang-exp/rk4-centered", "nu": nu, "smallness_cap": smallness_cap}
+    return march((ct, u), T, dt_limit, step, record, sample_stride, snapshot_times,
+                 snapshot, meta)

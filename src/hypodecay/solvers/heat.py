@@ -65,17 +65,14 @@ def heat_solve(grid, u0, T, dt=None, sample_stride=1, weight=None,
         ab[1, -1] = 1.0
         ab[2, -2] = 0.0
 
-    def implicit_solve(b):
+    def step(u, dt):
+        b = u + 0.5 * dt * _laplacian(u, dx, grid.periodic)
         if grid.periodic:
             y = solve_banded((1, 1), ab, b)
             return y - z * (v @ y) / (1.0 + v @ z)
-        b = b.copy()
         b[0] = 0.0
         b[-1] = 0.0
         return solve_banded((1, 1), ab, b)
-
-    def step(u, dt):
-        return implicit_solve(u + 0.5 * dt * _laplacian(u, dx, grid.periodic))
 
     def record(t, u):
         row = {
@@ -87,6 +84,5 @@ def heat_solve(grid, u0, T, dt=None, sample_stride=1, weight=None,
             row["weighted_l2"] = l2_norm(grid, u, weight=weight)
         return row
 
-    return march(u, T, dt_limit, step=step, record=record,
-                 sample_stride=sample_stride, snapshot_times=snapshot_times,
-                 snapshot=np.copy, meta={"scheme": "crank-nicolson"})
+    return march(u, T, dt_limit, step, record, sample_stride, snapshot_times,
+                 np.copy, {"scheme": "crank-nicolson"})

@@ -12,8 +12,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..corrector import lyapunov_value
-from ..errors import CflViolation, DomainEscape
-from ..grids import BOUNDARY_TOL, boundary_amplitude, d_dx, fourth_difference, inner, l2_norm
+from ..errors import CflViolation
+from ..grids import check_escape, d_dx, escape_tol, fourth_difference, inner, l2_norm
 from ..linalg import jacobi_eigensystem, expm_sym
 from .march import march, rk4, step_size
 
@@ -86,7 +86,7 @@ def simulate_linear(sim, U0, T, sample_stride=1, coeffs=None, weight=None,
     half = damping_half_step(spec, dt)
     if wave is not None:
         wave.check_mass(grid, U[:, : spec.n1])
-    escape_tol = BOUNDARY_TOL * max(1.0, float(np.abs(U).max()))
+    tol = escape_tol(U)
 
     def record(t, U):
         dUx = d_dx(grid, U)
@@ -106,20 +106,11 @@ def simulate_linear(sim, U0, T, sample_stride=1, coeffs=None, weight=None,
             we, wh = wave.record(grid, t, U, spec.n1)
             row["wave_energy"] = we
             row["wave_dissipation"] = wh
-        if not grid.periodic:
-            b = boundary_amplitude(grid, U)
-            if b > escape_tol:
-                raise DomainEscape(
-                    f"boundary amplitude {b:.3e} at t={t:.4g} exceeds {escape_tol:.1e}"
-                )
+        check_escape(grid, t, tol, U)
         return row
 
-    return march(
-        U, T, sim.dt,
-        step=lambda U, dt: step_linear(U, sim, dt=dt, half=half),
-        record=record,
-        sample_stride=sample_stride,
-        snapshot_times=snapshot_times,
-        snapshot=np.copy,
-        meta={"scheme": "strang-exp/rk4-centered", "nu": sim.nu},
-    )
+    def step(U, dt):
+        return step_linear(U, sim, dt=dt, half=half)
+
+    return march(U, T, sim.dt, step, record, sample_stride, snapshot_times,
+                 np.copy, {"scheme": "strang-exp/rk4-centered", "nu": sim.nu})

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import CflViolation, DomainEscape, RBandViolation
-from ..grids import BOUNDARY_TOL, antiderivative, boundary_amplitude, d_dx, fourth_difference
+from ..errors import CflViolation, RBandViolation
+from ..grids import antiderivative, check_escape, d_dx, escape_tol, fourth_difference
 from .march import march, rk4
 
 CFL_MAX = 0.7
@@ -68,7 +68,7 @@ def simulate_psystem(pspec, grid, rho0, u0, T, cfl=0.4, nu=0.0, sample_stride=1,
             du -= (nu / dx) * fourth_difference(grid, u)
         return drho, du
 
-    escape_tol = BOUNDARY_TOL * max(1.0, float(np.abs(rho).max()), float(np.abs(u).max()))
+    tol = escape_tol(rho, u)
 
     def record(t, state):
         rho, u = state
@@ -104,20 +104,12 @@ def simulate_psystem(pspec, grid, rho0, u0, T, cfl=0.4, nu=0.0, sample_stride=1,
             we, wh = wave.record(grid, t, w, -u, rho)
             row["wave_energy"] = we
             row["wave_dissipation"] = wh
-        if not grid.periodic:
-            b = max(boundary_amplitude(grid, rho), boundary_amplitude(grid, u))
-            if b > escape_tol:
-                raise DomainEscape(
-                    f"boundary amplitude {b:.3e} at t={t:.4g} exceeds {escape_tol:.1e}"
-                )
+        check_escape(grid, t, tol, rho, u)
         return row
 
-    return march(
-        (rho, u), T, dt_limit,
-        step=lambda state, dt: rk4(rhs, state, dt),
-        record=record,
-        sample_stride=sample_stride,
-        snapshot_times=snapshot_times,
-        snapshot=np.column_stack,
-        meta={"scheme": "rk4-centered", "nu": nu, "r": r, "eta2": eta2},
-    )
+    def step(state, dt):
+        return rk4(rhs, state, dt)
+
+    meta = {"scheme": "rk4-centered", "nu": nu, "r": r, "eta2": eta2}
+    return march((rho, u), T, dt_limit, step, record, sample_stride, snapshot_times,
+                 np.column_stack, meta)
