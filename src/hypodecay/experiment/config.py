@@ -192,6 +192,12 @@ def parse_config(doc):
     except jsonschema.ValidationError as exc:
         path = ".".join(str(p) for p in exc.absolute_path) or "<root>"
         raise ConfigError(f"invalid config at {path}: {exc.message}") from None
+    T = doc["time"]["T"]
+    for ts in doc.get("outputs", {}).get("snapshots", []):
+        if not 0 <= ts <= T:
+            raise ConfigError(
+                f"invalid config at outputs.snapshots: time {ts} lies outside [0, T={T}]"
+            )
 
     system = dict(doc.get("system", {"kind": "none"}))
     system.setdefault("kind", "none")

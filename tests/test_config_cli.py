@@ -288,6 +288,19 @@ def test_cli_rejects_bad_input(tmp_path, capsys):
         main(["run"])  # --config/--scenario required
 
 
+def test_cli_rejects_snapshot_outside_horizon(tmp_path, capsys):
+    out = tmp_path / "never"
+    code = main([
+        "run", "--scenario", "thm1_linear",
+        "--set", "time.T=2.0",
+        "--set", "outputs.snapshots=[1.0, 50.0]",
+        "--out", str(out),
+    ])
+    assert code == 2
+    assert not out.exists()
+    assert "outputs.snapshots" in capsys.readouterr().err
+
+
 def test_cli_run_numerical_failure(tmp_path, capsys):
     doc = smoke_doc()
     # compact box far too small: the pulse escapes -> numerical failure
