@@ -353,8 +353,8 @@ def _psystem_run(stride, snaps):
 
 def _heat_run(stride, snaps):
     grid = Grid1D(L=20.0, N=128, bc="periodic")
-    return heat_solve(grid, np.exp(-grid.x**2), T=1.0, sample_stride=stride,
-                      snapshot_times=snaps)
+    return heat_solve(grid, np.exp(-grid.x**2), T=1.0, dt=0.05,
+                      sample_stride=stride, snapshot_times=snaps)
 
 
 DRIVEN = {"linear": _linear_run, "euler": _euler_run,
@@ -369,6 +369,7 @@ def test_driver_sampling_and_off_grid_snapshots(solve):
     n, dt = ref.meta["n_steps"], ref.meta["dt_step"]
     assert np.array_equal(ref.t, np.arange(n + 1) * dt)
     stride = next(s for s in (3, 4, 5, 7) if n % s)
+    assert stride + 1 < n
     ts = (stride + 1) * dt
     _, on_grid = solve(1, (ts,))
     series, off_grid = solve(stride, (ts,))
