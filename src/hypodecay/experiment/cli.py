@@ -7,12 +7,12 @@ certificate failed (outputs written for inspection).
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
-from ..errors import HypodecayError
 from .config import ConfigError, apply_override, parse_config
-from .runner import batch, run, resolve_out_dir
+from .runner import OUT_ENV, RUN_ERRORS, batch, failure, run
 from .scenarios import describe, scenario_doc, scenario_names
 
 
@@ -46,20 +46,13 @@ def _load_doc(args):
 
 
 def _cmd_run(args):
-    try:
-        cfg = parse_config(_load_doc(args))
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
+    cfg = parse_config(_load_doc(args))
     try:
         report = run(cfg, out_dir=args.out)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except (HypodecayError, ValueError, FloatingPointError,
-            ZeroDivisionError) as exc:
-        print(f"numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 3
+    except RUN_ERRORS as exc:
+        code, label = failure(exc)
+        print(f"{label}: {exc}", file=sys.stderr)
+        return code
     for c in report.certificates:
         tag = "PASS" if c["passed"] else "FAIL"
         print(f"[{tag}] {c['id']} — {c['anchor']}")
@@ -88,9 +81,7 @@ def _cmd_batch(args):
 
 
 def resolve_out_dir_for_batch():
-    import os
-
-    return Path(os.environ.get("HYPODECAY_OUT", "runs")) / "batch"
+    return Path(os.environ.get(OUT_ENV, "runs")) / "batch"
 
 
 def build_parser():

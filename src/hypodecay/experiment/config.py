@@ -13,6 +13,8 @@ from dataclasses import asdict, dataclass, field
 import jsonschema
 import numpy as np
 
+from .scenarios import scenario_doc, scenario_names
+
 _BC = ["periodic", "compact_support"]
 _DATA_KINDS = ["gaussian", "dgaussian", "bumps", "zero"]
 
@@ -181,6 +183,10 @@ class RunConfig:
 
 
 _TIME_DEFAULTS = {"cfl": 0.4, "sample_stride": 1, "dt": None, "nu": 0.0}
+_SYSTEM_DEFAULTS = {
+    "euler": {"gamma": 2.0, "rho_bar": 1.0, "lam": 1.0, "smallness_cap": 0.5},
+    "psystem": {"r": 2.0, "eta2": 0.5, "eta3": 0.25},
+}
 
 
 def parse_config(doc):
@@ -199,33 +205,19 @@ def parse_config(doc):
                 f"invalid config at outputs.snapshots: time {ts} lies outside [0, T={T}]"
             )
 
-    system = dict(doc.get("system", {"kind": "none"}))
-    system.setdefault("kind", "none")
+    system = doc.get("system", {"kind": "none"})
+    system = {**_SYSTEM_DEFAULTS.get(system["kind"], {}), **system}
+    if doc["scenario"] in scenario_names():
+        registered = scenario_doc(doc["scenario"])["system"]["kind"]
+        if system["kind"] != registered:
+            raise ConfigError(
+                f"invalid config at system.kind: scenario {doc['scenario']!r} "
+                f"runs a {registered!r} system, got {system['kind']!r}"
+            )
     grid = {"bc": "periodic", **doc["grid"]}
     time_cfg = {**_TIME_DEFAULTS, **doc["time"]}
-    data = tuple(
-        DataField(
-            kind=d["kind"],
-            component=d["component"],
-            amp=d.get("amp", 1.0),
-            width=d.get("width", 1.0),
-            center=d.get("center", 0.0),
-            count=d.get("count", 1),
-        )
-        for d in doc.get("data", [])
-    )
-    weights = tuple(
-        WeightEntry(
-            role=w["role"],
-            kind=w["kind"],
-            mu=w.get("mu", 1.0),
-            q=w.get("q", 1.0),
-            r=w.get("r", 2.0),
-            a=w.get("a"),
-            mass_tol=w.get("mass_tol", 1e-8),
-        )
-        for w in doc.get("weights", [])
-    )
+    data = tuple(DataField(**d) for d in doc.get("data", []))
+    weights = tuple(WeightEntry(**w) for w in doc.get("weights", []))
     corrector = doc.get("corrector")
     if corrector is not None:
         corrector = {"delta": corrector.get("delta", 0.1),

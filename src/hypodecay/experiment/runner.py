@@ -12,6 +12,7 @@ import math
 import os
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from multiprocessing import get_context
 from pathlib import Path
 
@@ -121,201 +122,184 @@ def _json_ready(obj):
 
 def build_grid(cfg):
     g = cfg.grid
-    return Grid1D(L=float(g["L"]), N=int(g["N"]), bc=g.get("bc", "periodic"))
+    return Grid1D(L=float(g["L"]), N=int(g["N"]), bc=g["bc"])
 
 
 def spatial_weight(cfg):
     for w in cfg.weights:
         if w.role == "spatial":
             kind = "logarithmic" if w.kind in ("log", "logarithmic") else "power"
-            return WeightSpec(kind, mu=w.mu, q=w.q), w
-    return None, None
-
-
-def wave_entry(cfg):
-    for w in cfg.weights:
-        if w.role == "wave":
-            return w
+            return WeightSpec(kind, mu=w.mu, q=w.q)
     return None
 
 
-def _wave_spec(entry, kind, s_max, kappa1, r_default=2.0):
-    r = entry.r if entry.r is not None else r_default
+def _wave_spec(cfg, ctx, family, kappa1=None, **shown):
+    """(WaveWeightSpec, mass tolerance) of the config's wave weight, or (None, None).
+
+    The weight must be of the system's `family`.  `kappa1()`, the power
+    family's stiffness bound, is called only when there is a wave weight.
+    """
+    entry = next((w for w in cfg.weights if w.role == "wave"), None)
+    if entry is None:
+        return None, None
+    if ("log" if entry.kind in ("log", "logarithmic") else "power") != family:
+        raise ConfigError(f"the wave weight must be {family}, got {entry.kind!r}")
+    if family == "power":
+        shown = {"mu": entry.mu, "kappa1": kappa1(), **shown}
     if entry.a is not None:
         a = float(entry.a)
     else:
-        a = default_offset(kind, s_max, kappa1=kappa1, mu=entry.mu,
-                           q=entry.q, r=r)
-    return WaveWeightSpec(kind=kind, mu=entry.mu, q=entry.q, r=r, a=a)
+        a = default_offset(family, float(cfg.time["T"]) + ctx.grid.L,
+                           kappa1=shown.get("kappa1", 1.0), mu=entry.mu,
+                           q=entry.q, r=entry.r)
+    wsp = WaveWeightSpec(kind=family, mu=entry.mu, q=entry.q, r=entry.r, a=a)
+    ctx.manifest["wave"] = {"kind": family, "q": wsp.q, "r": wsp.r, "a": a, **shown}
+    return wsp, entry.mass_tol
 
 
 @dataclass
 class RunContext:
     cfg: object
     grid: object
-    out_dir: Path
     series: object = None
-    snapshots: dict = field(default_factory=dict)
-    spec: object = None
     coeffs: object = None
-    wcoeffs: object = None
     x0: float = None
     manifest: dict = field(default_factory=dict)
     extra_series: dict = field(default_factory=dict)
 
 
+def _build_linear(cfg, grid, ctx, weight):
+    spec = SystemSpec(A=np.array(cfg.system["A"], dtype=float),
+                      D=np.array(cfg.system["D"], dtype=float),
+                      n1=int(cfg.system["n1"]))
+    ctx.manifest["system"].update(
+        n=spec.n,
+        kappa=spec.kappa,
+        kalman_rank=spec.kalman_rank,
+        sk_holds=spec.sk_holds,
+    )
+    U0 = build_fields(cfg, grid, spec.n)
+
+    if cfg.corrector is not None:
+        try:
+            coeffs = select_coefficients(
+                spec, delta=cfg.corrector["delta"],
+                safety=cfg.corrector["safety"],
+            )
+        except SKConditionFails as exc:
+            ctx.manifest["coefficients"] = {
+                "refused": True, "reason": str(exc),
+            }
+        else:
+            ctx.coeffs = coeffs
+            ctx.manifest["coefficients"] = {
+                "refused": False,
+                "eps0": coeffs.eps0,
+                "eps": list(coeffs.eps),
+                "exponent_ladder": list(coeffs.m),
+                "eta0": coeffs.eta0,
+                "C_bound": coeffs.C_bound,
+                "C_K": coeffs.C_K,
+                "coercivity_sum": coeffs.coercivity_sum,
+                "margins": coeffs.margins(),
+            }
+
+    if weight is not None:
+        wc = select_weighted_coefficients(spec, mu=weight.mu)
+        ctx.x0 = weighted_data_size(grid, U0, weight.mu)
+        ctx.manifest["weighted"] = {
+            "mu": wc.mu,
+            "C_tilde": wc.C_tilde,
+            "eps_tilde": list(wc.eps_tilde),
+            "kappa0": wc.kappa0,
+            "kappa_margin": spec.kappa / wc.kappa0,
+            "X0": ctx.x0,
+        }
+
+    wsp, mass_tol = _wave_spec(cfg, ctx, "power",
+                               lambda: min_eig_sym(spec.A12 @ spec.A21))
+    wave = None if wsp is None else linear_wave_monitor(spec, wsp, mass_tol=mass_tol)
+    sim = LinearSim(spec=spec, grid=grid, cfl=float(cfg.time["cfl"]),
+                    nu=float(cfg.time["nu"]))
+    return partial(simulate_linear, sim, U0, coeffs=ctx.coeffs, weight=weight,
+                   wave=wave)
+
+
+def _build_euler(cfg, grid, ctx, weight):
+    espec = EulerSpec(gamma=float(cfg.system["gamma"]),
+                      rho_bar=float(cfg.system["rho_bar"]),
+                      lam=float(cfg.system["lam"]))
+    cap = float(cfg.system["smallness_cap"])
+    fields_ = build_fields(cfg, grid, 2)
+    ctx.manifest["system"].update(
+        gamma=espec.gamma, rho_bar=espec.rho_bar, lam=espec.lam,
+        c_bar=espec.c_bar, smallness_cap=cap,
+    )
+    kappa1 = float(espec.dpressure(espec.rho_bar))
+    wsp, mass_tol = _wave_spec(cfg, ctx, "power", lambda: kappa1)
+    wave = None if wsp is None else scalar_wave_monitor(
+        wsp, stiffness=kappa1, damping=espec.lam, mass_tol=mass_tol)
+    if weight is not None:
+        ctx.x0 = weighted_data_size(grid, fields_, weight.mu)
+        ctx.manifest["weighted"] = {"X0": ctx.x0}
+    return partial(simulate_euler, espec, grid, espec.rho_bar + fields_[:, 0],
+                   fields_[:, 1], cfl=float(cfg.time["cfl"]),
+                   nu=float(cfg.time["nu"]), smallness_cap=cap, weight=weight,
+                   wave=wave)
+
+
+def _build_psystem(cfg, grid, ctx, weight):
+    pspec = PSystemSpec(r=float(cfg.system["r"]), eta2=float(cfg.system["eta2"]))
+    eta3 = float(cfg.system["eta3"])
+    fields_ = build_fields(cfg, grid, 2)
+    ctx.manifest["system"].update(r=pspec.r, eta2=pspec.eta2, eta3=eta3)
+    wsp, _ = _wave_spec(cfg, ctx, "log", eta3=eta3)
+    wave = None if wsp is None else LogWaveMonitor(wspec=wsp, eta3=eta3)
+    return partial(simulate_psystem, pspec, grid, fields_[:, 0], fields_[:, 1],
+                   cfl=float(cfg.time["cfl"]), nu=float(cfg.time["nu"]),
+                   wave=wave)
+
+
+def _build_heat(cfg, grid, ctx, weight):
+    dt = cfg.time["dt"]
+    return partial(heat_solve, grid, build_fields(cfg, grid, 1)[:, 0],
+                   dt=None if dt is None else float(dt), weight=weight)
+
+
+# Each builder fills ctx and returns its solver call, or None for a run
+# without a system.  The call takes T, the sample stride and the
+# snapshot times, which every solver shares.
+_SYSTEMS = {
+    "linear": _build_linear,
+    "euler": _build_euler,
+    "psystem": _build_psystem,
+    "heat": _build_heat,
+    "none": lambda cfg, grid, ctx, weight: None,
+}
+
+
 def _simulate(cfg, grid, ctx):
-    """Dispatch on system kind; returns (series, snapshots) and fills ctx."""
-    kind = cfg.system.get("kind", "none")
-    wspec_entry = wave_entry(cfg)
-    weight, weight_entry = spatial_weight(cfg)
-    tcfg = cfg.time
-    T = float(tcfg["T"])
-    stride = int(tcfg.get("sample_stride", 1))
-    cfl = float(tcfg.get("cfl", 0.4))
-    nu = float(tcfg.get("nu", 0.0))
-    snaps = tuple(float(s) for s in cfg.outputs.get("snapshots", ()))
-    s_max = T + grid.L
+    """Build the configured system into ctx, then integrate it: (series, snapshots).
 
-    if weight_entry is not None:
-        ctx.manifest["spatial_weight"] = {
-            "kind": weight.kind, "mu": weight.mu, "q": weight.q,
-        }
-
-    if kind == "linear":
-        A = np.array(cfg.system["A"], dtype=float)
-        D = np.array(cfg.system["D"], dtype=float)
-        spec = SystemSpec(A=A, D=D, n1=int(cfg.system["n1"]))
-        ctx.spec = spec
-        ctx.manifest["system"] = {
-            "kind": "linear",
-            "n": spec.n,
-            "kappa": spec.kappa,
-            "kalman_rank": spec.kalman_rank,
-            "sk_holds": spec.sk_holds,
-        }
-        U0 = build_fields(cfg, grid, spec.n)
-
-        coeffs = None
-        if cfg.corrector is not None:
-            try:
-                coeffs = select_coefficients(
-                    spec, delta=cfg.corrector["delta"],
-                    safety=cfg.corrector["safety"],
-                )
-            except SKConditionFails as exc:
-                ctx.manifest["coefficients"] = {
-                    "refused": True, "reason": str(exc),
-                }
-            else:
-                ctx.manifest["coefficients"] = {
-                    "refused": False,
-                    "eps0": coeffs.eps0,
-                    "eps": list(coeffs.eps),
-                    "exponent_ladder": list(coeffs.m),
-                    "eta0": coeffs.eta0,
-                    "C_bound": coeffs.C_bound,
-                    "C_K": coeffs.C_K,
-                    "coercivity_sum": coeffs.coercivity_sum,
-                    "margins": coeffs.margins(),
-                }
-        ctx.coeffs = coeffs
-
+    Whatever construction rejects, parameter ranges included, is a
+    ConfigError raised before any step.
+    """
+    kind = cfg.system["kind"]
+    ctx.manifest["system"] = {"kind": kind}
+    try:
+        weight = spatial_weight(cfg)
         if weight is not None:
-            wc = select_weighted_coefficients(spec, mu=weight.mu)
-            ctx.wcoeffs = wc
-            ctx.x0 = weighted_data_size(grid, U0, weight.mu)
-            ctx.manifest["weighted"] = {
-                "mu": wc.mu,
-                "C_tilde": wc.C_tilde,
-                "eps_tilde": list(wc.eps_tilde),
-                "kappa0": wc.kappa0,
-                "kappa_margin": spec.kappa / wc.kappa0,
-                "X0": ctx.x0,
+            ctx.manifest["spatial_weight"] = {
+                "kind": weight.kind, "mu": weight.mu, "q": weight.q,
             }
-
-        wave = None
-        if wspec_entry is not None:
-            kappa1 = min_eig_sym(spec.A12 @ spec.A21)
-            kind_w = "log" if wspec_entry.kind in ("log", "logarithmic") else "power"
-            wsp = _wave_spec(wspec_entry, kind_w, s_max, kappa1)
-            wave = linear_wave_monitor(spec, wsp, mass_tol=wspec_entry.mass_tol)
-            ctx.manifest["wave"] = {
-                "kind": wsp.kind, "mu": wsp.mu, "q": wsp.q, "r": wsp.r,
-                "a": wsp.a, "kappa1": kappa1,
-            }
-
-        sim = LinearSim(spec=spec, grid=grid, cfl=cfl, nu=nu)
-        return simulate_linear(sim, U0, T, sample_stride=stride, coeffs=coeffs,
-                               weight=weight, wave=wave, snapshot_times=snaps)
-
-    if kind == "euler":
-        espec = EulerSpec(
-            gamma=float(cfg.system.get("gamma", 2.0)),
-            rho_bar=float(cfg.system.get("rho_bar", 1.0)),
-            lam=float(cfg.system.get("lam", 1.0)),
-        )
-        cap = float(cfg.system.get("smallness_cap", 0.5))
-        fields_ = build_fields(cfg, grid, 2)
-        rho0 = espec.rho_bar + fields_[:, 0]
-        u0 = fields_[:, 1]
-        ctx.manifest["system"] = {
-            "kind": "euler", "gamma": espec.gamma, "rho_bar": espec.rho_bar,
-            "lam": espec.lam, "c_bar": espec.c_bar, "smallness_cap": cap,
-        }
-        wave = None
-        if wspec_entry is not None:
-            kappa1 = float(espec.dpressure(espec.rho_bar))
-            wsp = _wave_spec(wspec_entry, "power", s_max, kappa1)
-            wave = scalar_wave_monitor(wsp, stiffness=kappa1, damping=espec.lam,
-                                       mass_tol=wspec_entry.mass_tol)
-            ctx.manifest["wave"] = {
-                "kind": wsp.kind, "mu": wsp.mu, "q": wsp.q, "r": wsp.r,
-                "a": wsp.a, "kappa1": kappa1,
-            }
-        if weight is not None:
-            ctx.x0 = weighted_data_size(grid, fields_, weight.mu)
-            ctx.manifest.setdefault("weighted", {})["X0"] = ctx.x0
-        return simulate_euler(espec, grid, rho0, u0, T, cfl=cfl, nu=nu,
-                              sample_stride=stride, smallness_cap=cap,
-                              weight=weight, wave=wave, snapshot_times=snaps)
-
-    if kind == "psystem":
-        pspec = PSystemSpec(r=float(cfg.system.get("r", 2.0)),
-                            eta2=float(cfg.system.get("eta2", 0.5)))
-        eta3 = float(cfg.system.get("eta3", 0.25))
-        fields_ = build_fields(cfg, grid, 2)
-        rho0, u0 = fields_[:, 0], fields_[:, 1]
-        ctx.manifest["system"] = {
-            "kind": "psystem", "r": pspec.r, "eta2": pspec.eta2, "eta3": eta3,
-        }
-        wave = None
-        if wspec_entry is not None:
-            wsp = _wave_spec(wspec_entry, "log", s_max, kappa1=1.0,
-                             r_default=pspec.r)
-            wave = LogWaveMonitor(wspec=wsp, eta3=eta3)
-            ctx.manifest["wave"] = {
-                "kind": wsp.kind, "q": wsp.q, "r": wsp.r, "a": wsp.a,
-                "eta3": eta3,
-            }
-        return simulate_psystem(pspec, grid, rho0, u0, T, cfl=cfl, nu=nu,
-                                sample_stride=stride, wave=wave,
-                                snapshot_times=snaps)
-
-    if kind == "heat":
-        fields_ = build_fields(cfg, grid, 1)
-        ctx.manifest["system"] = {"kind": "heat"}
-        dt = tcfg.get("dt")
-        return heat_solve(grid, fields_[:, 0], T,
-                          dt=None if dt is None else float(dt),
-                          sample_stride=stride, weight=weight,
-                          snapshot_times=snaps)
-
-    if kind == "none":
-        ctx.manifest["system"] = {"kind": "none"}
+        solve = _SYSTEMS[kind](cfg, grid, ctx, weight)
+    except (HypodecayError, ValueError) as exc:
+        raise ConfigError(f"cannot build system {kind!r}: {exc}") from exc
+    if solve is None:
         return None, {}
-
-    raise ConfigError(f"unknown system kind {kind!r}")
+    snaps = tuple(float(s) for s in cfg.outputs.get("snapshots", ()))
+    return solve(float(cfg.time["T"]), sample_stride=int(cfg.time["sample_stride"]),
+                 snapshot_times=snaps)
 
 
 # --- certificate executors ---------------------------------------------
@@ -429,7 +413,7 @@ def derived_run(ctx, patch):
     doc["outputs"] = {"snapshots": []}
     sub = parse_config(doc)
     grid = build_grid(sub)
-    series, _ = _simulate(sub, grid, RunContext(cfg=sub, grid=grid, out_dir=ctx.out_dir))
+    series, _ = _simulate(sub, grid, RunContext(cfg=sub, grid=grid))
     return series
 
 
@@ -612,13 +596,13 @@ def run(cfg, out_dir=None):
     started = time.perf_counter()
     out = resolve_out_dir(cfg, out_dir)
     grid = build_grid(cfg)
-    ctx = RunContext(cfg=cfg, grid=grid, out_dir=out)
+    ctx = RunContext(cfg=cfg, grid=grid)
     ctx.manifest["config"] = serialize_config(cfg)
     ctx.manifest["grid"] = {"L": grid.L, "N": grid.N, "bc": grid.bc,
                             "dx": grid.dx}
 
     series, snapshots = _simulate(cfg, grid, ctx)
-    ctx.series, ctx.snapshots = series, snapshots
+    ctx.series = series
     if series is not None:
         ctx.manifest["series_meta"] = _json_ready(dict(series.meta))
 
@@ -673,6 +657,17 @@ def run_scenario(name, overrides=(), out_dir=None):
     return run(cfg, out_dir=out_dir)
 
 
+# What `run` raises for a rejected config or a numerical failure.
+RUN_ERRORS = (HypodecayError, ValueError, FloatingPointError, ZeroDivisionError)
+
+
+def failure(exc):
+    """Exit code and label of a RUN_ERRORS exception: 2 config, 3 numerical."""
+    if isinstance(exc, ConfigError):
+        return 2, "config error"
+    return 3, f"numerical failure: {type(exc).__name__}"
+
+
 # --- batch -------------------------------------------------------------
 
 
@@ -685,11 +680,8 @@ def _batch_worker(job):
         return {"name": path.stem, "exit_code": 2, "error": str(exc)}
     try:
         report = run(cfg, out_dir=Path(out_root) / path.stem)
-    except ConfigError as exc:
-        return {"name": path.stem, "exit_code": 2, "error": str(exc)}
-    except (HypodecayError, ValueError, FloatingPointError,
-            ZeroDivisionError) as exc:
-        return {"name": path.stem, "exit_code": 3, "error": str(exc)}
+    except RUN_ERRORS as exc:
+        return {"name": path.stem, "exit_code": failure(exc)[0], "error": str(exc)}
     return {
         "name": path.stem,
         "exit_code": report.exit_code,

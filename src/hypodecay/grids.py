@@ -176,8 +176,3 @@ def check_escape(grid, t, tol, *fields):
     b = max(boundary_amplitude(grid, f) for f in fields)
     if b > tol:
         raise DomainEscape(f"boundary amplitude {b:.3e} at t={t:.4g} exceeds {tol:.1e}")
-
-
-def occupancy_ok(grid, speed, T, support_radius, fraction=0.9):
-    """Pre-flight rule for compact runs: signal must stay inside 0.9 L."""
-    return speed * T + support_radius <= fraction * grid.L

@@ -18,7 +18,9 @@ from hypodecay.experiment import (
     scenario_names,
     serialize_config,
 )
+from hypodecay.experiment import runner
 from hypodecay.experiment.cli import main
+from hypodecay.experiment.config import CONFIG_SCHEMA
 from hypodecay.experiment.runner import resolve_out_dir
 from hypodecay.grids import Grid1D
 
@@ -80,6 +82,13 @@ def test_registry_claims_have_anchors():
         for claim in scenario_claims(name):
             assert claim["id"].startswith(name + ":")
             assert claim["anchor"]
+
+
+def test_system_kinds_agree():
+    schema_kinds = CONFIG_SCHEMA["properties"]["system"]["properties"]["kind"]["enum"]
+    assert sorted(schema_kinds) == sorted(runner._SYSTEMS)
+    for name in scenario_names():
+        assert scenario_doc(name)["system"]["kind"] in runner._SYSTEMS, name
 
 
 def test_psystem_scenario_defaults():
@@ -299,6 +308,44 @@ def test_cli_rejects_snapshot_outside_horizon(tmp_path, capsys):
     assert code == 2
     assert not out.exists()
     assert "outputs.snapshots" in capsys.readouterr().err
+
+
+def test_cli_rejects_scenario_with_other_system_kind(tmp_path, capsys):
+    out = tmp_path / "X"
+    code = main([
+        "run", "--scenario", "thm4_euler",
+        "--set", 'system={"kind":"linear","A":[[0,1],[1,0]],"D":[[1]],"n1":1}',
+        "--set", "grid.N=256",
+        "--set", "time.T=5",
+        "--out", str(out),
+    ])
+    assert code == 2
+    assert not out.exists()
+    assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("scenario, key, value", [
+    # a wave weight of the family the system does not take
+    ("thm3_wave", "weights.0.kind", "log"),
+    ("thm5_euler_weighted", "weights.1.kind", "log"),
+    ("thm6_psystem_log", "weights.0.kind", "power"),
+    # parameters outside the range the system's construction accepts
+    ("thm2_weighted", "weights.0.mu", "-1"),
+    ("thm6_psystem_log", "system.r", "3.5"),
+    ("thm3_wave", "weights.0.mu", "0.2"),
+])
+def test_cli_rejects_misconfigured_system(tmp_path, capsys, scenario, key, value):
+    out = tmp_path / "never"
+    code = main([
+        "run", "--scenario", scenario,
+        "--set", f"{key}={value}",
+        "--set", "grid.N=256",
+        "--set", "time.T=5",
+        "--out", str(out),
+    ])
+    assert code == 2
+    assert not out.exists()
+    assert "config error" in capsys.readouterr().err
 
 
 def test_cli_run_numerical_failure(tmp_path, capsys):

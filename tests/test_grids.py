@@ -13,7 +13,6 @@ from hypodecay.grids import (
     h1_norm,
     inner,
     l2_norm,
-    occupancy_ok,
 )
 
 
@@ -163,13 +162,6 @@ def test_boundary_amplitude():
     U = np.zeros((64, 2))
     U[-1, 1] = 0.5
     assert boundary_amplitude(g, U) == 0.5
-
-
-def test_occupancy_rule():
-    g = Grid1D(L=100.0, N=64, bc="compact_support")
-    assert occupancy_ok(g, speed=1.0, T=80.0, support_radius=10.0)
-    assert not occupancy_ok(g, speed=1.0, T=85.0, support_radius=10.0)
-    assert occupancy_ok(g, speed=1.0, T=85.0, support_radius=10.0, fraction=0.96)
 
 
 @settings(max_examples=30, deadline=None)
