@@ -219,6 +219,8 @@ def _build_linear(cfg, grid, ctx, weight):
     wsp, mass_tol = _wave_spec(cfg, ctx, "power",
                                lambda: min_eig_sym(spec.A12 @ spec.A21))
     wave = None if wsp is None else linear_wave_monitor(spec, wsp, mass_tol=mass_tol)
+    if wave is not None:
+        wave.check_mass(grid, U0[:, : spec.n1])
     sim = LinearSim(spec=spec, grid=grid, cfl=float(cfg.time["cfl"]),
                     nu=float(cfg.time["nu"]))
     return partial(simulate_linear, sim, U0, coeffs=ctx.coeffs, weight=weight,
@@ -239,13 +241,15 @@ def _build_euler(cfg, grid, ctx, weight):
     wsp, mass_tol = _wave_spec(cfg, ctx, "power", lambda: kappa1)
     wave = None if wsp is None else scalar_wave_monitor(
         wsp, stiffness=kappa1, damping=espec.lam, mass_tol=mass_tol)
+    rho = espec.rho_bar + fields_[:, 0]
+    if wave is not None:
+        wave.check_mass(grid, rho - espec.rho_bar)
     if weight is not None:
         ctx.x0 = weighted_data_size(grid, fields_, weight.mu)
         ctx.manifest["weighted"] = {"X0": ctx.x0}
-    return partial(simulate_euler, espec, grid, espec.rho_bar + fields_[:, 0],
-                   fields_[:, 1], cfl=float(cfg.time["cfl"]),
-                   nu=float(cfg.time["nu"]), smallness_cap=cap, weight=weight,
-                   wave=wave)
+    return partial(simulate_euler, espec, grid, rho, fields_[:, 1],
+                   cfl=float(cfg.time["cfl"]), nu=float(cfg.time["nu"]),
+                   smallness_cap=cap, weight=weight, wave=wave)
 
 
 def _build_psystem(cfg, grid, ctx, weight):
@@ -268,13 +272,14 @@ def _build_heat(cfg, grid, ctx, weight):
 
 # Each builder fills ctx and returns its solver call, or None for a run
 # without a system.  The call takes T, the sample stride and the
-# snapshot times, which every solver shares.
+# snapshot times, which every solver shares.  Beside each builder stand
+# the weight roles it consumes; a config with any other role is refused.
 _SYSTEMS = {
-    "linear": _build_linear,
-    "euler": _build_euler,
-    "psystem": _build_psystem,
-    "heat": _build_heat,
-    "none": lambda cfg, grid, ctx, weight: None,
+    "linear": (_build_linear, {"spatial", "wave"}),
+    "euler": (_build_euler, {"spatial", "wave"}),
+    "psystem": (_build_psystem, {"wave"}),
+    "heat": (_build_heat, {"spatial"}),
+    "none": (lambda cfg, grid, ctx, weight: None, set()),
 }
 
 
@@ -286,13 +291,17 @@ def _simulate(cfg, grid, ctx):
     """
     kind = cfg.system["kind"]
     ctx.manifest["system"] = {"kind": kind}
+    build, roles = _SYSTEMS[kind]
     try:
+        unused = sorted({w.role for w in cfg.weights} - roles)
+        if unused:
+            raise ConfigError(f"system {kind!r} takes no {unused[0]} weight")
         weight = spatial_weight(cfg)
         if weight is not None:
             ctx.manifest["spatial_weight"] = {
                 "kind": weight.kind, "mu": weight.mu, "q": weight.q,
             }
-        solve = _SYSTEMS[kind](cfg, grid, ctx, weight)
+        solve = build(cfg, grid, ctx, weight)
     except (HypodecayError, ValueError) as exc:
         raise ConfigError(f"cannot build system {kind!r}: {exc}") from exc
     if solve is None:

@@ -52,6 +52,11 @@ class Grid1D:
         return self.bc == "periodic"
 
 
+def _ghost(f, g):
+    """`f` padded along axis 0 with `g` periodic wrap cells at each end."""
+    return np.concatenate((f[-g:], f, f[:g]))
+
+
 def d_dx(grid, f):
     """Second-order first derivative; one-sided at compact boundaries.
 
@@ -60,7 +65,8 @@ def d_dx(grid, f):
     f = np.asarray(f, dtype=float)
     dx = grid.dx
     if grid.periodic:
-        return (np.roll(f, -1, axis=0) - np.roll(f, 1, axis=0)) / (2.0 * dx)
+        p = _ghost(f, 1)
+        return (p[2:] - p[:-2]) / (2.0 * dx)
     out = np.empty_like(f)
     out[1:-1] = (f[2:] - f[:-2]) / (2.0 * dx)
     out[0] = (-3.0 * f[0] + 4.0 * f[1] - f[2]) / (2.0 * dx)
@@ -76,13 +82,16 @@ def fourth_difference(grid, f):
     """
     f = np.asarray(f, dtype=float)
     if grid.periodic:
-        return (
-            np.roll(f, -2, axis=0)
-            - 4.0 * np.roll(f, -1, axis=0)
-            + 6.0 * f
-            - 4.0 * np.roll(f, 1, axis=0)
-            + np.roll(f, 2, axis=0)
-        )
+        # f[i+2] - 4 f[i+1] + 6 f[i] - 4 f[i-1] + f[i-2], summed left to right
+        p = _ghost(f, 2)
+        out = p[3:-1] * -4.0
+        out += p[4:]
+        tmp = p[2:-2] * 6.0
+        out += tmp
+        np.multiply(p[1:-3], 4.0, out=tmp)
+        out -= tmp
+        out += p[:-4]
+        return out
     out = np.zeros_like(f)
     out[2:-2] = f[4:] - 4.0 * f[3:-1] + 6.0 * f[2:-2] - 4.0 * f[1:-3] + f[:-4]
     return out

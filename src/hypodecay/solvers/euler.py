@@ -43,9 +43,6 @@ class EulerSpec:
         if not self.lam > 0.0:
             raise ValueError("friction strength must be positive")
 
-    def pressure(self, rho):
-        return rho**self.gamma
-
     def dpressure(self, rho):
         return self.gamma * rho ** (self.gamma - 1.0)
 

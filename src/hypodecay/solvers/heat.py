@@ -9,13 +9,14 @@ update so the banded factorization stays tridiagonal.
 import numpy as np
 from scipy.linalg import solve_banded
 
-from ..grids import d_dx, l2_norm
+from ..grids import _ghost, d_dx, l2_norm
 from .march import march, step_size
 
 
 def _laplacian(u, dx, periodic):
     if periodic:
-        return (np.roll(u, -1) - 2.0 * u + np.roll(u, 1)) / dx**2
+        p = _ghost(u, 1)
+        return (p[2:] - 2.0 * u + p[:-2]) / dx**2
     out = np.zeros_like(u)
     out[1:-1] = (u[2:] - 2.0 * u[1:-1] + u[:-2]) / dx**2
     return out

@@ -23,22 +23,32 @@ def rk4(rhs, state, dt):
     """One classical RK4 step of y' = rhs(y).
 
     The state is an array or a tuple of arrays, and rhs returns the same
-    kind of object.
+    kind of object.  rk4 may overwrite the arrays rhs returns, so rhs
+    must return fresh arrays; the state itself is never written.  The
+    sums keep the grouping y + (dt/6) * (((a + 2b) + 2c) + d).
     """
     if not isinstance(state, tuple):
         return rk4(lambda y: (rhs(y[0]),), (state,), dt)[0]
 
     def shifted(a, k):
-        return tuple(y + a * ky for y, ky in zip(state, k))
+        out = tuple(np.multiply(ky, a) for ky in k)
+        for o, y in zip(out, state):
+            o += y
+        return out
 
     k1 = rhs(state)
     k2 = rhs(shifted(0.5 * dt, k1))
     k3 = rhs(shifted(0.5 * dt, k2))
     k4 = rhs(shifted(dt, k3))
-    return tuple(
-        y + (dt / 6.0) * (a + 2.0 * b + 2.0 * c + d)
-        for y, a, b, c, d in zip(state, k1, k2, k3, k4)
-    )
+    for y, a, b, c, d in zip(state, k1, k2, k3, k4):
+        b *= 2.0
+        b += a
+        c *= 2.0
+        b += c
+        b += d
+        b *= dt / 6.0
+        b += y
+    return k2
 
 
 def march(state, T, dt_limit, step, record, sample_stride, snapshot_times,

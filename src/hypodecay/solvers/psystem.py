@@ -61,11 +61,19 @@ def simulate_psystem(pspec, grid, rho0, u0, T, cfl=0.4, nu=0.0, sample_stride=1,
 
     def rhs(state):
         rho, u = state
-        drho = -d_dx(grid, u)
-        du = -d_dx(grid, rho) - np.abs(u) ** (r - 1.0) * u
+        drho = d_dx(grid, u)
+        np.negative(drho, out=drho)
+        du = d_dx(grid, rho)
+        np.negative(du, out=du)
+        damping = np.abs(u)
+        damping **= r - 1.0
+        damping *= u
+        du -= damping
         if nu > 0.0:
-            drho -= (nu / dx) * fourth_difference(grid, rho)
-            du -= (nu / dx) * fourth_difference(grid, u)
+            for d, f in ((drho, rho), (du, u)):
+                floor = fourth_difference(grid, f)
+                floor *= nu / dx
+                d -= floor
         return drho, du
 
     tol = escape_tol(rho, u)

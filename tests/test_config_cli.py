@@ -348,6 +348,29 @@ def test_cli_rejects_misconfigured_system(tmp_path, capsys, scenario, key, value
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("scenario, setting", [
+    # non-zero-mass data under a wave monitor
+    ("thm3_wave", "data.0.kind=gaussian"),
+    ("thm5_euler_weighted", "data.0.kind=gaussian"),
+    # a weight role the system does not consume
+    ("thm6_psystem_log", 'weights=[{"role":"spatial","kind":"power","mu":1.0}]'),
+    ("heat_oracle", 'weights=[{"role":"wave","kind":"power"}]'),
+    ("ckn_sweep", 'weights=[{"role":"wave","kind":"power"}]'),
+])
+def test_cli_rejects_data_or_weights_before_stepping(tmp_path, capsys, scenario, setting):
+    out = tmp_path / "never"
+    code = main([
+        "run", "--scenario", scenario,
+        "--set", setting,
+        "--set", "grid.N=256",
+        "--set", "time.T=5",
+        "--out", str(out),
+    ])
+    assert code == 2
+    assert not out.exists()
+    assert "config error" in capsys.readouterr().err
+
+
 def test_cli_run_numerical_failure(tmp_path, capsys):
     doc = smoke_doc()
     # compact box far too small: the pulse escapes -> numerical failure

@@ -14,6 +14,7 @@ from hypodecay.grids import (
     inner,
     l2_norm,
 )
+from hypodecay.solvers.heat import _laplacian
 
 
 def test_constructor_guards():
@@ -93,6 +94,26 @@ def test_fourth_difference_periodic_wraps():
     # undivided stencil of sin: (2 sin(dx/2))^4 * sin(x)
     factor = (2.0 * np.sin(g.dx / 2.0)) ** 4
     assert out == pytest.approx(factor * np.sin(g.x), abs=1e-12)
+
+
+@pytest.mark.parametrize("N", [16, 63])
+@pytest.mark.parametrize("k", [None, 2])
+def test_periodic_stencils_match_roll_reference(N, k):
+    g = Grid1D(L=3.0, N=N, bc="periodic")
+    rng = np.random.default_rng(N)
+    f = rng.standard_normal(N if k is None else (N, k))
+
+    def s(shift):
+        return np.roll(f, shift, axis=0)
+
+    assert np.array_equal(d_dx(g, f), (s(-1) - s(1)) / (2.0 * g.dx))
+    assert np.array_equal(
+        fourth_difference(g, f),
+        s(-2) - 4.0 * s(-1) + 6.0 * f - 4.0 * s(1) + s(2),
+    )
+    if k is None:
+        lap = (s(-1) - 2.0 * f + s(1)) / g.dx**2
+        assert np.array_equal(_laplacian(f, g.dx, True), lap)
 
 
 def test_weight_values():

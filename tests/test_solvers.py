@@ -20,10 +20,44 @@ from hypodecay.linalg import SystemSpec
 from hypodecay.solvers.euler import EulerSpec, simulate_euler
 from hypodecay.solvers.heat import heat_solve
 from hypodecay.solvers.linear import LinearSim, simulate_linear, step_linear
+from hypodecay.solvers.march import rk4
 from hypodecay.solvers.psystem import PSystemSpec, simulate_psystem
 
 STANDARD = SystemSpec(A=np.array([[0.0, 1.0], [1.0, 0.0]]),
                       D=np.array([[1.0]]), n1=1)
+
+
+# --- the shared RK4 stage sequence -------------------------------------------
+
+
+def test_rk4_matches_textbook_formula_and_keeps_state():
+    rng = np.random.default_rng(7)
+    state = (rng.standard_normal(33), rng.standard_normal((33, 2)))
+    kept = tuple(y.copy() for y in state)
+    dt = 0.037
+
+    def rhs(y):
+        a, b = y
+        return np.sin(b[:, 0]) * a - a**3, np.cos(b) + a[:, None] * b
+
+    def shifted(a, k):
+        return tuple(y + a * ky for y, ky in zip(state, k))
+
+    k1 = rhs(state)
+    k2 = rhs(shifted(0.5 * dt, k1))
+    k3 = rhs(shifted(0.5 * dt, k2))
+    k4 = rhs(shifted(dt, k3))
+    want = tuple(
+        y + (dt / 6.0) * (a + 2.0 * b + 2.0 * c + d)
+        for y, a, b, c, d in zip(state, k1, k2, k3, k4)
+    )
+    got = rk4(rhs, state, dt)
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
+    assert all(np.array_equal(y, y0) for y, y0 in zip(state, kept))
+
+    single = rk4(lambda y: rhs((y, state[1]))[0], state[0], dt)
+    assert isinstance(single, np.ndarray)
+    assert np.array_equal(state[0], kept[0])
 
 
 # --- linear system --------------------------------------------------------
