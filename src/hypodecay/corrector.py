@@ -227,11 +227,11 @@ def select_coefficients(spec, delta=0.1, safety=0.5):
 
 def corrector_value(spec, coeffs, grid, U, dU):
     """Cross term I = sum_k eps_k <B A^{k-1} U, B A^k d_x U>."""
-    powers = spec.damped_powers()
+    powers_t = spec.damped_powers_t
     total = 0.0
     for k in range(1, spec.n):
         total += coeffs.eps[k - 1] * inner(
-            grid, U @ powers[k - 1].T, dU @ powers[k].T
+            grid, U @ powers_t[k - 1], dU @ powers_t[k]
         )
     return float(total)
 

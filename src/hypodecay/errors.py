@@ -67,6 +67,17 @@ class MassNotZero(HypodecayError):
     """Antiderivative-based monitor requires zero-mean data (power mode)."""
 
 
+class NonFiniteState(HypodecayError):
+    """A recorded channel value is NaN or infinite.
+
+    Carries the sample time in ``.time``.
+    """
+
+    def __init__(self, message, time=None):
+        super().__init__(message)
+        self.time = time
+
+
 # --- analysis ----------------------------------------------------------
 
 class WindowTooSmall(HypodecayError):

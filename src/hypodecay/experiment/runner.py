@@ -10,7 +10,9 @@ hashing everything else.
 import json
 import math
 import os
+import resource
 import time
+import traceback
 from dataclasses import dataclass, field
 from functools import partial
 from multiprocessing import get_context
@@ -166,6 +168,7 @@ class RunContext:
     x0: float = None
     manifest: dict = field(default_factory=dict)
     extra_series: dict = field(default_factory=dict)
+    simulate_s: float = None
 
 
 def _build_linear(cfg, grid, ctx, weight):
@@ -307,8 +310,11 @@ def _simulate(cfg, grid, ctx):
     if solve is None:
         return None, {}
     snaps = tuple(float(s) for s in cfg.outputs.get("snapshots", ()))
-    return solve(float(cfg.time["T"]), sample_stride=int(cfg.time["sample_stride"]),
-                 snapshot_times=snaps)
+    started = time.perf_counter()
+    result = solve(float(cfg.time["T"]), sample_stride=int(cfg.time["sample_stride"]),
+                   snapshot_times=snaps)
+    ctx.simulate_s = time.perf_counter() - started
+    return result
 
 
 # --- certificate executors ---------------------------------------------
@@ -615,9 +621,9 @@ def run(cfg, out_dir=None):
     if series is not None:
         ctx.manifest["series_meta"] = _json_ready(dict(series.meta))
 
-    # nothing is written until the numerics have succeeded
-    out.mkdir(parents=True, exist_ok=True)
     certs = run_certificates(ctx)
+    # nothing is written until the numerics, sub-runs included, have succeeded
+    out.mkdir(parents=True, exist_ok=True)
 
     snapshot_paths = []
     if series is not None:
@@ -638,6 +644,14 @@ def run(cfg, out_dir=None):
                 fh.write(f"{trial},{m},{_f(mu)},{_f(ratio)}\n")
 
     passed = all(c["passed"] for c in certs)
+    timing = {
+        "wall_s": time.perf_counter() - started,
+        "rss_peak_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
+    }
+    if series is not None:
+        n_steps = int(series.meta["n_steps"])
+        timing.update(simulate_s=ctx.simulate_s, n_steps=n_steps,
+                      ns_per_point_step=ctx.simulate_s * 1e9 / (n_steps * grid.N))
     report = RunReport(
         scenario=cfg.scenario,
         out_dir=str(out),
@@ -646,7 +660,7 @@ def run(cfg, out_dir=None):
         manifest=_json_ready(ctx.manifest),
         series_path=series_path,
         snapshot_paths=snapshot_paths,
-        timing={"wall_s": time.perf_counter() - started},
+        timing=timing,
     )
     with open(out / "report.json", "w") as fh:
         json.dump(report.doc(), fh, indent=2, sort_keys=True)
@@ -671,10 +685,12 @@ RUN_ERRORS = (HypodecayError, ValueError, FloatingPointError, ZeroDivisionError)
 
 
 def failure(exc):
-    """Exit code and label of a RUN_ERRORS exception: 2 config, 3 numerical."""
+    """Exit code and label of an exception: 2 config, 3 numerical or internal."""
     if isinstance(exc, ConfigError):
         return 2, "config error"
-    return 3, f"numerical failure: {type(exc).__name__}"
+    if isinstance(exc, RUN_ERRORS):
+        return 3, f"numerical failure: {type(exc).__name__}"
+    return 3, f"internal error: {type(exc).__name__}"
 
 
 # --- batch -------------------------------------------------------------
@@ -691,6 +707,10 @@ def _batch_worker(job):
         report = run(cfg, out_dir=Path(out_root) / path.stem)
     except RUN_ERRORS as exc:
         return {"name": path.stem, "exit_code": failure(exc)[0], "error": str(exc)}
+    except Exception as exc:  # a bug hit by one job must not take down the pool
+        traceback.print_exc()
+        code, label = failure(exc)
+        return {"name": path.stem, "exit_code": code, "error": f"{label}: {exc}"}
     return {
         "name": path.stem,
         "exit_code": report.exit_code,

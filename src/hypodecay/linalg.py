@@ -123,6 +123,7 @@ class SystemSpec:
     a11_zero: bool = field(init=False)
     a12_invertible: bool = field(init=False)
     sk_holds: bool = field(init=False)
+    damped_powers_t: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         A = check_symmetric(self.A, "A", self.sym_tol)
@@ -159,6 +160,8 @@ class SystemSpec:
         object.__setattr__(self, "a11_zero", a11_zero)
         object.__setattr__(self, "a12_invertible", a12_invertible)
         object.__setattr__(self, "sk_holds", rank == n)
+        object.__setattr__(self, "damped_powers_t", tuple(
+            np.ascontiguousarray(P.T) for P in self.damped_powers()))
 
     @property
     def A11(self):
@@ -173,7 +176,11 @@ class SystemSpec:
         return self.A[self.n1:, : self.n1]
 
     def damped_powers(self):
-        """The list [B, BA, ..., BA^{n-1}] used by seminorm and corrector."""
+        """The list [B, BA, ..., BA^{n-1}] used by seminorm and corrector.
+
+        `damped_powers_t` holds their transposes as C-contiguous arrays,
+        the right operands of the stacked fields in the corrector.
+        """
         out = []
         P = np.eye(self.n)
         for _ in range(self.n):

@@ -11,6 +11,7 @@ import math
 import numpy as np
 
 from ..analysis import TimeSeries
+from ..errors import NonFiniteState
 
 
 def step_size(T, dt_limit):
@@ -58,6 +59,7 @@ def march(state, T, dt_limit, step, record, sample_stride, snapshot_times,
     `step(state, dt)` returns the next state.  `record(t, state)` returns
     a dict of channel values; it runs at step 0, at every multiple of
     `sample_stride` and at the last step, and raises to abort the run.
+    A NaN or infinite channel value raises NonFiniteState at that sample.
     `snapshot(state)` returns the array stored at the step nearest each
     of `snapshot_times`, which must lie in [0, T].  Returns the recorded
     TimeSeries, whose meta is `meta` plus dt_step, n_steps and
@@ -77,6 +79,10 @@ def march(state, T, dt_limit, step, record, sample_stride, snapshot_times,
         if j % sample_stride == 0 or j == nsteps:
             t = j * dt
             row = record(t, state)
+            bad = [k for k, v in row.items() if not math.isfinite(v)]
+            if bad:
+                raise NonFiniteState(f"channel {bad[0]!r} is {row[bad[0]]} at t={t:.4g}",
+                                     time=t)
             times.append(t)
             for k, v in row.items():
                 chans.setdefault(k, []).append(v)

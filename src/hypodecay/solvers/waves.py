@@ -12,7 +12,7 @@ Both carry validity conditions on the offset `a`; `default_offset` picks
 the smallest power of two satisfying them on the run's s-range.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -222,6 +222,11 @@ class LinearWaveMonitor:
     a12a21: np.ndarray
     a12_d_a12inv: np.ndarray
     mass_tol: float = DEFAULT_MASS_TOL
+    a12_t: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        # contiguous right operand: a transposed view misses numpy's BLAS path
+        object.__setattr__(self, "a12_t", np.ascontiguousarray(self.a12.T))
 
     def check_mass(self, grid, U1_0):
         return check_zero_mass(grid, U1_0, self.mass_tol)
@@ -230,7 +235,7 @@ class LinearWaveMonitor:
         U1 = U[:, :n1]
         U2 = U[:, n1:]
         W, _ = antiderivative(grid, U1)
-        Wt = -(U2 @ self.a12.T)
+        Wt = -(U2 @ self.a12_t)
         return power_wave_record(
             grid, t, self.wspec, W, Wt, U1, self.a12a21, self.a12_d_a12inv
         )

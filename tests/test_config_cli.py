@@ -244,6 +244,66 @@ def test_run_rejects_before_writing(tmp_path):
     assert not out.exists()
 
 
+def test_run_writes_timing_telemetry(tmp_path):
+    run(parse_config(smoke_doc()), out_dir=tmp_path / "a")
+    timing = json.loads((tmp_path / "a" / "timing.json").read_text())
+    report = json.loads((tmp_path / "a" / "report.json").read_text())
+    assert set(timing) == {"wall_s", "rss_peak_mb", "simulate_s", "n_steps",
+                           "ns_per_point_step"}
+    assert timing["n_steps"] == report["manifest"]["series_meta"]["n_steps"]
+    assert 0.0 < timing["simulate_s"] <= timing["wall_s"]
+    assert timing["ns_per_point_step"] == pytest.approx(
+        timing["simulate_s"] * 1e9 / (timing["n_steps"] * 64))
+    assert timing["rss_peak_mb"] > 1.0
+    assert "timing" not in json.dumps(report)
+
+
+def test_run_without_series_omits_step_timing(tmp_path):
+    doc = smoke_doc()
+    doc["system"] = {"kind": "none"}
+    run(parse_config(doc), out_dir=tmp_path / "a")
+    timing = json.loads((tmp_path / "a" / "timing.json").read_text())
+    assert set(timing) == {"wall_s", "rss_peak_mb"}
+
+
+def test_certificate_error_leaves_no_output(monkeypatch, tmp_path, capsys):
+    def broken(claim, ctx):
+        raise ValueError("sub-run rejected its grid")
+
+    monkeypatch.setitem(runner._CHECKS, "broken", broken)
+    monkeypatch.setattr(runner, "scenario_claims", lambda name: [
+        {"id": "broken", "anchor": "a certificate whose sub-run fails",
+         "check": "broken"}])
+    path = tmp_path / "smoke.json"
+    path.write_text(json.dumps(smoke_doc()))
+    out = tmp_path / "never"
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 3
+    assert not out.exists()
+    assert "numerical failure: ValueError" in capsys.readouterr().err
+
+
+def test_batch_survives_an_internal_error(monkeypatch, tmp_path):
+    real_run = runner.run
+
+    def run_or_break(cfg, out_dir=None):
+        if cfg.scenario == "smoke_bad":
+            raise KeyError("missing")
+        return real_run(cfg, out_dir=out_dir)
+
+    monkeypatch.setattr(runner, "run", run_or_break)  # forked workers inherit it
+    cfg_dir = tmp_path / "cfgs"
+    cfg_dir.mkdir()
+    for name in ("good", "bad", "other"):
+        (cfg_dir / f"{name}.json").write_text(json.dumps(smoke_doc(f"smoke_{name}")))
+    agg = batch(sorted(cfg_dir.glob("*.json")), tmp_path / "br", jobs=2)
+    assert agg["exit_code"] == 3
+    written = json.loads((tmp_path / "br" / "batch_report.json").read_text())
+    by_name = {r["name"]: r for r in written["runs"]}
+    assert by_name["bad"]["exit_code"] == 3
+    assert by_name["bad"]["error"].startswith("internal error: KeyError")
+    assert by_name["good"]["exit_code"] == 0 and by_name["other"]["exit_code"] == 0
+
+
 # --- command line ------------------------------------------------------------
 
 

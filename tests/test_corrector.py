@@ -219,6 +219,40 @@ def test_cross_term_quadrature():
     assert val == pytest.approx(coeffs.eps[0] * np.pi, rel=1e-3)
 
 
+def _transposed_view_cross_term(spec, coeffs, grid, U, dU):
+    """corrector_value written with `@ P.T` and numpy's row sum."""
+    P = spec.damped_powers()
+    return sum(
+        coeffs.eps[k - 1]
+        * float(grid.qw @ ((U @ P[k - 1].T) * (dU @ P[k].T)).sum(axis=1))
+        for k in range(1, spec.n)
+    )
+
+
+@pytest.mark.parametrize("spec", ["random", "registry"])
+def test_cross_term_matches_transposed_views(spec):
+    rng = np.random.default_rng(11)
+    if spec == "random":
+        A = rng.standard_normal((3, 3))
+        R = rng.standard_normal((2, 2))
+        spec = SystemSpec(A=A + A.T, D=R @ R.T + np.eye(2), n1=1)
+    else:
+        spec = STANDARD
+    grid = Grid1D(L=10.0, N=128, bc="periodic")
+    coeffs = select_coefficients(spec)
+    U = rng.standard_normal((grid.N, spec.n))
+    dU = d_dx(grid, U)
+    got = corrector_value(spec, coeffs, grid, U, dU)
+    want = _transposed_view_cross_term(spec, coeffs, grid, U, dU)
+    if spec is STANDARD:
+        assert got == want
+    else:
+        np.testing.assert_allclose(got, want, rtol=1e-14)
+    assert all(P.flags.c_contiguous for P in spec.damped_powers_t)
+    assert all(np.array_equal(Pt, P.T)
+               for Pt, P in zip(spec.damped_powers_t, spec.damped_powers()))
+
+
 def test_lyapunov_zero_field():
     grid = Grid1D(L=10.0, N=64, bc="periodic")
     coeffs = select_coefficients(STANDARD)

@@ -13,6 +13,7 @@ from hypodecay.grids import (
     h1_norm,
     inner,
     l2_norm,
+    _component_sum,
 )
 from hypodecay.solvers.heat import _laplacian
 
@@ -114,6 +115,18 @@ def test_periodic_stencils_match_roll_reference(N, k):
     if k is None:
         lap = (s(-1) - 2.0 * f + s(1)) / g.dx**2
         assert np.array_equal(_laplacian(f, g.dx, True), lap)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_component_sum_matches_numpy_row_sum(k):
+    rng = np.random.default_rng(k)
+    f = rng.standard_normal((257, k))
+    g = rng.standard_normal((257, k))
+    assert np.array_equal(_component_sum(f, g), (f * g).sum(axis=1))
+    assert np.array_equal(_component_sum(f, f), (f * f).sum(axis=1))
+    wide = rng.standard_normal((257, k + 3))
+    fv, gv = wide[:, 1:k + 1], wide[:, 3:k + 3]  # strided column-slice views
+    assert np.array_equal(_component_sum(fv, gv), (fv * gv).sum(axis=1))
 
 
 def test_weight_values():

@@ -11,16 +11,23 @@ from hypodecay.analysis import check_energy_law, check_monotone
 from hypodecay.errors import (
     CflViolation,
     DomainEscape,
+    NonFiniteState,
     RBandViolation,
     SmallnessBreached,
     VacuumApproached,
 )
-from hypodecay.grids import Grid1D, WeightSpec
-from hypodecay.linalg import SystemSpec
+from hypodecay.grids import Grid1D, WeightSpec, d_dx, fourth_difference
+from hypodecay.linalg import SystemSpec, expm_sym
 from hypodecay.solvers.euler import EulerSpec, simulate_euler
 from hypodecay.solvers.heat import heat_solve
-from hypodecay.solvers.linear import LinearSim, simulate_linear, step_linear
-from hypodecay.solvers.march import rk4
+from hypodecay.solvers.linear import (
+    LinearSim,
+    advection_rhs,
+    damping_half_step,
+    simulate_linear,
+    step_linear,
+)
+from hypodecay.solvers.march import march, rk4
 from hypodecay.solvers.psystem import PSystemSpec, simulate_psystem
 
 STANDARD = SystemSpec(A=np.array([[0.0, 1.0], [1.0, 0.0]]),
@@ -356,6 +363,87 @@ def test_heat_guards():
         heat_solve(grid, np.zeros(128), T=0.0)
     with pytest.raises(ValueError):
         heat_solve(grid, np.zeros(64), T=1.0)
+
+
+# --- contiguous right operands ----------------------------------------------
+
+
+def _random_spec(rng, n, n1):
+    """Random symmetric A and symmetric positive definite D."""
+    A = rng.standard_normal((n, n))
+    R = rng.standard_normal((n - n1, n - n1))
+    return SystemSpec(A=A + A.T, D=R @ R.T + np.eye(n - n1), n1=n1)
+
+
+def _transposed_view_step(U, sim, dt):
+    """step_linear written with the transposed views `@ M.T`."""
+    B = np.zeros((sim.spec.n, sim.spec.n))
+    B[sim.spec.n1:, sim.spec.n1:] = sim.spec.D
+    half = expm_sym(-0.5 * dt * B)
+
+    def rhs(V):
+        dV = -d_dx(sim.grid, V) @ sim.spec.A.T
+        if sim.nu > 0.0:
+            dV -= (sim.nu / sim.grid.dx) * fourth_difference(sim.grid, V)
+        return dV
+
+    return rk4(rhs, U @ half.T, dt) @ half.T
+
+
+@pytest.mark.parametrize("n, n1, bc", [(3, 1, "periodic"), (4, 2, "compact_support")])
+def test_linear_operands_match_transposed_views(n, n1, bc):
+    rng = np.random.default_rng(n)
+    grid = Grid1D(L=10.0, N=96, bc=bc)
+    sim = LinearSim(spec=_random_spec(rng, n, n1), grid=grid, nu=0.01)
+    U = rng.standard_normal((grid.N, n))
+    want = -d_dx(grid, U) @ sim.spec.A.T - (sim.nu / grid.dx) * fourth_difference(grid, U)
+    np.testing.assert_allclose(advection_rhs(sim, U), want, rtol=1e-14)
+    np.testing.assert_allclose(step_linear(U, sim), _transposed_view_step(U, sim, sim.dt),
+                               rtol=1e-14)
+
+
+def test_registry_linear_operands_are_bitwise_the_transposed_views():
+    grid = Grid1D(L=10.0, N=96, bc="periodic")
+    sim = LinearSim(spec=SystemSpec(A=np.array([[0.0, 1.0], [1.0, 0.0]]),
+                                    D=np.array([[32.0]]), n1=1), grid=grid)
+    U = np.random.default_rng(3).standard_normal((grid.N, 2))
+    assert np.array_equal(advection_rhs(sim, U), -d_dx(grid, U) @ sim.spec.A.T)
+    assert np.array_equal(step_linear(U, sim), _transposed_view_step(U, sim, sim.dt))
+
+
+def test_linear_operands_are_c_contiguous():
+    sim = LinearSim(spec=_random_spec(np.random.default_rng(5), 3, 1),
+                    grid=Grid1D(L=10.0, N=64))
+    half = damping_half_step(sim.spec, sim.dt)
+    for M in (sim.A_t, sim.D_t, half):
+        assert M.flags.c_contiguous
+    assert np.array_equal(sim.A_t, sim.spec.A.T)
+    assert np.array_equal(sim.D_t, sim.spec.D.T)
+
+
+# --- shared time-marching driver --------------------------------------------
+
+
+def test_march_stops_at_first_non_finite_sample():
+    def step(state, dt):
+        return state + 1.0
+
+    def record(t, state):
+        return {"count": float(state[0]), "l2": np.inf if state[0] >= 3 else 1.0}
+
+    # ten steps of 0.1, sampled every other step: step 3 is skipped, step 4 trips
+    with pytest.raises(NonFiniteState, match="'l2'") as info:
+        march(np.zeros(1), 1.0, 0.1, step, record, 2, (), np.copy, {})
+    assert info.value.time == pytest.approx(0.4, rel=1e-14)
+
+
+@pytest.mark.filterwarnings("ignore:overflow")
+def test_linear_blow_up_raises_non_finite_state():
+    grid = Grid1D(L=20.0, N=64)
+    U0 = np.stack([1e300 * np.exp(-grid.x**2), np.zeros(64)], axis=1)
+    with pytest.raises(NonFiniteState) as info:
+        simulate_linear(LinearSim(spec=STANDARD, grid=grid), U0, T=1.0)
+    assert info.value.time == 0.0
 
 
 # --- shared time-marching driver --------------------------------------------

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from hypodecay.analysis import check_monotone
 from hypodecay.errors import MassNotZero, MuOutOfRange
-from hypodecay.grids import Grid1D
+from hypodecay.grids import Grid1D, antiderivative
 from hypodecay.linalg import SystemSpec
 from hypodecay.solvers.linear import LinearSim, simulate_linear
 from hypodecay.solvers.waves import (
@@ -175,6 +175,30 @@ def test_scalar_monitor_wiring():
     state = np.column_stack([n, 0.1 * np.exp(-grid.x**2)])
     e, h = mon.record(grid, 0.0, state, 1)
     assert np.isfinite(e) and np.isfinite(h) and e > 0.0
+
+
+@pytest.mark.parametrize("spec", ["random", "registry"])
+def test_linear_monitor_matches_transposed_view(spec):
+    rng = np.random.default_rng(13)
+    if spec == "random":
+        A = rng.standard_normal((4, 4))
+        R = rng.standard_normal((2, 2))
+        spec = SystemSpec(A=A + A.T, D=R @ R.T + np.eye(2), n1=2)
+    else:
+        spec = STANDARD
+    mon = linear_wave_monitor(spec, WaveWeightSpec(kind="power", mu=0.75, a=4.0))
+    assert mon.a12_t.flags.c_contiguous
+    assert np.array_equal(mon.a12_t, spec.A12.T)
+    grid = Grid1D(L=20.0, N=128, bc="compact_support")
+    U = rng.standard_normal((grid.N, spec.n))
+    W, _ = antiderivative(grid, U[:, : spec.n1])
+    want = power_wave_record(grid, 1.5, mon.wspec, W, -(U[:, spec.n1:] @ spec.A12.T),
+                             U[:, : spec.n1], mon.a12a21, mon.a12_d_a12inv)
+    got = mon.record(grid, 1.5, U, spec.n1)
+    if spec is STANDARD:
+        assert got == want
+    else:
+        np.testing.assert_allclose(got, want, rtol=1e-14)
 
 
 def test_log_monitor_finite_and_positive():
