@@ -1,9 +1,10 @@
 """Run the full scenario registry through the batch driver.
 
 Materializes every registry config as JSON under <out>/configs/, runs
-them share-nothing, and prints one status line per scenario.  The exit
-code is the worst exit code over the runs (0 ok, 2 config rejected,
-3 numerical failure, 4 certificate failed), so this script doubles as a
+the configs it wrote share-nothing (never ones an earlier run left
+there), and prints one status line per scenario.  The exit code is the
+worst exit code over the runs (0 ok, 2 config rejected, 3 numerical
+failure, 4 certificate failed), so this script doubles as a
 reproduction gate: a zero exit means every certificate passed.
 
 Outputs land under <out>/<scenario>/ (series.csv, snapshots, report.json,
@@ -34,11 +35,12 @@ def main():
     out = Path(args.out)
     cfg_dir = out / "configs"
     cfg_dir.mkdir(parents=True, exist_ok=True)
-    for name in names:
-        with open(cfg_dir / f"{name}.json", "w") as fh:
-            json.dump(scenario_doc(name), fh, indent=2)
+    paths = sorted({cfg_dir / f"{name}.json" for name in names})
+    for path in paths:
+        with open(path, "w") as fh:
+            json.dump(scenario_doc(path.stem), fh, indent=2)
 
-    agg = batch(sorted(cfg_dir.glob("*.json")), out, jobs=args.jobs)
+    agg = batch(paths, out, jobs=args.jobs)
     for r in agg["runs"]:
         status = r.get("error") or ("ok" if r["exit_code"] == 0 else "certificate failure")
         print(f"[{r['exit_code']}] {r['name']}: {status}")

@@ -190,12 +190,12 @@ def check_ckn(grid, h, mu):
 
 
 def check_decay_inequality(series, e1_channel, e2_channel, a1, a2, mu, eta0,
-                           slack_tol=None):
+                           slack_rel=1e-6):
     """Certificate for the comparison lemma on E1 + eta0 t E2.
 
     Hypothesis: d/dt(E1 + eta0 t E2) + a1 E1^{1 + 1/mu} + a2 E2 <= 0,
-    checked by central differences with tolerance slack_tol (default
-    1e-6 times the initial value of E1).  Conclusion: E1 + eta0 t E2 <=
+    checked by central differences with tolerance slack_rel times the
+    initial value of E1.  Conclusion: E1 + eta0 t E2 <=
     C a1^{-mu} t^{-mu} with the proof constant C = mu^mu (exponent
     choice p = mu + 1, which requires p < a2/eta0).
     """
@@ -214,7 +214,7 @@ def check_decay_inequality(series, e1_channel, e2_channel, a1, a2, mu, eta0,
     if np.any(E1 < 0) or np.any(E2 < 0):
         raise ValueError("E1, E2 must be nonnegative")
     scale = float(E1[0]) if E1[0] > 0 else float(np.abs(E1).max())
-    tol = 1e-6 * scale if slack_tol is None else float(slack_tol)
+    tol = slack_rel * scale
     F = E1 + eta0 * t * E2
     dF = (F[2:] - F[:-2]) / (t[2:] - t[:-2])
     resid = dF + a1 * E1[1:-1] ** (1.0 + 1.0 / mu) + a2 * E2[1:-1]

@@ -7,7 +7,6 @@ from .config import (
     WeightEntry,
     apply_override,
     build_fields,
-    load_config,
     parse_config,
     serialize_config,
 )
@@ -24,7 +23,6 @@ __all__ = [
     "batch",
     "build_fields",
     "describe",
-    "load_config",
     "parse_config",
     "run",
     "run_scenario",

@@ -6,12 +6,11 @@ certificate failed (outputs written for inspection).
 """
 
 import argparse
-import json
 import os
 import sys
 from pathlib import Path
 
-from .config import ConfigError, apply_override, parse_config
+from .config import ConfigError, apply_override, parse_config, read_config
 from .runner import OUT_ENV, RUN_ERRORS, batch, failure, run
 from .scenarios import describe, scenario_doc, scenario_names
 
@@ -28,10 +27,7 @@ def _parse_set(pairs):
 
 def _load_doc(args):
     if args.config:
-        try:
-            doc = json.loads(Path(args.config).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"cannot read config {args.config}: {exc}") from None
+        doc = read_config(args.config)
     else:
         try:
             doc = scenario_doc(args.scenario)

@@ -9,10 +9,12 @@ schema-valid documents.
 
 import json
 from dataclasses import asdict, dataclass, field
+from pathlib import Path
 
 import jsonschema
 import numpy as np
 
+from ..solvers.march import CFL_MAX
 from .scenarios import scenario_doc, scenario_names
 
 _BC = ["periodic", "compact_support"]
@@ -65,7 +67,7 @@ CONFIG_SCHEMA = {
             "additionalProperties": False,
             "properties": {
                 "T": {"type": "number", "exclusiveMinimum": 0},
-                "cfl": {"type": "number", "exclusiveMinimum": 0, "maximum": 0.7},
+                "cfl": {"type": "number", "exclusiveMinimum": 0, "maximum": CFL_MAX},
                 "sample_stride": {"type": "integer", "minimum": 1},
                 "dt": {"type": ["number", "null"], "exclusiveMinimum": 0},
                 "nu": {"type": "number", "minimum": 0},
@@ -239,13 +241,12 @@ def serialize_config(cfg):
     return cfg.doc()
 
 
-def load_config(path):
+def read_config(path):
+    """The JSON document in the file at `path`; any failure is a ConfigError."""
     try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
-    return parse_config(doc)
 
 
 def apply_override(doc, dotted, value):

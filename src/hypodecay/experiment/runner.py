@@ -57,6 +57,7 @@ from .config import (
     apply_override,
     build_fields,
     parse_config,
+    read_config,
     serialize_config,
 )
 from .scenarios import scenario_claims, scenario_doc
@@ -384,7 +385,8 @@ def _check_decay_inequality(claim, ctx):
                        "min_rj": min_rj}
     a1 = 0.999 * min_rj
     aug = TimeSeries(t=t, channels={"e1": E1, "e2": E2}, meta=dict(ctx.series.meta))
-    res = check_decay_inequality(aug, "e1", "e2", a1, a2, mu, coeffs.eta0)
+    res = check_decay_inequality(aug, "e1", "e2", a1, a2, mu, coeffs.eta0,
+                                 slack_rel=claim["slack_rel"])
     ok = res.pop("conclusion_pass") and res["slack"] <= res["slack_tol"]
     res.update({"a1": a1, "a2": a2, "eta0": coeffs.eta0, "min_rj": min_rj})
     return ok, res
@@ -700,8 +702,8 @@ def _batch_worker(job):
     path, out_root = job
     path = Path(path)
     try:
-        cfg = parse_config(json.loads(path.read_text()))
-    except (ConfigError, json.JSONDecodeError, OSError) as exc:
+        cfg = parse_config(read_config(path))
+    except ConfigError as exc:
         return {"name": path.stem, "exit_code": 2, "error": str(exc)}
     try:
         report = run(cfg, out_dir=Path(out_root) / path.stem)

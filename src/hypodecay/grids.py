@@ -7,6 +7,7 @@ usual half-weight trapezoid ends; derivative stencils fall back to
 second-order one-sided forms there.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -52,9 +53,21 @@ class Grid1D:
         return self.bc == "periodic"
 
 
-def _ghost(f, g):
-    """`f` padded along axis 0 with `g` periodic wrap cells at each end."""
-    return np.concatenate((f[-g:], f, f[:g]))
+def _layout(grid, f, g):
+    """(source, out, window) of a stencil reaching `g` cells along axis 0.
+
+    The stencil fills `window`, a view of the fresh `out`, from the slices
+    `source[j : j + len(window)]`, j = 0..2g.  Periodic grids: `source` is
+    `f` with `g` wrap cells per end, `window` all of `out`.  Compact grids:
+    `source` is `f`, `window` is `out[g:-g]` and the `g` end rows are zero.
+    """
+    f = np.asarray(f, dtype=float)
+    out = np.empty_like(f)
+    if grid.periodic:
+        return np.concatenate((f[-g:], f, f[:g])), out, out
+    out[:g] = 0.0
+    out[-g:] = 0.0
+    return f, out, out[g:-g]
 
 
 def d_dx(grid, f):
@@ -62,15 +75,24 @@ def d_dx(grid, f):
 
     Accepts (N,) or (N, k) arrays and differentiates along axis 0.
     """
-    f = np.asarray(f, dtype=float)
-    dx = grid.dx
-    if grid.periodic:
-        p = _ghost(f, 1)
-        return (p[2:] - p[:-2]) / (2.0 * dx)
-    out = np.empty_like(f)
-    out[1:-1] = (f[2:] - f[:-2]) / (2.0 * dx)
-    out[0] = (-3.0 * f[0] + 4.0 * f[1] - f[2]) / (2.0 * dx)
-    out[-1] = (3.0 * f[-1] - 4.0 * f[-2] + f[-3]) / (2.0 * dx)
+    p, out, w = _layout(grid, f, 1)
+    np.subtract(p[2:], p[:-2], out=w)
+    w /= 2.0 * grid.dx
+    if not grid.periodic:
+        out[0] = (-3.0 * p[0] + 4.0 * p[1] - p[2]) / (2.0 * grid.dx)
+        out[-1] = (3.0 * p[-1] - 4.0 * p[-2] + p[-3]) / (2.0 * grid.dx)
+    return out
+
+
+def second_difference(grid, f):
+    """Undivided second difference f[i+1] - 2 f[i] + f[i-1].
+
+    Periodic grids wrap; compact grids leave the two end rows zero.
+    """
+    p, out, w = _layout(grid, f, 1)
+    np.multiply(p[1:-1], -2.0, out=w)
+    w += p[2:]
+    w += p[:-2]
     return out
 
 
@@ -80,21 +102,25 @@ def fourth_difference(grid, f):
     Periodic grids wrap; compact grids apply it on interior nodes only
     (two zero rows at each end), keeping the boundary stencils untouched.
     """
-    f = np.asarray(f, dtype=float)
-    if grid.periodic:
-        # f[i+2] - 4 f[i+1] + 6 f[i] - 4 f[i-1] + f[i-2], summed left to right
-        p = _ghost(f, 2)
-        out = p[3:-1] * -4.0
-        out += p[4:]
-        tmp = p[2:-2] * 6.0
-        out += tmp
-        np.multiply(p[1:-3], 4.0, out=tmp)
-        out -= tmp
-        out += p[:-4]
-        return out
-    out = np.zeros_like(f)
-    out[2:-2] = f[4:] - 4.0 * f[3:-1] + 6.0 * f[2:-2] - 4.0 * f[1:-3] + f[:-4]
+    # f[i+2] - 4 f[i+1] + 6 f[i] - 4 f[i-1] + f[i-2], summed left to right
+    p, out, w = _layout(grid, f, 2)
+    np.multiply(p[3:-1], -4.0, out=w)
+    w += p[4:]
+    tmp = p[2:-2] * 6.0
+    w += tmp
+    np.multiply(p[1:-3], 4.0, out=tmp)
+    w -= tmp
+    w += p[:-4]
     return out
+
+
+def subtract_floor(grid, d, f, nu):
+    """d -= (nu / dx) * fourth_difference(grid, f) in place for nu > 0; returns d."""
+    if nu > 0.0:
+        floor = fourth_difference(grid, f)
+        floor *= nu / grid.dx
+        d -= floor
+    return d
 
 
 @dataclass(frozen=True)
@@ -135,18 +161,9 @@ def _component_sum(f, g):
     return s
 
 
-def _sq_integrand(f, weight_values=None):
-    f = np.asarray(f, dtype=float)
-    s = f * f if f.ndim == 1 else _component_sum(f, f)
-    if weight_values is not None:
-        s = weight_values * weight_values * s
-    return s
-
-
 def l2_norm(grid, f, weight=None):
     """Weighted L2 norm by trapezoid: sqrt(sum qw * w(x)^2 * |f|^2)."""
-    wv = weight.values(grid.x) if weight is not None else None
-    return float(np.sqrt(grid.qw @ _sq_integrand(f, wv)))
+    return math.sqrt(inner(grid, f, f, weight))
 
 
 def inner(grid, f, g, weight=None):

@@ -19,10 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import CflViolation, SmallnessBreached, VacuumApproached
-from ..grids import check_escape, d_dx, escape_tol, fourth_difference, l2_norm
-from .march import march, rk4, step_size
+from ..grids import check_escape, d_dx, escape_tol, l2_norm, subtract_floor
+from .march import CFL_MAX, check_cfl, march, rk4, step_size
 
-CFL_MAX = 0.7
 VACUUM_FLOOR_REL = 1e-6
 SPEED_HEADROOM = 1.25
 
@@ -71,8 +70,7 @@ def simulate_euler(espec, grid, rho0, u0, T, cfl=0.4, nu=0.0, sample_stride=1,
     """
     if T <= 0.0:
         raise ValueError("T must be positive")
-    if not 0.0 < cfl <= CFL_MAX:
-        raise CflViolation(f"cfl must lie in (0, {CFL_MAX}], got {cfl}")
+    check_cfl(cfl)
     rho = np.array(rho0, dtype=float)
     u = np.array(u0, dtype=float)
     if rho.shape != (grid.N,) or u.shape != (grid.N,):
@@ -103,10 +101,7 @@ def simulate_euler(espec, grid, rho0, u0, T, cfl=0.4, nu=0.0, sample_stride=1,
         c = ct + c_bar
         dct = -(u * ctx + half_g * c * ux)
         du = -(u * ux + half_g * c * ctx)
-        if nu > 0.0:
-            dct -= (nu / dx) * fourth_difference(grid, ct)
-            du -= (nu / dx) * fourth_difference(grid, u)
-        return dct, du
+        return subtract_floor(grid, dct, ct, nu), subtract_floor(grid, du, u, nu)
 
     def step(state, dt):
         ct, u = state

@@ -9,17 +9,8 @@ update so the banded factorization stays tridiagonal.
 import numpy as np
 from scipy.linalg import solve_banded
 
-from ..grids import _ghost, d_dx, l2_norm
+from ..grids import d_dx, l2_norm, second_difference
 from .march import march, step_size
-
-
-def _laplacian(u, dx, periodic):
-    if periodic:
-        p = _ghost(u, 1)
-        return (p[2:] - 2.0 * u + p[:-2]) / dx**2
-    out = np.zeros_like(u)
-    out[1:-1] = (u[2:] - 2.0 * u[1:-1] + u[:-2]) / dx**2
-    return out
 
 
 def heat_solve(grid, u0, T, dt=None, sample_stride=1, weight=None,
@@ -67,7 +58,7 @@ def heat_solve(grid, u0, T, dt=None, sample_stride=1, weight=None,
         ab[2, -2] = 0.0
 
     def step(u, dt):
-        b = u + 0.5 * dt * _laplacian(u, dx, grid.periodic)
+        b = u + 0.5 * dt * (second_difference(grid, u) / dx**2)
         if grid.periodic:
             y = solve_banded((1, 1), ab, b)
             return y - z * (v @ y) / (1.0 + v @ z)

@@ -17,11 +17,9 @@ import numpy as np
 
 from ..corrector import lyapunov_value
 from ..errors import CflViolation
-from ..grids import check_escape, d_dx, escape_tol, fourth_difference, inner, l2_norm
+from ..grids import check_escape, d_dx, escape_tol, inner, l2_norm, subtract_floor
 from ..linalg import jacobi_eigensystem, expm_sym
-from .march import march, rk4, step_size
-
-CFL_MAX = 0.7
+from .march import check_cfl, march, rk4, step_size
 
 
 @dataclass(frozen=True)
@@ -36,8 +34,7 @@ class LinearSim:
     D_t: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        if not 0.0 < self.cfl <= CFL_MAX:
-            raise CflViolation(f"cfl must lie in (0, {CFL_MAX}], got {self.cfl}")
+        check_cfl(self.cfl)
         if self.nu < 0.0:
             raise ValueError("stabilization strength nu must be nonnegative")
         w, _ = jacobi_eigensystem(self.spec.A)
@@ -60,10 +57,7 @@ def damping_half_step(spec, dt):
 
 
 def advection_rhs(sim, U):
-    dU = -d_dx(sim.grid, U) @ sim.A_t
-    if sim.nu > 0.0:
-        dU -= (sim.nu / sim.grid.dx) * fourth_difference(sim.grid, U)
-    return dU
+    return subtract_floor(sim.grid, -d_dx(sim.grid, U) @ sim.A_t, U, sim.nu)
 
 
 def step_linear(U, sim, dt=None, half=None):

@@ -3,7 +3,8 @@
 Each solver hands `march` its one-step map and its `record(t, state)`
 observer.  The driver owns everything else about a run: the uniform step
 count, the sampling stride, the snapshot steps and the assembly of the
-recorded series.  `rk4` is the one classical Runge-Kutta stage sequence.
+recorded series.  `rk4` is the one classical Runge-Kutta stage sequence,
+and `check_cfl` the one bound on the CFL number of an explicit solver.
 """
 
 import math
@@ -11,7 +12,15 @@ import math
 import numpy as np
 
 from ..analysis import TimeSeries
-from ..errors import NonFiniteState
+from ..errors import CflViolation, NonFiniteState
+
+CFL_MAX = 0.7
+
+
+def check_cfl(cfl):
+    """Raise CflViolation unless the CFL number lies in (0, CFL_MAX]."""
+    if not 0.0 < cfl <= CFL_MAX:
+        raise CflViolation(f"cfl must lie in (0, {CFL_MAX}], got {cfl}")
 
 
 def step_size(T, dt_limit):

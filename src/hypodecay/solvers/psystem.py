@@ -19,11 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import CflViolation, RBandViolation
-from ..grids import antiderivative, check_escape, d_dx, escape_tol, fourth_difference
-from .march import march, rk4
-
-CFL_MAX = 0.7
+from ..errors import RBandViolation
+from ..grids import antiderivative, check_escape, d_dx, escape_tol, subtract_floor
+from .march import check_cfl, march, rk4
 
 
 @dataclass(frozen=True)
@@ -48,16 +46,14 @@ def simulate_psystem(pspec, grid, rho0, u0, T, cfl=0.4, nu=0.0, sample_stride=1,
     """
     if T <= 0.0:
         raise ValueError("T must be positive")
-    if not 0.0 < cfl <= CFL_MAX:
-        raise CflViolation(f"cfl must lie in (0, {CFL_MAX}], got {cfl}")
+    check_cfl(cfl)
     rho = np.array(rho0, dtype=float)
     u = np.array(u0, dtype=float)
     if rho.shape != (grid.N,) or u.shape != (grid.N,):
         raise ValueError("rho0, u0 must be scalar fields on the grid")
     r = pspec.r
     eta2 = pspec.eta2
-    dx = grid.dx
-    dt_limit = cfl * dx
+    dt_limit = cfl * grid.dx
 
     def rhs(state):
         rho, u = state
@@ -69,12 +65,7 @@ def simulate_psystem(pspec, grid, rho0, u0, T, cfl=0.4, nu=0.0, sample_stride=1,
         damping **= r - 1.0
         damping *= u
         du -= damping
-        if nu > 0.0:
-            for d, f in ((drho, rho), (du, u)):
-                floor = fourth_difference(grid, f)
-                floor *= nu / dx
-                d -= floor
-        return drho, du
+        return subtract_floor(grid, drho, rho, nu), subtract_floor(grid, du, u, nu)
 
     tol = escape_tol(rho, u)
 

@@ -1,6 +1,8 @@
 """Config documents, overrides, output plumbing, and the command line."""
 
+import importlib.util
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -36,6 +38,10 @@ EXPECTED_SCENARIOS = [
     "thm5_euler_weighted",
     "thm6_psystem_log",
 ]
+
+
+# A UTF-16 byte-order mark before "{}": not a UTF-8 config file.
+UNDECODABLE = bytes([0xFF, 0xFE, 0x7B, 0x7D])
 
 
 def smoke_doc(name="smoke_custom"):
@@ -351,6 +357,12 @@ def test_cli_rejects_bad_input(tmp_path, capsys):
     assert not out.exists()
     assert "config error" in capsys.readouterr().err
 
+    undecodable = tmp_path / "undecodable.json"
+    undecodable.write_bytes(UNDECODABLE)
+    assert main(["run", "--config", str(undecodable), "--out", str(out)]) == 2
+    assert not out.exists()
+    assert "config error" in capsys.readouterr().err
+
     assert main(["run", "--scenario", "no_such", "--out", str(out)]) == 2
     assert main(["run", "--scenario", "thm1_linear", "--set", "oops"]) == 2
     with pytest.raises(SystemExit):
@@ -452,12 +464,14 @@ def test_cli_batch_isolates_failures(tmp_path, capsys):
     bad = smoke_doc("smoke_b")
     bad["grid"]["N"] = 8
     (cfg_dir / "bad.json").write_text(json.dumps(bad))
+    (cfg_dir / "undecodable.json").write_bytes(UNDECODABLE)
     code = main(["batch", "--dir", str(cfg_dir), "--out", str(tmp_path / "br")])
     assert code == 2
     agg = json.loads((tmp_path / "br" / "batch_report.json").read_text())
     by_name = {r["name"]: r for r in agg["runs"]}
     assert by_name["good"]["exit_code"] == 0
     assert by_name["bad"]["exit_code"] == 2
+    assert by_name["undecodable"]["exit_code"] == 2
     assert (tmp_path / "br" / "good" / "report.json").exists()
     assert main(["batch", "--dir", str(tmp_path / "empty")]) == 2
 
@@ -477,3 +491,40 @@ def test_batch_worker_count_invariance(tmp_path):
         a = (tmp_path / "serial" / f"c{i}" / "series.csv").read_bytes()
         b = (tmp_path / "forked" / f"c{i}" / "series.csv").read_bytes()
         assert a == b
+
+
+def test_decay_inequality_reads_the_claims_slack_rel():
+    claim = next(c for c in scenario_claims("thm2_weighted")
+                 if c["check"] == "decay_inequality")
+    doc = scenario_doc("thm2_weighted")
+    doc["grid"].update(L=50.0, N=512)
+    doc["time"]["T"] = 10.0
+    cfg = parse_config(doc)
+    ctx = runner.RunContext(cfg=cfg, grid=runner.build_grid(cfg))
+    ctx.series, _ = runner._simulate(cfg, ctx.grid, ctx)
+    rel = claim["slack_rel"]
+    tol = [runner._check_decay_inequality({**claim, "slack_rel": r}, ctx)[1]["slack_tol"]
+           for r in (rel, 1e3 * rel)]
+    assert tol[1] == pytest.approx(1e3 * tol[0], rel=1e-12)
+
+
+def test_run_registry_batches_only_the_configs_it_writes(monkeypatch, tmp_path):
+    script = Path(__file__).resolve().parents[1] / "scripts" / "run_registry.py"
+    spec = importlib.util.spec_from_file_location("run_registry", script)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    stale = tmp_path / "configs" / "stale.json"
+    stale.parent.mkdir()
+    stale.write_text(json.dumps(smoke_doc("stale")))
+    batched = []
+
+    def fake_batch(paths, out_root, jobs=1):
+        batched.extend(Path(p) for p in paths)
+        return {"runs": [], "exit_code": 0}
+
+    monkeypatch.setattr(module, "batch", fake_batch)
+    monkeypatch.setattr(sys, "argv", ["run_registry.py", "--out", str(tmp_path),
+                                      "thm1_linear", "heat_oracle"])
+    assert module.main() == 0
+    assert batched == [tmp_path / "configs" / "heat_oracle.json",
+                       tmp_path / "configs" / "thm1_linear.json"]

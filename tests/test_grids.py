@@ -13,9 +13,10 @@ from hypodecay.grids import (
     h1_norm,
     inner,
     l2_norm,
+    second_difference,
+    subtract_floor,
     _component_sum,
 )
-from hypodecay.solvers.heat import _laplacian
 
 
 def test_constructor_guards():
@@ -97,6 +98,15 @@ def test_fourth_difference_periodic_wraps():
     assert out == pytest.approx(factor * np.sin(g.x), abs=1e-12)
 
 
+def _check_floor(g, f, rng):
+    """subtract_floor works in place, as the plain expression, and not at nu = 0."""
+    d = rng.standard_normal(f.shape)
+    expected = d - (0.3 / g.dx) * fourth_difference(g, f)
+    assert subtract_floor(g, d, f, 0.3) is d
+    assert np.array_equal(d, expected)
+    assert np.array_equal(subtract_floor(g, d, f, 0.0), expected)
+
+
 @pytest.mark.parametrize("N", [16, 63])
 @pytest.mark.parametrize("k", [None, 2])
 def test_periodic_stencils_match_roll_reference(N, k):
@@ -112,9 +122,32 @@ def test_periodic_stencils_match_roll_reference(N, k):
         fourth_difference(g, f),
         s(-2) - 4.0 * s(-1) + 6.0 * f - 4.0 * s(1) + s(2),
     )
-    if k is None:
-        lap = (s(-1) - 2.0 * f + s(1)) / g.dx**2
-        assert np.array_equal(_laplacian(f, g.dx, True), lap)
+    assert np.array_equal(second_difference(g, f), s(-1) - 2.0 * f + s(1))
+    _check_floor(g, f, rng)
+
+
+@pytest.mark.parametrize("N", [16, 63])
+@pytest.mark.parametrize("k", [None, 2])
+def test_compact_stencils_match_slice_reference(N, k):
+    g = Grid1D(L=3.0, N=N, bc="compact_support")
+    rng = np.random.default_rng(N)
+    f = rng.standard_normal(N if k is None else (N, k))
+    dx = g.dx
+
+    d = np.empty_like(f)
+    d[1:-1] = (f[2:] - f[:-2]) / (2.0 * dx)
+    d[0] = (-3.0 * f[0] + 4.0 * f[1] - f[2]) / (2.0 * dx)
+    d[-1] = (3.0 * f[-1] - 4.0 * f[-2] + f[-3]) / (2.0 * dx)
+    assert np.array_equal(d_dx(g, f), d)
+
+    d2 = np.zeros_like(f)
+    d2[1:-1] = f[2:] - 2.0 * f[1:-1] + f[:-2]
+    assert np.array_equal(second_difference(g, f), d2)
+
+    d4 = np.zeros_like(f)
+    d4[2:-2] = f[4:] - 4.0 * f[3:-1] + 6.0 * f[2:-2] - 4.0 * f[1:-3] + f[:-4]
+    assert np.array_equal(fourth_difference(g, f), d4)
+    _check_floor(g, f, rng)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
