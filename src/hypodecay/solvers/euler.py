@@ -68,8 +68,6 @@ def simulate_euler(espec, grid, rho0, u0, T, cfl=0.4, nu=0.0, sample_stride=1,
     plus optional weighted and wave-energy channels.  Aborts with
     SmallnessBreached / VacuumApproached / DomainEscape diagnostics.
     """
-    if T <= 0.0:
-        raise ValueError("T must be positive")
     check_cfl(cfl)
     rho = np.array(rho0, dtype=float)
     u = np.array(u0, dtype=float)

@@ -85,8 +85,6 @@ def simulate_linear(sim, U0, T, sample_stride=1, coeffs=None, weight=None,
     U = np.array(U0, dtype=float)
     if U.shape != (grid.N, spec.n):
         raise ValueError(f"U0 must have shape ({grid.N}, {spec.n}), got {U.shape}")
-    if T <= 0.0:
-        raise ValueError("T must be positive")
     _, dt = step_size(T, sim.dt)
     half = damping_half_step(spec, dt)
     if wave is not None:

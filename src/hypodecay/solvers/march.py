@@ -25,6 +25,8 @@ def check_cfl(cfl):
 
 def step_size(T, dt_limit):
     """Fewest uniform steps reaching T with dt <= dt_limit: (nsteps, dt)."""
+    if not T > 0.0:
+        raise ValueError("T must be positive")
     nsteps = max(1, math.ceil(T / dt_limit - 1e-12))
     return nsteps, T / nsteps
 
@@ -75,10 +77,11 @@ def march(state, T, dt_limit, step, record, sample_stride, snapshot_times,
     sample_stride, and the snapshots keyed by time.
     """
     nsteps, dt = step_size(T, dt_limit)
+    snap_steps = {}
     for ts in snapshot_times:
         if not 0.0 <= ts <= T:
             raise ValueError(f"snapshot time {ts} lies outside [0, {T}]")
-    snap_steps = {int(round(ts / dt)): float(ts) for ts in snapshot_times}
+        snap_steps.setdefault(int(round(ts / dt)), []).append(float(ts))
     snapshots = {}
     times, chans = [], {}
 
@@ -95,8 +98,8 @@ def march(state, T, dt_limit, step, record, sample_stride, snapshot_times,
             times.append(t)
             for k, v in row.items():
                 chans.setdefault(k, []).append(v)
-        if j in snap_steps:
-            snapshots[snap_steps[j]] = snapshot(state)
+        for ts in snap_steps.get(j, ()):
+            snapshots[ts] = snapshot(state)
 
     series = TimeSeries(
         t=np.array(times),

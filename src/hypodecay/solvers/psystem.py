@@ -44,8 +44,6 @@ def simulate_psystem(pspec, grid, rho0, u0, T, cfl=0.4, nu=0.0, sample_stride=1,
     damped-wave reformulation); it needs zero-mean rho_0 to be
     meaningful, which the caller arranges.
     """
-    if T <= 0.0:
-        raise ValueError("T must be positive")
     check_cfl(cfl)
     rho = np.array(rho0, dtype=float)
     u = np.array(u0, dtype=float)

@@ -2,6 +2,9 @@
 
 import importlib.util
 import json
+import os
+import platform
+import subprocess
 import sys
 from pathlib import Path
 
@@ -428,6 +431,12 @@ def test_cli_rejects_misconfigured_system(tmp_path, capsys, scenario, key, value
     ("thm6_psystem_log", 'weights=[{"role":"spatial","kind":"power","mu":1.0}]'),
     ("heat_oracle", 'weights=[{"role":"wave","kind":"power"}]'),
     ("ckn_sweep", 'weights=[{"role":"wave","kind":"power"}]'),
+    # a weight role given twice
+    ("heat_oracle", 'weights=[{"role":"spatial","kind":"power","mu":1.0},'
+                    '{"role":"spatial","kind":"power","mu":0.5}]'),
+    ("thm5_euler_weighted", 'weights=[{"role":"spatial","kind":"power","mu":1.0},'
+                            '{"role":"wave","kind":"power","mu":1.0},'
+                            '{"role":"wave","kind":"power","mu":0.5}]'),
 ])
 def test_cli_rejects_data_or_weights_before_stepping(tmp_path, capsys, scenario, setting):
     out = tmp_path / "never"
@@ -528,3 +537,33 @@ def test_run_registry_batches_only_the_configs_it_writes(monkeypatch, tmp_path):
     assert module.main() == 0
     assert batched == [tmp_path / "configs" / "heat_oracle.json",
                        tmp_path / "configs" / "thm1_linear.json"]
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc heap thresholds")
+def test_run_keeps_freed_step_memory_resident():
+    """After the run's heap setting, stepping does not fault pages back in.
+
+    Under glibc's default thresholds these 256 p-system steps take about
+    20,000 minor page faults, from the heap top being trimmed and regrown.
+    """
+    src = str(Path(runner.__file__).resolve().parents[2])
+    code = (
+        "import resource\n"
+        "import numpy as np\n"
+        "from hypodecay.experiment import runner\n"
+        "from hypodecay.grids import Grid1D\n"
+        "from hypodecay.solvers import PSystemSpec, simulate_psystem\n"
+        "runner._keep_freed_heap()\n"
+        "grid = Grid1D(L=400.0, N=8192)\n"
+        "rho0 = -0.025 * grid.x * np.exp(-(grid.x / 10.0) ** 2)\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+        "series, _ = simulate_psystem(PSystemSpec(r=2.0), grid, rho0, 0.0 * rho0,\n"
+        "                             T=10.0, nu=0.01, sample_stride=25)\n"
+        "after = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+        "print(series.meta['n_steps'], after - before)\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True, check=True, timeout=120)
+    n_steps, faults = map(int, out.stdout.split())
+    assert n_steps == 256
+    assert faults < 2000

@@ -100,13 +100,25 @@ def test_ck_dual_route(spec):
 
 
 def test_experiment_import_skips_scipy_stats():
-    """scipy.stats costs more to import than the rest of the package."""
+    """The run path, heat oracle included, loads no scipy module.
+
+    scipy.stats alone costs more to import than the rest of the package.
+    """
     src = str(Path(hypodecay.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
-    code = "import sys, hypodecay.experiment; print('scipy.stats' in sys.modules)"
+    code = (
+        "import sys\n"
+        "import numpy as np\n"
+        "import hypodecay.experiment\n"
+        "from hypodecay.grids import Grid1D\n"
+        "from hypodecay.solvers.heat import heat_solve\n"
+        "for bc in ('periodic', 'compact_support'):\n"
+        "    heat_solve(Grid1D(L=4.0, N=16, bc=bc), np.ones(16), T=0.5)\n"
+        "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))\n"
+    )
     out = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, check=True, timeout=120)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[]"
 
 
 def test_selected_constants_standard():

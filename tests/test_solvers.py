@@ -357,6 +357,35 @@ def test_heat_weighted_channel():
     assert "weighted_l2" in series.channels
 
 
+@pytest.mark.parametrize("N", [16, 63])
+@pytest.mark.parametrize("bc", ["periodic", "compact_support"])
+def test_heat_matches_dense_crank_nicolson(bc, N):
+    """Three steps against (I - r L) u' = (I + r L) u solved densely."""
+    grid = Grid1D(L=10.0, N=N, bc=bc)
+    u0 = 1.0 + np.random.default_rng(N).random(N)
+    T = 3.0 * grid.dx
+    series, snaps = heat_solve(grid, u0, T=T, snapshot_times=(T,))
+    assert series.meta["n_steps"] == 3
+    r = 0.5 * series.meta["dt_step"] / grid.dx**2
+    L = np.eye(N, k=1) + np.eye(N, k=-1) - 2.0 * np.eye(N)
+    if grid.periodic:
+        L[0, -1] = L[-1, 0] = 1.0
+    else:
+        L[[0, -1]] = 0.0
+    u = u0
+    for _ in range(3):
+        b = u + r * (L @ u)
+        if not grid.periodic:
+            b[[0, -1]] = 0.0
+        u = np.linalg.solve(np.eye(N) - r * L, b)
+    got = snaps[T]
+    if not grid.periodic:
+        # the dense solve leaves roundoff in the identity end rows
+        assert got[0] == got[-1] == 0.0
+        got, u = got[1:-1], u[1:-1]
+    np.testing.assert_allclose(got, u, rtol=1e-12)
+
+
 def test_heat_guards():
     grid = Grid1D(L=20.0, N=128, bc="periodic")
     with pytest.raises(ValueError):
@@ -500,6 +529,19 @@ def test_driver_sampling_and_off_grid_snapshots(solve):
     assert series.t[-1] == pytest.approx(1.0, rel=1e-14)
     assert series.meta["sample_stride"] == stride
     assert off_grid[ts].tobytes() == on_grid[ts].tobytes()
+
+
+@pytest.mark.parametrize("solve", DRIVEN.values(), ids=DRIVEN.keys())
+def test_driver_keeps_snapshots_nearest_one_step(solve):
+    """Two times half a step apart both store the state of their nearest step."""
+    ref, _ = solve(1, ())
+    dt = ref.meta["dt_step"]
+    _, on_step = solve(1, (2.0 * dt,))
+    times = (1.75 * dt, 2.25 * dt)
+    _, snaps = solve(1, times)
+    assert sorted(snaps) == list(times)
+    for ts in times:
+        assert snaps[ts].tobytes() == on_step[2.0 * dt].tobytes()
 
 
 @pytest.mark.parametrize("solve", DRIVEN.values(), ids=DRIVEN.keys())
