@@ -145,6 +145,17 @@ def _feasible(base, m, C_bound, eps0, products):
     return float(products @ eps) <= 0.5
 
 
+def _bisect(ok, lo, hi):
+    """The last passing point of 200 halvings of [lo, hi], where ok(lo) holds."""
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if ok(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
 def _search_base(m, C_bound, eps0, products):
     """Largest base_eps in (0, eps0] passing every family (bisection)."""
     if _feasible(eps0, m, C_bound, eps0, products):
@@ -155,14 +166,7 @@ def _search_base(m, C_bound, eps0, products):
             f"no feasible base_eps down to {lo:.3e} "
             f"(C_bound={C_bound:.3e}, eps0={eps0:.3e})"
         )
-    hi = eps0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if _feasible(mid, m, C_bound, eps0, products):
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    return _bisect(lambda base: _feasible(base, m, C_bound, eps0, products), lo, eps0)
 
 
 def estimate_c_bound(spec):
@@ -300,16 +304,10 @@ def select_weighted_coefficients(spec, mu, delta=0.1):
                     return False
             return all(8.0 * C_tilde * e[-1] ** 2 <= ej * e[-2] for ej in e)
 
-        lo, hi = 1e-280, 1.0
+        lo = 1e-280
         if not ok(lo):
             raise ConstraintSearchFailed("weighted family search underflowed")
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if ok(mid):
-                lo = mid
-            else:
-                hi = mid
-        eps_t = ladder(lo)
+        eps_t = ladder(_bisect(ok, lo, 1.0))
     kappa0 = float(np.sqrt(4.0 * C_tilde / eps_t[0]))
     return WeightedCoeffs(mu=mu, C_tilde=C_tilde, eps_tilde=eps_t, kappa0=kappa0)
 

@@ -1,9 +1,10 @@
 """Exception taxonomy for the solver/analysis stack.
 
 Three rough groups, matching how the CLI maps failures to exit codes:
-configuration problems (bad matrices, bad parameter ranges), numerical
-guard trips during a run (CFL, vacuum, smallness, boundary escape), and
-certificate machinery errors raised by the analysis layer.
+configuration problems (bad matrices, bad parameter ranges, initial
+data a wave monitor cannot use), numerical guard trips during a run
+(CFL, vacuum, smallness, boundary escape), and certificate machinery
+errors raised by the analysis layer.
 """
 
 
@@ -45,6 +46,13 @@ class MuOutOfRange(HypodecayError):
     """Weight exponent outside the admissible range (needs mu > 1/2)."""
 
 
+class MassNotZero(HypodecayError):
+    """A wave monitor's antiderivative needs zero-mass initial data.
+
+    Raised by the solver before its first step.
+    """
+
+
 # --- runtime guards ----------------------------------------------------
 
 class CflViolation(HypodecayError):
@@ -61,10 +69,6 @@ class VacuumApproached(HypodecayError):
 
 class SmallnessBreached(HypodecayError):
     """H^2 smallness cap exceeded; the a-priori regime no longer applies."""
-
-
-class MassNotZero(HypodecayError):
-    """Antiderivative-based monitor requires zero-mean data (power mode)."""
 
 
 class NonFiniteState(HypodecayError):

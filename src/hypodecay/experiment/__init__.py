@@ -10,7 +10,7 @@ from .config import (
     parse_config,
     serialize_config,
 )
-from .runner import RunReport, batch, run, run_scenario
+from .runner import RunReport, batch, run
 from .scenarios import describe, scenario_claims, scenario_doc, scenario_names
 
 __all__ = [
@@ -25,7 +25,6 @@ __all__ = [
     "describe",
     "parse_config",
     "run",
-    "run_scenario",
     "scenario_claims",
     "scenario_doc",
     "scenario_names",

@@ -7,7 +7,6 @@ timing.json sidecar so the determinism contract stays checkable by
 hashing everything else.
 """
 
-import ctypes
 import json
 import math
 import os
@@ -36,32 +35,31 @@ from ..corrector import (
     select_weighted_coefficients,
     weighted_data_size,
 )
-from ..errors import HypodecayError, SKConditionFails
+from ..errors import HypodecayError, MassNotZero, SKConditionFails
 from ..grids import Grid1D, WeightSpec
 from ..linalg import SystemSpec, min_eig_sym
 from ..solvers import (
     EulerSpec,
     LinearSim,
+    LinearWaveMonitor,
+    LogWaveMonitor,
     PSystemSpec,
     WaveWeightSpec,
     default_offset,
     heat_solve,
     linear_wave_monitor,
-    scalar_wave_monitor,
     simulate_euler,
     simulate_linear,
     simulate_psystem,
 )
-from ..solvers.waves import LogWaveMonitor
 from .config import (
     ConfigError,
-    apply_override,
     build_fields,
     parse_config,
     read_config,
     serialize_config,
 )
-from .scenarios import scenario_claims, scenario_doc
+from .scenarios import scenario_claims
 
 OUT_ENV = "HYPODECAY_OUT"
 
@@ -224,8 +222,6 @@ def _build_linear(cfg, grid, ctx, weight):
     wsp, mass_tol = _wave_spec(cfg, ctx, "power",
                                lambda: min_eig_sym(spec.A12 @ spec.A21))
     wave = None if wsp is None else linear_wave_monitor(spec, wsp, mass_tol=mass_tol)
-    if wave is not None:
-        wave.check_mass(grid, U0[:, : spec.n1])
     sim = LinearSim(spec=spec, grid=grid, cfl=float(cfg.time["cfl"]),
                     nu=float(cfg.time["nu"]))
     return partial(simulate_linear, sim, U0, coeffs=ctx.coeffs, weight=weight,
@@ -244,11 +240,11 @@ def _build_euler(cfg, grid, ctx, weight):
     )
     kappa1 = float(espec.dpressure(espec.rho_bar))
     wsp, mass_tol = _wave_spec(cfg, ctx, "power", lambda: kappa1)
-    wave = None if wsp is None else scalar_wave_monitor(
-        wsp, stiffness=kappa1, damping=espec.lam, mass_tol=mass_tol)
+    one = np.eye(1)
+    wave = None if wsp is None else LinearWaveMonitor(
+        wsp, a12=one, a12a21=kappa1 * one, a12_d_a12inv=espec.lam * one,
+        mass_tol=mass_tol)
     rho = espec.rho_bar + fields_[:, 0]
-    if wave is not None:
-        wave.check_mass(grid, rho - espec.rho_bar)
     if weight is not None:
         ctx.x0 = weighted_data_size(grid, fields_, weight.mu)
         ctx.manifest["weighted"] = {"X0": ctx.x0}
@@ -262,8 +258,9 @@ def _build_psystem(cfg, grid, ctx, weight):
     eta3 = float(cfg.system["eta3"])
     fields_ = build_fields(cfg, grid, 2)
     ctx.manifest["system"].update(r=pspec.r, eta2=pspec.eta2, eta3=eta3)
-    wsp, _ = _wave_spec(cfg, ctx, "log", eta3=eta3)
-    wave = None if wsp is None else LogWaveMonitor(wspec=wsp, eta3=eta3)
+    wsp, mass_tol = _wave_spec(cfg, ctx, "log", eta3=eta3)
+    wave = None if wsp is None else LogWaveMonitor(wspec=wsp, eta3=eta3,
+                                                   mass_tol=mass_tol)
     return partial(simulate_psystem, pspec, grid, fields_[:, 0], fields_[:, 1],
                    cfl=float(cfg.time["cfl"]), nu=float(cfg.time["nu"]),
                    wave=wave)
@@ -612,28 +609,9 @@ class RunReport:
         }
 
 
-def _keep_freed_heap():
-    """Keep freed memory in the process's heap; glibc only, else a no-op.
-
-    A step allocates and frees many field-sized arrays.  Under glibc's
-    default thresholds the freed top of the heap can go back to the
-    system after each step and be faulted in again by the next one:
-    about 80 page faults per p-system step at N = 8192, a quarter of its
-    step time.  The values are the ceilings glibc's own dynamic
-    thresholds reach on 64-bit systems.
-    """
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (AttributeError, OSError, TypeError):
-        return
-    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
-    mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
-
-
 def run(cfg, out_dir=None):
     """Execute one configured scenario; write series, snapshots, report."""
     started = time.perf_counter()
-    _keep_freed_heap()
     out = resolve_out_dir(cfg, out_dir)
     grid = build_grid(cfg)
     ctx = RunContext(cfg=cfg, grid=grid)
@@ -696,22 +674,17 @@ def run(cfg, out_dir=None):
     return report
 
 
-def run_scenario(name, overrides=(), out_dir=None):
-    """Convenience wrapper: registry defaults + dotted-path overrides."""
-    doc = scenario_doc(name)
-    for dotted, value in overrides:
-        apply_override(doc, dotted, value)
-    cfg = parse_config(doc)
-    return run(cfg, out_dir=out_dir)
-
-
 # What `run` raises for a rejected config or a numerical failure.
 RUN_ERRORS = (HypodecayError, ValueError, FloatingPointError, ZeroDivisionError)
 
 
 def failure(exc):
-    """Exit code and label of an exception: 2 config, 3 numerical or internal."""
-    if isinstance(exc, ConfigError):
+    """Exit code and label of an exception: 2 config, 3 numerical or internal.
+
+    A MassNotZero is raised by a solver before its first step, so it is
+    rejected initial data: exit 2 like a ConfigError.
+    """
+    if isinstance(exc, (ConfigError, MassNotZero)):
         return 2, "config error"
     if isinstance(exc, RUN_ERRORS):
         return 3, f"numerical failure: {type(exc).__name__}"

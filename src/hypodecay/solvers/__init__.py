@@ -8,7 +8,6 @@ from .waves import (
     WaveWeightSpec,
     default_offset,
     linear_wave_monitor,
-    scalar_wave_monitor,
 )
 
 __all__ = [
@@ -21,7 +20,6 @@ __all__ = [
     "default_offset",
     "heat_solve",
     "linear_wave_monitor",
-    "scalar_wave_monitor",
     "simulate_euler",
     "simulate_linear",
     "simulate_psystem",

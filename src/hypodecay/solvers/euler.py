@@ -153,7 +153,7 @@ def simulate_euler(espec, grid, rho0, u0, T, cfl=0.4, nu=0.0, sample_stride=1,
         if weight is not None:
             row["weighted_l2"] = l2_norm(grid, np.column_stack([n, u]), weight=weight)
         if wave is not None:
-            we, wh = wave.record(grid, t, np.column_stack([n, rho_now * u]), 1)
+            we, wh = wave.record(grid, t, n[:, None], (rho_now * u)[:, None])
             row["wave_energy"] = we
             row["wave_dissipation"] = wh
         if h2_raw > smallness_cap:

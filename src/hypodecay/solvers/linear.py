@@ -106,7 +106,7 @@ def simulate_linear(sim, U0, T, sample_stride=1, coeffs=None, weight=None,
         if weight is not None:
             row["weighted_l2"] = l2_norm(grid, U, weight=weight)
         if wave is not None:
-            we, wh = wave.record(grid, t, U, spec.n1)
+            we, wh = wave.record(grid, t, U[:, : spec.n1], U2)
             row["wave_energy"] = we
             row["wave_dissipation"] = wh
         check_escape(grid, t, tol, U)

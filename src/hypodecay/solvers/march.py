@@ -2,11 +2,13 @@
 
 Each solver hands `march` its one-step map and its `record(t, state)`
 observer.  The driver owns everything else about a run: the uniform step
-count, the sampling stride, the snapshot steps and the assembly of the
-recorded series.  `rk4` is the one classical Runge-Kutta stage sequence,
-and `check_cfl` the one bound on the CFL number of an explicit solver.
+count, the sampling stride, the snapshot steps, the assembly of the
+recorded series and the process's heap setting.  `rk4` is the one
+classical Runge-Kutta stage sequence, and `check_cfl` the one bound on
+the CFL number of an explicit solver.
 """
 
+import ctypes
 import math
 
 import numpy as np
@@ -63,6 +65,26 @@ def rk4(rhs, state, dt):
     return k2
 
 
+def _keep_freed_heap():
+    """Keep freed memory in the process's heap; glibc only, else a no-op.
+
+    A step allocates and frees many field-sized arrays.  Under glibc's
+    default thresholds the freed top of the heap can go back to the
+    system after each step and be faulted in again by the next one:
+    about 80 page faults per p-system step at N = 8192, a quarter of its
+    step time.  The values are the ceilings glibc's own dynamic
+    thresholds reach on 64-bit systems.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
+    mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
+
+
 def march(state, T, dt_limit, step, record, sample_stride, snapshot_times,
           snapshot, meta):
     """Advance `state` to T in uniform steps of at most dt_limit.
@@ -76,6 +98,7 @@ def march(state, T, dt_limit, step, record, sample_stride, snapshot_times,
     TimeSeries, whose meta is `meta` plus dt_step, n_steps and
     sample_stride, and the snapshots keyed by time.
     """
+    _keep_freed_heap()
     nsteps, dt = step_size(T, dt_limit)
     snap_steps = {}
     for ts in snapshot_times:

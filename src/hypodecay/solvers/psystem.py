@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import RBandViolation
-from ..grids import antiderivative, check_escape, d_dx, escape_tol, subtract_floor
+from ..grids import check_escape, d_dx, escape_tol, subtract_floor
 from .march import check_cfl, march, rk4
 
 
@@ -41,8 +41,8 @@ def simulate_psystem(pspec, grid, rho0, u0, T, cfl=0.4, nu=0.0, sample_stride=1,
     """Integrate to T, recording the energy pair and optional log wave monitor.
 
     The log monitor tracks w = antiderivative(rho) with w_t = -u (the
-    damped-wave reformulation); it needs zero-mean rho_0 to be
-    meaningful, which the caller arranges.
+    damped-wave reformulation); it needs zero-mean rho_0, which its
+    `check_mass` enforces before the first step (MassNotZero).
     """
     check_cfl(cfl)
     rho = np.array(rho0, dtype=float)
@@ -52,6 +52,8 @@ def simulate_psystem(pspec, grid, rho0, u0, T, cfl=0.4, nu=0.0, sample_stride=1,
     r = pspec.r
     eta2 = pspec.eta2
     dt_limit = cfl * grid.dx
+    if wave is not None:
+        wave.check_mass(grid, rho)
 
     def rhs(state):
         rho, u = state
@@ -97,8 +99,7 @@ def simulate_psystem(pspec, grid, rho0, u0, T, cfl=0.4, nu=0.0, sample_stride=1,
             "hstar": hstar,
         }
         if wave is not None:
-            w, _ = antiderivative(grid, rho)
-            we, wh = wave.record(grid, t, w, -u, rho)
+            we, wh = wave.record(grid, t, rho, u)
             row["wave_energy"] = we
             row["wave_dissipation"] = wh
         check_escape(grid, t, tol, rho, u)

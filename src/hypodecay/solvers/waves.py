@@ -1,8 +1,13 @@
 """Space-time weighted wave-energy monitors.
 
-The damped first-order systems admit a second-order reformulation in the
-antiderivative of the undamped component.  These monitors evaluate the
-weighted wave energy and its dissipation rate for two weight families:
+The damped first-order systems admit a second-order reformulation in
+W, the antiderivative of the conserved undamped field.  W decays only
+when that field has zero mass.  This module owns the reformulation: a
+monitor's `check_mass` checks the zero-mass precondition on the initial
+data, which its solver calls once before the first step, and its
+`record` takes the solver's undamped field and its flux partner,
+builds W itself and evaluates the weighted wave energy and its
+dissipation rate.  Two weight families:
 
 * power weights  phi(s) = (a + s)^(2 mu - 1)  on  s = t + |x|
 * log weights    phi1(s) = log^{2q}(a + s),
@@ -17,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import MassNotZero, MuOutOfRange
-from ..grids import antiderivative, d_dx
+from ..grids import antiderivative
 
 DEFAULT_MASS_TOL = 1e-8
 _COND_TOL = 1e-12
@@ -50,42 +55,30 @@ class WaveWeightSpec:
         if not self.a > 0:
             raise ValueError(f"offset a must be positive, got {self.a}")
 
-    # --- power family ------------------------------------------------
-    def phi(self, s, order=0):
+    def power_terms(self, s):
+        """Power family at s: (phi, phi', phi'', phi''')."""
         p = 2.0 * self.mu - 1.0
         g = self.a + s
-        if order == 0:
-            return g**p
-        if order == 1:
-            return p * g ** (p - 1.0)
-        if order == 2:
-            return p * (p - 1.0) * g ** (p - 2.0)
-        if order == 3:
-            return p * (p - 1.0) * (p - 2.0) * g ** (p - 3.0)
-        raise ValueError(f"order {order} not implemented")
+        return (
+            g**p,
+            p * g ** (p - 1.0),
+            p * (p - 1.0) * g ** (p - 2.0),
+            p * (p - 1.0) * (p - 2.0) * g ** (p - 3.0),
+        )
 
-    # --- log family ---------------------------------------------------
-    def phi1(self, s, order=0):
+    def log_terms(self, s):
+        """Log family at s: (phi1, phi1', phi1'', phi2, phi2')."""
         g = self.a + s
         logg = np.log(g)
         tq = 2.0 * self.q
-        if order == 0:
-            return logg**tq
-        if order == 1:
-            return tq * logg ** (tq - 1.0) / g
-        if order == 2:
-            return tq * logg ** (tq - 2.0) * ((tq - 1.0) - logg) / g**2
-        raise ValueError(f"order {order} not implemented")
-
-    def phi2(self, s, order=0):
-        g = self.a + s
-        logg = np.log(g)
         m = 2.0 * self.q - self.r + 1.0
-        if order == 0:
-            return logg**m / g**self.r
-        if order == 1:
-            return logg ** (m - 1.0) * (m - self.r * logg) / g ** (self.r + 1.0)
-        raise ValueError(f"order {order} not implemented")
+        return (
+            logg**tq,
+            tq * logg ** (tq - 1.0) / g,
+            tq * logg ** (tq - 2.0) * ((tq - 1.0) - logg) / g**2,
+            logg**m / g**self.r,
+            logg ** (m - 1.0) * (m - self.r * logg) / g ** (self.r + 1.0),
+        )
 
 
 def weight_conditions_ok(wspec, kappa1, s):
@@ -101,10 +94,7 @@ def weight_conditions_ok(wspec, kappa1, s):
     """
     s = np.asarray(s, dtype=float)
     if wspec.kind == "power":
-        phi = wspec.phi(s)
-        d1 = wspec.phi(s, 1)
-        d2 = wspec.phi(s, 2)
-        d3 = wspec.phi(s, 3)
+        phi, d1, d2, d3 = wspec.power_terms(s)
         scale = float(np.abs(phi).max())
         tol = _COND_TOL * max(1.0, scale)
         return bool(
@@ -113,11 +103,7 @@ def weight_conditions_ok(wspec, kappa1, s):
             and np.all(d3 >= -tol)
             and np.all(0.25 * phi >= d1 / kappa1 - tol)
         )
-    p1 = wspec.phi1(s)
-    d1 = wspec.phi1(s, 1)
-    d2 = wspec.phi1(s, 2)
-    p2 = wspec.phi2(s)
-    dp2 = wspec.phi2(s, 1)
+    p1, d1, d2, p2, dp2 = wspec.log_terms(s)
     rr = wspec.r
     if not (np.all(p1 > 0) and np.all(d1 > 0) and np.all(d2 < 0)):
         return False
@@ -167,10 +153,7 @@ def power_wave_record(grid, t, wspec, W, Wt, Wx, a12a21, a12_d_a12inv):
     where the weight's |x|-kink lives.
     """
     s = t + np.abs(grid.x)
-    phi = wspec.phi(s)
-    d1 = wspec.phi(s, 1)
-    d2 = wspec.phi(s, 2)
-    d3 = wspec.phi(s, 3)
+    phi, d1, d2, d3 = wspec.power_terms(s)
     wsq = np.einsum("ij,ij->i", W, W)
     stiff_ww = _qf(a12a21, W, W)
     e = (
@@ -186,25 +169,21 @@ def power_wave_record(grid, t, wspec, W, Wt, Wx, a12a21, a12_d_a12inv):
         - 0.5 * d3 * stiff_ww
     )
     i0 = int(np.argmin(np.abs(grid.x)))
-    point_mass = -wspec.phi(t, 2) * float(stiff_ww[i0])
+    point_mass = -wspec.power_terms(t)[2] * float(stiff_ww[i0])
     return float(grid.qw @ e), float(grid.qw @ h) + point_mass
 
 
 def log_wave_record(grid, t, wspec, w, wt, wx, eta3):
     """Log-weighted energy and dissipation for the nonlinearly damped wave."""
     s = t + np.abs(grid.x)
-    p1 = wspec.phi1(s)
-    d1 = wspec.phi1(s, 1)
-    d2 = wspec.phi1(s, 2)
-    p2 = wspec.phi2(s)
-    dp2 = wspec.phi2(s, 1)
+    p1, d1, d2, p2, dp2 = wspec.log_terms(s)
     rp1 = wspec.r + 1.0
     e = 0.5 * p1 * (wt**2 + wx**2) + eta3 * (
         d1 * w * wt - 0.5 * d2 * w**2 + p2 * np.abs(w) ** rp1
     )
     h = p1 * np.abs(wt) ** rp1 + eta3 * (d1 * wx**2 - dp2 * np.abs(w) ** rp1)
     i0 = int(np.argmin(np.abs(grid.x)))
-    point_mass = -eta3 * wspec.phi1(t, 2) * float(w[i0] ** 2)
+    point_mass = -eta3 * wspec.log_terms(t)[2] * float(w[i0] ** 2)
     return float(grid.qw @ e), float(grid.qw @ h) + point_mass
 
 
@@ -212,9 +191,9 @@ def log_wave_record(grid, t, wspec, w, wt, wx, eta3):
 class LinearWaveMonitor:
     """Power-weighted monitor for the linear system's wave reformulation.
 
-    Requires square invertible coupling A12 (checked by the caller via
-    the system flags); tracks W = antiderivative of U1 with the
-    algebraic time derivative W_t = -A12 U2.
+    Requires square invertible coupling A12 (`linear_wave_monitor` checks
+    it); tracks W = antiderivative of U1 with the algebraic time
+    derivative W_t = -A12 U2 and W_x = U1.
     """
 
     wspec: WaveWeightSpec
@@ -228,28 +207,32 @@ class LinearWaveMonitor:
         # contiguous right operand: a transposed view misses numpy's BLAS path
         object.__setattr__(self, "a12_t", np.ascontiguousarray(self.a12.T))
 
-    def check_mass(self, grid, U1_0):
-        return check_zero_mass(grid, U1_0, self.mass_tol)
+    def check_mass(self, grid, U1):
+        return check_zero_mass(grid, U1, self.mass_tol)
 
-    def record(self, grid, t, U, n1):
-        U1 = U[:, :n1]
-        U2 = U[:, n1:]
+    def record(self, grid, t, U1, U2):
         W, _ = antiderivative(grid, U1)
-        Wt = -(U2 @ self.a12_t)
-        return power_wave_record(
-            grid, t, self.wspec, W, Wt, U1, self.a12a21, self.a12_d_a12inv
-        )
+        return power_wave_record(grid, t, self.wspec, W, -(U2 @ self.a12_t), U1,
+                                 self.a12a21, self.a12_d_a12inv)
 
 
 @dataclass(frozen=True)
 class LogWaveMonitor:
-    """Log-weighted monitor for nonlinearly damped wave reformulations."""
+    """Log-weighted monitor for nonlinearly damped wave reformulations.
+
+    Tracks w = antiderivative of rho with w_t = -u and w_x = rho.
+    """
 
     wspec: WaveWeightSpec
     eta3: float = 0.25
+    mass_tol: float = DEFAULT_MASS_TOL
 
-    def record(self, grid, t, w, wt, wx):
-        return log_wave_record(grid, t, self.wspec, w, wt, wx, self.eta3)
+    def check_mass(self, grid, rho):
+        return check_zero_mass(grid, rho, self.mass_tol)
+
+    def record(self, grid, t, rho, u):
+        w, _ = antiderivative(grid, rho)
+        return log_wave_record(grid, t, self.wspec, w, -u, rho, self.eta3)
 
 
 def linear_wave_monitor(spec, wspec, mass_tol=DEFAULT_MASS_TOL):
@@ -261,20 +244,4 @@ def linear_wave_monitor(spec, wspec, mass_tol=DEFAULT_MASS_TOL):
     a12_d = a12 @ spec.D @ np.linalg.inv(a12)
     return LinearWaveMonitor(
         wspec=wspec, a12=a12, a12a21=a12a21, a12_d_a12inv=a12_d, mass_tol=mass_tol
-    )
-
-
-def scalar_wave_monitor(wspec, stiffness, damping, mass_tol=DEFAULT_MASS_TOL):
-    """Monitor for scalar wave reformulations (Euler momentum form).
-
-    stiffness is the wave-speed-squared coefficient (P'(rho_bar) for the
-    momentum form) and damping the friction coefficient lambda.
-    """
-    one = np.eye(1)
-    return LinearWaveMonitor(
-        wspec=wspec,
-        a12=one,
-        a12a21=stiffness * one,
-        a12_d_a12inv=damping * one,
-        mass_tol=mass_tol,
     )

@@ -427,6 +427,7 @@ def test_cli_rejects_misconfigured_system(tmp_path, capsys, scenario, key, value
     # non-zero-mass data under a wave monitor
     ("thm3_wave", "data.0.kind=gaussian"),
     ("thm5_euler_weighted", "data.0.kind=gaussian"),
+    ("thm6_psystem_log", "data.0.kind=gaussian"),
     # a weight role the system does not consume
     ("thm6_psystem_log", 'weights=[{"role":"spatial","kind":"power","mu":1.0}]'),
     ("heat_oracle", 'weights=[{"role":"wave","kind":"power"}]'),
@@ -541,7 +542,8 @@ def test_run_registry_batches_only_the_configs_it_writes(monkeypatch, tmp_path):
 
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc heap thresholds")
 def test_run_keeps_freed_step_memory_resident():
-    """After the run's heap setting, stepping does not fault pages back in.
+    """A direct solver call gets march's heap setting: stepping does not
+    fault pages back in.
 
     Under glibc's default thresholds these 256 p-system steps take about
     20,000 minor page faults, from the heap top being trimmed and regrown.
@@ -550,10 +552,8 @@ def test_run_keeps_freed_step_memory_resident():
     code = (
         "import resource\n"
         "import numpy as np\n"
-        "from hypodecay.experiment import runner\n"
         "from hypodecay.grids import Grid1D\n"
         "from hypodecay.solvers import PSystemSpec, simulate_psystem\n"
-        "runner._keep_freed_heap()\n"
         "grid = Grid1D(L=400.0, N=8192)\n"
         "rho0 = -0.025 * grid.x * np.exp(-(grid.x / 10.0) ** 2)\n"
         "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"

@@ -10,14 +10,15 @@ from hypodecay.errors import MassNotZero, MuOutOfRange
 from hypodecay.grids import Grid1D, antiderivative
 from hypodecay.linalg import SystemSpec
 from hypodecay.solvers.linear import LinearSim, simulate_linear
+from hypodecay.solvers.psystem import PSystemSpec, simulate_psystem
 from hypodecay.solvers.waves import (
+    LinearWaveMonitor,
     LogWaveMonitor,
     WaveWeightSpec,
     check_zero_mass,
     default_offset,
     linear_wave_monitor,
     power_wave_record,
-    scalar_wave_monitor,
     weight_conditions_ok,
 )
 
@@ -44,26 +45,24 @@ def test_power_weight_derivatives_match_fd(mu):
     w = WaveWeightSpec(kind="power", mu=mu, a=4.0)
     s = np.linspace(0.0, 50.0, 11)
     h = 1e-5
+    terms = w.power_terms(s)
+    plus, minus = w.power_terms(s + h), w.power_terms(s - h)
     for order in (1, 2, 3):
-        fd = (w.phi(s + h, order - 1) - w.phi(s - h, order - 1)) / (2.0 * h)
-        assert w.phi(s, order) == pytest.approx(fd, rel=1e-7, abs=1e-10)
-    with pytest.raises(ValueError):
-        w.phi(s, 4)
+        fd = (plus[order - 1] - minus[order - 1]) / (2.0 * h)
+        assert terms[order] == pytest.approx(fd, rel=1e-7, abs=1e-10)
 
 
 def test_log_weight_derivatives_match_fd():
     w = WaveWeightSpec(kind="log", q=1.0, r=2.0, a=32.0)
     s = np.linspace(0.0, 100.0, 11)
     h = 1e-5
+    terms = w.log_terms(s)
+    plus, minus = w.log_terms(s + h), w.log_terms(s - h)
     for order in (1, 2):
-        fd = (w.phi1(s + h, order - 1) - w.phi1(s - h, order - 1)) / (2.0 * h)
-        assert w.phi1(s, order) == pytest.approx(fd, rel=1e-6, abs=1e-12)
-    fd2 = (w.phi2(s + h) - w.phi2(s - h)) / (2.0 * h)
-    assert w.phi2(s, 1) == pytest.approx(fd2, rel=1e-6, abs=1e-14)
-    with pytest.raises(ValueError):
-        w.phi1(s, 3)
-    with pytest.raises(ValueError):
-        w.phi2(s, 2)
+        fd = (plus[order - 1] - minus[order - 1]) / (2.0 * h)
+        assert terms[order] == pytest.approx(fd, rel=1e-6, abs=1e-12)
+    fd2 = (plus[3] - minus[3]) / (2.0 * h)
+    assert terms[4] == pytest.approx(fd2, rel=1e-6, abs=1e-14)
 
 
 def test_flat_weight_reduces_to_plain_energy():
@@ -86,7 +85,7 @@ def test_flat_weight_reduces_to_plain_energy():
 def test_zero_state_zero_energy():
     grid = Grid1D(L=10.0, N=64, bc="compact_support")
     mon = linear_wave_monitor(STANDARD, WaveWeightSpec(kind="power", mu=1.0, a=4.0))
-    e, h = mon.record(grid, 5.0, np.zeros((64, 2)), 1)
+    e, h = mon.record(grid, 5.0, np.zeros((64, 1)), np.zeros((64, 1)))
     assert e == 0.0 and h == 0.0
 
 
@@ -144,6 +143,14 @@ def test_monitor_mass_gate_inside_simulation():
         simulate_linear(sim, U0, T=1.0, wave=mon)
 
 
+def test_psystem_monitor_mass_gate_inside_simulation():
+    grid = Grid1D(L=30.0, N=256, bc="periodic")
+    mon = LogWaveMonitor(WaveWeightSpec(kind="log", q=1.0, r=2.0, a=32.0))
+    rho0 = np.exp(-grid.x**2)
+    with pytest.raises(MassNotZero):
+        simulate_psystem(PSystemSpec(r=2.0), grid, rho0, 0.0 * rho0, T=1.0, wave=mon)
+
+
 def test_monitor_requires_invertible_coupling():
     decoupled = SystemSpec(A=np.diag([1.0, -1.0]), D=np.array([[1.0]]), n1=1)
     with pytest.raises(ValueError, match="invertible"):
@@ -167,13 +174,13 @@ def test_weighted_wave_energy_decays_along_flow():
 
 def test_scalar_monitor_wiring():
     wspec = WaveWeightSpec(kind="power", mu=1.0, a=2.0)
-    mon = scalar_wave_monitor(wspec, stiffness=2.0, damping=1.0)
+    one = np.eye(1)
+    mon = LinearWaveMonitor(wspec, a12=one, a12a21=2.0 * one, a12_d_a12inv=1.0 * one)
     assert mon.a12a21[0, 0] == 2.0
     assert mon.a12_d_a12inv[0, 0] == 1.0
     grid = Grid1D(L=20.0, N=128, bc="compact_support")
     n = -2.0 * grid.x * np.exp(-grid.x**2)
-    state = np.column_stack([n, 0.1 * np.exp(-grid.x**2)])
-    e, h = mon.record(grid, 0.0, state, 1)
+    e, h = mon.record(grid, 0.0, n[:, None], 0.1 * np.exp(-grid.x**2)[:, None])
     assert np.isfinite(e) and np.isfinite(h) and e > 0.0
 
 
@@ -194,7 +201,7 @@ def test_linear_monitor_matches_transposed_view(spec):
     W, _ = antiderivative(grid, U[:, : spec.n1])
     want = power_wave_record(grid, 1.5, mon.wspec, W, -(U[:, spec.n1:] @ spec.A12.T),
                              U[:, : spec.n1], mon.a12a21, mon.a12_d_a12inv)
-    got = mon.record(grid, 1.5, U, spec.n1)
+    got = mon.record(grid, 1.5, U[:, : spec.n1], U[:, spec.n1:])
     if spec is STANDARD:
         assert got == want
     else:
@@ -205,9 +212,8 @@ def test_log_monitor_finite_and_positive():
     grid = Grid1D(L=100.0, N=1024, bc="periodic")
     mon = LogWaveMonitor(WaveWeightSpec(kind="log", q=1.0, r=2.0, a=32.0),
                          eta3=0.25)
-    w = np.exp(-((grid.x / 10.0) ** 2))
-    wt = -0.05 * w
-    wx = -2.0 * grid.x / 100.0 * w
-    e, h = mon.record(grid, 3.0, w, wt, wx)
+    rho = -2.0 * grid.x / 100.0 * np.exp(-((grid.x / 10.0) ** 2))
+    u = 0.05 * np.exp(-((grid.x / 10.0) ** 2))
+    e, h = mon.record(grid, 3.0, rho, u)
     assert e > 0.0
     assert np.isfinite(h)
