@@ -131,6 +131,10 @@ CONFIG_SCHEMA = {
 }
 
 
+# Built once: `jsonschema.validate` would re-check the schema on every call.
+_VALIDATOR = jsonschema.validators.validator_for(CONFIG_SCHEMA)(CONFIG_SCHEMA)
+
+
 class ConfigError(ValueError):
     """Configuration document rejected before execution."""
 
@@ -195,11 +199,10 @@ def parse_config(doc):
     """Validate a JSON document and normalize it into a RunConfig."""
     if not isinstance(doc, dict):
         raise ConfigError("config must be a JSON object")
-    try:
-        jsonschema.validate(doc, CONFIG_SCHEMA)
-    except jsonschema.ValidationError as exc:
-        path = ".".join(str(p) for p in exc.absolute_path) or "<root>"
-        raise ConfigError(f"invalid config at {path}: {exc.message}") from None
+    error = jsonschema.exceptions.best_match(_VALIDATOR.iter_errors(doc))
+    if error is not None:
+        path = ".".join(str(p) for p in error.absolute_path) or "<root>"
+        raise ConfigError(f"invalid config at {path}: {error.message}")
     T = doc["time"]["T"]
     for ts in doc.get("outputs", {}).get("snapshots", []):
         if not 0 <= ts <= T:

@@ -84,39 +84,30 @@ def _f(x):
     return repr(float(x))
 
 
-def write_series_csv(path, series):
-    names = list(series.channels)
+def _write_csv(path, header, rows):
+    """A header line, then one line per row: ints via `str`, other values via `_f`."""
     with open(path, "w") as fh:
-        fh.write(",".join(["t"] + names) + "\n")
-        cols = [series.channels[n] for n in names]
-        for j, t in enumerate(series.t):
-            fh.write(",".join([_f(t)] + [_f(c[j]) for c in cols]) + "\n")
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(str(v) if isinstance(v, int) else _f(v) for v in row) + "\n")
+
+
+def _write_json(path, obj):
+    """Indented, key-sorted JSON plus a newline; numpy values go in as `.tolist()`."""
+    with open(path, "w") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True, default=lambda v: v.tolist())
+        fh.write("\n")
+
+
+def write_series_csv(path, series):
+    _write_csv(path, ["t", *series.channels], zip(series.t, *series.channels.values()))
 
 
 def write_snapshot_csv(path, grid, U):
-    U = np.atleast_2d(np.asarray(U, dtype=float))
-    if U.shape[0] != grid.N:
-        U = U.T
-    n = U.shape[1]
-    with open(path, "w") as fh:
-        fh.write(",".join(["x"] + [f"U_{k + 1}" for k in range(n)]) + "\n")
-        for i in range(grid.N):
-            fh.write(",".join([_f(grid.x[i])] + [_f(U[i, k]) for k in range(n)]) + "\n")
-
-
-def _json_ready(obj):
-    """Recursively coerce numpy scalars/arrays so json.dump stays happy."""
-    if isinstance(obj, dict):
-        return {k: _json_ready(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_json_ready(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_json_ready(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, (bool, np.bool_)):
-        return bool(obj)
-    return obj
+    """Columns x, U_1, ..., U_k of a field of shape (N,) or (N, k)."""
+    table = np.column_stack((grid.x, U))
+    header = ["x"] + [f"U_{k}" for k in range(1, table.shape[1])]
+    _write_csv(path, header, table.tolist())
 
 
 # --- system construction -----------------------------------------------
@@ -146,6 +137,10 @@ def _wave_spec(cfg, ctx, family, kappa1=None, **shown):
         return None, None
     if ("log" if entry.kind in ("log", "logarithmic") else "power") != family:
         raise ConfigError(f"the wave weight must be {family}, got {entry.kind!r}")
+    if family == "log" and entry.r != float(cfg.system["r"]):
+        # the log weight's |w_t|^{r+1} is the p-system's damping |u|^{r+1}
+        raise ConfigError(f"the wave weight's r must be the system's r = "
+                          f"{cfg.system['r']}, got {entry.r}")
     if family == "power":
         shown = {"mu": entry.mu, "kappa1": kappa1(), **shown}
     if entry.a is not None:
@@ -168,6 +163,7 @@ class RunContext:
     x0: float = None
     manifest: dict = field(default_factory=dict)
     extra_series: dict = field(default_factory=dict)
+    ckn_rows: list = field(default_factory=list)
     simulate_s: float = None
 
 
@@ -514,15 +510,13 @@ def _check_ckn_random(claim, ctx):
     rng = np.random.Generator(np.random.Philox(ctx.cfg.seed))
     mus = claim["mus"]
     cap = claim["cap"]
-    rows = []
     worst = {mu: 0.0 for mu in mus}
     for trial in range(claim["trials"]):
         h, m = _ckn_bump_field(ctx.grid.x, rng)
         for mu in mus:
             ratio = check_ckn(ctx.grid, h, mu)["ratio"]
             worst[mu] = max(worst[mu], ratio)
-            rows.append((trial, m, mu, ratio))
-    ctx.manifest["ckn_rows"] = rows
+            ctx.ckn_rows.append((trial, m, float(mu), ratio))
     ok = all(v <= cap for v in worst.values())
     return ok, {"worst_ratio": {str(k): v for k, v in worst.items()},
                 "cap": cap, "trials": claim["trials"]}
@@ -574,7 +568,7 @@ def run_certificates(ctx):
             "id": claim["id"],
             "anchor": claim["anchor"],
             "passed": bool(passed),
-            "measured": _json_ready(measured),
+            "measured": measured,
         })
     return certs
 
@@ -622,11 +616,15 @@ def run(cfg, out_dir=None):
     series, snapshots = _simulate(cfg, grid, ctx)
     ctx.series = series
     if series is not None:
-        ctx.manifest["series_meta"] = _json_ready(dict(series.meta))
+        ctx.manifest["series_meta"] = dict(series.meta)
 
     certs = run_certificates(ctx)
     # nothing is written until the numerics, sub-runs included, have succeeded
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(
+            f"cannot create output directory {out}: {exc.strerror or exc}") from exc
 
     snapshot_paths = []
     if series is not None:
@@ -640,11 +638,7 @@ def run(cfg, out_dir=None):
             write_series_csv(out / f"{name}.csv", ctx.extra_series[name])
     else:
         series_path = "results.csv"
-        rows = ctx.manifest.pop("ckn_rows", [])
-        with open(out / series_path, "w") as fh:
-            fh.write("trial,n_bumps,mu,ratio\n")
-            for trial, m, mu, ratio in rows:
-                fh.write(f"{trial},{m},{_f(mu)},{_f(ratio)}\n")
+        _write_csv(out / series_path, ["trial", "n_bumps", "mu", "ratio"], ctx.ckn_rows)
 
     passed = all(c["passed"] for c in certs)
     timing = {
@@ -660,17 +654,13 @@ def run(cfg, out_dir=None):
         out_dir=str(out),
         passed=passed,
         certificates=certs,
-        manifest=_json_ready(ctx.manifest),
+        manifest=ctx.manifest,
         series_path=series_path,
         snapshot_paths=snapshot_paths,
         timing=timing,
     )
-    with open(out / "report.json", "w") as fh:
-        json.dump(report.doc(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    with open(out / "timing.json", "w") as fh:
-        json.dump(report.timing, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(out / "report.json", report.doc())
+    _write_json(out / "timing.json", report.timing)
     return report
 
 
@@ -695,54 +685,52 @@ def failure(exc):
 
 
 def _batch_worker(job):
-    path, out_root = job
-    path = Path(path)
+    """One job's result, with its wall time, parse included, under "wall_s"."""
+    started = time.perf_counter()
+    path = Path(job[0])
     try:
-        cfg = parse_config(read_config(path))
-    except ConfigError as exc:
-        return {"name": path.stem, "exit_code": 2, "error": str(exc)}
-    try:
-        report = run(cfg, out_dir=Path(out_root) / path.stem)
+        report = run(parse_config(read_config(path)), out_dir=Path(job[1]) / path.stem)
     except RUN_ERRORS as exc:
-        return {"name": path.stem, "exit_code": failure(exc)[0], "error": str(exc)}
+        result = {"exit_code": failure(exc)[0], "error": str(exc)}
     except Exception as exc:  # a bug hit by one job must not take down the pool
         traceback.print_exc()
         code, label = failure(exc)
-        return {"name": path.stem, "exit_code": code, "error": f"{label}: {exc}"}
-    return {
-        "name": path.stem,
-        "exit_code": report.exit_code,
-        "scenario": report.scenario,
-        "passed": report.passed,
-        "certificates": [
-            {"id": c["id"], "passed": c["passed"]} for c in report.certificates
-        ],
-    }
+        result = {"exit_code": code, "error": f"{label}: {exc}"}
+    else:
+        result = {
+            "exit_code": report.exit_code,
+            "scenario": report.scenario,
+            "passed": report.passed,
+            "certificates": [
+                {"id": c["id"], "passed": c["passed"]} for c in report.certificates
+            ],
+        }
+    return {"name": path.stem, **result, "wall_s": time.perf_counter() - started}
 
 
 def batch(config_paths, out_root, jobs=1):
     """Run many configs share-nothing; exit code is the max over runs.
 
     Results are keyed and ordered by config file stem, so the aggregate
-    report does not depend on completion order or worker count.
+    report does not depend on completion order or worker count.  Wall
+    times, the batch's and each job's, go to batch_timing.json only.
     """
     started = time.perf_counter()
     paths = sorted(Path(p) for p in config_paths)
     out_root = Path(out_root)
     out_root.mkdir(parents=True, exist_ok=True)
     jobs_list = [(str(p), str(out_root)) for p in paths]
-    if jobs <= 1:
+    workers = min(jobs, len(jobs_list))
+    if workers <= 1:
         results = [_batch_worker(j) for j in jobs_list]
     else:
-        with get_context("fork").Pool(processes=jobs) as pool:
+        with get_context("fork").Pool(processes=workers) as pool:
             results = pool.map(_batch_worker, jobs_list)
     results.sort(key=lambda r: r["name"])
+    run_s = {r["name"]: r.pop("wall_s") for r in results}
     exit_code = max((r["exit_code"] for r in results), default=0)
     aggregate = {"runs": results, "exit_code": exit_code}
-    with open(out_root / "batch_report.json", "w") as fh:
-        json.dump(aggregate, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    with open(out_root / "batch_timing.json", "w") as fh:
-        json.dump({"wall_s": time.perf_counter() - started}, fh, indent=2)
-        fh.write("\n")
+    _write_json(out_root / "batch_report.json", aggregate)
+    _write_json(out_root / "batch_timing.json",
+                {"wall_s": time.perf_counter() - started, "runs": run_s})
     return aggregate

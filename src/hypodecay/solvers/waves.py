@@ -103,7 +103,8 @@ def weight_conditions_ok(wspec, kappa1, s):
             and np.all(d3 >= -tol)
             and np.all(0.25 * phi >= d1 / kappa1 - tol)
         )
-    p1, d1, d2, p2, dp2 = wspec.log_terms(s)
+    with np.errstate(divide="ignore", invalid="ignore"):  # log(a + s) = 0 fails p1 > 0
+        p1, d1, d2, p2, dp2 = wspec.log_terms(s)
     rr = wspec.r
     if not (np.all(p1 > 0) and np.all(d1 > 0) and np.all(d2 < 0)):
         return False

@@ -7,7 +7,9 @@ import platform
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
+import jsonschema
 import numpy as np
 import pytest
 
@@ -133,6 +135,11 @@ def test_parse_rejects_malformed():
         doc = smoke_doc()
         doc["extra"] = 1
         parse_config(doc)
+
+
+def test_config_schema_is_valid():
+    # parse_config validates with a validator built once, without this check
+    jsonschema.validators.validator_for(CONFIG_SCHEMA).check_schema(CONFIG_SCHEMA)
 
 
 def test_parse_defaults():
@@ -313,6 +320,109 @@ def test_batch_survives_an_internal_error(monkeypatch, tmp_path):
     assert by_name["good"]["exit_code"] == 0 and by_name["other"]["exit_code"] == 0
 
 
+def test_write_json_writes_numpy_values_as_plain_ones(tmp_path):
+    obj = {"f": np.float64(0.1), "i": np.int64(7), "b": np.bool_(True),
+           "v": np.array([1.5, 1.0 / 3.0]), "m": np.arange(4).reshape(2, 2),
+           "l": [np.float64(2.0 / 3.0), 2, {"z": np.float32(0.5)}],
+           "t": (np.int64(-1), "x", np.bool_(False))}
+    plain = {"f": 0.1, "i": 7, "b": True, "v": [1.5, 1.0 / 3.0], "m": [[0, 1], [2, 3]],
+             "l": [2.0 / 3.0, 2, {"z": 0.5}], "t": [-1, "x", False]}
+    runner._write_json(tmp_path / "o.json", obj)
+    expected = json.dumps(plain, indent=2, sort_keys=True) + "\n"
+    assert (tmp_path / "o.json").read_text() == expected
+
+
+@pytest.mark.parametrize("shape", [(64,), (64, 2)])
+def test_write_snapshot_csv_columns(tmp_path, shape):
+    grid = Grid1D(L=30.0, N=64, bc="periodic")
+    U = np.random.default_rng(1).standard_normal(shape)
+    runner.write_snapshot_csv(tmp_path / "s.csv", grid, U)
+    lines = (tmp_path / "s.csv").read_text().splitlines()
+    k = 1 if U.ndim == 1 else shape[1]
+    assert lines[0] == ",".join(["x"] + [f"U_{j}" for j in range(1, k + 1)])
+    table = np.array([[float(v) for v in ln.split(",")] for ln in lines[1:]])
+    assert table.shape == (64, k + 1)
+    assert np.array_equal(table, np.column_stack((grid.x, U)))
+    if U.ndim == 2:  # a field of shape (k, N) is refused, not transposed
+        with pytest.raises(ValueError):
+            runner.write_snapshot_csv(tmp_path / "t.csv", grid, U.T)
+        assert not (tmp_path / "t.csv").exists()
+
+
+def test_ckn_rows_stay_out_of_the_manifest():
+    claim = next(c for c in scenario_claims("ckn_sweep") if c["check"] == "ckn_random")
+    cfg = parse_config(scenario_doc("ckn_sweep"))
+    ctx = runner.RunContext(cfg=cfg, grid=Grid1D(L=50.0, N=257, bc="compact_support"))
+    passed, _ = runner._check_ckn_random({**claim, "trials": 2}, ctx)
+    assert passed
+    assert "ckn_rows" not in ctx.manifest
+    assert len(ctx.ckn_rows) == 2 * len(claim["mus"])
+    assert [type(v) for v in ctx.ckn_rows[0]] == [int, int, float, float]
+
+
+def test_batch_reports_an_uncreatable_output_directory(tmp_path):
+    cfg_dir = tmp_path / "cfgs"
+    cfg_dir.mkdir()
+    for name in ("good", "blocked"):
+        (cfg_dir / f"{name}.json").write_text(json.dumps(smoke_doc(f"smoke_{name}")))
+    out_root = tmp_path / "br"
+    out_root.mkdir()
+    (out_root / "blocked").write_text("a regular file\n")
+    agg = batch(sorted(cfg_dir.glob("*.json")), out_root, jobs=1)
+    by_name = {r["name"]: r for r in agg["runs"]}
+    assert by_name["blocked"]["exit_code"] == 2
+    assert "cannot create output directory" in by_name["blocked"]["error"]
+    assert by_name["good"]["exit_code"] == 0
+    assert agg["exit_code"] == 2
+    assert json.loads((out_root / "batch_report.json").read_text()) == agg
+    assert (out_root / "blocked").read_text() == "a regular file\n"
+
+
+def test_batch_starts_no_more_workers_than_configs(monkeypatch, tmp_path):
+    started = []
+
+    class InProcessPool:
+        def __init__(self, processes):
+            started.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return [fn(j) for j in jobs]
+
+    monkeypatch.setattr(runner, "get_context",
+                        lambda method: SimpleNamespace(Pool=InProcessPool))
+    cfg_dir = tmp_path / "cfgs"
+    cfg_dir.mkdir()
+    for name in ("a", "b"):
+        (cfg_dir / f"{name}.json").write_text(json.dumps(smoke_doc(f"smoke_{name}")))
+    agg = batch(sorted(cfg_dir.glob("*.json")), tmp_path / "br", jobs=8)
+    assert started == [2]
+    assert agg["exit_code"] == 0
+
+
+def test_batch_timing_records_each_job(tmp_path):
+    cfg_dir = tmp_path / "cfgs"
+    cfg_dir.mkdir()
+    (cfg_dir / "good.json").write_text(json.dumps(smoke_doc("smoke_good")))
+    bad = smoke_doc("smoke_bad")
+    bad["grid"]["N"] = 8
+    (cfg_dir / "bad.json").write_text(json.dumps(bad))
+    out_root = tmp_path / "br"
+    agg = batch(sorted(cfg_dir.glob("*.json")), out_root, jobs=1)
+    timing = json.loads((out_root / "batch_timing.json").read_text())
+    assert set(timing) == {"wall_s", "runs"}
+    assert set(timing["runs"]) == {"bad", "good"}
+    assert all(t > 0.0 for t in timing["runs"].values())
+    assert sum(timing["runs"].values()) <= timing["wall_s"]
+    report = (out_root / "batch_report.json").read_text()
+    assert "wall_s" not in report and "wall_s" not in json.dumps(agg)
+
+
 # --- command line ------------------------------------------------------------
 
 
@@ -407,6 +517,8 @@ def test_cli_rejects_scenario_with_other_system_kind(tmp_path, capsys):
     # parameters outside the range the system's construction accepts
     ("thm2_weighted", "weights.0.mu", "-1"),
     ("thm6_psystem_log", "system.r", "3.5"),
+    # a log wave weight whose r is not the p-system's damping exponent
+    ("thm6_psystem_log", "system.r", "2.5"),
     ("thm3_wave", "weights.0.mu", "0.2"),
 ])
 def test_cli_rejects_misconfigured_system(tmp_path, capsys, scenario, key, value):
@@ -451,6 +563,23 @@ def test_cli_rejects_data_or_weights_before_stepping(tmp_path, capsys, scenario,
     assert code == 2
     assert not out.exists()
     assert "config error" in capsys.readouterr().err
+
+
+def test_cli_run_rejects_an_uncreatable_output_directory(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    code = main([
+        "run", "--scenario", "heat_oracle",
+        "--set", "scenario=tiny",
+        "--set", "grid.N=64",
+        "--set", "time.T=1",
+        "--set", "weights=[]",
+        "--out", str(blocker / "sub"),
+    ])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "cannot create output directory" in err
+    assert blocker.is_file()
 
 
 def test_cli_run_numerical_failure(tmp_path, capsys):

@@ -1,5 +1,7 @@
 """Space-time weighted wave-energy monitors and their validity conditions."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -112,6 +114,13 @@ def test_weight_conditions_log():
     s = np.linspace(0.0, 2400.0, 2001)
     assert weight_conditions_ok(WaveWeightSpec(kind="log", a=32.0), 1.0, s)
     assert not weight_conditions_ok(WaveWeightSpec(kind="log", a=16.0), 1.0, s)
+
+
+def test_default_offset_log_probe_is_silent():
+    # the a = 1 candidate has log(a) = 0 under a negative power at r = 2.5
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert default_offset("log", 2400.0, q=1.0, r=2.5) == 32.0
 
 
 @settings(max_examples=30, deadline=None)
