@@ -133,7 +133,7 @@ class CorrectorCoeffs:
 
 def _norm_products(spec):
     """(||B A^{k-1}||_2 * ||B A^k||_2)_{k=1..n-1} for the coercivity cap."""
-    norms = [spectral_norm(P) for P in spec.damped_powers()]
+    norms = spec.damped_power_norms
     return np.array([norms[k - 1] * norms[k] for k in range(1, spec.n)])
 
 
@@ -171,8 +171,7 @@ def _search_base(m, C_bound, eps0, products):
 
 def estimate_c_bound(spec):
     """Over-estimate of the absorption constant from the matrix norms."""
-    norms = [spectral_norm(P) for P in spec.damped_powers()]
-    base = max(1.0, max(norms), spectral_norm(spec.D))
+    base = max(1.0, max(spec.damped_power_norms), spectral_norm(spec.D))
     return 8.0 * base * base
 
 
@@ -206,12 +205,8 @@ def select_coefficients(spec, delta=0.1, safety=0.5):
     base = _search_base(m, C_bound, eps0, products)
     eps = base**m
 
-    eps0_ref = 0.5 * spec.kappa * REFERENCE_SAFETY
-    if eps0 == eps0_ref:
-        eps_star_ref = float(min(spec.kappa, (base**m).min()))
-    else:
-        base_ref = _search_base(m, C_bound, eps0_ref, products)
-        eps_star_ref = float(min(spec.kappa, (base_ref**m).min()))
+    base_ref = _search_base(m, C_bound, 0.5 * spec.kappa * REFERENCE_SAFETY, products)
+    eps_star_ref = float(min(spec.kappa, (base_ref**m).min()))
 
     C_K = estimate_ck(spec)
     eta0 = safety * eps_star_ref / (4.0 * C_K)
@@ -266,14 +261,13 @@ class WeightedCoeffs:
 
 
 def estimate_c_tilde(spec, mu):
-    """B-scale-free absorption constant for the weighted estimates."""
-    Bn = spec.B / spectral_norm(spec.B)
-    norms = []
-    P = np.eye(spec.n)
-    for _ in range(spec.n):
-        norms.append(spectral_norm(Bn @ P))
-        P = P @ spec.A
-    return 8.0 * (1.0 + 2.0 * mu) * max(1.0, max(norms)) ** 2
+    """B-scale-free absorption constant for the weighted estimates.
+
+    Built from max_k ||B A^k|| / ||B||, the largest norm of the ladder
+    of B/||B||.
+    """
+    norms = spec.damped_power_norms
+    return 8.0 * (1.0 + 2.0 * mu) * max(1.0, max(norms) / norms[0]) ** 2
 
 
 def select_weighted_coefficients(spec, mu, delta=0.1):

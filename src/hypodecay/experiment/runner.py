@@ -712,11 +712,19 @@ def batch(config_paths, out_root, jobs=1):
     """Run many configs share-nothing; exit code is the max over runs.
 
     Results are keyed and ordered by config file stem, so the aggregate
-    report does not depend on completion order or worker count.  Wall
+    report does not depend on completion order or worker count.  Two
+    configs with one stem would share an output directory and a result
+    key, so they raise ConfigError before anything is written.  Wall
     times, the batch's and each job's, go to batch_timing.json only.
     """
     started = time.perf_counter()
     paths = sorted(Path(p) for p in config_paths)
+    by_stem = {}
+    for path in paths:
+        other = by_stem.setdefault(path.stem, path)
+        if other is not path:
+            raise ConfigError(f"configs {other} and {path} share the stem "
+                              f"{path.stem!r}, which names their output directory")
     out_root = Path(out_root)
     out_root.mkdir(parents=True, exist_ok=True)
     jobs_list = [(str(p), str(out_root)) for p in paths]

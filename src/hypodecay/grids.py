@@ -184,17 +184,12 @@ def h1_norm(grid, f, weight=None):
 
 
 def antiderivative(grid, f):
-    """Cumulative trapezoid primitive from the left edge, plus total mass.
-
-    Returns (F, mass) where F[0] = 0 and mass is the quadrature total
-    of f (one value per component).
-    """
+    """Cumulative trapezoid primitive F of f from the left edge, F[0] = 0."""
     f = np.asarray(f, dtype=float)
     steps = 0.5 * (f[1:] + f[:-1]) * grid.dx
     F = np.zeros_like(f)
     F[1:] = np.cumsum(steps, axis=0)
-    mass = grid.qw @ f
-    return F, mass
+    return F
 
 
 def boundary_amplitude(grid, f):

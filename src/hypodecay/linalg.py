@@ -24,16 +24,16 @@ SYM_TOL = 1e-12
 RANK_TOL = 1e-10
 
 
-def check_symmetric(M, name="matrix", sym_tol=SYM_TOL):
+def check_symmetric(M, name="matrix"):
     """Validate (not repair) symmetry of M relative to its largest entry."""
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise DimensionMismatch(f"{name} must be square, got shape {M.shape}")
     scale = np.abs(M).max()
-    if scale > 0 and np.abs(M - M.T).max() > sym_tol * scale:
+    if scale > 0 and np.abs(M - M.T).max() > SYM_TOL * scale:
         raise AsymmetricMatrix(
             f"{name} asymmetric: max |M - M^T| = {np.abs(M - M.T).max():.3e} "
-            f"exceeds {sym_tol:.1e} * max|entry|"
+            f"exceeds {SYM_TOL:.1e} * max|entry|"
         )
     return M
 
@@ -107,27 +107,33 @@ class SystemSpec:
 
     A is the full symmetric transport matrix, D the symmetric positive
     definite damping block acting on the last ``n - n1`` components.
-    Structural flags used by downstream estimates are computed once here.
+    Everything derived from them is built once here: the stacked matrix
+    K = (B; BA; ...; BA^{n-1}) as ``kalman``, its n row blocks BA^k as
+    ``damped_powers`` with their spectral norms ``damped_power_norms``
+    and their C-contiguous transposes ``damped_powers_t`` (the right
+    operands of the stacked fields in the corrector), and the
+    structural flags used by downstream estimates.
     """
 
     A: np.ndarray
     D: np.ndarray
     n1: int
-    sym_tol: float = SYM_TOL
-    rank_tol: float = RANK_TOL
     n: int = field(init=False)
     n2: int = field(init=False)
     B: np.ndarray = field(init=False)
     kappa: float = field(init=False)
+    kalman: np.ndarray = field(init=False, repr=False)
+    damped_powers: tuple = field(init=False, repr=False)
+    damped_power_norms: tuple = field(init=False, repr=False)
+    damped_powers_t: tuple = field(init=False, repr=False)
     kalman_rank: int = field(init=False)
     a11_zero: bool = field(init=False)
     a12_invertible: bool = field(init=False)
     sk_holds: bool = field(init=False)
-    damped_powers_t: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
-        A = check_symmetric(self.A, "A", self.sym_tol)
-        D = check_symmetric(self.D, "D", self.sym_tol)
+        A = check_symmetric(self.A, "A")
+        D = check_symmetric(self.D, "D")
         n = A.shape[0]
         n2 = D.shape[0]
         n1 = self.n1
@@ -148,24 +154,23 @@ class SystemSpec:
         object.__setattr__(self, "kappa", float(kappa))
 
         K = kalman_matrix(A, B)
-        rank = numerical_rank(K, self.rank_tol)
-        A11 = A[:n1, :n1]
-        A12 = A[:n1, n1:]
-        a11_zero = bool(np.abs(A11).max() == 0.0) if A11.size else True
+        powers = tuple(np.split(K, n))
+        object.__setattr__(self, "kalman", K)
+        object.__setattr__(self, "damped_powers", powers)
+        object.__setattr__(self, "damped_power_norms",
+                           tuple(spectral_norm(P) for P in powers))
+        object.__setattr__(self, "damped_powers_t",
+                           tuple(np.ascontiguousarray(P.T) for P in powers))
+
+        rank = numerical_rank(K)
         a12_invertible = False
-        if n1 == n2 and A12.size:
-            s_min = smallest_singular_value(A12)
-            a12_invertible = s_min > self.rank_tol * max(1.0, spectral_norm(A12))
+        if n1 == n2:
+            s = np.linalg.svd(self.A12, compute_uv=False)
+            a12_invertible = bool(s[-1] > RANK_TOL * max(1.0, s[0]))
         object.__setattr__(self, "kalman_rank", rank)
-        object.__setattr__(self, "a11_zero", a11_zero)
+        object.__setattr__(self, "a11_zero", bool(np.abs(A[:n1, :n1]).max() == 0.0))
         object.__setattr__(self, "a12_invertible", a12_invertible)
         object.__setattr__(self, "sk_holds", rank == n)
-        object.__setattr__(self, "damped_powers_t", tuple(
-            np.ascontiguousarray(P.T) for P in self.damped_powers()))
-
-    @property
-    def A11(self):
-        return self.A[: self.n1, : self.n1]
 
     @property
     def A12(self):
@@ -174,19 +179,6 @@ class SystemSpec:
     @property
     def A21(self):
         return self.A[self.n1:, : self.n1]
-
-    def damped_powers(self):
-        """The list [B, BA, ..., BA^{n-1}] used by seminorm and corrector.
-
-        `damped_powers_t` holds their transposes as C-contiguous arrays,
-        the right operands of the stacked fields in the corrector.
-        """
-        out = []
-        P = np.eye(self.n)
-        for _ in range(self.n):
-            out.append(self.B @ P)
-            P = P @ self.A
-        return out
 
 
 def kalman_matrix(A, B):
@@ -210,11 +202,6 @@ def numerical_rank(M, rank_tol=RANK_TOL):
     return int((s > rank_tol * s[0]).sum())
 
 
-def smallest_singular_value(M):
-    s = np.linalg.svd(np.asarray(M, dtype=float), compute_uv=False)
-    return float(s[-1]) if s.size else 0.0
-
-
 def kalman_seminorm(spec, y):
     """N(y) = sqrt(sum_k |B A^k y|^2), k = 0..n-1.
 
@@ -225,7 +212,7 @@ def kalman_seminorm(spec, y):
     if y.shape != (spec.n,):
         raise DimensionMismatch(f"y must have shape ({spec.n},)")
     total = 0.0
-    for BAk in spec.damped_powers():
+    for BAk in spec.damped_powers:
         v = BAk @ y
         total += float(v @ v)
     return float(np.sqrt(total))
@@ -233,6 +220,5 @@ def kalman_seminorm(spec, y):
 
 def kalman_gram(spec):
     """K^T K for the stacked matrix, so that N(y)^2 = y^T (K^T K) y."""
-    K = kalman_matrix(spec.A, spec.B)
-    G = K.T @ K
+    G = spec.kalman.T @ spec.kalman
     return 0.5 * (G + G.T)

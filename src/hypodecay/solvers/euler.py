@@ -20,7 +20,7 @@ import numpy as np
 
 from ..errors import CflViolation, SmallnessBreached, VacuumApproached
 from ..grids import check_escape, d_dx, escape_tol, l2_norm, subtract_floor
-from .march import CFL_MAX, check_cfl, march, rk4, step_size
+from .march import CFL_MAX, check_cfl, check_nu, march, rk4, step_size
 
 VACUUM_FLOOR_REL = 1e-6
 SPEED_HEADROOM = 1.25
@@ -69,6 +69,7 @@ def simulate_euler(espec, grid, rho0, u0, T, cfl=0.4, nu=0.0, sample_stride=1,
     SmallnessBreached / VacuumApproached / DomainEscape diagnostics.
     """
     check_cfl(cfl)
+    check_nu(nu)
     rho = np.array(rho0, dtype=float)
     u = np.array(u0, dtype=float)
     if rho.shape != (grid.N,) or u.shape != (grid.N,):

@@ -19,7 +19,7 @@ from ..corrector import lyapunov_value
 from ..errors import CflViolation
 from ..grids import check_escape, d_dx, escape_tol, inner, l2_norm, subtract_floor
 from ..linalg import jacobi_eigensystem, expm_sym
-from .march import check_cfl, march, rk4, step_size
+from .march import check_cfl, check_nu, march, rk4, step_size
 
 
 @dataclass(frozen=True)
@@ -35,8 +35,7 @@ class LinearSim:
 
     def __post_init__(self):
         check_cfl(self.cfl)
-        if self.nu < 0.0:
-            raise ValueError("stabilization strength nu must be nonnegative")
+        check_nu(self.nu)
         w, _ = jacobi_eigensystem(self.spec.A)
         rho = float(np.abs(w).max())
         object.__setattr__(self, "rho_A", rho)
@@ -51,9 +50,7 @@ def damping_half_step(spec, dt):
 
     The half-step of a stacked state U is U @ damping_half_step(spec, dt).
     """
-    B = np.zeros((spec.n, spec.n))
-    B[spec.n1:, spec.n1:] = spec.D
-    return np.ascontiguousarray(expm_sym(-0.5 * dt * B).T)
+    return np.ascontiguousarray(expm_sym(-0.5 * dt * spec.B).T)
 
 
 def advection_rhs(sim, U):

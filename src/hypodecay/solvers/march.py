@@ -4,8 +4,9 @@ Each solver hands `march` its one-step map and its `record(t, state)`
 observer.  The driver owns everything else about a run: the uniform step
 count, the sampling stride, the snapshot steps, the assembly of the
 recorded series and the process's heap setting.  `rk4` is the one
-classical Runge-Kutta stage sequence, and `check_cfl` the one bound on
-the CFL number of an explicit solver.
+classical Runge-Kutta stage sequence.  `check_cfl` and `check_nu` are
+the one check each of an explicit solver's CFL number and of its
+fourth-difference floor strength.
 """
 
 import ctypes
@@ -23,6 +24,12 @@ def check_cfl(cfl):
     """Raise CflViolation unless the CFL number lies in (0, CFL_MAX]."""
     if not 0.0 < cfl <= CFL_MAX:
         raise CflViolation(f"cfl must lie in (0, {CFL_MAX}], got {cfl}")
+
+
+def check_nu(nu):
+    """Raise ValueError unless the fourth-difference floor strength nu is >= 0."""
+    if nu < 0.0:
+        raise ValueError(f"stabilization strength nu must be nonnegative, got {nu}")
 
 
 def step_size(T, dt_limit):

@@ -21,7 +21,7 @@ import numpy as np
 
 from ..errors import RBandViolation
 from ..grids import check_escape, d_dx, escape_tol, subtract_floor
-from .march import check_cfl, march, rk4
+from .march import check_cfl, check_nu, march, rk4
 
 
 @dataclass(frozen=True)
@@ -45,6 +45,7 @@ def simulate_psystem(pspec, grid, rho0, u0, T, cfl=0.4, nu=0.0, sample_stride=1,
     `check_mass` enforces before the first step (MassNotZero).
     """
     check_cfl(cfl)
+    check_nu(nu)
     rho = np.array(rho0, dtype=float)
     u = np.array(u0, dtype=float)
     if rho.shape != (grid.N,) or u.shape != (grid.N,):

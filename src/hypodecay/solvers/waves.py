@@ -212,7 +212,7 @@ class LinearWaveMonitor:
         return check_zero_mass(grid, U1, self.mass_tol)
 
     def record(self, grid, t, U1, U2):
-        W, _ = antiderivative(grid, U1)
+        W = antiderivative(grid, U1)
         return power_wave_record(grid, t, self.wspec, W, -(U2 @ self.a12_t), U1,
                                  self.a12a21, self.a12_d_a12inv)
 
@@ -232,7 +232,7 @@ class LogWaveMonitor:
         return check_zero_mass(grid, rho, self.mass_tol)
 
     def record(self, grid, t, rho, u):
-        w, _ = antiderivative(grid, rho)
+        w = antiderivative(grid, rho)
         return log_wave_record(grid, t, self.wspec, w, -u, rho, self.eta3)
 
 

@@ -378,6 +378,19 @@ def test_batch_reports_an_uncreatable_output_directory(tmp_path):
     assert (out_root / "blocked").read_text() == "a regular file\n"
 
 
+def test_batch_rejects_configs_that_share_a_stem(tmp_path):
+    paths = []
+    for sub, name in (("a", "smoke_a"), ("b", "smoke_b")):
+        (tmp_path / sub).mkdir()
+        paths.append(tmp_path / sub / "x.json")
+        paths[-1].write_text(json.dumps(smoke_doc(name)))
+    out_root = tmp_path / "br"
+    with pytest.raises(ConfigError, match="'x'") as err:
+        batch(paths, out_root, jobs=1)
+    assert str(paths[0]) in str(err.value) and str(paths[1]) in str(err.value)
+    assert not out_root.exists()
+
+
 def test_batch_starts_no_more_workers_than_configs(monkeypatch, tmp_path):
     started = []
 

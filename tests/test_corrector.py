@@ -14,6 +14,7 @@ from hypodecay.corrector import (
     constraint_margins,
     corrector_value,
     estimate_c_bound,
+    estimate_c_tilde,
     estimate_ck,
     lyapunov_value,
     select_coefficients,
@@ -27,7 +28,7 @@ from hypodecay.errors import (
     SKConditionFails,
 )
 from hypodecay.grids import Grid1D, d_dx, h1_norm, l2_norm
-from hypodecay.linalg import SystemSpec, kalman_gram, min_eig_sym
+from hypodecay.linalg import SystemSpec, kalman_gram, min_eig_sym, spectral_norm
 
 STANDARD = SystemSpec(A=np.array([[0.0, 1.0], [1.0, 0.0]]),
                       D=np.array([[1.0]]), n1=1)
@@ -140,6 +141,17 @@ def test_selected_constants_stiff():
     assert coeffs.eta0 == pytest.approx(0.001953125, rel=1e-9)
 
 
+def test_registry_coefficients_are_pinned_bit_for_bit():
+    """Values of the registry systems' coefficients, to the last bit."""
+    std = select_coefficients(STANDARD, safety=0.5)
+    assert std.eta0 == 0.00024414062499999997
+    assert std.eps.tolist() == [0.0039062499999999996]
+    stiff = select_coefficients(STIFF, safety=0.125)
+    assert stiff.eta0 == 0.001953125
+    assert stiff.eps.tolist() == [3.0517578125e-05]
+    assert select_weighted_coefficients(STIFF, 1.0).C_tilde == 24.0
+
+
 def test_binding_families_standard():
     margins = select_coefficients(STANDARD).margins()
     assert margins["e1b"] == pytest.approx(1.0, rel=1e-10)
@@ -233,7 +245,7 @@ def test_cross_term_quadrature():
 
 def _transposed_view_cross_term(spec, coeffs, grid, U, dU):
     """corrector_value written with `@ P.T` and numpy's row sum."""
-    P = spec.damped_powers()
+    P = spec.damped_powers
     return sum(
         coeffs.eps[k - 1]
         * float(grid.qw @ ((U @ P[k - 1].T) * (dU @ P[k].T)).sum(axis=1))
@@ -262,7 +274,7 @@ def test_cross_term_matches_transposed_views(spec):
         np.testing.assert_allclose(got, want, rtol=1e-14)
     assert all(P.flags.c_contiguous for P in spec.damped_powers_t)
     assert all(np.array_equal(Pt, P.T)
-               for Pt, P in zip(spec.damped_powers_t, spec.damped_powers()))
+               for Pt, P in zip(spec.damped_powers_t, spec.damped_powers))
 
 
 def test_lyapunov_zero_field():
@@ -316,6 +328,23 @@ def test_weighted_constants_scale_free():
     b = select_weighted_coefficients(STIFF, mu=1.0)
     assert b.C_tilde == a.C_tilde
     assert b.kappa0 == a.kappa0
+
+
+def test_c_tilde_matches_the_normalized_ladder():
+    """C~ from the stored ladder norms equals the ladder of B/||B||."""
+    rng = np.random.default_rng(17)
+    A = rng.standard_normal((3, 3))
+    R = rng.standard_normal((2, 2))
+    spec = SystemSpec(A=A + A.T, D=R @ R.T + np.eye(2), n1=1)
+    Bn = spec.B / spectral_norm(spec.B)
+    norms = []
+    P = np.eye(spec.n)
+    for _ in range(spec.n):
+        norms.append(spectral_norm(Bn @ P))
+        P = P @ spec.A
+    for mu in (0.5, 1.0):
+        want = 8.0 * (1.0 + 2.0 * mu) * max(1.0, max(norms)) ** 2
+        np.testing.assert_allclose(estimate_c_tilde(spec, mu), want, rtol=1e-14)
 
 
 def test_weighted_needs_no_self_transport():

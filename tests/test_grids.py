@@ -203,9 +203,9 @@ def test_h1_norm_pythagoras():
 def test_antiderivative_round_trip():
     g = Grid1D(L=25.0, N=2048, bc="compact_support")
     f = -2.0 * g.x * np.exp(-g.x**2)  # derivative of a Gaussian: zero mass
-    F, mass = antiderivative(g, f)
+    F = antiderivative(g, f)
     assert F[0] == 0.0
-    assert abs(mass) < 1e-14
+    assert abs(F[-1]) < 1e-14  # the trapezoid total of a zero-mass f
     # both bounds sit one decade above the dx^2 truncation estimate
     assert np.abs(F - (np.exp(-g.x**2) - np.exp(-g.L**2))).max() < 2e-4
     assert np.abs(d_dx(g, F)[1:-1] - f[1:-1]).max() < 2e-3
@@ -214,10 +214,11 @@ def test_antiderivative_round_trip():
 def test_antiderivative_mass_per_component():
     g = Grid1D(L=10.0, N=256, bc="compact_support")
     U = np.stack([np.exp(-g.x**2), g.x * np.exp(-g.x**2)], axis=1)
-    _, mass = antiderivative(g, U)
-    assert mass.shape == (2,)
-    assert mass[0] == pytest.approx(np.sqrt(np.pi), rel=1e-10)
-    assert abs(mass[1]) < 1e-14
+    F = antiderivative(g, U)
+    assert F.shape == (256, 2)
+    assert np.array_equal(F[:, 0], antiderivative(g, U[:, 0]))
+    assert F[-1, 0] == pytest.approx(np.sqrt(np.pi), rel=1e-10)
+    assert abs(F[-1, 1]) < 1e-14
 
 
 def test_boundary_amplitude():

@@ -19,13 +19,24 @@ from hypodecay.linalg import (
     kalman_seminorm,
     min_eig_sym,
     numerical_rank,
-    smallest_singular_value,
     spectral_norm,
 )
 
 STANDARD = SystemSpec(A=np.array([[0.0, 1.0], [1.0, 0.0]]),
                       D=np.array([[1.0]]), n1=1)
+STIFF = SystemSpec(A=np.array([[0.0, 1.0], [1.0, 0.0]]),
+                   D=np.array([[32.0]]), n1=1)
 DECOUPLED = SystemSpec(A=np.diag([1.0, -1.0]), D=np.array([[1.0]]), n1=1)
+
+
+def _random_4x4_spec():
+    rng = np.random.default_rng(5)
+    A = rng.standard_normal((4, 4))
+    R = rng.standard_normal((2, 2))
+    return SystemSpec(A=A + A.T, D=R @ R.T + np.eye(2), n1=2)
+
+
+RANDOM_4X4 = _random_4x4_spec()
 
 
 def test_min_eig_closed_form():
@@ -122,10 +133,34 @@ def test_structural_flags_standard():
 
 
 def test_damped_powers_chain():
-    powers = STANDARD.damped_powers()
+    powers = STANDARD.damped_powers
     assert len(powers) == 2
     assert np.array_equal(powers[0], STANDARD.B)
     assert np.array_equal(powers[1], STANDARD.B @ STANDARD.A)
+
+
+@pytest.mark.parametrize("spec", [STANDARD, STIFF, DECOUPLED, RANDOM_4X4],
+                         ids=["standard", "stiff", "decoupled", "random"])
+def test_spec_ladder_fields(spec):
+    assert len(spec.damped_powers) == spec.n
+    assert np.array_equal(np.vstack(spec.damped_powers), spec.kalman)
+    assert np.array_equal(spec.kalman, kalman_matrix(spec.A, spec.B))
+    assert np.array_equal(spec.damped_powers[0], spec.B)
+    for P, norm, Pt in zip(spec.damped_powers, spec.damped_power_norms,
+                           spec.damped_powers_t):
+        assert norm == spectral_norm(P)
+        assert Pt.flags.c_contiguous
+        assert np.array_equal(Pt, P.T)
+
+
+def test_a12_invertible_needs_square_nonsingular_coupling():
+    assert RANDOM_4X4.a12_invertible
+    assert not DECOUPLED.a12_invertible
+    tridiag = SystemSpec(
+        A=np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 0.0]]),
+        D=np.eye(2), n1=1)
+    assert tridiag.sk_holds
+    assert not tridiag.a12_invertible
 
 
 def _random_spec(draw_entries, n, n1):
@@ -183,7 +218,3 @@ def test_seminorm_homogeneity_and_triangle(c, y0, y1, z0, z1):
     assert kalman_seminorm(STANDARD, c * y) == pytest.approx(abs(c) * Ny, abs=1e-9)
     lhs = kalman_seminorm(STANDARD, y + z)
     assert lhs <= Ny + kalman_seminorm(STANDARD, z) + 1e-9
-
-
-def test_smallest_singular_value_oracle():
-    assert smallest_singular_value(np.diag([5.0, 0.25])) == pytest.approx(0.25)

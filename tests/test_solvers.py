@@ -152,6 +152,21 @@ def test_linear_guards():
         simulate_linear(sim, np.zeros((64, 2)), T=0.0)
 
 
+@pytest.mark.parametrize("solver", ["linear", "euler", "psystem"])
+def test_explicit_solvers_reject_negative_nu(solver):
+    grid = Grid1D(L=10.0, N=64, bc="periodic")
+    bump = np.exp(-grid.x**2)
+    with pytest.raises(ValueError, match="nu"):
+        if solver == "linear":
+            LinearSim(spec=STANDARD, grid=grid, nu=-0.01)
+        elif solver == "euler":
+            simulate_euler(EulerSpec(), grid, 1.0 + 0.01 * bump, 0.0 * bump,
+                           T=0.1, nu=-0.01)
+        else:
+            simulate_psystem(PSystemSpec(r=2.0), grid, 0.01 * bump, 0.0 * bump,
+                             T=0.1, nu=-0.01)
+
+
 def test_linear_compact_run_escapes():
     # the pulse hits the artificial boundary well before T
     grid = Grid1D(L=20.0, N=256, bc="compact_support")

@@ -207,7 +207,7 @@ def test_linear_monitor_matches_transposed_view(spec):
     assert np.array_equal(mon.a12_t, spec.A12.T)
     grid = Grid1D(L=20.0, N=128, bc="compact_support")
     U = rng.standard_normal((grid.N, spec.n))
-    W, _ = antiderivative(grid, U[:, : spec.n1])
+    W = antiderivative(grid, U[:, : spec.n1])
     want = power_wave_record(grid, 1.5, mon.wspec, W, -(U[:, spec.n1:] @ spec.A12.T),
                              U[:, : spec.n1], mon.a12a21, mon.a12_d_a12inv)
     got = mon.record(grid, 1.5, U[:, : spec.n1], U[:, spec.n1:])
