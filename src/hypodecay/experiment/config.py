@@ -8,6 +8,7 @@ schema-valid documents.
 """
 
 import json
+import math
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -244,16 +245,41 @@ def serialize_config(cfg):
     return cfg.doc()
 
 
+def _non_finite(token):
+    raise ValueError(f"non-finite number {token} is not allowed")
+
+
+def _finite(convert):
+    """A json number hook: `convert(text)`, refusing what overflows a double."""
+    def parse(text):
+        if not math.isfinite(float(text)):
+            _non_finite(text)
+        return convert(text)
+    return parse
+
+
+def _loads(text):
+    """`json.loads` that refuses NaN, Infinity, -Infinity and literals
+    beyond the double range such as 1e999: a number in a config must be
+    finite."""
+    return json.loads(text, parse_constant=_non_finite, parse_float=_finite(float),
+                      parse_int=_finite(int))
+
+
 def read_config(path):
     """The JSON document in the file at `path`; any failure is a ConfigError."""
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
+        return _loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
 
 
 def apply_override(doc, dotted, value):
-    """Apply one --set style override (dotted path) to a raw document."""
+    """Apply one --set style override (dotted path) to a raw document.
+
+    A value that is not JSON, or holds a non-finite number, is kept as a
+    string, which the schema then refuses wherever a number is expected.
+    """
     keys = dotted.split(".")
     node = doc
     for k in keys[:-1]:
@@ -263,8 +289,8 @@ def apply_override(doc, dotted, value):
             node = node.setdefault(k, {})
     leaf = keys[-1]
     try:
-        parsed = json.loads(value)
-    except json.JSONDecodeError:
+        parsed = _loads(value)
+    except ValueError:
         parsed = value
     if isinstance(node, list):
         node[int(leaf)] = parsed

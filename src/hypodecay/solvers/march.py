@@ -3,14 +3,17 @@
 Each solver hands `march` its one-step map and its `record(t, state)`
 observer.  The driver owns everything else about a run: the uniform step
 count, the sampling stride, the snapshot steps, the assembly of the
-recorded series and the process's heap setting.  `rk4` is the one
-classical Runge-Kutta stage sequence.  `check_cfl` and `check_nu` are
-the one check each of an explicit solver's CFL number and of its
-fourth-difference floor strength.
+recorded series, the process's heap setting and the floating-point mode
+the steps and observers run in.  `rk4` is the one classical Runge-Kutta
+stage sequence.  `check_cfl` and `check_nu` are the one check each of an
+explicit solver's CFL number and of its fourth-difference floor strength.
 """
 
+import contextlib
 import ctypes
 import math
+import platform
+import sys
 
 import numpy as np
 
@@ -27,8 +30,11 @@ def check_cfl(cfl):
 
 
 def check_nu(nu):
-    """Raise ValueError unless the fourth-difference floor strength nu is >= 0."""
-    if nu < 0.0:
+    """Raise ValueError unless the fourth-difference floor strength nu is >= 0.
+
+    A NaN fails too: no comparison with it is true.
+    """
+    if not nu >= 0.0:
         raise ValueError(f"stabilization strength nu must be nonnegative, got {nu}")
 
 
@@ -72,6 +78,42 @@ def rk4(rhs, state, dt):
     return k2
 
 
+# One process-wide handle on the C library, looked up once; None where
+# there is none (ctypes.CDLL(None) raises on Windows).
+try:
+    _LIBC = ctypes.CDLL(None)
+except (OSError, TypeError):
+    _LIBC = None
+
+
+def _c_function(name, *argtypes):
+    """The C library's int-returning `name`, or None where it is missing."""
+    fn = getattr(_LIBC, name, None)
+    if fn is not None:
+        fn.argtypes = argtypes
+        fn.restype = ctypes.c_int
+    return fn
+
+
+class _FenvT(ctypes.Structure):
+    """glibc's x86-64 fenv_t: the 28-byte x87 environment, then MXCSR."""
+
+    _fields_ = [("x87", ctypes.c_uint32 * 7), ("mxcsr", ctypes.c_uint32)]
+
+
+assert ctypes.sizeof(_FenvT) == 32
+
+_mallopt = _c_function("mallopt", ctypes.c_int, ctypes.c_int)
+if sys.platform == "linux" and platform.machine() == "x86_64":
+    _fegetenv = _c_function("fegetenv", ctypes.POINTER(_FenvT))
+    _fesetenv = _c_function("fesetenv", ctypes.POINTER(_FenvT))
+else:
+    _fegetenv = _fesetenv = None
+
+# MXCSR's flush-to-zero (bit 15) and denormals-are-zero (bit 6) modes.
+_FTZ_DAZ = (1 << 15) | (1 << 6)
+
+
 def _keep_freed_heap():
     """Keep freed memory in the process's heap; glibc only, else a no-op.
 
@@ -82,14 +124,39 @@ def _keep_freed_heap():
     step time.  The values are the ceilings glibc's own dynamic
     thresholds reach on 64-bit systems.
     """
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (AttributeError, OSError, TypeError):
+    if _mallopt is None:
         return
-    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
-    mallopt.restype = ctypes.c_int
-    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
-    mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
+    _mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
+    _mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
+
+
+@contextlib.contextmanager
+def _flush_subnormals():
+    """Run the block with SSE flush-to-zero and denormals-are-zero on.
+
+    Gaussian data have tails below the smallest normal double, 2.2e-308,
+    and on x86-64 every operation that reads or makes such a subnormal
+    value takes a slow microcode assist.  In these modes the values are
+    read and written as zero instead.  The caller's two MXCSR bits come
+    back on exit, by return or by exception; the rest of the register,
+    raised exception flags included, is left as the block made it.
+    MXCSR belongs to the calling thread, so other threads keep their
+    mode.  A no-op off x86-64 Linux or without fegetenv/fesetenv.
+    """
+    if _fesetenv is None or _fegetenv is None:
+        yield
+        return
+    env = _FenvT()
+    _fegetenv(env)
+    saved = env.mxcsr & _FTZ_DAZ
+    env.mxcsr |= _FTZ_DAZ
+    _fesetenv(env)
+    try:
+        yield
+    finally:
+        _fegetenv(env)
+        env.mxcsr = (env.mxcsr & ~_FTZ_DAZ) | saved
+        _fesetenv(env)
 
 
 def march(state, T, dt_limit, step, record, sample_stride, snapshot_times,
@@ -115,21 +182,22 @@ def march(state, T, dt_limit, step, record, sample_stride, snapshot_times,
     snapshots = {}
     times, chans = [], {}
 
-    for j in range(nsteps + 1):
-        if j > 0:
-            state = step(state, dt)
-        if j % sample_stride == 0 or j == nsteps:
-            t = j * dt
-            row = record(t, state)
-            bad = [k for k, v in row.items() if not math.isfinite(v)]
-            if bad:
-                raise NonFiniteState(f"channel {bad[0]!r} is {row[bad[0]]} at t={t:.4g}",
-                                     time=t)
-            times.append(t)
-            for k, v in row.items():
-                chans.setdefault(k, []).append(v)
-        for ts in snap_steps.get(j, ()):
-            snapshots[ts] = snapshot(state)
+    with _flush_subnormals():
+        for j in range(nsteps + 1):
+            if j > 0:
+                state = step(state, dt)
+            if j % sample_stride == 0 or j == nsteps:
+                t = j * dt
+                row = record(t, state)
+                bad = [k for k, v in row.items() if not math.isfinite(v)]
+                if bad:
+                    raise NonFiniteState(
+                        f"channel {bad[0]!r} is {row[bad[0]]} at t={t:.4g}", time=t)
+                times.append(t)
+                for k, v in row.items():
+                    chans.setdefault(k, []).append(v)
+            for ts in snap_steps.get(j, ()):
+                snapshots[ts] = snapshot(state)
 
     series = TimeSeries(
         t=np.array(times),

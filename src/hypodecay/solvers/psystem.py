@@ -63,7 +63,8 @@ def simulate_psystem(pspec, grid, rho0, u0, T, cfl=0.4, nu=0.0, sample_stride=1,
         du = d_dx(grid, rho)
         np.negative(du, out=du)
         damping = np.abs(u)
-        damping **= r - 1.0
+        if r != 2.0:  # pow(x, 1.0) is x: skip a full pass
+            damping **= r - 1.0
         damping *= u
         du -= damping
         return subtract_floor(grid, drho, rho, nu), subtract_floor(grid, du, u, nu)
@@ -76,7 +77,9 @@ def simulate_psystem(pspec, grid, rho0, u0, T, cfl=0.4, nu=0.0, sample_stride=1,
         du_ = d_dx(grid, u)
         l22 = float(grid.qw @ (rho * rho + u * u))
         dl22 = float(grid.qw @ (dr * dr + du_ * du_))
-        aur = np.abs(u) ** (r - 1.0)
+        aur = np.abs(u)
+        if r != 2.0:
+            aur **= r - 1.0
         lrp1 = float(grid.qw @ (aur * u * u))
         cross = float(grid.qw @ (aur * u * dr)) / r
         wstar = l22 + dl22 + eta2 * cross

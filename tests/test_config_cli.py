@@ -495,6 +495,28 @@ def test_cli_rejects_bad_input(tmp_path, capsys):
         main(["run"])  # --config/--scenario required
 
 
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity", "1e999", "1" + "0" * 400],
+                         ids=["NaN", "Infinity", "-Infinity", "1e999", "int_1e400"])
+def test_cli_rejects_non_finite_numbers(tmp_path, capsys, token):
+    """A number no double can hold exits 2 and writes nothing, whether it
+    comes from the config file or from --set."""
+    doc = smoke_doc()
+    good = tmp_path / "good.json"
+    good.write_text(json.dumps(doc))
+    doc["time"]["nu"] = "@"
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc).replace('"@"', token))
+    out = tmp_path / "never"
+    assert main(["run", "--config", str(bad), "--out", str(out)]) == 2
+    assert not out.exists()
+    assert "non-finite number" in capsys.readouterr().err
+    code = main(["run", "--config", str(good), "--set", f"time.nu={token}",
+                 "--out", str(out)])
+    assert code == 2
+    assert not out.exists()
+    assert "time.nu" in capsys.readouterr().err
+
+
 def test_cli_rejects_snapshot_outside_horizon(tmp_path, capsys):
     out = tmp_path / "never"
     code = main([

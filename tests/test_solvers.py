@@ -3,6 +3,8 @@ exact propagators, Fourier-mode matrix exponentials, closed-form heat
 kernels, and refinement of discrete balance identities.
 """
 
+import platform
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -16,8 +18,9 @@ from hypodecay.errors import (
     SmallnessBreached,
     VacuumApproached,
 )
-from hypodecay.grids import Grid1D, WeightSpec, d_dx, fourth_difference
+from hypodecay.grids import Grid1D, WeightSpec, d_dx, fourth_difference, subtract_floor
 from hypodecay.linalg import SystemSpec, expm_sym
+from hypodecay.solvers import march as march_module
 from hypodecay.solvers.euler import EulerSpec, simulate_euler
 from hypodecay.solvers.heat import heat_solve
 from hypodecay.solvers.linear import (
@@ -152,19 +155,27 @@ def test_linear_guards():
         simulate_linear(sim, np.zeros((64, 2)), T=0.0)
 
 
-@pytest.mark.parametrize("solver", ["linear", "euler", "psystem"])
-def test_explicit_solvers_reject_negative_nu(solver):
+def _start_explicit_solver(solver, nu):
     grid = Grid1D(L=10.0, N=64, bc="periodic")
     bump = np.exp(-grid.x**2)
+    if solver == "linear":
+        LinearSim(spec=STANDARD, grid=grid, nu=nu)
+    elif solver == "euler":
+        simulate_euler(EulerSpec(), grid, 1.0 + 0.01 * bump, 0.0 * bump, T=0.1, nu=nu)
+    else:
+        simulate_psystem(PSystemSpec(r=2.0), grid, 0.01 * bump, 0.0 * bump, T=0.1, nu=nu)
+
+
+@pytest.mark.parametrize("solver", ["linear", "euler", "psystem"])
+def test_explicit_solvers_reject_negative_nu(solver):
     with pytest.raises(ValueError, match="nu"):
-        if solver == "linear":
-            LinearSim(spec=STANDARD, grid=grid, nu=-0.01)
-        elif solver == "euler":
-            simulate_euler(EulerSpec(), grid, 1.0 + 0.01 * bump, 0.0 * bump,
-                           T=0.1, nu=-0.01)
-        else:
-            simulate_psystem(PSystemSpec(r=2.0), grid, 0.01 * bump, 0.0 * bump,
-                             T=0.1, nu=-0.01)
+        _start_explicit_solver(solver, -0.01)
+
+
+@pytest.mark.parametrize("solver", ["linear", "euler", "psystem"])
+def test_explicit_solvers_reject_nan_nu(solver):
+    with pytest.raises(ValueError, match="nu"):
+        _start_explicit_solver(solver, float("nan"))
 
 
 def test_linear_compact_run_escapes():
@@ -282,6 +293,28 @@ def test_psystem_zero_data():
     )
     assert np.all(series.channel("h1") == 0.0)
     assert np.all(series.channel("hstar") == 0.0)
+
+
+def test_psystem_damping_at_r2_skips_the_unit_power_bitwise():
+    """At r = 2 the right-hand side forms |u|^(r-1) u without the power
+    pass; pow(x, 1.0) is x, so the run matches the unguarded expression
+    bit for bit."""
+    grid = Grid1D(L=20.0, N=128, bc="periodic")
+    rho0 = -0.1 * grid.x * np.exp(-grid.x**2)
+    u0 = 0.05 * np.exp(-grid.x**2)
+    r, nu, T = 2.0, 0.01, 0.5
+
+    def rhs(state):
+        rho, u = state
+        drho = -d_dx(grid, u)
+        du = -d_dx(grid, rho) - np.abs(u) ** (r - 1.0) * u
+        return subtract_floor(grid, drho, rho, nu), subtract_floor(grid, du, u, nu)
+
+    _, ref = march((rho0, u0), T, 0.4 * grid.dx, lambda s, dt: rk4(rhs, s, dt),
+                   lambda t, s: {}, 1, (T,), np.column_stack, {})
+    _, snaps = simulate_psystem(PSystemSpec(r=r), grid, rho0, u0, T=T, nu=nu,
+                                snapshot_times=(T,))
+    assert snaps[T].tobytes() == ref[T].tobytes()
 
 
 def _psystem_balance_resid(N):
@@ -479,6 +512,79 @@ def test_march_stops_at_first_non_finite_sample():
     with pytest.raises(NonFiniteState, match="'l2'") as info:
         march(np.zeros(1), 1.0, 0.1, step, record, 2, (), np.copy, {})
     assert info.value.time == pytest.approx(0.4, rel=1e-14)
+
+
+# 1e-160 * 1e-160 = 1e-320 is subnormal: it reads 0.0 exactly when
+# flush-to-zero is on.
+TINY = np.float64(1e-160)
+FTZ, DAZ = 1 << 15, 1 << 6
+
+x86_64_glibc = pytest.mark.skipif(
+    platform.machine() != "x86_64" or platform.libc_ver()[0] != "glibc",
+    reason="reads MXCSR through glibc's x86-64 fenv_t",
+)
+
+
+def _mode():
+    env = march_module._FenvT()
+    march_module._fegetenv(env)
+    return env.mxcsr & (FTZ | DAZ)
+
+
+def _march_products(record_raises=False):
+    """Run a two-step march; return the products seen by step and record."""
+    seen = []
+
+    def step(state, dt):
+        seen.append(TINY * TINY)
+        return state
+
+    def record(t, state):
+        seen.append(TINY * TINY)
+        if record_raises:
+            raise RuntimeError("abort")
+        return {"v": 0.0}
+
+    march(np.zeros(1), 1.0, 0.5, step, record, 1, (), np.copy, {})
+    return seen
+
+
+@x86_64_glibc
+def test_march_flushes_subnormals_only_while_stepping():
+    before = _mode()
+    assert TINY * TINY != 0.0
+    assert _march_products() == [0.0] * 5
+    assert TINY * TINY != 0.0
+    assert _mode() == before
+
+
+@x86_64_glibc
+def test_march_restores_the_mode_when_record_raises():
+    before = _mode()
+    with pytest.raises(RuntimeError, match="abort"):
+        _march_products(record_raises=True)
+    assert TINY * TINY != 0.0
+    assert _mode() == before
+
+
+@x86_64_glibc
+def test_march_keeps_a_callers_flush_to_zero():
+    """A caller that had FTZ on (and DAZ off) gets exactly that back."""
+    env = march_module._FenvT()
+    march_module._fegetenv(env)
+    saved = env.mxcsr
+    env.mxcsr = (saved & ~(FTZ | DAZ)) | FTZ
+    march_module._fesetenv(env)
+    try:
+        assert TINY * TINY == 0.0
+        assert _march_products() == [0.0] * 5
+        assert _mode() == FTZ
+        assert TINY * TINY == 0.0
+    finally:
+        march_module._fegetenv(env)
+        env.mxcsr = saved
+        march_module._fesetenv(env)
+    assert TINY * TINY != 0.0
 
 
 @pytest.mark.filterwarnings("ignore:overflow")
