@@ -28,7 +28,7 @@ from .errors import (
     HypothesisViolated,
     SKConditionFails,
 )
-from .grids import WeightSpec, d_dx, h1_norm, inner, l2_norm
+from .grids import WeightSpec, d_dx, h1_norm, l2_norm
 from .linalg import kalman_gram, min_eig_sym, spectral_norm
 
 REFERENCE_SAFETY = 0.5
@@ -224,27 +224,18 @@ def select_coefficients(spec, delta=0.1, safety=0.5):
     )
 
 
-def corrector_value(spec, coeffs, grid, U, dU):
-    """Cross term I = sum_k eps_k <B A^{k-1} U, B A^k d_x U>."""
-    powers_t = spec.damped_powers_t
-    total = 0.0
-    for k in range(1, spec.n):
-        total += coeffs.eps[k - 1] * inner(
-            grid, U @ powers_t[k - 1], dU @ powers_t[k]
-        )
-    return float(total)
+def lyapunov_value(spec, coeffs, G, t):
+    """Augmented energy ||U||_{H^1}^2 + eta0 t ||d_x U||^2 + I(t).
 
-
-def lyapunov_value(spec, coeffs, grid, U, t):
-    """Augmented energy ||U||_{H^1}^2 + eta0 t ||d_x U||^2 + I(t)."""
-    dU = d_dx(grid, U)
-    l2 = l2_norm(grid, U)
-    dl2 = l2_norm(grid, dU)
-    return (
-        l2 * l2
-        + (1.0 + coeffs.eta0 * t) * dl2 * dl2
-        + corrector_value(spec, coeffs, grid, U, dU)
-    )
+    G is the `grids.gram` of the rows [U^T; (d_x U)^T].  The cross term I
+    is <C, G[:n, n:]> with C = sum_k eps_k (B A^{k-1})^T B A^k.
+    """
+    n = spec.n
+    P = spec.damped_powers
+    C = sum(e * (P[k].T @ P[k + 1]) for k, e in enumerate(coeffs.eps))
+    sq = G.diagonal()
+    return float(sq[:n].sum() + (1.0 + coeffs.eta0 * t) * sq[n:].sum()
+                 + (C * G[:n, n:]).sum())
 
 
 # --- weighted lane -----------------------------------------------------
@@ -308,9 +299,9 @@ def select_weighted_coefficients(spec, mu, delta=0.1):
 
 def weighted_data_size(grid, U0, mu):
     """Initial-data size for weighted claims: H^1 plus |x|^mu moments."""
-    w = WeightSpec("power", mu=mu)
+    w2 = WeightSpec("power", mu=mu).values(grid.x) ** 2
     return (
         h1_norm(grid, U0)
-        + l2_norm(grid, U0, w)
-        + l2_norm(grid, d_dx(grid, U0), w)
+        + l2_norm(grid, U0, w2)
+        + l2_norm(grid, d_dx(grid, U0), w2)
     )

@@ -9,6 +9,7 @@ second-order one-sided forms there.
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -52,6 +53,16 @@ class Grid1D:
     def periodic(self):
         return self.bc == "periodic"
 
+    @cached_property
+    def abs_x(self):
+        """|x|, built on first use: most runs never read it, and N reaches 2^20."""
+        return np.abs(self.x)
+
+    @cached_property
+    def i0(self):
+        """Index of the node at x = 0 (the nearest one if none is)."""
+        return int(np.argmin(self.abs_x))
+
 
 def _layout(grid, f, g):
     """(source, out, window) of a stencil reaching `g` cells along axis 0.
@@ -70,17 +81,20 @@ def _layout(grid, f, g):
     return f, out, out[g:-g]
 
 
-def d_dx(grid, f):
-    """Second-order first derivative; one-sided at compact boundaries.
-
-    Accepts (N,) or (N, k) arrays and differentiates along axis 0.
-    """
+def first_difference(grid, f):
+    """Undivided f[i+1] - f[i-1] along axis 0, one-sided at compact ends: 2 dx * d_dx."""
     p, out, w = _layout(grid, f, 1)
     np.subtract(p[2:], p[:-2], out=w)
-    w /= 2.0 * grid.dx
     if not grid.periodic:
-        out[0] = (-3.0 * p[0] + 4.0 * p[1] - p[2]) / (2.0 * grid.dx)
-        out[-1] = (3.0 * p[-1] - 4.0 * p[-2] + p[-3]) / (2.0 * grid.dx)
+        out[0] = -3.0 * p[0] + 4.0 * p[1] - p[2]
+        out[-1] = 3.0 * p[-1] - 4.0 * p[-2] + p[-3]
+    return out
+
+
+def d_dx(grid, f):
+    """Second-order first derivative along axis 0 of (N,) or (N, k) arrays."""
+    out = first_difference(grid, f)
+    out /= 2.0 * grid.dx
     return out
 
 
@@ -161,25 +175,34 @@ def _component_sum(f, g):
     return s
 
 
-def l2_norm(grid, f, weight=None):
-    """Weighted L2 norm by trapezoid: sqrt(sum qw * w(x)^2 * |f|^2)."""
-    return math.sqrt(inner(grid, f, f, weight))
+def l2_norm(grid, f, w2=None):
+    """Weighted L2 norm by trapezoid: sqrt(sum qw * w2 * |f|^2)."""
+    return math.sqrt(inner(grid, f, f, w2))
 
 
-def inner(grid, f, g, weight=None):
-    """Weighted L2 pairing; components summed before quadrature."""
+def inner(grid, f, g, w2=None):
+    """L2 pairing, components summed first; w2 is a squared weight on grid.x."""
     f = np.asarray(f, dtype=float)
     g = np.asarray(g, dtype=float)
     s = f * g if f.ndim == 1 else _component_sum(f, g)
-    if weight is not None:
-        wv = weight.values(grid.x)
-        s = wv * wv * s
+    if w2 is not None:
+        s = w2 * s
     return float(grid.qw @ s)
 
 
-def h1_norm(grid, f, weight=None):
-    a = l2_norm(grid, f, weight)
-    b = l2_norm(grid, d_dx(grid, f), weight)
+def gram(grid, rows, c=None):
+    """Quadrature Gram matrix sum_x qw c rows_x rows_x^T of (m, N) rows.
+
+    Weights c of shape (p, N) give the (p, m, m) stack, one (m, N) product each.
+    """
+    if c is None:
+        return (rows * grid.qw) @ rows.T
+    return np.stack([(rows * (cj * grid.qw)) @ rows.T for cj in c])
+
+
+def h1_norm(grid, f):
+    a = l2_norm(grid, f)
+    b = l2_norm(grid, d_dx(grid, f))
     return float(np.sqrt(a * a + b * b))
 
 

@@ -109,10 +109,8 @@ class SystemSpec:
     definite damping block acting on the last ``n - n1`` components.
     Everything derived from them is built once here: the stacked matrix
     K = (B; BA; ...; BA^{n-1}) as ``kalman``, its n row blocks BA^k as
-    ``damped_powers`` with their spectral norms ``damped_power_norms``
-    and their C-contiguous transposes ``damped_powers_t`` (the right
-    operands of the stacked fields in the corrector), and the
-    structural flags used by downstream estimates.
+    ``damped_powers`` with their spectral norms ``damped_power_norms``,
+    and the structural flags used by downstream estimates.
     """
 
     A: np.ndarray
@@ -125,7 +123,6 @@ class SystemSpec:
     kalman: np.ndarray = field(init=False, repr=False)
     damped_powers: tuple = field(init=False, repr=False)
     damped_power_norms: tuple = field(init=False, repr=False)
-    damped_powers_t: tuple = field(init=False, repr=False)
     kalman_rank: int = field(init=False)
     a11_zero: bool = field(init=False)
     a12_invertible: bool = field(init=False)
@@ -159,8 +156,6 @@ class SystemSpec:
         object.__setattr__(self, "damped_powers", powers)
         object.__setattr__(self, "damped_power_norms",
                            tuple(spectral_norm(P) for P in powers))
-        object.__setattr__(self, "damped_powers_t",
-                           tuple(np.ascontiguousarray(P.T) for P in powers))
 
         rank = numerical_rank(K)
         a12_invertible = False

@@ -110,6 +110,7 @@ def simulate_euler(espec, grid, rho0, u0, T, cfl=0.4, nu=0.0, sample_stride=1,
         return ct, u * decay_half
 
     tol = escape_tol(rho - espec.rho_bar, u)
+    w2 = None if weight is None else weight.values(grid.x) ** 2
     x_integral = 0.0
     prev_integrand = None
     prev_t = None
@@ -152,7 +153,7 @@ def simulate_euler(espec, grid, rho0, u0, T, cfl=0.4, nu=0.0, sample_stride=1,
             "mass_n": float(grid.qw @ n),
         }
         if weight is not None:
-            row["weighted_l2"] = l2_norm(grid, np.column_stack([n, u]), weight=weight)
+            row["weighted_l2"] = math.sqrt(float(grid.qw @ (w2 * (n * n + u * u))))
         if wave is not None:
             we, wh = wave.record(grid, t, n[:, None], (rho_now * u)[:, None])
             row["wave_energy"] = we

@@ -6,18 +6,21 @@ applied exactly: half-step matrix exponential, RK4 on the advection
 (centered differences), half-step exponential again — second order
 overall, with no time-step restriction from the damping strength.
 
-Small matrices act on the stacked state from the right, U @ M^T.  Each
-M^T is built once as a C-contiguous array: numpy hands a transposed
-view to a slow generic loop instead of BLAS, with the same result.
+Small matrices act from the right, U @ M^T, each M^T built once
+C-contiguous (numpy sends a transposed view to a slow generic loop).
+The advection matrix carries the sign and 1/(2 dx); a sample reads every
+norm from one Gram matrix of the rows [U^T; (d_x U)^T].
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from ..corrector import lyapunov_value
 from ..errors import CflViolation
-from ..grids import check_escape, d_dx, escape_tol, inner, l2_norm, subtract_floor
+from ..grids import (check_escape, d_dx, escape_tol, first_difference, gram, l2_norm,
+                     subtract_floor)
 from ..linalg import jacobi_eigensystem, expm_sym
 from .march import check_cfl, check_nu, march, rk4, step_size
 
@@ -30,8 +33,7 @@ class LinearSim:
     nu: float = 0.0
     rho_A: float = field(init=False)
     dt: float = field(init=False)
-    A_t: np.ndarray = field(init=False, repr=False)
-    D_t: np.ndarray = field(init=False, repr=False)
+    advection: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         check_cfl(self.cfl)
@@ -41,8 +43,8 @@ class LinearSim:
         object.__setattr__(self, "rho_A", rho)
         speed = rho if rho > 0.0 else 1.0
         object.__setattr__(self, "dt", self.cfl * self.grid.dx / speed)
-        object.__setattr__(self, "A_t", np.ascontiguousarray(self.spec.A.T))
-        object.__setattr__(self, "D_t", np.ascontiguousarray(self.spec.D.T))
+        object.__setattr__(self, "advection",
+                           np.ascontiguousarray(-self.spec.A.T / (2.0 * self.grid.dx)))
 
 
 def damping_half_step(spec, dt):
@@ -54,7 +56,8 @@ def damping_half_step(spec, dt):
 
 
 def advection_rhs(sim, U):
-    return subtract_floor(sim.grid, -d_dx(sim.grid, U) @ sim.A_t, U, sim.nu)
+    dU = first_difference(sim.grid, U) @ sim.advection
+    return subtract_floor(sim.grid, dU, U, sim.nu)
 
 
 def step_linear(U, sim, dt=None, half=None):
@@ -87,25 +90,29 @@ def simulate_linear(sim, U0, T, sample_stride=1, coeffs=None, weight=None,
     if wave is not None:
         wave.check_mass(grid, U[:, : spec.n1])
     tol = escape_tol(U)
+    n, n1 = spec.n, spec.n1
+    w2 = None if weight is None else weight.values(grid.x) ** 2
 
     def record(t, U):
-        dUx = d_dx(grid, U)
-        U2 = U[:, spec.n1:]
+        rows = np.empty((2 * n, grid.N))  # C order: BLAS' fast path for gram
+        rows[:n] = U.T
+        rows[n:] = d_dx(grid, U).T
+        G = gram(grid, rows)
+        sq = G.diagonal()
         row = {
-            "l2": l2_norm(grid, U),
-            "u1_l2": l2_norm(grid, U[:, : spec.n1]),
-            "u2_l2": l2_norm(grid, U2),
-            "dx_l2": l2_norm(grid, dUx),
-            "dissipation": 2.0 * inner(grid, U2 @ sim.D_t, U2),
+            "l2": math.sqrt(sq[:n].sum()),
+            "u1_l2": math.sqrt(sq[:n1].sum()),
+            "u2_l2": math.sqrt(sq[n1:n].sum()),
+            "dx_l2": math.sqrt(sq[n:].sum()),
+            "dissipation": 2.0 * float((spec.D * G[n1:n, n1:n]).sum()),
         }
         if coeffs is not None:
-            row["lyapunov"] = lyapunov_value(spec, coeffs, grid, U, t)
+            row["lyapunov"] = lyapunov_value(spec, coeffs, G, t)
         if weight is not None:
-            row["weighted_l2"] = l2_norm(grid, U, weight=weight)
+            row["weighted_l2"] = l2_norm(grid, U, w2)
         if wave is not None:
-            we, wh = wave.record(grid, t, U[:, : spec.n1], U2)
-            row["wave_energy"] = we
-            row["wave_dissipation"] = wh
+            row["wave_energy"], row["wave_dissipation"] = wave.record(
+                grid, t, U[:, :n1], U[:, n1:])
         check_escape(grid, t, tol, U)
         return row
 

@@ -7,7 +7,8 @@ monitor's `check_mass` checks the zero-mass precondition on the initial
 data, which its solver calls once before the first step, and its
 `record` takes the solver's undamped field and its flux partner,
 builds W itself and evaluates the weighted wave energy and its
-dissipation rate.  Two weight families:
+dissipation rate, the power one from weighted Grams of W, W_t and W_x.
+Two weight families:
 
 * power weights  phi(s) = (a + s)^(2 mu - 1)  on  s = t + |x|
 * log weights    phi1(s) = log^{2q}(a + s),
@@ -17,12 +18,12 @@ Both carry validity conditions on the offset `a`; `default_offset` picks
 the smallest power of two satisfying them on the run's s-range.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from ..errors import MassNotZero, MuOutOfRange
-from ..grids import antiderivative
+from ..grids import antiderivative, gram
 
 DEFAULT_MASS_TOL = 1e-8
 _COND_TOL = 1e-12
@@ -127,11 +128,6 @@ def default_offset(kind, s_max, kappa1=1.0, mu=1.0, q=1.0, r=2.0, n_sample=4097)
     raise ValueError(f"no valid offset up to 2^{_MAX_DOUBLINGS} for s_max={s_max}")
 
 
-def _qf(M, F, G):
-    """Rowwise quadratic form (M F_i) . G_i for stacked fields F, G (N, k)."""
-    return np.einsum("ij,jk,ik->i", F, M, G)
-
-
 def check_zero_mass(grid, f, mass_tol=DEFAULT_MASS_TOL):
     """Total integral of every component must vanish for a decaying antiderivative."""
     f = np.atleast_2d(np.asarray(f, dtype=float).T).T
@@ -145,46 +141,49 @@ def check_zero_mass(grid, f, mass_tol=DEFAULT_MASS_TOL):
     return worst
 
 
-def power_wave_record(grid, t, wspec, W, Wt, Wx, a12a21, a12_d_a12inv):
+def power_wave_record(grid, t, wspec, rows, a12a21, a12_d_a12inv):
     """Weighted wave energy and dissipation rate for the power family.
 
-    W, Wt, Wx are stacked (N, k) fields; a12a21 is the stiffness
-    coefficient matrix of the wave reformulation and a12_d_a12inv its
-    damping coefficient.  The dissipation carries a point mass at x = 0
+    `rows` is the (3k, N) stack [W^T; W_t^T; W_x^T] of the wave fields;
+    a12a21 is the stiffness coefficient matrix of the wave reformulation
+    and a12_d_a12inv its damping coefficient.  Both numbers are
+    contractions of the quadrature Grams of `rows` weighted by phi and
+    phi', and of the W rows alone weighted by phi'' and phi''' (the only
+    rows those two meet).  The dissipation carries a point mass at x = 0
     where the weight's |x|-kink lives.
     """
-    s = t + np.abs(grid.x)
-    phi, d1, d2, d3 = wspec.power_terms(s)
-    wsq = np.einsum("ij,ij->i", W, W)
-    stiff_ww = _qf(a12a21, W, W)
+    k = rows.shape[0] // 3
+    w, wt, wx = slice(0, k), slice(k, 2 * k), slice(2 * k, 3 * k)
+    phi, d1, d2, d3 = wspec.power_terms(t + grid.abs_x)
+    g0, g1 = gram(grid, rows, (phi, d1))
+    g2, g3 = gram(grid, rows[w], (d2, d3))
+    M, Md = a12a21, a12_d_a12inv
     e = (
-        0.5 * phi * (np.einsum("ij,ij->i", Wt, Wt) + _qf(a12a21, Wx, Wx))
-        + d1 * np.einsum("ij,ij->i", Wt, W)
-        - 0.5 * d2 * wsq
-        + 0.5 * d1 * _qf(a12_d_a12inv, W, W)
+        0.5 * (np.trace(g0[wt, wt]) + (M * g0[wx, wx]).sum())
+        + np.trace(g1[wt, w])
+        - 0.5 * np.trace(g2)
+        + 0.5 * (Md * g1[w, w]).sum()
     )
     h = (
-        phi * _qf(a12_d_a12inv, Wt, Wt)
-        + 0.5 * d1 * _qf(a12a21, Wx, Wx)
-        + 0.5 * d3 * wsq
-        - 0.5 * d3 * stiff_ww
+        (Md * g0[wt, wt]).sum()
+        + 0.5 * (M * g1[wx, wx]).sum()
+        + 0.5 * np.trace(g3)
+        - 0.5 * (M * g3).sum()
     )
-    i0 = int(np.argmin(np.abs(grid.x)))
-    point_mass = -wspec.power_terms(t)[2] * float(stiff_ww[i0])
-    return float(grid.qw @ e), float(grid.qw @ h) + point_mass
+    w0 = rows[w, grid.i0]
+    point_mass = -wspec.power_terms(t)[2] * float(w0 @ M @ w0)
+    return float(e), float(h) + point_mass
 
 
 def log_wave_record(grid, t, wspec, w, wt, wx, eta3):
     """Log-weighted energy and dissipation for the nonlinearly damped wave."""
-    s = t + np.abs(grid.x)
-    p1, d1, d2, p2, dp2 = wspec.log_terms(s)
+    p1, d1, d2, p2, dp2 = wspec.log_terms(t + grid.abs_x)
     rp1 = wspec.r + 1.0
     e = 0.5 * p1 * (wt**2 + wx**2) + eta3 * (
         d1 * w * wt - 0.5 * d2 * w**2 + p2 * np.abs(w) ** rp1
     )
     h = p1 * np.abs(wt) ** rp1 + eta3 * (d1 * wx**2 - dp2 * np.abs(w) ** rp1)
-    i0 = int(np.argmin(np.abs(grid.x)))
-    point_mass = -eta3 * wspec.log_terms(t)[2] * float(w[i0] ** 2)
+    point_mass = -eta3 * wspec.log_terms(t)[2] * float(w[grid.i0] ** 2)
     return float(grid.qw @ e), float(grid.qw @ h) + point_mass
 
 
@@ -202,19 +201,18 @@ class LinearWaveMonitor:
     a12a21: np.ndarray
     a12_d_a12inv: np.ndarray
     mass_tol: float = DEFAULT_MASS_TOL
-    a12_t: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self):
-        # contiguous right operand: a transposed view misses numpy's BLAS path
-        object.__setattr__(self, "a12_t", np.ascontiguousarray(self.a12.T))
 
     def check_mass(self, grid, U1):
         return check_zero_mass(grid, U1, self.mass_tol)
 
     def record(self, grid, t, U1, U2):
-        W = antiderivative(grid, U1)
-        return power_wave_record(grid, t, self.wspec, W, -(U2 @ self.a12_t), U1,
-                                 self.a12a21, self.a12_d_a12inv)
+        k = U1.shape[1]
+        rows = np.empty((3 * k, grid.N))
+        rows[:k] = antiderivative(grid, U1).T
+        rows[k:2 * k] = -(self.a12 @ U2.T)
+        rows[2 * k:] = U1.T
+        return power_wave_record(grid, t, self.wspec, rows, self.a12a21,
+                                 self.a12_d_a12inv)
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,6 @@ import hypodecay
 from hypodecay.corrector import (
     CorrectorCoeffs,
     constraint_margins,
-    corrector_value,
     estimate_c_bound,
     estimate_c_tilde,
     estimate_ck,
@@ -27,7 +26,7 @@ from hypodecay.errors import (
     HypothesisViolated,
     SKConditionFails,
 )
-from hypodecay.grids import Grid1D, d_dx, h1_norm, l2_norm
+from hypodecay.grids import Grid1D, d_dx, gram, h1_norm, inner, l2_norm
 from hypodecay.linalg import SystemSpec, kalman_gram, min_eig_sym, spectral_norm
 
 STANDARD = SystemSpec(A=np.array([[0.0, 1.0], [1.0, 0.0]]),
@@ -234,17 +233,31 @@ def test_margins_helper_matches_dataclass():
     assert c.margins() == constraint_margins(c.C_bound, c.eps0, c.eps)
 
 
+def _gram(grid, U):
+    """Quadrature Gram of the rows [U^T; (d_x U)^T], as the linear record builds it."""
+    return gram(grid, np.vstack([U.T, d_dx(grid, U).T]))
+
+
+def _cross_term(spec, coeffs, grid, U):
+    """The cross term I alone: lyapunov_value with the Gram's diagonal zeroed.
+
+    The norms are read from the diagonal; the cross block G[:n, n:] lies off it.
+    """
+    G = _gram(grid, U)
+    return lyapunov_value(spec, coeffs, G - np.diag(np.diag(G)), 0.0)
+
+
 def test_cross_term_quadrature():
     """For the exchange system the k=1 cross term is eps_1 * int u2 dx(u1)."""
     grid = Grid1D(L=np.pi, N=512, bc="periodic")
     coeffs = select_coefficients(STANDARD)
     U = np.stack([np.sin(grid.x), np.cos(grid.x)], axis=1)
-    val = corrector_value(STANDARD, coeffs, grid, U, d_dx(grid, U))
+    val = _cross_term(STANDARD, coeffs, grid, U)
     assert val == pytest.approx(coeffs.eps[0] * np.pi, rel=1e-3)
 
 
 def _transposed_view_cross_term(spec, coeffs, grid, U, dU):
-    """corrector_value written with `@ P.T` and numpy's row sum."""
+    """The cross term on the fields, with `@ P.T` and numpy's row sum."""
     P = spec.damped_powers
     return sum(
         coeffs.eps[k - 1]
@@ -253,34 +266,54 @@ def _transposed_view_cross_term(spec, coeffs, grid, U, dU):
     )
 
 
+def _field_lyapunov(spec, coeffs, grid, U, t):
+    """The functional on the fields: norms by `inner`, the cross term as above."""
+    dU = d_dx(grid, U)
+    return (inner(grid, U, U) + (1.0 + coeffs.eta0 * t) * inner(grid, dU, dU)
+            + _transposed_view_cross_term(spec, coeffs, grid, U, dU))
+
+
+def _random_spec(rng, n, n1):
+    A = rng.standard_normal((n, n))
+    R = rng.standard_normal((n - n1, n - n1))
+    return SystemSpec(A=A + A.T, D=R @ R.T + np.eye(n - n1), n1=n1)
+
+
 @pytest.mark.parametrize("spec", ["random", "registry"])
 def test_cross_term_matches_transposed_views(spec):
     rng = np.random.default_rng(11)
-    if spec == "random":
-        A = rng.standard_normal((3, 3))
-        R = rng.standard_normal((2, 2))
-        spec = SystemSpec(A=A + A.T, D=R @ R.T + np.eye(2), n1=1)
-    else:
-        spec = STANDARD
+    spec = _random_spec(rng, 3, 1) if spec == "random" else STANDARD
     grid = Grid1D(L=10.0, N=128, bc="periodic")
     coeffs = select_coefficients(spec)
     U = rng.standard_normal((grid.N, spec.n))
     dU = d_dx(grid, U)
-    got = corrector_value(spec, coeffs, grid, U, dU)
+    got = _cross_term(spec, coeffs, grid, U)
     want = _transposed_view_cross_term(spec, coeffs, grid, U, dU)
-    if spec is STANDARD:
-        assert got == want
-    else:
-        np.testing.assert_allclose(got, want, rtol=1e-14)
-    assert all(P.flags.c_contiguous for P in spec.damped_powers_t)
-    assert all(np.array_equal(Pt, P.T)
-               for Pt, P in zip(spec.damped_powers_t, spec.damped_powers))
+    # the cross term cancels over x: measure roundoff against its
+    # Cauchy-Schwarz bound sum_k eps_k |B A^{k-1} U| |B A^k d_x U|
+    P = spec.damped_powers
+    scale = sum(e * l2_norm(grid, U @ P[k].T) * l2_norm(grid, dU @ P[k + 1].T)
+                for k, e in enumerate(coeffs.eps))
+    assert abs(got - want) <= 1e-15 * scale
+
+
+@pytest.mark.parametrize("n, n1", [(2, 1), (3, 1), (3, 2)])
+@pytest.mark.parametrize("bc", ["periodic", "compact_support"])
+def test_lyapunov_matches_field_formula(n, n1, bc):
+    rng = np.random.default_rng(10 * n + n1)
+    spec = _random_spec(rng, n, n1)
+    grid = Grid1D(L=10.0, N=128, bc=bc)
+    coeffs = select_coefficients(spec)
+    U = rng.standard_normal((grid.N, n))
+    for t in (0.0, 7.5):
+        want = _field_lyapunov(spec, coeffs, grid, U, t)
+        assert abs(lyapunov_value(spec, coeffs, _gram(grid, U), t) - want) <= 1e-15 * want
 
 
 def test_lyapunov_zero_field():
     grid = Grid1D(L=10.0, N=64, bc="periodic")
     coeffs = select_coefficients(STANDARD)
-    assert lyapunov_value(STANDARD, coeffs, grid, np.zeros((64, 2)), 3.0) == 0.0
+    assert lyapunov_value(STANDARD, coeffs, _gram(grid, np.zeros((64, 2))), 3.0) == 0.0
 
 
 def test_lyapunov_no_cross_component():
@@ -293,7 +326,7 @@ def test_lyapunov_no_cross_component():
     dl2 = l2_norm(grid, d_dx(grid, U))
     t = 7.0
     expected = l2 * l2 + (1.0 + coeffs.eta0 * t) * dl2 * dl2
-    assert lyapunov_value(STANDARD, coeffs, grid, U, t) == pytest.approx(expected)
+    assert lyapunov_value(STANDARD, coeffs, _gram(grid, U), t) == pytest.approx(expected)
 
 
 @settings(max_examples=25, deadline=None)
@@ -311,7 +344,7 @@ def test_lyapunov_coercive_bracket(amp1, amp2, width):
     l2 = l2_norm(grid, U)
     dl2 = l2_norm(grid, d_dx(grid, U))
     energy = l2 * l2 + dl2 * dl2
-    val = lyapunov_value(STANDARD, coeffs, grid, U, 0.0)
+    val = lyapunov_value(STANDARD, coeffs, _gram(grid, U), 0.0)
     assert 0.5 * energy - 1e-12 <= val <= 1.5 * energy + 1e-12
 
 

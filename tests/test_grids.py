@@ -9,7 +9,9 @@ from hypodecay.grids import (
     antiderivative,
     boundary_amplitude,
     d_dx,
+    first_difference,
     fourth_difference,
+    gram,
     h1_norm,
     inner,
     l2_norm,
@@ -183,7 +185,8 @@ def test_weighted_norm_squares_weight():
     f = np.exp(-g.x**2 / 2.0)
     w = WeightSpec("power", mu=1.0)
     # int x^2 e^{-x^2} = sqrt(pi)/2
-    assert l2_norm(g, f, w) ** 2 == pytest.approx(np.sqrt(np.pi) / 2.0, rel=1e-12)
+    w2 = w.values(g.x) ** 2
+    assert l2_norm(g, f, w2) ** 2 == pytest.approx(np.sqrt(np.pi) / 2.0, rel=1e-12)
 
 
 def test_multicomponent_norm():
@@ -252,3 +255,39 @@ def test_translated_gaussian_mass_invariant(width, shift):
     g = Grid1D(L=60.0, N=1024, bc="periodic")
     f = np.exp(-(((g.x - shift) / width) ** 2))
     assert g.qw @ f == pytest.approx(width * np.sqrt(np.pi), rel=1e-12)
+
+
+@pytest.mark.parametrize("bc", ["periodic", "compact_support"])
+@pytest.mark.parametrize("shape", [(97,), (97, 3)])
+def test_d_dx_is_the_first_difference_over_2dx_bitwise(bc, shape):
+    g = Grid1D(L=7.0, N=97, bc=bc)
+    f = np.random.default_rng(len(shape)).standard_normal(shape)
+    assert np.array_equal(d_dx(g, f), first_difference(g, f) / (2.0 * g.dx))
+    fd = first_difference(g, f)
+    assert np.array_equal(fd[1:-1], f[2:] - f[:-2])
+    if not g.periodic:
+        assert np.array_equal(fd[0], -3.0 * f[0] + 4.0 * f[1] - f[2])
+        assert np.array_equal(fd[-1], 3.0 * f[-1] - 4.0 * f[-2] + f[-3])
+
+
+@pytest.mark.parametrize("bc", ["periodic", "compact_support"])
+def test_gram_is_the_quadrature_of_row_products(bc):
+    g = Grid1D(L=5.0, N=64, bc=bc)
+    rng = np.random.default_rng(4)
+    rows = rng.standard_normal((3, g.N))
+    c = rng.standard_normal((2, g.N))
+    G, Gc = gram(g, rows), gram(g, rows, c)
+    assert G.shape == (3, 3) and Gc.shape == (2, 3, 3)
+    for i in range(3):
+        for j in range(3):
+            assert G[i, j] == pytest.approx(g.qw @ (rows[i] * rows[j]), rel=1e-14)
+            for p in range(2):
+                assert Gc[p, i, j] == pytest.approx(
+                    g.qw @ (c[p] * rows[i] * rows[j]), rel=1e-13, abs=1e-13)
+
+
+def test_grid_keeps_abs_x_and_the_origin_node():
+    for g in (Grid1D(L=10.0, N=40), Grid1D(L=10.0, N=41, bc="compact_support")):
+        assert np.array_equal(g.abs_x, np.abs(g.x))
+        assert g.i0 == int(np.argmin(np.abs(g.x)))
+        assert g.x[g.i0] == 0.0

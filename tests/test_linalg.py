@@ -146,11 +146,8 @@ def test_spec_ladder_fields(spec):
     assert np.array_equal(np.vstack(spec.damped_powers), spec.kalman)
     assert np.array_equal(spec.kalman, kalman_matrix(spec.A, spec.B))
     assert np.array_equal(spec.damped_powers[0], spec.B)
-    for P, norm, Pt in zip(spec.damped_powers, spec.damped_power_norms,
-                           spec.damped_powers_t):
+    for P, norm in zip(spec.damped_powers, spec.damped_power_norms):
         assert norm == spectral_norm(P)
-        assert Pt.flags.c_contiguous
-        assert np.array_equal(Pt, P.T)
 
 
 def test_a12_invertible_needs_square_nonsingular_coupling():

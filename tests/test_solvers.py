@@ -18,7 +18,9 @@ from hypodecay.errors import (
     SmallnessBreached,
     VacuumApproached,
 )
-from hypodecay.grids import Grid1D, WeightSpec, d_dx, fourth_difference, subtract_floor
+from hypodecay.corrector import select_coefficients
+from hypodecay.grids import (Grid1D, WeightSpec, d_dx, fourth_difference, inner, l2_norm,
+                             subtract_floor)
 from hypodecay.linalg import SystemSpec, expm_sym
 from hypodecay.solvers import march as march_module
 from hypodecay.solvers.euler import EulerSpec, simulate_euler
@@ -467,6 +469,15 @@ def _transposed_view_step(U, sim, dt):
     return rk4(rhs, U @ half.T, dt) @ half.T
 
 
+def _assert_roundoff_close(got, want):
+    """Equal to within 1e-15 of the largest |want|.
+
+    The pre-scaled product rounds differently from the field formula; an
+    entrywise rtol would fail on entries with cancellation.
+    """
+    assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
+
+
 @pytest.mark.parametrize("n, n1, bc", [(3, 1, "periodic"), (4, 2, "compact_support")])
 def test_linear_operands_match_transposed_views(n, n1, bc):
     rng = np.random.default_rng(n)
@@ -474,28 +485,55 @@ def test_linear_operands_match_transposed_views(n, n1, bc):
     sim = LinearSim(spec=_random_spec(rng, n, n1), grid=grid, nu=0.01)
     U = rng.standard_normal((grid.N, n))
     want = -d_dx(grid, U) @ sim.spec.A.T - (sim.nu / grid.dx) * fourth_difference(grid, U)
-    np.testing.assert_allclose(advection_rhs(sim, U), want, rtol=1e-14)
-    np.testing.assert_allclose(step_linear(U, sim), _transposed_view_step(U, sim, sim.dt),
-                               rtol=1e-14)
+    _assert_roundoff_close(advection_rhs(sim, U), want)
+    _assert_roundoff_close(step_linear(U, sim), _transposed_view_step(U, sim, sim.dt))
 
 
-def test_registry_linear_operands_are_bitwise_the_transposed_views():
+def test_registry_linear_operands_match_the_transposed_views():
     grid = Grid1D(L=10.0, N=96, bc="periodic")
     sim = LinearSim(spec=SystemSpec(A=np.array([[0.0, 1.0], [1.0, 0.0]]),
                                     D=np.array([[32.0]]), n1=1), grid=grid)
     U = np.random.default_rng(3).standard_normal((grid.N, 2))
-    assert np.array_equal(advection_rhs(sim, U), -d_dx(grid, U) @ sim.spec.A.T)
-    assert np.array_equal(step_linear(U, sim), _transposed_view_step(U, sim, sim.dt))
+    _assert_roundoff_close(advection_rhs(sim, U), -d_dx(grid, U) @ sim.spec.A.T)
+    _assert_roundoff_close(step_linear(U, sim), _transposed_view_step(U, sim, sim.dt))
 
 
 def test_linear_operands_are_c_contiguous():
     sim = LinearSim(spec=_random_spec(np.random.default_rng(5), 3, 1),
                     grid=Grid1D(L=10.0, N=64))
     half = damping_half_step(sim.spec, sim.dt)
-    for M in (sim.A_t, sim.D_t, half):
+    for M in (sim.advection, half):
         assert M.flags.c_contiguous
-    assert np.array_equal(sim.A_t, sim.spec.A.T)
-    assert np.array_equal(sim.D_t, sim.spec.D.T)
+    assert np.array_equal(sim.advection, -sim.spec.A.T / (2.0 * sim.grid.dx))
+
+
+@pytest.mark.parametrize("n, n1", [(2, 1), (3, 1), (3, 2)])
+def test_linear_record_matches_inner_formulas(n, n1):
+    """The channels read from the sample's Gram against `inner` on the fields."""
+    rng = np.random.default_rng(30 + 10 * n + n1)
+    spec = _random_spec(rng, n, n1)
+    grid = Grid1D(L=10.0, N=96, bc="periodic")
+    sim = LinearSim(spec=spec, grid=grid)
+    coeffs = select_coefficients(spec)
+    weight = WeightSpec("power", mu=0.5)
+    U = rng.standard_normal((grid.N, n))
+    series, _ = simulate_linear(sim, U, T=2.0 * sim.dt, coeffs=coeffs, weight=weight)
+    got = {name: v[0] for name, v in series.channels.items()}  # the t = 0 sample is U
+    dU = d_dx(grid, U)
+    U2 = U[:, n1:]
+    P = spec.damped_powers
+    cross = [e * inner(grid, U @ P[k].T, dU @ P[k + 1].T) for k, e in enumerate(coeffs.eps)]
+    want = {
+        "l2": np.sqrt(inner(grid, U, U)),
+        "u1_l2": np.sqrt(inner(grid, U[:, :n1], U[:, :n1])),
+        "u2_l2": np.sqrt(inner(grid, U2, U2)),
+        "dx_l2": np.sqrt(inner(grid, dU, dU)),
+        "dissipation": 2.0 * inner(grid, U2 @ spec.D.T, U2),
+        "lyapunov": inner(grid, U, U) + inner(grid, dU, dU) + sum(cross),
+    }
+    for name, value in want.items():
+        assert abs(got[name] - value) <= 1e-15 * value, name
+    assert got["weighted_l2"] == l2_norm(grid, U, weight.values(grid.x) ** 2)
 
 
 # --- shared time-marching driver --------------------------------------------

@@ -76,7 +76,7 @@ def test_flat_weight_reduces_to_plain_energy():
     Wt = (0.3 * np.sin(grid.x))[:, None]
     Wx = (-2.0 * grid.x * np.exp(-grid.x**2))[:, None]
     k1, lam = 2.0, 3.0
-    e, h = power_wave_record(grid, 1.7, wspec, W, Wt, Wx,
+    e, h = power_wave_record(grid, 1.7, wspec, np.vstack([W.T, Wt.T, Wx.T]),
                              k1 * np.eye(1), lam * np.eye(1))
     assert e == pytest.approx(
         0.5 * float(grid.qw @ (Wt[:, 0] ** 2 + k1 * Wx[:, 0] ** 2)), rel=1e-14
@@ -193,6 +193,39 @@ def test_scalar_monitor_wiring():
     assert np.isfinite(e) and np.isfinite(h) and e > 0.0
 
 
+def _qf(M, F, G):
+    """Rowwise quadratic form (M F_i) . G_i for stacked fields F, G (N, k)."""
+    return np.einsum("ij,jk,ik->i", F, M, G)
+
+
+def _einsum_wave_record(grid, t, wspec, W, Wt, Wx, a12a21, a12_d_a12inv):
+    """power_wave_record on the (N, k) fields, with einsum row reductions."""
+    phi, d1, d2, d3 = wspec.power_terms(t + np.abs(grid.x))
+    wsq = np.einsum("ij,ij->i", W, W)
+    stiff_ww = _qf(a12a21, W, W)
+    e = (
+        0.5 * phi * (np.einsum("ij,ij->i", Wt, Wt) + _qf(a12a21, Wx, Wx))
+        + d1 * np.einsum("ij,ij->i", Wt, W)
+        - 0.5 * d2 * wsq
+        + 0.5 * d1 * _qf(a12_d_a12inv, W, W)
+    )
+    h = (
+        phi * _qf(a12_d_a12inv, Wt, Wt)
+        + 0.5 * d1 * _qf(a12a21, Wx, Wx)
+        + 0.5 * d3 * wsq
+        - 0.5 * d3 * stiff_ww
+    )
+    i0 = int(np.argmin(np.abs(grid.x)))
+    point_mass = -wspec.power_terms(t)[2] * float(stiff_ww[i0])
+    return np.array([grid.qw @ e, grid.qw @ h + point_mass])
+
+
+def _assert_roundoff_close(got, want):
+    """(e, h) equal to the oracle's to within 1e-15 of max(|e|, |h|)."""
+    want = np.asarray(want)
+    assert np.abs(np.asarray(got) - want).max() <= 1e-15 * np.abs(want).max()
+
+
 @pytest.mark.parametrize("spec", ["random", "registry"])
 def test_linear_monitor_matches_transposed_view(spec):
     rng = np.random.default_rng(13)
@@ -203,18 +236,27 @@ def test_linear_monitor_matches_transposed_view(spec):
     else:
         spec = STANDARD
     mon = linear_wave_monitor(spec, WaveWeightSpec(kind="power", mu=0.75, a=4.0))
-    assert mon.a12_t.flags.c_contiguous
-    assert np.array_equal(mon.a12_t, spec.A12.T)
     grid = Grid1D(L=20.0, N=128, bc="compact_support")
     U = rng.standard_normal((grid.N, spec.n))
     W = antiderivative(grid, U[:, : spec.n1])
-    want = power_wave_record(grid, 1.5, mon.wspec, W, -(U[:, spec.n1:] @ spec.A12.T),
-                             U[:, : spec.n1], mon.a12a21, mon.a12_d_a12inv)
-    got = mon.record(grid, 1.5, U[:, : spec.n1], U[:, spec.n1:])
-    if spec is STANDARD:
-        assert got == want
-    else:
-        np.testing.assert_allclose(got, want, rtol=1e-14)
+    want = _einsum_wave_record(grid, 1.5, mon.wspec, W, -(U[:, spec.n1:] @ spec.A12.T),
+                               U[:, : spec.n1], mon.a12a21, mon.a12_d_a12inv)
+    _assert_roundoff_close(mon.record(grid, 1.5, U[:, : spec.n1], U[:, spec.n1:]), want)
+
+
+@pytest.mark.parametrize("mu", [0.5, 0.75, 1.0])
+@pytest.mark.parametrize("k", [1, 2])
+def test_power_wave_record_matches_einsum_oracle(k, mu):
+    rng = np.random.default_rng(10 * k + int(4 * mu))
+    grid = Grid1D(L=20.0, N=129, bc="compact_support")
+    W, Wt, Wx = (rng.standard_normal((grid.N, k)) for _ in range(3))
+    a12a21 = rng.standard_normal((k, k))
+    a12_d = rng.standard_normal((k, k))
+    wspec = WaveWeightSpec(kind="power", mu=mu, a=4.0)
+    rows = np.vstack([W.T, Wt.T, Wx.T])
+    for t in (0.0, 2.5):
+        _assert_roundoff_close(power_wave_record(grid, t, wspec, rows, a12a21, a12_d),
+                               _einsum_wave_record(grid, t, wspec, W, Wt, Wx, a12a21, a12_d))
 
 
 def test_log_monitor_finite_and_positive():
