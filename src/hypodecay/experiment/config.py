@@ -9,6 +9,7 @@ schema-valid documents.
 
 import json
 import math
+from collections import namedtuple
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -17,6 +18,24 @@ import numpy as np
 
 from ..solvers.march import CFL_MAX
 from .scenarios import scenario_doc, scenario_names
+
+
+# What each system kind reads, which is all parse_config accepts for it:
+# its `system` and `time` keys with their defaults (None: required), its
+# corrector block's defaults (None: it takes no block), its weight roles,
+# and whether it integrates fields (else it takes no data or snapshots).
+SystemKind = namedtuple("SystemKind", "system time corrector roles fields",
+                        defaults=(None, frozenset(), True))
+_STEPPED = {"T": None, "cfl": 0.4, "sample_stride": 1, "nu": 0.0}
+SYSTEM_KINDS = {
+    "linear": SystemKind({"A": None, "D": None, "n1": None}, _STEPPED,
+                         corrector={"delta": 0.1, "safety": 0.5}, roles={"spatial", "wave"}),
+    "euler": SystemKind({"gamma": 2.0, "rho_bar": 1.0, "lam": 1.0, "smallness_cap": 0.5},
+                        _STEPPED, roles={"spatial", "wave"}),
+    "psystem": SystemKind({"r": 2.0, "eta2": 0.5, "eta3": 0.25}, _STEPPED, roles={"wave"}),
+    "heat": SystemKind({}, {"T": None, "sample_stride": 1}, roles={"spatial"}),
+    "none": SystemKind({}, {"T": None}, fields=False),
+}
 
 _BC = ["periodic", "compact_support"]
 _DATA_KINDS = ["gaussian", "dgaussian", "bumps", "zero"]
@@ -39,7 +58,7 @@ CONFIG_SCHEMA = {
             "required": ["kind"],
             "additionalProperties": False,
             "properties": {
-                "kind": {"enum": ["linear", "euler", "psystem", "heat", "none"]},
+                "kind": {"enum": list(SYSTEM_KINDS)},
                 "A": _matrix,
                 "D": _matrix,
                 "n1": {"type": "integer", "minimum": 1},
@@ -70,7 +89,6 @@ CONFIG_SCHEMA = {
                 "T": {"type": "number", "exclusiveMinimum": 0},
                 "cfl": {"type": "number", "exclusiveMinimum": 0, "maximum": CFL_MAX},
                 "sample_stride": {"type": "integer", "minimum": 1},
-                "dt": {"type": ["number", "null"], "exclusiveMinimum": 0},
                 "nu": {"type": "number", "minimum": 0},
             },
         },
@@ -98,7 +116,7 @@ CONFIG_SCHEMA = {
                 "additionalProperties": False,
                 "properties": {
                     "role": {"enum": ["spatial", "wave"]},
-                    "kind": {"enum": ["power", "log", "logarithmic"]},
+                    "kind": {"enum": ["power", "log"]},
                     "mu": {"type": "number"},
                     "q": {"type": "number"},
                     "r": {"type": "number"},
@@ -173,27 +191,18 @@ class RunConfig:
     outputs: dict = field(default_factory=dict)
     seed: int = 0
 
-    def doc(self):
-        """Canonical JSON document (the serialize direction)."""
-        out = {
-            "scenario": self.scenario,
-            "system": dict(self.system),
-            "grid": dict(self.grid),
-            "time": dict(self.time),
-            "data": [asdict(d) for d in self.data],
-            "weights": [asdict(w) for w in self.weights],
-            "corrector": dict(self.corrector) if self.corrector is not None else None,
-            "outputs": dict(self.outputs),
-            "seed": self.seed,
-        }
-        return out
 
-
-_TIME_DEFAULTS = {"cfl": 0.4, "sample_stride": 1, "dt": None, "nu": 0.0}
-_SYSTEM_DEFAULTS = {
-    "euler": {"gamma": 2.0, "rho_bar": 1.0, "lam": 1.0, "smallness_cap": 0.5},
-    "psystem": {"r": 2.0, "eta2": 0.5, "eta3": 0.25},
-}
+def _filled(section, given, reads, kind):
+    """`given` over the defaults in `reads`; a key `reads` lacks, or a
+    required key `given` lacks, is a ConfigError."""
+    for key in given:
+        if key not in reads:
+            raise ConfigError(f"invalid config at {section}.{key}: "
+                              f"a {kind!r} system does not read it")
+    for key, default in reads.items():
+        if default is None and key not in given:
+            raise ConfigError(f"invalid config at {section}: a {kind!r} system requires {key!r}")
+    return {**{k: v for k, v in reads.items() if v is not None}, **given}
 
 
 def parse_config(doc):
@@ -205,36 +214,42 @@ def parse_config(doc):
         path = ".".join(str(p) for p in error.absolute_path) or "<root>"
         raise ConfigError(f"invalid config at {path}: {error.message}")
     T = doc["time"]["T"]
-    for ts in doc.get("outputs", {}).get("snapshots", []):
+    snapshots = doc.get("outputs", {}).get("snapshots", [])
+    for ts in snapshots:
         if not 0 <= ts <= T:
             raise ConfigError(
                 f"invalid config at outputs.snapshots: time {ts} lies outside [0, T={T}]"
             )
 
-    system = doc.get("system", {"kind": "none"})
-    system = {**_SYSTEM_DEFAULTS.get(system["kind"], {}), **system}
+    system = dict(doc.get("system", {"kind": "none"}))
+    kind = system.pop("kind")
     if doc["scenario"] in scenario_names():
         registered = scenario_doc(doc["scenario"])["system"]["kind"]
-        if system["kind"] != registered:
+        if kind != registered:
             raise ConfigError(
                 f"invalid config at system.kind: scenario {doc['scenario']!r} "
-                f"runs a {registered!r} system, got {system['kind']!r}"
+                f"runs a {registered!r} system, got {kind!r}"
             )
-    grid = {"bc": "periodic", **doc["grid"]}
-    time_cfg = {**_TIME_DEFAULTS, **doc["time"]}
-    data = tuple(DataField(**d) for d in doc.get("data", []))
-    weights = tuple(WeightEntry(**w) for w in doc.get("weights", []))
+    reads = SYSTEM_KINDS[kind]
     corrector = doc.get("corrector")
     if corrector is not None:
-        corrector = {"delta": corrector.get("delta", 0.1),
-                     "safety": corrector.get("safety", 0.5)}
+        if reads.corrector is None:
+            raise ConfigError(f"invalid config at corrector: a {kind!r} system takes none")
+        corrector = {**reads.corrector, **corrector}
+    if not reads.fields and (doc.get("data") or snapshots):
+        raise ConfigError(f"invalid config: a {kind!r} system integrates no fields, "
+                          f"so takes no data and no snapshot times")
+    roles = [w["role"] for w in doc.get("weights", [])]
+    if not reads.roles.issuperset(roles) or len(set(roles)) < len(roles):
+        raise ConfigError(f"invalid config at weights: a {kind!r} system takes at most "
+                          f"one weight of each role in {sorted(reads.roles)}, got {roles}")
     return RunConfig(
         scenario=doc["scenario"],
-        system=system,
-        grid=grid,
-        time=time_cfg,
-        data=data,
-        weights=weights,
+        system={"kind": kind, **_filled("system", system, reads.system, kind)},
+        grid={"bc": "periodic", **doc["grid"]},
+        time=_filled("time", doc["time"], reads.time, kind),
+        data=tuple(DataField(**d) for d in doc.get("data", [])),
+        weights=tuple(WeightEntry(**w) for w in doc.get("weights", [])),
         corrector=corrector,
         outputs=dict(doc.get("outputs", {})),
         seed=doc.get("seed", 0),
@@ -242,7 +257,18 @@ def parse_config(doc):
 
 
 def serialize_config(cfg):
-    return cfg.doc()
+    """The canonical JSON document of a RunConfig."""
+    return {
+        "scenario": cfg.scenario,
+        "system": dict(cfg.system),
+        "grid": dict(cfg.grid),
+        "time": dict(cfg.time),
+        "data": [asdict(d) for d in cfg.data],
+        "weights": [asdict(w) for w in cfg.weights],
+        "corrector": dict(cfg.corrector) if cfg.corrector is not None else None,
+        "outputs": dict(cfg.outputs),
+        "seed": cfg.seed,
+    }
 
 
 def _non_finite(token):

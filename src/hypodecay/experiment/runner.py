@@ -121,7 +121,7 @@ def build_grid(cfg):
 def spatial_weight(cfg):
     for w in cfg.weights:
         if w.role == "spatial":
-            kind = "logarithmic" if w.kind in ("log", "logarithmic") else "power"
+            kind = "logarithmic" if w.kind == "log" else "power"
             return WeightSpec(kind, mu=w.mu, q=w.q)
     return None
 
@@ -135,7 +135,7 @@ def _wave_spec(cfg, ctx, family, kappa1=None, **shown):
     entry = next((w for w in cfg.weights if w.role == "wave"), None)
     if entry is None:
         return None, None
-    if ("log" if entry.kind in ("log", "logarithmic") else "power") != family:
+    if entry.kind != family:
         raise ConfigError(f"the wave weight must be {family}, got {entry.kind!r}")
     if family == "log" and entry.r != float(cfg.system["r"]):
         # the log weight's |w_t|^{r+1} is the p-system's damping |u|^{r+1}
@@ -263,21 +263,19 @@ def _build_psystem(cfg, grid, ctx, weight):
 
 
 def _build_heat(cfg, grid, ctx, weight):
-    dt = cfg.time["dt"]
-    return partial(heat_solve, grid, build_fields(cfg, grid, 1)[:, 0],
-                   dt=None if dt is None else float(dt), weight=weight)
+    return partial(heat_solve, grid, build_fields(cfg, grid, 1)[:, 0], weight=weight)
 
 
 # Each builder fills ctx and returns its solver call, or None for a run
 # without a system.  The call takes T, the sample stride and the
-# snapshot times, which every solver shares.  Beside each builder stand
-# the weight roles it consumes; a config with any other role is refused.
+# snapshot times, which every solver shares.  What each kind reads of
+# the config is `config.SYSTEM_KINDS`.
 _SYSTEMS = {
-    "linear": (_build_linear, {"spatial", "wave"}),
-    "euler": (_build_euler, {"spatial", "wave"}),
-    "psystem": (_build_psystem, {"wave"}),
-    "heat": (_build_heat, {"spatial"}),
-    "none": (lambda cfg, grid, ctx, weight: None, set()),
+    "linear": _build_linear,
+    "euler": _build_euler,
+    "psystem": _build_psystem,
+    "heat": _build_heat,
+    "none": lambda cfg, grid, ctx, weight: None,
 }
 
 
@@ -289,20 +287,13 @@ def _simulate(cfg, grid, ctx):
     """
     kind = cfg.system["kind"]
     ctx.manifest["system"] = {"kind": kind}
-    build, roles = _SYSTEMS[kind]
     try:
-        given = [w.role for w in cfg.weights]
-        unused = sorted(set(given) - roles)
-        if unused:
-            raise ConfigError(f"system {kind!r} takes no {unused[0]} weight")
-        if len(set(given)) < len(given):
-            raise ConfigError("each weight role may be given only once")
         weight = spatial_weight(cfg)
         if weight is not None:
             ctx.manifest["spatial_weight"] = {
                 "kind": weight.kind, "mu": weight.mu, "q": weight.q,
             }
-        solve = build(cfg, grid, ctx, weight)
+        solve = _SYSTEMS[kind](cfg, grid, ctx, weight)
     except (HypodecayError, ValueError) as exc:
         raise ConfigError(f"cannot build system {kind!r}: {exc}") from exc
     if solve is None:

@@ -10,19 +10,13 @@ import copy
 
 _STD_LINEAR = {"kind": "linear", "A": [[0.0, 1.0], [1.0, 0.0]], "D": [[1.0]], "n1": 1}
 _STIFF_LINEAR = {"kind": "linear", "A": [[0.0, 1.0], [1.0, 0.0]], "D": [[32.0]], "n1": 1}
-_DEGENERATE_LINEAR = {
-    "kind": "linear",
-    "A": [[1.0, 0.0], [0.0, -1.0]],
-    "D": [[1.0]],
-    "n1": 1,
-}
+_DEGENERATE_LINEAR = {"kind": "linear", "A": [[1.0, 0.0], [0.0, -1.0]], "D": [[1.0]], "n1": 1}
 
 _DOCS = {
     "thm1_linear": {
-        "scenario": "thm1_linear",
         "system": _STD_LINEAR,
         "grid": {"L": 200.0, "N": 4096, "bc": "periodic"},
-        "time": {"T": 100.0, "cfl": 0.4, "sample_stride": 2, "dt": None, "nu": 0.0},
+        "time": {"T": 100.0, "cfl": 0.4, "sample_stride": 2, "nu": 0.0},
         "data": [
             {"kind": "gaussian", "component": 0, "amp": 1.0, "width": 10.0, "center": 0.0},
             {"kind": "gaussian", "component": 1, "amp": 1.0, "width": 10.0, "center": 0.0},
@@ -33,10 +27,9 @@ _DOCS = {
         "seed": 0,
     },
     "thm2_weighted": {
-        "scenario": "thm2_weighted",
         "system": _STIFF_LINEAR,
         "grid": {"L": 200.0, "N": 4096, "bc": "compact_support"},
-        "time": {"T": 100.0, "cfl": 0.4, "sample_stride": 2, "dt": None, "nu": 0.0},
+        "time": {"T": 100.0, "cfl": 0.4, "sample_stride": 2, "nu": 0.0},
         "data": [
             {"kind": "dgaussian", "component": 0, "amp": 1.0, "width": 1.6, "center": 0.0}
         ],
@@ -46,10 +39,9 @@ _DOCS = {
         "seed": 0,
     },
     "thm3_wave": {
-        "scenario": "thm3_wave",
         "system": _STD_LINEAR,
         "grid": {"L": 200.0, "N": 4096, "bc": "compact_support"},
-        "time": {"T": 100.0, "cfl": 0.4, "sample_stride": 2, "dt": None, "nu": 0.0},
+        "time": {"T": 100.0, "cfl": 0.4, "sample_stride": 2, "nu": 0.0},
         "data": [
             {"kind": "dgaussian", "component": 0, "amp": 1.0, "width": 9.0, "center": 0.0},
             {"kind": "dgaussian", "component": 1, "amp": 1.0, "width": 9.0, "center": 0.0},
@@ -60,10 +52,9 @@ _DOCS = {
         "seed": 0,
     },
     "kalman_fail": {
-        "scenario": "kalman_fail",
         "system": _DEGENERATE_LINEAR,
         "grid": {"L": 200.0, "N": 4096, "bc": "periodic"},
-        "time": {"T": 100.0, "cfl": 0.4, "sample_stride": 2, "dt": None, "nu": 0.0},
+        "time": {"T": 100.0, "cfl": 0.4, "sample_stride": 2, "nu": 0.0},
         "data": [
             {"kind": "gaussian", "component": 0, "amp": 1.0, "width": 8.0, "center": 0.0},
             {"kind": "gaussian", "component": 1, "amp": 1.0, "width": 8.0, "center": 0.0},
@@ -74,25 +65,22 @@ _DOCS = {
         "seed": 0,
     },
     "thm4_euler": {
-        "scenario": "thm4_euler",
         "system": {"kind": "euler", "gamma": 2.0, "rho_bar": 1.0, "lam": 1.0,
                    "smallness_cap": 0.1},
         "grid": {"L": 200.0, "N": 4096, "bc": "periodic"},
-        "time": {"T": 100.0, "cfl": 0.4, "sample_stride": 4, "dt": None, "nu": 0.01},
+        "time": {"T": 100.0, "cfl": 0.4, "sample_stride": 4, "nu": 0.01},
         "data": [
             {"kind": "gaussian", "component": 0, "amp": 0.01, "width": 12.0, "center": 0.0}
         ],
         "weights": [],
-        "corrector": None,
         "outputs": {"snapshots": []},
         "seed": 0,
     },
     "thm5_euler_weighted": {
-        "scenario": "thm5_euler_weighted",
         "system": {"kind": "euler", "gamma": 2.0, "rho_bar": 1.0, "lam": 1.0,
                    "smallness_cap": 0.1},
         "grid": {"L": 240.0, "N": 4096, "bc": "compact_support"},
-        "time": {"T": 100.0, "cfl": 0.4, "sample_stride": 4, "dt": None, "nu": 0.01},
+        "time": {"T": 100.0, "cfl": 0.4, "sample_stride": 4, "nu": 0.01},
         "data": [
             {"kind": "dgaussian", "component": 0, "amp": 0.01, "width": 12.0, "center": 0.0}
         ],
@@ -100,58 +88,49 @@ _DOCS = {
             {"role": "spatial", "kind": "power", "mu": 1.0},
             {"role": "wave", "kind": "power", "mu": 1.0, "a": None},
         ],
-        "corrector": None,
         "outputs": {"snapshots": []},
         "seed": 0,
     },
     "thm6_psystem_log": {
-        "scenario": "thm6_psystem_log",
         "system": {"kind": "psystem", "r": 2.0, "eta2": 0.5, "eta3": 0.25},
         "grid": {"L": 400.0, "N": 8192, "bc": "periodic"},
-        "time": {"T": 2000.0, "cfl": 0.4, "sample_stride": 25, "dt": None, "nu": 0.01},
+        "time": {"T": 2000.0, "cfl": 0.4, "sample_stride": 25, "nu": 0.01},
         "data": [
             {"kind": "dgaussian", "component": 0, "amp": 0.25, "width": 10.0, "center": 0.0}
         ],
         "weights": [{"role": "wave", "kind": "log", "q": 1.0, "r": 2.0, "a": None}],
-        "corrector": None,
         "outputs": {"snapshots": []},
         "seed": 0,
     },
     "heat_oracle": {
-        "scenario": "heat_oracle",
         "system": {"kind": "heat"},
         "grid": {"L": 100.0, "N": 2048, "bc": "periodic"},
-        "time": {"T": 200.0, "cfl": 0.4, "sample_stride": 8, "dt": None, "nu": 0.0},
+        "time": {"T": 200.0, "sample_stride": 8},
         "data": [
             {"kind": "gaussian", "component": 0, "amp": 1.0, "width": 1.0, "center": 0.0}
         ],
         "weights": [{"role": "spatial", "kind": "power", "mu": 1.0}],
-        "corrector": None,
         "outputs": {"snapshots": []},
         "seed": 0,
     },
     "convergence_order": {
-        "scenario": "convergence_order",
         "system": _STD_LINEAR,
         "grid": {"L": 200.0, "N": 4096, "bc": "periodic"},
-        "time": {"T": 100.0, "cfl": 0.4, "sample_stride": 5, "dt": None, "nu": 0.0},
+        "time": {"T": 100.0, "cfl": 0.4, "sample_stride": 5, "nu": 0.0},
         "data": [
             {"kind": "gaussian", "component": 0, "amp": 1.0, "width": 10.0, "center": 0.0},
             {"kind": "gaussian", "component": 1, "amp": 1.0, "width": 10.0, "center": 0.0},
         ],
         "weights": [],
-        "corrector": None,
         "outputs": {"snapshots": []},
         "seed": 0,
     },
     "ckn_sweep": {
-        "scenario": "ckn_sweep",
         "system": {"kind": "none"},
         "grid": {"L": 50.0, "N": 4097, "bc": "compact_support"},
-        "time": {"T": 1.0, "cfl": 0.4, "sample_stride": 1, "dt": None, "nu": 0.0},
+        "time": {"T": 1.0},
         "data": [],
         "weights": [],
-        "corrector": None,
         "outputs": {"snapshots": []},
         "seed": 12345,
     },
@@ -411,7 +390,7 @@ def scenario_names():
 def scenario_doc(name):
     if name not in _DOCS:
         raise KeyError(f"unknown scenario {name!r}; have {scenario_names()}")
-    return copy.deepcopy(_DOCS[name])
+    return {"scenario": name, **copy.deepcopy(_DOCS[name])}
 
 
 def scenario_claims(name):

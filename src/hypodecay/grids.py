@@ -194,7 +194,9 @@ def gram(grid, rows, c=None):
     """Quadrature Gram matrix sum_x qw c rows_x rows_x^T of (m, N) rows.
 
     Weights c of shape (p, N) give the (p, m, m) stack, one (m, N) product each.
+    Rows are taken C-ordered, as the product rounds by their memory order.
     """
+    rows = np.ascontiguousarray(rows)
     if c is None:
         return (rows * grid.qw) @ rows.T
     return np.stack([(rows * (cj * grid.qw)) @ rows.T for cj in c])

@@ -27,7 +27,7 @@ from hypodecay.experiment import (
 )
 from hypodecay.experiment import runner
 from hypodecay.experiment.cli import main
-from hypodecay.experiment.config import CONFIG_SCHEMA
+from hypodecay.experiment.config import CONFIG_SCHEMA, SYSTEM_KINDS
 from hypodecay.experiment.runner import resolve_out_dir
 from hypodecay.grids import Grid1D
 
@@ -97,9 +97,9 @@ def test_registry_claims_have_anchors():
 
 def test_system_kinds_agree():
     schema_kinds = CONFIG_SCHEMA["properties"]["system"]["properties"]["kind"]["enum"]
-    assert sorted(schema_kinds) == sorted(runner._SYSTEMS)
+    assert sorted(schema_kinds) == sorted(SYSTEM_KINDS) == sorted(runner._SYSTEMS)
     for name in scenario_names():
-        assert scenario_doc(name)["system"]["kind"] in runner._SYSTEMS, name
+        assert scenario_doc(name)["system"]["kind"] in SYSTEM_KINDS, name
 
 
 def test_psystem_scenario_defaults():
@@ -275,8 +275,8 @@ def test_run_writes_timing_telemetry(tmp_path):
 
 
 def test_run_without_series_omits_step_timing(tmp_path):
-    doc = smoke_doc()
-    doc["system"] = {"kind": "none"}
+    doc = {"scenario": "smoke_none", "system": {"kind": "none"},
+           "grid": {"L": 30.0, "N": 64}, "time": {"T": 2.0}}
     run(parse_config(doc), out_dir=tmp_path / "a")
     timing = json.loads((tmp_path / "a" / "timing.json").read_text())
     assert set(timing) == {"wall_s", "rss_peak_mb"}
@@ -555,6 +555,19 @@ def test_cli_rejects_scenario_with_other_system_kind(tmp_path, capsys):
     # a log wave weight whose r is not the p-system's damping exponent
     ("thm6_psystem_log", "system.r", "2.5"),
     ("thm3_wave", "weights.0.mu", "0.2"),
+    # a key the system kind does not read
+    ("thm2_weighted", "time.dt", "0.5"),
+    ("thm4_euler", "system.A", "[[1]]"),
+    ("thm4_euler", "corrector", '{"delta":0.1}'),
+    ("heat_oracle", "time.nu", "0.5"),
+    ("heat_oracle", "time.cfl", "0.4"),
+    ("thm6_psystem_log", "system.gamma", "2"),
+    ("ckn_sweep", "outputs.snapshots", "[0.5]"),
+    ("ckn_sweep", "data", '[{"kind":"gaussian","component":0}]'),
+    # a key the system kind requires
+    ("convergence_order", "system", '{"kind":"linear"}'),
+    # "log" is the one spelling of the log weight
+    ("thm2_weighted", "weights.0.kind", "logarithmic"),
 ])
 def test_cli_rejects_misconfigured_system(tmp_path, capsys, scenario, key, value):
     out = tmp_path / "never"

@@ -278,6 +278,9 @@ def test_gram_is_the_quadrature_of_row_products(bc):
     c = rng.standard_normal((2, g.N))
     G, Gc = gram(g, rows), gram(g, rows, c)
     assert G.shape == (3, 3) and Gc.shape == (2, 3, 3)
+    # the memory order of the rows does not move a bit
+    assert np.array_equal(gram(g, np.asfortranarray(rows)), G)
+    assert np.array_equal(gram(g, np.asfortranarray(rows), c), Gc)
     for i in range(3):
         for j in range(3):
             assert G[i, j] == pytest.approx(g.qw @ (rows[i] * rows[j]), rel=1e-14)
