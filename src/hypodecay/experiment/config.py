@@ -37,6 +37,15 @@ SYSTEM_KINDS = {
     "none": SystemKind({}, {"T": None}, fields=False),
 }
 
+# The fields each weight reads besides its `role` and `kind`, by (role,
+# kind); parse_config refuses any other, and serialize_config records only these.
+WEIGHT_FIELDS = {
+    ("spatial", "power"): ("mu",),
+    ("spatial", "log"): ("q",),
+    ("wave", "power"): ("mu", "a", "mass_tol"),
+    ("wave", "log"): ("q", "r", "a", "mass_tol"),
+}
+
 _BC = ["periodic", "compact_support"]
 _DATA_KINDS = ["gaussian", "dgaussian", "bumps", "zero"]
 
@@ -239,17 +248,24 @@ def parse_config(doc):
     if not reads.fields and (doc.get("data") or snapshots):
         raise ConfigError(f"invalid config: a {kind!r} system integrates no fields, "
                           f"so takes no data and no snapshot times")
-    roles = [w["role"] for w in doc.get("weights", [])]
+    weights = doc.get("weights", [])
+    roles = [w["role"] for w in weights]
     if not reads.roles.issuperset(roles) or len(set(roles)) < len(roles):
         raise ConfigError(f"invalid config at weights: a {kind!r} system takes at most "
                           f"one weight of each role in {sorted(reads.roles)}, got {roles}")
+    for i, w in enumerate(weights):
+        fields = WEIGHT_FIELDS[w["role"], w["kind"]]
+        unread = sorted(w.keys() - {"role", "kind", *fields})
+        if unread:
+            raise ConfigError(f"invalid config at weights.{i}.{unread[0]}: a {w['role']} "
+                              f"{w['kind']} weight reads only {list(fields)}")
     return RunConfig(
         scenario=doc["scenario"],
         system={"kind": kind, **_filled("system", system, reads.system, kind)},
         grid={"bc": "periodic", **doc["grid"]},
         time=_filled("time", doc["time"], reads.time, kind),
         data=tuple(DataField(**d) for d in doc.get("data", [])),
-        weights=tuple(WeightEntry(**w) for w in doc.get("weights", [])),
+        weights=tuple(WeightEntry(**w) for w in weights),
         corrector=corrector,
         outputs=dict(doc.get("outputs", {})),
         seed=doc.get("seed", 0),
@@ -264,7 +280,9 @@ def serialize_config(cfg):
         "grid": dict(cfg.grid),
         "time": dict(cfg.time),
         "data": [asdict(d) for d in cfg.data],
-        "weights": [asdict(w) for w in cfg.weights],
+        "weights": [{"role": w.role, "kind": w.kind,
+                     **{f: getattr(w, f) for f in WEIGHT_FIELDS[w.role, w.kind]}}
+                    for w in cfg.weights],
         "corrector": dict(cfg.corrector) if cfg.corrector is not None else None,
         "outputs": dict(cfg.outputs),
         "seed": cfg.seed,

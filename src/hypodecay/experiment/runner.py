@@ -699,14 +699,27 @@ def _batch_worker(job):
     return {"name": path.stem, **result, "wall_s": time.perf_counter() - started}
 
 
+def _cost(path):
+    """Scheduling key of a batch job: largest N^2 T / L first, a config
+    that does not parse last, ties by name."""
+    try:
+        cfg = parse_config(read_config(path))
+    except Exception:  # the job's own run reports why, as its exit code
+        return (1, 0.0, path.stem)
+    return (0, -cfg.grid["N"] ** 2 * cfg.time["T"] / cfg.grid["L"], path.stem)
+
+
 def batch(config_paths, out_root, jobs=1):
     """Run many configs share-nothing; exit code is the max over runs.
 
-    Results are keyed and ordered by config file stem, so the aggregate
-    report does not depend on completion order or worker count.  Two
-    configs with one stem would share an output directory and a result
-    key, so they raise ConfigError before anything is written.  Wall
-    times, the batch's and each job's, go to batch_timing.json only.
+    Jobs start in `_cost` order, one at a time, each in a fresh forked
+    worker, so the longest run does not start last and no job inherits
+    another's heap.  Results are keyed and ordered by
+    config file stem, so the aggregate report does not depend on
+    completion order or worker count.  Two configs with one stem would
+    share an output directory and a result key, so they raise
+    ConfigError before anything is written.  Wall times, the batch's and
+    each job's, go to batch_timing.json only.
     """
     started = time.perf_counter()
     paths = sorted(Path(p) for p in config_paths)
@@ -718,13 +731,13 @@ def batch(config_paths, out_root, jobs=1):
                               f"{path.stem!r}, which names their output directory")
     out_root = Path(out_root)
     out_root.mkdir(parents=True, exist_ok=True)
-    jobs_list = [(str(p), str(out_root)) for p in paths]
+    jobs_list = [(str(p), str(out_root)) for p in sorted(paths, key=_cost)]
     workers = min(jobs, len(jobs_list))
     if workers <= 1:
         results = [_batch_worker(j) for j in jobs_list]
     else:
-        with get_context("fork").Pool(processes=workers) as pool:
-            results = pool.map(_batch_worker, jobs_list)
+        with get_context("fork").Pool(processes=workers, maxtasksperchild=1) as pool:
+            results = list(pool.imap_unordered(_batch_worker, jobs_list, chunksize=1))
     results.sort(key=lambda r: r["name"])
     run_s = {r["name"]: r.pop("wall_s") for r in results}
     exit_code = max((r["exit_code"] for r in results), default=0)

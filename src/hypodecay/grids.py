@@ -64,6 +64,13 @@ class Grid1D:
         return int(np.argmin(self.abs_x))
 
 
+# Centered stencil kernels, correlated as sum_j kernel[j] f[i + j - h]:
+# the undivided first difference f[i+1] - f[i-1] and fourth difference.
+CENTERED = np.array([-1.0, 0.0, 1.0])
+FOURTH_DIFFERENCE = np.array([1.0, -4.0, 6.0, -4.0, 1.0])
+GHOSTS = 2
+
+
 def _layout(grid, f, g):
     """(source, out, window) of a stencil reaching `g` cells along axis 0.
 
@@ -81,13 +88,21 @@ def _layout(grid, f, g):
     return f, out, out[g:-g]
 
 
+def _one_sided_ends(f, out, scale=1.0):
+    """Second-order one-sided end rows of scale * (f[i+1] - f[i-1]) on a compact grid."""
+    out[0] = scale * (-3.0 * f[0] + 4.0 * f[1] - f[2])
+    out[-1] = scale * (3.0 * f[-1] - 4.0 * f[-2] + f[-3])
+
+
 def first_difference(grid, f):
-    """Undivided f[i+1] - f[i-1] along axis 0, one-sided at compact ends: 2 dx * d_dx."""
+    """Undivided f[i+1] - f[i-1] along axis 0, one-sided at compact ends: 2 dx * d_dx.
+
+    Slices, not `correlate`: one pass serves all k columns of an (N, k) field.
+    """
     p, out, w = _layout(grid, f, 1)
     np.subtract(p[2:], p[:-2], out=w)
     if not grid.periodic:
-        out[0] = -3.0 * p[0] + 4.0 * p[1] - p[2]
-        out[-1] = 3.0 * p[-1] - 4.0 * p[-2] + p[-3]
+        _one_sided_ends(p, out)
     return out
 
 
@@ -110,30 +125,55 @@ def second_difference(grid, f):
     return out
 
 
+def ghost_pad(grid, f):
+    """The 1-D field with GHOSTS wrap cells per end on a periodic grid, else f itself."""
+    f = np.asarray(f, dtype=float)
+    if grid.periodic:
+        return np.concatenate((f[-GHOSTS:], f, f[:GHOSTS]))
+    return f
+
+
+def correlate(grid, pad, kernel):
+    """sum_j kernel[j] f[i + j - h], h = len(kernel) // 2, of the field padded by
+    `ghost_pad`; compact grids leave the h end rows zero."""
+    h = len(kernel) // 2
+    if grid.periodic:
+        return np.correlate(pad[GHOSTS - h:len(pad) - GHOSTS + h], kernel)
+    out = np.correlate(pad, kernel, "same")
+    out[:h] = 0.0
+    out[-h:] = 0.0
+    return out
+
+
+def derivative(grid, pad, kernel):
+    """`correlate` with the kernel s * CENTERED, one-sided at compact ends: s (f[i+1] - f[i-1])."""
+    out = correlate(grid, pad, kernel)
+    if not grid.periodic:
+        _one_sided_ends(pad, out, kernel[2])
+    return out
+
+
+def _columns(grid, f, kernel):
+    """`correlate` of the (N,) field f, or of each column of an (N, k) one."""
+    f = np.asarray(f, dtype=float)
+    if f.ndim == 1:
+        return correlate(grid, ghost_pad(grid, f), kernel)
+    return np.column_stack([_columns(grid, c, kernel) for c in f.T])
+
+
 def fourth_difference(grid, f):
     """Undivided fourth difference, the stabilization stencil.
 
     Periodic grids wrap; compact grids apply it on interior nodes only
     (two zero rows at each end), keeping the boundary stencils untouched.
     """
-    # f[i+2] - 4 f[i+1] + 6 f[i] - 4 f[i-1] + f[i-2], summed left to right
-    p, out, w = _layout(grid, f, 2)
-    np.multiply(p[3:-1], -4.0, out=w)
-    w += p[4:]
-    tmp = p[2:-2] * 6.0
-    w += tmp
-    np.multiply(p[1:-3], 4.0, out=tmp)
-    w -= tmp
-    w += p[:-4]
-    return out
+    return _columns(grid, f, FOURTH_DIFFERENCE)
 
 
 def subtract_floor(grid, d, f, nu):
     """d -= (nu / dx) * fourth_difference(grid, f) in place for nu > 0; returns d."""
     if nu > 0.0:
-        floor = fourth_difference(grid, f)
-        floor *= nu / grid.dx
-        d -= floor
+        d -= _columns(grid, f, (nu / grid.dx) * FOURTH_DIFFERENCE)
     return d
 
 

@@ -19,7 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import CflViolation, SmallnessBreached, VacuumApproached
-from ..grids import check_escape, d_dx, escape_tol, l2_norm, subtract_floor
+from ..grids import (CENTERED, FOURTH_DIFFERENCE, check_escape, correlate, d_dx, derivative,
+                     escape_tol, ghost_pad, l2_norm)
 from .march import CFL_MAX, check_cfl, check_nu, march, rk4, step_size
 
 VACUUM_FLOOR_REL = 1e-6
@@ -93,14 +94,29 @@ def simulate_euler(espec, grid, rho0, u0, T, cfl=0.4, nu=0.0, sample_stride=1,
     if wave is not None:
         wave.check_mass(grid, rho - espec.rho_bar)
 
+    # d/dx and the nu/dx floor, pre-scaled: each field is padded once per stage
+    plus_dx = (1.0 / (2.0 * dx)) * CENTERED
+    floor_kernel = (nu / dx) * FOURTH_DIFFERENCE
+
     def rhs(state):
         ct, u = state
-        ctx = d_dx(grid, ct)
-        ux = d_dx(grid, u)
-        c = ct + c_bar
-        dct = -(u * ctx + half_g * c * ux)
-        du = -(u * ux + half_g * c * ctx)
-        return subtract_floor(grid, dct, ct, nu), subtract_floor(grid, du, u, nu)
+        pc, pu = ghost_pad(grid, ct), ghost_pad(grid, u)
+        ctx = derivative(grid, pc, plus_dx)
+        ux = derivative(grid, pu, plus_dx)
+        # -(u ctx + half_g c ux) and its partner, bit for bit, in place
+        hc = ct + c_bar
+        hc *= half_g
+        dct = np.negative(u)
+        du = dct * ux
+        dct *= ctx
+        tmp = hc * ux
+        dct -= tmp
+        np.multiply(hc, ctx, out=tmp)
+        du -= tmp
+        if nu > 0.0:
+            dct -= correlate(grid, pc, floor_kernel)
+            du -= correlate(grid, pu, floor_kernel)
+        return dct, du
 
     def step(state, dt):
         ct, u = state

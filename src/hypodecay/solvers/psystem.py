@@ -20,7 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import RBandViolation
-from ..grids import check_escape, d_dx, escape_tol, subtract_floor
+from ..grids import (CENTERED, FOURTH_DIFFERENCE, check_escape, correlate, d_dx, derivative,
+                     escape_tol, ghost_pad)
 from .march import check_cfl, check_nu, march, rk4
 
 
@@ -56,18 +57,24 @@ def simulate_psystem(pspec, grid, rho0, u0, T, cfl=0.4, nu=0.0, sample_stride=1,
     if wave is not None:
         wave.check_mass(grid, rho)
 
+    # -d/dx and the nu/dx floor, pre-scaled: each field is padded once per stage
+    minus_dx = (-1.0 / (2.0 * grid.dx)) * CENTERED
+    floor_kernel = (nu / grid.dx) * FOURTH_DIFFERENCE
+
     def rhs(state):
         rho, u = state
-        drho = d_dx(grid, u)
-        np.negative(drho, out=drho)
-        du = d_dx(grid, rho)
-        np.negative(du, out=du)
+        pr, pu = ghost_pad(grid, rho), ghost_pad(grid, u)
+        drho = derivative(grid, pu, minus_dx)
+        du = derivative(grid, pr, minus_dx)
         damping = np.abs(u)
         if r != 2.0:  # pow(x, 1.0) is x: skip a full pass
             damping **= r - 1.0
         damping *= u
         du -= damping
-        return subtract_floor(grid, drho, rho, nu), subtract_floor(grid, du, u, nu)
+        if nu > 0.0:
+            drho -= correlate(grid, pr, floor_kernel)
+            du -= correlate(grid, pu, floor_kernel)
+        return drho, du
 
     tol = escape_tol(rho, u)
 

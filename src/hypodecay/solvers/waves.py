@@ -57,9 +57,15 @@ class WaveWeightSpec:
             raise ValueError(f"offset a must be positive, got {self.a}")
 
     def power_terms(self, s):
-        """Power family at s: (phi, phi', phi'', phi''')."""
-        p = 2.0 * self.mu - 1.0
+        """Power family at s: (phi, phi', phi'', phi''').
+
+        At the flat endpoint mu = 1 the weight is a + s itself, so its
+        derivatives are the constants 1, 0, 0 and no power is taken.
+        """
         g = self.a + s
+        if self.mu == 1.0:
+            return g, 1.0, 0.0, 0.0
+        p = 2.0 * self.mu - 1.0
         return (
             g**p,
             p * g ** (p - 1.0),
@@ -149,27 +155,22 @@ def power_wave_record(grid, t, wspec, rows, a12a21, a12_d_a12inv):
     and a12_d_a12inv its damping coefficient.  Both numbers are
     contractions of the quadrature Grams of `rows` weighted by phi and
     phi', and of the W rows alone weighted by phi'' and phi''' (the only
-    rows those two meet).  The dissipation carries a point mass at x = 0
-    where the weight's |x|-kink lives.
+    rows those two meet; both weights vanish at mu = 1, which skips that
+    Gram).  The dissipation carries a point mass at x = 0 where the
+    weight's |x|-kink lives.
     """
     k = rows.shape[0] // 3
     w, wt, wx = slice(0, k), slice(k, 2 * k), slice(2 * k, 3 * k)
     phi, d1, d2, d3 = wspec.power_terms(t + grid.abs_x)
     g0, g1 = gram(grid, rows, (phi, d1))
-    g2, g3 = gram(grid, rows[w], (d2, d3))
     M, Md = a12a21, a12_d_a12inv
-    e = (
-        0.5 * (np.trace(g0[wt, wt]) + (M * g0[wx, wx]).sum())
-        + np.trace(g1[wt, w])
-        - 0.5 * np.trace(g2)
-        + 0.5 * (Md * g1[w, w]).sum()
-    )
-    h = (
-        (Md * g0[wt, wt]).sum()
-        + 0.5 * (M * g1[wx, wx]).sum()
-        + 0.5 * np.trace(g3)
-        - 0.5 * (M * g3).sum()
-    )
+    e = 0.5 * (np.trace(g0[wt, wt]) + (M * g0[wx, wx]).sum()) + np.trace(g1[wt, w])
+    h = (Md * g0[wt, wt]).sum() + 0.5 * (M * g1[wx, wx]).sum()
+    if wspec.mu != 1.0:  # terms added left to right, as one sum would round them
+        g2, g3 = gram(grid, rows[w], (d2, d3))
+        e = e - 0.5 * np.trace(g2)
+        h = h + 0.5 * np.trace(g3) - 0.5 * (M * g3).sum()
+    e += 0.5 * (Md * g1[w, w]).sum()
     w0 = rows[w, grid.i0]
     point_mass = -wspec.power_terms(t)[2] * float(w0 @ M @ w0)
     return float(e), float(h) + point_mass

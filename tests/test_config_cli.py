@@ -27,7 +27,7 @@ from hypodecay.experiment import (
 )
 from hypodecay.experiment import runner
 from hypodecay.experiment.cli import main
-from hypodecay.experiment.config import CONFIG_SCHEMA, SYSTEM_KINDS
+from hypodecay.experiment.config import CONFIG_SCHEMA, SYSTEM_KINDS, WEIGHT_FIELDS
 from hypodecay.experiment.runner import resolve_out_dir
 from hypodecay.grids import Grid1D
 
@@ -75,6 +75,21 @@ def test_registry_docs_parse_and_round_trip():
         canonical = serialize_config(parse_config(doc))
         again = serialize_config(parse_config(canonical))
         assert again == canonical, name
+        for w in canonical["weights"]:
+            assert list(w) == ["role", "kind", *WEIGHT_FIELDS[w["role"], w["kind"]]], name
+
+
+def test_weight_entries_record_only_the_fields_their_role_and_kind_read():
+    doc = smoke_doc()
+    doc["weights"] = [{"role": "spatial", "kind": "log", "q": 2.0}]
+    assert serialize_config(parse_config(doc))["weights"] == doc["weights"]
+    doc = scenario_doc("thm6_psystem_log")
+    assert serialize_config(parse_config(doc))["weights"] == [
+        {"role": "wave", "kind": "log", "q": 1.0, "r": 2.0, "a": None, "mass_tol": 1e-8}]
+    # every (role, kind) pair the schema admits has a row
+    entry = CONFIG_SCHEMA["properties"]["weights"]["items"]["properties"]
+    assert set(WEIGHT_FIELDS) == {(role, kind) for role in entry["role"]["enum"]
+                                  for kind in entry["kind"]["enum"]}
 
 
 def test_registry_doc_is_a_copy():
@@ -391,12 +406,17 @@ def test_batch_rejects_configs_that_share_a_stem(tmp_path):
     assert not out_root.exists()
 
 
-def test_batch_starts_no_more_workers_than_configs(monkeypatch, tmp_path):
-    started = []
+@pytest.fixture
+def in_process_pool(monkeypatch):
+    """A pool that runs each job in this process as it is handed out; the
+    returned record has the pools' sizes and tasks per worker, the job
+    stems in hand-out order and the chunk sizes asked for."""
+    seen = SimpleNamespace(processes=[], maxtasks=[], jobs=[], chunksizes=[])
 
     class InProcessPool:
-        def __init__(self, processes):
-            started.append(processes)
+        def __init__(self, processes, maxtasksperchild=None):
+            seen.processes.append(processes)
+            seen.maxtasks.append(maxtasksperchild)
 
         def __enter__(self):
             return self
@@ -404,18 +424,49 @@ def test_batch_starts_no_more_workers_than_configs(monkeypatch, tmp_path):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, jobs):
-            return [fn(j) for j in jobs]
+        def imap_unordered(self, fn, jobs, chunksize):
+            seen.chunksizes.append(chunksize)
+            for job in jobs:
+                seen.jobs.append(Path(job[0]).stem)
+                yield fn(job)
 
     monkeypatch.setattr(runner, "get_context",
                         lambda method: SimpleNamespace(Pool=InProcessPool))
+    return seen
+
+
+def test_batch_starts_no_more_workers_than_configs(in_process_pool, tmp_path):
     cfg_dir = tmp_path / "cfgs"
     cfg_dir.mkdir()
     for name in ("a", "b"):
         (cfg_dir / f"{name}.json").write_text(json.dumps(smoke_doc(f"smoke_{name}")))
     agg = batch(sorted(cfg_dir.glob("*.json")), tmp_path / "br", jobs=8)
-    assert started == [2]
+    assert in_process_pool.processes == [2]
+    assert in_process_pool.maxtasks == [1]  # each job in a fresh worker
     assert agg["exit_code"] == 0
+
+
+def test_batch_hands_out_the_costliest_job_first(in_process_pool, tmp_path):
+    """Jobs go out one at a time by N^2 T / L, largest first, ties by name,
+    a config that does not parse last; the report stays sorted by name."""
+    cfg_dir = tmp_path / "cfgs"
+    cfg_dir.mkdir()
+    # N^2 T / L at L = 30: 273, 4369, 1092, 1092, and N = 8 fails the schema
+    for name, N, T in (("a_small", 64, 2.0), ("b_wide", 256, 2.0), ("c_long", 64, 8.0),
+                       ("d_tie", 64, 8.0), ("e_bad", 8, 2.0)):
+        doc = smoke_doc(f"smoke_{name}")
+        doc["grid"]["N"] = N
+        doc["time"]["T"] = T
+        doc["outputs"]["snapshots"] = []
+        (cfg_dir / f"{name}.json").write_text(json.dumps(doc))
+    agg = batch(sorted(cfg_dir.glob("*.json"), reverse=True), tmp_path / "br", jobs=2)
+    assert in_process_pool.jobs == ["b_wide", "c_long", "d_tie", "a_small", "e_bad"]
+    assert in_process_pool.chunksizes == [1]
+    names = ["a_small", "b_wide", "c_long", "d_tie", "e_bad"]
+    assert [r["name"] for r in agg["runs"]] == names
+    assert [r["exit_code"] for r in agg["runs"]] == [0, 0, 0, 0, 2]
+    timing = json.loads((tmp_path / "br" / "batch_timing.json").read_text())
+    assert list(timing["runs"]) == names
 
 
 def test_batch_timing_records_each_job(tmp_path):
@@ -568,6 +619,14 @@ def test_cli_rejects_scenario_with_other_system_kind(tmp_path, capsys):
     ("convergence_order", "system", '{"kind":"linear"}'),
     # "log" is the one spelling of the log weight
     ("thm2_weighted", "weights.0.kind", "logarithmic"),
+    # a weight field its role and kind do not read
+    ("thm2_weighted", "weights.0.r", "2.0"),
+    ("thm2_weighted", "weights.0.mass_tol", "1e-8"),
+    ("heat_oracle", "weights.0.q", "1.0"),
+    ("thm2_weighted", "weights", '[{"role":"spatial","kind":"log","q":1.0,"mu":1.0}]'),
+    ("thm3_wave", "weights.0.q", "1.0"),
+    ("thm5_euler_weighted", "weights.1.r", "2.0"),
+    ("thm6_psystem_log", "weights.0.mu", "1.0"),
 ])
 def test_cli_rejects_misconfigured_system(tmp_path, capsys, scenario, key, value):
     out = tmp_path / "never"
@@ -695,11 +754,16 @@ def test_decay_inequality_reads_the_claims_slack_rel():
     assert tol[1] == pytest.approx(1e3 * tol[0], rel=1e-12)
 
 
-def test_run_registry_batches_only_the_configs_it_writes(monkeypatch, tmp_path):
+def _run_registry_module():
     script = Path(__file__).resolve().parents[1] / "scripts" / "run_registry.py"
     spec = importlib.util.spec_from_file_location("run_registry", script)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
+    return module
+
+
+def test_run_registry_batches_only_the_configs_it_writes(monkeypatch, tmp_path):
+    module = _run_registry_module()
     stale = tmp_path / "configs" / "stale.json"
     stale.parent.mkdir()
     stale.write_text(json.dumps(smoke_doc("stale")))
@@ -707,6 +771,7 @@ def test_run_registry_batches_only_the_configs_it_writes(monkeypatch, tmp_path):
 
     def fake_batch(paths, out_root, jobs=1):
         batched.extend(Path(p) for p in paths)
+        (Path(out_root) / "batch_timing.json").write_text('{"wall_s": 0.5, "runs": {}}')
         return {"runs": [], "exit_code": 0}
 
     monkeypatch.setattr(module, "batch", fake_batch)
@@ -715,6 +780,25 @@ def test_run_registry_batches_only_the_configs_it_writes(monkeypatch, tmp_path):
     assert module.main() == 0
     assert batched == [tmp_path / "configs" / "heat_oracle.json",
                        tmp_path / "configs" / "thm1_linear.json"]
+
+
+def test_run_registry_prints_each_wall_time_and_the_batch_s(monkeypatch, tmp_path, capsys):
+    module = _run_registry_module()
+
+    def fake_batch(paths, out_root, jobs=1):
+        (Path(out_root) / "batch_timing.json").write_text(
+            '{"wall_s": 12.5, "runs": {"heat_oracle": 1.25, "thm1_linear": 11.75}}')
+        return {"runs": [{"name": "heat_oracle", "exit_code": 0},
+                         {"name": "thm1_linear", "exit_code": 4}], "exit_code": 4}
+
+    monkeypatch.setattr(module, "batch", fake_batch)
+    monkeypatch.setattr(sys, "argv", ["run_registry.py", "--out", str(tmp_path), "--jobs", "2",
+                                      "thm1_linear", "heat_oracle"])
+    assert module.main() == 4
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:3] == ["[0] heat_oracle: ok (1.2 s)",
+                         "[4] thm1_linear: certificate failure (11.8 s)",
+                         "batch wall time: 12.5 s at --jobs 2"]
 
 
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc heap thresholds")

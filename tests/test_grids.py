@@ -4,13 +4,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hypodecay.grids import (
+    CENTERED,
+    FOURTH_DIFFERENCE,
     Grid1D,
     WeightSpec,
     antiderivative,
     boundary_amplitude,
+    correlate,
     d_dx,
+    derivative,
     first_difference,
     fourth_difference,
+    ghost_pad,
     gram,
     h1_norm,
     inner,
@@ -100,13 +105,21 @@ def test_fourth_difference_periodic_wraps():
     assert out == pytest.approx(factor * np.sin(g.x), abs=1e-12)
 
 
+def _assert_close(got, want):
+    """Equal up to the reassociation of a stencil sum: 1e-15 of the largest |want|."""
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
+
+
 def _check_floor(g, f, rng):
     """subtract_floor works in place, as the plain expression, and not at nu = 0."""
     d = rng.standard_normal(f.shape)
     expected = d - (0.3 / g.dx) * fourth_difference(g, f)
     assert subtract_floor(g, d, f, 0.3) is d
-    assert np.array_equal(d, expected)
-    assert np.array_equal(subtract_floor(g, d, f, 0.0), expected)
+    _assert_close(d, expected)
+    before = d.copy()
+    assert subtract_floor(g, d, f, 0.0) is d
+    assert np.array_equal(d, before)
 
 
 @pytest.mark.parametrize("N", [16, 63])
@@ -120,10 +133,7 @@ def test_periodic_stencils_match_roll_reference(N, k):
         return np.roll(f, shift, axis=0)
 
     assert np.array_equal(d_dx(g, f), (s(-1) - s(1)) / (2.0 * g.dx))
-    assert np.array_equal(
-        fourth_difference(g, f),
-        s(-2) - 4.0 * s(-1) + 6.0 * f - 4.0 * s(1) + s(2),
-    )
+    _assert_close(fourth_difference(g, f), s(-2) - 4.0 * s(-1) + 6.0 * f - 4.0 * s(1) + s(2))
     assert np.array_equal(second_difference(g, f), s(-1) - 2.0 * f + s(1))
     _check_floor(g, f, rng)
 
@@ -148,8 +158,48 @@ def test_compact_stencils_match_slice_reference(N, k):
 
     d4 = np.zeros_like(f)
     d4[2:-2] = f[4:] - 4.0 * f[3:-1] + 6.0 * f[2:-2] - 4.0 * f[1:-3] + f[:-4]
-    assert np.array_equal(fourth_difference(g, f), d4)
+    _assert_close(fourth_difference(g, f), d4)
     _check_floor(g, f, rng)
+
+
+@pytest.mark.parametrize("bc", ["periodic", "compact_support"])
+@pytest.mark.parametrize("N", [16, 63])
+def test_correlate_engine_matches_roll_and_slice_oracles(bc, N):
+    """One ghost pad gives both pre-scaled stencils of a field: the derivative
+    s (f[i+1] - f[i-1]) with one-sided compact ends, and the fourth difference
+    with zero compact end rows, each aligned on its centre node."""
+    g = Grid1D(L=3.0, N=N, bc=bc)
+    f = np.random.default_rng(N).standard_normal(N)
+    s, c = -0.7, 0.3
+    pad = ghost_pad(g, f)
+    if g.periodic:
+        assert pad.shape == (N + 4,)
+
+        def shift(k):
+            return np.roll(f, -k)
+
+        want1 = s * (shift(1) - shift(-1))
+        want4 = c * (shift(-2) - 4.0 * shift(-1) + 6.0 * f - 4.0 * shift(1) + shift(2))
+    else:
+        assert pad is f
+        want1 = np.empty(N)
+        want1[1:-1] = s * (f[2:] - f[:-2])
+        want1[0] = s * (-3.0 * f[0] + 4.0 * f[1] - f[2])
+        want1[-1] = s * (3.0 * f[-1] - 4.0 * f[-2] + f[-3])
+        want4 = np.zeros(N)
+        want4[2:-2] = c * (f[4:] - 4.0 * f[3:-1] + 6.0 * f[2:-2] - 4.0 * f[1:-3] + f[:-4])
+    _assert_close(derivative(g, pad, s * CENTERED), want1)
+    got4 = correlate(g, pad, c * FOURTH_DIFFERENCE)
+    _assert_close(got4, want4)
+    if not g.periodic:
+        assert np.all(got4[:2] == 0.0) and np.all(got4[-2:] == 0.0)
+        assert np.all(correlate(g, pad, CENTERED)[[0, -1]] == 0.0)
+    # a unit impulse reads back the kernel, centred on the impulse
+    e = np.zeros(N)
+    e[5] = 1.0
+    assert np.array_equal(correlate(g, ghost_pad(g, e), FOURTH_DIFFERENCE)[3:8],
+                          FOURTH_DIFFERENCE[::-1])
+    assert np.array_equal(correlate(g, ghost_pad(g, e), CENTERED)[4:7], CENTERED[::-1])
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])

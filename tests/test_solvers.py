@@ -19,8 +19,8 @@ from hypodecay.errors import (
     VacuumApproached,
 )
 from hypodecay.corrector import select_coefficients
-from hypodecay.grids import (Grid1D, WeightSpec, d_dx, fourth_difference, inner, l2_norm,
-                             subtract_floor)
+from hypodecay.grids import (CENTERED, FOURTH_DIFFERENCE, Grid1D, WeightSpec, correlate, d_dx,
+                             derivative, fourth_difference, ghost_pad, inner, l2_norm)
 from hypodecay.linalg import SystemSpec, expm_sym
 from hypodecay.solvers import march as march_module
 from hypodecay.solvers.euler import EulerSpec, simulate_euler
@@ -32,7 +32,7 @@ from hypodecay.solvers.linear import (
     simulate_linear,
     step_linear,
 )
-from hypodecay.solvers.march import march, rk4
+from hypodecay.solvers.march import march, rk4, step_size
 from hypodecay.solvers.psystem import PSystemSpec, simulate_psystem
 
 STANDARD = SystemSpec(A=np.array([[0.0, 1.0], [1.0, 0.0]]),
@@ -305,17 +305,58 @@ def test_psystem_damping_at_r2_skips_the_unit_power_bitwise():
     rho0 = -0.1 * grid.x * np.exp(-grid.x**2)
     u0 = 0.05 * np.exp(-grid.x**2)
     r, nu, T = 2.0, 0.01, 0.5
+    minus_dx = (-1.0 / (2.0 * grid.dx)) * CENTERED
+    floor = (nu / grid.dx) * FOURTH_DIFFERENCE
 
     def rhs(state):
         rho, u = state
-        drho = -d_dx(grid, u)
-        du = -d_dx(grid, rho) - np.abs(u) ** (r - 1.0) * u
-        return subtract_floor(grid, drho, rho, nu), subtract_floor(grid, du, u, nu)
+        pr, pu = ghost_pad(grid, rho), ghost_pad(grid, u)
+        drho = derivative(grid, pu, minus_dx) - correlate(grid, pr, floor)
+        du = (derivative(grid, pr, minus_dx) - np.abs(u) ** (r - 1.0) * u
+              - correlate(grid, pu, floor))
+        return drho, du
 
     _, ref = march((rho0, u0), T, 0.4 * grid.dx, lambda s, dt: rk4(rhs, s, dt),
                    lambda t, s: {}, 1, (T,), np.column_stack, {})
     _, snaps = simulate_psystem(PSystemSpec(r=r), grid, rho0, u0, T=T, nu=nu,
                                 snapshot_times=(T,))
+    assert snaps[T].tobytes() == ref[T].tobytes()
+
+
+@pytest.mark.parametrize("bc", ["periodic", "compact_support"])
+def test_euler_in_place_rhs_is_the_plain_grouping_bitwise(bc):
+    """The in-place right-hand side forms (-u) ctx - hc ux with hc = half_g c;
+    negation is exact and rounding symmetric, so the run matches the plain
+    -(u ctx + half_g c ux) and its partner bit for bit."""
+    es = EulerSpec(gamma=1.4)  # half_g = 0.2: scaling by it rounds, unlike by 0.5
+    grid = Grid1D(L=20.0, N=128, bc=bc)
+    rho0 = 1.0 + 0.05 * np.exp(-grid.x**2)
+    u0 = 0.03 * grid.x * np.exp(-grid.x**2)
+    nu, T, cfl = 0.01, 0.5, 0.4
+    half_g, c_bar = 0.5 * (es.gamma - 1.0), es.c_bar
+    ct0 = es.sound(rho0) - c_bar
+    speed = 1.25 * max(float((np.abs(u0) + half_g * (ct0 + c_bar)).max()), half_g * c_bar)
+    dt_limit = cfl * grid.dx / speed
+    decay = np.exp(-0.5 * es.lam * step_size(T, dt_limit)[1])
+    plus_dx = (1.0 / (2.0 * grid.dx)) * CENTERED
+    floor = (nu / grid.dx) * FOURTH_DIFFERENCE
+
+    def rhs(state):
+        ct, u = state
+        pc, pu = ghost_pad(grid, ct), ghost_pad(grid, u)
+        ctx, ux = derivative(grid, pc, plus_dx), derivative(grid, pu, plus_dx)
+        c = ct + c_bar
+        return (-(u * ctx + half_g * c * ux) - correlate(grid, pc, floor),
+                -(u * ux + half_g * c * ctx) - correlate(grid, pu, floor))
+
+    def step(state, dt):
+        ct, u = rk4(rhs, (state[0], state[1] * decay), dt)
+        return ct, u * decay
+
+    _, ref = march((ct0, u0), T, dt_limit, step, lambda t, s: {}, 1, (T,),
+                   lambda s: np.column_stack([es.density_of_sound(s[0] + c_bar) - es.rho_bar,
+                                              s[1]]), {})
+    _, snaps = simulate_euler(es, grid, rho0, u0, T=T, nu=nu, snapshot_times=(T,))
     assert snaps[T].tobytes() == ref[T].tobytes()
 
 

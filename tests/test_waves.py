@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from hypodecay.analysis import check_monotone
 from hypodecay.errors import MassNotZero, MuOutOfRange
-from hypodecay.grids import Grid1D, antiderivative
+from hypodecay.grids import Grid1D, antiderivative, gram
 from hypodecay.linalg import SystemSpec
 from hypodecay.solvers.linear import LinearSim, simulate_linear
 from hypodecay.solvers.psystem import PSystemSpec, simulate_psystem
@@ -257,6 +257,48 @@ def test_power_wave_record_matches_einsum_oracle(k, mu):
     for t in (0.0, 2.5):
         _assert_roundoff_close(power_wave_record(grid, t, wspec, rows, a12a21, a12_d),
                                _einsum_wave_record(grid, t, wspec, W, Wt, Wx, a12a21, a12_d))
+
+
+def _general_power_terms(mu, a, s):
+    """The power family's terms by the general formula, powers and all."""
+    p = 2.0 * mu - 1.0
+    g = a + s
+    return (g**p, p * g ** (p - 1.0), p * (p - 1.0) * g ** (p - 2.0),
+            p * (p - 1.0) * (p - 2.0) * g ** (p - 3.0))
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_flat_endpoint_skips_the_powers_and_the_curvature_gram_bitwise(k):
+    """At mu = 1, phi = a + s with derivatives (1, 0, 0): the terms, the
+    offset probe and the wave record read what the general formula, with
+    its phi''/phi''' Gram, gives bit for bit."""
+    wspec = WaveWeightSpec(kind="power", mu=1.0, a=4.0)
+    s = np.linspace(0.0, 300.0, 1001)
+    terms = wspec.power_terms(s)
+    assert terms[1:] == (1.0, 0.0, 0.0)
+    for got, want in zip(terms, _general_power_terms(1.0, 4.0, s)):
+        assert np.all(got == want)
+    for a in (2.0, 4.0):
+        flat = WaveWeightSpec(kind="power", mu=1.0, a=a)
+        assert weight_conditions_ok(flat, 1.0, s) == (a == 4.0)
+
+    rng = np.random.default_rng(k)
+    grid = Grid1D(L=20.0, N=129, bc="compact_support")
+    rows = rng.standard_normal((3 * k, grid.N))
+    M, Md = rng.standard_normal((k, k)), rng.standard_normal((k, k))
+    w, wt, wx = slice(0, k), slice(k, 2 * k), slice(2 * k, 3 * k)
+    for t in (0.0, 2.5):
+        phi, d1, d2, d3 = _general_power_terms(1.0, 4.0, t + grid.abs_x)
+        g0, g1 = gram(grid, rows, (phi, d1))
+        g2, g3 = gram(grid, rows[w], (d2, d3))
+        e = (0.5 * (np.trace(g0[wt, wt]) + (M * g0[wx, wx]).sum()) + np.trace(g1[wt, w])
+             - 0.5 * np.trace(g2) + 0.5 * (Md * g1[w, w]).sum())
+        h = ((Md * g0[wt, wt]).sum() + 0.5 * (M * g1[wx, wx]).sum()
+             + 0.5 * np.trace(g3) - 0.5 * (M * g3).sum())
+        w0 = rows[w, grid.i0]
+        point_mass = -_general_power_terms(1.0, 4.0, t)[2] * float(w0 @ M @ w0)
+        assert power_wave_record(grid, t, wspec, rows, M, Md) == (float(e),
+                                                                  float(h) + point_mass)
 
 
 def test_log_monitor_finite_and_positive():
