@@ -13,6 +13,7 @@ import numpy as np
 
 from .errors import (
     HypothesisFails,
+    HypothesisViolated,
     MissingChannel,
     MuOutOfRange,
     NonpositiveValues,
@@ -139,7 +140,7 @@ def check_energy_law(series, norm_channel="l2", dissipation_channel="dissipation
     The norm channel is squared before central differencing; the recorded
     dissipation channel is taken as-is.  Sampling must be fine enough to
     differentiate: max sample gap <= 10 * dt_step when the step size is
-    recorded in the series metadata.
+    recorded in the series metadata, else HypothesisViolated.
     """
     t = series.t
     E = series.channel(norm_channel) ** 2
@@ -147,7 +148,7 @@ def check_energy_law(series, norm_channel="l2", dissipation_channel="dissipation
     dt_step = series.meta.get("dt_step")
     max_gap = float(np.diff(t).max())
     if dt_step is not None and max_gap > 10.0 * dt_step * (1.0 + 1e-9):
-        raise ValueError(
+        raise HypothesisViolated(
             f"sample gap {max_gap:.3e} exceeds 10 * dt_step = {10.0 * dt_step:.3e}"
         )
     dE = (E[2:] - E[:-2]) / (t[2:] - t[:-2])
@@ -197,22 +198,23 @@ def check_decay_inequality(series, e1_channel, e2_channel, a1, a2, mu, eta0,
     checked by central differences with tolerance slack_rel times the
     initial value of E1.  Conclusion: E1 + eta0 t E2 <=
     C a1^{-mu} t^{-mu} with the proof constant C = mu^mu (exponent
-    choice p = mu + 1, which requires p < a2/eta0).
+    choice p = mu + 1, which requires p < a2/eta0).  Parameters or
+    channels outside these conditions raise HypothesisViolated.
     """
     if mu <= 0:
-        raise ValueError("mu must be positive")
+        raise HypothesisViolated("mu must be positive")
     if not 0.0 < eta0 < min(a2 / mu, a2):
-        raise ValueError("need 0 < eta0 < min(a2/mu, a2)")
+        raise HypothesisViolated("need 0 < eta0 < min(a2/mu, a2)")
     p = mu + 1.0
     if not p < a2 / eta0:
-        raise ValueError(
+        raise HypothesisViolated(
             f"conclusion constant needs p = mu+1 = {p} < a2/eta0 = {a2 / eta0}"
         )
     t = series.t
     E1 = series.channel(e1_channel)
     E2 = series.channel(e2_channel)
     if np.any(E1 < 0) or np.any(E2 < 0):
-        raise ValueError("E1, E2 must be nonnegative")
+        raise HypothesisViolated("E1, E2 must be nonnegative")
     scale = float(E1[0]) if E1[0] > 0 else float(np.abs(E1).max())
     tol = slack_rel * scale
     F = E1 + eta0 * t * E2

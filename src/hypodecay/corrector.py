@@ -32,6 +32,8 @@ from .grids import WeightSpec, d_dx, h1_norm, l2_norm
 from .linalg import kalman_gram, min_eig_sym, spectral_norm
 
 REFERENCE_SAFETY = 0.5
+# The exponent ladder's concavity margin: `select_exponents(n, DELTA)`.
+DELTA = 0.1
 
 
 def select_exponents(n, delta):
@@ -85,7 +87,6 @@ class CorrectorCoeffs:
 
     kappa: float
     eps0: float
-    delta: float
     base_eps: float
     m: np.ndarray
     eps: np.ndarray
@@ -110,8 +111,8 @@ class CorrectorCoeffs:
             problems.append("exponent ladder must stay above 1")
         if m.size >= 3:
             concavity = m[1:-1] - 0.5 * (m[:-2] + m[2:])
-            if np.any(concavity < self.delta - 1e-12):
-                problems.append("exponent ladder concavity margin below delta")
+            if np.any(concavity < DELTA - 1e-12):
+                problems.append("exponent ladder concavity margin below DELTA")
         margins = constraint_margins(self.C_bound, self.eps0, eps)
         for name, ratio in margins.items():
             if ratio > 1.0 + 1e-12:
@@ -190,7 +191,7 @@ def estimate_ck(spec):
     return 2.0 / n2_min
 
 
-def select_coefficients(spec, delta=0.1, safety=0.5):
+def select_coefficients(spec, safety=0.5):
     """Full coefficient pipeline: budget, families, C_K, time weight."""
     if not spec.sk_holds:
         raise SKConditionFails(
@@ -200,7 +201,7 @@ def select_coefficients(spec, delta=0.1, safety=0.5):
         raise ValueError("safety must lie in (0, 1)")
     eps0 = 0.5 * spec.kappa * safety
     C_bound = estimate_c_bound(spec)
-    m = select_exponents(spec.n, delta)
+    m = select_exponents(spec.n, DELTA)
     products = _norm_products(spec)
     base = _search_base(m, C_bound, eps0, products)
     eps = base**m
@@ -213,7 +214,6 @@ def select_coefficients(spec, delta=0.1, safety=0.5):
     return CorrectorCoeffs(
         kappa=spec.kappa,
         eps0=eps0,
-        delta=delta,
         base_eps=base,
         m=m,
         eps=eps,
@@ -261,7 +261,7 @@ def estimate_c_tilde(spec, mu):
     return 8.0 * (1.0 + 2.0 * mu) * max(1.0, max(norms) / norms[0]) ** 2
 
 
-def select_weighted_coefficients(spec, mu, delta=0.1):
+def select_weighted_coefficients(spec, mu):
     """Weighted-family strengths and the damping threshold kappa0.
 
     The weighted machinery requires the undamped block to carry no
@@ -276,7 +276,7 @@ def select_weighted_coefficients(spec, mu, delta=0.1):
     if nm1 == 1:
         eps_t = np.array([0.125])
     else:
-        m = select_exponents(spec.n, delta)
+        m = select_exponents(spec.n, DELTA)
         dm = m - m[0]  # dm[0] = 0, increasing
 
         def ladder(t):

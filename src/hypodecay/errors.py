@@ -35,7 +35,9 @@ class ConstraintSearchFailed(HypodecayError):
 
 
 class HypothesisViolated(HypodecayError):
-    """A structural hypothesis of the weighted estimates fails (e.g. A11 != 0)."""
+    """A hypothesis of an estimate or a check fails: A11 != 0 for the
+    weighted estimates, or a certificate's parameters or sampling outside
+    what its analysis routine accepts."""
 
 
 class RBandViolation(HypodecayError):

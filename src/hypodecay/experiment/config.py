@@ -10,13 +10,12 @@ schema-valid documents.
 import json
 import math
 from collections import namedtuple
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import jsonschema
 import numpy as np
 
-from ..solvers.march import CFL_MAX
 from .scenarios import scenario_doc, scenario_names
 
 
@@ -26,28 +25,34 @@ from .scenarios import scenario_doc, scenario_names
 # and whether it integrates fields (else it takes no data or snapshots).
 SystemKind = namedtuple("SystemKind", "system time corrector roles fields",
                         defaults=(None, frozenset(), True))
-_STEPPED = {"T": None, "cfl": 0.4, "sample_stride": 1, "nu": 0.0}
+_STEPPED = {"T": None, "sample_stride": 1, "nu": 0.0}
 SYSTEM_KINDS = {
     "linear": SystemKind({"A": None, "D": None, "n1": None}, _STEPPED,
-                         corrector={"delta": 0.1, "safety": 0.5}, roles={"spatial", "wave"}),
+                         corrector={"safety": 0.5}, roles={"spatial", "wave"}),
     "euler": SystemKind({"gamma": 2.0, "rho_bar": 1.0, "lam": 1.0, "smallness_cap": 0.5},
                         _STEPPED, roles={"spatial", "wave"}),
-    "psystem": SystemKind({"r": 2.0, "eta2": 0.5, "eta3": 0.25}, _STEPPED, roles={"wave"}),
+    "psystem": SystemKind({"r": 2.0}, _STEPPED, roles={"wave"}),
     "heat": SystemKind({}, {"T": None, "sample_stride": 1}, roles={"spatial"}),
     "none": SystemKind({}, {"T": None}, fields=False),
 }
 
 # The fields each weight reads besides its `role` and `kind`, by (role,
-# kind); parse_config refuses any other, and serialize_config records only these.
+# kind), and each data entry besides its `kind` and `component`, by kind;
+# parse_config refuses any other, and serialize_config records only these.
 WEIGHT_FIELDS = {
     ("spatial", "power"): ("mu",),
     ("spatial", "log"): ("q",),
-    ("wave", "power"): ("mu", "a", "mass_tol"),
-    ("wave", "log"): ("q", "r", "a", "mass_tol"),
+    ("wave", "power"): ("mu",),
+    ("wave", "log"): ("q",),
+}
+DATA_FIELDS = {
+    "gaussian": ("amp", "width", "center"),
+    "dgaussian": ("amp", "width", "center"),
+    "bumps": ("amp", "width", "count"),
+    "zero": (),
 }
 
 _BC = ["periodic", "compact_support"]
-_DATA_KINDS = ["gaussian", "dgaussian", "bumps", "zero"]
 
 _matrix = {
     "type": "array",
@@ -76,8 +81,6 @@ CONFIG_SCHEMA = {
                 "lam": {"type": "number", "exclusiveMinimum": 0},
                 "smallness_cap": {"type": "number", "exclusiveMinimum": 0},
                 "r": {"type": "number"},
-                "eta2": {"type": "number", "minimum": 0},
-                "eta3": {"type": "number", "minimum": 0},
             },
         },
         "grid": {
@@ -96,7 +99,6 @@ CONFIG_SCHEMA = {
             "additionalProperties": False,
             "properties": {
                 "T": {"type": "number", "exclusiveMinimum": 0},
-                "cfl": {"type": "number", "exclusiveMinimum": 0, "maximum": CFL_MAX},
                 "sample_stride": {"type": "integer", "minimum": 1},
                 "nu": {"type": "number", "minimum": 0},
             },
@@ -108,7 +110,7 @@ CONFIG_SCHEMA = {
                 "required": ["kind", "component"],
                 "additionalProperties": False,
                 "properties": {
-                    "kind": {"enum": _DATA_KINDS},
+                    "kind": {"enum": list(DATA_FIELDS)},
                     "component": {"type": "integer", "minimum": 0},
                     "amp": {"type": "number"},
                     "width": {"type": "number", "exclusiveMinimum": 0},
@@ -128,9 +130,6 @@ CONFIG_SCHEMA = {
                     "kind": {"enum": ["power", "log"]},
                     "mu": {"type": "number"},
                     "q": {"type": "number"},
-                    "r": {"type": "number"},
-                    "a": {"type": ["number", "null"]},
-                    "mass_tol": {"type": "number", "exclusiveMinimum": 0},
                 },
             },
         },
@@ -138,7 +137,6 @@ CONFIG_SCHEMA = {
             "type": ["object", "null"],
             "additionalProperties": False,
             "properties": {
-                "delta": {"type": "number", "exclusiveMinimum": 0},
                 "safety": {
                     "type": "number",
                     "exclusiveMinimum": 0,
@@ -183,9 +181,6 @@ class WeightEntry:
     kind: str
     mu: float = 1.0
     q: float = 1.0
-    r: float = 2.0
-    a: float = None
-    mass_tol: float = 1e-8
 
 
 @dataclass(frozen=True)
@@ -212,6 +207,14 @@ def _filled(section, given, reads, kind):
         if default is None and key not in given:
             raise ConfigError(f"invalid config at {section}: a {kind!r} system requires {key!r}")
     return {**{k: v for k, v in reads.items() if v is not None}, **given}
+
+
+def _refuse_unread(at, entry, named, fields, what):
+    """A ConfigError for a key of `entry` that is neither in `named` nor in `fields`."""
+    unread = sorted(entry.keys() - {*named, *fields})
+    if unread:
+        raise ConfigError(f"invalid config at {at}.{unread[0]}: a {what} reads only "
+                          f"{list(fields)}")
 
 
 def parse_config(doc):
@@ -253,18 +256,19 @@ def parse_config(doc):
     if not reads.roles.issuperset(roles) or len(set(roles)) < len(roles):
         raise ConfigError(f"invalid config at weights: a {kind!r} system takes at most "
                           f"one weight of each role in {sorted(reads.roles)}, got {roles}")
+    data = doc.get("data", [])
     for i, w in enumerate(weights):
-        fields = WEIGHT_FIELDS[w["role"], w["kind"]]
-        unread = sorted(w.keys() - {"role", "kind", *fields})
-        if unread:
-            raise ConfigError(f"invalid config at weights.{i}.{unread[0]}: a {w['role']} "
-                              f"{w['kind']} weight reads only {list(fields)}")
+        _refuse_unread(f"weights.{i}", w, ("role", "kind"),
+                       WEIGHT_FIELDS[w["role"], w["kind"]], f"{w['role']} {w['kind']} weight")
+    for i, d in enumerate(data):
+        _refuse_unread(f"data.{i}", d, ("kind", "component"), DATA_FIELDS[d["kind"]],
+                       f"{d['kind']} data entry")
     return RunConfig(
         scenario=doc["scenario"],
         system={"kind": kind, **_filled("system", system, reads.system, kind)},
         grid={"bc": "periodic", **doc["grid"]},
         time=_filled("time", doc["time"], reads.time, kind),
-        data=tuple(DataField(**d) for d in doc.get("data", [])),
+        data=tuple(DataField(**d) for d in data),
         weights=tuple(WeightEntry(**w) for w in weights),
         corrector=corrector,
         outputs=dict(doc.get("outputs", {})),
@@ -279,7 +283,8 @@ def serialize_config(cfg):
         "system": dict(cfg.system),
         "grid": dict(cfg.grid),
         "time": dict(cfg.time),
-        "data": [asdict(d) for d in cfg.data],
+        "data": [{"kind": d.kind, "component": d.component,
+                  **{f: getattr(d, f) for f in DATA_FIELDS[d.kind]}} for d in cfg.data],
         "weights": [{"role": w.role, "kind": w.kind,
                      **{f: getattr(w, f) for f in WEIGHT_FIELDS[w.role, w.kind]}}
                     for w in cfg.weights],

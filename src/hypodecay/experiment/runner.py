@@ -126,32 +126,26 @@ def spatial_weight(cfg):
     return None
 
 
-def _wave_spec(cfg, ctx, family, kappa1=None, **shown):
-    """(WaveWeightSpec, mass tolerance) of the config's wave weight, or (None, None).
+def _wave_spec(cfg, ctx, family, kappa1=None):
+    """WaveWeightSpec of the config's wave weight, or None.
 
     The weight must be of the system's `family`.  `kappa1()`, the power
     family's stiffness bound, is called only when there is a wave weight.
+    The offset is `default_offset`'s, and a log weight's r is the
+    p-system's: its |w_t|^{r+1} is the damping |u|^{r+1}.
     """
     entry = next((w for w in cfg.weights if w.role == "wave"), None)
     if entry is None:
-        return None, None
+        return None
     if entry.kind != family:
         raise ConfigError(f"the wave weight must be {family}, got {entry.kind!r}")
-    if family == "log" and entry.r != float(cfg.system["r"]):
-        # the log weight's |w_t|^{r+1} is the p-system's damping |u|^{r+1}
-        raise ConfigError(f"the wave weight's r must be the system's r = "
-                          f"{cfg.system['r']}, got {entry.r}")
     if family == "power":
-        shown = {"mu": entry.mu, "kappa1": kappa1(), **shown}
-    if entry.a is not None:
-        a = float(entry.a)
+        params, bound = {"mu": entry.mu}, {"kappa1": kappa1()}
     else:
-        a = default_offset(family, float(cfg.time["T"]) + ctx.grid.L,
-                           kappa1=shown.get("kappa1", 1.0), mu=entry.mu,
-                           q=entry.q, r=entry.r)
-    wsp = WaveWeightSpec(kind=family, mu=entry.mu, q=entry.q, r=entry.r, a=a)
-    ctx.manifest["wave"] = {"kind": family, "q": wsp.q, "r": wsp.r, "a": a, **shown}
-    return wsp, entry.mass_tol
+        params, bound = {"q": entry.q, "r": float(cfg.system["r"])}, {}
+    a = default_offset(family, float(cfg.time["T"]) + ctx.grid.L, **params, **bound)
+    ctx.manifest["wave"] = {"kind": family, "a": a, **params, **bound}
+    return WaveWeightSpec(kind=family, a=a, **params)
 
 
 @dataclass
@@ -181,10 +175,7 @@ def _build_linear(cfg, grid, ctx, weight):
 
     if cfg.corrector is not None:
         try:
-            coeffs = select_coefficients(
-                spec, delta=cfg.corrector["delta"],
-                safety=cfg.corrector["safety"],
-            )
+            coeffs = select_coefficients(spec, safety=cfg.corrector["safety"])
         except SKConditionFails as exc:
             ctx.manifest["coefficients"] = {
                 "refused": True, "reason": str(exc),
@@ -215,11 +206,9 @@ def _build_linear(cfg, grid, ctx, weight):
             "X0": ctx.x0,
         }
 
-    wsp, mass_tol = _wave_spec(cfg, ctx, "power",
-                               lambda: min_eig_sym(spec.A12 @ spec.A21))
-    wave = None if wsp is None else linear_wave_monitor(spec, wsp, mass_tol=mass_tol)
-    sim = LinearSim(spec=spec, grid=grid, cfl=float(cfg.time["cfl"]),
-                    nu=float(cfg.time["nu"]))
+    wsp = _wave_spec(cfg, ctx, "power", lambda: min_eig_sym(spec.A12 @ spec.A21))
+    wave = None if wsp is None else linear_wave_monitor(spec, wsp)
+    sim = LinearSim(spec=spec, grid=grid, nu=float(cfg.time["nu"]))
     return partial(simulate_linear, sim, U0, coeffs=ctx.coeffs, weight=weight,
                    wave=wave)
 
@@ -235,31 +224,26 @@ def _build_euler(cfg, grid, ctx, weight):
         c_bar=espec.c_bar, smallness_cap=cap,
     )
     kappa1 = float(espec.dpressure(espec.rho_bar))
-    wsp, mass_tol = _wave_spec(cfg, ctx, "power", lambda: kappa1)
+    wsp = _wave_spec(cfg, ctx, "power", lambda: kappa1)
     one = np.eye(1)
     wave = None if wsp is None else LinearWaveMonitor(
-        wsp, a12=one, a12a21=kappa1 * one, a12_d_a12inv=espec.lam * one,
-        mass_tol=mass_tol)
+        wsp, a12=one, a12a21=kappa1 * one, a12_d_a12inv=espec.lam * one)
     rho = espec.rho_bar + fields_[:, 0]
     if weight is not None:
         ctx.x0 = weighted_data_size(grid, fields_, weight.mu)
         ctx.manifest["weighted"] = {"X0": ctx.x0}
     return partial(simulate_euler, espec, grid, rho, fields_[:, 1],
-                   cfl=float(cfg.time["cfl"]), nu=float(cfg.time["nu"]),
-                   smallness_cap=cap, weight=weight, wave=wave)
+                   nu=float(cfg.time["nu"]), smallness_cap=cap, weight=weight, wave=wave)
 
 
 def _build_psystem(cfg, grid, ctx, weight):
-    pspec = PSystemSpec(r=float(cfg.system["r"]), eta2=float(cfg.system["eta2"]))
-    eta3 = float(cfg.system["eta3"])
+    pspec = PSystemSpec(r=float(cfg.system["r"]))
     fields_ = build_fields(cfg, grid, 2)
-    ctx.manifest["system"].update(r=pspec.r, eta2=pspec.eta2, eta3=eta3)
-    wsp, mass_tol = _wave_spec(cfg, ctx, "log", eta3=eta3)
-    wave = None if wsp is None else LogWaveMonitor(wspec=wsp, eta3=eta3,
-                                                   mass_tol=mass_tol)
+    ctx.manifest["system"].update(r=pspec.r)
+    wsp = _wave_spec(cfg, ctx, "log")
+    wave = None if wsp is None else LogWaveMonitor(wspec=wsp)
     return partial(simulate_psystem, pspec, grid, fields_[:, 0], fields_[:, 1],
-                   cfl=float(cfg.time["cfl"]), nu=float(cfg.time["nu"]),
-                   wave=wave)
+                   nu=float(cfg.time["nu"]), wave=wave)
 
 
 def _build_heat(cfg, grid, ctx, weight):

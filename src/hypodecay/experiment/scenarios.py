@@ -16,51 +16,51 @@ _DOCS = {
     "thm1_linear": {
         "system": _STD_LINEAR,
         "grid": {"L": 200.0, "N": 4096, "bc": "periodic"},
-        "time": {"T": 100.0, "cfl": 0.4, "sample_stride": 2, "nu": 0.0},
+        "time": {"T": 100.0, "sample_stride": 2, "nu": 0.0},
         "data": [
             {"kind": "gaussian", "component": 0, "amp": 1.0, "width": 10.0, "center": 0.0},
             {"kind": "gaussian", "component": 1, "amp": 1.0, "width": 10.0, "center": 0.0},
         ],
         "weights": [],
-        "corrector": {"delta": 0.1, "safety": 0.5},
+        "corrector": {"safety": 0.5},
         "outputs": {"snapshots": [0.0, 50.0, 100.0]},
         "seed": 0,
     },
     "thm2_weighted": {
         "system": _STIFF_LINEAR,
         "grid": {"L": 200.0, "N": 4096, "bc": "compact_support"},
-        "time": {"T": 100.0, "cfl": 0.4, "sample_stride": 2, "nu": 0.0},
+        "time": {"T": 100.0, "sample_stride": 2, "nu": 0.0},
         "data": [
             {"kind": "dgaussian", "component": 0, "amp": 1.0, "width": 1.6, "center": 0.0}
         ],
         "weights": [{"role": "spatial", "kind": "power", "mu": 1.0}],
-        "corrector": {"delta": 0.1, "safety": 0.125},
+        "corrector": {"safety": 0.125},
         "outputs": {"snapshots": []},
         "seed": 0,
     },
     "thm3_wave": {
         "system": _STD_LINEAR,
         "grid": {"L": 200.0, "N": 4096, "bc": "compact_support"},
-        "time": {"T": 100.0, "cfl": 0.4, "sample_stride": 2, "nu": 0.0},
+        "time": {"T": 100.0, "sample_stride": 2, "nu": 0.0},
         "data": [
             {"kind": "dgaussian", "component": 0, "amp": 1.0, "width": 9.0, "center": 0.0},
             {"kind": "dgaussian", "component": 1, "amp": 1.0, "width": 9.0, "center": 0.0},
         ],
-        "weights": [{"role": "wave", "kind": "power", "mu": 1.0, "a": None}],
-        "corrector": {"delta": 0.1, "safety": 0.5},
+        "weights": [{"role": "wave", "kind": "power", "mu": 1.0}],
+        "corrector": {"safety": 0.5},
         "outputs": {"snapshots": []},
         "seed": 0,
     },
     "kalman_fail": {
         "system": _DEGENERATE_LINEAR,
         "grid": {"L": 200.0, "N": 4096, "bc": "periodic"},
-        "time": {"T": 100.0, "cfl": 0.4, "sample_stride": 2, "nu": 0.0},
+        "time": {"T": 100.0, "sample_stride": 2, "nu": 0.0},
         "data": [
             {"kind": "gaussian", "component": 0, "amp": 1.0, "width": 8.0, "center": 0.0},
             {"kind": "gaussian", "component": 1, "amp": 1.0, "width": 8.0, "center": 0.0},
         ],
         "weights": [],
-        "corrector": {"delta": 0.1, "safety": 0.5},
+        "corrector": {"safety": 0.5},
         "outputs": {"snapshots": []},
         "seed": 0,
     },
@@ -68,7 +68,7 @@ _DOCS = {
         "system": {"kind": "euler", "gamma": 2.0, "rho_bar": 1.0, "lam": 1.0,
                    "smallness_cap": 0.1},
         "grid": {"L": 200.0, "N": 4096, "bc": "periodic"},
-        "time": {"T": 100.0, "cfl": 0.4, "sample_stride": 4, "nu": 0.01},
+        "time": {"T": 100.0, "sample_stride": 4, "nu": 0.01},
         "data": [
             {"kind": "gaussian", "component": 0, "amp": 0.01, "width": 12.0, "center": 0.0}
         ],
@@ -80,25 +80,25 @@ _DOCS = {
         "system": {"kind": "euler", "gamma": 2.0, "rho_bar": 1.0, "lam": 1.0,
                    "smallness_cap": 0.1},
         "grid": {"L": 240.0, "N": 4096, "bc": "compact_support"},
-        "time": {"T": 100.0, "cfl": 0.4, "sample_stride": 4, "nu": 0.01},
+        "time": {"T": 100.0, "sample_stride": 4, "nu": 0.01},
         "data": [
             {"kind": "dgaussian", "component": 0, "amp": 0.01, "width": 12.0, "center": 0.0}
         ],
         "weights": [
             {"role": "spatial", "kind": "power", "mu": 1.0},
-            {"role": "wave", "kind": "power", "mu": 1.0, "a": None},
+            {"role": "wave", "kind": "power", "mu": 1.0},
         ],
         "outputs": {"snapshots": []},
         "seed": 0,
     },
     "thm6_psystem_log": {
-        "system": {"kind": "psystem", "r": 2.0, "eta2": 0.5, "eta3": 0.25},
+        "system": {"kind": "psystem", "r": 2.0},
         "grid": {"L": 400.0, "N": 8192, "bc": "periodic"},
-        "time": {"T": 2000.0, "cfl": 0.4, "sample_stride": 25, "nu": 0.01},
+        "time": {"T": 2000.0, "sample_stride": 25, "nu": 0.01},
         "data": [
             {"kind": "dgaussian", "component": 0, "amp": 0.25, "width": 10.0, "center": 0.0}
         ],
-        "weights": [{"role": "wave", "kind": "log", "q": 1.0, "r": 2.0, "a": None}],
+        "weights": [{"role": "wave", "kind": "log", "q": 1.0}],
         "outputs": {"snapshots": []},
         "seed": 0,
     },
@@ -116,7 +116,7 @@ _DOCS = {
     "convergence_order": {
         "system": _STD_LINEAR,
         "grid": {"L": 200.0, "N": 4096, "bc": "periodic"},
-        "time": {"T": 100.0, "cfl": 0.4, "sample_stride": 5, "nu": 0.0},
+        "time": {"T": 100.0, "sample_stride": 5, "nu": 0.0},
         "data": [
             {"kind": "gaussian", "component": 0, "amp": 1.0, "width": 10.0, "center": 0.0},
             {"kind": "gaussian", "component": 1, "amp": 1.0, "width": 10.0, "center": 0.0},

@@ -21,7 +21,7 @@ import numpy as np
 from ..errors import CflViolation, SmallnessBreached, VacuumApproached
 from ..grids import (CENTERED, FOURTH_DIFFERENCE, check_escape, correlate, d_dx, derivative,
                      escape_tol, ghost_pad, l2_norm)
-from .march import CFL_MAX, check_cfl, check_nu, march, rk4, step_size
+from .march import CFL, CFL_MAX, check_nu, march, rk4, step_size
 
 VACUUM_FLOOR_REL = 1e-6
 SPEED_HEADROOM = 1.25
@@ -59,7 +59,7 @@ class EulerSpec:
         return base ** (2.0 / (self.gamma - 1.0))
 
 
-def simulate_euler(espec, grid, rho0, u0, T, cfl=0.4, nu=0.0, sample_stride=1,
+def simulate_euler(espec, grid, rho0, u0, T, nu=0.0, sample_stride=1,
                    smallness_cap=0.5, weight=None, wave=None, snapshot_times=()):
     """Integrate to T; record decay channels on the (rho - rho_bar, u) pair.
 
@@ -69,7 +69,6 @@ def simulate_euler(espec, grid, rho0, u0, T, cfl=0.4, nu=0.0, sample_stride=1,
     plus optional weighted and wave-energy channels.  Aborts with
     SmallnessBreached / VacuumApproached / DomainEscape diagnostics.
     """
-    check_cfl(cfl)
     check_nu(nu)
     rho = np.array(rho0, dtype=float)
     u = np.array(u0, dtype=float)
@@ -86,7 +85,7 @@ def simulate_euler(espec, grid, rho0, u0, T, cfl=0.4, nu=0.0, sample_stride=1,
 
     speed0 = float((np.abs(u) + half_g * (ct + c_bar)).max())
     speed_ref = SPEED_HEADROOM * max(speed0, half_g * c_bar)
-    dt_limit = cfl * grid.dx / speed_ref
+    dt_limit = CFL * grid.dx / speed_ref
     _, dt = step_size(T, dt_limit)
     decay_half = math.exp(-0.5 * espec.lam * dt)
     dx = grid.dx

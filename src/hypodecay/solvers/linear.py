@@ -22,27 +22,25 @@ from ..errors import CflViolation
 from ..grids import (check_escape, d_dx, escape_tol, first_difference, gram, l2_norm,
                      subtract_floor)
 from ..linalg import jacobi_eigensystem, expm_sym
-from .march import check_cfl, check_nu, march, rk4, step_size
+from .march import CFL, check_nu, march, rk4, step_size
 
 
 @dataclass(frozen=True)
 class LinearSim:
     spec: object
     grid: object
-    cfl: float = 0.4
     nu: float = 0.0
     rho_A: float = field(init=False)
     dt: float = field(init=False)
     advection: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        check_cfl(self.cfl)
         check_nu(self.nu)
         w, _ = jacobi_eigensystem(self.spec.A)
         rho = float(np.abs(w).max())
         object.__setattr__(self, "rho_A", rho)
         speed = rho if rho > 0.0 else 1.0
-        object.__setattr__(self, "dt", self.cfl * self.grid.dx / speed)
+        object.__setattr__(self, "dt", CFL * self.grid.dx / speed)
         object.__setattr__(self, "advection",
                            np.ascontiguousarray(-self.spec.A.T / (2.0 * self.grid.dx)))
 

@@ -5,8 +5,8 @@ observer.  The driver owns everything else about a run: the uniform step
 count, the sampling stride, the snapshot steps, the assembly of the
 recorded series, the process's heap setting and the floating-point mode
 the steps and observers run in.  `rk4` is the one classical Runge-Kutta
-stage sequence.  `check_cfl` and `check_nu` are the one check each of an
-explicit solver's CFL number and of its fourth-difference floor strength.
+stage sequence.  `CFL` is every explicit solver's CFL number, and
+`check_nu` the one check of its fourth-difference floor strength.
 """
 
 import contextlib
@@ -18,15 +18,12 @@ import sys
 import numpy as np
 
 from ..analysis import TimeSeries
-from ..errors import CflViolation, NonFiniteState
+from ..errors import NonFiniteState
 
+# The CFL number each explicit solver steps at, and the largest one a
+# running Euler solution may reach before it is a CflViolation.
+CFL = 0.4
 CFL_MAX = 0.7
-
-
-def check_cfl(cfl):
-    """Raise CflViolation unless the CFL number lies in (0, CFL_MAX]."""
-    if not 0.0 < cfl <= CFL_MAX:
-        raise CflViolation(f"cfl must lie in (0, {CFL_MAX}], got {cfl}")
 
 
 def check_nu(nu):

@@ -7,7 +7,7 @@ The damping is smooth and non-stiff for small |u|, so it rides inside
 the RK4 stages.  Alongside the plain norms, the run records the
 cross-coupled energy pair
 
-    wstar = ||(rho, u)||_{H^1}^2 + eta2/r * int |u|^{r-1} u rho_x
+    wstar = ||(rho, u)||_{H^1}^2 + ETA2/r * int |u|^{r-1} u rho_x
     hstar = its exact dissipation rate,
 
 whose discrete balance d(wstar)/dt + hstar = 0 is a second-order
@@ -22,22 +22,22 @@ import numpy as np
 from ..errors import RBandViolation
 from ..grids import (CENTERED, FOURTH_DIFFERENCE, check_escape, correlate, d_dx, derivative,
                      escape_tol, ghost_pad)
-from .march import check_cfl, check_nu, march, rk4
+from .march import CFL, check_nu, march, rk4
+
+# The cross term's weight in the energy pair.
+ETA2 = 0.5
 
 
 @dataclass(frozen=True)
 class PSystemSpec:
     r: float
-    eta2: float = 0.5
 
     def __post_init__(self):
         if not 1.0 < self.r < 3.0:
             raise RBandViolation(f"damping exponent must satisfy 1 < r < 3, got {self.r}")
-        if not self.eta2 >= 0.0:
-            raise ValueError("eta2 must be nonnegative")
 
 
-def simulate_psystem(pspec, grid, rho0, u0, T, cfl=0.4, nu=0.0, sample_stride=1,
+def simulate_psystem(pspec, grid, rho0, u0, T, nu=0.0, sample_stride=1,
                      wave=None, snapshot_times=()):
     """Integrate to T, recording the energy pair and optional log wave monitor.
 
@@ -45,15 +45,13 @@ def simulate_psystem(pspec, grid, rho0, u0, T, cfl=0.4, nu=0.0, sample_stride=1,
     damped-wave reformulation); it needs zero-mean rho_0, which its
     `check_mass` enforces before the first step (MassNotZero).
     """
-    check_cfl(cfl)
     check_nu(nu)
     rho = np.array(rho0, dtype=float)
     u = np.array(u0, dtype=float)
     if rho.shape != (grid.N,) or u.shape != (grid.N,):
         raise ValueError("rho0, u0 must be scalar fields on the grid")
     r = pspec.r
-    eta2 = pspec.eta2
-    dt_limit = cfl * grid.dx
+    dt_limit = CFL * grid.dx
     if wave is not None:
         wave.check_mass(grid, rho)
 
@@ -89,11 +87,11 @@ def simulate_psystem(pspec, grid, rho0, u0, T, cfl=0.4, nu=0.0, sample_stride=1,
             aur **= r - 1.0
         lrp1 = float(grid.qw @ (aur * u * u))
         cross = float(grid.qw @ (aur * u * dr)) / r
-        wstar = l22 + dl22 + eta2 * cross
+        wstar = l22 + dl22 + ETA2 * cross
         hstar = (
             2.0 * lrp1
             + 2.0 * r * float(grid.qw @ (aur * du_ * du_))
-            + eta2
+            + ETA2
             * (
                 float(grid.qw @ (aur * dr * dr))
                 + float(grid.qw @ (aur * aur * u * dr))
@@ -119,6 +117,6 @@ def simulate_psystem(pspec, grid, rho0, u0, T, cfl=0.4, nu=0.0, sample_stride=1,
     def step(state, dt):
         return rk4(rhs, state, dt)
 
-    meta = {"scheme": "rk4-centered", "nu": nu, "r": r, "eta2": eta2}
+    meta = {"scheme": "rk4-centered", "nu": nu, "r": r, "eta2": ETA2}
     return march((rho, u), T, dt_limit, step, record, sample_stride, snapshot_times,
                  np.column_stack, meta)

@@ -15,7 +15,9 @@ Two weight families:
                  phi2(s) = log^{2q - r + 1}(a + s) / (a + s)^r
 
 Both carry validity conditions on the offset `a`; `default_offset` picks
-the smallest power of two satisfying them on the run's s-range.
+the smallest power of two satisfying them on the run's s-range.  Every
+monitor refuses data whose mass exceeds DEFAULT_MASS_TOL, and the log
+energy's correction terms carry the weight ETA3.
 """
 
 from dataclasses import dataclass
@@ -26,6 +28,7 @@ from ..errors import MassNotZero, MuOutOfRange
 from ..grids import antiderivative, gram
 
 DEFAULT_MASS_TOL = 1e-8
+ETA3 = 0.25
 _COND_TOL = 1e-12
 _MAX_DOUBLINGS = 60
 
@@ -176,15 +179,15 @@ def power_wave_record(grid, t, wspec, rows, a12a21, a12_d_a12inv):
     return float(e), float(h) + point_mass
 
 
-def log_wave_record(grid, t, wspec, w, wt, wx, eta3):
+def log_wave_record(grid, t, wspec, w, wt, wx):
     """Log-weighted energy and dissipation for the nonlinearly damped wave."""
     p1, d1, d2, p2, dp2 = wspec.log_terms(t + grid.abs_x)
     rp1 = wspec.r + 1.0
-    e = 0.5 * p1 * (wt**2 + wx**2) + eta3 * (
+    e = 0.5 * p1 * (wt**2 + wx**2) + ETA3 * (
         d1 * w * wt - 0.5 * d2 * w**2 + p2 * np.abs(w) ** rp1
     )
-    h = p1 * np.abs(wt) ** rp1 + eta3 * (d1 * wx**2 - dp2 * np.abs(w) ** rp1)
-    point_mass = -eta3 * wspec.log_terms(t)[2] * float(w[grid.i0] ** 2)
+    h = p1 * np.abs(wt) ** rp1 + ETA3 * (d1 * wx**2 - dp2 * np.abs(w) ** rp1)
+    point_mass = -ETA3 * wspec.log_terms(t)[2] * float(w[grid.i0] ** 2)
     return float(grid.qw @ e), float(grid.qw @ h) + point_mass
 
 
@@ -201,10 +204,9 @@ class LinearWaveMonitor:
     a12: np.ndarray
     a12a21: np.ndarray
     a12_d_a12inv: np.ndarray
-    mass_tol: float = DEFAULT_MASS_TOL
 
     def check_mass(self, grid, U1):
-        return check_zero_mass(grid, U1, self.mass_tol)
+        return check_zero_mass(grid, U1)
 
     def record(self, grid, t, U1, U2):
         k = U1.shape[1]
@@ -224,24 +226,20 @@ class LogWaveMonitor:
     """
 
     wspec: WaveWeightSpec
-    eta3: float = 0.25
-    mass_tol: float = DEFAULT_MASS_TOL
 
     def check_mass(self, grid, rho):
-        return check_zero_mass(grid, rho, self.mass_tol)
+        return check_zero_mass(grid, rho)
 
     def record(self, grid, t, rho, u):
         w = antiderivative(grid, rho)
-        return log_wave_record(grid, t, self.wspec, w, -u, rho, self.eta3)
+        return log_wave_record(grid, t, self.wspec, w, -u, rho)
 
 
-def linear_wave_monitor(spec, wspec, mass_tol=DEFAULT_MASS_TOL):
+def linear_wave_monitor(spec, wspec):
     """Build the monitor from a system description (needs invertible A12)."""
     if not spec.a12_invertible:
         raise ValueError("wave reformulation needs square invertible coupling A12")
     a12 = spec.A12
     a12a21 = a12 @ spec.A21
     a12_d = a12 @ spec.D @ np.linalg.inv(a12)
-    return LinearWaveMonitor(
-        wspec=wspec, a12=a12, a12a21=a12a21, a12_d_a12inv=a12_d, mass_tol=mass_tol
-    )
+    return LinearWaveMonitor(wspec=wspec, a12=a12, a12a21=a12a21, a12_d_a12inv=a12_d)

@@ -23,6 +23,7 @@ from hypodecay.analysis import (
 )
 from hypodecay.errors import (
     HypothesisFails,
+    HypothesisViolated,
     MissingChannel,
     MuOutOfRange,
     NonpositiveValues,
@@ -168,7 +169,7 @@ def test_energy_law_rejects_coarse_sampling():
     t = np.linspace(0.0, 10.0, 21)
     s = TimeSeries(t=t, channels={"l2": np.exp(-t), "dissipation": np.exp(-t)},
                    meta={"dt_step": 1e-3})
-    with pytest.raises(ValueError, match="sample gap"):
+    with pytest.raises(HypothesisViolated, match="sample gap"):
         check_energy_law(s)
 
 
@@ -267,14 +268,14 @@ def test_decay_inequality_rejects_non_decaying():
 def test_decay_inequality_preconditions():
     t = np.linspace(0.0, 50.0, 501)
     s = _series(t, e1=(1.0 + t) ** -1, e2=np.zeros_like(t))
-    with pytest.raises(ValueError):
+    with pytest.raises(HypothesisViolated, match="mu must be positive"):
         check_decay_inequality(s, "e1", "e2", a1=1.0, a2=1.0, mu=0.0, eta0=0.1)
-    with pytest.raises(ValueError):
+    with pytest.raises(HypothesisViolated, match="need 0 < eta0"):
         check_decay_inequality(s, "e1", "e2", a1=1.0, a2=1.0, mu=1.0, eta0=2.0)
-    with pytest.raises(ValueError, match="p = mu\\+1"):
+    with pytest.raises(HypothesisViolated, match="p = mu\\+1"):
         # eta0 admissible for the hypothesis but too large for p = mu + 1
         check_decay_inequality(s, "e1", "e2", a1=1.0, a2=1.0, mu=1.0, eta0=0.6)
-    with pytest.raises(ValueError, match="nonnegative"):
+    with pytest.raises(HypothesisViolated, match="nonnegative"):
         bad = _series(t, e1=(1.0 + t) ** -1, e2=np.full_like(t, -1.0))
         check_decay_inequality(bad, "e1", "e2", a1=1.0, a2=1.0, mu=1.0, eta0=0.1)
 

@@ -27,9 +27,11 @@ from hypodecay.experiment import (
 )
 from hypodecay.experiment import runner
 from hypodecay.experiment.cli import main
-from hypodecay.experiment.config import CONFIG_SCHEMA, SYSTEM_KINDS, WEIGHT_FIELDS
+from hypodecay.experiment.config import (CONFIG_SCHEMA, DATA_FIELDS, SYSTEM_KINDS,
+                                         WEIGHT_FIELDS)
 from hypodecay.experiment.runner import resolve_out_dir
 from hypodecay.grids import Grid1D
+from hypodecay.solvers import default_offset
 
 EXPECTED_SCENARIOS = [
     "ckn_sweep",
@@ -56,7 +58,7 @@ def smoke_doc(name="smoke_custom"):
         "system": {"kind": "linear", "A": [[0.0, 1.0], [1.0, 0.0]],
                    "D": [[1.0]], "n1": 1},
         "grid": {"L": 30.0, "N": 64, "bc": "periodic"},
-        "time": {"T": 2.0, "cfl": 0.4, "sample_stride": 1},
+        "time": {"T": 2.0, "sample_stride": 1},
         "data": [{"kind": "gaussian", "component": 0, "amp": 1.0, "width": 3.0}],
         "outputs": {"snapshots": [0.0, 2.0]},
     }
@@ -77,6 +79,8 @@ def test_registry_docs_parse_and_round_trip():
         assert again == canonical, name
         for w in canonical["weights"]:
             assert list(w) == ["role", "kind", *WEIGHT_FIELDS[w["role"], w["kind"]]], name
+        for d in canonical["data"]:
+            assert list(d) == ["kind", "component", *DATA_FIELDS[d["kind"]]], name
 
 
 def test_weight_entries_record_only_the_fields_their_role_and_kind_read():
@@ -85,7 +89,7 @@ def test_weight_entries_record_only_the_fields_their_role_and_kind_read():
     assert serialize_config(parse_config(doc))["weights"] == doc["weights"]
     doc = scenario_doc("thm6_psystem_log")
     assert serialize_config(parse_config(doc))["weights"] == [
-        {"role": "wave", "kind": "log", "q": 1.0, "r": 2.0, "a": None, "mass_tol": 1e-8}]
+        {"role": "wave", "kind": "log", "q": 1.0}]
     # every (role, kind) pair the schema admits has a row
     entry = CONFIG_SCHEMA["properties"]["weights"]["items"]["properties"]
     assert set(WEIGHT_FIELDS) == {(role, kind) for role in entry["role"]["enum"]
@@ -111,10 +115,36 @@ def test_registry_claims_have_anchors():
 
 
 def test_system_kinds_agree():
-    schema_kinds = CONFIG_SCHEMA["properties"]["system"]["properties"]["kind"]["enum"]
+    schema = CONFIG_SCHEMA["properties"]
+    schema_kinds = schema["system"]["properties"]["kind"]["enum"]
     assert sorted(schema_kinds) == sorted(SYSTEM_KINDS) == sorted(runner._SYSTEMS)
     for name in scenario_names():
         assert scenario_doc(name)["system"]["kind"] in SYSTEM_KINDS, name
+    # the schema names exactly the keys the tables read, so none outlives its reader
+    kinds = SYSTEM_KINDS.values()
+    read = {
+        "system": {"kind"}.union(*(k.system for k in kinds)),
+        "time": set().union(*(k.time for k in kinds)),
+        "corrector": set().union(*(k.corrector or () for k in kinds)),
+        "weights": {"role", "kind"}.union(*WEIGHT_FIELDS.values()),
+        "data": {"kind", "component"}.union(*DATA_FIELDS.values()),
+    }
+    for section, keys in read.items():
+        node = schema[section]
+        props = node.get("items", node)["properties"]
+        assert set(props) == keys, section
+    assert sorted(schema["data"]["items"]["properties"]["kind"]["enum"]) == sorted(DATA_FIELDS)
+
+
+def test_data_entries_record_only_the_fields_their_kind_reads():
+    doc = scenario_doc("thm2_weighted")
+    assert serialize_config(parse_config(doc))["data"] == [
+        {"kind": "dgaussian", "component": 0, "amp": 1.0, "width": 1.6, "center": 0.0}]
+    doc["data"] = [{"kind": "bumps", "component": 0, "count": 3},
+                   {"kind": "zero", "component": 1}]
+    assert serialize_config(parse_config(doc))["data"] == [
+        {"kind": "bumps", "component": 0, "amp": 1.0, "width": 1.0, "count": 3},
+        {"kind": "zero", "component": 1}]
 
 
 def test_psystem_scenario_defaults():
@@ -142,9 +172,9 @@ def test_parse_rejects_malformed():
         doc = smoke_doc()
         doc["grid"]["bc"] = "open"
         parse_config(doc)
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="time.nu"):
         doc = smoke_doc()
-        doc["time"]["cfl"] = 0.9
+        doc["time"]["nu"] = -1.0
         parse_config(doc)
     with pytest.raises(ConfigError):
         doc = smoke_doc()
@@ -603,8 +633,6 @@ def test_cli_rejects_scenario_with_other_system_kind(tmp_path, capsys):
     # parameters outside the range the system's construction accepts
     ("thm2_weighted", "weights.0.mu", "-1"),
     ("thm6_psystem_log", "system.r", "3.5"),
-    # a log wave weight whose r is not the p-system's damping exponent
-    ("thm6_psystem_log", "system.r", "2.5"),
     ("thm3_wave", "weights.0.mu", "0.2"),
     # a key the system kind does not read
     ("thm2_weighted", "time.dt", "0.5"),
@@ -627,11 +655,25 @@ def test_cli_rejects_scenario_with_other_system_kind(tmp_path, capsys):
     ("thm3_wave", "weights.0.q", "1.0"),
     ("thm5_euler_weighted", "weights.1.r", "2.0"),
     ("thm6_psystem_log", "weights.0.mu", "1.0"),
+    # a method constant, which no config sets
+    ("thm1_linear", "time.cfl", "0.4"),
+    ("thm1_linear", "corrector.delta", "0.1"),
+    ("thm6_psystem_log", "system.eta2", "0.5"),
+    ("thm6_psystem_log", "system.eta3", "0.25"),
+    ("thm6_psystem_log", "weights.0.r", "2.0"),
+    ("thm3_wave", "weights.0.a", "4.0"),
+    ("thm3_wave", "weights.0.mass_tol", "1e-8"),
+    # a data field its kind does not read
+    ("thm1_linear", "data.0.count", "1"),
+    ("thm1_linear", "data.0", '{"kind":"bumps","component":0,"center":1.0}'),
+    ("thm1_linear", "data.1", '{"kind":"zero","component":1,"amp":1.0}'),
 ])
 def test_cli_rejects_misconfigured_system(tmp_path, capsys, scenario, key, value):
     out = tmp_path / "never"
     code = main([
         "run", "--scenario", scenario,
+        # thm1's snapshot times lie past T = 5: only the case's key may exit 2
+        "--set", "outputs.snapshots=[]",
         "--set", f"{key}={value}",
         "--set", "grid.N=256",
         "--set", "time.T=5",
@@ -701,6 +743,48 @@ def test_cli_run_numerical_failure(tmp_path, capsys):
     assert main(["run", "--config", str(path), "--out", str(out)]) == 3
     assert not out.exists()
     assert "numerical failure" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("scenario, settings, cert_id, error", [
+    # sampled too coarsely for the energy law's central differences
+    ("convergence_order", ["time.sample_stride=20", "grid.L=50", "grid.N=256"],
+     "convergence_order:residual_ratio", "sample gap"),
+    # a safety at which eta0 exceeds the comparison lemma's a2
+    ("thm2_weighted", ["corrector.safety=0.9", "grid.L=50", "grid.N=512"],
+     "thm2_weighted:decay_inequality", "need 0 < eta0 < min(a2/mu, a2)"),
+])
+def test_cli_claim_that_cannot_be_evaluated_fails_its_certificate(
+        tmp_path, capsys, scenario, settings, cert_id, error):
+    """The run itself succeeded, so it exits 4 with its outputs written."""
+    out = tmp_path / "o"
+    args = ["run", "--scenario", scenario, "--set", "time.T=10", "--out", str(out)]
+    for setting in settings:
+        args += ["--set", setting]
+    assert main(args) == 4
+    report = json.loads((out / "report.json").read_text())
+    certificate = next(c for c in report["certificates"] if c["id"] == cert_id)
+    assert certificate["passed"] is False
+    assert error in certificate["measured"]["error"]
+    assert (out / "series.csv").exists()
+    assert "numerical failure" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("scenario, family, params", [
+    ("thm3_wave", "power", {"mu": 1.0, "kappa1": 1.0}),
+    ("thm5_euler_weighted", "power", {"mu": 1.0, "kappa1": 2.0}),
+    ("thm6_psystem_log", "log", {"q": 1.0, "r": 2.0}),
+])
+def test_wave_manifest_records_only_what_its_family_reads(scenario, family, params):
+    """The offset is default_offset's on [0, T + L], and a log weight's r
+    is the system's."""
+    doc = scenario_doc(scenario)
+    doc["grid"]["N"] = 256
+    doc["time"]["T"] = 1.0
+    cfg = parse_config(doc)
+    ctx = runner.RunContext(cfg=cfg, grid=runner.build_grid(cfg))
+    runner._simulate(cfg, ctx.grid, ctx)
+    a = default_offset(family, 1.0 + doc["grid"]["L"], **params)
+    assert ctx.manifest["wave"] == {"kind": family, "a": a, **params}
 
 
 def test_cli_batch_isolates_failures(tmp_path, capsys):

@@ -122,7 +122,7 @@ def test_experiment_import_skips_scipy_stats():
 
 
 def test_selected_constants_standard():
-    coeffs = select_coefficients(STANDARD, delta=0.1, safety=0.5)
+    coeffs = select_coefficients(STANDARD, safety=0.5)
     assert coeffs.eps0 == 0.25
     assert coeffs.C_bound == 8.0
     assert coeffs.C_K == pytest.approx(2.0, rel=1e-9)
@@ -134,7 +134,7 @@ def test_selected_constants_standard():
 
 
 def test_selected_constants_stiff():
-    coeffs = select_coefficients(STIFF, delta=0.1, safety=0.125)
+    coeffs = select_coefficients(STIFF, safety=0.125)
     assert coeffs.eps0 == 2.0
     assert coeffs.eps[0] == pytest.approx(2.0 / 65536.0, rel=1e-10)
     assert coeffs.eta0 == pytest.approx(0.001953125, rel=1e-9)
@@ -161,7 +161,7 @@ def test_binding_families_standard():
 
 
 def test_three_field_ladder():
-    coeffs = select_coefficients(TRIDIAG, delta=0.1)
+    coeffs = select_coefficients(TRIDIAG)
     assert coeffs.m == pytest.approx([1.6, 1.9])
     assert coeffs.eps.size == 2
     assert coeffs.eps[0] > coeffs.eps[1] > 0.0
@@ -200,7 +200,6 @@ def test_infeasible_combination_raises():
         CorrectorCoeffs(
             kappa=1.0,
             eps0=0.25,
-            delta=0.1,
             base_eps=0.2,
             m=np.array([1.4]),
             eps=np.array([0.2**1.4]),
@@ -217,7 +216,6 @@ def test_oversized_time_weight_raises():
         CorrectorCoeffs(
             kappa=good.kappa,
             eps0=good.eps0,
-            delta=good.delta,
             base_eps=good.base_eps,
             m=good.m,
             eps=good.eps,

@@ -144,8 +144,6 @@ def test_linear_energy_law_residual():
 
 def test_linear_guards():
     grid = Grid1D(L=10.0, N=64, bc="periodic")
-    with pytest.raises(CflViolation):
-        LinearSim(spec=STANDARD, grid=grid, cfl=0.8)
     with pytest.raises(ValueError):
         LinearSim(spec=STANDARD, grid=grid, nu=-1.0)
     sim = LinearSim(spec=STANDARD, grid=grid)
@@ -268,8 +266,6 @@ def test_euler_step_guards():
     es = EulerSpec()
     grid = Grid1D(L=40.0, N=256, bc="periodic")
     ones = np.ones(256)
-    with pytest.raises(CflViolation):
-        simulate_euler(es, grid, ones, np.zeros(256), T=1.0, cfl=0.9)
     with pytest.raises(ValueError):
         simulate_euler(es, grid, ones, np.zeros(128), T=1.0)
     with pytest.raises(ValueError):
@@ -284,8 +280,6 @@ def test_psystem_spec_band():
         PSystemSpec(r=1.0)
     with pytest.raises(RBandViolation):
         PSystemSpec(r=3.0)
-    with pytest.raises(ValueError):
-        PSystemSpec(r=2.0, eta2=-0.1)
 
 
 def test_psystem_zero_data():
@@ -365,7 +359,7 @@ def _psystem_balance_resid(N):
     rho0 = 0.1 * np.exp(-((grid.x / 3.0) ** 2)) * (-2.0 * grid.x / 9.0)
     u0 = 0.05 * np.exp(-((grid.x / 4.0) ** 2))
     series, _ = simulate_psystem(
-        PSystemSpec(r=2.0, eta2=0.5), grid, rho0, u0, T=2.0
+        PSystemSpec(r=2.0), grid, rho0, u0, T=2.0
     )
     W = series.channel("wstar")
     H = series.channel("hstar")
@@ -388,7 +382,7 @@ def test_psystem_small_data_dissipates():
     rho0 = -0.2 * grid.x / 9.0 * np.exp(-((grid.x / 3.0) ** 2))
     u0 = 0.1 * np.exp(-((grid.x / 4.0) ** 2))
     series, _ = simulate_psystem(
-        PSystemSpec(r=2.0, eta2=0.5), grid, rho0, u0, T=10.0, nu=0.01
+        PSystemSpec(r=2.0), grid, rho0, u0, T=10.0, nu=0.01
     )
     assert check_monotone(series, "h1", tol_rel=1e-6)["passed"]
     assert series.channel("hstar").min() > 0.0

@@ -303,8 +303,7 @@ def test_flat_endpoint_skips_the_powers_and_the_curvature_gram_bitwise(k):
 
 def test_log_monitor_finite_and_positive():
     grid = Grid1D(L=100.0, N=1024, bc="periodic")
-    mon = LogWaveMonitor(WaveWeightSpec(kind="log", q=1.0, r=2.0, a=32.0),
-                         eta3=0.25)
+    mon = LogWaveMonitor(WaveWeightSpec(kind="log", q=1.0, r=2.0, a=32.0))
     rho = -2.0 * grid.x / 100.0 * np.exp(-((grid.x / 10.0) ** 2))
     u = 0.05 * np.exp(-((grid.x / 10.0) ** 2))
     e, h = mon.record(grid, 3.0, rho, u)
