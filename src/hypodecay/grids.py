@@ -153,6 +153,21 @@ def derivative(grid, pad, kernel):
     return out
 
 
+def floored_derivative(grid, pad, kernel, s):
+    """`correlate` with the five-tap kernel s * (0, -1, 0, 1, 0) minus a floor.
+
+    Compact grids leave the floor off their two end rows on each side: rows 1
+    and N-2 take s (f[i+1] - f[i-1]) alone, and rows 0 and N-1 its
+    one-sided form.
+    """
+    out = correlate(grid, pad, kernel)
+    if not grid.periodic:
+        out[1] = s * (pad[2] - pad[0])
+        out[-2] = s * (pad[-1] - pad[-3])
+        _one_sided_ends(pad, out, s)
+    return out
+
+
 def _columns(grid, f, kernel):
     """`correlate` of the (N,) field f, or of each column of an (N, k) one."""
     f = np.asarray(f, dtype=float)

@@ -3,9 +3,18 @@
     rho_t + u_x = 0
     u_t + rho_x = -|u|^{r-1} u,       1 < r < 3
 
-The damping is smooth and non-stiff for small |u|, so it rides inside
-the RK4 stages.  Alongside the plain norms, the run records the
-cross-coupled energy pair
+The solver steps the Riemann invariants p = rho + u and m = rho - u,
+in which the linear part decouples:
+
+    p_t = -(D + F) p - |u|^{r-1} u,    m_t = (D - F) m + |u|^{r-1} u,
+
+with D the centered d/dx, F the nu/dx fourth-difference floor and
+u = (p - m)/2.  RK4 commutes with this fixed change of variables, so
+this is the (rho, u) scheme up to roundoff, at one stencil pass per
+field and stage.  The damping is smooth and non-stiff for small |u|, so
+it rides inside the RK4 stages.  The record, the snapshots and the
+escape check read rho = (p + m)/2 and u = (p - m)/2.  Alongside the
+plain norms, the run records the cross-coupled energy pair
 
     wstar = ||(rho, u)||_{H^1}^2 + ETA2/r * int |u|^{r-1} u rho_x
     hstar = its exact dissipation rate,
@@ -20,8 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import RBandViolation
-from ..grids import (CENTERED, FOURTH_DIFFERENCE, check_escape, correlate, d_dx, derivative,
-                     escape_tol, ghost_pad)
+from ..grids import (CENTERED, FOURTH_DIFFERENCE, check_escape, d_dx, escape_tol,
+                     floored_derivative, ghost_pad)
 from .march import CFL, check_nu, march, rk4
 
 # The cross term's weight in the energy pair.
@@ -55,29 +64,39 @@ def simulate_psystem(pspec, grid, rho0, u0, T, nu=0.0, sample_stride=1,
     if wave is not None:
         wave.check_mass(grid, rho)
 
-    # -d/dx and the nu/dx floor, pre-scaled: each field is padded once per stage
-    minus_dx = (-1.0 / (2.0 * grid.dx)) * CENTERED
+    # -(D + F) for p and D - F for m, pre-scaled: one pad and one pass per field
+    half = 1.0 / (2.0 * grid.dx)
+    d_kernel = half * np.pad(CENTERED, 1)
     floor_kernel = (nu / grid.dx) * FOURTH_DIFFERENCE
+    p_kernel = -d_kernel - floor_kernel
+    m_kernel = d_kernel - floor_kernel
 
     def rhs(state):
-        rho, u = state
-        pr, pu = ghost_pad(grid, rho), ghost_pad(grid, u)
-        drho = derivative(grid, pu, minus_dx)
-        du = derivative(grid, pr, minus_dx)
+        p, m = state
+        dp = floored_derivative(grid, ghost_pad(grid, p), p_kernel, -half)
+        dm = floored_derivative(grid, ghost_pad(grid, m), m_kernel, half)
+        u = p - m
+        u *= 0.5
         damping = np.abs(u)
         if r != 2.0:  # pow(x, 1.0) is x: skip a full pass
             damping **= r - 1.0
         damping *= u
-        du -= damping
-        if nu > 0.0:
-            drho -= correlate(grid, pr, floor_kernel)
-            du -= correlate(grid, pu, floor_kernel)
-        return drho, du
+        dp -= damping
+        dm += damping
+        return dp, dm
+
+    def fields(state):
+        """(rho, u) = ((p + m)/2, (p - m)/2)."""
+        p, m = state
+        rho, u = p + m, p - m
+        rho *= 0.5
+        u *= 0.5
+        return rho, u
 
     tol = escape_tol(rho, u)
 
     def record(t, state):
-        rho, u = state
+        rho, u = fields(state)
         dr = d_dx(grid, rho)
         du_ = d_dx(grid, u)
         l22 = float(grid.qw @ (rho * rho + u * u))
@@ -118,5 +137,5 @@ def simulate_psystem(pspec, grid, rho0, u0, T, nu=0.0, sample_stride=1,
         return rk4(rhs, state, dt)
 
     meta = {"scheme": "rk4-centered", "nu": nu, "r": r, "eta2": ETA2}
-    return march((rho, u), T, dt_limit, step, record, sample_stride, snapshot_times,
-                 np.column_stack, meta)
+    return march((rho + u, rho - u), T, dt_limit, step, record, sample_stride,
+                 snapshot_times, lambda state: np.column_stack(fields(state)), meta)

@@ -33,6 +33,24 @@ _COND_TOL = 1e-12
 _MAX_DOUBLINGS = 60
 
 
+def _power(x, e):
+    """x ** e, taken by products when e is 0, 1, 2 or 3.
+
+    libm pow is slow on results that underflow, as the cubes of Gaussian
+    tails do; at q = 1 and r = 2 every exponent of the log family is
+    such an integer.
+    """
+    if e == 0.0:
+        return 1.0
+    if e == 1.0:
+        return x
+    if e == 2.0:
+        return x * x
+    if e == 3.0:
+        return x * x * x
+    return x**e
+
+
 @dataclass(frozen=True)
 class WaveWeightSpec:
     """Weight family for the wave-energy monitor.
@@ -83,11 +101,11 @@ class WaveWeightSpec:
         tq = 2.0 * self.q
         m = 2.0 * self.q - self.r + 1.0
         return (
-            logg**tq,
-            tq * logg ** (tq - 1.0) / g,
-            tq * logg ** (tq - 2.0) * ((tq - 1.0) - logg) / g**2,
-            logg**m / g**self.r,
-            logg ** (m - 1.0) * (m - self.r * logg) / g ** (self.r + 1.0),
+            _power(logg, tq),
+            tq * _power(logg, tq - 1.0) / g,
+            tq * _power(logg, tq - 2.0) * ((tq - 1.0) - logg) / g**2,
+            _power(logg, m) / _power(g, self.r),
+            _power(logg, m - 1.0) * (m - self.r * logg) / _power(g, self.r + 1.0),
         )
 
 
@@ -183,10 +201,11 @@ def log_wave_record(grid, t, wspec, w, wt, wx):
     """Log-weighted energy and dissipation for the nonlinearly damped wave."""
     p1, d1, d2, p2, dp2 = wspec.log_terms(t + grid.abs_x)
     rp1 = wspec.r + 1.0
+    w_rp1 = _power(np.abs(w), rp1)
     e = 0.5 * p1 * (wt**2 + wx**2) + ETA3 * (
-        d1 * w * wt - 0.5 * d2 * w**2 + p2 * np.abs(w) ** rp1
+        d1 * w * wt - 0.5 * d2 * w**2 + p2 * w_rp1
     )
-    h = p1 * np.abs(wt) ** rp1 + ETA3 * (d1 * wx**2 - dp2 * np.abs(w) ** rp1)
+    h = p1 * _power(np.abs(wt), rp1) + ETA3 * (d1 * wx**2 - dp2 * w_rp1)
     point_mass = -ETA3 * wspec.log_terms(t)[2] * float(w[grid.i0] ** 2)
     return float(grid.qw @ e), float(grid.qw @ h) + point_mass
 

@@ -14,12 +14,14 @@ from hypodecay.linalg import SystemSpec
 from hypodecay.solvers.linear import LinearSim, simulate_linear
 from hypodecay.solvers.psystem import PSystemSpec, simulate_psystem
 from hypodecay.solvers.waves import (
+    ETA3,
     LinearWaveMonitor,
     LogWaveMonitor,
     WaveWeightSpec,
     check_zero_mass,
     default_offset,
     linear_wave_monitor,
+    log_wave_record,
     power_wave_record,
     weight_conditions_ok,
 )
@@ -309,3 +311,90 @@ def test_log_monitor_finite_and_positive():
     e, h = mon.record(grid, 3.0, rho, u)
     assert e > 0.0
     assert np.isfinite(h)
+
+
+def _pow_log_terms(w, s):
+    """WaveWeightSpec.log_terms with every power taken by `**`."""
+    g = w.a + s
+    logg = np.log(g)
+    tq = 2.0 * w.q
+    m = 2.0 * w.q - w.r + 1.0
+    return (
+        logg**tq,
+        tq * logg ** (tq - 1.0) / g,
+        tq * logg ** (tq - 2.0) * ((tq - 1.0) - logg) / g**2,
+        logg**m / g**w.r,
+        logg ** (m - 1.0) * (m - w.r * logg) / g ** (w.r + 1.0),
+    )
+
+
+def _pow_log_wave_record(grid, t, w, wf, wt, wx):
+    """log_wave_record with every power taken by `**`."""
+    p1, d1, d2, p2, dp2 = _pow_log_terms(w, t + grid.abs_x)
+    rp1 = w.r + 1.0
+    e = 0.5 * p1 * (wt**2 + wx**2) + ETA3 * (
+        d1 * wf * wt - 0.5 * d2 * wf**2 + p2 * np.abs(wf) ** rp1
+    )
+    h = p1 * np.abs(wt) ** rp1 + ETA3 * (d1 * wx**2 - dp2 * np.abs(wf) ** rp1)
+    point_mass = -ETA3 * _pow_log_terms(w, t)[2] * float(wf[grid.i0] ** 2)
+    return float(grid.qw @ e), float(grid.qw @ h) + point_mass
+
+
+def _thm6_like_fields():
+    """rho, u on thm6's domain and a coarser grid: Gaussian tails whose cubes
+    underflow, and a w = antiderivative(rho) and a u that change sign."""
+    grid = Grid1D(L=400.0, N=2048, bc="periodic")
+    bump = np.exp(-((grid.x / 10.0) ** 2))
+    rho = 0.01 * (1.0 - grid.x**2 / 50.0) * bump
+    u = 0.005 * grid.x * bump
+    assert np.any((u != 0.0) & (u * u * u == 0.0))
+    return grid, rho, u
+
+
+def test_log_family_takes_integer_powers_by_products():
+    """At q = 1 and r = 2 every exponent is 0, 1, 2 or 3: the product forms
+    agree with `**` to a few ulps, term by term and in the wave record."""
+    w = WaveWeightSpec(kind="log", q=1.0, r=2.0, a=32.0)
+    s = np.linspace(0.0, 2400.0, 4097)
+    for got, want in zip(w.log_terms(s), _pow_log_terms(w, s)):
+        np.testing.assert_array_max_ulp(got, want, maxulp=2)
+    grid, rho, u = _thm6_like_fields()
+    wf = antiderivative(grid, rho)
+    for t in (0.0, 150.0):
+        got = log_wave_record(grid, t, w, wf, -u, rho)
+        want = _pow_log_wave_record(grid, t, w, wf, -u, rho)
+        np.testing.assert_array_max_ulp(np.array(got), np.array(want), maxulp=4)
+
+
+def test_log_family_keeps_pow_at_non_integer_exponents():
+    """At q = 0.75 and r = 1.5 the exponents 2q, 2q - 1, 2q - 2, r and r + 1
+    are not integers, so they go through `**` and match it bit for bit."""
+    w = WaveWeightSpec(kind="log", q=0.75, r=1.5, a=8.0)
+    s = np.linspace(0.0, 2400.0, 4097)
+    for got, want in zip(w.log_terms(s), _pow_log_terms(w, s)):
+        assert got.tobytes() == want.tobytes()
+    grid, rho, u = _thm6_like_fields()
+    wf = antiderivative(grid, rho)
+    assert (log_wave_record(grid, 150.0, w, wf, -u, rho)
+            == _pow_log_wave_record(grid, 150.0, w, wf, -u, rho))
+
+
+def test_log_offsets_unchanged_by_the_product_powers():
+    """The offsets the `**` forms chose: at thm6's s-range (T + L = 2400, also
+    in `test_default_offsets_frozen`), at its refinement sub-run's (410),
+    and at non-integer exponents."""
+    assert default_offset("log", 2400.0, q=1.0, r=2.0) == 32.0
+    assert default_offset("log", 410.0, q=1.0, r=2.0) == 32.0
+    assert default_offset("log", 2400.0, q=0.75, r=1.5) == 8.0
+
+
+def test_log_terms_and_wave_record_are_silent():
+    """Underflowing tails raise no warning in either log function."""
+    grid, rho, u = _thm6_like_fields()
+    wf = antiderivative(grid, rho)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for q, r, a in ((1.0, 2.0, 32.0), (0.75, 1.5, 8.0)):
+            w = WaveWeightSpec(kind="log", q=q, r=r, a=a)
+            w.log_terms(np.linspace(0.0, 2400.0, 4097))
+            log_wave_record(grid, 150.0, w, wf, -u, rho)
