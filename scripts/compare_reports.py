@@ -1,24 +1,39 @@
-"""Compare the report.json files of two registry output trees.
+"""Compare two registry output trees, or a tree with the committed reference.
 
     python3 scripts/compare_reports.py OLD_DIR NEW_DIR
+    python3 scripts/compare_reports.py --regenerate DIR
 
 Each tree is one that `scripts/run_registry.py --out DIR` writes, with a
-`<scenario>/report.json` per run.  Both trees must hold the same
-scenarios.  In each scenario every certificate's `measured` block must
-stay within perfbench's drift rule of the old one: `_drift` from
-`perfbench/run.py`, at the rtol and atol of `perfbench/reference.json`
-(1e-8 and 1e-11).  Its `passed` must be equal, and every other field of
-`report.json` must serialise to the same bytes.  Prints one line per
-difference and exits 1 on any, else 0.
+`<scenario>/report.json` and the run's `*.csv` files per scenario.
+
+Comparing: both trees must hold the same scenarios.  In each scenario
+every certificate's `measured` block must stay within perfbench's drift
+rule of the old one: `_drift` from `perfbench/run.py`, at the rtol and
+atol of `perfbench/reference.json` (1e-8 and 1e-11).  Its `passed` must
+be equal, and every other field of `report.json` must serialise to the
+same bytes.  Both scenario directories must hold the same `*.csv` files;
+each file must keep its header and row count, and every value must stay
+within the same drift rule.  Prints one line per difference (one per
+file for CSV values) and exits 1 on any, else 0.
+
+Regenerating: writes `tests/data/registry_measured.json`, each
+certificate's `passed` and `measured` by scenario, from DIR.  The tier-1
+suite checks the registry it runs against that file by the same rule
+(`check_reference`), so a change that moves a certified value beyond
+roundoff fails there.  Regenerate only on purpose, from a tree of the
+code that should be the new reference.
 """
 
 import argparse
+import csv
 import importlib.util
 import json
 import sys
 from pathlib import Path
 
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+ROOT = Path(__file__).resolve().parents[1]
+PERFBENCH = ROOT / "perfbench"
+REFERENCE = ROOT / "tests" / "data" / "registry_measured.json"
 
 
 def _perfbench_run():
@@ -29,53 +44,144 @@ def _perfbench_run():
     return module
 
 
-def _reports(root):
+def drift_rule():
+    """(drift, rtol, atol, seed-dependent certificate ids) of perfbench."""
+    ref = json.loads((PERFBENCH / "reference.json").read_text())
+    return _perfbench_run()._drift, ref["rtol"], ref["atol"], frozenset(ref["seed_dependent"])
+
+
+def reports(root):
     return {p.parent.name: json.loads(p.read_text())
             for p in sorted(Path(root).glob("*/report.json"))}
 
 
-def _split(report):
-    """(the certificates' measured blocks by id, the report without them)."""
-    measured = {c["id"]: c.pop("measured", None) for c in report.get("certificates", [])}
-    return measured, json.dumps(report, sort_keys=True)
+def _certificates(report):
+    return {c["id"]: c for c in report.get("certificates", [])}
 
 
-def compare(old_root, new_root, drift, rtol, atol):
-    """Every difference between the two trees, one line each."""
-    old, new = _reports(old_root), _reports(new_root)
+def compare_certificates(name, old, new, rule, measured_too=True):
+    """Differences between two reports' certificates: passed, and measured by the rule."""
+    drift, rtol, atol, seed_dependent = rule
+    old, new = _certificates(old), _certificates(new)
+    problems = []
+    for cid in sorted(set(old) & set(new)):
+        if measured_too or cid not in seed_dependent:
+            problems += [f"{name}: {p}" for p in drift(new[cid].get("measured"),
+                                                       old[cid].get("measured"),
+                                                       rtol, atol, cid)]
+    old_passed = {cid: c["passed"] for cid, c in old.items()}
+    new_passed = {cid: c["passed"] for cid, c in new.items()}
+    if old_passed != new_passed:
+        problems.append(f"{name}: passed {new_passed} != {old_passed}")
+    return problems
+
+
+def _rest(report):
+    """The report without its certificates' measured blocks, as bytes to compare."""
+    report = json.loads(json.dumps(report))
+    for c in report.get("certificates", []):
+        c.pop("measured", None)
+    return json.dumps(report, sort_keys=True)
+
+
+def _cells(row):
+    out = []
+    for cell in row:
+        try:
+            out.append(float(cell))
+        except ValueError:
+            out.append(cell)
+    return out
+
+
+def _read_csv(path):
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    return rows[:1], [_cells(r) for r in rows[1:]]
+
+
+def compare_csvs(name, old_dir, new_dir, rule):
+    """Differences between the `*.csv` files of two scenario directories."""
+    drift, rtol, atol, _ = rule
+    old = {p.name for p in old_dir.glob("*.csv")}
+    new = {p.name for p in new_dir.glob("*.csv")}
+    problems = [f"{name}/{f}: in only one tree" for f in sorted(old ^ new)]
+    for f in sorted(old & new):
+        (old_head, old_rows), (new_head, new_rows) = _read_csv(old_dir / f), _read_csv(new_dir / f)
+        if old_head != new_head:
+            problems.append(f"{name}/{f}: header {new_head} != {old_head}")
+        elif len(old_rows) != len(new_rows):
+            problems.append(f"{name}/{f}: {len(new_rows)} rows != {len(old_rows)}")
+        else:
+            bad = [p for i, (n, o) in enumerate(zip(new_rows, old_rows), 1)
+                   for p in drift(n, o, rtol, atol, f"row {i}")]
+            if bad:
+                problems.append(f"{name}/{f}: {len(bad)} differences, the first {bad[0]}")
+    return problems
+
+
+def compare(old_root, new_root, rule):
+    """Every difference between the two trees, and the number of scenarios seen."""
+    old, new = reports(old_root), reports(new_root)
     problems = [f"{name}: report.json in only one tree"
                 for name in sorted(set(old) ^ set(new))]
     if not old and not new:
         problems.append("no <scenario>/report.json in either tree")
     for name in sorted(set(old) & set(new)):
-        (old_measured, old_rest), (new_measured, new_rest) = _split(old[name]), _split(new[name])
-        for cid in sorted(set(old_measured) & set(new_measured)):
-            problems += [f"{name}: {p}" for p in
-                         drift(new_measured[cid], old_measured[cid], rtol, atol, cid)]
-        old_passed = {c["id"]: c["passed"] for c in old[name].get("certificates", [])}
-        new_passed = {c["id"]: c["passed"] for c in new[name].get("certificates", [])}
-        if old_passed != new_passed:
-            problems.append(f"{name}: passed {new_passed} != {old_passed}")
-        if old_rest != new_rest:
+        problems += compare_certificates(name, old[name], new[name], rule)
+        if _rest(old[name]) != _rest(new[name]):
             problems.append(f"{name}: report.json differs outside the measured blocks")
+        problems += compare_csvs(name, Path(old_root) / name, Path(new_root) / name, rule)
     return problems, len(set(old) | set(new))
+
+
+def reference_of(tree_reports):
+    """{scenario: {certificate id: {passed, measured}}}: what the reference file holds."""
+    return {name: {c["id"]: {"passed": c["passed"], "measured": c.get("measured")}
+                   for c in report.get("certificates", [])}
+            for name, report in sorted(tree_reports.items())}
+
+
+def check_reference(reference, tree_reports, rule):
+    """Differences of a tree's reports from the reference file.
+
+    Seed-dependent certificates are held to `passed` only.
+    """
+    problems = [f"{name}: in only one of the reference and the tree"
+                for name in sorted(set(reference) ^ set(tree_reports))]
+    for name in sorted(set(reference) & set(tree_reports)):
+        want = {"certificates": [{"id": cid, **c} for cid, c in reference[name].items()]}
+        problems += compare_certificates(name, want, tree_reports[name], rule,
+                                         measured_too=False)
+    return problems
 
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("old", help="registry output tree of the old code")
-    ap.add_argument("new", help="registry output tree of the new code")
+    ap.add_argument("trees", nargs="+", metavar="DIR",
+                    help="OLD_DIR NEW_DIR to compare, or one DIR with --regenerate")
+    ap.add_argument("--regenerate", action="store_true",
+                    help="write tests/data/registry_measured.json from the one tree DIR")
     args = ap.parse_args()
-    for root in (args.old, args.new):
+    if len(args.trees) != (1 if args.regenerate else 2):
+        ap.error("give OLD_DIR NEW_DIR, or --regenerate DIR")
+    for root in args.trees:
         if not Path(root).is_dir():
             ap.error(f"{root} is not a directory")
-    ref = json.loads((PERFBENCH / "reference.json").read_text())
-    problems, count = compare(args.old, args.new, _perfbench_run()._drift,
-                              ref["rtol"], ref["atol"])
+    if args.regenerate:
+        found = reports(args.trees[0])
+        if not found:
+            ap.error(f"no <scenario>/report.json under {args.trees[0]}")
+        REFERENCE.parent.mkdir(parents=True, exist_ok=True)
+        REFERENCE.write_text(json.dumps(reference_of(found), indent=1, sort_keys=True) + "\n")
+        print(f"wrote {REFERENCE}: {len(found)} scenarios")
+        return 0
+    rule = drift_rule()
+    problems, count = compare(*args.trees, rule)
     for p in problems:
         print(p)
     print(f"{count} scenarios compared, {len(problems)} differences "
-          f"(rtol {ref['rtol']:g}, atol {ref['atol']:g})")
+          f"(rtol {rule[1]:g}, atol {rule[2]:g})")
     return 1 if problems else 0
 
 

@@ -2,13 +2,16 @@
 
 The whole scenario registry is executed once through the batch driver
 (four workers) and every criterion is then asserted against the written
-reports, so `pytest -v` prints one pass/fail line per criterion.  The
-final test re-runs the registry serially and demands byte-identical
-outputs, which keeps the other twelve honest: they grade artifacts any
-user can regenerate exactly.
+reports, so `pytest -v` prints one pass/fail line per criterion.  One
+test holds every certificate's measured values to the committed
+reference at roundoff level.  The final test re-runs the registry
+serially and demands byte-identical outputs, which keeps the others
+honest: they grade artifacts any user can regenerate exactly.
 """
 
+import importlib.util
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,6 +32,14 @@ def registry(tmp_path_factory):
     out = root / "jobs4"
     agg = batch(sorted(cfg_dir.glob("*.json")), out, jobs=4)
     return {"cfg_dir": cfg_dir, "out": out, "agg": agg}
+
+
+def _compare_reports():
+    path = Path(__file__).resolve().parents[1] / "scripts" / "compare_reports.py"
+    spec = importlib.util.spec_from_file_location("compare_reports", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def report(reg, name):
@@ -223,6 +234,18 @@ def test_criterion_12_comparison_inequality(registry):
     assert claim["slack_rel"] == 1e-6
 
 
+def test_registry_matches_the_committed_reference(registry):
+    """Every certificate keeps its `passed` and, within perfbench's drift rule,
+    its `measured` block of `tests/data/registry_measured.json`, which
+    `scripts/compare_reports.py --regenerate` writes; seed-dependent
+    certificates keep `passed` only."""
+    module = _compare_reports()
+    reference = json.loads(module.REFERENCE.read_text())
+    problems = module.check_reference(reference, module.reports(registry["out"]),
+                                      module.drift_rule())
+    assert problems == []
+
+
 def test_criterion_13_batch_determinism_and_isolation(registry, tmp_path):
     """Running the registry with 1 worker reproduces the 4-worker outputs
     byte for byte (timing sidecars aside); each sweep finishes in 20 min."""
@@ -251,3 +274,4 @@ def test_criterion_13_batch_determinism_and_isolation(registry, tmp_path):
     for root in (registry["out"], serial_out):
         wall = json.loads((root / "batch_timing.json").read_text())["wall_s"]
         assert wall <= 1200.0
+

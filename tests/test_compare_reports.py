@@ -1,4 +1,5 @@
-"""`scripts/compare_reports.py` holds two registry trees to perfbench's drift rule."""
+"""`scripts/compare_reports.py` holds two registry trees, or a tree and the
+committed reference, to perfbench's drift rule."""
 
 import copy
 import importlib.util
@@ -29,10 +30,16 @@ def compare_reports():
     return module
 
 
-def _tree(root, reports):
+SERIES = "t,l2,dx_l2\n0.0,5.006623887043045,0.5\n0.078125,4.822167886264002,1.2e-300\n"
+
+
+def _tree(root, reports, csvs=None):
     for name, report in reports.items():
         (root / name).mkdir(parents=True)
         (root / name / "report.json").write_text(json.dumps(report, indent=2))
+    for name, files in (csvs or {}).items():
+        for file, text in files.items():
+            (root / name / file).write_text(text)
     return root
 
 
@@ -91,3 +98,58 @@ def test_a_scenario_in_one_tree_only_fails(compare_reports, monkeypatch, capsys,
     (tmp_path / "empty").mkdir()
     code, out = _run(compare_reports, monkeypatch, capsys, tmp_path / "empty", tmp_path / "empty")
     assert code == 1
+
+
+@pytest.mark.parametrize("series, message", [
+    (SERIES.replace("4.822167886264002", "4.822167986264002"),
+     "series.csv: 1 differences, the first row 2[1]: 4.822167986264002 drifted"),
+    (SERIES.replace("dx_l2", "dx_l1"), "series.csv: header"),
+    (SERIES.rsplit("0.078125", 1)[0], "series.csv: 1 rows != 2"),
+    (None, "thm6_psystem_log/series.csv: in only one tree"),
+])
+def test_any_csv_difference_fails(compare_reports, monkeypatch, capsys, tmp_path,
+                                  series, message):
+    old = _tree(tmp_path / "old", {"thm6_psystem_log": REPORT},
+                {"thm6_psystem_log": {"series.csv": SERIES}})
+    new = _tree(tmp_path / "new", {"thm6_psystem_log": REPORT},
+                {"thm6_psystem_log": {} if series is None else {"series.csv": series}})
+    code, out = _run(compare_reports, monkeypatch, capsys, old, new)
+    assert code == 1
+    assert message in out
+
+
+def test_csv_roundoff_moves_pass(compare_reports, monkeypatch, capsys, tmp_path):
+    moved = SERIES.replace("4.822167886264002", repr(4.822167886264002 * (1 + 1e-12)))
+    moved = moved.replace("1.2e-300", "0.0")
+    assert moved != SERIES
+    old = _tree(tmp_path / "old", {"thm6_psystem_log": REPORT},
+                {"thm6_psystem_log": {"series.csv": SERIES}})
+    new = _tree(tmp_path / "new", {"thm6_psystem_log": REPORT},
+                {"thm6_psystem_log": {"series.csv": moved}})
+    code, out = _run(compare_reports, monkeypatch, capsys, old, new)
+    assert code == 0, out
+
+
+def test_regenerated_reference_checks_a_tree(compare_reports, monkeypatch, capsys, tmp_path):
+    """`--regenerate` writes what `check_reference` reads; seed-dependent
+    certificates are held to `passed` only."""
+    tree = _tree(tmp_path / "tree", {"thm6_psystem_log": REPORT})
+    monkeypatch.setattr(compare_reports, "REFERENCE", tmp_path / "data" / "reference.json")
+    monkeypatch.setattr(sys, "argv", ["compare_reports.py", "--regenerate", str(tree)])
+    assert compare_reports.main() == 0
+    reference = json.loads(compare_reports.REFERENCE.read_text())
+    assert reference["thm6_psystem_log"]["thm6:monotone"] == {
+        "measured": {"max_increase": -5.1e-08}, "passed": True}
+
+    drift, rtol, atol, _ = compare_reports.drift_rule()
+    rule = (drift, rtol, atol, frozenset({"thm6:bounded"}))
+    check = compare_reports.check_reference
+    reports = {"thm6_psystem_log": REPORT}
+    assert check(reference, reports, rule) == []
+    reseeded = _edited(lambda r: r["certificates"][0]["measured"].update(ratio=0.5))
+    assert check(reference, {"thm6_psystem_log": reseeded}, rule) == []
+    drifted = _edited(lambda r: r["certificates"][1]["measured"].update(max_increase=-5e-08))
+    assert "max_increase" in check(reference, {"thm6_psystem_log": drifted}, rule)[0]
+    failed = _edited(lambda r: r["certificates"][0].update(passed=False))
+    assert "passed" in check(reference, {"thm6_psystem_log": failed}, rule)[0]
+    assert "in only one" in check(reference, {}, rule)[0]
