@@ -1,28 +1,38 @@
 """Time integration of the linear partially dissipative system.
 
-State layout: U is (N, n) with the undamped components first.  The
-damping block acts stiffly for large kappa, so it is split off and
-applied exactly: half-step matrix exponential, RK4 on the advection
-(centered differences), half-step exponential again — second order
-overall, with no time-step restriction from the damping strength.
+The scheme: the damping block acts stiffly for large kappa, so it is
+split off and applied exactly: half-step matrix exponential, RK4 on the
+advection (centered differences), half-step exponential again — second
+order overall, with no time-step restriction from the damping strength.
+`reference_step` writes it out on an (N, n) state with the undamped
+components first.  The advection matrix carries the sign and 1/(2 dx).
 
-Small matrices act from the right, U @ M^T, each M^T built once
-C-contiguous (numpy sends a transposed view to a slow generic loop).
-The advection matrix carries the sign and 1/(2 dx); a sample reads every
-norm from one Gram matrix of the rows [U^T; (d_x U)^T].
+That step is one linear, translation-invariant map, so `compile_step`
+reads it once per (sim, dt) off the reference step's impulse responses:
+an n x n block of (2b+1)-tap kernels, and on compact grids one dense
+block for the b end rows at each side.  No coefficient is derived by
+hand.  `simulate_linear` carries the state as C-contiguous (n, N) rows
+and steps it with n^2 `np.correlate` calls after one ghost pad.  Its
+`record` reads U as the free `.T` view, and a sample reads every norm
+from one Gram matrix of the rows [U^T; (d_x U)^T].
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from ..corrector import lyapunov_value
 from ..errors import CflViolation
-from ..grids import (check_escape, d_dx, escape_tol, first_difference, gram, l2_norm,
-                     subtract_floor)
+from ..grids import (Grid1D, check_escape, d_dx, escape_tol, first_difference, gram,
+                     l2_norm, subtract_floor)
 from ..linalg import jacobi_eigensystem, expm_sym
 from .march import CFL, check_nu, march, rk4, step_size
+
+# numpy's `correlate` runs kernels of up to 11 taps on a fast path and
+# longer ones several times slower, so a longer kernel is applied in
+# pieces of at most this many taps.
+TAPS_PER_PIECE = 9
 
 
 @dataclass(frozen=True)
@@ -44,6 +54,12 @@ class LinearSim:
         object.__setattr__(self, "advection",
                            np.ascontiguousarray(-self.spec.A.T / (2.0 * self.grid.dx)))
 
+    @property
+    def reach(self):
+        """Cells one step reads on each side: four RK4 stages of a one-cell
+        difference, or of the two-cell fourth-difference floor."""
+        return 8 if self.nu > 0.0 else 4
+
 
 def damping_half_step(spec, dt):
     """Exact propagator exp(-B dt/2) of the relaxation block, transposed.
@@ -58,16 +74,139 @@ def advection_rhs(sim, U):
     return subtract_floor(sim.grid, dU, U, sim.nu)
 
 
-def step_linear(U, sim, dt=None, half=None):
-    """One Strang-split step: exact damping, RK4 advection, exact damping."""
-    if dt is None:
-        dt = sim.dt
+def reference_step(U, sim, dt, half):
+    """The Strang-split step as the scheme defines it, on an (N, n) state:
+    exact damping, RK4 advection, exact damping; half = damping_half_step."""
+    return rk4(lambda V: advection_rhs(sim, V), U @ half, dt) @ half
+
+
+def _responses(sim, dt, half, j, q, period):
+    """The reference step of unit impulses in component j at rows q, q + period, ..."""
+    U = np.zeros((sim.grid.N, sim.spec.n))
+    U[q::period, j] = 1.0
+    return reference_step(U, sim, dt, half)
+
+
+def _reads(grid, q, period, b):
+    """(k, hit) per row i for impulses at rows m = q (mod period).
+
+    Row i reads rows i - b..i + b, or rows 0..2b-1 (N-2b..N-1) if it is
+    one of the b end rows of a compact grid.  hit[i] says whether an
+    impulse lies in that window, k[i] = m - i for the one that does: the
+    period exceeds every window.
+    """
+    i = np.arange(grid.N)
+    if grid.periodic:  # grid.N is a multiple of the period
+        k = (q - i + period // 2) % period - period // 2
+        return k, np.abs(k) <= b
+    lo = np.clip(i - b, 0, grid.N - 2 * b)
+    end = (i < b) | (i >= grid.N - b)
+    m = lo + (q - lo) % period
+    return m - i, m < lo + np.where(end, 2 * b, 2 * b + 1)
+
+
+def _check_band(R, hit, where):
+    if R[~hit].any():
+        raise AssertionError(f"{where}: a response outside the band is not 0")
+
+
+def _check_kernel(R, kernel, where):
+    if not np.array_equal(R, kernel):
+        raise AssertionError(f"{where}: an interior row differs from the kernel")
+
+
+def _kernels(sim, dt, half, b):
+    """(n, n, 2b+1) taps: K[c, j, b + k] is what row i + k of component j
+    adds to row i of component c.  Read off the reference step on a small
+    periodic grid with the run's dx, two impulses per component."""
+    period = 1 << (2 * b + 1).bit_length()
+    small = Grid1D(L=period * sim.grid.dx, N=2 * period)
+    if small.dx != sim.grid.dx:
+        raise AssertionError(f"kernel grid dx {small.dx!r} != run dx {sim.grid.dx!r}")
+    small_sim = replace(sim, grid=small)
+    K = np.zeros((sim.spec.n, sim.spec.n, 2 * b + 1))
+    k, hit = _reads(small, 0, period, b)
+    for j in range(sim.spec.n):
+        R = _responses(small_sim, dt, half, j, 0, period)
+        _check_band(R, hit, "kernel")
+        K[:, j, b + k[hit]] = R[hit].T
+        _check_kernel(R[hit], K[:, j, b + k[hit]].T, "kernel")
+    return K
+
+
+def _end_blocks(sim, dt, half, b, K):
+    """The (n b, 2 n b) blocks of the b end rows at each side of a compact grid.
+
+    Row c b + i of the left block holds what rows 0..2b-1 of each
+    component add to row i of component c, component-major; the right
+    block does the same for the last b rows.  Every interior response
+    must equal the kernel bit for bit.
+    """
+    n, N = sim.spec.n, sim.grid.N
+    left, right = np.zeros((n, b, n, 2 * b)), np.zeros((n, b, n, 2 * b))
+    period = 2 * b + 2
+    interior = np.zeros(N, dtype=bool)
+    interior[b:N - b] = True
+    for q in range(period):
+        k, hit = _reads(sim.grid, q, period, b)
+        rows = np.flatnonzero(hit)
+        for j in range(n):
+            R = _responses(sim, dt, half, j, q, period)
+            _check_band(R, hit, "end blocks")
+            inner = interior[rows]
+            _check_kernel(R[rows[inner]], K[:, j, b + k[rows[inner]]].T, "end blocks")
+            for i in rows[~inner]:
+                if i < b:
+                    left[:, i, j, i + k[i]] = R[i]
+                else:
+                    right[:, i - (N - b), j, i + k[i] - (N - 2 * b)] = R[i]
+    return left.reshape(n * b, 2 * n * b), right.reshape(n * b, 2 * n * b)
+
+
+def compile_step(sim, dt):
+    """The reference step of size dt as a map of C-contiguous (n, N) rows.
+
+    Every kernel and end block is an impulse response of `reference_step`;
+    building them asserts that each response outside the band is exactly
+    0 and each interior row equals the kernel bit for bit.  Raises
+    CflViolation when dt exceeds the advective limit.
+    """
     if dt > sim.dt * (1.0 + 1e-12):
         raise CflViolation(f"dt {dt:.3e} exceeds the advective limit {sim.dt:.3e}")
-    if half is None:
-        half = damping_half_step(sim.spec, dt)
-    U = rk4(lambda V: advection_rhs(sim, V), U @ half, dt)
-    return U @ half
+    half = damping_half_step(sim.spec, dt)
+    b, n, N = sim.reach, sim.spec.n, sim.grid.N
+    K = _kernels(sim, dt, half, b)
+    ends = None if sim.grid.periodic else _end_blocks(sim, dt, half, b, K)
+    pieces = [(s, K[:, :, s:s + TAPS_PER_PIECE].copy())
+              for s in range(0, 2 * b + 1, TAPS_PER_PIECE)]
+
+    def step(V):
+        out = np.empty_like(V)
+        if ends is None:
+            src, body = np.concatenate((V[:, -b:], V, V[:, :b]), axis=1), out
+        else:
+            src, body = V, out[:, b:N - b]
+            out[:, :b] = (ends[0] @ V[:, :2 * b].reshape(-1)).reshape(n, b)
+            out[:, N - b:] = (ends[1] @ V[:, N - 2 * b:].reshape(-1)).reshape(n, b)
+        width = body.shape[1]
+        for c in range(n if width else 0):  # a compact grid of 2b rows is all ends
+            terms = [np.correlate(src[j, s:s + width + piece.shape[2] - 1], piece[c, j])
+                     for s, piece in pieces for j in range(n)]
+            np.add(terms[0], terms[1], out=body[c])
+            for term in terms[2:]:
+                body[c] += term
+        return out
+
+    return step
+
+
+def step_linear(U, sim, dt=None):
+    """One step of the compiled map on an (N, n) state: the reference step
+    up to roundoff.  Raises CflViolation when dt exceeds sim.dt."""
+    if dt is None:
+        dt = sim.dt
+    rows = np.ascontiguousarray(np.asarray(U, dtype=float).T)
+    return compile_step(sim, dt)(rows).T
 
 
 def simulate_linear(sim, U0, T, sample_stride=1, coeffs=None, weight=None,
@@ -84,16 +223,17 @@ def simulate_linear(sim, U0, T, sample_stride=1, coeffs=None, weight=None,
     if U.shape != (grid.N, spec.n):
         raise ValueError(f"U0 must have shape ({grid.N}, {spec.n}), got {U.shape}")
     _, dt = step_size(T, sim.dt)
-    half = damping_half_step(spec, dt)
+    step = compile_step(sim, dt)
     if wave is not None:
         wave.check_mass(grid, U[:, : spec.n1])
     tol = escape_tol(U)
     n, n1 = spec.n, spec.n1
     w2 = None if weight is None else weight.values(grid.x) ** 2
 
-    def record(t, U):
+    def record(t, V):
+        U = V.T
         rows = np.empty((2 * n, grid.N))  # C order: BLAS' fast path for gram
-        rows[:n] = U.T
+        rows[:n] = V
         rows[n:] = d_dx(grid, U).T
         G = gram(grid, rows)
         sq = G.diagonal()
@@ -114,8 +254,6 @@ def simulate_linear(sim, U0, T, sample_stride=1, coeffs=None, weight=None,
         check_escape(grid, t, tol, U)
         return row
 
-    def step(U, dt):
-        return step_linear(U, sim, dt=dt, half=half)
-
-    return march(U, T, sim.dt, step, record, sample_stride, snapshot_times,
-                 np.copy, {"scheme": "strang-exp/rk4-centered", "nu": sim.nu})
+    return march(np.ascontiguousarray(U.T), T, sim.dt, lambda V, _: step(V), record,
+                 sample_stride, snapshot_times, lambda V: V.T.copy(),
+                 {"scheme": "strang-exp/rk4-centered", "nu": sim.nu})

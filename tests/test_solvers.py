@@ -23,12 +23,14 @@ from hypodecay.grids import (CENTERED, FOURTH_DIFFERENCE, Grid1D, WeightSpec, co
                              derivative, floored_derivative, fourth_difference, ghost_pad,
                              inner, l2_norm)
 from hypodecay.linalg import SystemSpec, expm_sym
+from hypodecay.solvers import linear as linear_module
 from hypodecay.solvers import march as march_module
 from hypodecay.solvers.euler import EulerSpec, simulate_euler
 from hypodecay.solvers.heat import heat_solve
 from hypodecay.solvers.linear import (
     LinearSim,
     advection_rhs,
+    compile_step,
     damping_half_step,
     simulate_linear,
     step_linear,
@@ -576,6 +578,65 @@ def test_registry_linear_operands_match_the_transposed_views():
     U = np.random.default_rng(3).standard_normal((grid.N, 2))
     _assert_roundoff_close(advection_rhs(sim, U), -d_dx(grid, U) @ sim.spec.A.T)
     _assert_roundoff_close(step_linear(U, sim), _transposed_view_step(U, sim, sim.dt))
+
+
+# An A with a zero eigenvalue: one characteristic speed is 0.
+ZERO_SPEED = SystemSpec(A=np.array([[1.0, 1.0], [1.0, 1.0]]), D=np.array([[2.0]]), n1=1)
+
+
+@pytest.mark.parametrize("bc", ["periodic", "compact_support"])
+@pytest.mark.parametrize("nu", [0.0, 0.01])
+@pytest.mark.parametrize("shape", [(2, 1), (3, 1), (4, 2), None],
+                         ids=["2-1", "3-1", "4-2", "zero-speed"])
+def test_compiled_step_matches_transposed_views(shape, bc, nu):
+    """One compiled step within the operand bound of the reference written
+    with `@ M.T`, and 20 steps within 20 times that bound.  The random
+    data fill the compact grid's end rows, so the end blocks are read."""
+    rng = np.random.default_rng(7)
+    spec = ZERO_SPEED if shape is None else _random_spec(rng, *shape)
+    grid = Grid1D(L=10.0, N=96, bc=bc)
+    sim = LinearSim(spec=spec, grid=grid, nu=nu)
+    U = rng.standard_normal((grid.N, spec.n))
+    step = compile_step(sim, sim.dt)
+    V = np.ascontiguousarray(U.T)
+    _assert_roundoff_close(step(V).T, _transposed_view_step(U, sim, sim.dt))
+    want = U
+    for _ in range(20):
+        V = step(V)
+        want = _transposed_view_step(want, sim, sim.dt)
+    assert np.abs(V.T - want).max() <= 20 * 1e-15 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("bc", ["periodic", "compact_support"])
+def test_compiled_step_build_checks_fire(monkeypatch, bc):
+    """The build refuses a response outside its band, an interior row that
+    is not the kernel, and a kernel grid whose dx is not the run's."""
+    sim = LinearSim(spec=STANDARD, grid=Grid1D(L=10.0, N=96, bc=bc))
+    compile_step(sim, sim.dt)
+    with monkeypatch.context() as m:  # four RK4 stages reach 4 cells, not 3
+        m.setattr(LinearSim, "reach", property(lambda self: 3))
+        with pytest.raises(AssertionError, match="outside the band"):
+            compile_step(sim, sim.dt)
+
+    rhs = linear_module.advection_rhs
+    for rows, where in ((None, "kernel"), (sim.grid.N, "end blocks")):
+        if where == "end blocks" and bc == "periodic":
+            continue  # a periodic build never steps the run's grid
+
+        def uneven_rhs(sim_, V):  # no longer translation invariant at row 20
+            dV = rhs(sim_, V)
+            if rows in (None, len(V)):
+                dV[20] *= 1.0 + 2.0**-40
+            return dV
+
+        with monkeypatch.context() as m:
+            m.setattr(linear_module, "advection_rhs", uneven_rhs)
+            with pytest.raises(AssertionError, match=f"{where}: an interior row differs"):
+                compile_step(sim, sim.dt)
+    with monkeypatch.context() as m:
+        m.setattr(linear_module, "Grid1D", lambda L, N: Grid1D(L=1.5 * L, N=N))
+        with pytest.raises(AssertionError, match="dx"):
+            compile_step(sim, sim.dt)
 
 
 def test_linear_operands_are_c_contiguous():
