@@ -9,8 +9,9 @@ components first.  The advection matrix carries the sign and 1/(2 dx).
 
 That step is one linear, translation-invariant map, so `compile_step`
 reads it once per (sim, dt) off the reference step's impulse responses:
-an n x n block of (2b+1)-tap kernels, and on compact grids one dense
-block for the b end rows at each side.  No coefficient is derived by
+an n x n block of (2b+1)-tap kernels (b = 4, or 8 with the
+fourth-difference floor), and on compact grids one dense block for the
+b end rows at each side.  No coefficient is derived by
 hand.  `simulate_linear` carries the state as C-contiguous (n, N) rows
 and steps it with n^2 `np.correlate` calls after one ghost pad.  Its
 `record` reads U as the free `.T` view, and a sample reads every norm
@@ -117,8 +118,14 @@ def _check_kernel(R, kernel, where):
 
 def _kernels(sim, dt, half, b):
     """(n, n, 2b+1) taps: K[c, j, b + k] is what row i + k of component j
-    adds to row i of component c.  Read off the reference step on a small
-    periodic grid with the run's dx, two impulses per component."""
+    adds to row i of component c.
+
+    Read off the reference step on a periodic grid of two periods, with
+    impulses at rows 0 and `period` of each component.  The period is a
+    power of two, so the grid's dx = 2 (period dx) / (2 period) is the
+    run's exactly, and it exceeds 2b + 1, so some rows lie outside both
+    bands.
+    """
     period = 1 << (2 * b + 1).bit_length()
     small = Grid1D(L=period * sim.grid.dx, N=2 * period)
     if small.dx != sim.grid.dx:
@@ -145,15 +152,13 @@ def _end_blocks(sim, dt, half, b, K):
     n, N = sim.spec.n, sim.grid.N
     left, right = np.zeros((n, b, n, 2 * b)), np.zeros((n, b, n, 2 * b))
     period = 2 * b + 2
-    interior = np.zeros(N, dtype=bool)
-    interior[b:N - b] = True
     for q in range(period):
         k, hit = _reads(sim.grid, q, period, b)
         rows = np.flatnonzero(hit)
+        inner = (rows >= b) & (rows < N - b)
         for j in range(n):
             R = _responses(sim, dt, half, j, q, period)
             _check_band(R, hit, "end blocks")
-            inner = interior[rows]
             _check_kernel(R[rows[inner]], K[:, j, b + k[rows[inner]]].T, "end blocks")
             for i in rows[~inner]:
                 if i < b:
@@ -202,7 +207,11 @@ def compile_step(sim, dt):
 
 def step_linear(U, sim, dt=None):
     """One step of the compiled map on an (N, n) state: the reference step
-    up to roundoff.  Raises CflViolation when dt exceeds sim.dt."""
+    up to roundoff.  Raises CflViolation when dt exceeds sim.dt.
+
+    It compiles the map on every call; to take many steps, call the map
+    that `compile_step` returns, as `simulate_linear` does.
+    """
     if dt is None:
         dt = sim.dt
     rows = np.ascontiguousarray(np.asarray(U, dtype=float).T)
