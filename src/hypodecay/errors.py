@@ -2,10 +2,13 @@
 
 Three rough groups, matching how the CLI maps failures to exit codes:
 configuration problems (bad matrices, bad parameter ranges, initial
-data a wave monitor cannot use), numerical guard trips during a run
+data refused before the first step), numerical guard trips during a run
 (CFL, vacuum, smallness, boundary escape), and certificate machinery
-errors raised by the analysis layer.
+errors raised by the analysis layer.  A guard that trips on the initial
+data raises its own exception made an InitialDataRejected by `rejected`.
 """
+
+import copy
 
 
 class HypodecayError(Exception):
@@ -48,7 +51,11 @@ class MuOutOfRange(HypodecayError):
     """Weight exponent outside the admissible range (needs mu > 1/2)."""
 
 
-class MassNotZero(HypodecayError):
+class InitialDataRejected(HypodecayError):
+    """Initial data refused before the first step: a configuration problem."""
+
+
+class MassNotZero(InitialDataRejected):
     """A wave monitor's antiderivative needs zero-mass initial data.
 
     Raised by the solver before its first step.
@@ -82,6 +89,14 @@ class NonFiniteState(HypodecayError):
     def __init__(self, message, time=None):
         super().__init__(message)
         self.time = time
+
+
+def rejected(exc):
+    """A copy of the guard exception `exc`, fields included, that is also an
+    InitialDataRejected: the guard tripped on the initial data."""
+    out = copy.copy(exc)
+    out.__class__ = type(type(exc).__name__, (type(exc), InitialDataRejected), {})
+    return out
 
 
 # --- analysis ----------------------------------------------------------

@@ -35,7 +35,7 @@ from ..corrector import (
     select_weighted_coefficients,
     weighted_data_size,
 )
-from ..errors import HypodecayError, MassNotZero, SKConditionFails
+from ..errors import HypodecayError, InitialDataRejected, SKConditionFails
 from ..grids import Grid1D, WeightSpec
 from ..linalg import SystemSpec, min_eig_sym
 from ..solvers import (
@@ -646,10 +646,10 @@ RUN_ERRORS = (HypodecayError, ValueError, FloatingPointError, ZeroDivisionError)
 def failure(exc):
     """Exit code and label of an exception: 2 config, 3 numerical or internal.
 
-    A MassNotZero is raised by a solver before its first step, so it is
-    rejected initial data: exit 2 like a ConfigError.
+    An InitialDataRejected is raised before the first step, by a solver's
+    own check or by a guard at the step-0 sample: exit 2 like a ConfigError.
     """
-    if isinstance(exc, (ConfigError, MassNotZero)):
+    if isinstance(exc, (ConfigError, InitialDataRejected)):
         return 2, "config error"
     if isinstance(exc, RUN_ERRORS):
         return 3, f"numerical failure: {type(exc).__name__}"

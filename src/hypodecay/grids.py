@@ -5,6 +5,11 @@ quadrature and centered differences satisfy summation-by-parts exactly.
 Compact-support grids include both endpoints (dx = 2L/(N-1)) with the
 usual half-weight trapezoid ends; derivative stencils fall back to
 second-order one-sided forms there.
+
+Every stencil is one engine: `ghost_pad` pads a periodic field with wrap
+cells (a compact field is its own pad) and `correlate` applies a kernel
+to the pad with `np.correlate`.  `d_dx`, `fourth_difference` and
+`subtract_floor` lift it to (N, k) fields one column at a time.
 """
 
 import math
@@ -71,65 +76,17 @@ FOURTH_DIFFERENCE = np.array([1.0, -4.0, 6.0, -4.0, 1.0])
 GHOSTS = 2
 
 
-def _layout(grid, f, g):
-    """(source, out, window) of a stencil reaching `g` cells along axis 0.
-
-    The stencil fills `window`, a view of the fresh `out`, from the slices
-    `source[j : j + len(window)]`, j = 0..2g.  Periodic grids: `source` is
-    `f` with `g` wrap cells per end, `window` all of `out`.  Compact grids:
-    `source` is `f`, `window` is `out[g:-g]` and the `g` end rows are zero.
-    """
-    f = np.asarray(f, dtype=float)
-    out = np.empty_like(f)
-    if grid.periodic:
-        return np.concatenate((f[-g:], f, f[:g])), out, out
-    out[:g] = 0.0
-    out[-g:] = 0.0
-    return f, out, out[g:-g]
-
-
-def _one_sided_ends(f, out, scale=1.0):
+def _one_sided_ends(f, out, scale):
     """Second-order one-sided end rows of scale * (f[i+1] - f[i-1]) on a compact grid."""
     out[0] = scale * (-3.0 * f[0] + 4.0 * f[1] - f[2])
     out[-1] = scale * (3.0 * f[-1] - 4.0 * f[-2] + f[-3])
 
 
-def first_difference(grid, f):
-    """Undivided f[i+1] - f[i-1] along axis 0, one-sided at compact ends: 2 dx * d_dx.
-
-    Slices, not `correlate`: one pass serves all k columns of an (N, k) field.
-    """
-    p, out, w = _layout(grid, f, 1)
-    np.subtract(p[2:], p[:-2], out=w)
-    if not grid.periodic:
-        _one_sided_ends(p, out)
-    return out
-
-
-def d_dx(grid, f):
-    """Second-order first derivative along axis 0 of (N,) or (N, k) arrays."""
-    out = first_difference(grid, f)
-    out /= 2.0 * grid.dx
-    return out
-
-
-def second_difference(grid, f):
-    """Undivided second difference f[i+1] - 2 f[i] + f[i-1].
-
-    Periodic grids wrap; compact grids leave the two end rows zero.
-    """
-    p, out, w = _layout(grid, f, 1)
-    np.multiply(p[1:-1], -2.0, out=w)
-    w += p[2:]
-    w += p[:-2]
-    return out
-
-
-def ghost_pad(grid, f):
-    """The 1-D field with GHOSTS wrap cells per end on a periodic grid, else f itself."""
+def ghost_pad(grid, f, g=GHOSTS):
+    """f with g wrap cells per end of its last axis on a periodic grid, else f itself."""
     f = np.asarray(f, dtype=float)
     if grid.periodic:
-        return np.concatenate((f[-GHOSTS:], f, f[:GHOSTS]))
+        return np.concatenate((f[..., -g:], f, f[..., :g]), axis=-1)
     return f
 
 
@@ -168,12 +125,22 @@ def floored_derivative(grid, pad, kernel, s):
     return out
 
 
-def _columns(grid, f, kernel):
-    """`correlate` of the (N,) field f, or of each column of an (N, k) one."""
+def _columns(grid, f, stencil, kernel):
+    """stencil(grid, ghost_pad(grid, c), kernel) of the (N,) field f, or of
+    each column c of an (N, k) one, filled into one output."""
     f = np.asarray(f, dtype=float)
     if f.ndim == 1:
-        return correlate(grid, ghost_pad(grid, f), kernel)
-    return np.column_stack([_columns(grid, c, kernel) for c in f.T])
+        return stencil(grid, ghost_pad(grid, f), kernel)
+    out = np.empty_like(f)
+    for k in range(f.shape[1]):
+        out[:, k] = stencil(grid, ghost_pad(grid, f[:, k]), kernel)
+    return out
+
+
+def d_dx(grid, f):
+    """Second-order first derivative along axis 0 of (N,) or (N, k) arrays:
+    (f[i+1] - f[i-1]) / (2 dx), one-sided at compact ends."""
+    return _columns(grid, f, derivative, CENTERED / (2.0 * grid.dx))
 
 
 def fourth_difference(grid, f):
@@ -182,13 +149,13 @@ def fourth_difference(grid, f):
     Periodic grids wrap; compact grids apply it on interior nodes only
     (two zero rows at each end), keeping the boundary stencils untouched.
     """
-    return _columns(grid, f, FOURTH_DIFFERENCE)
+    return _columns(grid, f, correlate, FOURTH_DIFFERENCE)
 
 
 def subtract_floor(grid, d, f, nu):
     """d -= (nu / dx) * fourth_difference(grid, f) in place for nu > 0; returns d."""
     if nu > 0.0:
-        d -= _columns(grid, f, (nu / grid.dx) * FOURTH_DIFFERENCE)
+        d -= _columns(grid, f, correlate, (nu / grid.dx) * FOURTH_DIFFERENCE)
     return d
 
 

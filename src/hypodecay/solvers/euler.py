@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import CflViolation, SmallnessBreached, VacuumApproached
+from ..errors import CflViolation, SmallnessBreached, VacuumApproached, rejected
 from ..grids import (CENTERED, FOURTH_DIFFERENCE, check_escape, correlate, d_dx, derivative,
                      escape_tol, ghost_pad, l2_norm)
 from .march import CFL, CFL_MAX, check_nu, march, rk4, step_size
@@ -76,7 +76,7 @@ def simulate_euler(espec, grid, rho0, u0, T, nu=0.0, sample_stride=1,
         raise ValueError("rho0, u0 must be scalar fields on the grid")
     floor = VACUUM_FLOOR_REL * espec.rho_bar
     if rho.min() <= floor:
-        raise VacuumApproached(f"initial density reaches {rho.min():.3e}")
+        raise rejected(VacuumApproached(f"initial density reaches {rho.min():.3e}"))
 
     half_g = 0.5 * (espec.gamma - 1.0)
     c_bar = espec.c_bar

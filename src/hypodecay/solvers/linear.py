@@ -5,7 +5,7 @@ split off and applied exactly: half-step matrix exponential, RK4 on the
 advection (centered differences), half-step exponential again — second
 order overall, with no time-step restriction from the damping strength.
 `reference_step` writes it out on an (N, n) state with the undamped
-components first.  The advection matrix carries the sign and 1/(2 dx).
+components first; its right-hand side is d_dx(U) @ -A^T.
 
 That step is one linear, translation-invariant map, so `compile_step`
 reads it once per (sim, dt) off the reference step's impulse responses:
@@ -25,8 +25,8 @@ import numpy as np
 
 from ..corrector import lyapunov_value
 from ..errors import CflViolation
-from ..grids import (Grid1D, check_escape, d_dx, escape_tol, first_difference, gram,
-                     l2_norm, subtract_floor)
+from ..grids import (Grid1D, check_escape, d_dx, escape_tol, ghost_pad, gram, l2_norm,
+                     subtract_floor)
 from ..linalg import jacobi_eigensystem, expm_sym
 from .march import CFL, check_nu, march, rk4, step_size
 
@@ -52,8 +52,7 @@ class LinearSim:
         object.__setattr__(self, "rho_A", rho)
         speed = rho if rho > 0.0 else 1.0
         object.__setattr__(self, "dt", CFL * self.grid.dx / speed)
-        object.__setattr__(self, "advection",
-                           np.ascontiguousarray(-self.spec.A.T / (2.0 * self.grid.dx)))
+        object.__setattr__(self, "advection", np.ascontiguousarray(-self.spec.A.T))
 
     @property
     def reach(self):
@@ -71,7 +70,7 @@ def damping_half_step(spec, dt):
 
 
 def advection_rhs(sim, U):
-    dU = first_difference(sim.grid, U) @ sim.advection
+    dU = d_dx(sim.grid, U) @ sim.advection
     return subtract_floor(sim.grid, dU, U, sim.nu)
 
 
@@ -187,10 +186,11 @@ def compile_step(sim, dt):
 
     def step(V):
         out = np.empty_like(V)
+        src = ghost_pad(sim.grid, V, b)
         if ends is None:
-            src, body = np.concatenate((V[:, -b:], V, V[:, :b]), axis=1), out
+            body = out
         else:
-            src, body = V, out[:, b:N - b]
+            body = out[:, b:N - b]
             out[:, :b] = (ends[0] @ V[:, :2 * b].reshape(-1)).reshape(n, b)
             out[:, N - b:] = (ends[1] @ V[:, N - 2 * b:].reshape(-1)).reshape(n, b)
         width = body.shape[1]
@@ -243,7 +243,8 @@ def simulate_linear(sim, U0, T, sample_stride=1, coeffs=None, weight=None,
         U = V.T
         rows = np.empty((2 * n, grid.N))  # C order: BLAS' fast path for gram
         rows[:n] = V
-        rows[n:] = d_dx(grid, U).T
+        for c in range(n):
+            rows[n + c] = d_dx(grid, V[c])
         G = gram(grid, rows)
         sq = G.diagonal()
         row = {

@@ -18,7 +18,7 @@ import sys
 import numpy as np
 
 from ..analysis import TimeSeries
-from ..errors import NonFiniteState
+from ..errors import HypodecayError, NonFiniteState, rejected
 
 # The CFL number each explicit solver steps at, and the largest one a
 # running Euler solution may reach before it is a CflViolation.
@@ -164,6 +164,8 @@ def march(state, T, dt_limit, step, record, sample_stride, snapshot_times,
     a dict of channel values; it runs at step 0, at every multiple of
     `sample_stride` and at the last step, and raises to abort the run.
     A NaN or infinite channel value raises NonFiniteState at that sample.
+    A guard that trips at the step-0 sample raises `rejected` of its
+    exception: the initial data are refused.
     `snapshot(state)` returns the array stored at the step nearest each
     of `snapshot_times`, which must lie in [0, T].  Returns the recorded
     TimeSeries, whose meta is `meta` plus dt_step, n_steps and
@@ -185,11 +187,16 @@ def march(state, T, dt_limit, step, record, sample_stride, snapshot_times,
                 state = step(state, dt)
             if j % sample_stride == 0 or j == nsteps:
                 t = j * dt
-                row = record(t, state)
-                bad = [k for k, v in row.items() if not math.isfinite(v)]
-                if bad:
-                    raise NonFiniteState(
-                        f"channel {bad[0]!r} is {row[bad[0]]} at t={t:.4g}", time=t)
+                try:
+                    row = record(t, state)
+                    bad = [k for k, v in row.items() if not math.isfinite(v)]
+                    if bad:
+                        raise NonFiniteState(
+                            f"channel {bad[0]!r} is {row[bad[0]]} at t={t:.4g}", time=t)
+                except HypodecayError as exc:
+                    if j > 0:
+                        raise
+                    raise rejected(exc) from exc
                 times.append(t)
                 for k, v in row.items():
                     chans.setdefault(k, []).append(v)

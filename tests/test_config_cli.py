@@ -699,6 +699,10 @@ def test_cli_rejects_misconfigured_system(tmp_path, capsys, scenario, key, value
     ("thm5_euler_weighted", 'weights=[{"role":"spatial","kind":"power","mu":1.0},'
                             '{"role":"wave","kind":"power","mu":1.0},'
                             '{"role":"wave","kind":"power","mu":0.5}]'),
+    # initial data a guard refuses: Euler's vacuum check, and the smallness
+    # cap tripped by the t = 0 sample
+    ("thm4_euler", "data.0.amp=-5"),
+    ("thm4_euler", "data.0.amp=5"),
 ])
 def test_cli_rejects_data_or_weights_before_stepping(tmp_path, capsys, scenario, setting):
     out = tmp_path / "never"
@@ -731,18 +735,31 @@ def test_cli_run_rejects_an_uncreatable_output_directory(tmp_path, capsys):
     assert blocker.is_file()
 
 
-def test_cli_run_numerical_failure(tmp_path, capsys):
+def _compact_smoke_run(tmp_path, L):
     doc = smoke_doc()
-    # compact box far too small: the pulse escapes -> numerical failure
     doc["grid"]["bc"] = "compact_support"
-    doc["grid"]["L"] = 10.0
+    doc["grid"]["L"] = L
     doc["time"]["T"] = 15.0
     path = tmp_path / "escape.json"
     path.write_text(json.dumps(doc))
     out = tmp_path / "never"
-    assert main(["run", "--config", str(path), "--out", str(out)]) == 3
+    code = main(["run", "--config", str(path), "--out", str(out)])
     assert not out.exists()
-    assert "numerical failure" in capsys.readouterr().err
+    return code
+
+
+def test_cli_run_numerical_failure(tmp_path, capsys):
+    # the pulse starts inside the box and escapes while stepping -> numerical failure
+    assert _compact_smoke_run(tmp_path, 20.0) == 3
+    err = capsys.readouterr().err
+    assert "numerical failure: DomainEscape" in err and "at t=0 " not in err
+
+
+def test_cli_rejects_data_that_reach_the_boundary_at_t0(tmp_path, capsys):
+    # the width-3 pulse already exceeds the escape budget at |x| = 10
+    assert _compact_smoke_run(tmp_path, 10.0) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "at t=0 " in err
 
 
 @pytest.mark.parametrize("scenario, settings, cert_id, error", [

@@ -13,6 +13,7 @@ from hypodecay.analysis import check_energy_law, check_monotone
 from hypodecay.errors import (
     CflViolation,
     DomainEscape,
+    InitialDataRejected,
     NonFiniteState,
     RBandViolation,
     SmallnessBreached,
@@ -646,7 +647,7 @@ def test_linear_operands_are_c_contiguous():
     half = damping_half_step(sim.spec, sim.dt)
     for M in (sim.advection, half):
         assert M.flags.c_contiguous
-    assert np.array_equal(sim.advection, -sim.spec.A.T / (2.0 * sim.grid.dx))
+    assert np.array_equal(sim.advection, -sim.spec.A.T)
 
 
 @pytest.mark.parametrize("n, n1", [(2, 1), (3, 1), (3, 2)])
@@ -692,6 +693,28 @@ def test_march_stops_at_first_non_finite_sample():
     with pytest.raises(NonFiniteState, match="'l2'") as info:
         march(np.zeros(1), 1.0, 0.1, step, record, 2, (), np.copy, {})
     assert info.value.time == pytest.approx(0.4, rel=1e-14)
+
+
+def test_march_rejects_the_initial_data_a_step_0_guard_refuses():
+    """A guard tripped at the t = 0 sample stays an instance of its own
+    class, with its fields, and is also an InitialDataRejected; one tripped
+    after a step is not."""
+
+    def record(t, state):
+        if state[0] >= 1.0:
+            raise DomainEscape(f"escaped at t={t:.4g}")
+        return {"l2": np.inf if state[1] else 1.0}
+
+    with pytest.raises(NonFiniteState, match="'l2'") as info:
+        march(np.array([0.0, 1.0]), 1.0, 0.1, lambda s, dt: s, record, 1, (), np.copy, {})
+    assert isinstance(info.value, InitialDataRejected)
+    assert info.value.time == 0.0
+    with pytest.raises(DomainEscape, match="t=0$") as info:
+        march(np.array([1.0, 0.0]), 1.0, 0.1, lambda s, dt: s, record, 1, (), np.copy, {})
+    assert isinstance(info.value, InitialDataRejected)
+    with pytest.raises(DomainEscape, match="t=0.1$") as info:
+        march(np.zeros(2), 1.0, 0.1, lambda s, dt: s + 1.0, record, 1, (), np.copy, {})
+    assert not isinstance(info.value, InitialDataRejected)
 
 
 # 1e-160 * 1e-160 = 1e-320 is subnormal: it reads 0.0 exactly when
@@ -804,8 +827,8 @@ def _psystem_run(stride, snaps):
 
 
 def _heat_run(stride, snaps):
-    grid = Grid1D(L=20.0, N=128, bc="periodic")
-    return heat_solve(grid, np.exp(-grid.x**2), T=1.0, dt=0.05,
+    grid = Grid1D(L=5.0, N=128, bc="periodic")  # dt <= dx: 13 steps to T = 1
+    return heat_solve(grid, np.exp(-grid.x**2), T=1.0,
                       sample_stride=stride, snapshot_times=snaps)
 
 
