@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import math
 import os
 import platform
 import subprocess
@@ -180,6 +181,204 @@ def test_parse_rejects_malformed():
         doc = smoke_doc()
         doc["extra"] = 1
         parse_config(doc)
+
+
+def edge_doc(kind="linear"):
+    """A valid document that sets every key a `kind` system reads."""
+    system = {
+        "linear": {"kind": "linear", "A": [[0.0, 1.0], [1.0, 0.0]], "D": [[1.0]], "n1": 1},
+        "euler": {"kind": "euler", "gamma": 2.0, "rho_bar": 1.0, "lam": 1.0,
+                  "smallness_cap": 0.5},
+        "psystem": {"kind": "psystem", "r": 2.0},
+    }[kind]
+    doc = {
+        "scenario": "edge",
+        "system": system,
+        "grid": {"L": 30.0, "N": 64, "bc": "periodic"},
+        "time": {"T": 2.0, "sample_stride": 1, "nu": 0.0},
+        "data": [{"kind": "gaussian", "component": 0, "amp": 1.0, "width": 3.0, "center": 0.0},
+                 {"kind": "bumps", "component": 1, "amp": 1.0, "width": 1.0, "count": 1}],
+        "weights": [{"role": "wave", "kind": "log", "q": 1.0}],
+        "outputs": {"dir": "out", "snapshots": [0.0]},
+        "seed": 0,
+    }
+    if kind == "linear":
+        doc["weights"].insert(0, {"role": "spatial", "kind": "power", "mu": 1.0})
+        doc["corrector"] = {"safety": 0.5}
+    return doc
+
+
+DELETE = object()
+
+
+def edited(kind, path, value):
+    """edge_doc(kind) with the key at dotted `path` set to `value`, or deleted."""
+    doc = edge_doc(kind)
+    *keys, leaf = [int(k) if k.isdigit() else k for k in path.split(".")]
+    node = doc
+    for k in keys:
+        node = node[k]
+    if value is DELETE:
+        del node[leaf]
+    else:
+        node[leaf] = value
+    return doc
+
+
+def names_path(message, path):
+    """The refusal names `path`, or the section holding it and its last key."""
+    section, _, key = path.rpartition(".")
+    return (f"invalid config at {path}:" in message
+            or f"invalid config at {section or '<root>'}:" in message and repr(key) in message)
+
+
+# One row per rule a config document must satisfy: (system kind, dotted
+# path, value set there, or DELETE).  The refusal names that path.
+REFUSED = [
+    # each required key
+    *[("linear", p, DELETE) for p in (
+        "scenario", "grid", "time", "system.kind", "system.A", "system.D", "system.n1",
+        "grid.L", "grid.N", "time.T", "data.0.kind", "data.0.component",
+        "weights.0.role", "weights.0.kind")],
+    # an unknown key in each section
+    *[("linear", p, 1.0) for p in (
+        "extra", "system.extra", "grid.extra", "time.extra", "data.0.extra",
+        "weights.0.extra", "corrector.extra", "outputs.extra")],
+    # a wrong type for each key, a bool included
+    *[("linear", p, v) for p, values in {
+        "scenario": (1, True, None),
+        "system": ([], True, "linear"),
+        "system.kind": (1, True, ["linear"]),
+        "system.A": ("x", True, {"0": [1.0]}),
+        "system.A.0": (1.0, True),
+        "system.A.0.0": ("x", True, None, [1.0]),
+        "system.D.0.0": ("x", True),
+        "system.n1": ("1", True, 1.5),
+        "grid": (1, True, None),
+        "grid.L": ("x", True, None),
+        "grid.N": ("64", True, 64.5),
+        "grid.bc": (1, True, None),
+        "time": ([], True),
+        "time.T": ("x", True),
+        "time.sample_stride": ("1", True, 1.5),
+        "time.nu": ("x", True),
+        "data": ({}, True, "x"),
+        "data.0": (1, True, ["gaussian"]),
+        "data.0.kind": (1, True),
+        "data.0.component": ("0", True, 0.5),
+        "data.0.amp": ("x", True),
+        "data.0.width": ("x", True),
+        "data.0.center": ("x", True),
+        "data.1.count": ("1", True, 1.5),
+        "weights": ({}, True),
+        "weights.0": ("x", True),
+        "weights.0.role": (1, True),
+        "weights.0.kind": (1, True),
+        "weights.0.mu": ("x", True),
+        "weights.1.q": ("x", True),
+        "corrector": (1, True, [], "x"),
+        "corrector.safety": ("x", True, None),
+        "outputs": ([], True, None),
+        "outputs.dir": (1, True, None),
+        "outputs.snapshots": ("x", True, 1.0, {}),
+        "outputs.snapshots.0": ("x", True, None, [0.0]),
+        "seed": ("0", True, 0.5, None),
+    }.items() for v in values],
+    *[("euler", p, v) for p in ("system.gamma", "system.rho_bar", "system.lam",
+                                "system.smallness_cap") for v in ("x", True)],
+    *[("psystem", "system.r", v) for v in ("x", True, None)],
+    # each bound at its edge
+    ("linear", "system.n1", 0),
+    ("linear", "system.A", []),
+    ("linear", "system.A.0", []),
+    ("linear", "system.D", []),
+    ("linear", "system.D.0", []),
+    ("linear", "grid.L", 0),
+    ("linear", "grid.L", -1.0),
+    ("linear", "grid.N", 15),
+    ("linear", "time.T", 0.0),
+    ("linear", "time.sample_stride", 0),
+    ("linear", "time.nu", -1e-300),
+    ("linear", "data.0.component", -1),
+    ("linear", "data.0.width", 0.0),
+    ("linear", "data.1.count", 0),
+    ("linear", "corrector.safety", 0.0),
+    ("linear", "corrector.safety", 1),
+    ("linear", "seed", -1),
+    ("euler", "system.gamma", 1),
+    ("euler", "system.gamma", 1.0),
+    ("euler", "system.rho_bar", 0.0),
+    ("euler", "system.lam", 0),
+    ("euler", "system.smallness_cap", 0.0),
+    # each enum
+    ("linear", "system.kind", "nonlinear"),
+    ("linear", "grid.bc", "open"),
+    ("linear", "data.0.kind", "square"),
+    ("linear", "weights.0.role", "temporal"),
+    ("linear", "weights.0.kind", "exp"),
+    # the two strings that may not be empty
+    ("linear", "scenario", ""),
+    ("linear", "outputs.dir", ""),
+    # an integer key takes a JSON integer, not an integral float
+    ("linear", "system.n1", 1.0),
+    ("linear", "grid.N", 64.0),
+    ("linear", "time.sample_stride", 2.0),
+    ("linear", "data.0.component", 0.0),
+    ("linear", "data.1.count", 2.0),
+    ("linear", "seed", 1.0),
+]
+
+
+@pytest.mark.parametrize("kind, path, value", REFUSED)
+def test_parse_refuses_each_rule_at_its_path(tmp_path, capsys, kind, path, value):
+    doc = edited(kind, path, value)
+    with pytest.raises(ConfigError) as err:
+        parse_config(doc)
+    assert names_path(str(err.value), path), str(err.value)
+    config = tmp_path / "bad.json"
+    config.write_text(json.dumps(doc))
+    out = tmp_path / "never"
+    assert main(["run", "--config", str(config), "--out", str(out)]) == 2
+    assert not out.exists()
+    assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind, path, value", [
+    ("linear", "system.n1", 1),
+    ("linear", "grid.N", 16),
+    ("linear", "grid.L", 5e-324),
+    ("linear", "grid.bc", "compact_support"),
+    ("linear", "time.T", 5e-324),
+    ("linear", "time.sample_stride", 1),
+    ("linear", "time.nu", 0),
+    ("linear", "time.nu", -0.0),
+    ("linear", "data.0.component", 0),
+    ("linear", "data.0.width", 5e-324),
+    ("linear", "data.0.kind", "dgaussian"),
+    ("linear", "data.1.count", 1),
+    ("linear", "data.1.amp", -1e300),
+    ("linear", "corrector", None),
+    ("linear", "corrector", {}),
+    ("linear", "corrector.safety", 5e-324),
+    ("linear", "corrector.safety", math.nextafter(1.0, 0.0)),
+    ("linear", "outputs.snapshots", []),
+    ("linear", "outputs.dir", "x"),
+    ("linear", "scenario", "x"),
+    ("linear", "seed", 0),
+    ("linear", "seed", 2**53),
+    ("linear", "data", []),
+    ("linear", "weights", []),
+    ("linear", "outputs", {}),
+    ("euler", "system.gamma", math.nextafter(1.0, 2.0)),
+    ("euler", "system.rho_bar", 5e-324),
+    ("euler", "system.lam", 5e-324),
+    ("euler", "system.smallness_cap", 5e-324),
+    ("psystem", "system.r", -1e300),
+    ("psystem", "system.r", 7),
+])
+def test_parse_accepts_each_edge(kind, path, value):
+    cfg = parse_config(edited(kind, path, value))
+    assert serialize_config(parse_config(serialize_config(cfg))) == serialize_config(cfg)
 
 
 def test_config_schema_is_valid():
