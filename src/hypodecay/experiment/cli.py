@@ -8,6 +8,7 @@ certificate failed (outputs written for inspection).
 import argparse
 import os
 import sys
+import traceback
 from pathlib import Path
 
 from .config import ConfigError, apply_override, parse_config, read_config
@@ -45,7 +46,9 @@ def _cmd_run(args):
     cfg = parse_config(_load_doc(args))
     try:
         report = run(cfg, out_dir=args.out)
-    except RUN_ERRORS as exc:
+    except Exception as exc:  # a bug, too, exits 3 with its traceback, not 1
+        if not isinstance(exc, RUN_ERRORS):
+            traceback.print_exc()
         code, label = failure(exc)
         print(f"{label}: {exc}", file=sys.stderr)
         return code

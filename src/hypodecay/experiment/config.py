@@ -1,39 +1,40 @@
-"""Run configuration: JSON schema, parsing, and initial-data builders.
+"""Run configuration: what a config may hold, parsing, and initial-data builders.
 
-A config document is plain JSON.  `parse_config` validates against the
-published schema before touching any numerics (malformed input must
-fail fast, before files or arrays exist), and `serialize_config` emits
-the canonical dict form — `serialize(parse(doc))` is idempotent on
-schema-valid documents.
+A config document is plain JSON.  `parse_config` checks it against
+`KEYS`, the type and range of each key, and the tables of what each
+system kind, weight and data entry reads, before touching any numerics
+(malformed input must fail fast, before files or arrays exist), and
+`serialize_config` emits the canonical dict form — `serialize(parse(doc))`
+is idempotent on valid documents.
 """
 
 import json
-import math
+import operator
+import sys
 from collections import namedtuple
 from dataclasses import dataclass, field
 from pathlib import Path
 
-import jsonschema
 import numpy as np
 
 from .scenarios import scenario_doc, scenario_names
 
 
 # What each system kind reads, which is all parse_config accepts for it:
-# its `system` and `time` keys with their defaults (None: required), its
+# its `system` and `time` keys with their defaults (`...`: required), its
 # corrector block's defaults (None: it takes no block), its weight roles,
 # and whether it integrates fields (else it takes no data or snapshots).
 SystemKind = namedtuple("SystemKind", "system time corrector roles fields",
                         defaults=(None, frozenset(), True))
-_STEPPED = {"T": None, "sample_stride": 1, "nu": 0.0}
+_STEPPED = {"T": ..., "sample_stride": 1, "nu": 0.0}
 SYSTEM_KINDS = {
-    "linear": SystemKind({"A": None, "D": None, "n1": None}, _STEPPED,
+    "linear": SystemKind({"A": ..., "D": ..., "n1": ...}, _STEPPED,
                          corrector={"safety": 0.5}, roles={"spatial", "wave"}),
     "euler": SystemKind({"gamma": 2.0, "rho_bar": 1.0, "lam": 1.0, "smallness_cap": 0.5},
                         _STEPPED, roles={"spatial", "wave"}),
     "psystem": SystemKind({"r": 2.0}, _STEPPED, roles={"wave"}),
-    "heat": SystemKind({}, {"T": None, "sample_stride": 1}, roles={"spatial"}),
-    "none": SystemKind({}, {"T": None}, fields=False),
+    "heat": SystemKind({}, {"T": ..., "sample_stride": 1}, roles={"spatial"}),
+    "none": SystemKind({}, {"T": ...}, fields=False),
 }
 
 # The fields each weight reads besides its `role` and `kind`, by (role,
@@ -52,113 +53,49 @@ DATA_FIELDS = {
     "zero": (),
 }
 
-_BC = ["periodic", "compact_support"]
+# What every config reads at its top level and in its grid and outputs
+# (None: optional, with no default).
+_TOP = {"scenario": ..., "system": {"kind": "none"}, "grid": ..., "time": ...,
+        "data": [], "weights": [], "corrector": None, "outputs": {}, "seed": 0}
+_GRID = {"L": ..., "N": ..., "bc": "periodic"}
+_OUTPUTS = {"dir": None, "snapshots": None}
 
-_matrix = {
-    "type": "array",
-    "minItems": 1,
-    "items": {"type": "array", "minItems": 1, "items": {"type": "number"}},
+# The type and bounds of every key a config may hold but the sections and
+# the `kind` and `role` that name a row of a table above.  A float is any
+# JSON number, an int a JSON integer, neither a bool and both finite; a
+# str is never empty; a tuple lists the values the key may take; a list
+# holds floats, and a matrix is a non-empty list of non-empty lists of
+# floats.  Each bound is an (operator, value) pair.
+KEYS = {
+    "scenario": (str,),
+    "seed": (int, (">=", 0)),
+    "A": ("matrix",),
+    "D": ("matrix",),
+    "n1": (int, (">=", 1)),
+    "gamma": (float, (">", 1)),
+    "rho_bar": (float, (">", 0)),
+    "lam": (float, (">", 0)),
+    "smallness_cap": (float, (">", 0)),
+    "r": (float,),
+    "L": (float, (">", 0)),
+    "N": (int, (">=", 16)),
+    "bc": (("periodic", "compact_support"),),
+    "T": (float, (">", 0)),
+    "sample_stride": (int, (">=", 1)),
+    "nu": (float, (">=", 0)),
+    "component": (int, (">=", 0)),
+    "amp": (float,),
+    "width": (float, (">", 0)),
+    "center": (float,),
+    "count": (int, (">=", 1)),
+    "mu": (float,),
+    "q": (float,),
+    "safety": (float, (">", 0), ("<", 1)),
+    "dir": (str,),
+    "snapshots": (list,),
 }
-
-CONFIG_SCHEMA = {
-    "$schema": "https://json-schema.org/draft/2020-12/schema",
-    "type": "object",
-    "required": ["scenario", "grid", "time"],
-    "additionalProperties": False,
-    "properties": {
-        "scenario": {"type": "string", "minLength": 1},
-        "system": {
-            "type": "object",
-            "required": ["kind"],
-            "additionalProperties": False,
-            "properties": {
-                "kind": {"enum": list(SYSTEM_KINDS)},
-                "A": _matrix,
-                "D": _matrix,
-                "n1": {"type": "integer", "minimum": 1},
-                "gamma": {"type": "number", "exclusiveMinimum": 1},
-                "rho_bar": {"type": "number", "exclusiveMinimum": 0},
-                "lam": {"type": "number", "exclusiveMinimum": 0},
-                "smallness_cap": {"type": "number", "exclusiveMinimum": 0},
-                "r": {"type": "number"},
-            },
-        },
-        "grid": {
-            "type": "object",
-            "required": ["L", "N"],
-            "additionalProperties": False,
-            "properties": {
-                "L": {"type": "number", "exclusiveMinimum": 0},
-                "N": {"type": "integer", "minimum": 16},
-                "bc": {"enum": _BC},
-            },
-        },
-        "time": {
-            "type": "object",
-            "required": ["T"],
-            "additionalProperties": False,
-            "properties": {
-                "T": {"type": "number", "exclusiveMinimum": 0},
-                "sample_stride": {"type": "integer", "minimum": 1},
-                "nu": {"type": "number", "minimum": 0},
-            },
-        },
-        "data": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "required": ["kind", "component"],
-                "additionalProperties": False,
-                "properties": {
-                    "kind": {"enum": list(DATA_FIELDS)},
-                    "component": {"type": "integer", "minimum": 0},
-                    "amp": {"type": "number"},
-                    "width": {"type": "number", "exclusiveMinimum": 0},
-                    "center": {"type": "number"},
-                    "count": {"type": "integer", "minimum": 1},
-                },
-            },
-        },
-        "weights": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "required": ["role", "kind"],
-                "additionalProperties": False,
-                "properties": {
-                    "role": {"enum": ["spatial", "wave"]},
-                    "kind": {"enum": ["power", "log"]},
-                    "mu": {"type": "number"},
-                    "q": {"type": "number"},
-                },
-            },
-        },
-        "corrector": {
-            "type": ["object", "null"],
-            "additionalProperties": False,
-            "properties": {
-                "safety": {
-                    "type": "number",
-                    "exclusiveMinimum": 0,
-                    "exclusiveMaximum": 1,
-                },
-            },
-        },
-        "outputs": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "dir": {"type": "string", "minLength": 1},
-                "snapshots": {"type": "array", "items": {"type": "number"}},
-            },
-        },
-        "seed": {"type": "integer", "minimum": 0},
-    },
-}
-
-
-# Built once: `jsonschema.validate` would re-check the schema on every call.
-_VALIDATOR = jsonschema.validators.validator_for(CONFIG_SCHEMA)(CONFIG_SCHEMA)
+_OPERATORS = {">": operator.gt, ">=": operator.ge, "<": operator.lt}
+_EXPECTED = {int: "an integer", float: "a number", str: "a non-empty string"}
 
 
 class ConfigError(ValueError):
@@ -196,45 +133,81 @@ class RunConfig:
     seed: int = 0
 
 
-def _filled(section, given, reads, kind):
-    """`given` over the defaults in `reads`; a key `reads` lacks, or a
-    required key `given` lacks, is a ConfigError."""
-    for key in given:
-        if key not in reads:
-            raise ConfigError(f"invalid config at {section}.{key}: "
-                              f"a {kind!r} system does not read it")
+def _section(at, given, reads, reader):
+    """`given`, an object at path `at`, over the defaults in `reads`.
+
+    `reads` names every key `given` may hold (`...`: required, None: no
+    default), and each value with a KEYS entry must be of its type and
+    within its bounds; anything else is a ConfigError naming its path.
+    """
+    def refuse(key, why):
+        path = ".".join(part for part in (at, str(key)) if part) or "<root>"
+        raise ConfigError(f"invalid config at {path}: {why}")
+
+    if not isinstance(given, dict):
+        refuse("", f"expected an object, got {type(given).__name__}")
     for key, default in reads.items():
-        if default is None and key not in given:
-            raise ConfigError(f"invalid config at {section}: a {kind!r} system requires {key!r}")
-    return {**{k: v for k, v in reads.items() if v is not None}, **given}
+        if default is ... and key not in given:
+            refuse(key, f"{reader} requires it")
+    for key, value in given.items():
+        if key not in reads:
+            refuse(key, f"{reader} does not read it")
+        if key not in KEYS:
+            continue
+        kind, *bounds = KEYS[key]
+        leaves = [(key, value)]
+        if kind in (list, "matrix"):  # each list, a matrix's rows too, then each number
+            empty_ok = kind is list
+            for _ in range(1 if empty_ok else 2):
+                for path, v in leaves:
+                    if not isinstance(v, list) or not (v or empty_ok):
+                        refuse(path, f"expected a {'' if empty_ok else 'non-empty '}list, "
+                                     f"got {v!r}")
+                leaves = [(f"{path}.{i}", x) for path, v in leaves for i, x in enumerate(v)]
+            kind = float
+        for path, v in leaves:
+            if isinstance(kind, tuple):
+                valid = isinstance(v, str) and v in kind
+            elif kind is str:
+                valid = isinstance(v, str) and v != ""
+            else:
+                valid = isinstance(v, int if kind is int else (int, float)) and type(v) is not bool
+            if not valid:
+                refuse(path, f"expected {_EXPECTED.get(kind) or f'one of {list(kind)}'}, got {v!r}")
+            if kind in (int, float) and not abs(v) <= sys.float_info.max:  # NaN too
+                refuse(path, "a non-finite number is not allowed")
+            for op, bound in bounds:
+                if not _OPERATORS[op](v, bound):
+                    refuse(path, f"{v!r} is not {op} {bound}")
+    return {**{k: v for k, v in reads.items() if v is not ... and v is not None}, **given}
 
 
-def _refuse_unread(at, entry, named, fields, what):
-    """A ConfigError for a key of `entry` that is neither in `named` nor in `fields`."""
-    unread = sorted(entry.keys() - {*named, *fields})
-    if unread:
-        raise ConfigError(f"invalid config at {at}.{unread[0]}: a {what} reads only "
-                          f"{list(fields)}")
+def _lookup(at, entry, key, names):
+    """`entry[key]`, which must be one of `names`; `entry`, at path `at`, must be an object."""
+    if not isinstance(entry, dict):
+        raise ConfigError(f"invalid config at {at}: expected an object, "
+                          f"got {type(entry).__name__}")
+    name = entry.get(key)
+    if not isinstance(name, str) or name not in names:
+        got = f"got {name!r}" if key in entry else "it is required"
+        raise ConfigError(f"invalid config at {at}.{key}: expected one of {sorted(names)}, {got}")
+    return name
 
 
 def parse_config(doc):
-    """Validate a JSON document and normalize it into a RunConfig."""
-    if not isinstance(doc, dict):
-        raise ConfigError("config must be a JSON object")
-    error = jsonschema.exceptions.best_match(_VALIDATOR.iter_errors(doc))
-    if error is not None:
-        path = ".".join(str(p) for p in error.absolute_path) or "<root>"
-        raise ConfigError(f"invalid config at {path}: {error.message}")
-    T = doc["time"]["T"]
-    snapshots = doc.get("outputs", {}).get("snapshots", [])
+    """Check a JSON document against KEYS and the tables of what each part
+    reads, and normalize it into a RunConfig."""
+    doc = _section("", doc, _TOP, "a config")
+    kind = _lookup("system", doc["system"], "kind", SYSTEM_KINDS)
+    reads = SYSTEM_KINDS[kind]
+    system = _section("system", doc["system"], {"kind": ..., **reads.system}, f"a {kind!r} system")
+    time = _section("time", doc["time"], reads.time, f"a {kind!r} system")
+    outputs = _section("outputs", doc["outputs"], _OUTPUTS, "outputs")
+    snapshots = outputs.get("snapshots", [])
     for ts in snapshots:
-        if not 0 <= ts <= T:
-            raise ConfigError(
-                f"invalid config at outputs.snapshots: time {ts} lies outside [0, T={T}]"
-            )
-
-    system = dict(doc.get("system", {"kind": "none"}))
-    kind = system.pop("kind")
+        if not 0 <= ts <= time["T"]:
+            raise ConfigError(f"invalid config at outputs.snapshots: time {ts} lies "
+                              f"outside [0, T={time['T']}]")
     if doc["scenario"] in scenario_names():
         registered = scenario_doc(doc["scenario"])["system"]["kind"]
         if kind != registered:
@@ -242,37 +215,45 @@ def parse_config(doc):
                 f"invalid config at system.kind: scenario {doc['scenario']!r} "
                 f"runs a {registered!r} system, got {kind!r}"
             )
-    reads = SYSTEM_KINDS[kind]
     corrector = doc.get("corrector")
     if corrector is not None:
         if reads.corrector is None:
             raise ConfigError(f"invalid config at corrector: a {kind!r} system takes none")
-        corrector = {**reads.corrector, **corrector}
-    if not reads.fields and (doc.get("data") or snapshots):
+        corrector = _section("corrector", corrector, reads.corrector, "a corrector")
+    for name in ("data", "weights"):
+        if not isinstance(doc[name], list):
+            raise ConfigError(f"invalid config at {name}: expected a list, "
+                              f"got {type(doc[name]).__name__}")
+    if not reads.fields and (doc["data"] or snapshots):
         raise ConfigError(f"invalid config: a {kind!r} system integrates no fields, "
                           f"so takes no data and no snapshot times")
-    weights = doc.get("weights", [])
-    roles = [w["role"] for w in weights]
+    data = []
+    for i, d in enumerate(doc["data"]):
+        at = f"data.{i}"
+        d_kind = _lookup(at, d, "kind", DATA_FIELDS)
+        reads_d = {"kind": ..., "component": ..., **dict.fromkeys(DATA_FIELDS[d_kind])}
+        data.append(DataField(**_section(at, d, reads_d, f"a {d_kind} data entry")))
+    weights = []
+    for i, w in enumerate(doc["weights"]):
+        at = f"weights.{i}"
+        role = _lookup(at, w, "role", {role for role, _ in WEIGHT_FIELDS})
+        w_kind = _lookup(at, w, "kind", {k for _, k in WEIGHT_FIELDS})
+        reads_w = {"role": ..., "kind": ..., **dict.fromkeys(WEIGHT_FIELDS[role, w_kind])}
+        weights.append(WeightEntry(**_section(at, w, reads_w, f"a {role} {w_kind} weight")))
+    roles = [w.role for w in weights]
     if not reads.roles.issuperset(roles) or len(set(roles)) < len(roles):
         raise ConfigError(f"invalid config at weights: a {kind!r} system takes at most "
                           f"one weight of each role in {sorted(reads.roles)}, got {roles}")
-    data = doc.get("data", [])
-    for i, w in enumerate(weights):
-        _refuse_unread(f"weights.{i}", w, ("role", "kind"),
-                       WEIGHT_FIELDS[w["role"], w["kind"]], f"{w['role']} {w['kind']} weight")
-    for i, d in enumerate(data):
-        _refuse_unread(f"data.{i}", d, ("kind", "component"), DATA_FIELDS[d["kind"]],
-                       f"{d['kind']} data entry")
     return RunConfig(
         scenario=doc["scenario"],
-        system={"kind": kind, **_filled("system", system, reads.system, kind)},
-        grid={"bc": "periodic", **doc["grid"]},
-        time=_filled("time", doc["time"], reads.time, kind),
-        data=tuple(DataField(**d) for d in data),
-        weights=tuple(WeightEntry(**w) for w in weights),
+        system=system,
+        grid=_section("grid", doc["grid"], _GRID, "a grid"),
+        time=time,
+        data=tuple(data),
+        weights=tuple(weights),
         corrector=corrector,
-        outputs=dict(doc.get("outputs", {})),
-        seed=doc.get("seed", 0),
+        outputs=outputs,
+        seed=doc["seed"],
     )
 
 
@@ -294,31 +275,10 @@ def serialize_config(cfg):
     }
 
 
-def _non_finite(token):
-    raise ValueError(f"non-finite number {token} is not allowed")
-
-
-def _finite(convert):
-    """A json number hook: `convert(text)`, refusing what overflows a double."""
-    def parse(text):
-        if not math.isfinite(float(text)):
-            _non_finite(text)
-        return convert(text)
-    return parse
-
-
-def _loads(text):
-    """`json.loads` that refuses NaN, Infinity, -Infinity and literals
-    beyond the double range such as 1e999: a number in a config must be
-    finite."""
-    return json.loads(text, parse_constant=_non_finite, parse_float=_finite(float),
-                      parse_int=_finite(int))
-
-
 def read_config(path):
     """The JSON document in the file at `path`; any failure is a ConfigError."""
     try:
-        return _loads(Path(path).read_text(encoding="utf-8"))
+        return json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
 
@@ -326,8 +286,8 @@ def read_config(path):
 def apply_override(doc, dotted, value):
     """Apply one --set style override (dotted path) to a raw document.
 
-    A value that is not JSON, or holds a non-finite number, is kept as a
-    string, which the schema then refuses wherever a number is expected.
+    A value that is not JSON is kept as a string, which parse_config then
+    refuses wherever KEYS expects a number.
     """
     keys = dotted.split(".")
     node = doc
@@ -338,7 +298,7 @@ def apply_override(doc, dotted, value):
             node = node.setdefault(k, {})
     leaf = keys[-1]
     try:
-        parsed = _loads(value)
+        parsed = json.loads(value)
     except ValueError:
         parsed = value
     if isinstance(node, list):

@@ -1,6 +1,6 @@
 """Scenario registry: desk-scale runs reproducing each decay claim.
 
-Every entry resolves to a complete, schema-valid config document plus a
+Every entry resolves to a complete, valid config document plus a
 claim plan — the list of certificates the runner must emit for that
 scenario.  Claim anchors state the quantitative assertion being checked,
 self-contained, so the report reads without external context.

@@ -5,12 +5,12 @@ import json
 import math
 import os
 import platform
+import re
 import subprocess
 import sys
 from pathlib import Path
 from types import SimpleNamespace
 
-import jsonschema
 import numpy as np
 import pytest
 
@@ -28,8 +28,8 @@ from hypodecay.experiment import (
 )
 from hypodecay.experiment import runner
 from hypodecay.experiment.cli import main
-from hypodecay.experiment.config import (CONFIG_SCHEMA, DATA_FIELDS, SYSTEM_KINDS,
-                                         WEIGHT_FIELDS)
+from hypodecay.experiment import config
+from hypodecay.experiment.config import DATA_FIELDS, KEYS, SYSTEM_KINDS, WEIGHT_FIELDS
 from hypodecay.experiment.runner import resolve_out_dir
 from hypodecay.grids import Grid1D
 from hypodecay.solvers import default_offset
@@ -91,10 +91,9 @@ def test_weight_entries_record_only_the_fields_their_role_and_kind_read():
     doc = scenario_doc("thm6_psystem_log")
     assert serialize_config(parse_config(doc))["weights"] == [
         {"role": "wave", "kind": "log", "q": 1.0}]
-    # every (role, kind) pair the schema admits has a row
-    entry = CONFIG_SCHEMA["properties"]["weights"]["items"]["properties"]
-    assert set(WEIGHT_FIELDS) == {(role, kind) for role in entry["role"]["enum"]
-                                  for kind in entry["kind"]["enum"]}
+    # every role with every kind has a row, so each pair parse_config admits has one
+    assert set(WEIGHT_FIELDS) == {(role, kind) for role, _ in WEIGHT_FIELDS
+                                  for _, kind in WEIGHT_FIELDS}
 
 
 def test_registry_doc_is_a_copy():
@@ -116,25 +115,17 @@ def test_registry_claims_have_anchors():
 
 
 def test_system_kinds_agree():
-    schema = CONFIG_SCHEMA["properties"]
-    schema_kinds = schema["system"]["properties"]["kind"]["enum"]
-    assert sorted(schema_kinds) == sorted(SYSTEM_KINDS) == sorted(runner._SYSTEMS)
+    assert sorted(SYSTEM_KINDS) == sorted(runner._SYSTEMS)
     for name in scenario_names():
         assert scenario_doc(name)["system"]["kind"] in SYSTEM_KINDS, name
-    # the schema names exactly the keys the tables read, so none outlives its reader
+    # KEYS types exactly the keys the tables read, so none outlives its reader;
+    # the top-level scalars and a data entry's component are read outside them
     kinds = SYSTEM_KINDS.values()
-    read = {
-        "system": {"kind"}.union(*(k.system for k in kinds)),
-        "time": set().union(*(k.time for k in kinds)),
-        "corrector": set().union(*(k.corrector or () for k in kinds)),
-        "weights": {"role", "kind"}.union(*WEIGHT_FIELDS.values()),
-        "data": {"kind", "component"}.union(*DATA_FIELDS.values()),
-    }
-    for section, keys in read.items():
-        node = schema[section]
-        props = node.get("items", node)["properties"]
-        assert set(props) == keys, section
-    assert sorted(schema["data"]["items"]["properties"]["kind"]["enum"]) == sorted(DATA_FIELDS)
+    read = set().union(*(k.system for k in kinds), *(k.time for k in kinds),
+                       *(k.corrector or () for k in kinds), *WEIGHT_FIELDS.values(),
+                       *DATA_FIELDS.values(), config._GRID, config._OUTPUTS,
+                       {"scenario", "seed", "component"})
+    assert set(KEYS) == read
 
 
 def test_data_entries_record_only_the_fields_their_kind_reads():
@@ -381,9 +372,28 @@ def test_parse_accepts_each_edge(kind, path, value):
     assert serialize_config(parse_config(serialize_config(cfg))) == serialize_config(cfg)
 
 
-def test_config_schema_is_valid():
-    # parse_config validates with a validator built once, without this check
-    jsonschema.validators.validator_for(CONFIG_SCHEMA).check_schema(CONFIG_SCHEMA)
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 10**400, -10**400],
+                         ids=["nan", "inf", "-inf", "int_1e400", "-int_1e400"])
+@pytest.mark.parametrize("kind, path", [
+    *[("linear", p) for p in (
+        "system.A.0.1", "system.D.0.0", "grid.L", "time.T", "time.nu", "data.0.amp",
+        "data.0.width", "data.0.center", "data.1.amp", "data.1.width", "weights.0.mu",
+        "weights.1.q", "corrector.safety", "outputs.snapshots.0")],
+    *[("euler", f"system.{p}") for p in ("gamma", "rho_bar", "lam", "smallness_cap")],
+    ("psystem", "system.r"),
+])
+def test_parse_refuses_non_finite_numbers(kind, path, value):
+    """A value no double can hold is refused at every number, an in-memory
+    document included, where no JSON decoder has looked at it."""
+    with pytest.raises(ConfigError, match=rf"at {re.escape(path)}: a non-finite number"):
+        parse_config(edited(kind, path, value))
+
+
+@pytest.mark.parametrize("path", ["system.n1", "grid.N", "time.sample_stride",
+                                  "data.0.component", "data.1.count", "seed"])
+def test_parse_refuses_integers_beyond_the_double_range(path):
+    with pytest.raises(ConfigError, match=rf"at {re.escape(path)}: a non-finite number"):
+        parse_config(edited("linear", path, 10**400))
 
 
 def test_parse_defaults():
@@ -540,6 +550,20 @@ def test_certificate_error_leaves_no_output(monkeypatch, tmp_path, capsys):
     assert main(["run", "--config", str(path), "--out", str(out)]) == 3
     assert not out.exists()
     assert "numerical failure: ValueError" in capsys.readouterr().err
+
+
+def test_cli_run_maps_an_internal_error_to_exit_3(monkeypatch, tmp_path, capsys):
+    def broken(cfg, grid, ctx, weight):
+        raise TypeError("a builder bug")
+
+    monkeypatch.setitem(runner._SYSTEMS, "linear", broken)
+    path = tmp_path / "smoke.json"
+    path.write_text(json.dumps(smoke_doc()))
+    out = tmp_path / "never"
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 3
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert "Traceback" in err and "internal error: TypeError: a builder bug" in err
 
 
 def test_batch_survives_an_internal_error(monkeypatch, tmp_path):
@@ -795,6 +819,22 @@ def test_cli_rejects_non_finite_numbers(tmp_path, capsys, token):
     assert code == 2
     assert not out.exists()
     assert "time.nu" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("setting", ["system.n1=1.0", "grid.N=64.0", "time.sample_stride=2.0",
+                                     "data.0.component=0.0", "data.0.count=2.0", "seed=1.0"])
+def test_cli_rejects_integral_floats_at_integer_keys(tmp_path, capsys, setting):
+    """An integer key takes a JSON integer: 2.0 is refused before anything
+    runs, not carried into a crash or into the manifest as a float."""
+    doc = smoke_doc()
+    doc["data"] = [{"kind": "bumps", "component": 0, "count": 1}]
+    path = tmp_path / "smoke.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "never"
+    assert main(["run", "--config", str(path), "--set", setting, "--out", str(out)]) == 2
+    assert not out.exists()
+    assert f"invalid config at {setting.partition('=')[0]}: expected an integer" in (
+        capsys.readouterr().err)
 
 
 def test_cli_rejects_snapshot_outside_horizon(tmp_path, capsys):
