@@ -6,9 +6,9 @@ there), and prints one status line per scenario.  The exit code is the
 worst exit code over the runs (0 ok, 2 config rejected, 3 numerical
 failure, 4 certificate failed), so this script doubles as a
 reproduction gate: a zero exit means every certificate passed.  Each
-status line ends with the run's wall time, and the last line gives the
-batch's, both from batch_timing.json: the slowest run is the sweep's
-critical path.
+status line ends with the run's wall time and its process's peak RSS,
+and the last line gives the batch's wall time, all from
+batch_timing.json: the slowest run is the sweep's critical path.
 
 Outputs land under <out>/<scenario>/ (series.csv, snapshots, report.json,
 timing.json) plus <out>/batch_report.json.  Re-running with a different
@@ -47,7 +47,9 @@ def main():
     timing = json.loads((out / "batch_timing.json").read_text())
     for r in agg["runs"]:
         status = r.get("error") or ("ok" if r["exit_code"] == 0 else "certificate failure")
-        print(f"[{r['exit_code']}] {r['name']}: {status} ({timing['runs'][r['name']]:.1f} s)")
+        job = timing["runs"][r["name"]]
+        print(f"[{r['exit_code']}] {r['name']}: {status} "
+              f"({job['wall_s']:.1f} s, {job['rss_peak_mb']:.1f} MB)")
     print(f"batch wall time: {timing['wall_s']:.1f} s at --jobs {args.jobs}")
     print(f"batch report: {out / 'batch_report.json'}")
     return agg["exit_code"]

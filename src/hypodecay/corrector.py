@@ -224,17 +224,22 @@ def select_coefficients(spec, safety=0.5):
     )
 
 
-def lyapunov_value(spec, coeffs, G, t):
+def cross_matrix(spec, eps):
+    """C = sum_k eps_k (B A^{k-1})^T B A^k, the cross term's matrix."""
+    P = spec.damped_powers
+    return sum(e * (P[k].T @ P[k + 1]) for k, e in enumerate(eps))
+
+
+def lyapunov_value(C, eta0, G, t):
     """Augmented energy ||U||_{H^1}^2 + eta0 t ||d_x U||^2 + I(t).
 
     G is the `grids.gram` of the rows [U^T; (d_x U)^T].  The cross term I
-    is <C, G[:n, n:]> with C = sum_k eps_k (B A^{k-1})^T B A^k.
+    is <C, G[:n, n:]> with C = `cross_matrix(spec, coeffs.eps)`, built
+    once per run.
     """
-    n = spec.n
-    P = spec.damped_powers
-    C = sum(e * (P[k].T @ P[k + 1]) for k, e in enumerate(coeffs.eps))
+    n = len(G) // 2
     sq = G.diagonal()
-    return float(sq[:n].sum() + (1.0 + coeffs.eta0 * t) * sq[n:].sum()
+    return float(sq[:n].sum() + (1.0 + eta0 * t) * sq[n:].sum()
                  + (C * G[:n, n:]).sum())
 
 

@@ -498,15 +498,16 @@ def _check_ckn_random(claim, ctx):
 
 
 def _check_ckn_witness(claim, ctx):
-    L = claim.get("L", 2000.0)
-    N = claim.get("N", 1048577)
-    mu = claim.get("mu", 1.0)
+    L, N, mu = claim["L"], claim["N"], claim["mu"]
     grid = Grid1D(L=L, N=N, bc="compact_support")
     delta = 4.0 * grid.dx
     lam = math.log((delta**2 + L**2) / delta**2)
-    s = (delta**2 + grid.x**2) / delta**2
-    h = (delta**2 + grid.x**2) ** -0.25 * np.cos(0.5 * np.pi * np.log(s) / lam)
-    ratio = check_ckn(grid, h, mu)["ratio"]
+
+    def near_optimizer(x):
+        s = (delta**2 + x**2) / delta**2
+        return (delta**2 + x**2) ** -0.25 * np.cos(0.5 * np.pi * np.log(s) / lam)
+
+    ratio = check_ckn(grid, near_optimizer, mu)["ratio"]
     return ratio >= claim["floor"], {
         "ratio": ratio, "floor": claim["floor"], "mu": mu,
         "grid": {"L": L, "N": N}, "regularization": delta,
@@ -578,6 +579,10 @@ class RunReport:
         }
 
 
+def _rss_peak_mb():
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+
+
 def run(cfg, out_dir=None):
     """Execute one configured scenario; write series, snapshots, report."""
     started = time.perf_counter()
@@ -618,7 +623,7 @@ def run(cfg, out_dir=None):
     passed = all(c["passed"] for c in certs)
     timing = {
         "wall_s": time.perf_counter() - started,
-        "rss_peak_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
+        "rss_peak_mb": _rss_peak_mb(),
     }
     if series is not None:
         n_steps = int(series.meta["n_steps"])
@@ -660,7 +665,8 @@ def failure(exc):
 
 
 def _batch_worker(job):
-    """One job's result, with its wall time, parse included, under "wall_s"."""
+    """One job's result, with its wall time, parse included, under "wall_s"
+    and its process's peak RSS under "rss_peak_mb"."""
     started = time.perf_counter()
     path = Path(job[0])
     try:
@@ -680,7 +686,8 @@ def _batch_worker(job):
                 {"id": c["id"], "passed": c["passed"]} for c in report.certificates
             ],
         }
-    return {"name": path.stem, **result, "wall_s": time.perf_counter() - started}
+    return {"name": path.stem, **result, "wall_s": time.perf_counter() - started,
+            "rss_peak_mb": _rss_peak_mb()}
 
 
 def _cost(path):
@@ -703,7 +710,7 @@ def batch(config_paths, out_root, jobs=1):
     completion order or worker count.  Two configs with one stem would
     share an output directory and a result key, so they raise
     ConfigError before anything is written.  Wall times, the batch's and
-    each job's, go to batch_timing.json only.
+    each job's, and each job's peak RSS go to batch_timing.json only.
     """
     started = time.perf_counter()
     paths = sorted(Path(p) for p in config_paths)
@@ -723,10 +730,11 @@ def batch(config_paths, out_root, jobs=1):
         with get_context("fork").Pool(processes=workers, maxtasksperchild=1) as pool:
             results = list(pool.imap_unordered(_batch_worker, jobs_list, chunksize=1))
     results.sort(key=lambda r: r["name"])
-    run_s = {r["name"]: r.pop("wall_s") for r in results}
+    per_job = {r["name"]: {"wall_s": r.pop("wall_s"), "rss_peak_mb": r.pop("rss_peak_mb")}
+               for r in results}
     exit_code = max((r["exit_code"] for r in results), default=0)
     aggregate = {"runs": results, "exit_code": exit_code}
     _write_json(out_root / "batch_report.json", aggregate)
     _write_json(out_root / "batch_timing.json",
-                {"wall_s": time.perf_counter() - started, "runs": run_s})
+                {"wall_s": time.perf_counter() - started, "runs": per_job})
     return aggregate

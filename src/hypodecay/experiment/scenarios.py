@@ -377,6 +377,9 @@ CLAIMS = {
             "id": "ckn_sweep:near_optimizer",
             "check": "ckn_witness",
             "floor": 0.9,
+            "L": 2000.0,
+            "N": 1048577,
+            "mu": 1.0,
             "anchor": "the near-optimizer family reaches ratio >= 0.9 at mu = 1",
         },
     ],

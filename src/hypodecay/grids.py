@@ -4,7 +4,8 @@ Periodic grids omit the duplicate endpoint (dx = 2L/N) so trapezoid
 quadrature and centered differences satisfy summation-by-parts exactly.
 Compact-support grids include both endpoints (dx = 2L/(N-1)) with the
 usual half-weight trapezoid ends; derivative stencils fall back to
-second-order one-sided forms there.
+second-order one-sided forms there.  A grid builds its nodes `x` and
+weights `qw` on first use; `nodes` and `weights` give any block of them.
 
 Every stencil is one engine: `ghost_pad` pads a periodic field with wrap
 cells (a compact field is its own pad) and `correlate` applies a kernel
@@ -30,9 +31,7 @@ class Grid1D:
     L: float
     N: int
     bc: str = "periodic"
-    x: np.ndarray = field(init=False, repr=False)
     dx: float = field(init=False)
-    qw: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.L <= 0:
@@ -41,18 +40,47 @@ class Grid1D:
             raise ValueError(f"N must be >= 16, got {self.N}")
         if self.bc not in _BCS:
             raise ValueError(f"bc must be one of {_BCS}, got {self.bc!r}")
-        if self.bc == "periodic":
+        if self.periodic:
             dx = 2.0 * self.L / self.N
-            x = -self.L + dx * np.arange(self.N)
-            qw = np.full(self.N, dx)
         else:
-            x = np.linspace(-self.L, self.L, self.N)
+            x = self.nodes(0, 2)
             dx = x[1] - x[0]
-            qw = np.full(self.N, dx)
-            qw[0] = qw[-1] = dx / 2.0
-        object.__setattr__(self, "x", x)
         object.__setattr__(self, "dx", float(dx))
-        object.__setattr__(self, "qw", qw)
+
+    def nodes(self, lo, hi):
+        """Nodes lo..hi-1 of `x`, bitwise, without building `x`.
+
+        Compact nodes repeat np.linspace(-L, L, N)'s arithmetic node by
+        node: -L + i * (2L / (N - 1)), and L itself last.
+        """
+        if self.periodic:
+            return -self.L + self.dx * np.arange(lo, hi)
+        x = np.arange(lo, hi, dtype=float)
+        x *= 2.0 * self.L / (self.N - 1)
+        x -= self.L
+        if hi == self.N:
+            x[-1] = self.L
+        return x
+
+    def weights(self, lo, hi):
+        """Trapezoid weights of nodes lo..hi-1: dx, halved at compact ends."""
+        qw = np.full(hi - lo, self.dx)
+        if not self.periodic:
+            if lo == 0:
+                qw[0] = self.dx / 2.0
+            if hi == self.N:
+                qw[-1] = self.dx / 2.0
+        return qw
+
+    @cached_property
+    def x(self):
+        """The nodes, built on first use: a run that reads its grid block by
+        block (the CKN witness at N = 2^20 + 1) never builds them."""
+        return self.nodes(0, self.N)
+
+    @cached_property
+    def qw(self):
+        return self.weights(0, self.N)
 
     @property
     def periodic(self):

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from ..corrector import lyapunov_value
+from ..corrector import cross_matrix, lyapunov_value
 from ..errors import CflViolation
 from ..grids import (Grid1D, check_escape, d_dx, escape_tol, ghost_pad, gram, l2_norm,
                      subtract_floor)
@@ -238,6 +238,7 @@ def simulate_linear(sim, U0, T, sample_stride=1, coeffs=None, weight=None,
     tol = escape_tol(U)
     n, n1 = spec.n, spec.n1
     w2 = None if weight is None else weight.values(grid.x) ** 2
+    C = None if coeffs is None else cross_matrix(spec, coeffs.eps)
 
     def record(t, V):
         U = V.T
@@ -255,7 +256,7 @@ def simulate_linear(sim, U0, T, sample_stride=1, coeffs=None, weight=None,
             "dissipation": 2.0 * float((spec.D * G[n1:n, n1:n]).sum()),
         }
         if coeffs is not None:
-            row["lyapunov"] = lyapunov_value(spec, coeffs, G, t)
+            row["lyapunov"] = lyapunov_value(C, coeffs.eta0, G, t)
         if weight is not None:
             row["weighted_l2"] = l2_norm(grid, U, w2)
         if wave is not None:

@@ -4,7 +4,8 @@ The whole scenario registry is executed once through the batch driver
 (four workers) and every criterion is then asserted against the written
 reports, so `pytest -v` prints one pass/fail line per criterion.  One
 test holds every certificate's measured values to the committed
-reference at roundoff level.  The final test re-runs the registry
+reference at roundoff level, and one holds each run's peak RSS within
+20 MB of the others'.  The final test re-runs the registry
 serially and demands byte-identical outputs, which keeps the others
 honest: they grade artifacts any user can regenerate exactly.
 """
@@ -244,6 +245,15 @@ def test_registry_matches_the_committed_reference(registry):
     problems = module.check_reference(reference, module.reports(registry["out"]),
                                       module.drift_rule())
     assert problems == []
+
+
+def test_no_run_holds_far_more_memory_than_the_others(registry):
+    """Every registry run's peak RSS (timing.json) lies within 20 MB of the
+    smallest: no certificate holds grid-length arrays far beyond its run's,
+    as the CKN witness did at N = 2^20 + 1 before it went block by block."""
+    peaks = {name: json.loads((registry["out"] / name / "timing.json").read_text())
+             ["rss_peak_mb"] for name in scenario_names()}
+    assert max(peaks.values()) - min(peaks.values()) < 20.0, peaks
 
 
 def test_criterion_13_batch_determinism_and_isolation(registry, tmp_path):

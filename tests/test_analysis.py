@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import gamma
 
+from hypodecay import analysis
 from hypodecay.analysis import (
     TimeSeries,
     bounded_product,
@@ -29,7 +30,7 @@ from hypodecay.errors import (
     NonpositiveValues,
     WindowTooSmall,
 )
-from hypodecay.grids import Grid1D
+from hypodecay.grids import Grid1D, d_dx
 
 
 def _series(t, **channels):
@@ -228,6 +229,60 @@ def test_ckn_inequality_for_bumps(mu, width, center):
     h = np.exp(-(((grid.x - center) / width) ** 2))
     out = check_ckn(grid, h, mu)
     assert out["lhs"] <= out["rhs"] * (1.0 + 1e-6)
+
+
+def _ckn_one_pass(grid, h, mu):
+    """The quadratures over the whole grid at once: qw . (w h^2), qw . (|x|^2mu h'^2)."""
+    ax = np.abs(grid.x)
+    with np.errstate(divide="ignore"):
+        wl = ax ** (2.0 * (mu - 1.0))
+    if mu < 1.0:
+        wl[ax == 0.0] = 0.0
+    dh = d_dx(grid, h)
+    return grid.qw @ (wl * h * h), grid.qw @ (ax ** (2.0 * mu) * dh * dh)
+
+
+# N = 1025 is odd, so a node sits at x = 0; blocks of 1024, 64 and 2 leave
+# a trailing block of one node, blocks of 1023 and 3 one of two.
+@pytest.mark.parametrize("block", [1024, 1023, 64, 3, 2])
+@pytest.mark.parametrize("mu", [0.6, 1.0, 1.5])
+def test_ckn_blocks_match_one_block(mu, block, monkeypatch):
+    grid = Grid1D(L=20.0, N=1025, bc="compact_support")
+    assert grid.x[512] == 0.0
+
+    def field(x):
+        return np.exp(-(((x - 0.7) / 2.5) ** 2)) * np.cos(x) + 1e-3 * x
+
+    assert analysis.CKN_BLOCK >= grid.N
+    whole = check_ckn(grid, field(grid.x), mu)
+    lhs2, rhs2 = _ckn_one_pass(grid, field(grid.x), mu)
+    assert whole["lhs"] == pytest.approx(np.sqrt(lhs2), rel=1e-15)
+    assert whole["rhs"] == pytest.approx(2.0 / (2.0 * mu - 1.0) * np.sqrt(rhs2), rel=1e-15)
+    monkeypatch.setattr(analysis, "CKN_BLOCK", block)
+    for h in (field(grid.x), field):
+        out = check_ckn(grid, h, mu)
+        for key in ("lhs", "rhs", "ratio"):
+            assert out[key] == pytest.approx(whole[key], rel=1e-13, abs=0.0), key
+
+
+def test_ckn_evaluates_a_field_function_block_by_block(monkeypatch):
+    grid = Grid1D(L=20.0, N=1025, bc="compact_support")
+    sizes = []
+
+    def field(x):
+        sizes.append(x.size)
+        return np.exp(-x**2)
+
+    monkeypatch.setattr(analysis, "CKN_BLOCK", 100)
+    check_ckn(grid, field, 1.0)
+    assert max(sizes) <= 102 and sum(sizes) < grid.N + 2 * len(sizes)
+
+
+def test_ckn_refuses_a_periodic_grid_or_a_field_of_another_length():
+    with pytest.raises(ValueError, match="compact"):
+        check_ckn(Grid1D(L=10.0, N=256), np.ones(256), 1.0)
+    with pytest.raises(ValueError, match="shape"):
+        check_ckn(Grid1D(L=10.0, N=256, bc="compact_support"), np.ones(255), 1.0)
 
 
 # --- decay-inequality comparison ----------------------------------------

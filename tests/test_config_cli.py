@@ -8,6 +8,7 @@ import platform
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -628,6 +629,22 @@ def test_ckn_rows_stay_out_of_the_manifest():
     assert [type(v) for v in ctx.ckn_rows[0]] == [int, int, float, float]
 
 
+def test_ckn_witness_runs_in_blocks_of_memory():
+    """The witness at N = 2^20 + 1 builds no grid-length array: its traced
+    peak stays under 16 MB, where one 8.4 MB array of the grid would sit
+    next to the blocks' temporaries."""
+    claim = next(c for c in scenario_claims("ckn_sweep") if c["check"] == "ckn_witness")
+    assert claim["N"] == 1048577
+    tracemalloc.start()
+    try:
+        passed, measured = runner._check_ckn_witness(claim, None)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert passed and measured["ratio"] >= claim["floor"]
+    assert peak < 16e6
+
+
 def test_batch_reports_an_uncreatable_output_directory(tmp_path):
     cfg_dir = tmp_path / "cfgs"
     cfg_dir.mkdir()
@@ -734,10 +751,15 @@ def test_batch_timing_records_each_job(tmp_path):
     timing = json.loads((out_root / "batch_timing.json").read_text())
     assert set(timing) == {"wall_s", "runs"}
     assert set(timing["runs"]) == {"bad", "good"}
-    assert all(t > 0.0 for t in timing["runs"].values())
-    assert sum(timing["runs"].values()) <= timing["wall_s"]
-    report = (out_root / "batch_report.json").read_text()
-    assert "wall_s" not in report and "wall_s" not in json.dumps(agg)
+    jobs = timing["runs"].values()
+    assert all(set(t) == {"wall_s", "rss_peak_mb"} for t in jobs)
+    assert all(t["wall_s"] > 0.0 and t["rss_peak_mb"] > 0.0 for t in jobs)
+    assert sum(t["wall_s"] for t in jobs) <= timing["wall_s"]
+    # read after the job's run wrote its own timing.json, from the same process
+    good = json.loads((out_root / "good" / "timing.json").read_text())
+    assert timing["runs"]["good"]["rss_peak_mb"] >= good["rss_peak_mb"]
+    report = (out_root / "batch_report.json").read_text() + json.dumps(agg)
+    assert "wall_s" not in report and "rss_peak_mb" not in report
 
 
 # --- command line ------------------------------------------------------------
@@ -1126,8 +1148,10 @@ def test_run_registry_prints_each_wall_time_and_the_batch_s(monkeypatch, tmp_pat
     module = _run_registry_module()
 
     def fake_batch(paths, out_root, jobs=1):
-        (Path(out_root) / "batch_timing.json").write_text(
-            '{"wall_s": 12.5, "runs": {"heat_oracle": 1.25, "thm1_linear": 11.75}}')
+        (Path(out_root) / "batch_timing.json").write_text(json.dumps(
+            {"wall_s": 12.5,
+             "runs": {"heat_oracle": {"wall_s": 1.25, "rss_peak_mb": 36.94},
+                      "thm1_linear": {"wall_s": 11.75, "rss_peak_mb": 40.25}}}))
         return {"runs": [{"name": "heat_oracle", "exit_code": 0},
                          {"name": "thm1_linear", "exit_code": 4}], "exit_code": 4}
 
@@ -1136,8 +1160,8 @@ def test_run_registry_prints_each_wall_time_and_the_batch_s(monkeypatch, tmp_pat
                                       "thm1_linear", "heat_oracle"])
     assert module.main() == 4
     lines = capsys.readouterr().out.splitlines()
-    assert lines[:3] == ["[0] heat_oracle: ok (1.2 s)",
-                         "[4] thm1_linear: certificate failure (11.8 s)",
+    assert lines[:3] == ["[0] heat_oracle: ok (1.2 s, 36.9 MB)",
+                         "[4] thm1_linear: certificate failure (11.8 s, 40.2 MB)",
                          "batch wall time: 12.5 s at --jobs 2"]
 
 

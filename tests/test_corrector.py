@@ -12,6 +12,7 @@ import hypodecay
 from hypodecay.corrector import (
     CorrectorCoeffs,
     constraint_margins,
+    cross_matrix,
     estimate_c_bound,
     estimate_c_tilde,
     estimate_ck,
@@ -236,13 +237,18 @@ def _gram(grid, U):
     return gram(grid, np.vstack([U.T, d_dx(grid, U).T]))
 
 
+def _lyapunov(spec, coeffs, G, t):
+    """lyapunov_value with the run's cross matrix, as `simulate_linear` calls it."""
+    return lyapunov_value(cross_matrix(spec, coeffs.eps), coeffs.eta0, G, t)
+
+
 def _cross_term(spec, coeffs, grid, U):
     """The cross term I alone: lyapunov_value with the Gram's diagonal zeroed.
 
     The norms are read from the diagonal; the cross block G[:n, n:] lies off it.
     """
     G = _gram(grid, U)
-    return lyapunov_value(spec, coeffs, G - np.diag(np.diag(G)), 0.0)
+    return _lyapunov(spec, coeffs, G - np.diag(np.diag(G)), 0.0)
 
 
 def test_cross_term_quadrature():
@@ -305,13 +311,13 @@ def test_lyapunov_matches_field_formula(n, n1, bc):
     U = rng.standard_normal((grid.N, n))
     for t in (0.0, 7.5):
         want = _field_lyapunov(spec, coeffs, grid, U, t)
-        assert abs(lyapunov_value(spec, coeffs, _gram(grid, U), t) - want) <= 1e-15 * want
+        assert abs(_lyapunov(spec, coeffs, _gram(grid, U), t) - want) <= 1e-15 * want
 
 
 def test_lyapunov_zero_field():
     grid = Grid1D(L=10.0, N=64, bc="periodic")
     coeffs = select_coefficients(STANDARD)
-    assert lyapunov_value(STANDARD, coeffs, _gram(grid, np.zeros((64, 2))), 3.0) == 0.0
+    assert _lyapunov(STANDARD, coeffs, _gram(grid, np.zeros((64, 2))), 3.0) == 0.0
 
 
 def test_lyapunov_no_cross_component():
@@ -324,7 +330,7 @@ def test_lyapunov_no_cross_component():
     dl2 = l2_norm(grid, d_dx(grid, U))
     t = 7.0
     expected = l2 * l2 + (1.0 + coeffs.eta0 * t) * dl2 * dl2
-    assert lyapunov_value(STANDARD, coeffs, _gram(grid, U), t) == pytest.approx(expected)
+    assert _lyapunov(STANDARD, coeffs, _gram(grid, U), t) == pytest.approx(expected)
 
 
 @settings(max_examples=25, deadline=None)
@@ -342,7 +348,7 @@ def test_lyapunov_coercive_bracket(amp1, amp2, width):
     l2 = l2_norm(grid, U)
     dl2 = l2_norm(grid, d_dx(grid, U))
     energy = l2 * l2 + dl2 * dl2
-    val = lyapunov_value(STANDARD, coeffs, _gram(grid, U), 0.0)
+    val = _lyapunov(STANDARD, coeffs, _gram(grid, U), 0.0)
     assert 0.5 * energy - 1e-12 <= val <= 1.5 * energy + 1e-12
 
 

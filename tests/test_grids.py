@@ -54,6 +54,33 @@ def test_compact_layout():
     assert not g.periodic
 
 
+# At (7.7, 16) and (1.0, 999), -L + (N - 1) * step rounds away from L.
+@pytest.mark.parametrize("L,N", [(10.0, 41), (7.7, 16), (1.0, 999), (50.0, 4097),
+                                 (123.456, 8193), (2000.0, 1048577)])
+def test_block_nodes_are_linspace_bitwise(L, N):
+    """Blocks of `nodes`, the last node included, are np.linspace(-L, L, N)'s
+    bits, and dx is its first gap; `weights` are the trapezoid's."""
+    g = Grid1D(L=L, N=N, bc="compact_support")
+    ref = np.linspace(-L, L, N)
+    assert g.dx == ref[1] - ref[0]
+    qw = np.full(N, ref[1] - ref[0])
+    qw[0] = qw[-1] = qw[0] / 2.0
+    for block in (1, 2, 3, N // 3, N - 1, N) if N < 10_000 else (N // 3, 1 << 16, N):
+        cuts = list(range(0, N, block)) + [N]
+        x = np.concatenate([g.nodes(lo, hi) for lo, hi in zip(cuts, cuts[1:])])
+        assert x.tobytes() == ref.tobytes()
+        w = np.concatenate([g.weights(lo, hi) for lo, hi in zip(cuts, cuts[1:])])
+        assert w.tobytes() == qw.tobytes()
+    assert g.nodes(N - 1, N)[0] == L
+
+
+def test_periodic_block_nodes_continue_the_grid():
+    g = Grid1D(L=10.0, N=40, bc="periodic")
+    assert (-10.0 + 0.5 * np.arange(40)).tobytes() == g.x.tobytes()
+    assert g.nodes(13, 40).tobytes() == g.x[13:].tobytes()
+    assert g.weights(0, 40).tobytes() == np.full(40, 0.5).tobytes()
+
+
 def test_gaussian_quadrature_machine_precision():
     # trapezoid is super-algebraically accurate for rapidly decaying data
     g = Grid1D(L=50.0, N=2048, bc="periodic")
