@@ -34,6 +34,8 @@ from .linalg import kalman_gram, min_eig_sym, spectral_norm
 REFERENCE_SAFETY = 0.5
 # The exponent ladder's concavity margin: `select_exponents(n, DELTA)`.
 DELTA = 0.1
+# Roundoff allowed on each constraint, here and in the runner's `margins`.
+CONSTRAINT_TOL = 1e-12
 
 
 def select_exponents(n, delta):
@@ -111,13 +113,13 @@ class CorrectorCoeffs:
             problems.append("exponent ladder must stay above 1")
         if m.size >= 3:
             concavity = m[1:-1] - 0.5 * (m[:-2] + m[2:])
-            if np.any(concavity < DELTA - 1e-12):
+            if np.any(concavity < DELTA - CONSTRAINT_TOL):
                 problems.append("exponent ladder concavity margin below DELTA")
         margins = constraint_margins(self.C_bound, self.eps0, eps)
         for name, ratio in margins.items():
-            if ratio > 1.0 + 1e-12:
+            if ratio > 1.0 + CONSTRAINT_TOL:
                 problems.append(f"family {name} violated (ratio {ratio:.3e})")
-        if self.coercivity_sum > 0.5 + 1e-12:
+        if self.coercivity_sum > 0.5 + CONSTRAINT_TOL:
             problems.append(
                 f"coercivity sum {self.coercivity_sum:.3e} exceeds 1/2"
             )

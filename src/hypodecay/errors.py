@@ -39,8 +39,8 @@ class ConstraintSearchFailed(HypodecayError):
 
 class HypothesisViolated(HypodecayError):
     """A hypothesis of an estimate or a check fails: A11 != 0 for the
-    weighted estimates, or a certificate's parameters or sampling outside
-    what its analysis routine accepts."""
+    weighted estimates, or a certificate's parameters, sampling or run
+    inputs (coefficients, weighted data size) outside what it accepts."""
 
 
 class RBandViolation(HypodecayError):

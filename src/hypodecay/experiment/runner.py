@@ -31,11 +31,13 @@ from ..analysis import (
     fit_power,
 )
 from ..corrector import (
+    CONSTRAINT_TOL,
     select_coefficients,
     select_weighted_coefficients,
     weighted_data_size,
 )
-from ..errors import HypodecayError, InitialDataRejected, SKConditionFails
+from ..errors import (HypodecayError, HypothesisViolated, InitialDataRejected,
+                      NonpositiveValues, SKConditionFails, WindowTooSmall)
 from ..grids import Grid1D, WeightSpec
 from ..linalg import SystemSpec, min_eig_sym
 from ..solvers import (
@@ -291,102 +293,97 @@ def _simulate(cfg, grid, ctx):
 
 
 # --- certificate executors ---------------------------------------------
+# Each returns (measured, bounds): the claim's record for report.json and
+# the (value, lo, hi) triples, None for an open side, that
+# `run_certificates` alone judges.  An unevaluable claim raises.
 
 
 def _check_fit(claim, ctx):
     lo, hi = claim["band"]
     t0, t1 = claim["window"]
-    alphas = {}
-    ok = True
-    for ch in claim["channels"]:
-        f = fit_power(ctx.series, ch, t0, t1)
-        alphas[ch] = f.alpha
-        ok = ok and lo <= f.alpha <= hi
-    return ok, {"alpha": alphas, "band": [lo, hi], "window": [t0, t1]}
+    alphas = {ch: fit_power(ctx.series, ch, t0, t1).alpha for ch in claim["channels"]}
+    return ({"alpha": alphas, "band": [lo, hi], "window": [t0, t1]},
+            [(a, lo, hi) for a in alphas.values()])
 
 
 def _check_monotone(claim, ctx):
-    res = check_monotone(ctx.series, claim["channel"],
-                         tol_rel=claim.get("tol_rel", 1e-8))
-    return res.pop("passed"), res
+    res = check_monotone(ctx.series, claim["channel"], tol_rel=claim["tol_rel"])
+    return res, [(res["max_increase"], None, res["allowed"])]
+
+
+def _coeffs(ctx):
+    if ctx.coeffs is None:
+        raise HypothesisViolated("no coefficients were selected for this run")
+    return ctx.coeffs
 
 
 def _check_margins(claim, ctx):
-    if ctx.coeffs is None:
-        return False, {"error": "no coefficients were selected for this run"}
-    margins = ctx.coeffs.margins()
-    ok = all(v <= 1.0 + 1e-12 for v in margins.values())
-    ok = ok and ctx.coeffs.coercivity_sum <= 0.5 + 1e-12
-    return ok, {
-        "margins": margins,
-        "coercivity_sum": ctx.coeffs.coercivity_sum,
-        "eta0": ctx.coeffs.eta0,
-    }
+    coeffs = _coeffs(ctx)
+    margins = coeffs.margins()
+    bounds = [(v, None, 1.0 + CONSTRAINT_TOL) for v in margins.values()]
+    bounds.append((coeffs.coercivity_sum, None, 0.5 + CONSTRAINT_TOL))
+    return ({"margins": margins, "coercivity_sum": coeffs.coercivity_sum,
+             "eta0": coeffs.eta0}, bounds)
 
 
 def _check_weighted_bound(claim, ctx):
     if ctx.x0 is None:
-        return False, {"error": "run recorded no weighted data size"}
-    bound = claim["factor"] * ctx.x0
-    res = certify_weighted_bound(ctx.series, claim["channel"], bound)
-    res["X0"] = ctx.x0
-    res["factor"] = claim["factor"]
-    return res.pop("passed"), res
+        raise HypothesisViolated("run recorded no weighted data size")
+    res = certify_weighted_bound(ctx.series, claim["channel"], claim["factor"] * ctx.x0)
+    res.update(X0=ctx.x0, factor=claim["factor"])
+    return res, [(res["sup"], None, res["bound"])]
 
 
 def _check_decay_inequality(claim, ctx):
-    coeffs = ctx.coeffs
-    if coeffs is None:
-        return False, {"error": "no coefficients were selected for this run"}
-    mu = claim.get("mu", 1.0)
+    coeffs = _coeffs(ctx)
+    mu = claim["mu"]
     safety = ctx.cfg.corrector["safety"]
     a2 = 0.5 * coeffs.eta0 / safety
     t = ctx.series.t
+    if t.size < 3:
+        raise WindowTooSmall(f"the decay inequality needs 3 samples, got {t.size}")
     E2 = ctx.series.channel("dx_l2") ** 2
     E1 = ctx.series.channel("lyapunov") - coeffs.eta0 * t * E2
     if np.any(E1 <= 0.0):
-        return False, {"error": "augmented energy is not positive",
-                       "min_e1": float(E1.min())}
+        raise HypothesisViolated(
+            f"augmented energy is not positive: min_e1 = {float(E1.min())!r}")
     F = E1 + coeffs.eta0 * t * E2
     dF = (F[2:] - F[:-2]) / (t[2:] - t[:-2])
     denom = E1[1:-1] ** (1.0 + 1.0 / mu)
     rj = (-dF - a2 * E2[1:-1]) / denom
     min_rj = float(rj.min())
     if min_rj <= 0.0:
-        return False, {"error": "no positive quadratic-absorption rate exists",
-                       "min_rj": min_rj}
+        raise HypothesisViolated(
+            f"no positive quadratic-absorption rate exists: min_rj = {min_rj!r}")
     a1 = 0.999 * min_rj
     aug = TimeSeries(t=t, channels={"e1": E1, "e2": E2}, meta=dict(ctx.series.meta))
+    # raises HypothesisFails where the slack exceeds its tolerance, so slack has no bound
     res = check_decay_inequality(aug, "e1", "e2", a1, a2, mu, coeffs.eta0,
                                  slack_rel=claim["slack_rel"])
-    ok = res.pop("conclusion_pass") and res["slack"] <= res["slack_tol"]
     res.update({"a1": a1, "a2": a2, "eta0": coeffs.eta0, "min_rj": min_rj})
-    return ok, res
+    return res, [(res["conclusion_margin"], None, 1.0 + 1e-12)]
 
 
 def _check_channel_max_below(claim, ctx):
     cap = ctx.manifest["system"][claim["bound_key"]]
-    v = ctx.series.channel(claim["channel"])
-    peak = float(v.max())
-    return peak <= cap, {"max": peak, "cap": cap,
-                         "t_max": float(ctx.series.t[int(np.argmax(v))])}
+    res = certify_weighted_bound(ctx.series, claim["channel"], cap)
+    return ({"max": res["sup"], "cap": cap, "t_max": res["t_sup"]},
+            [(res["sup"], None, cap)])
 
 
 def _check_rank_deficiency(claim, ctx):
     sysd = ctx.manifest.get("system", {})
     refused = ctx.manifest.get("coefficients", {}).get("refused", False)
-    rank = sysd.get("kalman_rank")
-    ok = (rank == claim["expected_rank"]
-          and not sysd.get("sk_holds", True)
-          and refused)
-    return ok, {"kalman_rank": rank, "sk_holds": sysd.get("sk_holds"),
-                "selection_refused": refused}
+    rank, sk_holds = sysd.get("kalman_rank"), sysd.get("sk_holds")
+    expected = claim["expected_rank"]
+    return ({"kalman_rank": rank, "sk_holds": sk_holds, "selection_refused": refused},
+            [(rank, expected, expected), (sk_holds, False, False), (refused, True, True)])
 
 
 def _check_bounded_product(claim, ctx):
-    res = bounded_product(ctx.series, claim["channel"], claim["q"],
-                          ratio_cap=claim.get("cap", 1.10))
-    return res.pop("passed"), res
+    res = bounded_product(ctx.series, claim["channel"], claim["q"])
+    res["ratio_cap"] = claim["cap"]
+    return res, [(res["ratio_late_early"], None, claim["cap"])]
 
 
 def derived_run(ctx, patch):
@@ -406,6 +403,13 @@ def derived_run(ctx, patch):
     return series
 
 
+def _refinement_ratio(coarse, fine):
+    """coarse / fine of two energy-law residuals."""
+    if fine == 0.0:
+        raise NonpositiveValues(f"the fine energy-law residual is 0; the coarse is {coarse!r}")
+    return coarse / fine
+
+
 def _check_psystem_refinement(claim, ctx):
     ref = claim["refine"]
     lo, hi = claim["band"]
@@ -420,11 +424,11 @@ def _check_psystem_refinement(claim, ctx):
         })
         ctx.extra_series[f"series_refine_{int(N)}"] = series
         resids.append(check_energy_law(series)["l1_residual"])
-    ratio = resids[0] / resids[1]
-    return lo <= ratio <= hi, {
+    ratio = _refinement_ratio(*resids)
+    return {
         "l1_residuals": resids, "ratio": ratio, "band": [lo, hi],
         "N": list(ref["N"]),
-    }
+    }, [(ratio, lo, hi)]
 
 
 def _check_energy_refinement(claim, ctx):
@@ -433,12 +437,12 @@ def _check_energy_refinement(claim, ctx):
     series = derived_run(ctx, {"grid": {"N": int(claim["refine_N"])}})
     ctx.extra_series["series_fine"] = series
     fine = check_energy_law(series)["l1_residual"]
-    ratio = base / fine
-    return lo <= ratio <= hi, {
+    ratio = _refinement_ratio(base, fine)
+    return {
         "l1_residual_base": base, "l1_residual_fine": fine,
         "ratio": ratio, "band": [lo, hi],
         "N": [ctx.cfg.grid["N"], claim["refine_N"]],
-    }
+    }, [(ratio, lo, hi)]
 
 
 def _check_heat_closed_form(claim, ctx):
@@ -446,12 +450,14 @@ def _check_heat_closed_form(claim, ctx):
     t = ctx.series.t
     v = ctx.series.channel("l2")
     mask = (t >= t0) & (t <= t1)
+    if not mask.any():
+        raise WindowTooSmall(f"window [{t0}, {t1}] holds no sample")
     exact = (np.pi / 2.0) ** 0.25 * (1.0 + 4.0 * t[mask]) ** -0.25
     rel_max = float((np.abs(v[mask] - exact) / exact).max())
-    return rel_max <= claim["rel_tol"], {
+    return {
         "max_rel_error": rel_max, "rel_tol": claim["rel_tol"],
         "window": [t0, t1], "n_compared": int(mask.sum()),
-    }
+    }, [(rel_max, None, claim["rel_tol"])]
 
 
 def _check_heat_weighted_fit(claim, ctx):
@@ -465,9 +471,9 @@ def _check_heat_weighted_fit(claim, ctx):
     lo, hi = claim["band"]
     t0, t1 = claim["window"]
     f = fit_power(series, "l2", t0, t1)
-    return lo <= f.alpha <= hi, {
+    return {
         "alpha": f.alpha, "band": [lo, hi], "window": [t0, t1], "r2": f.r2,
-    }
+    }, [(f.alpha, lo, hi)]
 
 
 def _ckn_bump_field(x, rng):
@@ -492,9 +498,9 @@ def _check_ckn_random(claim, ctx):
             ratio = check_ckn(ctx.grid, h, mu)["ratio"]
             worst[mu] = max(worst[mu], ratio)
             ctx.ckn_rows.append((trial, m, float(mu), ratio))
-    ok = all(v <= cap for v in worst.values())
-    return ok, {"worst_ratio": {str(k): v for k, v in worst.items()},
-                "cap": cap, "trials": claim["trials"]}
+    return ({"worst_ratio": {str(k): v for k, v in worst.items()},
+             "cap": cap, "trials": claim["trials"]},
+            [(v, None, cap) for v in worst.values()])
 
 
 def _check_ckn_witness(claim, ctx):
@@ -508,10 +514,10 @@ def _check_ckn_witness(claim, ctx):
         return (delta**2 + x**2) ** -0.25 * np.cos(0.5 * np.pi * np.log(s) / lam)
 
     ratio = check_ckn(grid, near_optimizer, mu)["ratio"]
-    return ratio >= claim["floor"], {
+    return {
         "ratio": ratio, "floor": claim["floor"], "mu": mu,
         "grid": {"L": L, "N": N}, "regularization": delta,
-    }
+    }, [(ratio, claim["floor"], None)]
 
 
 _CHECKS = {
@@ -533,17 +539,22 @@ _CHECKS = {
 
 
 def run_certificates(ctx):
+    """One certificate per claim: it passes when every bound its executor
+    returns holds, edges included (a NaN holds none), and fails with the
+    error under `measured.error` when the executor raises."""
     certs = []
     for claim in scenario_claims(ctx.cfg.scenario):
-        executor = _CHECKS[claim["check"]]
         try:
-            passed, measured = executor(claim, ctx)
+            measured, bounds = _CHECKS[claim["check"]](claim, ctx)
         except HypodecayError as exc:
-            passed, measured = False, {"error": str(exc)}
+            measured, passed = {"error": str(exc)}, False
+        else:
+            passed = all(v == v and (lo is None or lo <= v) and (hi is None or v <= hi)
+                         for v, lo, hi in bounds)
         certs.append({
             "id": claim["id"],
             "anchor": claim["anchor"],
-            "passed": bool(passed),
+            "passed": passed,
             "measured": measured,
         })
     return certs

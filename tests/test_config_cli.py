@@ -15,6 +15,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from hypodecay.analysis import TimeSeries
 from hypodecay.experiment import (
     ConfigError,
     apply_override,
@@ -553,6 +554,155 @@ def test_certificate_error_leaves_no_output(monkeypatch, tmp_path, capsys):
     assert "numerical failure: ValueError" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("bounds, passed", [
+    ([(0.25, 0.25, 1.0)], True),  # at lo
+    ([(1.0, 0.25, 1.0)], True),  # at hi
+    ([(np.nextafter(0.25, -np.inf), 0.25, 1.0)], False),
+    ([(np.nextafter(1.0, np.inf), 0.25, 1.0)], False),
+    ([(-1e300, None, 1.0)], True),
+    ([(np.nextafter(1.0, np.inf), None, 1.0)], False),
+    ([(1e300, 0.25, None)], True),
+    ([(np.nextafter(0.25, -np.inf), 0.25, None)], False),
+    ([(-1e300, None, None)], True),
+    ([(2, 2, 2)], True),  # an int equality, as rank_deficiency's rank
+    ([(1, 2, 2)], False),
+    ([(3, 2, 2)], False),
+    ([(False, False, False)], True),  # bool equalities
+    ([(True, False, False)], False),
+    ([(True, True, True)], True),
+    ([(False, True, True)], False),
+    ([(math.nan, 0.25, 1.0)], False),
+    ([(np.float64("nan"), None, 1.0)], False),
+    ([(math.nan, 0.25, None)], False),
+    ([(math.nan, None, None)], False),
+    ([(0.5, 0.25, 1.0), (1.5, None, 1.0)], False),  # every bound must hold
+    ([(0.5, 0.25, 1.0), (1.0, None, 1.0), (2, 2, 2)], True),
+])
+def test_run_certificates_is_the_one_verdict_rule(monkeypatch, bounds, passed):
+    """A bound holds with its edges included, None is an open side, and a
+    NaN holds no bound; the executor's record is reported as it is."""
+    measured = {"value": "whatever the executor measured"}
+    monkeypatch.setitem(runner._CHECKS, "stub", lambda claim, ctx: (measured, bounds))
+    monkeypatch.setattr(runner, "scenario_claims", lambda name: [
+        {"id": "stub", "anchor": "a stub claim", "check": "stub"}])
+    ctx = runner.RunContext(cfg=parse_config(smoke_doc()), grid=None)
+    [certificate] = runner.run_certificates(ctx)
+    assert certificate == {"id": "stub", "anchor": "a stub claim",
+                           "passed": passed, "measured": measured}
+    assert type(certificate["passed"]) is bool
+
+
+def _stub_ctx(monkeypatch):
+    """A run context over t in [0, 100], with stubs for what an executor
+    would otherwise run: a sub-run repeats the base run's series on its
+    own N, and the energy-law residual is N**-2, so every refinement ratio
+    is 4.  The margins, the weighted bound's sup, the channel cap and the
+    refinement ratio sit at the edges of the passing claims below."""
+    t = np.linspace(0.0, 100.0, 401)
+    cfg = parse_config(scenario_doc("thm2_weighted"))  # corrector safety 1/8
+    coeffs = SimpleNamespace(margins=lambda: {"e1a": 1.0 + 1e-12, "e2": 0.5},
+                             coercivity_sum=0.5 + 1e-12, eta0=0.01)
+    ctx = runner.RunContext(cfg=cfg, grid=Grid1D(L=30.0, N=257, bc="compact_support"),
+                            coeffs=coeffs, x0=1.0)
+    ctx.series = TimeSeries(t=t, meta={"N": 64}, channels={
+        "p": (1.0 + t) ** -0.5, "up": 1.0 + t,
+        "l2": (np.pi / 2.0) ** 0.25 * (1.0 + 4.0 * t) ** -0.25,
+        "lyapunov": 1.0 / (1.0 + t), "dx_l2": np.zeros_like(t)})
+    ctx.manifest = {"system": {"cap": 1.0, "low": 0.99, "kalman_rank": 1, "sk_holds": False},
+                    "coefficients": {"refused": True}}
+
+    def derived_run(ctx, patch):
+        return TimeSeries(t=ctx.series.t, channels=ctx.series.channels,
+                          meta={"N": patch.get("grid", {"N": 64})["N"]})
+
+    monkeypatch.setattr(runner, "derived_run", derived_run)
+    monkeypatch.setattr(runner, "check_energy_law",
+                        lambda series: {"l1_residual": float(series.meta["N"]) ** -2})
+    return ctx
+
+
+def _past(value):
+    return float(np.nextafter(value, np.inf))
+
+
+_FIT = {"channels": ["p"], "window": [10.0, 100.0]}
+_REFINE = {"N": [64, 128], "T": 1.0, "amp": 0.1, "width": 3.0}
+_GAUSS = {"kind": "gaussian", "amp": 1.0, "width": 1.0}
+
+
+@pytest.mark.parametrize("check, claim, edit, passed", [
+    ("fit", {**_FIT, "band": [-0.6, -0.4]}, None, True),
+    ("fit", {**_FIT, "band": [-0.45, -0.4]}, None, False),
+    ("monotone", {"channel": "p", "tol_rel": 1e-8}, None, True),
+    ("monotone", {"channel": "up", "tol_rel": 1e-8}, None, False),
+    ("margins", {}, None, True),
+    ("margins", {}, lambda ctx, mp: setattr(ctx.coeffs, "coercivity_sum", _past(0.5 + 1e-12)),
+     False),
+    ("margins", {}, lambda ctx, mp: setattr(ctx.coeffs, "margins", lambda: {
+        "e1a": _past(1.0 + 1e-12)}), False),
+    ("weighted_bound", {"channel": "p", "factor": 1.0}, None, True),
+    ("weighted_bound", {"channel": "p", "factor": 0.99}, None, False),
+    ("decay_inequality", {"mu": 1.0, "slack_rel": 1e-6}, None, True),
+    ("decay_inequality", {"mu": 1.0, "slack_rel": 1e-6}, lambda ctx, mp: mp.setattr(
+        runner, "check_decay_inequality",
+        lambda *a, **k: {"conclusion_margin": _past(1.0 + 1e-12)}), False),
+    ("channel_max_below", {"channel": "p", "bound_key": "cap"}, None, True),
+    ("channel_max_below", {"channel": "p", "bound_key": "low"}, None, False),
+    ("rank_deficiency", {"expected_rank": 1}, None, True),
+    ("rank_deficiency", {"expected_rank": 2}, None, False),
+    ("rank_deficiency", {"expected_rank": 1},
+     lambda ctx, mp: ctx.manifest["system"].update(sk_holds=True), False),
+    ("rank_deficiency", {"expected_rank": 1},
+     lambda ctx, mp: ctx.manifest.update(coefficients={"refused": False}), False),
+    ("bounded_product", {"channel": "p", "q": 0.0, "cap": 1.10}, None, True),
+    ("bounded_product", {"channel": "up", "q": 0.0, "cap": 1.10}, None, False),
+    ("psystem_refinement", {"band": [3.2, 4.0], "refine": _REFINE}, None, True),
+    ("psystem_refinement", {"band": [4.1, 4.8], "refine": _REFINE}, None, False),
+    ("energy_refinement", {"band": [4.0, 4.8], "refine_N": 128}, None, True),
+    ("energy_refinement", {"band": [3.2, 3.9], "refine_N": 128}, None, False),
+    ("heat_closed_form", {"window": [1.0, 100.0], "rel_tol": 1e-9}, None, True),
+    ("heat_closed_form", {"window": [1.0, 100.0], "rel_tol": 1e-9},
+     lambda ctx, mp: ctx.series.channels.update(l2=ctx.series.channels["l2"] * 1.01), False),
+    ("heat_weighted_fit", {"band": [-0.4, -0.1], "window": [10.0, 100.0], "data": _GAUSS},
+     None, True),
+    ("heat_weighted_fit", {"band": [-0.2, -0.1], "window": [10.0, 100.0], "data": _GAUSS},
+     None, False),
+    ("ckn_random", {"mus": [0.75, 1.0], "trials": 2, "cap": 1.0}, None, True),
+    ("ckn_random", {"mus": [0.75, 1.0], "trials": 2, "cap": 1e-6}, None, False),
+    ("ckn_witness", {"L": 50.0, "N": 1025, "mu": 1.0, "floor": 0.1}, None, True),
+    ("ckn_witness", {"L": 50.0, "N": 1025, "mu": 1.0, "floor": 2.0}, None, False),
+])
+def test_each_executor_bounds_what_its_claim_bounds(monkeypatch, check, claim, edit, passed):
+    """Each executor's certificate passes on a run within its claim and
+    fails on one outside it, so none drops a bound of what it measures."""
+    ctx = _stub_ctx(monkeypatch)
+    if edit is not None:
+        edit(ctx, monkeypatch)
+    claim = {"id": check, "anchor": "a synthetic claim", "check": check, **claim}
+    monkeypatch.setattr(runner, "scenario_claims", lambda name: [claim])
+    [certificate] = runner.run_certificates(ctx)
+    assert "error" not in certificate["measured"]
+    assert certificate["passed"] is passed
+
+
+@pytest.mark.parametrize("scenario, check, error", [
+    ("thm1_linear", "margins", "no coefficients were selected for this run"),
+    ("thm2_weighted", "decay_inequality", "no coefficients were selected for this run"),
+    ("thm2_weighted", "weighted_bound", "run recorded no weighted data size"),
+])
+def test_claim_without_the_runs_inputs_fails_with_its_error(
+        monkeypatch, scenario, check, error):
+    """An executor raises for what the run did not record, and
+    run_certificates fails the certificate with the message."""
+    claim = next(c for c in scenario_claims(scenario) if c["check"] == check)
+    monkeypatch.setattr(runner, "scenario_claims", lambda name: [claim])
+    ctx = runner.RunContext(cfg=parse_config(scenario_doc(scenario)), grid=None)
+    assert ctx.coeffs is None and ctx.x0 is None
+    [certificate] = runner.run_certificates(ctx)
+    assert certificate["passed"] is False
+    assert certificate["measured"] == {"error": error}
+
+
 def test_cli_run_maps_an_internal_error_to_exit_3(monkeypatch, tmp_path, capsys):
     def broken(cfg, grid, ctx, weight):
         raise TypeError("a builder bug")
@@ -622,8 +772,10 @@ def test_ckn_rows_stay_out_of_the_manifest():
     claim = next(c for c in scenario_claims("ckn_sweep") if c["check"] == "ckn_random")
     cfg = parse_config(scenario_doc("ckn_sweep"))
     ctx = runner.RunContext(cfg=cfg, grid=Grid1D(L=50.0, N=257, bc="compact_support"))
-    passed, _ = runner._check_ckn_random({**claim, "trials": 2}, ctx)
-    assert passed
+    measured, bounds = runner._check_ckn_random({**claim, "trials": 2}, ctx)
+    worst = measured["worst_ratio"]
+    assert bounds == [(worst[str(mu)], None, claim["cap"]) for mu in claim["mus"]]
+    assert max(worst.values()) <= claim["cap"]
     assert "ckn_rows" not in ctx.manifest
     assert len(ctx.ckn_rows) == 2 * len(claim["mus"])
     assert [type(v) for v in ctx.ckn_rows[0]] == [int, int, float, float]
@@ -637,11 +789,12 @@ def test_ckn_witness_runs_in_blocks_of_memory():
     assert claim["N"] == 1048577
     tracemalloc.start()
     try:
-        passed, measured = runner._check_ckn_witness(claim, None)
+        measured, bounds = runner._check_ckn_witness(claim, None)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert passed and measured["ratio"] >= claim["floor"]
+    assert bounds == [(measured["ratio"], claim["floor"], None)]
+    assert measured["ratio"] >= claim["floor"]
     assert peak < 16e6
 
 
@@ -1030,6 +1183,17 @@ def test_cli_rejects_data_that_reach_the_boundary_at_t0(tmp_path, capsys):
     # a safety at which eta0 exceeds the comparison lemma's a2
     ("thm2_weighted", ["corrector.safety=0.9", "grid.L=50", "grid.N=512"],
      "thm2_weighted:decay_inequality", "need 0 < eta0 < min(a2/mu, a2)"),
+    # the closed form's window [1, 200] holds no sample
+    ("heat_oracle", ["time.T=0.5"], "heat_oracle:closed_form", "holds no sample"),
+    # two samples: no central difference for the comparison lemma
+    ("thm2_weighted", ["time.T=0.05", "grid.N=256"],
+     "thm2_weighted:decay_inequality", "needs 3 samples, got 2"),
+    # two samples: no central difference for the energy law
+    ("convergence_order", ["time.T=0.05", "grid.N=256"],
+     "convergence_order:residual_ratio", "the energy law needs 3 samples, got 2"),
+    # zero data: the fine run's residual is 0, and no ratio exists
+    ("convergence_order", ["time.T=20", "grid.N=256", "data.0.amp=0", "data.1.amp=0"],
+     "convergence_order:residual_ratio", "the fine energy-law residual is 0"),
 ])
 def test_cli_claim_that_cannot_be_evaluated_fails_its_certificate(
         tmp_path, capsys, scenario, settings, cert_id, error):
@@ -1111,7 +1275,7 @@ def test_decay_inequality_reads_the_claims_slack_rel():
     ctx = runner.RunContext(cfg=cfg, grid=runner.build_grid(cfg))
     ctx.series, _ = runner._simulate(cfg, ctx.grid, ctx)
     rel = claim["slack_rel"]
-    tol = [runner._check_decay_inequality({**claim, "slack_rel": r}, ctx)[1]["slack_tol"]
+    tol = [runner._check_decay_inequality({**claim, "slack_rel": r}, ctx)[0]["slack_tol"]
            for r in (rel, 1e3 * rel)]
     assert tol[1] == pytest.approx(1e3 * tol[0], rel=1e-12)
 

@@ -432,7 +432,8 @@ def test_psystem_small_data_dissipates():
     series, _ = simulate_psystem(
         PSystemSpec(r=2.0), grid, rho0, u0, T=10.0, nu=0.01
     )
-    assert check_monotone(series, "h1", tol_rel=1e-6)["passed"]
+    h1 = check_monotone(series, "h1", tol_rel=1e-6)
+    assert h1["max_increase"] <= h1["allowed"]
     assert series.channel("hstar").min() > 0.0
     assert np.array_equal(series.channel("dissipation"),
                           2.0 * series.channel("lrp1"))

@@ -179,7 +179,8 @@ def test_weighted_wave_energy_decays_along_flow():
     U0 = np.stack([u1, 0.5 * u1], axis=1)
     sim = LinearSim(spec=STANDARD, grid=grid)
     series, _ = simulate_linear(sim, U0, T, wave=mon)
-    assert check_monotone(series, "wave_energy", tol_rel=1e-6)["passed"]
+    energy = check_monotone(series, "wave_energy", tol_rel=1e-6)
+    assert energy["max_increase"] <= energy["allowed"]
     assert series.channel("wave_dissipation").min() > 0.0
 
 
