@@ -1,24 +1,12 @@
 """Declarative experiment layer: configs, scenario registry, runner, CLI."""
 
-from .config import (
-    ConfigError,
-    DataField,
-    RunConfig,
-    WeightEntry,
-    apply_override,
-    build_fields,
-    parse_config,
-    serialize_config,
-)
+from .config import ConfigError, apply_override, build_fields, parse_config
 from .runner import RunReport, batch, run
 from .scenarios import describe, scenario_claims, scenario_doc, scenario_names
 
 __all__ = [
     "ConfigError",
-    "DataField",
-    "RunConfig",
     "RunReport",
-    "WeightEntry",
     "apply_override",
     "batch",
     "build_fields",
@@ -28,5 +16,4 @@ __all__ = [
     "scenario_claims",
     "scenario_doc",
     "scenario_names",
-    "serialize_config",
 ]

@@ -6,13 +6,12 @@ certificate failed (outputs written for inspection).
 """
 
 import argparse
-import os
 import sys
 import traceback
 from pathlib import Path
 
 from .config import ConfigError, apply_override, parse_config, read_config
-from .runner import OUT_ENV, RUN_ERRORS, batch, failure, run
+from .runner import RUN_ERRORS, batch, failure, resolve_out_dir_for_batch, run
 from .scenarios import describe, scenario_doc, scenario_names
 
 
@@ -70,17 +69,13 @@ def _cmd_batch(args):
     if not paths:
         print(f"no *.json configs under {args.dir}", file=sys.stderr)
         return 2
-    out_root = args.out or resolve_out_dir_for_batch()
+    out_root = resolve_out_dir_for_batch(args.out)
     aggregate = batch(paths, out_root, jobs=args.jobs)
     for r in aggregate["runs"]:
         status = r.get("error") or ("ok" if r["exit_code"] == 0 else "certificate failure")
         print(f"[{r['exit_code']}] {r['name']}: {status}")
     print(f"batch report: {Path(out_root) / 'batch_report.json'}")
     return aggregate["exit_code"]
-
-
-def resolve_out_dir_for_batch():
-    return Path(os.environ.get(OUT_ENV, "runs")) / "batch"
 
 
 def build_parser():

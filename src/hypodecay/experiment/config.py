@@ -4,15 +4,16 @@ A config document is plain JSON.  `parse_config` checks it against
 `KEYS`, the type and range of each key, and the tables of what each
 system kind, weight and data entry reads, before touching any numerics
 (malformed input must fail fast, before files or arrays exist), and
-`serialize_config` emits the canonical dict form — `serialize(parse(doc))`
-is idempotent on valid documents.
+returns the normalized document: a fresh dict with every default filled
+in and each section's keys in table order.  Normalizing is idempotent:
+`parse_config(parse_config(doc)) == parse_config(doc)`.
 """
 
+import copy
 import json
 import operator
 import sys
 from collections import namedtuple
-from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -22,35 +23,37 @@ from .scenarios import scenario_doc, scenario_names
 
 # What each system kind reads, which is all parse_config accepts for it:
 # its `system` and `time` keys with their defaults (`...`: required), its
-# corrector block's defaults (None: it takes no block), its weight roles,
-# and whether it integrates fields (else it takes no data or snapshots).
+# corrector block's defaults (None: it takes no block), the weight kinds
+# it takes in each role, and whether it integrates fields (else it takes
+# no data or snapshots).  A wave weight is of the system's own family.
 SystemKind = namedtuple("SystemKind", "system time corrector roles fields",
-                        defaults=(None, frozenset(), True))
+                        defaults=(None, {}, True))
 _STEPPED = {"T": ..., "sample_stride": 1, "nu": 0.0}
+_SPATIAL = ("power", "log")
 SYSTEM_KINDS = {
-    "linear": SystemKind({"A": ..., "D": ..., "n1": ...}, _STEPPED,
-                         corrector={"safety": 0.5}, roles={"spatial", "wave"}),
+    "linear": SystemKind({"A": ..., "D": ..., "n1": ...}, _STEPPED, corrector={"safety": 0.5},
+                         roles={"spatial": _SPATIAL, "wave": ("power",)}),
     "euler": SystemKind({"gamma": 2.0, "rho_bar": 1.0, "lam": 1.0, "smallness_cap": 0.5},
-                        _STEPPED, roles={"spatial", "wave"}),
-    "psystem": SystemKind({"r": 2.0}, _STEPPED, roles={"wave"}),
-    "heat": SystemKind({}, {"T": ..., "sample_stride": 1}, roles={"spatial"}),
+                        _STEPPED, roles={"spatial": _SPATIAL, "wave": ("power",)}),
+    "psystem": SystemKind({"r": 2.0}, _STEPPED, roles={"wave": ("log",)}),
+    "heat": SystemKind({}, {"T": ..., "sample_stride": 1}, roles={"spatial": _SPATIAL}),
     "none": SystemKind({}, {"T": ...}, fields=False),
 }
 
 # The fields each weight reads besides its `role` and `kind`, by (role,
-# kind), and each data entry besides its `kind` and `component`, by kind;
-# parse_config refuses any other, and serialize_config records only these.
+# kind), and each data entry besides its `kind` and `component`, by kind,
+# with their defaults; parse_config refuses any other field.
 WEIGHT_FIELDS = {
-    ("spatial", "power"): ("mu",),
-    ("spatial", "log"): ("q",),
-    ("wave", "power"): ("mu",),
-    ("wave", "log"): ("q",),
+    ("spatial", "power"): {"mu": 1.0},
+    ("spatial", "log"): {"q": 1.0},
+    ("wave", "power"): {"mu": 1.0},
+    ("wave", "log"): {"q": 1.0},
 }
 DATA_FIELDS = {
-    "gaussian": ("amp", "width", "center"),
-    "dgaussian": ("amp", "width", "center"),
-    "bumps": ("amp", "width", "count"),
-    "zero": (),
+    "gaussian": {"amp": 1.0, "width": 1.0, "center": 0.0},
+    "dgaussian": {"amp": 1.0, "width": 1.0, "center": 0.0},
+    "bumps": {"amp": 1.0, "width": 1.0, "count": 1},
+    "zero": {},
 }
 
 # What every config reads at its top level and in its grid and outputs
@@ -102,39 +105,9 @@ class ConfigError(ValueError):
     """Configuration document rejected before execution."""
 
 
-@dataclass(frozen=True)
-class DataField:
-    kind: str
-    component: int
-    amp: float = 1.0
-    width: float = 1.0
-    center: float = 0.0
-    count: int = 1
-
-
-@dataclass(frozen=True)
-class WeightEntry:
-    role: str
-    kind: str
-    mu: float = 1.0
-    q: float = 1.0
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    scenario: str
-    system: dict
-    grid: dict
-    time: dict
-    data: tuple
-    weights: tuple
-    corrector: dict = None
-    outputs: dict = field(default_factory=dict)
-    seed: int = 0
-
-
 def _section(at, given, reads, reader):
-    """`given`, an object at path `at`, over the defaults in `reads`.
+    """`given`, an object at path `at`, over the defaults in `reads`, in
+    the order of `reads`.
 
     `reads` names every key `given` may hold (`...`: required, None: no
     default), and each value with a KEYS entry must be of its type and
@@ -179,7 +152,8 @@ def _section(at, given, reads, reader):
             for op, bound in bounds:
                 if not _OPERATORS[op](v, bound):
                     refuse(path, f"{v!r} is not {op} {bound}")
-    return {**{k: v for k, v in reads.items() if v is not ... and v is not None}, **given}
+    return {k: given.get(k, default) for k, default in reads.items()
+            if k in given or default is not ... and default is not None}
 
 
 def _lookup(at, entry, key, names):
@@ -196,7 +170,8 @@ def _lookup(at, entry, key, names):
 
 def parse_config(doc):
     """Check a JSON document against KEYS and the tables of what each part
-    reads, and normalize it into a RunConfig."""
+    reads; returns the normalized document, which shares no object with
+    `doc`."""
     doc = _section("", doc, _TOP, "a config")
     kind = _lookup("system", doc["system"], "kind", SYSTEM_KINDS)
     reads = SYSTEM_KINDS[kind]
@@ -231,48 +206,30 @@ def parse_config(doc):
     for i, d in enumerate(doc["data"]):
         at = f"data.{i}"
         d_kind = _lookup(at, d, "kind", DATA_FIELDS)
-        reads_d = {"kind": ..., "component": ..., **dict.fromkeys(DATA_FIELDS[d_kind])}
-        data.append(DataField(**_section(at, d, reads_d, f"a {d_kind} data entry")))
+        reads_d = {"kind": ..., "component": ..., **DATA_FIELDS[d_kind]}
+        data.append(_section(at, d, reads_d, f"a {d_kind} data entry"))
     weights = []
     for i, w in enumerate(doc["weights"]):
         at = f"weights.{i}"
-        role = _lookup(at, w, "role", {role for role, _ in WEIGHT_FIELDS})
-        w_kind = _lookup(at, w, "kind", {k for _, k in WEIGHT_FIELDS})
-        reads_w = {"role": ..., "kind": ..., **dict.fromkeys(WEIGHT_FIELDS[role, w_kind])}
-        weights.append(WeightEntry(**_section(at, w, reads_w, f"a {role} {w_kind} weight")))
-    roles = [w.role for w in weights]
-    if not reads.roles.issuperset(roles) or len(set(roles)) < len(roles):
+        role = _lookup(at, w, "role", reads.roles)
+        w_kind = _lookup(at, w, "kind", reads.roles[role])
+        reads_w = {"role": ..., "kind": ..., **WEIGHT_FIELDS[role, w_kind]}
+        weights.append(_section(at, w, reads_w, f"a {role} {w_kind} weight"))
+    roles = [w["role"] for w in weights]
+    if len(set(roles)) < len(roles):
         raise ConfigError(f"invalid config at weights: a {kind!r} system takes at most "
-                          f"one weight of each role in {sorted(reads.roles)}, got {roles}")
-    return RunConfig(
-        scenario=doc["scenario"],
-        system=system,
-        grid=_section("grid", doc["grid"], _GRID, "a grid"),
-        time=time,
-        data=tuple(data),
-        weights=tuple(weights),
-        corrector=corrector,
-        outputs=outputs,
-        seed=doc["seed"],
-    )
-
-
-def serialize_config(cfg):
-    """The canonical JSON document of a RunConfig."""
-    return {
-        "scenario": cfg.scenario,
-        "system": dict(cfg.system),
-        "grid": dict(cfg.grid),
-        "time": dict(cfg.time),
-        "data": [{"kind": d.kind, "component": d.component,
-                  **{f: getattr(d, f) for f in DATA_FIELDS[d.kind]}} for d in cfg.data],
-        "weights": [{"role": w.role, "kind": w.kind,
-                     **{f: getattr(w, f) for f in WEIGHT_FIELDS[w.role, w.kind]}}
-                    for w in cfg.weights],
-        "corrector": dict(cfg.corrector) if cfg.corrector is not None else None,
-        "outputs": dict(cfg.outputs),
-        "seed": cfg.seed,
-    }
+                          f"one weight of each role, got {roles}")
+    return copy.deepcopy({
+        "scenario": doc["scenario"],
+        "system": system,
+        "grid": _section("grid", doc["grid"], _GRID, "a grid"),
+        "time": time,
+        "data": data,
+        "weights": weights,
+        "corrector": corrector,
+        "outputs": outputs,
+        "seed": doc["seed"],
+    })
 
 
 def read_config(path):
@@ -317,23 +274,20 @@ def build_fields(cfg, grid, n_components):
     """
     x = grid.x
     U = np.zeros((grid.N, n_components))
-    rng = np.random.Generator(np.random.Philox(cfg.seed))
-    for d in cfg.data:
-        if d.component >= n_components:
-            raise ConfigError(
-                f"data component {d.component} out of range for {n_components} fields"
-            )
-        if d.kind == "zero":
-            continue
-        if d.kind == "gaussian":
-            U[:, d.component] += d.amp * np.exp(-(((x - d.center) / d.width) ** 2))
-        elif d.kind == "dgaussian":
-            z = (x - d.center) / d.width
-            U[:, d.component] += d.amp * (-2.0 * z / d.width) * np.exp(-(z**2))
-        elif d.kind == "bumps":
-            for _ in range(d.count):
-                amp = rng.uniform(-1.0, 1.0) * d.amp
-                center = rng.uniform(-d.width, d.width)
+    rng = np.random.Generator(np.random.Philox(cfg["seed"]))
+    for d in cfg["data"]:
+        kind, k = d["kind"], d["component"]
+        if k >= n_components:
+            raise ConfigError(f"data component {k} out of range for {n_components} fields")
+        if kind == "gaussian":
+            U[:, k] += d["amp"] * np.exp(-(((x - d["center"]) / d["width"]) ** 2))
+        elif kind == "dgaussian":
+            z = (x - d["center"]) / d["width"]
+            U[:, k] += d["amp"] * (-2.0 * z / d["width"]) * np.exp(-(z**2))
+        elif kind == "bumps":
+            for _ in range(d["count"]):
+                amp = rng.uniform(-1.0, 1.0) * d["amp"]
+                center = rng.uniform(-d["width"], d["width"])
                 width = rng.uniform(0.5, 3.0)
-                U[:, d.component] += amp * np.exp(-(((x - center) / width) ** 2))
+                U[:, k] += amp * np.exp(-(((x - center) / width) ** 2))
     return U

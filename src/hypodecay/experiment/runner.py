@@ -54,13 +54,7 @@ from ..solvers import (
     simulate_linear,
     simulate_psystem,
 )
-from .config import (
-    ConfigError,
-    build_fields,
-    parse_config,
-    read_config,
-    serialize_config,
-)
+from .config import ConfigError, build_fields, parse_config, read_config
 from .scenarios import scenario_claims
 
 OUT_ENV = "HYPODECAY_OUT"
@@ -75,11 +69,27 @@ def resolve_out_dir(cfg, out_dir=None):
         return Path(out_dir)
     env = os.environ.get(OUT_ENV)
     if env:
-        return Path(env) / cfg.scenario
-    configured = cfg.outputs.get("dir")
+        return Path(env) / cfg["scenario"]
+    configured = cfg["outputs"].get("dir")
     if configured:
         return Path(configured)
-    return Path("runs") / cfg.scenario
+    return Path("runs") / cfg["scenario"]
+
+
+def resolve_out_dir_for_batch(out_root=None):
+    """Batch root precedence: explicit arg > env var > default."""
+    if out_root is not None:
+        return Path(out_root)
+    return Path(os.environ.get(OUT_ENV, "runs")) / "batch"
+
+
+def _make_dir(out):
+    """Create the directory `out`; a failure is a ConfigError."""
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(
+            f"cannot create output directory {out}: {exc.strerror or exc}") from exc
 
 
 def _f(x):
@@ -116,36 +126,35 @@ def write_snapshot_csv(path, grid, U):
 
 
 def build_grid(cfg):
-    g = cfg.grid
+    g = cfg["grid"]
     return Grid1D(L=float(g["L"]), N=int(g["N"]), bc=g["bc"])
 
 
-def spatial_weight(cfg):
-    for w in cfg.weights:
-        if w.role == "spatial":
-            kind = "logarithmic" if w.kind == "log" else "power"
-            return WeightSpec(kind, mu=w.mu, q=w.q)
+def _weight(cfg, role):
+    """The config's weight entry of `role`, without its role, or None."""
+    for w in cfg["weights"]:
+        if w["role"] == role:
+            return {k: v for k, v in w.items() if k != "role"}
     return None
 
 
-def _wave_spec(cfg, ctx, family, kappa1=None):
+def _wave_spec(cfg, ctx, kappa1=None):
     """WaveWeightSpec of the config's wave weight, or None.
 
-    The weight must be of the system's `family`.  `kappa1()`, the power
-    family's stiffness bound, is called only when there is a wave weight.
-    The offset is `default_offset`'s, and a log weight's r is the
-    p-system's: its |w_t|^{r+1} is the damping |u|^{r+1}.
+    The weight is of the system's family (`config.SYSTEM_KINDS`).
+    `kappa1()`, the power family's stiffness bound, is called only when
+    there is a wave weight.  The offset is `default_offset`'s, and a log
+    weight's r is the p-system's: its |w_t|^{r+1} is the damping |u|^{r+1}.
     """
-    entry = next((w for w in cfg.weights if w.role == "wave"), None)
+    entry = _weight(cfg, "wave")
     if entry is None:
         return None
-    if entry.kind != family:
-        raise ConfigError(f"the wave weight must be {family}, got {entry.kind!r}")
+    family = entry.pop("kind")
     if family == "power":
-        params, bound = {"mu": entry.mu}, {"kappa1": kappa1()}
+        params, bound = entry, {"kappa1": kappa1()}
     else:
-        params, bound = {"q": entry.q, "r": float(cfg.system["r"])}, {}
-    a = default_offset(family, float(cfg.time["T"]) + ctx.grid.L, **params, **bound)
+        params, bound = {**entry, "r": float(cfg["system"]["r"])}, {}
+    a = default_offset(family, float(cfg["time"]["T"]) + ctx.grid.L, **params, **bound)
     ctx.manifest["wave"] = {"kind": family, "a": a, **params, **bound}
     return WaveWeightSpec(kind=family, a=a, **params)
 
@@ -164,9 +173,10 @@ class RunContext:
 
 
 def _build_linear(cfg, grid, ctx, weight):
-    spec = SystemSpec(A=np.array(cfg.system["A"], dtype=float),
-                      D=np.array(cfg.system["D"], dtype=float),
-                      n1=int(cfg.system["n1"]))
+    system = cfg["system"]
+    spec = SystemSpec(A=np.array(system["A"], dtype=float),
+                      D=np.array(system["D"], dtype=float),
+                      n1=int(system["n1"]))
     ctx.manifest["system"].update(
         n=spec.n,
         kappa=spec.kappa,
@@ -175,9 +185,9 @@ def _build_linear(cfg, grid, ctx, weight):
     )
     U0 = build_fields(cfg, grid, spec.n)
 
-    if cfg.corrector is not None:
+    if cfg["corrector"] is not None:
         try:
-            coeffs = select_coefficients(spec, safety=cfg.corrector["safety"])
+            coeffs = select_coefficients(spec, safety=cfg["corrector"]["safety"])
         except SKConditionFails as exc:
             ctx.manifest["coefficients"] = {
                 "refused": True, "reason": str(exc),
@@ -208,25 +218,26 @@ def _build_linear(cfg, grid, ctx, weight):
             "X0": ctx.x0,
         }
 
-    wsp = _wave_spec(cfg, ctx, "power", lambda: min_eig_sym(spec.A12 @ spec.A21))
+    wsp = _wave_spec(cfg, ctx, lambda: min_eig_sym(spec.A12 @ spec.A21))
     wave = None if wsp is None else linear_wave_monitor(spec, wsp)
-    sim = LinearSim(spec=spec, grid=grid, nu=float(cfg.time["nu"]))
+    sim = LinearSim(spec=spec, grid=grid, nu=float(cfg["time"]["nu"]))
     return partial(simulate_linear, sim, U0, coeffs=ctx.coeffs, weight=weight,
                    wave=wave)
 
 
 def _build_euler(cfg, grid, ctx, weight):
-    espec = EulerSpec(gamma=float(cfg.system["gamma"]),
-                      rho_bar=float(cfg.system["rho_bar"]),
-                      lam=float(cfg.system["lam"]))
-    cap = float(cfg.system["smallness_cap"])
+    system = cfg["system"]
+    espec = EulerSpec(gamma=float(system["gamma"]),
+                      rho_bar=float(system["rho_bar"]),
+                      lam=float(system["lam"]))
+    cap = float(system["smallness_cap"])
     fields_ = build_fields(cfg, grid, 2)
     ctx.manifest["system"].update(
         gamma=espec.gamma, rho_bar=espec.rho_bar, lam=espec.lam,
         c_bar=espec.c_bar, smallness_cap=cap,
     )
     kappa1 = float(espec.dpressure(espec.rho_bar))
-    wsp = _wave_spec(cfg, ctx, "power", lambda: kappa1)
+    wsp = _wave_spec(cfg, ctx, lambda: kappa1)
     one = np.eye(1)
     wave = None if wsp is None else LinearWaveMonitor(
         wsp, a12=one, a12a21=kappa1 * one, a12_d_a12inv=espec.lam * one)
@@ -235,17 +246,17 @@ def _build_euler(cfg, grid, ctx, weight):
         ctx.x0 = weighted_data_size(grid, fields_, weight.mu)
         ctx.manifest["weighted"] = {"X0": ctx.x0}
     return partial(simulate_euler, espec, grid, rho, fields_[:, 1],
-                   nu=float(cfg.time["nu"]), smallness_cap=cap, weight=weight, wave=wave)
+                   nu=float(cfg["time"]["nu"]), smallness_cap=cap, weight=weight, wave=wave)
 
 
 def _build_psystem(cfg, grid, ctx, weight):
-    pspec = PSystemSpec(r=float(cfg.system["r"]))
+    pspec = PSystemSpec(r=float(cfg["system"]["r"]))
     fields_ = build_fields(cfg, grid, 2)
     ctx.manifest["system"].update(r=pspec.r)
-    wsp = _wave_spec(cfg, ctx, "log")
+    wsp = _wave_spec(cfg, ctx)
     wave = None if wsp is None else LogWaveMonitor(wspec=wsp)
     return partial(simulate_psystem, pspec, grid, fields_[:, 0], fields_[:, 1],
-                   nu=float(cfg.time["nu"]), wave=wave)
+                   nu=float(cfg["time"]["nu"]), wave=wave)
 
 
 def _build_heat(cfg, grid, ctx, weight):
@@ -271,22 +282,22 @@ def _simulate(cfg, grid, ctx):
     Whatever construction rejects, parameter ranges included, is a
     ConfigError raised before any step.
     """
-    kind = cfg.system["kind"]
+    kind = cfg["system"]["kind"]
     ctx.manifest["system"] = {"kind": kind}
     try:
-        weight = spatial_weight(cfg)
-        if weight is not None:
-            ctx.manifest["spatial_weight"] = {
-                "kind": weight.kind, "mu": weight.mu, "q": weight.q,
-            }
+        weight = None
+        spatial = _weight(cfg, "spatial")
+        if spatial is not None:
+            ctx.manifest["spatial_weight"] = spatial
+            weight = WeightSpec(**spatial)
         solve = _SYSTEMS[kind](cfg, grid, ctx, weight)
     except (HypodecayError, ValueError) as exc:
         raise ConfigError(f"cannot build system {kind!r}: {exc}") from exc
     if solve is None:
         return None, {}
-    snaps = tuple(float(s) for s in cfg.outputs.get("snapshots", ()))
+    snaps = tuple(float(s) for s in cfg["outputs"].get("snapshots", ()))
     started = time.perf_counter()
-    result = solve(float(cfg.time["T"]), sample_stride=int(cfg.time["sample_stride"]),
+    result = solve(float(cfg["time"]["T"]), sample_stride=int(cfg["time"]["sample_stride"]),
                    snapshot_times=snaps)
     ctx.simulate_s = time.perf_counter() - started
     return result
@@ -337,7 +348,7 @@ def _check_weighted_bound(claim, ctx):
 def _check_decay_inequality(claim, ctx):
     coeffs = _coeffs(ctx)
     mu = claim["mu"]
-    safety = ctx.cfg.corrector["safety"]
+    safety = ctx.cfg["corrector"]["safety"]
     a2 = 0.5 * coeffs.eta0 / safety
     t = ctx.series.t
     if t.size < 3:
@@ -393,7 +404,7 @@ def derived_run(ctx, patch):
     section key by key, anything else replaces it.  Sub-runs take no
     snapshots.
     """
-    doc = serialize_config(ctx.cfg)
+    doc = dict(ctx.cfg)
     for key, value in patch.items():
         doc[key] = {**doc[key], **value} if isinstance(value, dict) else value
     doc["outputs"] = {"snapshots": []}
@@ -441,7 +452,7 @@ def _check_energy_refinement(claim, ctx):
     return {
         "l1_residual_base": base, "l1_residual_fine": fine,
         "ratio": ratio, "band": [lo, hi],
-        "N": [ctx.cfg.grid["N"], claim["refine_N"]],
+        "N": [ctx.cfg["grid"]["N"], claim["refine_N"]],
     }, [(ratio, lo, hi)]
 
 
@@ -488,7 +499,7 @@ def _ckn_bump_field(x, rng):
 
 
 def _check_ckn_random(claim, ctx):
-    rng = np.random.Generator(np.random.Philox(ctx.cfg.seed))
+    rng = np.random.Generator(np.random.Philox(ctx.cfg["seed"]))
     mus = claim["mus"]
     cap = claim["cap"]
     worst = {mu: 0.0 for mu in mus}
@@ -543,7 +554,7 @@ def run_certificates(ctx):
     returns holds, edges included (a NaN holds none), and fails with the
     error under `measured.error` when the executor raises."""
     certs = []
-    for claim in scenario_claims(ctx.cfg.scenario):
+    for claim in scenario_claims(ctx.cfg["scenario"]):
         try:
             measured, bounds = _CHECKS[claim["check"]](claim, ctx)
         except HypodecayError as exc:
@@ -600,7 +611,7 @@ def run(cfg, out_dir=None):
     out = resolve_out_dir(cfg, out_dir)
     grid = build_grid(cfg)
     ctx = RunContext(cfg=cfg, grid=grid)
-    ctx.manifest["config"] = serialize_config(cfg)
+    ctx.manifest["config"] = cfg
     ctx.manifest["grid"] = {"L": grid.L, "N": grid.N, "bc": grid.bc,
                             "dx": grid.dx}
 
@@ -611,11 +622,7 @@ def run(cfg, out_dir=None):
 
     certs = run_certificates(ctx)
     # nothing is written until the numerics, sub-runs included, have succeeded
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise ConfigError(
-            f"cannot create output directory {out}: {exc.strerror or exc}") from exc
+    _make_dir(out)
 
     snapshot_paths = []
     if series is not None:
@@ -641,7 +648,7 @@ def run(cfg, out_dir=None):
         timing.update(simulate_s=ctx.simulate_s, n_steps=n_steps,
                       ns_per_point_step=ctx.simulate_s * 1e9 / (n_steps * grid.N))
     report = RunReport(
-        scenario=cfg.scenario,
+        scenario=cfg["scenario"],
         out_dir=str(out),
         passed=passed,
         certificates=certs,
@@ -708,20 +715,22 @@ def _cost(path):
         cfg = parse_config(read_config(path))
     except Exception:  # the job's own run reports why, as its exit code
         return (1, 0.0, path.stem)
-    return (0, -cfg.grid["N"] ** 2 * cfg.time["T"] / cfg.grid["L"], path.stem)
+    grid = cfg["grid"]
+    return (0, -grid["N"] ** 2 * cfg["time"]["T"] / grid["L"], path.stem)
 
 
 def batch(config_paths, out_root, jobs=1):
     """Run many configs share-nothing; exit code is the max over runs.
 
     Jobs start in `_cost` order, one at a time, each in a fresh forked
-    worker, so the longest run does not start last and no job inherits
-    another's heap.  Results are keyed and ordered by
-    config file stem, so the aggregate report does not depend on
-    completion order or worker count.  Two configs with one stem would
-    share an output directory and a result key, so they raise
-    ConfigError before anything is written.  Wall times, the batch's and
-    each job's, and each job's peak RSS go to batch_timing.json only.
+    worker at every `jobs`, so the longest run does not start last and no
+    job inherits another's heap.  Results are keyed and ordered by config
+    file stem, so the aggregate report does not depend on completion
+    order or worker count.  Two configs with one stem would share an
+    output directory and a result key, and a root that cannot be created
+    holds no output: either raises ConfigError before anything is written.
+    Wall times, the batch's and each job's, and each job's peak RSS go to
+    batch_timing.json only.
     """
     started = time.perf_counter()
     paths = sorted(Path(p) for p in config_paths)
@@ -732,14 +741,11 @@ def batch(config_paths, out_root, jobs=1):
             raise ConfigError(f"configs {other} and {path} share the stem "
                               f"{path.stem!r}, which names their output directory")
     out_root = Path(out_root)
-    out_root.mkdir(parents=True, exist_ok=True)
+    _make_dir(out_root)
     jobs_list = [(str(p), str(out_root)) for p in sorted(paths, key=_cost)]
-    workers = min(jobs, len(jobs_list))
-    if workers <= 1:
-        results = [_batch_worker(j) for j in jobs_list]
-    else:
-        with get_context("fork").Pool(processes=workers, maxtasksperchild=1) as pool:
-            results = list(pool.imap_unordered(_batch_worker, jobs_list, chunksize=1))
+    workers = max(1, min(jobs, len(jobs_list)))
+    with get_context("fork").Pool(processes=workers, maxtasksperchild=1) as pool:
+        results = list(pool.imap_unordered(_batch_worker, jobs_list, chunksize=1))
     results.sort(key=lambda r: r["name"])
     per_job = {r["name"]: {"wall_s": r.pop("wall_s"), "rss_peak_mb": r.pop("rss_peak_mb")}
                for r in results}

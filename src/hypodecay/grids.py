@@ -189,7 +189,7 @@ def subtract_floor(grid, d, f, nu):
 
 @dataclass(frozen=True)
 class WeightSpec:
-    """Spatial weight: |x|^mu (power) or log^q(1 + |x|) (logarithmic)."""
+    """Spatial weight: |x|^mu (power) or log^q(1 + |x|) (log)."""
 
     kind: str
     mu: float = 0.0
@@ -199,9 +199,9 @@ class WeightSpec:
         if self.kind == "power":
             if self.mu < 0:
                 raise ValueError("power weight needs mu >= 0")
-        elif self.kind == "logarithmic":
+        elif self.kind == "log":
             if self.q <= 0:
-                raise ValueError("logarithmic weight needs q > 0")
+                raise ValueError("log weight needs q > 0")
         else:
             raise ValueError(f"unknown weight kind {self.kind!r}")
 

@@ -26,7 +26,6 @@ from hypodecay.experiment import (
     scenario_claims,
     scenario_doc,
     scenario_names,
-    serialize_config,
 )
 from hypodecay.experiment import runner
 from hypodecay.experiment.cli import main
@@ -77,8 +76,9 @@ def test_registry_names():
 def test_registry_docs_parse_and_round_trip():
     for name in scenario_names():
         doc = scenario_doc(name)
-        canonical = serialize_config(parse_config(doc))
-        again = serialize_config(parse_config(canonical))
+        canonical = parse_config(doc)
+        assert type(canonical) is dict, name
+        again = parse_config(canonical)
         assert again == canonical, name
         for w in canonical["weights"]:
             assert list(w) == ["role", "kind", *WEIGHT_FIELDS[w["role"], w["kind"]]], name
@@ -89,13 +89,39 @@ def test_registry_docs_parse_and_round_trip():
 def test_weight_entries_record_only_the_fields_their_role_and_kind_read():
     doc = smoke_doc()
     doc["weights"] = [{"role": "spatial", "kind": "log", "q": 2.0}]
-    assert serialize_config(parse_config(doc))["weights"] == doc["weights"]
+    assert parse_config(doc)["weights"] == doc["weights"]
     doc = scenario_doc("thm6_psystem_log")
-    assert serialize_config(parse_config(doc))["weights"] == [
+    assert parse_config(doc)["weights"] == [
         {"role": "wave", "kind": "log", "q": 1.0}]
     # every role with every kind has a row, so each pair parse_config admits has one
     assert set(WEIGHT_FIELDS) == {(role, kind) for role, _ in WEIGHT_FIELDS
                                   for _, kind in WEIGHT_FIELDS}
+
+
+def test_parsed_config_shares_no_object_with_its_document():
+    doc = scenario_doc("thm2_weighted")
+    cfg = parse_config(doc)
+    before = json.loads(json.dumps(cfg))
+    doc["system"]["A"][0][1] = 99.0
+    doc["system"]["A"][1].append(0.0)
+    doc["system"]["D"][0] = [5.0]
+    doc["data"][0]["amp"] = 7.0
+    doc["weights"][0]["mu"] = 0.5
+    doc["outputs"]["snapshots"].append(1.0)
+    doc["grid"]["N"] = 16
+    assert cfg == before
+
+
+@pytest.mark.parametrize("scenario, path, family", [
+    ("thm3_wave", "weights.0.kind", "log"),
+    ("thm5_euler_weighted", "weights.1.kind", "log"),
+    ("thm6_psystem_log", "weights.0.kind", "power"),
+])
+def test_parse_refuses_a_wave_weight_of_another_family(scenario, path, family):
+    doc = scenario_doc(scenario)
+    apply_override(doc, path, family)
+    with pytest.raises(ConfigError, match=rf"at {re.escape(path)}: expected one of "):
+        parse_config(doc)
 
 
 def test_registry_doc_is_a_copy():
@@ -132,11 +158,11 @@ def test_system_kinds_agree():
 
 def test_data_entries_record_only_the_fields_their_kind_reads():
     doc = scenario_doc("thm2_weighted")
-    assert serialize_config(parse_config(doc))["data"] == [
+    assert parse_config(doc)["data"] == [
         {"kind": "dgaussian", "component": 0, "amp": 1.0, "width": 1.6, "center": 0.0}]
     doc["data"] = [{"kind": "bumps", "component": 0, "count": 3},
                    {"kind": "zero", "component": 1}]
-    assert serialize_config(parse_config(doc))["data"] == [
+    assert parse_config(doc)["data"] == [
         {"kind": "bumps", "component": 0, "amp": 1.0, "width": 1.0, "count": 3},
         {"kind": "zero", "component": 1}]
 
@@ -191,12 +217,14 @@ def edge_doc(kind="linear"):
         "time": {"T": 2.0, "sample_stride": 1, "nu": 0.0},
         "data": [{"kind": "gaussian", "component": 0, "amp": 1.0, "width": 3.0, "center": 0.0},
                  {"kind": "bumps", "component": 1, "amp": 1.0, "width": 1.0, "count": 1}],
-        "weights": [{"role": "wave", "kind": "log", "q": 1.0}],
+        # the wave weight is of the system's family
+        "weights": [{"role": "wave", "kind": "log", "q": 1.0}] if kind == "psystem" else
+                   [{"role": "wave", "kind": "power", "mu": 1.0},
+                    {"role": "spatial", "kind": "log", "q": 1.0}],
         "outputs": {"dir": "out", "snapshots": [0.0]},
         "seed": 0,
     }
     if kind == "linear":
-        doc["weights"].insert(0, {"role": "spatial", "kind": "power", "mu": 1.0})
         doc["corrector"] = {"safety": 0.5}
     return doc
 
@@ -371,7 +399,7 @@ def test_parse_refuses_each_rule_at_its_path(tmp_path, capsys, kind, path, value
 ])
 def test_parse_accepts_each_edge(kind, path, value):
     cfg = parse_config(edited(kind, path, value))
-    assert serialize_config(parse_config(serialize_config(cfg))) == serialize_config(cfg)
+    assert parse_config(cfg) == cfg
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 10**400, -10**400],
@@ -400,10 +428,10 @@ def test_parse_refuses_integers_beyond_the_double_range(path):
 
 def test_parse_defaults():
     cfg = parse_config(smoke_doc())
-    assert cfg.time["nu"] == 0.0
-    assert cfg.seed == 0
-    assert cfg.corrector is None
-    assert cfg.grid["bc"] == "periodic"
+    assert cfg["time"]["nu"] == 0.0
+    assert cfg["seed"] == 0
+    assert cfg["corrector"] is None
+    assert cfg["grid"]["bc"] == "periodic"
 
 
 # --- overrides -------------------------------------------------------------
@@ -721,7 +749,7 @@ def test_batch_survives_an_internal_error(monkeypatch, tmp_path):
     real_run = runner.run
 
     def run_or_break(cfg, out_dir=None):
-        if cfg.scenario == "smoke_bad":
+        if cfg["scenario"] == "smoke_bad":
             raise KeyError("missing")
         return real_run(cfg, out_dir=out_dir)
 
@@ -814,6 +842,21 @@ def test_batch_reports_an_uncreatable_output_directory(tmp_path):
     assert agg["exit_code"] == 2
     assert json.loads((out_root / "batch_report.json").read_text()) == agg
     assert (out_root / "blocked").read_text() == "a regular file\n"
+
+
+def test_batch_runs_each_job_in_its_own_worker_at_one_job(monkeypatch, tmp_path):
+    def report_pid(cfg, out_dir=None):
+        raise ConfigError(f"pid {os.getpid()}")
+
+    monkeypatch.setattr(runner, "run", report_pid)  # forked workers inherit it
+    cfg_dir = tmp_path / "cfgs"
+    cfg_dir.mkdir()
+    for name in ("a", "b", "c"):
+        (cfg_dir / f"{name}.json").write_text(json.dumps(smoke_doc(f"smoke_{name}")))
+    agg = batch(sorted(cfg_dir.glob("*.json")), tmp_path / "br", jobs=1)
+    pids = {r["error"] for r in agg["runs"]}
+    assert len(pids) == 3
+    assert f"pid {os.getpid()}" not in pids
 
 
 def test_batch_rejects_configs_that_share_a_stem(tmp_path):
@@ -1246,6 +1289,19 @@ def test_cli_batch_isolates_failures(tmp_path, capsys):
     assert by_name["undecodable"]["exit_code"] == 2
     assert (tmp_path / "br" / "good" / "report.json").exists()
     assert main(["batch", "--dir", str(tmp_path / "empty")]) == 2
+
+
+def test_cli_batch_rejects_an_uncreatable_output_root(tmp_path, capsys):
+    cfg_dir = tmp_path / "cfgs"
+    cfg_dir.mkdir()
+    (cfg_dir / "good.json").write_text(json.dumps(smoke_doc("smoke_good")))
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    assert main(["batch", "--dir", str(cfg_dir), "--out", str(blocker / "x")]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "cannot create output directory" in err
+    assert blocker.read_text() == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfgs", "file"]
 
 
 def test_batch_worker_count_invariance(tmp_path):

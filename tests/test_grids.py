@@ -246,7 +246,7 @@ def test_component_sum_matches_numpy_row_sum(k):
 def test_weight_values():
     w = WeightSpec("power", mu=2.0)
     assert w.values(np.array([-3.0, 0.0, 2.0])) == pytest.approx([9.0, 0.0, 4.0])
-    wl = WeightSpec("logarithmic", q=2.0)
+    wl = WeightSpec("log", q=2.0)
     assert wl.values(np.array([np.e - 1.0])) == pytest.approx([1.0])
 
 
@@ -254,7 +254,7 @@ def test_weight_guards():
     with pytest.raises(ValueError):
         WeightSpec("power", mu=-0.5)
     with pytest.raises(ValueError):
-        WeightSpec("logarithmic", q=0.0)
+        WeightSpec("log", q=0.0)
     with pytest.raises(ValueError):
         WeightSpec("tent")
 
