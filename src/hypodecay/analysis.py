@@ -166,6 +166,13 @@ def _ckn_weight(ax, expo):
     return wl
 
 
+def _quadrature(qw, v):
+    """sum(qw * v) by numpy's own reduction, not a BLAS dot, whose order
+    follows the thread count; `v` is overwritten."""
+    v *= qw
+    return float(v.sum())
+
+
 def check_ckn(grid, h, mu):
     """Weighted interpolation inequality check for a compactly supported field.
 
@@ -204,8 +211,8 @@ def check_ckn(grid, h, mu):
         dh = derivative(grid, f, kernel)[lo - a:hi - a]
         f, ax = f[lo - a:hi - a], np.abs(x[lo - a:hi - a])
         qw = grid.weights(lo, hi)
-        lhs2 += float(qw @ (_ckn_weight(ax, expo) * f * f))
-        rhs2 += float(qw @ (ax ** (2.0 * mu) * dh * dh))
+        lhs2 += _quadrature(qw, _ckn_weight(ax, expo) * f * f)
+        rhs2 += _quadrature(qw, ax ** (2.0 * mu) * dh * dh)
     lhs = math.sqrt(lhs2)
     rhs = 2.0 / (2.0 * mu - 1.0) * math.sqrt(rhs2)
     ratio = 0.0 if rhs == 0.0 else lhs / rhs

@@ -826,6 +826,22 @@ def test_ckn_witness_runs_in_blocks_of_memory():
     assert peak < 16e6
 
 
+def test_ckn_witness_does_not_depend_on_the_blas_thread_count():
+    """The quadratures sum with numpy's own reduction: OpenBLAS runs a dot
+    over a 65,536-node block threaded, in an order set by the thread count."""
+    src = str(Path(runner.__file__).resolve().parents[2])
+    code = ("from hypodecay.experiment import runner, scenario_claims\n"
+            "claim = next(c for c in scenario_claims('ckn_sweep')"
+            " if c['check'] == 'ckn_witness')\n"
+            "print(repr(runner._check_ckn_witness(claim, None)[0]['ratio']))")
+    ratios = [
+        subprocess.run([sys.executable, "-c", code], check=True, capture_output=True, text=True,
+                       env=dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads)).stdout
+        for threads in ("1", "2")
+    ]
+    assert ratios[0] == ratios[1] != ""
+
+
 def test_batch_reports_an_uncreatable_output_directory(tmp_path):
     cfg_dir = tmp_path / "cfgs"
     cfg_dir.mkdir()
