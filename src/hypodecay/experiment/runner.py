@@ -161,7 +161,7 @@ def _wave_spec(cfg, ctx, kappa1=None):
 
 @dataclass
 class RunContext:
-    cfg: object
+    cfg: dict
     grid: object
     series: object = None
     coeffs: object = None
@@ -715,8 +715,7 @@ def _cost(path):
         cfg = parse_config(read_config(path))
     except Exception:  # the job's own run reports why, as its exit code
         return (1, 0.0, path.stem)
-    grid = cfg["grid"]
-    return (0, -grid["N"] ** 2 * cfg["time"]["T"] / grid["L"], path.stem)
+    return (0, -cfg["grid"]["N"] ** 2 * cfg["time"]["T"] / cfg["grid"]["L"], path.stem)
 
 
 def batch(config_paths, out_root, jobs=1):
