@@ -235,14 +235,21 @@ def cross_matrix(spec, eps):
 def lyapunov_value(C, eta0, G, t):
     """Augmented energy ||U||_{H^1}^2 + eta0 t ||d_x U||^2 + I(t).
 
-    G is the `grids.gram` of the rows [U^T; (d_x U)^T].  The cross term I
-    is <C, G[:n, n:]> with C = `cross_matrix(spec, coeffs.eps)`, built
-    once per run.
+    G is the `grids.gram` of rows that begin [U^T; (d_x U)^T], as nested
+    lists or an array.  The cross term I is <C, G[:n, n:2n]> with
+    C = `cross_matrix(spec, coeffs.eps)`, built once per run.  Every sum
+    runs left to right over Python floats, as numpy sums fewer than
+    eight terms.
     """
-    n = len(G) // 2
-    sq = G.diagonal()
-    return float(sq[:n].sum() + (1.0 + eta0 * t) * sq[n:].sum()
-                 + (C * G[:n, n:]).sum())
+    n = len(C)
+    l2, dx, cross = G[0][0], G[n][n], 0.0
+    for i in range(1, n):
+        l2 += G[i][i]
+        dx += G[n + i][n + i]
+    for i, Ci in enumerate(C):
+        for j, c in enumerate(Ci):
+            cross += c * G[i][n + j]
+    return float(l2 + (1.0 + eta0 * t) * dx + cross)
 
 
 # --- weighted lane -----------------------------------------------------

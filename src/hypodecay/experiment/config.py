@@ -29,14 +29,17 @@ from .scenarios import scenario_doc, scenario_names
 SystemKind = namedtuple("SystemKind", "system time corrector roles fields",
                         defaults=(None, {}, True))
 _STEPPED = {"T": ..., "sample_stride": 1, "nu": 0.0}
-_SPATIAL = ("power", "log")
+# `_build_linear` and `_build_euler` read a spatial weight's mu (the weighted
+# coefficients and the |x|^mu data size), which only a power weight has.
+_POWER = {"spatial": ("power",), "wave": ("power",)}
 SYSTEM_KINDS = {
     "linear": SystemKind({"A": ..., "D": ..., "n1": ...}, _STEPPED, corrector={"safety": 0.5},
-                         roles={"spatial": _SPATIAL, "wave": ("power",)}),
+                         roles=_POWER),
     "euler": SystemKind({"gamma": 2.0, "rho_bar": 1.0, "lam": 1.0, "smallness_cap": 0.5},
-                        _STEPPED, roles={"spatial": _SPATIAL, "wave": ("power",)}),
+                        _STEPPED, roles=_POWER),
     "psystem": SystemKind({"r": 2.0}, _STEPPED, roles={"wave": ("log",)}),
-    "heat": SystemKind({}, {"T": ..., "sample_stride": 1}, roles={"spatial": _SPATIAL}),
+    "heat": SystemKind({}, {"T": ..., "sample_stride": 1},
+                       roles={"spatial": ("power", "log")}),
     "none": SystemKind({}, {"T": ...}, fields=False),
 }
 

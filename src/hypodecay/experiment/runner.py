@@ -605,6 +605,19 @@ def _rss_peak_mb():
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
 
+# The outputs whose names vary with the config; a rerun into the same
+# directory would otherwise leave the old run's beside the new report.
+_VARYING_OUTPUTS = ("snapshot_*.csv", "series_refine_*.csv")
+
+
+def _remove_stale(out, keep):
+    """Delete the files of `out` named by `_VARYING_OUTPUTS` that are not in `keep`."""
+    for pattern in _VARYING_OUTPUTS:
+        for path in out.glob(pattern):
+            if path.name not in keep:
+                path.unlink()
+
+
 def run(cfg, out_dir=None):
     """Execute one configured scenario; write series, snapshots, report."""
     started = time.perf_counter()
@@ -623,15 +636,16 @@ def run(cfg, out_dir=None):
     certs = run_certificates(ctx)
     # nothing is written until the numerics, sub-runs included, have succeeded
     _make_dir(out)
+    snapshot_names = {ts: f"snapshot_{repr(ts).removesuffix('.0')}.csv" for ts in snapshots}
+    _remove_stale(out, {*snapshot_names.values(), *(f"{n}.csv" for n in ctx.extra_series)})
 
     snapshot_paths = []
     if series is not None:
         series_path = "series.csv"
         write_series_csv(out / series_path, series)
         for ts in sorted(snapshots):
-            name = f"snapshot_{repr(ts).removesuffix('.0')}.csv"
-            write_snapshot_csv(out / name, grid, snapshots[ts])
-            snapshot_paths.append(name)
+            write_snapshot_csv(out / snapshot_names[ts], grid, snapshots[ts])
+            snapshot_paths.append(snapshot_names[ts])
         for name in sorted(ctx.extra_series):
             write_series_csv(out / f"{name}.csv", ctx.extra_series[name])
     else:

@@ -241,15 +241,22 @@ def inner(grid, f, g, w2=None):
 
 
 def gram(grid, rows, c=None):
-    """Quadrature Gram matrix sum_x qw c rows_x rows_x^T of (m, N) rows.
+    """Quadrature Gram matrix sum_x qw c rows_x rows_x^T of (m, N) rows, c = 1
+    when None, else one (N,) weight.
 
-    Weights c of shape (p, N) give the (p, m, m) stack, one (m, N) product each.
+    Built as (rows * (c qw)) @ rows.T, so that no m^2 x N product exists.
     Rows are taken C-ordered, as the product rounds by their memory order.
+    Unweighted, rows * qw is taken as rows * dx with the compact end
+    columns redone: the same bits in half the time of a vector product.
     """
     rows = np.ascontiguousarray(rows)
-    if c is None:
-        return (rows * grid.qw) @ rows.T
-    return np.stack([(rows * (cj * grid.qw)) @ rows.T for cj in c])
+    if c is not None:
+        return (rows * (c * grid.qw)) @ rows.T
+    scaled = rows * grid.dx
+    if not grid.periodic:
+        ends = slice(None, None, grid.N - 1)
+        scaled[:, ends] = rows[:, ends] * (grid.dx / 2.0)
+    return scaled @ rows.T
 
 
 def h1_norm(grid, f):
@@ -258,12 +265,16 @@ def h1_norm(grid, f):
     return float(np.sqrt(a * a + b * b))
 
 
-def antiderivative(grid, f):
-    """Cumulative trapezoid primitive F of f from the left edge, F[0] = 0."""
+def antiderivative(grid, f, out=None):
+    """Cumulative trapezoid primitive F of f along axis 0 from the left edge,
+    F[0] = 0, written into `out` when it is given."""
     f = np.asarray(f, dtype=float)
-    steps = 0.5 * (f[1:] + f[:-1]) * grid.dx
-    F = np.zeros_like(f)
-    F[1:] = np.cumsum(steps, axis=0)
+    steps = f[1:] + f[:-1]
+    steps *= 0.5
+    steps *= grid.dx
+    F = np.empty_like(f) if out is None else out
+    F[0] = 0.0
+    np.cumsum(steps, axis=0, out=F[1:])
     return F
 
 

@@ -170,7 +170,7 @@ def simulate_euler(espec, grid, rho0, u0, T, nu=0.0, sample_stride=1,
         if weight is not None:
             row["weighted_l2"] = math.sqrt(float(grid.qw @ (w2 * (n * n + u * u))))
         if wave is not None:
-            we, wh = wave.record(grid, t, n[:, None], (rho_now * u)[:, None])
+            we, wh = wave.record(grid, t, wave.stack(grid, (n, rho_now * u)))
             row["wave_energy"] = we
             row["wave_dissipation"] = wh
         if h2_raw > smallness_cap:

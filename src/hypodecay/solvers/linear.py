@@ -14,8 +14,12 @@ fourth-difference floor), and on compact grids one dense block for the
 b end rows at each side.  No coefficient is derived by
 hand.  `simulate_linear` carries the state as C-contiguous (n, N) rows
 and steps it with n^2 `np.correlate` calls after one ghost pad.  Its
-`record` reads U as the free `.T` view, and a sample reads every norm
-from one Gram matrix of the rows [U^T; (d_x U)^T].
+`record` reads U as the free `.T` view and fills one preallocated stack
+of rows [U; d_x U; W], W (the antiderivative of U1) only under a wave
+monitor.  Every quadratic channel, the Lyapunov functional and the wave
+pair included, is a contraction of that stack's one quadrature Gram,
+read as Python floats, plus one weighted Gram per wave weight that is
+not a constant (`waves.power_wave_record`).
 """
 
 import math
@@ -25,8 +29,8 @@ import numpy as np
 
 from ..corrector import cross_matrix, lyapunov_value
 from ..errors import CflViolation
-from ..grids import (Grid1D, check_escape, d_dx, escape_tol, ghost_pad, gram, l2_norm,
-                     subtract_floor)
+from ..grids import (Grid1D, antiderivative, check_escape, d_dx, escape_tol, ghost_pad,
+                     gram, l2_norm, subtract_floor)
 from ..linalg import jacobi_eigensystem, expm_sym
 from .march import CFL, check_nu, march, rk4, step_size
 
@@ -218,6 +222,14 @@ def step_linear(U, sim, dt=None):
     return compile_step(sim, dt)(rows).T
 
 
+def _trace(G, lo, hi):
+    """G[lo][lo] + ... + G[hi-1][hi-1] of nested lists, added left to right."""
+    s = G[lo][lo]
+    for i in range(lo + 1, hi):
+        s += G[i][i]
+    return s
+
+
 def simulate_linear(sim, U0, T, sample_stride=1, coeffs=None, weight=None,
                     wave=None, snapshot_times=()):
     """Run to time T, recording norm channels every sample_stride steps.
@@ -238,30 +250,36 @@ def simulate_linear(sim, U0, T, sample_stride=1, coeffs=None, weight=None,
     tol = escape_tol(U)
     n, n1 = spec.n, spec.n1
     w2 = None if weight is None else weight.values(grid.x) ** 2
-    C = None if coeffs is None else cross_matrix(spec, coeffs.eps)
+    C = None if coeffs is None else cross_matrix(spec, coeffs.eps).tolist()
+    D = spec.D.tolist()
+    # [U; d_x U; W] in C order (BLAS' fast path for gram); W only with a monitor
+    R = np.empty((2 * n + (0 if wave is None else n1), grid.N))
 
     def record(t, V):
         U = V.T
-        rows = np.empty((2 * n, grid.N))  # C order: BLAS' fast path for gram
-        rows[:n] = V
+        R[:n] = V
         for c in range(n):
-            rows[n + c] = d_dx(grid, V[c])
-        G = gram(grid, rows)
-        sq = G.diagonal()
+            R[n + c] = d_dx(grid, V[c])
+        for a in range(len(R) - 2 * n):
+            antiderivative(grid, V[a], out=R[2 * n + a])
+        G = gram(grid, R).tolist()
+        diss = 0.0
+        for i, Di in enumerate(D):
+            for j, d in enumerate(Di):
+                diss += d * G[n1 + i][n1 + j]
         row = {
-            "l2": math.sqrt(sq[:n].sum()),
-            "u1_l2": math.sqrt(sq[:n1].sum()),
-            "u2_l2": math.sqrt(sq[n1:n].sum()),
-            "dx_l2": math.sqrt(sq[n:].sum()),
-            "dissipation": 2.0 * float((spec.D * G[n1:n, n1:n]).sum()),
+            "l2": math.sqrt(_trace(G, 0, n)),
+            "u1_l2": math.sqrt(_trace(G, 0, n1)),
+            "u2_l2": math.sqrt(_trace(G, n1, n)),
+            "dx_l2": math.sqrt(_trace(G, n, 2 * n)),
+            "dissipation": 2.0 * diss,
         }
         if coeffs is not None:
             row["lyapunov"] = lyapunov_value(C, coeffs.eta0, G, t)
         if weight is not None:
             row["weighted_l2"] = l2_norm(grid, U, w2)
         if wave is not None:
-            row["wave_energy"], row["wave_dissipation"] = wave.record(
-                grid, t, U[:, :n1], U[:, n1:])
+            row["wave_energy"], row["wave_dissipation"] = wave.record(grid, t, R, G)
         check_escape(grid, t, tol, U)
         return row
 

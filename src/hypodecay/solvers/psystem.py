@@ -104,17 +104,19 @@ def simulate_psystem(pspec, grid, rho0, u0, T, nu=0.0, sample_stride=1,
         aur = np.abs(u)
         if r != 2.0:
             aur **= r - 1.0
-        lrp1 = float(grid.qw @ (aur * u * u))
-        cross = float(grid.qw @ (aur * u * dr)) / r
+        au = aur * u
+        lrp1 = float(grid.qw @ (au * u))
+        cross = float(grid.qw @ (au * dr)) / r
         wstar = l22 + dl22 + ETA2 * cross
+        adu2 = float(grid.qw @ (aur * du_ * du_))
         hstar = (
             2.0 * lrp1
-            + 2.0 * r * float(grid.qw @ (aur * du_ * du_))
+            + 2.0 * r * adu2
             + ETA2
             * (
                 float(grid.qw @ (aur * dr * dr))
                 + float(grid.qw @ (aur * aur * u * dr))
-                - float(grid.qw @ (aur * du_ * du_))
+                - adu2
             )
         )
         row = {

@@ -5,10 +5,13 @@ W, the antiderivative of the conserved undamped field.  W decays only
 when that field has zero mass.  This module owns the reformulation: a
 monitor's `check_mass` checks the zero-mass precondition on the initial
 data, which its solver calls once before the first step, and its
-`record` takes the solver's undamped field and its flux partner,
-builds W itself and evaluates the weighted wave energy and its
-dissipation rate, the power one from weighted Grams of W, W_t and W_x.
-Two weight families:
+`record` evaluates the weighted wave energy and its dissipation rate.
+The log monitor takes the p-system's rho and u, builds w itself and
+evaluates the energy pointwise.  The power monitor reads both numbers
+from quadrature Grams of the rows [U1; U2; W] (`stack` builds them, or
+the linear record hands over its own stack and Gram): W_t and W_x are
+linear in U, so `power_forms` writes each weight's share as a quadratic
+form on those rows.  Two weight families:
 
 * power weights  phi(s) = (a + s)^(2 mu - 1)  on  s = t + |x|
 * log weights    phi1(s) = log^{2q}(a + s),
@@ -20,7 +23,7 @@ monitor refuses data whose mass exceeds DEFAULT_MASS_TOL, and the log
 energy's correction terms carry the weight ETA3.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -168,33 +171,89 @@ def check_zero_mass(grid, f, mass_tol=DEFAULT_MASS_TOL):
     return worst
 
 
-def power_wave_record(grid, t, wspec, rows, a12a21, a12_d_a12inv):
+def power_forms(a12a21, a12_d_a12inv, T=None):
+    """The power family's energy and dissipation as quadratic forms, per weight.
+
+    With M = a12a21, the stiffness coefficient of the wave reformulation,
+    and Md = a12_d_a12inv, its damping coefficient, the densities are
+
+        e = phi/2 (|W_t|^2 + W_x.M W_x) + phi' W_t.W - phi''/2 |W|^2
+            + phi'/2 W.Md W
+        h = phi W_t.Md W_t + phi'/2 W_x.M W_x + phi'''/2 (|W|^2 - W.M W)
+
+    and h carries the point mass -phi''(t) W(0).M W(0) at the |x|-kink.
+    Source rows S give the wave fields [W; W_t; W_x] = T S (T = I: S is
+    those rows).  Returns (terms, point): terms[c] lists the nonzero
+    entries (i, j, e_ij, h_ij) of T^T E_c T and T^T H_c T, the forms on S
+    of the c-th weight of `power_terms` (phi, phi', phi'', phi'''), and
+    point the entries (i, j, p_ij) of the point-mass form on S.
+    """
+    M = np.asarray(a12a21, dtype=float)
+    Md = np.asarray(a12_d_a12inv, dtype=float)
+    k = len(M)
+    one = np.eye(k)
+    w, wt, wx = slice(0, k), slice(k, 2 * k), slice(2 * k, 3 * k)
+    E, H = np.zeros((2, 4, 3 * k, 3 * k))
+    E[0, wt, wt] = 0.5 * one
+    E[0, wx, wx] = 0.5 * M
+    H[0, wt, wt] = Md
+    E[1, wt, w] = one
+    E[1, w, w] = 0.5 * Md
+    H[1, wx, wx] = 0.5 * M
+    E[2, w, w] = -0.5 * one
+    H[3, w, w] = 0.5 * (one - M)
+    P = np.zeros((3 * k, 3 * k))
+    P[w, w] = M
+    T = np.eye(3 * k) if T is None else T
+    E, H, P = T.T @ E @ T, T.T @ H @ T, T.T @ P @ T
+    terms = tuple([(int(i), int(j), float(Ec[i, j]), float(Hc[i, j]))
+                   for i, j in np.argwhere((Ec != 0.0) | (Hc != 0.0))]
+                  for Ec, Hc in zip(E, H))
+    point = [(int(i), int(j), float(P[i, j])) for i, j in np.argwhere(P != 0.0)]
+    return terms, point
+
+
+def power_wave_record(grid, t, wspec, forms, R, G=None, at=None):
     """Weighted wave energy and dissipation rate for the power family.
 
-    `rows` is the (3k, N) stack [W^T; W_t^T; W_x^T] of the wave fields;
-    a12a21 is the stiffness coefficient matrix of the wave reformulation
-    and a12_d_a12inv its damping coefficient.  Both numbers are
-    contractions of the quadrature Grams of `rows` weighted by phi and
-    phi', and of the W rows alone weighted by phi'' and phi''' (the only
-    rows those two meet; both weights vanish at mu = 1, which skips that
-    Gram).  The dissipation carries a point mass at x = 0 where the
-    weight's |x|-kink lives.
+    `forms` is `power_forms` of the source rows S, and S_i is row at[i]
+    of the C-ordered stack R (every row of R, in order, when at is None).
+    G is R's unweighted quadrature Gram as nested lists, taken here when
+    None.  Each weight of `power_terms(t + |x|)` that is a constant reads
+    G times that constant, and adds nothing when it is 0; each other
+    weight takes one Gram of the rows of R from the first to the last
+    one its forms meet.  At mu = 1, where the weights are (a + s, 1, 0,
+    0), that is one weighted Gram, of phi, and the point mass is 0.
     """
-    k = rows.shape[0] // 3
-    w, wt, wx = slice(0, k), slice(k, 2 * k), slice(2 * k, 3 * k)
-    phi, d1, d2, d3 = wspec.power_terms(t + grid.abs_x)
-    g0, g1 = gram(grid, rows, (phi, d1))
-    M, Md = a12a21, a12_d_a12inv
-    e = 0.5 * (np.trace(g0[wt, wt]) + (M * g0[wx, wx]).sum()) + np.trace(g1[wt, w])
-    h = (Md * g0[wt, wt]).sum() + 0.5 * (M * g1[wx, wx]).sum()
-    if wspec.mu != 1.0:  # terms added left to right, as one sum would round them
-        g2, g3 = gram(grid, rows[w], (d2, d3))
-        e = e - 0.5 * np.trace(g2)
-        h = h + 0.5 * np.trace(g3) - 0.5 * (M * g3).sum()
-    e += 0.5 * (Md * g1[w, w]).sum()
-    w0 = rows[w, grid.i0]
-    point_mass = -wspec.power_terms(t)[2] * float(w0 @ M @ w0)
-    return float(e), float(h) + point_mass
+    terms, point = forms
+    if at is None:
+        at = range(len(R))
+    if G is None:
+        G = gram(grid, R).tolist()
+    e = h = 0.0
+    for c, cterms in zip(wspec.power_terms(t + grid.abs_x), terms):
+        if not cterms:
+            continue
+        if not isinstance(c, np.ndarray):
+            if c == 0.0:
+                continue
+            g, lo, scale = G, 0, c
+        else:
+            met = [at[s] for term in cterms for s in term[:2]]
+            lo = min(met)
+            g, scale = gram(grid, R[lo:max(met) + 1], c).tolist(), 1.0
+        for i, j, ce, ch in cterms:
+            v = scale * g[at[i] - lo][at[j] - lo]
+            e += ce * v
+            h += ch * v
+    d2 = wspec.power_terms(t)[2]
+    if d2 != 0.0:
+        w0 = R[:, grid.i0].tolist()
+        mass = 0.0
+        for i, j, p in point:
+            mass += p * w0[at[i]] * w0[at[j]]
+        h += -d2 * mass
+    return float(e), float(h)
 
 
 def log_wave_record(grid, t, wspec, w, wt, wx):
@@ -216,25 +275,44 @@ class LinearWaveMonitor:
 
     Requires square invertible coupling A12 (`linear_wave_monitor` checks
     it); tracks W = antiderivative of U1 with the algebraic time
-    derivative W_t = -A12 U2 and W_x = U1.
+    derivative W_t = -A12 U2 and W_x = U1.  Both are linear in U, so the
+    record is read from the Grams of the rows [U1; U2; W]: `forms` holds
+    the power forms on those rows, and no W_t or W_x row is built.
     """
 
     wspec: WaveWeightSpec
     a12: np.ndarray
     a12a21: np.ndarray
     a12_d_a12inv: np.ndarray
+    forms: tuple = field(init=False, repr=False)
+
+    def __post_init__(self):
+        k = len(self.a12)
+        T = np.zeros((3 * k, 3 * k))
+        T[:k, 2 * k:] = np.eye(k)  # W
+        T[k:2 * k, k:2 * k] = -np.asarray(self.a12, dtype=float)  # W_t = -A12 U2
+        T[2 * k:, :k] = np.eye(k)  # W_x = U1
+        object.__setattr__(self, "forms", power_forms(self.a12a21, self.a12_d_a12inv, T))
 
     def check_mass(self, grid, U1):
         return check_zero_mass(grid, U1)
 
-    def record(self, grid, t, U1, U2):
-        k = U1.shape[1]
-        rows = np.empty((3 * k, grid.N))
-        rows[:k] = antiderivative(grid, U1).T
-        rows[k:2 * k] = -(self.a12 @ U2.T)
-        rows[2 * k:] = U1.T
-        return power_wave_record(grid, t, self.wspec, rows, self.a12a21,
-                                 self.a12_d_a12inv)
+    def stack(self, grid, U):
+        """The C-ordered rows [U1; U2; W] of the 2k rows U = [U1; U2]."""
+        k = len(self.a12)
+        R = np.empty((3 * k, grid.N))
+        R[:2 * k] = U
+        for a in range(k):
+            antiderivative(grid, R[a], out=R[2 * k + a])
+        return R
+
+    def record(self, grid, t, R, G=None):
+        """(energy, dissipation) of a sample whose C-ordered rows R hold
+        [U1; U2] first and W last, as `stack` builds them; G is R's
+        unweighted Gram as nested lists, taken here when None."""
+        k, m = len(self.a12), len(R)
+        at = (*range(2 * k), *range(m - k, m))
+        return power_wave_record(grid, t, self.wspec, self.forms, R, G, at)
 
 
 @dataclass(frozen=True)

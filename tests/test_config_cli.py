@@ -87,7 +87,7 @@ def test_registry_docs_parse_and_round_trip():
 
 
 def test_weight_entries_record_only_the_fields_their_role_and_kind_read():
-    doc = smoke_doc()
+    doc = scenario_doc("heat_oracle")
     doc["weights"] = [{"role": "spatial", "kind": "log", "q": 2.0}]
     assert parse_config(doc)["weights"] == doc["weights"]
     doc = scenario_doc("thm6_psystem_log")
@@ -197,6 +197,7 @@ def edge_doc(kind="linear"):
         "euler": {"kind": "euler", "gamma": 2.0, "rho_bar": 1.0, "lam": 1.0,
                   "smallness_cap": 0.5},
         "psystem": {"kind": "psystem", "r": 2.0},
+        "heat": {"kind": "heat"},
     }[kind]
     doc = {
         "scenario": "edge",
@@ -205,15 +206,18 @@ def edge_doc(kind="linear"):
         "time": {"T": 2.0, "sample_stride": 1, "nu": 0.0},
         "data": [{"kind": "gaussian", "component": 0, "amp": 1.0, "width": 3.0, "center": 0.0},
                  {"kind": "bumps", "component": 1, "amp": 1.0, "width": 1.0, "count": 1}],
-        # the wave weight is of the system's family
-        "weights": [{"role": "wave", "kind": "log", "q": 1.0}] if kind == "psystem" else
-                   [{"role": "wave", "kind": "power", "mu": 1.0},
-                    {"role": "spatial", "kind": "log", "q": 1.0}],
+        # the wave weight is of the system's family; a log weight is heat's alone
+        "weights": {"psystem": [{"role": "wave", "kind": "log", "q": 1.0}],
+                    "heat": [{"role": "spatial", "kind": "log", "q": 1.0}]}.get(
+                        kind, [{"role": "wave", "kind": "power", "mu": 1.0},
+                               {"role": "spatial", "kind": "power", "mu": 1.0}]),
         "outputs": {"dir": "out", "snapshots": [0.0]},
         "seed": 0,
     }
     if kind == "linear":
         doc["corrector"] = {"safety": 0.5}
+    if kind == "heat":  # one field, and no floor
+        del doc["time"]["nu"], doc["data"][1]
     return doc
 
 
@@ -284,7 +288,7 @@ REFUSED = [
         "weights.0.role": (1, True),
         "weights.0.kind": (1, True),
         "weights.0.mu": ("x", True),
-        "weights.1.q": ("x", True),
+        "weights.1.mu": ("x", True),
         "corrector": (1, True, [], "x"),
         "corrector.safety": ("x", True, None),
         "outputs": ([], True, None),
@@ -329,6 +333,9 @@ REFUSED = [
     ("linear", "weights.0.kind", "log"),
     ("euler", "weights.0.kind", "log"),
     ("psystem", "weights.0.kind", "power"),
+    # a spatial weight other than |x|^mu, whose mu the linear and Euler builds read
+    ("linear", "weights.1.kind", "log"),
+    ("euler", "weights.1.kind", "log"),
     # the two strings that may not be empty
     ("linear", "scenario", ""),
     ("linear", "outputs.dir", ""),
@@ -339,6 +346,10 @@ REFUSED = [
     ("linear", "data.0.component", 0.0),
     ("linear", "data.1.count", 2.0),
     ("linear", "seed", 1.0),
+    # the heat kind's spatial log weight, and its field on the linear kind's
+    # spatial weight, which reads mu alone
+    *[("heat", "weights.0.q", v) for v in ("x", True)],
+    *[("linear", "weights.1.q", v) for v in ("x", True)],
 ]
 
 
@@ -388,6 +399,7 @@ def test_parse_refuses_each_rule_at_its_path(tmp_path, capsys, kind, path, value
     ("euler", "system.smallness_cap", 5e-324),
     ("psystem", "system.r", -1e300),
     ("psystem", "system.r", 7),
+    ("heat", "weights.0.q", 5e-324),
 ])
 def test_parse_accepts_each_edge(kind, path, value):
     cfg = parse_config(edited(kind, path, value))
@@ -400,7 +412,8 @@ def test_parse_accepts_each_edge(kind, path, value):
     *[("linear", p) for p in (
         "system.A.0.1", "system.D.0.0", "grid.L", "time.T", "time.nu", "data.0.amp",
         "data.0.width", "data.0.center", "data.1.amp", "data.1.width", "weights.0.mu",
-        "weights.1.q", "corrector.safety", "outputs.snapshots.0")],
+        "weights.1.mu", "corrector.safety", "outputs.snapshots.0")],
+    ("heat", "weights.0.q"),
     *[("euler", f"system.{p}") for p in ("gamma", "rho_bar", "lam", "smallness_cap")],
     ("psystem", "system.r"),
 ])
@@ -523,6 +536,27 @@ def test_run_writes_deterministic_outputs(tmp_path):
     header = (tmp_path / "a" / "series.csv").read_text().splitlines()[0]
     assert header.startswith("t,")
     assert "l2" in header.split(",")
+
+
+def test_rerun_removes_the_outputs_it_does_not_write(tmp_path):
+    """A rerun into the same directory leaves no snapshot or refinement
+    series of the old run beside its report, and no other file goes."""
+    doc = scenario_doc("heat_oracle")
+    doc.update(scenario="tiny", grid={"L": 100.0, "N": 64, "bc": "periodic"},
+               time={"T": 1.0, "sample_stride": 8})
+    out = tmp_path / "out"
+    doc["outputs"] = {"snapshots": [0.5]}
+    run(parse_config(doc), out_dir=out)
+    assert sorted(p.name for p in out.glob("snapshot_*.csv")) == ["snapshot_0.5.csv"]
+    for name in ("series_refine_64.csv", "series_fine.csv", "notes.txt"):
+        (out / name).write_text("old\n")
+    doc["outputs"] = {"snapshots": []}
+    report = run(parse_config(doc), out_dir=out)
+    assert report.doc()["snapshots"] == []
+    assert list(out.glob("snapshot_*.csv")) == []
+    assert not (out / "series_refine_64.csv").exists()
+    assert (out / "series_fine.csv").read_text() == "old\n"
+    assert (out / "notes.txt").read_text() == "old\n"
 
 
 @pytest.mark.filterwarnings("ignore:overflow")
@@ -1117,6 +1151,8 @@ def test_cli_rejects_scenario_with_other_system_kind(tmp_path, capsys):
     ("thm2_weighted", "weights.0.mass_tol", "1e-8"),
     ("heat_oracle", "weights.0.q", "1.0"),
     ("thm2_weighted", "weights", '[{"role":"spatial","kind":"log","q":1.0,"mu":1.0}]'),
+    # a spatial weight whose mu the linear and Euler builds would read as 0
+    ("thm2_weighted", "weights", '[{"role":"spatial","kind":"log","q":1.0}]'),
     ("thm3_wave", "weights.0.q", "1.0"),
     ("thm5_euler_weighted", "weights.1.r", "2.0"),
     ("thm6_psystem_log", "weights.0.mu", "1.0"),

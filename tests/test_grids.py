@@ -359,18 +359,19 @@ def test_gram_is_the_quadrature_of_row_products(bc):
     g = Grid1D(L=5.0, N=64, bc=bc)
     rng = np.random.default_rng(4)
     rows = rng.standard_normal((3, g.N))
-    c = rng.standard_normal((2, g.N))
+    c = rng.standard_normal(g.N)
     G, Gc = gram(g, rows), gram(g, rows, c)
-    assert G.shape == (3, 3) and Gc.shape == (2, 3, 3)
+    assert G.shape == (3, 3) and Gc.shape == (3, 3)
+    # the product by dx, redone at the compact ends, is the product by qw
+    assert np.array_equal(G, (rows * g.qw) @ rows.T)
     # the memory order of the rows does not move a bit
     assert np.array_equal(gram(g, np.asfortranarray(rows)), G)
     assert np.array_equal(gram(g, np.asfortranarray(rows), c), Gc)
     for i in range(3):
         for j in range(3):
             assert G[i, j] == pytest.approx(g.qw @ (rows[i] * rows[j]), rel=1e-14)
-            for p in range(2):
-                assert Gc[p, i, j] == pytest.approx(
-                    g.qw @ (c[p] * rows[i] * rows[j]), rel=1e-13, abs=1e-13)
+            assert Gc[i, j] == pytest.approx(g.qw @ (c * rows[i] * rows[j]),
+                                             rel=1e-13, abs=1e-13)
 
 
 def test_grid_keeps_abs_x_and_the_origin_node():

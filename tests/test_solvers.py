@@ -37,7 +37,7 @@ from hypodecay.solvers.linear import (
     step_linear,
 )
 from hypodecay.solvers.march import march, rk4, step_size
-from hypodecay.solvers.psystem import PSystemSpec, simulate_psystem
+from hypodecay.solvers.psystem import ETA2, PSystemSpec, simulate_psystem
 
 STANDARD = SystemSpec(A=np.array([[0.0, 1.0], [1.0, 0.0]]),
                       D=np.array([[1.0]]), n1=1)
@@ -298,6 +298,34 @@ def test_psystem_zero_data():
     )
     assert np.all(series.channel("h1") == 0.0)
     assert np.all(series.channel("hstar") == 0.0)
+
+
+@pytest.mark.parametrize("r", [2.0, 2.5])
+def test_psystem_record_matches_its_written_out_formulas_bitwise(r):
+    """The record's channels against the energy pair written out term by
+    term, on the state of the first and the last sample."""
+    grid = Grid1D(L=10.0, N=128, bc="periodic")
+    x = grid.x
+    series, snaps = simulate_psystem(PSystemSpec(r=r), grid, -x * np.exp(-x**2 / 4.0),
+                                     0.3 * np.exp(-x**2 / 4.0), T=0.5, sample_stride=1000,
+                                     snapshot_times=(0.0, 0.5))
+    for k, t in ((0, 0.0), (-1, 0.5)):
+        rho, u = snaps[t].T
+        dr, du = d_dx(grid, rho), d_dx(grid, u)
+        q = grid.qw
+        a = np.abs(u) ** (r - 1.0)
+        l22 = float(q @ (rho * rho + u * u))
+        dl22 = float(q @ (dr * dr + du * du))
+        lrp1 = float(q @ (a * u * u))
+        want = {
+            "l2": np.sqrt(l22), "h1": np.sqrt(l22 + dl22), "dx_l2": np.sqrt(dl22),
+            "lrp1": lrp1, "dissipation": 2.0 * lrp1,
+            "wstar": l22 + dl22 + ETA2 * (float(q @ (a * u * dr)) / r),
+            "hstar": 2.0 * lrp1 + 2.0 * r * float(q @ (a * du * du)) + ETA2 * (
+                float(q @ (a * dr * dr)) + float(q @ (a * a * u * dr))
+                - float(q @ (a * du * du))),
+        }
+        assert {name: series.channel(name)[k] for name in want} == want
 
 
 def _rho_u(state):
@@ -607,6 +635,49 @@ def test_compiled_step_matches_transposed_views(shape, bc, nu):
         V = step(V)
         want = _transposed_view_step(want, sim, sim.dt)
     assert np.abs(V.T - want).max() <= 20 * 1e-15 * np.abs(want).max()
+
+
+def _symbol(sim, dt, theta):
+    """E R4(dt L(theta)) E, the scheme's amplification matrix at each theta:
+    E = exp(-B dt/2), R4 the RK4 polynomial and L(theta) the symbol
+    -i A sin(theta)/dx - (nu/dx)(2 - 2 cos(theta))^2 of the advection."""
+    n, dx = sim.spec.n, sim.grid.dx
+    B = np.zeros((n, n))
+    B[sim.spec.n1:, sim.spec.n1:] = sim.spec.D
+    E = expm(-0.5 * dt * B)
+    out = []
+    for th in theta:
+        Z = dt * (-1j * np.sin(th) / dx * sim.spec.A
+                  - sim.nu / dx * (2.0 - 2.0 * np.cos(th)) ** 2 * np.eye(n))
+        R4 = np.eye(n) + Z @ (np.eye(n) + Z @ (np.eye(n) / 2 + Z @ (np.eye(n) / 6 + Z / 24)))
+        out.append(E @ R4 @ E)
+    return np.array(out)
+
+
+@pytest.mark.parametrize("N", [64, 63])
+@pytest.mark.parametrize("nu", [0.0, 0.01])
+@pytest.mark.parametrize("system", ["standard", "stiff", "degenerate", "random-3"])
+def test_compiled_periodic_step_is_its_fourier_symbol(system, nu, N):
+    """On a periodic grid the compiled step is block circulant: the DFT of
+    its impulse responses, the kernel, is the amplification matrix
+    E R4(dt L(theta)) E at every theta = 2 pi m / N, to 1e-14."""
+    spec = {
+        "standard": SystemSpec(A=np.array([[0.0, 1.0], [1.0, 0.0]]), D=np.array([[1.0]]), n1=1),
+        "stiff": SystemSpec(A=np.array([[0.0, 1.0], [1.0, 0.0]]), D=np.array([[32.0]]), n1=1),
+        "degenerate": SystemSpec(A=np.array([[1.0, 0.0], [0.0, -1.0]]), D=np.array([[1.0]]),
+                                 n1=1),
+        "random-3": None,
+    }[system] or _random_spec(np.random.default_rng(N), 3, 1 + N % 2)
+    sim = LinearSim(spec=spec, grid=Grid1D(L=10.0, N=N), nu=nu)
+    step = compile_step(sim, sim.dt)
+    n = spec.n
+    G = np.empty((N, n, n), dtype=complex)
+    for j in range(n):
+        V = np.zeros((n, N))
+        V[j, 0] = 1.0
+        G[:, :, j] = np.fft.fft(step(V), axis=1).T
+    want = _symbol(sim, sim.dt, 2.0 * np.pi * np.arange(N) / N)
+    assert np.abs(G - want).max() <= 1e-14
 
 
 @pytest.mark.parametrize("bc", ["periodic", "compact_support"])

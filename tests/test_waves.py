@@ -8,10 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hypodecay.analysis import check_monotone
+from hypodecay.corrector import select_coefficients
 from hypodecay.errors import MassNotZero, MuOutOfRange
-from hypodecay.grids import Grid1D, antiderivative, gram
+from hypodecay.grids import Grid1D, WeightSpec, antiderivative, d_dx, gram, inner
 from hypodecay.linalg import SystemSpec
 from hypodecay.solvers.linear import LinearSim, simulate_linear
+from hypodecay.solvers import linear, waves
 from hypodecay.solvers.psystem import PSystemSpec, simulate_psystem
 from hypodecay.solvers.waves import (
     ETA3,
@@ -22,6 +24,7 @@ from hypodecay.solvers.waves import (
     default_offset,
     linear_wave_monitor,
     log_wave_record,
+    power_forms,
     power_wave_record,
     weight_conditions_ok,
 )
@@ -78,8 +81,8 @@ def test_flat_weight_reduces_to_plain_energy():
     Wt = (0.3 * np.sin(grid.x))[:, None]
     Wx = (-2.0 * grid.x * np.exp(-grid.x**2))[:, None]
     k1, lam = 2.0, 3.0
-    e, h = power_wave_record(grid, 1.7, wspec, np.vstack([W.T, Wt.T, Wx.T]),
-                             k1 * np.eye(1), lam * np.eye(1))
+    e, h = power_wave_record(grid, 1.7, wspec, power_forms(k1 * np.eye(1), lam * np.eye(1)),
+                             np.vstack([W.T, Wt.T, Wx.T]))
     assert e == pytest.approx(
         0.5 * float(grid.qw @ (Wt[:, 0] ** 2 + k1 * Wx[:, 0] ** 2)), rel=1e-14
     )
@@ -89,7 +92,7 @@ def test_flat_weight_reduces_to_plain_energy():
 def test_zero_state_zero_energy():
     grid = Grid1D(L=10.0, N=64, bc="compact_support")
     mon = linear_wave_monitor(STANDARD, WaveWeightSpec(kind="power", mu=1.0, a=4.0))
-    e, h = mon.record(grid, 5.0, np.zeros((64, 1)), np.zeros((64, 1)))
+    e, h = mon.record(grid, 5.0, mon.stack(grid, np.zeros((2, 64))))
     assert e == 0.0 and h == 0.0
 
 
@@ -192,7 +195,7 @@ def test_scalar_monitor_wiring():
     assert mon.a12_d_a12inv[0, 0] == 1.0
     grid = Grid1D(L=20.0, N=128, bc="compact_support")
     n = -2.0 * grid.x * np.exp(-grid.x**2)
-    e, h = mon.record(grid, 0.0, n[:, None], 0.1 * np.exp(-grid.x**2)[:, None])
+    e, h = mon.record(grid, 0.0, mon.stack(grid, (n, 0.1 * np.exp(-grid.x**2))))
     assert np.isfinite(e) and np.isfinite(h) and e > 0.0
 
 
@@ -244,7 +247,7 @@ def test_linear_monitor_matches_transposed_view(spec):
     W = antiderivative(grid, U[:, : spec.n1])
     want = _einsum_wave_record(grid, 1.5, mon.wspec, W, -(U[:, spec.n1:] @ spec.A12.T),
                                U[:, : spec.n1], mon.a12a21, mon.a12_d_a12inv)
-    _assert_roundoff_close(mon.record(grid, 1.5, U[:, : spec.n1], U[:, spec.n1:]), want)
+    _assert_roundoff_close(mon.record(grid, 1.5, mon.stack(grid, U.T)), want)
 
 
 @pytest.mark.parametrize("mu", [0.5, 0.75, 1.0])
@@ -258,7 +261,8 @@ def test_power_wave_record_matches_einsum_oracle(k, mu):
     wspec = WaveWeightSpec(kind="power", mu=mu, a=4.0)
     rows = np.vstack([W.T, Wt.T, Wx.T])
     for t in (0.0, 2.5):
-        _assert_roundoff_close(power_wave_record(grid, t, wspec, rows, a12a21, a12_d),
+        _assert_roundoff_close(power_wave_record(grid, t, wspec, power_forms(a12a21, a12_d),
+                                                 rows),
                                _einsum_wave_record(grid, t, wspec, W, Wt, Wx, a12a21, a12_d))
 
 
@@ -270,11 +274,33 @@ def _general_power_terms(mu, a, s):
             p * (p - 1.0) * (p - 2.0) * g ** (p - 3.0))
 
 
+class _GeneralPower(WaveWeightSpec):
+    """The power family with every term taken by the general formula."""
+
+    def power_terms(self, s):
+        return _general_power_terms(self.mu, self.a, s)
+
+
+def _counted_grams(monkeypatch, *modules):
+    """Replace each module's `gram` by one wrapper; returns the list of the
+    weights it is called with, None for an unweighted Gram."""
+    calls = []
+
+    def counted(grid, rows, c=None):
+        calls.append(c)
+        return gram(grid, rows, c)
+
+    for module in modules:
+        monkeypatch.setattr(module, "gram", counted)
+    return calls
+
+
 @pytest.mark.parametrize("k", [1, 2])
-def test_flat_endpoint_skips_the_powers_and_the_curvature_gram_bitwise(k):
+def test_flat_endpoint_skips_the_powers_and_the_curvature_gram_bitwise(k, monkeypatch):
     """At mu = 1, phi = a + s with derivatives (1, 0, 0): the terms, the
     offset probe and the wave record read what the general formula, with
-    its phi''/phi''' Gram, gives bit for bit."""
+    its phi', phi'' and phi''' Grams, gives bit for bit, and the record
+    takes the Gram of phi alone."""
     wspec = WaveWeightSpec(kind="power", mu=1.0, a=4.0)
     s = np.linspace(0.0, 300.0, 1001)
     terms = wspec.power_terms(s)
@@ -288,20 +314,17 @@ def test_flat_endpoint_skips_the_powers_and_the_curvature_gram_bitwise(k):
     rng = np.random.default_rng(k)
     grid = Grid1D(L=20.0, N=129, bc="compact_support")
     rows = rng.standard_normal((3 * k, grid.N))
-    M, Md = rng.standard_normal((k, k)), rng.standard_normal((k, k))
-    w, wt, wx = slice(0, k), slice(k, 2 * k), slice(2 * k, 3 * k)
+    forms = power_forms(rng.standard_normal((k, k)), rng.standard_normal((k, k)))
+    calls = _counted_grams(monkeypatch, waves)
     for t in (0.0, 2.5):
-        phi, d1, d2, d3 = _general_power_terms(1.0, 4.0, t + grid.abs_x)
-        g0, g1 = gram(grid, rows, (phi, d1))
-        g2, g3 = gram(grid, rows[w], (d2, d3))
-        e = (0.5 * (np.trace(g0[wt, wt]) + (M * g0[wx, wx]).sum()) + np.trace(g1[wt, w])
-             - 0.5 * np.trace(g2) + 0.5 * (Md * g1[w, w]).sum())
-        h = ((Md * g0[wt, wt]).sum() + 0.5 * (M * g1[wx, wx]).sum()
-             + 0.5 * np.trace(g3) - 0.5 * (M * g3).sum())
-        w0 = rows[w, grid.i0]
-        point_mass = -_general_power_terms(1.0, 4.0, t)[2] * float(w0 @ M @ w0)
-        assert power_wave_record(grid, t, wspec, rows, M, Md) == (float(e),
-                                                                  float(h) + point_mass)
+        calls.clear()
+        got = power_wave_record(grid, t, wspec, forms, rows)
+        assert [c is None for c in calls] == [True, False]
+        assert np.array_equal(calls[1], 4.0 + (t + grid.abs_x))
+        calls.clear()
+        general = _GeneralPower(kind="power", mu=1.0, a=4.0)
+        assert power_wave_record(grid, t, general, forms, rows) == got
+        assert [c is None for c in calls] == [True, False, False, False, False]
 
 
 def test_log_monitor_finite_and_positive():
@@ -399,3 +422,93 @@ def test_log_terms_and_wave_record_are_silent():
             w = WaveWeightSpec(kind="log", q=q, r=r, a=a)
             w.log_terms(np.linspace(0.0, 2400.0, 4097))
             log_wave_record(grid, 150.0, w, wf, -u, rho)
+
+
+# --- the linear record: every channel from one Gram --------------------------
+
+
+def _wave_run(k, bc, mu):
+    """A 2k-component system with square invertible A12 and smooth data of
+    zero U1 mass, run two steps with every observer on: (sim, coeffs,
+    monitor, spatial weight, series, {sample time: U})."""
+    rng = np.random.default_rng(10 * k + int(4 * mu))
+    A = rng.standard_normal((2 * k, 2 * k))
+    R = rng.standard_normal((k, k))
+    spec = SystemSpec(A=A + A.T, D=R @ R.T + np.eye(k), n1=k)
+    grid = Grid1D(L=10.0, N=96, bc=bc)
+    x = grid.x
+    bump = np.exp(-x**2)
+    U0 = np.column_stack([c * x * bump for c in rng.standard_normal(k)]
+                         + [(a + b * x) * bump for a, b in rng.standard_normal((k, 2))])
+    sim = LinearSim(spec=spec, grid=grid)
+    coeffs = select_coefficients(spec)
+    mon = linear_wave_monitor(spec, WaveWeightSpec(kind="power", mu=mu, a=4.0))
+    weight = WeightSpec("power", mu=1.0)
+    T = 2.0 * sim.dt
+    series, snaps = simulate_linear(sim, U0, T, coeffs=coeffs, weight=weight, wave=mon,
+                                    snapshot_times=(0.0, T))
+    return sim, coeffs, mon, weight, series, snaps
+
+
+def _inner_channels(sim, coeffs, mon, weight, t, U):
+    """Every channel of the linear record, by `inner` on the fields."""
+    spec, grid, k = sim.spec, sim.grid, sim.spec.n1
+    dU = d_dx(grid, U)
+    U1, U2 = U[:, :k], U[:, k:]
+    W, Wt, Wx = antiderivative(grid, U1), -(U2 @ spec.A12.T), U1
+    M, Md = mon.a12a21, mon.a12_d_a12inv
+    phi, d1, d2, d3 = mon.wspec.power_terms(t + grid.abs_x)
+    P = spec.damped_powers
+    cross = [e * inner(grid, U @ P[j].T, dU @ P[j + 1].T) for j, e in enumerate(coeffs.eps)]
+    w0 = W[grid.i0]
+    return {
+        "l2": np.sqrt(inner(grid, U, U)),
+        "u1_l2": np.sqrt(inner(grid, U1, U1)),
+        "u2_l2": np.sqrt(inner(grid, U2, U2)),
+        "dx_l2": np.sqrt(inner(grid, dU, dU)),
+        "dissipation": 2.0 * inner(grid, U2 @ spec.D.T, U2),
+        "lyapunov": inner(grid, U, U) + (1.0 + coeffs.eta0 * t) * inner(grid, dU, dU)
+        + sum(cross),
+        "weighted_l2": np.sqrt(inner(grid, U, U, weight.values(grid.x) ** 2)),
+        "wave_energy": 0.5 * inner(grid, Wt, Wt, phi) + 0.5 * inner(grid, Wx, Wx @ M.T, phi)
+        + inner(grid, Wt, W, d1) - 0.5 * inner(grid, W, W, d2)
+        + 0.5 * inner(grid, W, W @ Md.T, d1),
+        "wave_dissipation": inner(grid, Wt, Wt @ Md.T, phi)
+        + 0.5 * inner(grid, Wx, Wx @ M.T, d1) + 0.5 * inner(grid, W, W, d3)
+        - 0.5 * inner(grid, W, W @ M.T, d3)
+        - mon.wspec.power_terms(t)[2] * float(w0 @ M @ w0),
+    }
+
+
+@pytest.mark.parametrize("bc", ["periodic", "compact_support"])
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("mu", [1.0, 0.75])
+def test_linear_record_reads_every_channel_from_its_grams(mu, k, bc):
+    """Every channel of the linear record, the wave pair included, against
+    `inner` on the fields and the wave pair against `power_wave_record`
+    on the explicitly built rows [W; W_t; W_x], to 1e-14 relative, at the
+    first and the last sample."""
+    sim, coeffs, mon, weight, series, snaps = _wave_run(k, bc, mu)
+    grid, spec = sim.grid, sim.spec
+    for i, (t, U) in zip((0, -1), sorted(snaps.items())):
+        assert series.t[i] == t
+        got = {name: v[i] for name, v in series.channels.items()}
+        want = _inner_channels(sim, coeffs, mon, weight, t, U)
+        assert set(got) == set(want)
+        for name, value in want.items():
+            assert abs(got[name] - value) <= 1e-14 * abs(value), name
+        W = antiderivative(grid, U[:, :k])
+        rows = np.vstack([W.T, -(spec.A12 @ U[:, k:].T), U[:, :k].T])
+        e, h = power_wave_record(grid, t, mon.wspec, power_forms(mon.a12a21, mon.a12_d_a12inv),
+                                 rows)
+        assert abs(got["wave_energy"] - e) <= 1e-14 * abs(e)
+        assert abs(got["wave_dissipation"] - h) <= 1e-14 * abs(h)
+
+
+@pytest.mark.parametrize("mu, weighted", [(1.0, 1), (0.75, 4)])
+def test_linear_record_takes_one_gram_per_non_constant_weight(monkeypatch, mu, weighted):
+    """Per sample: one unweighted Gram of [U; d_x U; W], then one weighted
+    Gram per wave weight that is not a constant, phi alone at mu = 1."""
+    calls = _counted_grams(monkeypatch, linear, waves)
+    series = _wave_run(1, "compact_support", mu)[4]
+    assert [c is None for c in calls] == [True, *[False] * weighted] * len(series.t)
