@@ -182,23 +182,18 @@ def check_ckn(grid, h, mu):
     A node exactly at x = 0 contributes zero to the lhs when the weight
     exponent is negative (improper-integral convention, conservative).
 
-    h is the (N,) field on a compact-support grid, or a function that
-    maps an array of nodes to the field there.  Both quadratures are
-    summed over blocks of CKN_BLOCK nodes.  Each block is read with one
-    halo node per side for the centred derivative, and a block at a
-    grid end reads at least three nodes there for the one-sided row.  A
-    function field is never evaluated on more than CKN_BLOCK + 2 nodes
-    at once.
+    h maps an array of nodes of a compact-support grid to the field
+    there.  Both quadratures are summed over blocks of CKN_BLOCK nodes.
+    Each block is read with one halo node per side for the centred
+    derivative, and a block at a grid end reads at least three nodes
+    there for the one-sided row, so h is never evaluated on more than
+    CKN_BLOCK + 2 nodes at once.
     """
     if mu <= 0.5:
         raise MuOutOfRange(f"need mu > 1/2, got {mu}")
     if grid.periodic:
         raise ValueError("check_ckn needs a compact-support grid")
     N = grid.N
-    if not callable(h):
-        h = np.asarray(h, dtype=float)
-        if h.shape != (N,):
-            raise ValueError(f"h must have shape ({N},), got {h.shape}")
     expo = 2.0 * (mu - 1.0)
     kernel = CENTERED / (2.0 * grid.dx)
     lhs2 = rhs2 = 0.0
@@ -206,7 +201,7 @@ def check_ckn(grid, h, mu):
         hi = min(lo + CKN_BLOCK, N)
         a, b = max(min(lo - 1, N - 3), 0), min(max(hi + 1, 3), N)
         x = grid.nodes(a, b)
-        f = h(x) if callable(h) else h[a:b]
+        f = h(x)
         # the window's end rows are halo rows unless they are the grid's ends
         dh = derivative(grid, f, kernel)[lo - a:hi - a]
         f, ax = f[lo - a:hi - a], np.abs(x[lo - a:hi - a])

@@ -7,11 +7,10 @@ certificate failed (outputs written for inspection).
 
 import argparse
 import sys
-import traceback
 from pathlib import Path
 
 from .config import ConfigError, apply_override, parse_config, read_config
-from .runner import RUN_ERRORS, batch, failure, resolve_out_dir_for_batch, run
+from .runner import batch, failure, resolve_out_dir_for_batch, run
 from .scenarios import describe, scenario_doc, scenario_names
 
 
@@ -46,10 +45,8 @@ def _cmd_run(args):
     try:
         report = run(cfg, out_dir=args.out)
     except Exception as exc:  # a bug, too, exits 3 with its traceback, not 1
-        if not isinstance(exc, RUN_ERRORS):
-            traceback.print_exc()
-        code, label = failure(exc)
-        print(f"{label}: {exc}", file=sys.stderr)
+        code, message = failure(exc)
+        print(message, file=sys.stderr)
         return code
     for c in report.certificates:
         tag = "PASS" if c["passed"] else "FAIL"

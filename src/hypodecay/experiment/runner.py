@@ -487,14 +487,16 @@ def _check_heat_weighted_fit(claim, ctx):
     }, [(f.alpha, lo, hi)]
 
 
-def _ckn_bump_field(x, rng):
+def _ckn_bump_field(rng):
+    """A sum of one to three random Gaussian bumps as a function of the
+    nodes, and the number of bumps."""
     m = int(rng.integers(1, 4))
-    h = np.zeros_like(x)
-    for _ in range(m):
-        amp = rng.uniform(-1.0, 1.0)
-        center = rng.uniform(-12.0, 12.0)
-        width = rng.uniform(0.5, 3.0)
-        h += amp * np.exp(-(((x - center) / width) ** 2))
+    bumps = [(rng.uniform(-1.0, 1.0), rng.uniform(-12.0, 12.0), rng.uniform(0.5, 3.0))
+             for _ in range(m)]
+
+    def h(x):
+        return sum(amp * np.exp(-(((x - center) / width) ** 2)) for amp, center, width in bumps)
+
     return h, m
 
 
@@ -504,7 +506,7 @@ def _check_ckn_random(claim, ctx):
     cap = claim["cap"]
     worst = {mu: 0.0 for mu in mus}
     for trial in range(claim["trials"]):
-        h, m = _ckn_bump_field(ctx.grid.x, rng)
+        h, m = _ckn_bump_field(rng)
         for mu in mus:
             ratio = check_ckn(ctx.grid, h, mu)["ratio"]
             worst[mu] = max(worst[mu], ratio)
@@ -605,9 +607,9 @@ def _rss_peak_mb():
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
 
-# The outputs whose names vary with the config; a rerun into the same
-# directory would otherwise leave the old run's beside the new report.
-_VARYING_OUTPUTS = ("snapshot_*.csv", "series_refine_*.csv")
+# The outputs a run owns in its directory: it deletes those it does not
+# write, so no other run's stay beside its report.
+_VARYING_OUTPUTS = ("series*.csv", "snapshot_*.csv", "results.csv")
 
 
 def _remove_stale(out, keep):
@@ -637,11 +639,12 @@ def run(cfg, out_dir=None):
     # nothing is written until the numerics, sub-runs included, have succeeded
     _make_dir(out)
     snapshot_names = {ts: f"snapshot_{repr(ts).removesuffix('.0')}.csv" for ts in snapshots}
-    _remove_stale(out, {*snapshot_names.values(), *(f"{n}.csv" for n in ctx.extra_series)})
+    series_path = "results.csv" if series is None else "series.csv"
+    _remove_stale(out, {series_path, *snapshot_names.values(),
+                        *(f"{n}.csv" for n in ctx.extra_series)})
 
     snapshot_paths = []
     if series is not None:
-        series_path = "series.csv"
         write_series_csv(out / series_path, series)
         for ts in sorted(snapshots):
             write_snapshot_csv(out / snapshot_names[ts], grid, snapshots[ts])
@@ -649,7 +652,6 @@ def run(cfg, out_dir=None):
         for name in sorted(ctx.extra_series):
             write_series_csv(out / f"{name}.csv", ctx.extra_series[name])
     else:
-        series_path = "results.csv"
         _write_csv(out / series_path, ["trial", "n_bumps", "mu", "ratio"], ctx.ckn_rows)
 
     passed = all(c["passed"] for c in certs)
@@ -681,16 +683,18 @@ RUN_ERRORS = (HypodecayError, ValueError, FloatingPointError, ZeroDivisionError)
 
 
 def failure(exc):
-    """Exit code and label of an exception: 2 config, 3 numerical or internal.
+    """Exit code and message of a failed run: 2 config, 3 numerical or internal.
 
     An InitialDataRejected is raised before the first step, by a solver's
     own check or by a guard at the step-0 sample: exit 2 like a ConfigError.
+    An exception outside RUN_ERRORS is a bug: its traceback goes to stderr.
     """
     if isinstance(exc, (ConfigError, InitialDataRejected)):
-        return 2, "config error"
+        return 2, f"config error: {exc}"
     if isinstance(exc, RUN_ERRORS):
-        return 3, f"numerical failure: {type(exc).__name__}"
-    return 3, f"internal error: {type(exc).__name__}"
+        return 3, f"numerical failure: {type(exc).__name__}: {exc}"
+    traceback.print_exception(exc)
+    return 3, f"internal error: {type(exc).__name__}: {exc}"
 
 
 # --- batch -------------------------------------------------------------
@@ -703,12 +707,9 @@ def _batch_worker(job):
     path = Path(job[0])
     try:
         report = run(parse_config(read_config(path)), out_dir=Path(job[1]) / path.stem)
-    except RUN_ERRORS as exc:
-        result = {"exit_code": failure(exc)[0], "error": str(exc)}
     except Exception as exc:  # a bug hit by one job must not take down the pool
-        traceback.print_exc()
-        code, label = failure(exc)
-        result = {"exit_code": code, "error": f"{label}: {exc}"}
+        code, message = failure(exc)
+        result = {"exit_code": code, "error": message}
     else:
         result = {
             "exit_code": report.exit_code,

@@ -1,6 +1,6 @@
 from .euler import EulerSpec, simulate_euler
 from .heat import heat_solve
-from .linear import LinearSim, simulate_linear, step_linear
+from .linear import LinearSim, simulate_linear
 from .psystem import PSystemSpec, simulate_psystem
 from .waves import (
     LinearWaveMonitor,
@@ -23,5 +23,4 @@ __all__ = [
     "simulate_euler",
     "simulate_linear",
     "simulate_psystem",
-    "step_linear",
 ]

@@ -22,6 +22,7 @@ from ..errors import CflViolation, SmallnessBreached, VacuumApproached, rejected
 from ..grids import (CENTERED, FOURTH_DIFFERENCE, check_escape, correlate, d_dx, derivative,
                      escape_tol, ghost_pad, l2_norm)
 from .march import CFL, CFL_MAX, check_nu, march, rk4, step_size
+from .waves import check_zero_mass
 
 VACUUM_FLOOR_REL = 1e-6
 SPEED_HEADROOM = 1.25
@@ -91,7 +92,7 @@ def simulate_euler(espec, grid, rho0, u0, T, nu=0.0, sample_stride=1,
     dx = grid.dx
 
     if wave is not None:
-        wave.check_mass(grid, rho - espec.rho_bar)
+        check_zero_mass(grid, rho - espec.rho_bar)
 
     # d/dx and the nu/dx floor, pre-scaled: each field is padded once per stage
     plus_dx = (1.0 / (2.0 * dx)) * CENTERED

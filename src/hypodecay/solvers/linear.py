@@ -33,6 +33,7 @@ from ..grids import (Grid1D, antiderivative, check_escape, d_dx, escape_tol, gho
                      gram, l2_norm, subtract_floor)
 from ..linalg import jacobi_eigensystem, expm_sym
 from .march import CFL, check_nu, march, rk4, step_size
+from .waves import check_zero_mass
 
 # numpy's `correlate` runs kernels of up to 11 taps on a fast path and
 # longer ones several times slower, so a longer kernel is applied in
@@ -81,7 +82,7 @@ def advection_rhs(sim, U):
 def reference_step(U, sim, dt, half):
     """The Strang-split step as the scheme defines it, on an (N, n) state:
     exact damping, RK4 advection, exact damping; half = damping_half_step."""
-    return rk4(lambda V: advection_rhs(sim, V), U @ half, dt) @ half
+    return rk4(lambda V: (advection_rhs(sim, V[0]),), (U @ half,), dt)[0] @ half
 
 
 def _responses(sim, dt, half, j, q, period):
@@ -209,19 +210,6 @@ def compile_step(sim, dt):
     return step
 
 
-def step_linear(U, sim, dt=None):
-    """One step of the compiled map on an (N, n) state: the reference step
-    up to roundoff.  Raises CflViolation when dt exceeds sim.dt.
-
-    It compiles the map on every call; to take many steps, call the map
-    that `compile_step` returns, as `simulate_linear` does.
-    """
-    if dt is None:
-        dt = sim.dt
-    rows = np.ascontiguousarray(np.asarray(U, dtype=float).T)
-    return compile_step(sim, dt)(rows).T
-
-
 def _trace(G, lo, hi):
     """G[lo][lo] + ... + G[hi-1][hi-1] of nested lists, added left to right."""
     s = G[lo][lo]
@@ -246,7 +234,7 @@ def simulate_linear(sim, U0, T, sample_stride=1, coeffs=None, weight=None,
     _, dt = step_size(T, sim.dt)
     step = compile_step(sim, dt)
     if wave is not None:
-        wave.check_mass(grid, U[:, : spec.n1])
+        check_zero_mass(grid, U[:, : spec.n1])
     tol = escape_tol(U)
     n, n1 = spec.n, spec.n1
     w2 = None if weight is None else weight.values(grid.x) ** 2

@@ -46,13 +46,11 @@ def step_size(T, dt_limit):
 def rk4(rhs, state, dt):
     """One classical RK4 step of y' = rhs(y).
 
-    The state is an array or a tuple of arrays, and rhs returns the same
-    kind of object.  rk4 may overwrite the arrays rhs returns, so rhs
-    must return fresh arrays; the state itself is never written.  The
-    sums keep the grouping y + (dt/6) * (((a + 2b) + 2c) + d).
+    The state is a tuple of arrays, and rhs returns a tuple of as many.
+    rk4 may overwrite the arrays rhs returns, so rhs must return fresh
+    arrays; the state itself is never written.  The sums keep the
+    grouping y + (dt/6) * (((a + 2b) + 2c) + d).
     """
-    if not isinstance(state, tuple):
-        return rk4(lambda y: (rhs(y[0]),), (state,), dt)[0]
 
     def shifted(a, k):
         out = tuple(np.multiply(ky, a) for ky in k)

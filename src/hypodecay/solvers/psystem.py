@@ -32,6 +32,7 @@ from ..errors import RBandViolation
 from ..grids import (CENTERED, FOURTH_DIFFERENCE, check_escape, d_dx, escape_tol,
                      floored_derivative, ghost_pad)
 from .march import CFL, check_nu, march, rk4
+from .waves import check_zero_mass
 
 # The cross term's weight in the energy pair.
 ETA2 = 0.5
@@ -51,8 +52,8 @@ def simulate_psystem(pspec, grid, rho0, u0, T, nu=0.0, sample_stride=1,
     """Integrate to T, recording the energy pair and optional log wave monitor.
 
     The log monitor tracks w = antiderivative(rho) with w_t = -u (the
-    damped-wave reformulation); it needs zero-mean rho_0, which its
-    `check_mass` enforces before the first step (MassNotZero).
+    damped-wave reformulation); it needs zero-mean rho_0, which
+    `check_zero_mass` enforces before the first step (MassNotZero).
     """
     check_nu(nu)
     rho = np.array(rho0, dtype=float)
@@ -62,7 +63,7 @@ def simulate_psystem(pspec, grid, rho0, u0, T, nu=0.0, sample_stride=1,
     r = pspec.r
     dt_limit = CFL * grid.dx
     if wave is not None:
-        wave.check_mass(grid, rho)
+        check_zero_mass(grid, rho)
 
     # -(D + F) for p and D - F for m, pre-scaled: one pad and one pass per field
     half = 1.0 / (2.0 * grid.dx)

@@ -3,15 +3,15 @@
 The damped first-order systems admit a second-order reformulation in
 W, the antiderivative of the conserved undamped field.  W decays only
 when that field has zero mass.  This module owns the reformulation: a
-monitor's `check_mass` checks the zero-mass precondition on the initial
-data, which its solver calls once before the first step, and its
-`record` evaluates the weighted wave energy and its dissipation rate.
-The log monitor takes the p-system's rho and u, builds w itself and
-evaluates the energy pointwise.  The power monitor reads both numbers
-from quadrature Grams of the rows [U1; U2; W] (`stack` builds them, or
-the linear record hands over its own stack and Gram): W_t and W_x are
-linear in U, so `power_forms` writes each weight's share as a quadratic
-form on those rows.  Two weight families:
+solver with a monitor calls `check_zero_mass` on its initial data once,
+before the first step, and the monitor's `record` evaluates the
+weighted wave energy and its dissipation rate.  The log monitor takes
+the p-system's rho and u, builds w itself and evaluates the energy
+pointwise.  The power monitor reads both numbers from quadrature Grams
+of the rows [U1; U2; W] (`stack` builds them, or the linear record
+hands over its own stack and Gram): W_t and W_x are linear in U, so
+`power_forms` writes each weight's share as a quadratic form on those
+rows.  Two weight families:
 
 * power weights  phi(s) = (a + s)^(2 mu - 1)  on  s = t + |x|
 * log weights    phi1(s) = log^{2q}(a + s),
@@ -294,9 +294,6 @@ class LinearWaveMonitor:
         T[2 * k:, :k] = np.eye(k)  # W_x = U1
         object.__setattr__(self, "forms", power_forms(self.a12a21, self.a12_d_a12inv, T))
 
-    def check_mass(self, grid, U1):
-        return check_zero_mass(grid, U1)
-
     def stack(self, grid, U):
         """The C-ordered rows [U1; U2; W] of the 2k rows U = [U1; U2]."""
         k = len(self.a12)
@@ -323,9 +320,6 @@ class LogWaveMonitor:
     """
 
     wspec: WaveWeightSpec
-
-    def check_mass(self, grid, rho):
-        return check_zero_mass(grid, rho)
 
     def record(self, grid, t, rho, u):
         w = antiderivative(grid, rho)

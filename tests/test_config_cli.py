@@ -539,8 +539,8 @@ def test_run_writes_deterministic_outputs(tmp_path):
 
 
 def test_rerun_removes_the_outputs_it_does_not_write(tmp_path):
-    """A rerun into the same directory leaves no snapshot or refinement
-    series of the old run beside its report, and no other file goes."""
+    """A rerun into the same directory leaves no series, snapshot or
+    results file of the old run beside its report, and no other file goes."""
     doc = scenario_doc("heat_oracle")
     doc.update(scenario="tiny", grid={"L": 100.0, "N": 64, "bc": "periodic"},
                time={"T": 1.0, "sample_stride": 8})
@@ -548,15 +548,28 @@ def test_rerun_removes_the_outputs_it_does_not_write(tmp_path):
     doc["outputs"] = {"snapshots": [0.5]}
     run(parse_config(doc), out_dir=out)
     assert sorted(p.name for p in out.glob("snapshot_*.csv")) == ["snapshot_0.5.csv"]
-    for name in ("series_refine_64.csv", "series_fine.csv", "notes.txt"):
+    for name in ("series_refine_64.csv", "series_fine.csv", "results.csv", "notes.txt"):
         (out / name).write_text("old\n")
     doc["outputs"] = {"snapshots": []}
     report = run(parse_config(doc), out_dir=out)
     assert report.doc()["snapshots"] == []
-    assert list(out.glob("snapshot_*.csv")) == []
-    assert not (out / "series_refine_64.csv").exists()
-    assert (out / "series_fine.csv").read_text() == "old\n"
+    assert sorted(p.name for p in out.iterdir()) == [
+        "notes.txt", "report.json", "series.csv", "timing.json"]
     assert (out / "notes.txt").read_text() == "old\n"
+
+
+def test_run_over_another_scenarios_outputs_keeps_none_of_its_csvs(tmp_path):
+    out = tmp_path / "out"
+    heat = scenario_doc("heat_oracle")
+    heat["grid"]["N"], heat["time"]["T"] = 64, 60.0
+    run(parse_config(heat), out_dir=out)
+    assert (out / "series_weighted.csv").exists()
+    linear = scenario_doc("thm1_linear")
+    linear["grid"]["N"], linear["time"]["T"] = 64, 1.0
+    linear["outputs"] = {"snapshots": []}
+    report = run(parse_config(linear), out_dir=out)
+    assert report.doc()["series"] == "series.csv" and report.doc()["snapshots"] == []
+    assert sorted(p.name for p in out.iterdir()) == ["report.json", "series.csv", "timing.json"]
 
 
 @pytest.mark.filterwarnings("ignore:overflow")
@@ -879,7 +892,7 @@ def test_batch_reports_an_uncreatable_output_directory(tmp_path):
     agg = batch(sorted(cfg_dir.glob("*.json")), out_root, jobs=1)
     by_name = {r["name"]: r for r in agg["runs"]}
     assert by_name["blocked"]["exit_code"] == 2
-    assert "cannot create output directory" in by_name["blocked"]["error"]
+    assert by_name["blocked"]["error"].startswith("config error: cannot create output directory")
     assert by_name["good"]["exit_code"] == 0
     assert agg["exit_code"] == 2
     assert json.loads((out_root / "batch_report.json").read_text()) == agg
@@ -898,7 +911,8 @@ def test_batch_runs_each_job_in_its_own_worker_at_one_job(monkeypatch, tmp_path)
     agg = batch(sorted(cfg_dir.glob("*.json")), tmp_path / "br", jobs=1)
     pids = {r["error"] for r in agg["runs"]}
     assert len(pids) == 3
-    assert f"pid {os.getpid()}" not in pids
+    assert all(p.startswith("config error: pid ") for p in pids)
+    assert f"config error: pid {os.getpid()}" not in pids
 
 
 def test_batch_rejects_configs_that_share_a_stem(tmp_path):

@@ -3,13 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hypodecay.errors import DomainEscape
 from hypodecay.grids import (
     CENTERED,
     FOURTH_DIFFERENCE,
     Grid1D,
     WeightSpec,
     antiderivative,
-    boundary_amplitude,
+    check_escape,
     correlate,
     d_dx,
     derivative,
@@ -303,15 +304,25 @@ def test_antiderivative_mass_per_component():
     assert abs(F[-1, 1]) < 1e-14
 
 
-def test_boundary_amplitude():
+@pytest.mark.parametrize("shape", [(64,), (64, 3)], ids=["N", "N-k"])
+@pytest.mark.parametrize("end", [0, -1], ids=["left", "right"])
+@pytest.mark.parametrize("sign", [1.0, -1.0], ids=["plus", "minus"])
+def test_check_escape_reads_both_ends_of_each_field(shape, end, sign):
     g = Grid1D(L=10.0, N=64, bc="compact_support")
-    f = np.zeros(64)
-    f[0] = -0.25
-    f[-1] = 0.125
-    assert boundary_amplitude(g, f) == 0.25
-    U = np.zeros((64, 2))
-    U[-1, 1] = 0.5
-    assert boundary_amplitude(g, U) == 0.5
+    tol = 1e-10
+    quiet = np.zeros(64)
+    quiet[1:-1] = 1.0  # interior values never count
+    f = np.zeros(shape)
+    f[1:-1] = 1.0
+    at = (end, -1) if f.ndim == 2 else end
+    f[at] = sign * tol
+    check_escape(g, 0.5, tol, quiet, f)  # exactly at tol holds
+    f[at] = sign * np.nextafter(tol, 1.0)
+    with pytest.raises(DomainEscape, match=r"amplitude 1\.000e-10 at t=0\.5 exceeds 1\.0e-10"):
+        check_escape(g, 0.5, tol, quiet, f)
+    with pytest.raises(DomainEscape):
+        check_escape(g, 0.5, tol, f, quiet)
+    check_escape(Grid1D(L=10.0, N=64), 0.5, tol, f)  # a periodic grid has no ends
 
 
 @settings(max_examples=30, deadline=None)

@@ -34,13 +34,18 @@ from hypodecay.solvers.linear import (
     compile_step,
     damping_half_step,
     simulate_linear,
-    step_linear,
 )
-from hypodecay.solvers.march import march, rk4, step_size
+from hypodecay.solvers.march import CFL, march, rk4, step_size
 from hypodecay.solvers.psystem import ETA2, PSystemSpec, simulate_psystem
 
 STANDARD = SystemSpec(A=np.array([[0.0, 1.0], [1.0, 0.0]]),
                       D=np.array([[1.0]]), n1=1)
+# The three systems of the linear registry scenarios.
+REGISTRY_SYSTEMS = {
+    "standard": STANDARD,
+    "stiff": SystemSpec(A=np.array([[0.0, 1.0], [1.0, 0.0]]), D=np.array([[32.0]]), n1=1),
+    "degenerate": SystemSpec(A=np.array([[1.0, 0.0], [0.0, -1.0]]), D=np.array([[1.0]]), n1=1),
+}
 
 
 # --- the shared RK4 stage sequence -------------------------------------------
@@ -70,10 +75,6 @@ def test_rk4_matches_textbook_formula_and_keeps_state():
     got = rk4(rhs, state, dt)
     assert all(np.array_equal(g, w) for g, w in zip(got, want))
     assert all(np.array_equal(y, y0) for y, y0 in zip(state, kept))
-
-    single = rk4(lambda y: rhs((y, state[1]))[0], state[0], dt)
-    assert isinstance(single, np.ndarray)
-    assert np.array_equal(state[0], kept[0])
 
 
 # --- linear system --------------------------------------------------------
@@ -157,7 +158,7 @@ def test_linear_guards():
         LinearSim(spec=STANDARD, grid=grid, nu=-1.0)
     sim = LinearSim(spec=STANDARD, grid=grid)
     with pytest.raises(CflViolation):
-        step_linear(np.zeros((64, 2)), sim, dt=2.0 * sim.dt)
+        compile_step(sim, 2.0 * sim.dt)
     with pytest.raises(ValueError):
         simulate_linear(sim, np.zeros((64, 3)), T=1.0)
     with pytest.raises(ValueError):
@@ -567,7 +568,7 @@ def _random_spec(rng, n, n1):
 
 
 def _transposed_view_step(U, sim, dt):
-    """step_linear written with the transposed views `@ M.T`."""
+    """The linear step written with the transposed views `@ M.T`."""
     B = np.zeros((sim.spec.n, sim.spec.n))
     B[sim.spec.n1:, sim.spec.n1:] = sim.spec.D
     half = expm_sym(-0.5 * dt * B)
@@ -578,7 +579,12 @@ def _transposed_view_step(U, sim, dt):
             dV -= (sim.nu / sim.grid.dx) * fourth_difference(sim.grid, V)
         return dV
 
-    return rk4(rhs, U @ half.T, dt) @ half.T
+    return rk4(lambda y: (rhs(y[0]),), (U @ half.T,), dt)[0] @ half.T
+
+
+def _compiled_step(U, sim):
+    """One compiled step of size sim.dt on an (N, n) state."""
+    return compile_step(sim, sim.dt)(np.ascontiguousarray(U.T)).T
 
 
 def _assert_roundoff_close(got, want):
@@ -598,7 +604,7 @@ def test_linear_operands_match_transposed_views(n, n1, bc):
     U = rng.standard_normal((grid.N, n))
     want = -d_dx(grid, U) @ sim.spec.A.T - (sim.nu / grid.dx) * fourth_difference(grid, U)
     _assert_roundoff_close(advection_rhs(sim, U), want)
-    _assert_roundoff_close(step_linear(U, sim), _transposed_view_step(U, sim, sim.dt))
+    _assert_roundoff_close(_compiled_step(U, sim), _transposed_view_step(U, sim, sim.dt))
 
 
 def test_registry_linear_operands_match_the_transposed_views():
@@ -607,7 +613,7 @@ def test_registry_linear_operands_match_the_transposed_views():
                                     D=np.array([[32.0]]), n1=1), grid=grid)
     U = np.random.default_rng(3).standard_normal((grid.N, 2))
     _assert_roundoff_close(advection_rhs(sim, U), -d_dx(grid, U) @ sim.spec.A.T)
-    _assert_roundoff_close(step_linear(U, sim), _transposed_view_step(U, sim, sim.dt))
+    _assert_roundoff_close(_compiled_step(U, sim), _transposed_view_step(U, sim, sim.dt))
 
 
 # An A with a zero eigenvalue: one characteristic speed is 0.
@@ -661,13 +667,8 @@ def test_compiled_periodic_step_is_its_fourier_symbol(system, nu, N):
     """On a periodic grid the compiled step is block circulant: the DFT of
     its impulse responses, the kernel, is the amplification matrix
     E R4(dt L(theta)) E at every theta = 2 pi m / N, to 1e-14."""
-    spec = {
-        "standard": SystemSpec(A=np.array([[0.0, 1.0], [1.0, 0.0]]), D=np.array([[1.0]]), n1=1),
-        "stiff": SystemSpec(A=np.array([[0.0, 1.0], [1.0, 0.0]]), D=np.array([[32.0]]), n1=1),
-        "degenerate": SystemSpec(A=np.array([[1.0, 0.0], [0.0, -1.0]]), D=np.array([[1.0]]),
-                                 n1=1),
-        "random-3": None,
-    }[system] or _random_spec(np.random.default_rng(N), 3, 1 + N % 2)
+    spec = (REGISTRY_SYSTEMS[system] if system in REGISTRY_SYSTEMS
+            else _random_spec(np.random.default_rng(N), 3, 1 + N % 2))
     sim = LinearSim(spec=spec, grid=Grid1D(L=10.0, N=N), nu=nu)
     step = compile_step(sim, sim.dt)
     n = spec.n
@@ -678,6 +679,68 @@ def test_compiled_periodic_step_is_its_fourier_symbol(system, nu, N):
         G[:, :, j] = np.fft.fft(step(V), axis=1).T
     want = _symbol(sim, sim.dt, 2.0 * np.pi * np.arange(N) / N)
     assert np.abs(G - want).max() <= 1e-14
+
+
+def _registry_symbol_radii(system, nu):
+    """theta = 2 pi m / N over (-pi, pi], pi last, and the spectral radius of
+    E R4(dt L(theta)) E there, on the linear registry grid (N = 4096,
+    L = 200) at the run's dt."""
+    N = 4096
+    sim = LinearSim(spec=REGISTRY_SYSTEMS[system], grid=Grid1D(L=200.0, N=N), nu=nu)
+    theta = 2.0 * np.pi * np.arange(1 - N // 2, N // 2 + 1) / N
+    return theta, np.abs(np.linalg.eigvals(_symbol(sim, sim.dt, theta))).max(axis=1)
+
+
+@pytest.mark.parametrize("system, rho_max", [("standard", 0.99999036), ("stiff", 0.99999966)])
+def test_sk_registry_systems_damp_every_nonzero_mode_with_the_floor(system, rho_max):
+    """Both SK systems at nu = 0.01: rho(G(theta)) < 1 for every theta != 0."""
+    theta, rho = _registry_symbol_radii(system, 0.01)
+    worst = rho[theta != 0.0].max()
+    assert worst < 1.0
+    assert worst == pytest.approx(rho_max, abs=1e-8)
+
+
+@pytest.mark.parametrize("system", list(REGISTRY_SYSTEMS))
+def test_nyquist_mode_is_undamped_without_the_floor(system):
+    """At nu = 0 sin(pi) = 0 leaves only B, which never reaches u1."""
+    theta, rho = _registry_symbol_radii(system, 0.0)
+    assert theta[-1] == np.pi
+    assert rho[-1] == pytest.approx(1.0, abs=1e-14)
+
+
+def test_kalman_fail_branch_is_damped_by_rk4_alone():
+    """The degenerate system's u1 branch is undamped but for RK4's own
+    sixth-order dissipation: 1 - rho(G(theta)) < 2e-10 theta^2 near 0."""
+    theta, rho = _registry_symbol_radii("degenerate", 0.0)
+    small = (theta != 0.0) & (np.abs(theta) < 0.05)
+    worst = ((1.0 - rho[small]) / theta[small] ** 2).max()
+    assert 0.0 < worst < 2e-10
+    assert worst == pytest.approx(1.65e-10, rel=1e-2)
+
+
+def _psystem_rk4_growth(cfl, nu):
+    """max |R4(dt lambda(theta))| - 1 over every theta of thm6's grid
+    (N = 8192, L = 400) at dt = cfl dx, for the p-system's two combined
+    kernels built as `simulate_psystem` builds them."""
+    grid = Grid1D(L=400.0, N=8192)
+    half = 1.0 / (2.0 * grid.dx)
+    d_kernel = half * np.pad(CENTERED, 1)
+    floor_kernel = (nu / grid.dx) * FOURTH_DIFFERENCE
+    theta = 2.0 * np.pi * np.arange(grid.N) / grid.N
+    growth = []
+    for kernel in (-d_kernel - floor_kernel, d_kernel - floor_kernel):
+        # correlate's row i reads f[i + j - 2], so exp(i theta x) scales by lam
+        lam = sum(k * np.exp(1j * (j - 2) * theta) for j, k in enumerate(kernel))
+        z = cfl * grid.dx * lam
+        R = 1.0 + z * (1.0 + z * (0.5 + z * (1.0 / 6.0 + z / 24.0)))
+        growth.append(np.abs(R).max() - 1.0)
+    return max(growth)
+
+
+@pytest.mark.parametrize("nu", [0.0, 0.01])
+def test_psystem_kernels_keep_rk4_amplification_at_most_one(nu):
+    assert _psystem_rk4_growth(CFL, nu) <= 1e-15
+    assert _psystem_rk4_growth(3.0, nu) > 0.3  # past 2 sqrt(2) the bound fails
 
 
 @pytest.mark.parametrize("bc", ["periodic", "compact_support"])
