@@ -271,13 +271,15 @@ def apply_override(doc, dotted, value):
 def build_fields(cfg, grid, n_components):
     """Evaluate the initial-data descriptors into an (N, n) array.
 
-    `bumps` entries draw `count` random Gaussian bumps from the
-    counter-based generator (reproducible across platforms); the other
-    kinds are deterministic closed forms.
+    `bumps` entries draw `count` random Gaussian bumps, in entry order,
+    from one counter-based generator (reproducible across platforms),
+    built at the first `bumps` entry so that data which draw nothing
+    never load `numpy.random`; the other kinds are deterministic closed
+    forms.
     """
     x = grid.x
     U = np.zeros((grid.N, n_components))
-    rng = np.random.Generator(np.random.Philox(cfg["seed"]))
+    rng = None
     for d in cfg["data"]:
         kind, k = d["kind"], d["component"]
         if k >= n_components:
@@ -288,6 +290,8 @@ def build_fields(cfg, grid, n_components):
             z = (x - d["center"]) / d["width"]
             U[:, k] += d["amp"] * (-2.0 * z / d["width"]) * np.exp(-(z**2))
         elif kind == "bumps":
+            if rng is None:
+                rng = np.random.Generator(np.random.Philox(cfg["seed"]))
             for _ in range(d["count"]):
                 amp = rng.uniform(-1.0, 1.0) * d["amp"]
                 center = rng.uniform(-d["width"], d["width"])

@@ -15,7 +15,6 @@ import time
 import traceback
 from dataclasses import dataclass, field
 from functools import partial
-from multiprocessing import get_context
 from pathlib import Path
 
 import numpy as np
@@ -698,6 +697,14 @@ def failure(exc):
 
 
 # --- batch -------------------------------------------------------------
+
+
+def get_context(method):
+    """multiprocessing's start-method context, imported here: only `batch`
+    forks, so a single run never loads the module."""
+    import multiprocessing
+
+    return multiprocessing.get_context(method)
 
 
 def _batch_worker(job):

@@ -501,6 +501,33 @@ def test_build_fields_bumps_reproducible():
     assert not np.array_equal(other, build_fields(cfg, grid, 1))
 
 
+def test_build_fields_draws_every_bumps_entry_from_one_stream():
+    """One Philox generator serves every `bumps` entry in entry order, each
+    bump drawing (amp, center, width); an entry that reseeded would repeat
+    the first entry's draws."""
+    doc = smoke_doc()
+    doc["data"] = [
+        {"kind": "gaussian", "component": 0, "amp": 1.0, "width": 3.0},
+        {"kind": "bumps", "component": 0, "amp": 1.0, "width": 10.0, "count": 2},
+        {"kind": "dgaussian", "component": 1, "amp": 0.5, "width": 2.0},
+        {"kind": "bumps", "component": 1, "amp": 2.0, "width": 8.0, "count": 3},
+    ]
+    doc["seed"] = 7
+    grid = Grid1D(L=30.0, N=128, bc="periodic")
+    got = build_fields(parse_config(doc), grid, 2)
+    bumps = [d for d in doc["data"] if d["kind"] == "bumps"]
+    doc["data"] = [d for d in doc["data"] if d["kind"] != "bumps"]
+    want = build_fields(parse_config(doc), grid, 2)
+    rng = np.random.Generator(np.random.Philox(7))
+    for d in bumps:
+        for _ in range(d["count"]):
+            amp = rng.uniform(-1.0, 1.0) * d["amp"]
+            center = rng.uniform(-d["width"], d["width"])
+            width = rng.uniform(0.5, 3.0)
+            want[:, d["component"]] += amp * np.exp(-(((grid.x - center) / width) ** 2))
+    assert np.array_equal(got, want)
+
+
 # --- output resolution -------------------------------------------------------
 
 
@@ -518,6 +545,66 @@ def test_out_dir_precedence(monkeypatch, tmp_path):
 
 
 # --- runner --------------------------------------------------------------
+
+
+def _modules_after_each(tmp_path, steps):
+    """Run `steps` in order in one fresh interpreter; after each, the
+    sorted names of multiprocessing and numpy.random that it holds.
+
+    `tiny(name, **patch)` runs a registry scenario at N = 64 and T = 1,
+    with one snapshot.
+    """
+    src = str(Path(runner.__file__).resolve().parents[2])
+    code = [
+        "import json, sys",
+        "from pathlib import Path",
+        "from hypodecay.experiment import (batch, parse_config, run, runner,",
+        "                                  scenario_claims, scenario_doc)",
+        "from hypodecay.grids import Grid1D",
+        f"out = Path({str(tmp_path)!r})",
+        "def tiny(name, **patch):",
+        "    doc = scenario_doc(name)",
+        "    doc['grid']['N'], doc['time']['T'] = 64, 1.0",
+        "    doc.update(outputs={'snapshots': [1.0]}, **patch)",
+        "    run(parse_config(doc), out_dir=out / doc['scenario'])",
+    ]
+    for step in steps:
+        code += [step, "print(json.dumps(sorted(m for m in ('multiprocessing', 'numpy.random')"
+                       " if m in sys.modules)))"]
+    done = subprocess.run([sys.executable, "-c", "\n".join(code)],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, check=True, timeout=120)
+    return [json.loads(line) for line in done.stdout.splitlines()]
+
+
+def test_a_run_that_draws_nothing_loads_neither_numpy_random_nor_multiprocessing(tmp_path):
+    """numpy.random loads at the first draw and multiprocessing only when
+    `batch` forks, so neither stays resident in a run that does neither."""
+    bumps = [{"kind": "bumps", "component": 0, "amp": 1.0, "width": 10.0, "count": 2}]
+    steps = [
+        "tiny('thm1_linear')",
+        "tiny('thm3_wave')",  # linear, power wave monitor
+        "tiny('thm4_euler')",
+        "tiny('thm6_psystem_log')",  # log wave monitor
+        "tiny('heat_oracle')",
+        f"tiny('heat_oracle', scenario='heat_bumps', data={bumps!r})",
+    ]
+    assert _modules_after_each(tmp_path, steps) == [[]] * 5 + [["numpy.random"]]
+
+
+def test_the_ckn_trials_draw_and_batch_forks(tmp_path):
+    """The CKN trials load numpy.random, and `batch` loads multiprocessing."""
+    (tmp_path / "cfgs").mkdir()
+    (tmp_path / "cfgs" / "a.json").write_text(json.dumps(smoke_doc("smoke_a")))
+    steps = [
+        "claim = next(c for c in scenario_claims('ckn_sweep') if c['check'] == 'ckn_random')",
+        "runner._check_ckn_random({**claim, 'trials': 1}, runner.RunContext(\n"
+        "    cfg=parse_config(scenario_doc('ckn_sweep')),\n"
+        "    grid=Grid1D(L=50.0, N=257, bc='compact_support')))",
+        "assert batch([out / 'cfgs' / 'a.json'], out / 'br')['exit_code'] == 0",
+    ]
+    assert _modules_after_each(tmp_path, steps) == [
+        [], ["numpy.random"], ["multiprocessing", "numpy.random"]]
 
 
 def test_run_writes_deterministic_outputs(tmp_path):
