@@ -51,6 +51,10 @@ class MuOutOfRange(HypodecayError):
     """Weight exponent outside the admissible range (needs mu > 1/2)."""
 
 
+class RunTooCostly(HypodecayError):
+    """A run would take more point-steps than the bound; refused before it is built."""
+
+
 class InitialDataRejected(HypodecayError):
     """Initial data refused before the first step: a configuration problem."""
 

@@ -36,7 +36,7 @@ from ..corrector import (
     weighted_data_size,
 )
 from ..errors import (HypodecayError, HypothesisViolated, InitialDataRejected,
-                      NonpositiveValues, SKConditionFails, WindowTooSmall)
+                      NonpositiveValues, RunTooCostly, SKConditionFails, WindowTooSmall)
 from ..grids import Grid1D, WeightSpec
 from ..linalg import SystemSpec, min_eig_sym
 from ..solvers import (
@@ -685,10 +685,11 @@ def failure(exc):
     """Exit code and message of a failed run: 2 config, 3 numerical or internal.
 
     An InitialDataRejected is raised before the first step, by a solver's
-    own check or by a guard at the step-0 sample: exit 2 like a ConfigError.
+    own check or by a guard at the step-0 sample, and a RunTooCostly before
+    the solver builds its step: exit 2 like a ConfigError.
     An exception outside RUN_ERRORS is a bug: its traceback goes to stderr.
     """
-    if isinstance(exc, (ConfigError, InitialDataRejected)):
+    if isinstance(exc, (ConfigError, InitialDataRejected, RunTooCostly)):
         return 2, f"config error: {exc}"
     if isinstance(exc, RUN_ERRORS):
         return 3, f"numerical failure: {type(exc).__name__}: {exc}"

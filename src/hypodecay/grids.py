@@ -8,8 +8,9 @@ second-order one-sided forms there.  A grid builds its nodes `x` and
 weights `qw` on first use; `nodes` and `weights` give any block of them.
 
 Every stencil is one engine: `ghost_pad` pads a periodic field with wrap
-cells (a compact field is its own pad) and `correlate` applies a kernel
-to the pad with `np.correlate`.  `d_dx`, `fourth_difference` and
+cells (a compact field is its own pad), `correlate` applies a kernel
+to the pad with `np.correlate`, and `unpad` trims a wider pad to the
+cells a stencil has left.  `d_dx`, `fourth_difference` and
 `subtract_floor` lift it to (N, k) fields one column at a time.
 """
 
@@ -118,6 +119,12 @@ def ghost_pad(grid, f, g=GHOSTS):
     return f
 
 
+def unpad(grid, f, g):
+    """f without g cells at each end of its last axis on a periodic grid, else
+    f itself: the cells of a `ghost_pad` of f that a stage has not used up."""
+    return f[..., g:f.shape[-1] - g] if grid.periodic else f
+
+
 def correlate(grid, pad, kernel):
     """sum_j kernel[j] f[i + j - h], h = len(kernel) // 2, of the field padded by
     `ghost_pad`; compact grids leave the h end rows zero."""
@@ -138,18 +145,22 @@ def derivative(grid, pad, kernel):
     return out
 
 
-def floored_derivative(grid, pad, kernel, s):
-    """`correlate` with the five-tap kernel s * (0, -1, 0, 1, 0) minus a floor.
+def floored_derivative(grid, pad, kernel, s, c):
+    """`correlate` with the five-tap kernel c * (0, 0, 1, 0, 0) + s * (0, -1, 0, 1, 0)
+    minus a floor.
 
-    Compact grids leave the floor off their two end rows on each side: rows 1
-    and N-2 take s (f[i+1] - f[i-1]) alone, and rows 0 and N-1 its
-    one-sided form.
+    A periodic pad may be wider than GHOSTS: the result is two cells shorter
+    at each end than the pad.  Compact grids leave the floor off their two end
+    rows on each side: rows 1 and N-2 take c f[i] + s (f[i+1] - f[i-1]), and
+    rows 0 and N-1 the same with its one-sided form.
     """
     out = correlate(grid, pad, kernel)
     if not grid.periodic:
         out[1] = s * (pad[2] - pad[0])
         out[-2] = s * (pad[-1] - pad[-3])
         _one_sided_ends(pad, out, s)
+        ends = [0, 1, -2, -1]
+        out[ends] += c * pad[ends]
     return out
 
 

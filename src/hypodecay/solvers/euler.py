@@ -87,7 +87,7 @@ def simulate_euler(espec, grid, rho0, u0, T, nu=0.0, sample_stride=1,
     speed0 = float((np.abs(u) + half_g * (ct + c_bar)).max())
     speed_ref = SPEED_HEADROOM * max(speed0, half_g * c_bar)
     dt_limit = CFL * grid.dx / speed_ref
-    _, dt = step_size(T, dt_limit)
+    _, dt = step_size(T, dt_limit, grid.N)
     decay_half = math.exp(-0.5 * espec.lam * dt)
     dx = grid.dx
 

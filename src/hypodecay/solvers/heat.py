@@ -28,7 +28,7 @@ def heat_solve(grid, u0, T, sample_stride=1, weight=None, snapshot_times=()):
     if u.shape != (grid.N,):
         raise ValueError("u0 must be a scalar field on the grid")
     dx = grid.dx
-    _, dt = step_size(T, dx)
+    _, dt = step_size(T, dx, grid.N)
     N = grid.N
     M = N if grid.periodic else 2 * (N - 1)
     lam = 1.0 + 2.0 * dt / dx**2 * np.sin(np.pi * np.arange(M // 2 + 1) / M) ** 2

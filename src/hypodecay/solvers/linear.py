@@ -231,7 +231,7 @@ def simulate_linear(sim, U0, T, sample_stride=1, coeffs=None, weight=None,
     U = np.array(U0, dtype=float)
     if U.shape != (grid.N, spec.n):
         raise ValueError(f"U0 must have shape ({grid.N}, {spec.n}), got {U.shape}")
-    _, dt = step_size(T, sim.dt)
+    _, dt = step_size(T, sim.dt, grid.N)
     step = compile_step(sim, dt)
     if wave is not None:
         check_zero_mass(grid, U[:, : spec.n1])

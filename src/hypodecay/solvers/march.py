@@ -4,9 +4,11 @@ Each solver hands `march` its one-step map and its `record(t, state)`
 observer.  The driver owns everything else about a run: the uniform step
 count, the sampling stride, the snapshot steps, the assembly of the
 recorded series, the process's heap setting and the floating-point mode
-the steps and observers run in.  `rk4` is the one classical Runge-Kutta
-stage sequence.  `CFL` is every explicit solver's CFL number, and
-`check_nu` the one check of its fourth-difference floor strength.
+the steps and observers run in.  `step_size` is the one step count, and
+it bounds a run's cost before any solver builds its step.  `rk4` is the
+one classical Runge-Kutta stage sequence.  `CFL` is every explicit
+solver's CFL number, and `check_nu` the one check of its
+fourth-difference floor strength.
 """
 
 import contextlib
@@ -18,12 +20,16 @@ import sys
 import numpy as np
 
 from ..analysis import TimeSeries
-from ..errors import HypodecayError, NonFiniteState, rejected
+from ..errors import HypodecayError, NonFiniteState, RunTooCostly, rejected
 
 # The CFL number each explicit solver steps at, and the largest one a
 # running Euler solution may reach before it is a CflViolation.
 CFL = 0.4
 CFL_MAX = 0.7
+
+# The most point-steps (steps x grid points) a run may take: about 240
+# times the registry's largest run, thm6's 51,200 x 8192.
+MAX_POINT_STEPS = 1e11
 
 
 def check_nu(nu):
@@ -35,11 +41,20 @@ def check_nu(nu):
         raise ValueError(f"stabilization strength nu must be nonnegative, got {nu}")
 
 
-def step_size(T, dt_limit):
-    """Fewest uniform steps reaching T with dt <= dt_limit: (nsteps, dt)."""
+def step_size(T, dt_limit, N):
+    """Fewest uniform steps reaching T with dt <= dt_limit: (nsteps, dt).
+
+    Raises RunTooCostly when the run of N grid points would take more than
+    MAX_POINT_STEPS point-steps (nsteps * N), before anything is built.
+    """
     if not T > 0.0:
         raise ValueError("T must be positive")
-    nsteps = max(1, math.ceil(T / dt_limit - 1e-12))
+    steps = T / dt_limit - 1e-12
+    if steps * N > MAX_POINT_STEPS:  # an infinite count too, before ceil meets it
+        raise RunTooCostly(f"the run needs {steps:.3g} steps x N = {N}, "
+                           f"{steps * N:.3g} point-steps, over the bound of "
+                           f"{MAX_POINT_STEPS:.0e}")
+    nsteps = max(1, math.ceil(steps))
     return nsteps, T / nsteps
 
 
@@ -170,7 +185,9 @@ def march(state, T, dt_limit, step, record, sample_stride, snapshot_times,
     sample_stride, and the snapshots keyed by time.
     """
     _keep_freed_heap()
-    nsteps, dt = step_size(T, dt_limit)
+    # every solver's state keeps its grid points on the last axis
+    points = (state[0] if isinstance(state, tuple) else state).shape[-1]
+    nsteps, dt = step_size(T, dt_limit, points)
     snap_steps = {}
     for ts in snapshot_times:
         if not 0.0 <= ts <= T:

@@ -5,24 +5,36 @@ The whole scenario registry is executed once through the batch driver
 reports, so `pytest -v` prints one pass/fail line per criterion.  One
 test holds every certificate's measured values to the committed
 reference at roundoff level, and one holds each run's peak RSS within
-20 MB of the others'.  The final test re-runs the registry
-serially and demands byte-identical outputs, which keeps the others
-honest: they grade artifacts any user can regenerate exactly.
+20 MB of the others'.  The final test demands byte-identical outputs
+from a serial sweep of the registry, run by the CLI beside the batch
+driver's, which keeps the others honest: they grade artifacts any user
+can regenerate exactly.
 """
 
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hypodecay
 from hypodecay.analysis import TimeSeries, check_decay_inequality
 from hypodecay.experiment import batch, scenario_claims, scenario_doc, scenario_names
+
+# The directory that holds the package, for the serial sweep's interpreter.
+SRC = Path(hypodecay.__file__).resolve().parents[1]
 
 
 @pytest.fixture(scope="session")
 def registry(tmp_path_factory):
+    """The registry through `batch(jobs=4)`, with criterion 13's serial sweep
+    started beside it.  thm6 holds one core for most of either sweep, so the
+    two overlap.  `batch` forks, so the serial sweep is a process of the CLI,
+    never a thread of this one."""
     root = tmp_path_factory.mktemp("acceptance")
     cfg_dir = root / "configs"
     cfg_dir.mkdir()
@@ -30,9 +42,22 @@ def registry(tmp_path_factory):
         doc = scenario_doc(name)
         with open(cfg_dir / f"{name}.json", "w") as fh:
             json.dump(doc, fh, indent=2)
-    out = root / "jobs4"
-    agg = batch(sorted(cfg_dir.glob("*.json")), out, jobs=4)
-    return {"cfg_dir": cfg_dir, "out": out, "agg": agg}
+    serial_out, serial_log = root / "jobs1", root / "jobs1.log"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    with open(serial_log, "w") as log:
+        serial = subprocess.Popen(
+            [sys.executable, "-m", "hypodecay", "batch", "--dir", str(cfg_dir), "--jobs", "1",
+             "--out", str(serial_out)], env=env, stdout=log, stderr=subprocess.STDOUT)
+    try:
+        out = root / "jobs4"
+        agg = batch(sorted(cfg_dir.glob("*.json")), out, jobs=4)
+        yield {"cfg_dir": cfg_dir, "out": out, "agg": agg, "serial": serial,
+               "serial_out": serial_out, "serial_log": serial_log}
+    finally:
+        if serial.poll() is None:
+            serial.kill()
+        serial.wait()
 
 
 def _compare_reports():
@@ -256,11 +281,12 @@ def test_no_run_holds_far_more_memory_than_the_others(registry):
     assert max(peaks.values()) - min(peaks.values()) < 20.0, peaks
 
 
-def test_criterion_13_batch_determinism_and_isolation(registry, tmp_path):
+def test_criterion_13_batch_determinism_and_isolation(registry):
     """Running the registry with 1 worker reproduces the 4-worker outputs
     byte for byte (timing sidecars aside); each sweep finishes in 20 min."""
-    serial_out = tmp_path / "jobs1"
-    agg = batch(sorted(registry["cfg_dir"].glob("*.json")), serial_out, jobs=1)
+    assert registry["serial"].wait(timeout=1200) == 0, registry["serial_log"].read_text()
+    serial_out = registry["serial_out"]
+    agg = json.loads((serial_out / "batch_report.json").read_text())
     assert agg == registry["agg"]
     assert agg["exit_code"] == 0
 

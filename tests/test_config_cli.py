@@ -8,6 +8,7 @@ import platform
 import re
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
@@ -1158,6 +1159,22 @@ def test_cli_rejects_bad_input(tmp_path, capsys):
     assert main(["run", "--scenario", "thm1_linear", "--set", "oops"]) == 2
     with pytest.raises(SystemExit):
         main(["run"])  # --config/--scenario required
+
+
+@pytest.mark.parametrize("setting", ["time.T=1e12", "system.A=[[0,1e100],[1e100,0]]"])
+def test_cli_refuses_a_run_too_costly_before_its_first_step(tmp_path, capsys, setting):
+    """`march.step_size` bounds steps x N at MAX_POINT_STEPS before any solver
+    builds its step: a long T, or a wave speed of 1e100, exits 2 at once,
+    names the predicted count and writes nothing."""
+    out = tmp_path / "never"
+    started = time.perf_counter()
+    code = main(["run", "--scenario", "thm1_linear", "--set", "grid.N=64", "--set", setting,
+                 "--out", str(out)])
+    assert time.perf_counter() - started < 1.0
+    assert code == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert "config error" in err and "steps x N = 64" in err and "point-steps" in err, err
 
 
 @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity", "1e999", "1" + "0" * 400],
