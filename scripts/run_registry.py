@@ -7,8 +7,10 @@ worst exit code over the runs (0 ok, 2 config rejected, 3 numerical
 failure, 4 certificate failed), so this script doubles as a
 reproduction gate: a zero exit means every certificate passed.  Each
 status line ends with the run's wall time and its process's peak RSS,
-and the last line gives the batch's wall time, all from
-batch_timing.json: the slowest run is the sweep's critical path.
+and the last line gives the batch's wall time and the largest job peak
+RSS with its job's name, all from batch_timing.json: the slowest run is
+the sweep's critical path, and the largest peak sets the sweep's memory
+ceiling among the jobs.
 
 Outputs land under <out>/<scenario>/ (series.csv, snapshots, report.json,
 timing.json) plus <out>/batch_report.json.  Re-running with a different
@@ -50,7 +52,11 @@ def main():
         job = timing["runs"][r["name"]]
         print(f"[{r['exit_code']}] {r['name']}: {status} "
               f"({job['wall_s']:.1f} s, {job['rss_peak_mb']:.1f} MB)")
-    print(f"batch wall time: {timing['wall_s']:.1f} s at --jobs {args.jobs}")
+    line = f"batch wall time: {timing['wall_s']:.1f} s at --jobs {args.jobs}"
+    if timing["runs"]:
+        top = max(timing["runs"], key=lambda name: timing["runs"][name]["rss_peak_mb"])
+        line += f", largest peak RSS {timing['runs'][top]['rss_peak_mb']:.1f} MB ({top})"
+    print(line)
     print(f"batch report: {out / 'batch_report.json'}")
     return agg["exit_code"]
 

@@ -24,8 +24,10 @@ from .grids import CENTERED, derivative
 
 MIN_FIT_SAMPLES = 20
 BOUNDED_T0 = 10.0
-# Nodes per block of `check_ckn`: 0.5 MB per float array.
-CKN_BLOCK = 1 << 16
+# Nodes per block of `check_ckn`: 32 KiB per float array, below glibc's
+# default 128 KiB mmap threshold, so a block's temporaries come from and
+# go back to the heap's free chunks.
+CKN_BLOCK = 1 << 12
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,7 @@ in and each section's keys in table order.  Normalizing is idempotent:
 import copy
 import json
 import operator
+import random
 import sys
 from collections import namedtuple
 from pathlib import Path
@@ -272,14 +273,13 @@ def build_fields(cfg, grid, n_components):
     """Evaluate the initial-data descriptors into an (N, n) array.
 
     `bumps` entries draw `count` random Gaussian bumps, in entry order,
-    from one counter-based generator (reproducible across platforms),
-    built at the first `bumps` entry so that data which draw nothing
-    never load `numpy.random`; the other kinds are deterministic closed
-    forms.
+    from one `random.Random(seed)` stream read only through `random()`,
+    whose sequence Python keeps stable for an int seed across versions;
+    the other kinds are deterministic closed forms.
     """
     x = grid.x
     U = np.zeros((grid.N, n_components))
-    rng = None
+    rng = random.Random(cfg["seed"])
     for d in cfg["data"]:
         kind, k = d["kind"], d["component"]
         if k >= n_components:
@@ -290,11 +290,10 @@ def build_fields(cfg, grid, n_components):
             z = (x - d["center"]) / d["width"]
             U[:, k] += d["amp"] * (-2.0 * z / d["width"]) * np.exp(-(z**2))
         elif kind == "bumps":
-            if rng is None:
-                rng = np.random.Generator(np.random.Philox(cfg["seed"]))
+            w = d["width"]
             for _ in range(d["count"]):
-                amp = rng.uniform(-1.0, 1.0) * d["amp"]
-                center = rng.uniform(-d["width"], d["width"])
-                width = rng.uniform(0.5, 3.0)
+                amp = (-1.0 + 2.0 * rng.random()) * d["amp"]
+                center = -w + 2.0 * w * rng.random()
+                width = 0.5 + 2.5 * rng.random()
                 U[:, k] += amp * np.exp(-(((x - center) / width) ** 2))
     return U

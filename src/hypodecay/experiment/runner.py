@@ -10,6 +10,7 @@ hashing everything else.
 import json
 import math
 import os
+import random
 import resource
 import time
 import traceback
@@ -488,9 +489,10 @@ def _check_heat_weighted_fit(claim, ctx):
 
 def _ckn_bump_field(rng):
     """A sum of one to three random Gaussian bumps as a function of the
-    nodes, and the number of bumps."""
-    m = int(rng.integers(1, 4))
-    bumps = [(rng.uniform(-1.0, 1.0), rng.uniform(-12.0, 12.0), rng.uniform(0.5, 3.0))
+    nodes, and the number of bumps, drawn from `rng.random()` alone: the
+    count, then (amp, center, width) per bump."""
+    m = 1 + int(3.0 * rng.random())
+    bumps = [(-1.0 + 2.0 * rng.random(), -12.0 + 24.0 * rng.random(), 0.5 + 2.5 * rng.random())
              for _ in range(m)]
 
     def h(x):
@@ -500,7 +502,7 @@ def _ckn_bump_field(rng):
 
 
 def _check_ckn_random(claim, ctx):
-    rng = np.random.Generator(np.random.Philox(ctx.cfg["seed"]))
+    rng = random.Random(ctx.cfg["seed"])
     mus = claim["mus"]
     cap = claim["cap"]
     worst = {mu: 0.0 for mu in mus}

@@ -42,13 +42,18 @@ def jacobi_eigensystem(M, tol=1e-14, max_sweeps=60):
     """All eigenvalues/eigenvectors of a small symmetric matrix.
 
     Cyclic Jacobi rotations; returns (w, V) with w ascending and
-    V[:, i] the eigenvector for w[i].  Intended for n <= 8.
+    V[:, i] the eigenvector for w[i].  Intended for n <= 8.  The sweeps
+    run on M / 2^e, with 2^e the binade of max|M|, so that the squared
+    entries cannot overflow; the power-of-two scaling is exact, and the
+    eigenvalues are scaled back.
     """
     A = np.array(M, dtype=float, copy=True)
     n = A.shape[0]
     V = np.eye(n)
     if n == 1:
         return A[0, :1].copy(), V
+    e = np.frexp(np.abs(A).max())[1]
+    A = np.ldexp(A, -e)
     fro = np.sqrt((A * A).sum())
     if fro == 0.0:
         return np.zeros(n), V
@@ -73,7 +78,7 @@ def jacobi_eigensystem(M, tol=1e-14, max_sweeps=60):
                 J[q, p] = -s
                 A = J.T @ A @ J
                 V = V @ J
-    w = np.diag(A).copy()
+    w = np.ldexp(np.diag(A), e)
     order = np.argsort(w)
     return w[order], V[:, order]
 
@@ -85,14 +90,17 @@ def min_eig_sym(M):
 
 
 def spectral_norm(M):
-    """2-norm of a (possibly rectangular) matrix via the Gram matrix."""
+    """2-norm of a (possibly rectangular) matrix via the Gram matrix of
+    M / 2^e, with 2^e the binade of max|M| (exact, and no overflow)."""
     M = np.asarray(M, dtype=float)
     if M.size == 0:
         return 0.0
+    e = np.frexp(np.abs(M).max())[1]
+    M = np.ldexp(M, -e)
     G = M.T @ M if M.shape[0] >= M.shape[1] else M @ M.T
     G = 0.5 * (G + G.T)
     w, _ = jacobi_eigensystem(G)
-    return float(np.sqrt(max(w[-1], 0.0)))
+    return float(np.ldexp(np.sqrt(max(w[-1], 0.0)), e))
 
 
 def expm_sym(M):
@@ -180,13 +188,10 @@ def kalman_matrix(A, B):
     """Stacked observability-style matrix (B; BA; ...; BA^{n-1})."""
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
-    n = A.shape[0]
-    blocks = []
-    P = np.eye(n)
-    for _ in range(n):
-        blocks.append(B @ P)
-        P = P @ A
-    return np.vstack(blocks)
+    powers = [np.eye(A.shape[0])]
+    for _ in range(A.shape[0] - 1):
+        powers.append(powers[-1] @ A)
+    return np.vstack([B @ P for P in powers])
 
 
 def numerical_rank(M, rank_tol=RANK_TOL):

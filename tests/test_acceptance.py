@@ -14,6 +14,7 @@ can regenerate exactly.
 import importlib.util
 import json
 import os
+import statistics
 import subprocess
 import sys
 from pathlib import Path
@@ -273,12 +274,13 @@ def test_registry_matches_the_committed_reference(registry):
 
 
 def test_no_run_holds_far_more_memory_than_the_others(registry):
-    """Every registry run's peak RSS (timing.json) lies within 20 MB of the
-    smallest: no certificate holds grid-length arrays far beyond its run's,
-    as the CKN witness did at N = 2^20 + 1 before it went block by block."""
+    """No registry run's peak RSS (timing.json) lies more than 3 MB above
+    the median run's: no certificate holds arrays or modules far beyond its
+    run's, as the CKN witness did at N = 2^20 + 1 before it went block by
+    block, and the CKN trials did while they loaded numpy.random."""
     peaks = {name: json.loads((registry["out"] / name / "timing.json").read_text())
              ["rss_peak_mb"] for name in scenario_names()}
-    assert max(peaks.values()) - min(peaks.values()) < 20.0, peaks
+    assert max(peaks.values()) - statistics.median(peaks.values()) < 3.0, peaks
 
 
 def test_criterion_13_batch_determinism_and_isolation(registry):

@@ -5,11 +5,13 @@ import json
 import math
 import os
 import platform
+import random
 import re
 import subprocess
 import sys
 import time
 import tracemalloc
+import warnings
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -502,10 +504,14 @@ def test_build_fields_bumps_reproducible():
     assert not np.array_equal(other, build_fields(cfg, grid, 1))
 
 
+def _uniform(rng, a, b):
+    return a + (b - a) * rng.random()
+
+
 def test_build_fields_draws_every_bumps_entry_from_one_stream():
-    """One Philox generator serves every `bumps` entry in entry order, each
-    bump drawing (amp, center, width); an entry that reseeded would repeat
-    the first entry's draws."""
+    """One `random.Random(seed)` stream serves every `bumps` entry in entry
+    order, each bump drawing (amp, center, width); an entry that reseeded
+    would repeat the first entry's draws."""
     doc = smoke_doc()
     doc["data"] = [
         {"kind": "gaussian", "component": 0, "amp": 1.0, "width": 3.0},
@@ -519,14 +525,32 @@ def test_build_fields_draws_every_bumps_entry_from_one_stream():
     bumps = [d for d in doc["data"] if d["kind"] == "bumps"]
     doc["data"] = [d for d in doc["data"] if d["kind"] != "bumps"]
     want = build_fields(parse_config(doc), grid, 2)
-    rng = np.random.Generator(np.random.Philox(7))
+    rng = random.Random(7)
     for d in bumps:
         for _ in range(d["count"]):
-            amp = rng.uniform(-1.0, 1.0) * d["amp"]
-            center = rng.uniform(-d["width"], d["width"])
-            width = rng.uniform(0.5, 3.0)
+            amp = _uniform(rng, -1.0, 1.0) * d["amp"]
+            center = _uniform(rng, -d["width"], d["width"])
+            width = _uniform(rng, 0.5, 3.0)
             want[:, d["component"]] += amp * np.exp(-(((grid.x - center) / width) ** 2))
     assert np.array_equal(got, want)
+
+
+def test_ckn_bump_field_draws_count_then_each_bump_from_one_stream():
+    """`_ckn_bump_field` draws the bump count in {1, 2, 3}, then (amp, center,
+    width) per bump, from the stream it is given; successive calls continue
+    the stream."""
+    x = np.linspace(-20.0, 20.0, 257)
+    rng, oracle = random.Random(7), random.Random(7)
+    counts = set()
+    for _ in range(20):
+        h, m = runner._ckn_bump_field(rng)
+        assert m == 1 + int(3.0 * oracle.random())
+        want = sum(a * np.exp(-(((x - c) / w) ** 2))
+                   for a, c, w in [(_uniform(oracle, -1.0, 1.0), _uniform(oracle, -12.0, 12.0),
+                                    _uniform(oracle, 0.5, 3.0)) for _ in range(m)])
+        assert np.array_equal(h(x), want)
+        counts.add(m)
+    assert counts == {1, 2, 3}
 
 
 # --- output resolution -------------------------------------------------------
@@ -579,33 +603,34 @@ def _modules_after_each(tmp_path, steps):
 
 
 def test_a_run_that_draws_nothing_loads_neither_numpy_random_nor_multiprocessing(tmp_path):
-    """numpy.random loads at the first draw and multiprocessing only when
-    `batch` forks, so neither stays resident in a run that does neither."""
-    bumps = [{"kind": "bumps", "component": 0, "amp": 1.0, "width": 10.0, "count": 2}]
+    """multiprocessing loads only when `batch` forks, and numpy.random never,
+    so neither stays resident in a run."""
     steps = [
         "tiny('thm1_linear')",
         "tiny('thm3_wave')",  # linear, power wave monitor
         "tiny('thm4_euler')",
         "tiny('thm6_psystem_log')",  # log wave monitor
         "tiny('heat_oracle')",
-        f"tiny('heat_oracle', scenario='heat_bumps', data={bumps!r})",
     ]
-    assert _modules_after_each(tmp_path, steps) == [[]] * 5 + [["numpy.random"]]
+    assert _modules_after_each(tmp_path, steps) == [[]] * 5
 
 
 def test_the_ckn_trials_draw_and_batch_forks(tmp_path):
-    """The CKN trials load numpy.random, and `batch` loads multiprocessing."""
+    """The `bumps` data and the CKN trials draw from the standard library's
+    `random`, so neither loads numpy.random; `batch` alone loads
+    multiprocessing."""
+    bumps = [{"kind": "bumps", "component": 0, "amp": 1.0, "width": 10.0, "count": 2}]
     (tmp_path / "cfgs").mkdir()
     (tmp_path / "cfgs" / "a.json").write_text(json.dumps(smoke_doc("smoke_a")))
     steps = [
+        f"tiny('heat_oracle', scenario='heat_bumps', data={bumps!r})",
         "claim = next(c for c in scenario_claims('ckn_sweep') if c['check'] == 'ckn_random')",
         "runner._check_ckn_random({**claim, 'trials': 1}, runner.RunContext(\n"
         "    cfg=parse_config(scenario_doc('ckn_sweep')),\n"
         "    grid=Grid1D(L=50.0, N=257, bc='compact_support')))",
         "assert batch([out / 'cfgs' / 'a.json'], out / 'br')['exit_code'] == 0",
     ]
-    assert _modules_after_each(tmp_path, steps) == [
-        [], ["numpy.random"], ["multiprocessing", "numpy.random"]]
+    assert _modules_after_each(tmp_path, steps) == [[], [], [], ["multiprocessing"]]
 
 
 def test_run_writes_deterministic_outputs(tmp_path):
@@ -1161,18 +1186,24 @@ def test_cli_rejects_bad_input(tmp_path, capsys):
         main(["run"])  # --config/--scenario required
 
 
-@pytest.mark.parametrize("setting", ["time.T=1e12", "system.A=[[0,1e100],[1e100,0]]"])
+@pytest.mark.parametrize("setting", ["time.T=1e12"] + [
+    f"system.A=[[0,{a}],[{a},0]]" for a in ("1e100", "1e155", "1e300")])
 def test_cli_refuses_a_run_too_costly_before_its_first_step(tmp_path, capsys, setting):
     """`march.step_size` bounds steps x N at MAX_POINT_STEPS before any solver
-    builds its step: a long T, or a wave speed of 1e100, exits 2 at once,
-    names the predicted count and writes nothing."""
+    builds its step: a long T, or a wave speed of 1e100 or more, exits 2 at
+    once, names the predicted count and writes nothing.  The eigenvalue and
+    norm routines scale the matrix by a power of two first, so no entry
+    squares past the double range and nothing warns of an overflow."""
     out = tmp_path / "never"
     started = time.perf_counter()
-    code = main(["run", "--scenario", "thm1_linear", "--set", "grid.N=64", "--set", setting,
-                 "--out", str(out)])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["run", "--scenario", "thm1_linear", "--set", "grid.N=64",
+                     "--set", setting, "--out", str(out)])
     assert time.perf_counter() - started < 1.0
     assert code == 2
     assert not out.exists()
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], caught
     err = capsys.readouterr().err
     assert "config error" in err and "steps x N = 64" in err and "point-steps" in err, err
 
@@ -1544,7 +1575,8 @@ def test_run_registry_prints_each_wall_time_and_the_batch_s(monkeypatch, tmp_pat
     lines = capsys.readouterr().out.splitlines()
     assert lines[:3] == ["[0] heat_oracle: ok (1.2 s, 36.9 MB)",
                          "[4] thm1_linear: certificate failure (11.8 s, 40.2 MB)",
-                         "batch wall time: 12.5 s at --jobs 2"]
+                         "batch wall time: 12.5 s at --jobs 2, "
+                         "largest peak RSS 40.2 MB (thm1_linear)"]
 
 
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc heap thresholds")

@@ -1,5 +1,7 @@
 """Structure layer: symmetric eigensolves, stacked-matrix rank, seminorm."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -61,6 +63,28 @@ def test_spectral_norm_oracles():
     assert spectral_norm(np.array([[0.0, 1.0], [1.0, 0.0]])) == pytest.approx(1.0)
     assert spectral_norm(np.diag([3.0, -4.0])) == pytest.approx(4.0)
     assert spectral_norm(np.zeros((2, 2))) == 0.0
+
+
+@pytest.mark.parametrize("k", [-530, 500, 1000])
+def test_eigen_and_norm_routines_scale_by_powers_of_two_exactly(k):
+    """A matrix times 2^k has eigenvalues and 2-norm times 2^k, bit for bit,
+    and the same eigenvectors, even where its squared entries leave the
+    double range; nothing warns."""
+    M = np.array([[4.0, 1.0, 0.5], [1.0, 3.0, -1.0], [0.5, -1.0, 2.0]])
+    R = np.array([[1.0, -2.0, 0.25], [3.0, 0.5, -1.5]])
+    w, V = jacobi_eigensystem(M)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        w_k, V_k = jacobi_eigensystem(np.ldexp(M, k))
+        norm_k = spectral_norm(np.ldexp(R, k))
+    assert np.array_equal(w_k, np.ldexp(w, k))
+    assert np.array_equal(V_k, V)
+    assert norm_k == np.ldexp(spectral_norm(R), k)
+
+
+def test_jacobi_finds_the_speeds_of_a_huge_transport_matrix():
+    w, _ = jacobi_eigensystem(np.array([[0.0, 1e155], [1e155, 0.0]]))
+    assert w == pytest.approx([-1e155, 1e155], rel=1e-15)
 
 
 def test_expm_sym_diagonal():
