@@ -29,18 +29,19 @@ from .scenarios import scenario_doc, scenario_names
 # no data or snapshots).  A wave weight is of the system's own family.
 SystemKind = namedtuple("SystemKind", "system time corrector roles fields",
                         defaults=(None, {}, True))
-_STEPPED = {"T": ..., "sample_stride": 1, "nu": 0.0}
+# Only the Euler and p-system schemes have a fourth-difference floor (nu).
+_TIMED = {"T": ..., "sample_stride": 1}
+_FLOORED = {**_TIMED, "nu": 0.0}
 # `_build_linear` and `_build_euler` read a spatial weight's mu (the weighted
 # coefficients and the |x|^mu data size), which only a power weight has.
 _POWER = {"spatial": ("power",), "wave": ("power",)}
 SYSTEM_KINDS = {
-    "linear": SystemKind({"A": ..., "D": ..., "n1": ...}, _STEPPED, corrector={"safety": 0.5},
+    "linear": SystemKind({"A": ..., "D": ..., "n1": ...}, _TIMED, corrector={"safety": 0.5},
                          roles=_POWER),
     "euler": SystemKind({"gamma": 2.0, "rho_bar": 1.0, "lam": 1.0, "smallness_cap": 0.5},
-                        _STEPPED, roles=_POWER),
-    "psystem": SystemKind({"r": 2.0}, _STEPPED, roles={"wave": ("log",)}),
-    "heat": SystemKind({}, {"T": ..., "sample_stride": 1},
-                       roles={"spatial": ("power", "log")}),
+                        _FLOORED, roles=_POWER),
+    "psystem": SystemKind({"r": 2.0}, _FLOORED, roles={"wave": ("log",)}),
+    "heat": SystemKind({}, _TIMED, roles={"spatial": ("power", "log")}),
     "none": SystemKind({}, {"T": ...}, fields=False),
 }
 
@@ -65,7 +66,7 @@ DATA_FIELDS = {
 _TOP = {"scenario": ..., "system": {"kind": "none"}, "grid": ..., "time": ...,
         "data": [], "weights": [], "corrector": None, "outputs": {}, "seed": 0}
 _GRID = {"L": ..., "N": ..., "bc": "periodic"}
-_OUTPUTS = {"dir": None, "snapshots": None}
+_OUTPUTS = {"snapshots": None}
 
 # The type and bounds of every key a config may hold but the sections and
 # the `kind` and `role` that name a row of a table above.  A float is any
@@ -85,7 +86,8 @@ KEYS = {
     "smallness_cap": (float, (">", 0)),
     "r": (float,),
     "L": (float, (">", 0)),
-    "N": (int, (">=", 16)),
+    # 128 times the registry's largest grid, bounded before any field is built
+    "N": (int, (">=", 16), ("<=", 2**20)),
     "bc": (("periodic", "compact_support"),),
     "T": (float, (">", 0)),
     "sample_stride": (int, (">=", 1)),
@@ -98,10 +100,9 @@ KEYS = {
     "mu": (float,),
     "q": (float,),
     "safety": (float, (">", 0), ("<", 1)),
-    "dir": (str,),
     "snapshots": (list,),
 }
-_OPERATORS = {">": operator.gt, ">=": operator.ge, "<": operator.lt}
+_OPERATORS = {">": operator.gt, ">=": operator.ge, "<": operator.lt, "<=": operator.le}
 _EXPECTED = {int: "an integer", float: "a number", str: "a non-empty string"}
 
 

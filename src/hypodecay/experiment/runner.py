@@ -64,15 +64,12 @@ OUT_ENV = "HYPODECAY_OUT"
 
 
 def resolve_out_dir(cfg, out_dir=None):
-    """Output directory precedence: explicit arg > env var > config > default."""
+    """Output directory precedence: explicit arg > env var > default."""
     if out_dir is not None:
         return Path(out_dir)
     env = os.environ.get(OUT_ENV)
     if env:
         return Path(env) / cfg["scenario"]
-    configured = cfg["outputs"].get("dir")
-    if configured:
-        return Path(configured)
     return Path("runs") / cfg["scenario"]
 
 
@@ -220,7 +217,7 @@ def _build_linear(cfg, grid, ctx, weight):
 
     wsp = _wave_spec(cfg, ctx, lambda: min_eig_sym(spec.A12 @ spec.A21))
     wave = None if wsp is None else linear_wave_monitor(spec, wsp)
-    sim = LinearSim(spec=spec, grid=grid, nu=float(cfg["time"]["nu"]))
+    sim = LinearSim(spec=spec, grid=grid)
     return partial(simulate_linear, sim, U0, coeffs=ctx.coeffs, weight=weight,
                    wave=wave)
 

@@ -16,7 +16,7 @@ _DOCS = {
     "thm1_linear": {
         "system": _STD_LINEAR,
         "grid": {"L": 200.0, "N": 4096, "bc": "periodic"},
-        "time": {"T": 100.0, "sample_stride": 2, "nu": 0.0},
+        "time": {"T": 100.0, "sample_stride": 2},
         "data": [
             {"kind": "gaussian", "component": 0, "amp": 1.0, "width": 10.0, "center": 0.0},
             {"kind": "gaussian", "component": 1, "amp": 1.0, "width": 10.0, "center": 0.0},
@@ -29,7 +29,7 @@ _DOCS = {
     "thm2_weighted": {
         "system": _STIFF_LINEAR,
         "grid": {"L": 200.0, "N": 4096, "bc": "compact_support"},
-        "time": {"T": 100.0, "sample_stride": 2, "nu": 0.0},
+        "time": {"T": 100.0, "sample_stride": 2},
         "data": [
             {"kind": "dgaussian", "component": 0, "amp": 1.0, "width": 1.6, "center": 0.0}
         ],
@@ -41,7 +41,7 @@ _DOCS = {
     "thm3_wave": {
         "system": _STD_LINEAR,
         "grid": {"L": 200.0, "N": 4096, "bc": "compact_support"},
-        "time": {"T": 100.0, "sample_stride": 2, "nu": 0.0},
+        "time": {"T": 100.0, "sample_stride": 2},
         "data": [
             {"kind": "dgaussian", "component": 0, "amp": 1.0, "width": 9.0, "center": 0.0},
             {"kind": "dgaussian", "component": 1, "amp": 1.0, "width": 9.0, "center": 0.0},
@@ -54,7 +54,7 @@ _DOCS = {
     "kalman_fail": {
         "system": _DEGENERATE_LINEAR,
         "grid": {"L": 200.0, "N": 4096, "bc": "periodic"},
-        "time": {"T": 100.0, "sample_stride": 2, "nu": 0.0},
+        "time": {"T": 100.0, "sample_stride": 2},
         "data": [
             {"kind": "gaussian", "component": 0, "amp": 1.0, "width": 8.0, "center": 0.0},
             {"kind": "gaussian", "component": 1, "amp": 1.0, "width": 8.0, "center": 0.0},
@@ -116,7 +116,7 @@ _DOCS = {
     "convergence_order": {
         "system": _STD_LINEAR,
         "grid": {"L": 200.0, "N": 4096, "bc": "periodic"},
-        "time": {"T": 100.0, "sample_stride": 5, "nu": 0.0},
+        "time": {"T": 100.0, "sample_stride": 5},
         "data": [
             {"kind": "gaussian", "component": 0, "amp": 1.0, "width": 10.0, "center": 0.0},
             {"kind": "gaussian", "component": 1, "amp": 1.0, "width": 10.0, "center": 0.0},

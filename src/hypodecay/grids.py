@@ -10,8 +10,8 @@ weights `qw` on first use; `nodes` and `weights` give any block of them.
 Every stencil is one engine: `ghost_pad` pads a periodic field with wrap
 cells (a compact field is its own pad), `correlate` applies a kernel
 to the pad with `np.correlate`, and `unpad` trims a wider pad to the
-cells a stencil has left.  `d_dx`, `fourth_difference` and
-`subtract_floor` lift it to (N, k) fields one column at a time.
+cells a stencil has left.  `d_dx` and `fourth_difference` lift it to
+(N, k) fields one column at a time.
 """
 
 import math
@@ -189,13 +189,6 @@ def fourth_difference(grid, f):
     (two zero rows at each end), keeping the boundary stencils untouched.
     """
     return _columns(grid, f, correlate, FOURTH_DIFFERENCE)
-
-
-def subtract_floor(grid, d, f, nu):
-    """d -= (nu / dx) * fourth_difference(grid, f) in place for nu > 0; returns d."""
-    if nu > 0.0:
-        d -= _columns(grid, f, correlate, (nu / grid.dx) * FOURTH_DIFFERENCE)
-    return d
 
 
 @dataclass(frozen=True)

@@ -125,7 +125,6 @@ class SystemSpec:
     D: np.ndarray
     n1: int
     n: int = field(init=False)
-    n2: int = field(init=False)
     B: np.ndarray = field(init=False)
     kappa: float = field(init=False)
     kalman: np.ndarray = field(init=False, repr=False)
@@ -154,7 +153,6 @@ class SystemSpec:
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "D", D)
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "n2", n2)
         object.__setattr__(self, "B", B)
         object.__setattr__(self, "kappa", float(kappa))
 

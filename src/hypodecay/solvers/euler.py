@@ -86,8 +86,7 @@ def simulate_euler(espec, grid, rho0, u0, T, nu=0.0, sample_stride=1,
 
     speed0 = float((np.abs(u) + half_g * (ct + c_bar)).max())
     speed_ref = SPEED_HEADROOM * max(speed0, half_g * c_bar)
-    dt_limit = CFL * grid.dx / speed_ref
-    _, dt = step_size(T, dt_limit, grid.N)
+    nsteps, dt = step_size(T, CFL * grid.dx / speed_ref, grid.N)
     decay_half = math.exp(-0.5 * espec.lam * dt)
     dx = grid.dx
 
@@ -118,7 +117,7 @@ def simulate_euler(espec, grid, rho0, u0, T, nu=0.0, sample_stride=1,
             du -= correlate(grid, pu, floor_kernel)
         return dct, du
 
-    def step(state, dt):
+    def step(state):
         ct, u = state
         ct, u = rk4(rhs, (ct, u * decay_half), dt)
         if float(ct.min()) <= c_floor:
@@ -192,5 +191,5 @@ def simulate_euler(espec, grid, rho0, u0, T, nu=0.0, sample_stride=1,
         return np.column_stack([n, u])
 
     meta = {"scheme": "strang-exp/rk4-centered", "nu": nu, "smallness_cap": smallness_cap}
-    return march((ct, u), T, dt_limit, step, record, sample_stride, snapshot_times,
+    return march((ct, u), nsteps, dt, step, record, sample_stride, snapshot_times,
                  snapshot, meta)

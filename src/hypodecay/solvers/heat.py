@@ -28,14 +28,14 @@ def heat_solve(grid, u0, T, sample_stride=1, weight=None, snapshot_times=()):
     if u.shape != (grid.N,):
         raise ValueError("u0 must be a scalar field on the grid")
     dx = grid.dx
-    _, dt = step_size(T, dx, grid.N)
+    nsteps, dt = step_size(T, dx, grid.N)
     N = grid.N
     M = N if grid.periodic else 2 * (N - 1)
     lam = 1.0 + 2.0 * dt / dx**2 * np.sin(np.pi * np.arange(M // 2 + 1) / M) ** 2
     explicit = (0.5 * dt / dx**2) * np.array([1.0, -2.0, 1.0])
     w2 = None if weight is None else weight.values(grid.x) ** 2
 
-    def step(u, dt):
+    def step(u):
         b = u + correlate(grid, ghost_pad(grid, u), explicit)
         if grid.periodic:
             return np.fft.irfft(np.fft.rfft(b) / lam, n=M)
@@ -56,5 +56,5 @@ def heat_solve(grid, u0, T, sample_stride=1, weight=None, snapshot_times=()):
             row["weighted_l2"] = l2_norm(grid, u, w2)
         return row
 
-    return march(u, T, dx, step, record, sample_stride, snapshot_times,
+    return march(u, nsteps, dt, step, record, sample_stride, snapshot_times,
                  np.copy, {"scheme": "crank-nicolson"})

@@ -9,11 +9,12 @@ components first; its right-hand side is d_dx(U) @ -A^T.
 
 That step is one linear, translation-invariant map, so `compile_step`
 reads it once per (sim, dt) off the reference step's impulse responses:
-an n x n block of (2b+1)-tap kernels (b = 4, or 8 with the
-fourth-difference floor), and on compact grids one dense block for the
-b end rows at each side.  No coefficient is derived by
-hand.  `simulate_linear` carries the state as C-contiguous (n, N) rows
-and steps it with n^2 `np.correlate` calls after one ghost pad.  Its
+an n x n block of (2b+1)-tap kernels, b = REACH, and on compact grids
+one dense block for the b end rows at each side.  No coefficient is
+derived by hand.  The scheme has no fourth-difference floor: it would
+damp u1 too, which decays only through its coupling to the damped
+components.  `simulate_linear` carries the state as C-contiguous (n, N)
+rows and steps it with n^2 `np.correlate` calls after one ghost pad.  Its
 `record` reads U as the free `.T` view and fills one preallocated stack
 of rows [U; d_x U; W], W (the antiderivative of U1) only under a wave
 monitor.  Every quadratic channel, the Lyapunov functional and the wave
@@ -30,40 +31,30 @@ import numpy as np
 from ..corrector import cross_matrix, lyapunov_value
 from ..errors import CflViolation
 from ..grids import (Grid1D, antiderivative, check_escape, d_dx, escape_tol, ghost_pad,
-                     gram, l2_norm, subtract_floor)
+                     gram, l2_norm)
 from ..linalg import jacobi_eigensystem, expm_sym
-from .march import CFL, check_nu, march, rk4, step_size
+from .march import CFL, march, rk4, step_size
 from .waves import check_zero_mass
 
-# numpy's `correlate` runs kernels of up to 11 taps on a fast path and
-# longer ones several times slower, so a longer kernel is applied in
-# pieces of at most this many taps.
-TAPS_PER_PIECE = 9
+# Cells one step reads on each side: four RK4 stages of a one-cell
+# difference.  A kernel then has 2 REACH + 1 = 9 taps, within the 11 that
+# numpy's `correlate` runs on its fast path.
+REACH = 4
 
 
 @dataclass(frozen=True)
 class LinearSim:
     spec: object
     grid: object
-    nu: float = 0.0
-    rho_A: float = field(init=False)
     dt: float = field(init=False)
     advection: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        check_nu(self.nu)
         w, _ = jacobi_eigensystem(self.spec.A)
         rho = float(np.abs(w).max())
-        object.__setattr__(self, "rho_A", rho)
         speed = rho if rho > 0.0 else 1.0
         object.__setattr__(self, "dt", CFL * self.grid.dx / speed)
         object.__setattr__(self, "advection", np.ascontiguousarray(-self.spec.A.T))
-
-    @property
-    def reach(self):
-        """Cells one step reads on each side: four RK4 stages of a one-cell
-        difference, or of the two-cell fourth-difference floor."""
-        return 8 if self.nu > 0.0 else 4
 
 
 def damping_half_step(spec, dt):
@@ -75,8 +66,7 @@ def damping_half_step(spec, dt):
 
 
 def advection_rhs(sim, U):
-    dU = d_dx(sim.grid, U) @ sim.advection
-    return subtract_floor(sim.grid, dU, U, sim.nu)
+    return d_dx(sim.grid, U) @ sim.advection
 
 
 def reference_step(U, sim, dt, half):
@@ -183,11 +173,9 @@ def compile_step(sim, dt):
     if dt > sim.dt * (1.0 + 1e-12):
         raise CflViolation(f"dt {dt:.3e} exceeds the advective limit {sim.dt:.3e}")
     half = damping_half_step(sim.spec, dt)
-    b, n, N = sim.reach, sim.spec.n, sim.grid.N
+    b, n, N = REACH, sim.spec.n, sim.grid.N
     K = _kernels(sim, dt, half, b)
     ends = None if sim.grid.periodic else _end_blocks(sim, dt, half, b, K)
-    pieces = [(s, K[:, :, s:s + TAPS_PER_PIECE].copy())
-              for s in range(0, 2 * b + 1, TAPS_PER_PIECE)]
 
     def step(V):
         out = np.empty_like(V)
@@ -200,8 +188,7 @@ def compile_step(sim, dt):
             out[:, N - b:] = (ends[1] @ V[:, N - 2 * b:].reshape(-1)).reshape(n, b)
         width = body.shape[1]
         for c in range(n if width else 0):  # a compact grid of 2b rows is all ends
-            terms = [np.correlate(src[j, s:s + width + piece.shape[2] - 1], piece[c, j])
-                     for s, piece in pieces for j in range(n)]
+            terms = [np.correlate(src[j], K[c, j]) for j in range(n)]
             np.add(terms[0], terms[1], out=body[c])
             for term in terms[2:]:
                 body[c] += term
@@ -231,7 +218,7 @@ def simulate_linear(sim, U0, T, sample_stride=1, coeffs=None, weight=None,
     U = np.array(U0, dtype=float)
     if U.shape != (grid.N, spec.n):
         raise ValueError(f"U0 must have shape ({grid.N}, {spec.n}), got {U.shape}")
-    _, dt = step_size(T, sim.dt, grid.N)
+    nsteps, dt = step_size(T, sim.dt, grid.N)
     step = compile_step(sim, dt)
     if wave is not None:
         check_zero_mass(grid, U[:, : spec.n1])
@@ -271,6 +258,5 @@ def simulate_linear(sim, U0, T, sample_stride=1, coeffs=None, weight=None,
         check_escape(grid, t, tol, U)
         return row
 
-    return march(np.ascontiguousarray(U.T), T, sim.dt, lambda V, _: step(V), record,
-                 sample_stride, snapshot_times, lambda V: V.T.copy(),
-                 {"scheme": "strang-exp/rk4-centered", "nu": sim.nu})
+    return march(np.ascontiguousarray(U.T), nsteps, dt, step, record, sample_stride,
+                 snapshot_times, lambda V: V.T.copy(), {"scheme": "strang-exp/rk4-centered"})

@@ -1,14 +1,14 @@
 """The time-marching driver shared by the four solvers.
 
-Each solver hands `march` its one-step map and its `record(t, state)`
-observer.  The driver owns everything else about a run: the uniform step
-count, the sampling stride, the snapshot steps, the assembly of the
-recorded series, the process's heap setting and the floating-point mode
-the steps and observers run in.  `step_size` is the one step count, and
-it bounds a run's cost before any solver builds its step.  `rk4` is the
-one classical Runge-Kutta stage sequence.  `CFL` is every explicit
-solver's CFL number, and `check_nu` the one check of its
-fourth-difference floor strength.
+Each solver's one `step_size` call sets its run's (nsteps, dt), bounding
+the cost before the solver builds its one-step map for dt; it hands
+`march` that pair, the map and its `record(t, state)` observer.  The
+driver owns everything else about a run: the sampling stride, the
+snapshot steps, the assembly of the recorded series, the process's heap
+setting and the floating-point mode the steps and observers run in.
+`rk4` is the one classical Runge-Kutta stage sequence.  `CFL` is every
+explicit solver's CFL number, and `check_nu` the one check of the Euler
+and p-system fourth-difference floor strength.
 """
 
 import contextlib
@@ -169,37 +169,36 @@ def _flush_subnormals():
         _fesetenv(env)
 
 
-def march(state, T, dt_limit, step, record, sample_stride, snapshot_times,
+def march(state, nsteps, dt, step, record, sample_stride, snapshot_times,
           snapshot, meta):
-    """Advance `state` to T in uniform steps of at most dt_limit.
+    """Advance `state` by nsteps uniform steps of dt, the pair `step_size`
+    gave the solver that built `step`.
 
-    `step(state, dt)` returns the next state.  `record(t, state)` returns
+    `step(state)` returns the next state.  `record(t, state)` returns
     a dict of channel values; it runs at step 0, at every multiple of
     `sample_stride` and at the last step, and raises to abort the run.
     A NaN or infinite channel value raises NonFiniteState at that sample.
     A guard that trips at the step-0 sample raises `rejected` of its
     exception: the initial data are refused.
     `snapshot(state)` returns the array stored at the step nearest each
-    of `snapshot_times`, which must lie in [0, T].  Returns the recorded
-    TimeSeries, whose meta is `meta` plus dt_step, n_steps and
+    of `snapshot_times`, which must be one of steps 0..nsteps.  Returns the
+    recorded TimeSeries, whose meta is `meta` plus dt_step, n_steps and
     sample_stride, and the snapshots keyed by time.
     """
     _keep_freed_heap()
-    # every solver's state keeps its grid points on the last axis
-    points = (state[0] if isinstance(state, tuple) else state).shape[-1]
-    nsteps, dt = step_size(T, dt_limit, points)
     snap_steps = {}
     for ts in snapshot_times:
-        if not 0.0 <= ts <= T:
-            raise ValueError(f"snapshot time {ts} lies outside [0, {T}]")
-        snap_steps.setdefault(int(round(ts / dt)), []).append(float(ts))
+        j = int(round(ts / dt)) if 0.0 <= ts < math.inf else -1
+        if not 0 <= j <= nsteps:
+            raise ValueError(f"snapshot time {ts} lies outside steps 0..{nsteps} of {dt}")
+        snap_steps.setdefault(j, []).append(float(ts))
     snapshots = {}
     times, chans = [], {}
 
     with _flush_subnormals():
         for j in range(nsteps + 1):
             if j > 0:
-                state = step(state, dt)
+                state = step(state)
             if j % sample_stride == 0 or j == nsteps:
                 t = j * dt
                 try:

@@ -131,8 +131,7 @@ def simulate_psystem(pspec, grid, rho0, u0, T, nu=0.0, sample_stride=1,
     if rho.shape != (grid.N,) or u.shape != (grid.N,):
         raise ValueError("rho0, u0 must be scalar fields on the grid")
     r = pspec.r
-    dt_limit = CFL * grid.dx
-    _, dt = step_size(T, dt_limit, grid.N)
+    nsteps, dt = step_size(T, CFL * grid.dx, grid.N)
     if wave is not None:
         check_zero_mass(grid, rho)
     step = compile_step(grid, r, nu, dt)
@@ -188,6 +187,5 @@ def simulate_psystem(pspec, grid, rho0, u0, T, nu=0.0, sample_stride=1,
         return row
 
     meta = {"scheme": "rk4-centered", "nu": nu, "r": r, "eta2": ETA2}
-    return march((rho + u, rho - u), T, dt_limit, lambda state, _: step(state), record,
-                 sample_stride,
+    return march((rho + u, rho - u), nsteps, dt, step, record, sample_stride,
                  snapshot_times, lambda state: np.column_stack(fields(state)), meta)

@@ -13,6 +13,7 @@ can regenerate exactly.
 
 import importlib.util
 import json
+import math
 import os
 import statistics
 import subprocess
@@ -21,10 +22,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 import hypodecay
 from hypodecay.analysis import TimeSeries, check_decay_inequality
-from hypodecay.experiment import batch, scenario_claims, scenario_doc, scenario_names
+from hypodecay.experiment import (batch, build_fields, parse_config, scenario_claims,
+                                  scenario_doc, scenario_names)
+from hypodecay.grids import Grid1D
+from hypodecay.solvers.march import CFL
 
 # The directory that holds the package, for the serial sweep's interpreter.
 SRC = Path(hypodecay.__file__).resolve().parents[1]
@@ -271,6 +276,88 @@ def test_registry_matches_the_committed_reference(registry):
     problems = module.check_reference(reference, module.reports(registry["out"]),
                                       module.drift_rule())
     assert problems == []
+
+
+def read_series(path):
+    """The channels of a series CSV, by header name."""
+    header = path.read_text().partition("\n")[0].split(",")
+    columns = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2).T
+    return dict(zip(header, columns))
+
+
+def symbol_series(cfg, coefficients):
+    """Every channel a periodic linear run records, recomputed from the Fourier
+    symbol of its step.
+
+    Each sample applies G(theta)^k = (E R4(dt L(theta)) E)^k, k steps since
+    the last, to the FFT of the config's initial data, with L(theta) =
+    -i A sin(theta)/dx and E = exp(-B dt/2).  The channels are quadratic
+    forms of [U; d_x U], read by Parseval; d_x has the symbol
+    i sin(theta)/dx.  dt and the step count follow from the config and
+    `eigvalsh` alone: the fewest uniform steps of at most CFL dx / rho(A).
+    """
+    system, T = cfg["system"], cfg["time"]["T"]
+    A, D, n1 = np.array(system["A"]), np.array(system["D"]), system["n1"]
+    n, N, dx = len(A), cfg["grid"]["N"], 2.0 * cfg["grid"]["L"] / cfg["grid"]["N"]
+    nsteps = math.ceil(T / (CFL * dx / np.abs(np.linalg.eigvalsh(A)).max()) - 1e-9)
+    dt = T / nsteps
+    B = np.zeros((n, n))
+    B[n1:, n1:] = D
+    E = expm(-0.5 * dt * B)
+    sin = np.sin(2.0 * np.pi * np.fft.fftfreq(N))
+    Z = (-1j * dt / dx) * sin[:, None, None] * A
+    eye = np.eye(n)
+    G = E @ (eye + Z @ (eye + Z @ (eye / 2 + Z @ (eye / 6 + Z / 24)))) @ E
+    C = None
+    if coefficients is not None:  # the corrector's cross matrix, sum eps_k P_k^T P_{k+1}
+        P = [B @ np.linalg.matrix_power(A, k) for k in range(n)]
+        C = sum(e * P[k].T @ P[k + 1] for k, e in enumerate(coefficients["eps"]))
+
+    V = np.fft.fft(build_fields(cfg, Grid1D(L=cfg["grid"]["L"], N=N), n), axis=0)
+    stride = cfg["time"]["sample_stride"]
+    steps = sorted({*range(0, nsteps + 1, stride), nsteps})
+    powers, rows, last = {}, [], 0
+    for j in steps:
+        if j > last:
+            if j - last not in powers:
+                powers[j - last] = np.linalg.matrix_power(G, j - last)
+            V = np.einsum("mab,mb->ma", powers[j - last], V)
+        last = j
+        W = np.concatenate((V, (1j / dx) * sin[:, None] * V), axis=1)
+        g = (dx / N) * (W.conj().T @ W).real
+        row = {
+            "t": j * dt,
+            "l2": math.sqrt(np.trace(g[:n, :n])),
+            "u1_l2": math.sqrt(np.trace(g[:n1, :n1])),
+            "u2_l2": math.sqrt(np.trace(g[n1:n, n1:n])),
+            "dx_l2": math.sqrt(np.trace(g[n:, n:])),
+            "dissipation": 2.0 * float((D * g[n1:n, n1:n]).sum()),
+        }
+        if C is not None:
+            row["lyapunov"] = float(np.trace(g[:n, :n]) + np.trace(g[n:, n:])
+                                    * (1.0 + coefficients["eta0"] * j * dt)
+                                    + (C * g[:n, n:]).sum())
+        rows.append(row)
+    return {k: np.array([r[k] for r in rows]) for k in rows[0]}
+
+
+@pytest.mark.parametrize("name", ["thm1_linear", "kalman_fail", "convergence_order"])
+def test_periodic_linear_runs_are_their_fourier_symbol(registry, name):
+    """Every sample of every channel of the three periodic linear runs, as
+    written, within 1e-12 relative (absolute where it is 0, as t is at the
+    start) of the same run recomputed mode by mode from the symbol of its
+    step: this checks the step count, stride and sample times, the
+    record's Gram contractions and the CSV together."""
+    out = registry["out"] / name
+    coefficients = report(registry, name)["manifest"].get("coefficients", {"refused": True})
+    want = symbol_series(parse_config(scenario_doc(name)),
+                         None if coefficients["refused"] else coefficients)
+    got = read_series(out / "series.csv")
+    assert sorted(got) == sorted(want)
+    for channel, v in want.items():
+        assert got[channel].shape == v.shape, channel
+        diff = np.abs(got[channel] - v) / np.where(v == 0.0, 1.0, np.abs(v))
+        assert diff.max() <= 1e-12, (channel, diff.max())
 
 
 def test_no_run_holds_far_more_memory_than_the_others(registry):

@@ -206,7 +206,7 @@ def edge_doc(kind="linear"):
         "scenario": "edge",
         "system": system,
         "grid": {"L": 30.0, "N": 64, "bc": "periodic"},
-        "time": {"T": 2.0, "sample_stride": 1, "nu": 0.0},
+        "time": {"T": 2.0, "sample_stride": 1},
         "data": [{"kind": "gaussian", "component": 0, "amp": 1.0, "width": 3.0, "center": 0.0},
                  {"kind": "bumps", "component": 1, "amp": 1.0, "width": 1.0, "count": 1}],
         # the wave weight is of the system's family; a log weight is heat's alone
@@ -214,13 +214,15 @@ def edge_doc(kind="linear"):
                     "heat": [{"role": "spatial", "kind": "log", "q": 1.0}]}.get(
                         kind, [{"role": "wave", "kind": "power", "mu": 1.0},
                                {"role": "spatial", "kind": "power", "mu": 1.0}]),
-        "outputs": {"dir": "out", "snapshots": [0.0]},
+        "outputs": {"snapshots": [0.0]},
         "seed": 0,
     }
     if kind == "linear":
         doc["corrector"] = {"safety": 0.5}
-    if kind == "heat":  # one field, and no floor
-        del doc["time"]["nu"], doc["data"][1]
+    if kind in ("euler", "psystem"):  # the two schemes with a fourth-difference floor
+        doc["time"]["nu"] = 0.0
+    if kind == "heat":  # one field
+        del doc["data"][1]
     return doc
 
 
@@ -277,7 +279,7 @@ REFUSED = [
         "time": ([], True),
         "time.T": ("x", True),
         "time.sample_stride": ("1", True, 1.5),
-        "time.nu": ("x", True),
+        "time.nu": ("x", True),  # the linear kind reads no nu: any value is refused
         "data": ({}, True, "x"),
         "data.0": (1, True, ["gaussian"]),
         "data.0.kind": (1, True),
@@ -295,7 +297,7 @@ REFUSED = [
         "corrector": (1, True, [], "x"),
         "corrector.safety": ("x", True, None),
         "outputs": ([], True, None),
-        "outputs.dir": (1, True, None),
+        "outputs.dir": (1, True, None),  # no config names its output directory
         "outputs.snapshots": ("x", True, 1.0, {}),
         "outputs.snapshots.0": ("x", True, None, [0.0]),
         "seed": ("0", True, 0.5, None),
@@ -314,7 +316,7 @@ REFUSED = [
     ("linear", "grid.N", 15),
     ("linear", "time.T", 0.0),
     ("linear", "time.sample_stride", 0),
-    ("linear", "time.nu", -1e-300),
+    ("linear", "time.nu", -1e-300),  # refused as unread, as the psystem row below
     ("linear", "data.0.component", -1),
     ("linear", "data.0.width", 0.0),
     ("linear", "data.1.count", 0),
@@ -339,7 +341,7 @@ REFUSED = [
     # a spatial weight other than |x|^mu, whose mu the linear and Euler builds read
     ("linear", "weights.1.kind", "log"),
     ("euler", "weights.1.kind", "log"),
-    # the two strings that may not be empty
+    # the string that may not be empty, and the unread outputs.dir
     ("linear", "scenario", ""),
     ("linear", "outputs.dir", ""),
     # an integer key takes a JSON integer, not an integral float
@@ -353,6 +355,13 @@ REFUSED = [
     # spatial weight, which reads mu alone
     *[("heat", "weights.0.q", v) for v in ("x", True)],
     *[("linear", "weights.1.q", v) for v in ("x", True)],
+    # the floor strength's type and bound on a kind with a floor; on the
+    # linear kind, which has none, a valid strength; an output directory,
+    # which only --out and HYPODECAY_OUT name; a grid past 2^20 nodes
+    *[("psystem", "time.nu", v) for v in ("x", True, -1e-300)],
+    ("linear", "time.nu", 0.0),
+    ("linear", "outputs.dir", "out"),
+    ("linear", "grid.N", 2**20 + 1),
 ]
 
 
@@ -377,8 +386,8 @@ def test_parse_refuses_each_rule_at_its_path(tmp_path, capsys, kind, path, value
     ("linear", "grid.bc", "compact_support"),
     ("linear", "time.T", 5e-324),
     ("linear", "time.sample_stride", 1),
-    ("linear", "time.nu", 0),
-    ("linear", "time.nu", -0.0),
+    ("psystem", "time.nu", 0),
+    ("psystem", "time.nu", -0.0),
     ("linear", "data.0.component", 0),
     ("linear", "data.0.width", 5e-324),
     ("linear", "data.0.kind", "dgaussian"),
@@ -389,7 +398,7 @@ def test_parse_refuses_each_rule_at_its_path(tmp_path, capsys, kind, path, value
     ("linear", "corrector.safety", 5e-324),
     ("linear", "corrector.safety", math.nextafter(1.0, 0.0)),
     ("linear", "outputs.snapshots", []),
-    ("linear", "outputs.dir", "x"),
+    ("linear", "grid.N", 2**20),
     ("linear", "scenario", "x"),
     ("linear", "seed", 0),
     ("linear", "seed", 2**53),
@@ -413,12 +422,13 @@ def test_parse_accepts_each_edge(kind, path, value):
                          ids=["nan", "inf", "-inf", "int_1e400", "-int_1e400"])
 @pytest.mark.parametrize("kind, path", [
     *[("linear", p) for p in (
-        "system.A.0.1", "system.D.0.0", "grid.L", "time.T", "time.nu", "data.0.amp",
+        "system.A.0.1", "system.D.0.0", "grid.L", "time.T", "data.0.amp",
         "data.0.width", "data.0.center", "data.1.amp", "data.1.width", "weights.0.mu",
         "weights.1.mu", "corrector.safety", "outputs.snapshots.0")],
     ("heat", "weights.0.q"),
     *[("euler", f"system.{p}") for p in ("gamma", "rho_bar", "lam", "smallness_cap")],
     ("psystem", "system.r"),
+    ("psystem", "time.nu"),
 ])
 def test_parse_refuses_non_finite_numbers(kind, path, value):
     """A value no double can hold is refused at every number, an in-memory
@@ -436,7 +446,10 @@ def test_parse_refuses_integers_beyond_the_double_range(path):
 
 def test_parse_defaults():
     cfg = parse_config(smoke_doc())
-    assert cfg["time"]["nu"] == 0.0
+    assert cfg["time"] == {"T": 2.0, "sample_stride": 1}
+    psystem = edge_doc("psystem")
+    del psystem["time"]["nu"]
+    assert parse_config(psystem)["time"]["nu"] == 0.0
     assert cfg["seed"] == 0
     assert cfg["corrector"] is None
     assert cfg["grid"]["bc"] == "periodic"
@@ -562,10 +575,6 @@ def test_out_dir_precedence(monkeypatch, tmp_path):
     assert resolve_out_dir(cfg) == Path("runs") / "smoke_custom"
     monkeypatch.setenv("HYPODECAY_OUT", str(tmp_path / "env"))
     assert resolve_out_dir(cfg) == tmp_path / "env" / "smoke_custom"
-    doc = smoke_doc()
-    doc["outputs"]["dir"] = "elsewhere"
-    monkeypatch.delenv("HYPODECAY_OUT")
-    assert resolve_out_dir(parse_config(doc)) == Path("elsewhere")
     assert resolve_out_dir(cfg, tmp_path / "arg") == tmp_path / "arg"
 
 
@@ -1208,6 +1217,27 @@ def test_cli_refuses_a_run_too_costly_before_its_first_step(tmp_path, capsys, se
     assert "config error" in err and "steps x N = 64" in err and "point-steps" in err, err
 
 
+@pytest.mark.parametrize("setting, path", [
+    ("time.nu=0.01", "time.nu"),
+    ("outputs.dir=from_config", "outputs.dir"),
+    ("grid.N=1048577", "grid.N"),
+    ("grid.N=134217728", "grid.N"),
+])
+def test_cli_refuses_keys_no_run_reads_and_grids_past_the_bound(tmp_path, capsys, setting,
+                                                                path):
+    """The linear scheme has no floor strength, no config names its output
+    directory, and a grid of more than 2^20 nodes is refused before its
+    nodes and fields are built: each exits 2 at its path, at once, and
+    writes nothing."""
+    out = tmp_path / "never"
+    started = time.perf_counter()
+    code = main(["run", "--scenario", "thm1_linear", "--set", setting, "--out", str(out)])
+    assert time.perf_counter() - started < 1.0
+    assert code == 2
+    assert not out.exists()
+    assert f"invalid config at {path}:" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity", "1e999", "1" + "0" * 400],
                          ids=["NaN", "Infinity", "-Infinity", "1e999", "int_1e400"])
 def test_cli_rejects_non_finite_numbers(tmp_path, capsys, token):
@@ -1216,18 +1246,18 @@ def test_cli_rejects_non_finite_numbers(tmp_path, capsys, token):
     doc = smoke_doc()
     good = tmp_path / "good.json"
     good.write_text(json.dumps(doc))
-    doc["time"]["nu"] = "@"
+    doc["time"]["T"] = "@"
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(doc).replace('"@"', token))
     out = tmp_path / "never"
     assert main(["run", "--config", str(bad), "--out", str(out)]) == 2
     assert not out.exists()
     assert "non-finite number" in capsys.readouterr().err
-    code = main(["run", "--config", str(good), "--set", f"time.nu={token}",
+    code = main(["run", "--config", str(good), "--set", f"time.T={token}",
                  "--out", str(out)])
     assert code == 2
     assert not out.exists()
-    assert "time.nu" in capsys.readouterr().err
+    assert "time.T" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("setting", ["system.n1=1.0", "grid.N=64.0", "time.sample_stride=2.0",

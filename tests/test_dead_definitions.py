@@ -1,10 +1,14 @@
-"""Every top-level function and class under src/ is named somewhere else.
+"""Every top-level function and class, and every annotated class field,
+under src/ is named somewhere else.
 
 A definition that no code, script, benchmark or test names is dead code.
 A name counts as a Name, an Attribute, a part of an import, or a string
 constant that is the name or a dotted path through it (perfbench wraps
 functions by their names as strings).  A definition's own body does not
-count, so a function that only calls itself is still dead.
+count, so a function that only calls itself is still dead.  A field
+counts as read where an Attribute reads it or a keyword argument names
+it; its declaration and a store through `object.__setattr__` do not, so
+a field its class only stores is dead too.
 """
 
 import ast
@@ -49,4 +53,29 @@ def _scan():
 def test_every_top_level_definition_under_src_is_named_elsewhere():
     defined, used = _scan()
     dead = sorted(f"{path}: {name}" for name, path in defined.items() if name not in used)
+    assert dead == []
+
+
+def _field_scan():
+    """(annotated class fields under src/ as {(class, field): file}, the
+    names every Attribute read and every keyword argument give)."""
+    fields, read = {}, set()
+    for tree in TREES:
+        for path in sorted((ROOT / tree).rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+                if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                    read.add(node.attr)
+                elif isinstance(node, ast.keyword):
+                    read.add(node.arg)
+                elif isinstance(node, ast.ClassDef) and tree == "src":
+                    for stmt in node.body:
+                        if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+                            fields[node.name, stmt.target.id] = path.relative_to(ROOT)
+    return fields, read
+
+
+def test_every_annotated_class_field_under_src_is_read():
+    fields, read = _field_scan()
+    dead = sorted(f"{path}: {cls}.{name}" for (cls, name), path in fields.items()
+                  if name not in read)
     assert dead == []

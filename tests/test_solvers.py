@@ -21,11 +21,13 @@ from hypodecay.errors import (
 )
 from hypodecay.corrector import select_coefficients
 from hypodecay.grids import (CENTERED, FOURTH_DIFFERENCE, Grid1D, WeightSpec, correlate, d_dx,
-                             derivative, fourth_difference, ghost_pad,
-                             inner, l2_norm)
+                             derivative, ghost_pad, inner, l2_norm)
 from hypodecay.linalg import SystemSpec, expm_sym
+from hypodecay.solvers import euler as euler_module
+from hypodecay.solvers import heat as heat_module
 from hypodecay.solvers import linear as linear_module
 from hypodecay.solvers import march as march_module
+from hypodecay.solvers import psystem as psystem_module
 from hypodecay.solvers.euler import EulerSpec, simulate_euler
 from hypodecay.solvers.heat import heat_solve
 from hypodecay.solvers.linear import (
@@ -154,8 +156,6 @@ def test_linear_energy_law_residual():
 
 def test_linear_guards():
     grid = Grid1D(L=10.0, N=64, bc="periodic")
-    with pytest.raises(ValueError):
-        LinearSim(spec=STANDARD, grid=grid, nu=-1.0)
     sim = LinearSim(spec=STANDARD, grid=grid)
     with pytest.raises(CflViolation):
         compile_step(sim, 2.0 * sim.dt)
@@ -168,21 +168,19 @@ def test_linear_guards():
 def _start_explicit_solver(solver, nu):
     grid = Grid1D(L=10.0, N=64, bc="periodic")
     bump = np.exp(-grid.x**2)
-    if solver == "linear":
-        LinearSim(spec=STANDARD, grid=grid, nu=nu)
-    elif solver == "euler":
+    if solver == "euler":
         simulate_euler(EulerSpec(), grid, 1.0 + 0.01 * bump, 0.0 * bump, T=0.1, nu=nu)
     else:
         simulate_psystem(PSystemSpec(r=2.0), grid, 0.01 * bump, 0.0 * bump, T=0.1, nu=nu)
 
 
-@pytest.mark.parametrize("solver", ["linear", "euler", "psystem"])
+@pytest.mark.parametrize("solver", ["euler", "psystem"])
 def test_explicit_solvers_reject_negative_nu(solver):
     with pytest.raises(ValueError, match="nu"):
         _start_explicit_solver(solver, -0.01)
 
 
-@pytest.mark.parametrize("solver", ["linear", "euler", "psystem"])
+@pytest.mark.parametrize("solver", ["euler", "psystem"])
 def test_explicit_solvers_reject_nan_nu(solver):
     with pytest.raises(ValueError, match="nu"):
         _start_explicit_solver(solver, float("nan"))
@@ -367,8 +365,9 @@ def test_psystem_damping_at_r2_skips_the_unit_power_bitwise():
         return (p5 + (2.0 * p3[4:-4] + p2[6:-6] - p[8:-8]) * (1.0 / 3.0),
                 m5 + (2.0 * m3[4:-4] + m2[6:-6] - m[8:-8]) * (1.0 / 3.0))
 
-    _, ref = march((rho0 + u0, rho0 - u0), T, CFL * grid.dx, step, lambda t, s: {}, 1,
-                   (T,), _rho_u, {})
+    nsteps, dt = step_size(T, CFL * grid.dx, grid.N)
+    _, ref = march((rho0 + u0, rho0 - u0), nsteps, dt, lambda s: step(s, dt),
+                   lambda t, s: {}, 1, (T,), _rho_u, {})
     _, snaps = simulate_psystem(PSystemSpec(r=r), grid, rho0, u0, T=T, nu=nu,
                                 snapshot_times=(T,))
     assert snaps[T].tobytes() == ref[T].tobytes()
@@ -398,7 +397,8 @@ def test_psystem_invariant_steps_match_the_rho_u_scheme(bc, r, nu):
               - correlate(grid, pu, floor))
         return drho, du
 
-    _, ref = march((rho0, u0), T, 0.4 * grid.dx, lambda s, dt: rk4(rhs, s, dt),
+    nsteps, dt = step_size(T, 0.4 * grid.dx, grid.N)
+    _, ref = march((rho0, u0), nsteps, dt, lambda s: rk4(rhs, s, dt),
                    lambda t, s: {}, 1, (T,), np.column_stack, {})
     _, snaps = simulate_psystem(PSystemSpec(r=r), grid, rho0, u0, T=T, nu=nu,
                                 snapshot_times=(T,))
@@ -420,8 +420,8 @@ def test_euler_in_place_rhs_is_the_plain_grouping_bitwise(bc):
     half_g, c_bar = 0.5 * (es.gamma - 1.0), es.c_bar
     ct0 = es.sound(rho0) - c_bar
     speed = 1.25 * max(float((np.abs(u0) + half_g * (ct0 + c_bar)).max()), half_g * c_bar)
-    dt_limit = cfl * grid.dx / speed
-    decay = np.exp(-0.5 * es.lam * step_size(T, dt_limit, grid.N)[1])
+    nsteps, dt = step_size(T, cfl * grid.dx / speed, grid.N)
+    decay = np.exp(-0.5 * es.lam * dt)
     plus_dx = (1.0 / (2.0 * grid.dx)) * CENTERED
     floor = (nu / grid.dx) * FOURTH_DIFFERENCE
 
@@ -433,11 +433,11 @@ def test_euler_in_place_rhs_is_the_plain_grouping_bitwise(bc):
         return (-(u * ctx + half_g * c * ux) - correlate(grid, pc, floor),
                 -(u * ux + half_g * c * ctx) - correlate(grid, pu, floor))
 
-    def step(state, dt):
+    def step(state):
         ct, u = rk4(rhs, (state[0], state[1] * decay), dt)
         return ct, u * decay
 
-    _, ref = march((ct0, u0), T, dt_limit, step, lambda t, s: {}, 1, (T,),
+    _, ref = march((ct0, u0), nsteps, dt, step, lambda t, s: {}, 1, (T,),
                    lambda s: np.column_stack([es.density_of_sound(s[0] + c_bar) - es.rho_bar,
                                               s[1]]), {})
     _, snaps = simulate_euler(es, grid, rho0, u0, T=T, nu=nu, snapshot_times=(T,))
@@ -587,10 +587,7 @@ def _transposed_view_step(U, sim, dt):
     half = expm_sym(-0.5 * dt * B)
 
     def rhs(V):
-        dV = -d_dx(sim.grid, V) @ sim.spec.A.T
-        if sim.nu > 0.0:
-            dV -= (sim.nu / sim.grid.dx) * fourth_difference(sim.grid, V)
-        return dV
+        return -d_dx(sim.grid, V) @ sim.spec.A.T
 
     return rk4(lambda y: (rhs(y[0]),), (U @ half.T,), dt)[0] @ half.T
 
@@ -613,9 +610,9 @@ def _assert_roundoff_close(got, want):
 def test_linear_operands_match_transposed_views(n, n1, bc):
     rng = np.random.default_rng(n)
     grid = Grid1D(L=10.0, N=96, bc=bc)
-    sim = LinearSim(spec=_random_spec(rng, n, n1), grid=grid, nu=0.01)
+    sim = LinearSim(spec=_random_spec(rng, n, n1), grid=grid)
     U = rng.standard_normal((grid.N, n))
-    want = -d_dx(grid, U) @ sim.spec.A.T - (sim.nu / grid.dx) * fourth_difference(grid, U)
+    want = -d_dx(grid, U) @ sim.spec.A.T
     _assert_roundoff_close(advection_rhs(sim, U), want)
     _assert_roundoff_close(_compiled_step(U, sim), _transposed_view_step(U, sim, sim.dt))
 
@@ -634,17 +631,16 @@ ZERO_SPEED = SystemSpec(A=np.array([[1.0, 1.0], [1.0, 1.0]]), D=np.array([[2.0]]
 
 
 @pytest.mark.parametrize("bc", ["periodic", "compact_support"])
-@pytest.mark.parametrize("nu", [0.0, 0.01])
 @pytest.mark.parametrize("shape", [(2, 1), (3, 1), (4, 2), None],
                          ids=["2-1", "3-1", "4-2", "zero-speed"])
-def test_compiled_step_matches_transposed_views(shape, bc, nu):
+def test_compiled_step_matches_transposed_views(shape, bc):
     """One compiled step within the operand bound of the reference written
     with `@ M.T`, and 20 steps within 20 times that bound.  The random
     data fill the compact grid's end rows, so the end blocks are read."""
     rng = np.random.default_rng(7)
     spec = ZERO_SPEED if shape is None else _random_spec(rng, *shape)
     grid = Grid1D(L=10.0, N=96, bc=bc)
-    sim = LinearSim(spec=spec, grid=grid, nu=nu)
+    sim = LinearSim(spec=spec, grid=grid)
     U = rng.standard_normal((grid.N, spec.n))
     step = compile_step(sim, sim.dt)
     V = np.ascontiguousarray(U.T)
@@ -658,31 +654,29 @@ def test_compiled_step_matches_transposed_views(shape, bc, nu):
 
 def _symbol(sim, dt, theta):
     """E R4(dt L(theta)) E, the scheme's amplification matrix at each theta:
-    E = exp(-B dt/2), R4 the RK4 polynomial and L(theta) the symbol
-    -i A sin(theta)/dx - (nu/dx)(2 - 2 cos(theta))^2 of the advection."""
+    E = exp(-B dt/2), R4 the RK4 polynomial and L(theta) = -i A sin(theta)/dx
+    the symbol of the advection."""
     n, dx = sim.spec.n, sim.grid.dx
     B = np.zeros((n, n))
     B[sim.spec.n1:, sim.spec.n1:] = sim.spec.D
     E = expm(-0.5 * dt * B)
     out = []
     for th in theta:
-        Z = dt * (-1j * np.sin(th) / dx * sim.spec.A
-                  - sim.nu / dx * (2.0 - 2.0 * np.cos(th)) ** 2 * np.eye(n))
+        Z = dt * (-1j * np.sin(th) / dx * sim.spec.A)
         R4 = np.eye(n) + Z @ (np.eye(n) + Z @ (np.eye(n) / 2 + Z @ (np.eye(n) / 6 + Z / 24)))
         out.append(E @ R4 @ E)
     return np.array(out)
 
 
 @pytest.mark.parametrize("N", [64, 63])
-@pytest.mark.parametrize("nu", [0.0, 0.01])
 @pytest.mark.parametrize("system", ["standard", "stiff", "degenerate", "random-3"])
-def test_compiled_periodic_step_is_its_fourier_symbol(system, nu, N):
+def test_compiled_periodic_step_is_its_fourier_symbol(system, N):
     """On a periodic grid the compiled step is block circulant: the DFT of
     its impulse responses, the kernel, is the amplification matrix
     E R4(dt L(theta)) E at every theta = 2 pi m / N, to 1e-14."""
     spec = (REGISTRY_SYSTEMS[system] if system in REGISTRY_SYSTEMS
             else _random_spec(np.random.default_rng(N), 3, 1 + N % 2))
-    sim = LinearSim(spec=spec, grid=Grid1D(L=10.0, N=N), nu=nu)
+    sim = LinearSim(spec=spec, grid=Grid1D(L=10.0, N=N))
     step = compile_step(sim, sim.dt)
     n = spec.n
     G = np.empty((N, n, n), dtype=complex)
@@ -694,29 +688,20 @@ def test_compiled_periodic_step_is_its_fourier_symbol(system, nu, N):
     assert np.abs(G - want).max() <= 1e-14
 
 
-def _registry_symbol_radii(system, nu):
+def _registry_symbol_radii(system):
     """theta = 2 pi m / N over (-pi, pi], pi last, and the spectral radius of
     E R4(dt L(theta)) E there, on the linear registry grid (N = 4096,
     L = 200) at the run's dt."""
     N = 4096
-    sim = LinearSim(spec=REGISTRY_SYSTEMS[system], grid=Grid1D(L=200.0, N=N), nu=nu)
+    sim = LinearSim(spec=REGISTRY_SYSTEMS[system], grid=Grid1D(L=200.0, N=N))
     theta = 2.0 * np.pi * np.arange(1 - N // 2, N // 2 + 1) / N
     return theta, np.abs(np.linalg.eigvals(_symbol(sim, sim.dt, theta))).max(axis=1)
 
 
-@pytest.mark.parametrize("system, rho_max", [("standard", 0.99999036), ("stiff", 0.99999966)])
-def test_sk_registry_systems_damp_every_nonzero_mode_with_the_floor(system, rho_max):
-    """Both SK systems at nu = 0.01: rho(G(theta)) < 1 for every theta != 0."""
-    theta, rho = _registry_symbol_radii(system, 0.01)
-    worst = rho[theta != 0.0].max()
-    assert worst < 1.0
-    assert worst == pytest.approx(rho_max, abs=1e-8)
-
-
 @pytest.mark.parametrize("system", list(REGISTRY_SYSTEMS))
 def test_nyquist_mode_is_undamped_without_the_floor(system):
-    """At nu = 0 sin(pi) = 0 leaves only B, which never reaches u1."""
-    theta, rho = _registry_symbol_radii(system, 0.0)
+    """sin(pi) = 0 leaves only B, which never reaches u1."""
+    theta, rho = _registry_symbol_radii(system)
     assert theta[-1] == np.pi
     assert rho[-1] == pytest.approx(1.0, abs=1e-14)
 
@@ -724,7 +709,7 @@ def test_nyquist_mode_is_undamped_without_the_floor(system):
 def test_kalman_fail_branch_is_damped_by_rk4_alone():
     """The degenerate system's u1 branch is undamped but for RK4's own
     sixth-order dissipation: 1 - rho(G(theta)) < 2e-10 theta^2 near 0."""
-    theta, rho = _registry_symbol_radii("degenerate", 0.0)
+    theta, rho = _registry_symbol_radii("degenerate")
     small = (theta != 0.0) & (np.abs(theta) < 0.05)
     worst = ((1.0 - rho[small]) / theta[small] ** 2).max()
     assert 0.0 < worst < 2e-10
@@ -763,7 +748,7 @@ def test_compiled_step_build_checks_fire(monkeypatch, bc):
     sim = LinearSim(spec=STANDARD, grid=Grid1D(L=10.0, N=96, bc=bc))
     compile_step(sim, sim.dt)
     with monkeypatch.context() as m:  # four RK4 stages reach 4 cells, not 3
-        m.setattr(LinearSim, "reach", property(lambda self: 3))
+        m.setattr(linear_module, "REACH", 3)
         with pytest.raises(AssertionError, match="outside the band"):
             compile_step(sim, sim.dt)
 
@@ -831,7 +816,7 @@ def test_linear_record_matches_inner_formulas(n, n1):
 
 
 def test_march_stops_at_first_non_finite_sample():
-    def step(state, dt):
+    def step(state):
         return state + 1.0
 
     def record(t, state):
@@ -839,7 +824,7 @@ def test_march_stops_at_first_non_finite_sample():
 
     # ten steps of 0.1, sampled every other step: step 3 is skipped, step 4 trips
     with pytest.raises(NonFiniteState, match="'l2'") as info:
-        march(np.zeros(1), 1.0, 0.1, step, record, 2, (), np.copy, {})
+        march(np.zeros(1), 10, 0.1, step, record, 2, (), np.copy, {})
     assert info.value.time == pytest.approx(0.4, rel=1e-14)
 
 
@@ -854,14 +839,14 @@ def test_march_rejects_the_initial_data_a_step_0_guard_refuses():
         return {"l2": np.inf if state[1] else 1.0}
 
     with pytest.raises(NonFiniteState, match="'l2'") as info:
-        march(np.array([0.0, 1.0]), 1.0, 0.1, lambda s, dt: s, record, 1, (), np.copy, {})
+        march(np.array([0.0, 1.0]), 10, 0.1, lambda s: s, record, 1, (), np.copy, {})
     assert isinstance(info.value, InitialDataRejected)
     assert info.value.time == 0.0
     with pytest.raises(DomainEscape, match="t=0$") as info:
-        march(np.array([1.0, 0.0]), 1.0, 0.1, lambda s, dt: s, record, 1, (), np.copy, {})
+        march(np.array([1.0, 0.0]), 10, 0.1, lambda s: s, record, 1, (), np.copy, {})
     assert isinstance(info.value, InitialDataRejected)
     with pytest.raises(DomainEscape, match="t=0.1$") as info:
-        march(np.zeros(2), 1.0, 0.1, lambda s, dt: s + 1.0, record, 1, (), np.copy, {})
+        march(np.zeros(2), 10, 0.1, lambda s: s + 1.0, record, 1, (), np.copy, {})
     assert not isinstance(info.value, InitialDataRejected)
 
 
@@ -886,7 +871,7 @@ def _march_products(record_raises=False):
     """Run a two-step march; return the products seen by step and record."""
     seen = []
 
-    def step(state, dt):
+    def step(state):
         seen.append(TINY * TINY)
         return state
 
@@ -896,7 +881,7 @@ def _march_products(record_raises=False):
             raise RuntimeError("abort")
         return {"v": 0.0}
 
-    march(np.zeros(1), 1.0, 0.5, step, record, 1, (), np.copy, {})
+    march(np.zeros(1), 2, 0.5, step, record, 1, (), np.copy, {})
     return seen
 
 
@@ -953,7 +938,7 @@ def test_linear_blow_up_raises_non_finite_state():
 def _linear_run(stride, snaps):
     grid = Grid1D(L=20.0, N=128, bc="compact_support")
     U0 = np.stack([np.exp(-grid.x**2), 0.5 * np.exp(-grid.x**2)], axis=1)
-    sim = LinearSim(spec=STANDARD, grid=grid, nu=0.01)
+    sim = LinearSim(spec=STANDARD, grid=grid)
     return simulate_linear(sim, U0, T=1.0, sample_stride=stride,
                            snapshot_times=snaps)
 
@@ -982,6 +967,25 @@ def _heat_run(stride, snaps):
 
 DRIVEN = {"linear": _linear_run, "euler": _euler_run,
           "psystem": _psystem_run, "heat": _heat_run}
+SOLVER_MODULES = {"linear": linear_module, "euler": euler_module,
+                  "psystem": psystem_module, "heat": heat_module}
+
+
+@pytest.mark.parametrize("name", DRIVEN)
+def test_each_solver_sizes_its_run_with_one_step_size_call(monkeypatch, name):
+    """The solver's one `step_size` call sets the step its map is built for
+    and the step count `march` takes: the driver does not size the run again."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return step_size(*args)
+
+    monkeypatch.setattr(march_module, "step_size", counted)
+    monkeypatch.setattr(SOLVER_MODULES[name], "step_size", counted)
+    series, _ = DRIVEN[name](1, ())
+    assert len(calls) == 1
+    assert (series.meta["n_steps"], series.meta["dt_step"]) == step_size(*calls[0])
 
 
 @pytest.mark.parametrize("solve", DRIVEN.values(), ids=DRIVEN.keys())
