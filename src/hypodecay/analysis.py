@@ -70,7 +70,6 @@ class DecayFit:
     alpha: float
     logC: float
     r2: float
-    window: tuple
     n_samples: int
 
 
@@ -100,7 +99,6 @@ def fit_power(series, channel, t_min, t_max):
         alpha=alpha,
         logC=logC,
         r2=r2,
-        window=(float(t_min), float(t_max)),
         n_samples=int(mask.sum()),
     )
 

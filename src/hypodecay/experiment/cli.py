@@ -35,6 +35,8 @@ def _load_doc(args):
     for k, v in _parse_set(args.set or []):
         try:
             apply_override(doc, k, v)
+        except ConfigError:
+            raise
         except (KeyError, IndexError, TypeError, ValueError) as exc:
             raise ConfigError(f"bad override {k}={v}: {exc}") from None
     return doc

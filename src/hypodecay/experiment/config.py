@@ -249,24 +249,24 @@ def apply_override(doc, dotted, value):
     """Apply one --set style override (dotted path) to a raw document.
 
     A value that is not JSON is kept as a string, which parse_config then
-    refuses wherever KEYS expects a number.
+    refuses wherever KEYS expects a number.  A path that walks into a
+    value that is neither an object nor a list is refused where it does.
     """
     keys = dotted.split(".")
     node = doc
-    for k in keys[:-1]:
-        if isinstance(node, list):
-            node = node[int(k)]
-        else:
-            node = node.setdefault(k, {})
+    for depth, k in enumerate(keys):
+        if not isinstance(node, (dict, list)):
+            at = ".".join(keys[:depth]) or "<root>"
+            raise ConfigError(f"invalid config at {at}: expected an object or a list "
+                              f"to hold {k!r}, got {type(node).__name__}")
+        if depth < len(keys) - 1:
+            node = node[int(k)] if isinstance(node, list) else node.setdefault(k, {})
     leaf = keys[-1]
     try:
         parsed = json.loads(value)
     except ValueError:
         parsed = value
-    if isinstance(node, list):
-        node[int(leaf)] = parsed
-    else:
-        node[leaf] = parsed
+    node[int(leaf) if isinstance(node, list) else leaf] = parsed
     return doc
 
 

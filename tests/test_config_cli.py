@@ -1222,13 +1222,14 @@ def test_cli_refuses_a_run_too_costly_before_its_first_step(tmp_path, capsys, se
     ("outputs.dir=from_config", "outputs.dir"),
     ("grid.N=1048577", "grid.N"),
     ("grid.N=134217728", "grid.N"),
+    ("time.T.x.y=1", "time.T"),
 ])
 def test_cli_refuses_keys_no_run_reads_and_grids_past_the_bound(tmp_path, capsys, setting,
                                                                 path):
     """The linear scheme has no floor strength, no config names its output
-    directory, and a grid of more than 2^20 nodes is refused before its
-    nodes and fields are built: each exits 2 at its path, at once, and
-    writes nothing."""
+    directory, a grid of more than 2^20 nodes is refused before its nodes
+    and fields are built, and an override cannot walk into a number: each
+    exits 2 at its path, at once, and writes nothing."""
     out = tmp_path / "never"
     started = time.perf_counter()
     code = main(["run", "--scenario", "thm1_linear", "--set", setting, "--out", str(out)])

@@ -6,9 +6,9 @@ A name counts as a Name, an Attribute, a part of an import, or a string
 constant that is the name or a dotted path through it (perfbench wraps
 functions by their names as strings).  A definition's own body does not
 count, so a function that only calls itself is still dead.  A field
-counts as read where an Attribute reads it or a keyword argument names
-it; its declaration and a store through `object.__setattr__` do not, so
-a field its class only stores is dead too.
+counts as read only where an Attribute loads it; its declaration, a
+keyword argument that fills it and a store through `object.__setattr__`
+do not, so a field that is only ever stored is dead too.
 """
 
 import ast
@@ -58,15 +58,13 @@ def test_every_top_level_definition_under_src_is_named_elsewhere():
 
 def _field_scan():
     """(annotated class fields under src/ as {(class, field): file}, the
-    names every Attribute read and every keyword argument give)."""
+    names every Attribute load gives)."""
     fields, read = {}, set()
     for tree in TREES:
         for path in sorted((ROOT / tree).rglob("*.py")):
             for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
                 if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
                     read.add(node.attr)
-                elif isinstance(node, ast.keyword):
-                    read.add(node.arg)
                 elif isinstance(node, ast.ClassDef) and tree == "src":
                     for stmt in node.body:
                         if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):

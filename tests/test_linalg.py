@@ -46,14 +46,13 @@ def test_min_eig_closed_form():
     assert min_eig_sym(np.array([[2.0, 1.0], [1.0, 2.0]])) == pytest.approx(1.0, abs=1e-13)
 
 
-def test_jacobi_matches_diagonal_matrix():
+def test_eigensystem_of_a_diagonal_matrix_is_its_sorted_diagonal():
     w, V = jacobi_eigensystem(np.diag([3.0, -1.0, 2.0]))
-    assert sorted(w) == pytest.approx([-1.0, 2.0, 3.0])
-    # eigenvectors stay orthonormal
-    assert np.abs(V.T @ V - np.eye(3)).max() < 1e-13
+    assert np.array_equal(w, [-1.0, 2.0, 3.0])
+    assert np.array_equal(np.abs(V), np.eye(3)[:, [1, 2, 0]])
 
 
-def test_jacobi_reconstructs():
+def test_eigensystem_reconstructs():
     M = np.array([[4.0, 1.0, 0.5], [1.0, 3.0, -1.0], [0.5, -1.0, 2.0]])
     w, V = jacobi_eigensystem(M)
     assert np.abs((V * w) @ V.T - M).max() < 1e-12
@@ -82,9 +81,33 @@ def test_eigen_and_norm_routines_scale_by_powers_of_two_exactly(k):
     assert norm_k == np.ldexp(spectral_norm(R), k)
 
 
-def test_jacobi_finds_the_speeds_of_a_huge_transport_matrix():
+def test_eigensystem_finds_the_speeds_of_a_huge_transport_matrix():
     w, _ = jacobi_eigensystem(np.array([[0.0, 1e155], [1e155, 0.0]]))
     assert w == pytest.approx([-1e155, 1e155], rel=1e-15)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(min_value=1, max_value=8),
+       k=st.integers(min_value=-500, max_value=500),
+       data=st.data())
+def test_eigensystem_and_norm_hold_over_the_double_range(n, k, data):
+    """For a random symmetric M of order n <= 8 scaled by 2^k: w ascends, V
+    is orthonormal, V diag(w) V^T is M, the 2-norm is max|w|, and nothing
+    warns."""
+    entries = data.draw(st.lists(
+        st.floats(min_value=-1.0, max_value=1.0, allow_nan=False),
+        min_size=n * (n + 1) // 2, max_size=n * (n + 1) // 2))
+    M = np.zeros((n, n))
+    M[np.triu_indices(n)] = entries
+    M = np.ldexp(M + np.triu(M, 1).T, k)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        w, V = jacobi_eigensystem(M)
+        norm = spectral_norm(M)
+    assert np.all(np.diff(w) >= 0.0)
+    assert np.abs(V.T @ V - np.eye(n)).max() <= 1e-13
+    assert np.abs((V * w) @ V.T - M).max() <= 1e-13 * np.abs(M).max()
+    assert abs(norm - np.abs(w).max()) <= 1e-14 * norm
 
 
 def test_expm_sym_diagonal():
