@@ -9,14 +9,19 @@ import random
 import re
 import subprocess
 import sys
+import tempfile
 import time
 import tracemalloc
 import warnings
+from contextlib import redirect_stderr
+from io import StringIO
 from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hypodecay.analysis import TimeSeries
 from hypodecay.experiment import (
@@ -1414,6 +1419,98 @@ def test_cli_run_rejects_an_uncreatable_output_directory(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "config error" in err and "cannot create output directory" in err
     assert blocker.is_file()
+
+
+@pytest.mark.parametrize("scenario, settings_", [
+    # exp(-D dt/2) underflows to 0, so the damped rows of H P are 0
+    ("thm3_wave", ["system.D=[[1e6]]", "time.T=1"]),
+    # a wave speed of 1e155, stepped at dt near 1e-157
+    ("thm1_linear", ["grid.N=64", "system.A=[[0,1e155],[1e155,0]]", "time.T=1e-150",
+                     "outputs.snapshots=[]"]),
+    # A asymmetric by 5e-13 of its largest entry, within validation's SYM_TOL
+    ("thm1_linear", ["grid.N=64", "system.A=[[0,1],[1.0000000000005,0]]", "time.T=2",
+                     "outputs.snapshots=[]"]),
+], ids=["D-1e6", "A-1e155", "A-asymmetric"])
+def test_cli_steps_extreme_linear_systems_and_fails_only_their_claims(tmp_path, capsys,
+                                                                      scenario, settings_):
+    """The compiled step builds and runs at each extreme: the run exits 4
+    with its outputs written, nothing warns of an overflow or a division
+    by zero, and no build check of the step trips."""
+    out = tmp_path / "o"
+    args = ["run", "--scenario", scenario, "--out", str(out)]
+    for setting in settings_:
+        args += ["--set", setting]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(args)
+    assert code == 4
+    assert (out / "report.json").exists() and (out / "series.csv").exists()
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], caught
+    err = capsys.readouterr().err
+    assert "numerical failure" not in err and "internal error" not in err, err
+
+
+LINEAR_SCENARIOS = [name for name in EXPECTED_SCENARIOS
+                    if scenario_doc(name)["system"]["kind"] == "linear"]
+
+
+DATA_VALUES = {"amp": st.floats(-3.0, 3.0), "width": st.floats(0.2, 8.0),
+               "center": st.floats(-10.0, 10.0), "count": st.integers(1, 4)}
+
+
+@st.composite
+def small_linear_docs(draw):
+    """A linear document of order n = 2..8 on N <= 128 nodes up to T <= 1,
+    with random A, symmetric but for one entry below the diagonal off by up
+    to 5e-13 of itself (validation allows 1e-12 of the largest), symmetric
+    positive definite D and data drawn from the kind table."""
+    n = draw(st.integers(2, 8))
+    n1 = draw(st.integers(1, n - 1))
+    entry = st.floats(-4.0, 4.0, allow_subnormal=False)
+    upper = [[draw(entry) for _ in range(n - i)] for i in range(n)]
+    A = [[upper[min(i, j)][abs(i - j)] for j in range(n)] for i in range(n)]
+    i = draw(st.integers(1, n - 1))
+    A[i][i - 1] *= 1.0 + draw(st.floats(-5e-13, 5e-13))
+    R = np.array([[draw(entry) for _ in range(n - n1)] for _ in range(n - n1)])
+    D = (R @ R.T + draw(st.floats(0.05, 40.0)) * np.eye(n - n1)).tolist()
+    data = []
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(sorted(config.DATA_FIELDS)))
+        data.append({"kind": kind, "component": draw(st.integers(0, n - 1)),
+                     **{f: draw(DATA_VALUES[f]) for f in config.DATA_FIELDS[kind]}})
+    T = draw(st.floats(1e-3, 1.0))
+    return {
+        "scenario": draw(st.sampled_from(["fuzz_linear"] + LINEAR_SCENARIOS)),
+        "system": {"kind": "linear", "A": A, "D": D, "n1": n1},
+        "grid": {"L": draw(st.floats(4.0, 60.0)), "N": draw(st.integers(16, 128)),
+                 "bc": draw(st.sampled_from(["periodic", "compact_support"]))},
+        "time": {"T": T, "sample_stride": draw(st.integers(1, 4))},
+        "data": data,
+        "corrector": draw(st.sampled_from([None, {"safety": 0.5}, {"safety": 0.125}])),
+        "outputs": {"snapshots": [0.0, T]},
+        "seed": draw(st.integers(0, 2**31)),
+    }
+
+
+@settings(max_examples=150, deadline=None)
+@given(doc=small_linear_docs())
+def test_cli_runs_small_linear_documents_to_a_documented_exit(doc):
+    """Every small linear document exits 0, 2, 3 or 4; an exit of 3 is a
+    numerical failure, never an internal error such as a tripped build
+    check of the compiled step; and exits 2 and 3 leave nothing on disk."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = Path(tmp) / "doc.json", Path(tmp) / "o"
+        path.write_text(json.dumps(doc))
+        err = StringIO()
+        with redirect_stderr(err):
+            code = main(["run", "--config", str(path), "--out", str(out)])
+        err = err.getvalue()
+        assert code in (0, 2, 3, 4), err
+        assert "internal error" not in err, err
+        if code == 3:
+            assert "numerical failure: " in err, err
+        if code in (2, 3):
+            assert not out.exists(), err
 
 
 def _compact_smoke_run(tmp_path, L):

@@ -31,6 +31,7 @@ from hypodecay.solvers import psystem as psystem_module
 from hypodecay.solvers.euler import EulerSpec, simulate_euler
 from hypodecay.solvers.heat import heat_solve
 from hypodecay.solvers.linear import (
+    REACH,
     LinearSim,
     advection_rhs,
     compile_step,
@@ -626,29 +627,48 @@ def test_registry_linear_operands_match_the_transposed_views():
     _assert_roundoff_close(_compiled_step(U, sim), _transposed_view_step(U, sim, sim.dt))
 
 
-# An A with a zero eigenvalue: one characteristic speed is 0.
-ZERO_SPEED = SystemSpec(A=np.array([[1.0, 1.0], [1.0, 1.0]]), D=np.array([[2.0]]), n1=1)
+# Specs with a structure of their own: a zero characteristic speed, two
+# equal speeds (any basis is an eigenbasis), a damped half step that
+# underflows to 0, and the stiff registry system.
+EDGE_SPECS = {
+    "zero-speed": SystemSpec(A=np.array([[1.0, 1.0], [1.0, 1.0]]), D=np.array([[2.0]]), n1=1),
+    "repeated-speed": SystemSpec(A=2.0 * np.eye(2), D=np.array([[1.0]]), n1=1),
+    "D-1e6": SystemSpec(A=STANDARD.A, D=np.array([[1e6]]), n1=1),
+    "stiff": REGISTRY_SYSTEMS["stiff"],
+}
 
 
 @pytest.mark.parametrize("bc", ["periodic", "compact_support"])
-@pytest.mark.parametrize("shape", [(2, 1), (3, 1), (4, 2), None],
-                         ids=["2-1", "3-1", "4-2", "zero-speed"])
-def test_compiled_step_matches_transposed_views(shape, bc):
+@pytest.mark.parametrize("shape", [(2, 1), (3, 1), (4, 2), (8, 3), *EDGE_SPECS],
+                         ids=["2-1", "3-1", "4-2", "8-3", *EDGE_SPECS])
+def test_compiled_step_matches_transposed_views(monkeypatch, shape, bc):
     """One compiled step within the operand bound of the reference written
-    with `@ M.T`.  On a periodic grid the step is a contraction (||G|| = 1),
-    so 20 steps stay within 20 times that bound of 20 reference steps.  On
-    a compact grid ||G|| reaches about 2 and ||G^20|| a few hundred, so each
-    of the 20 steps is checked against the reference from the same state.
-    The random data fill the compact grid's end rows, so the end blocks are
+    with `@ M.T`, made with one `np.correlate` call per characteristic
+    variable: n, not the n^2 of a kernel per pair of components.  On a
+    periodic grid the step is a contraction (||G|| = 1), so 20 steps stay
+    within 20 times that bound of 20 reference steps.  On a compact grid
+    ||G|| reaches about 2 and ||G^20|| a few hundred, so each of the 20
+    steps is checked against the reference from the same state.  The
+    random data fill the compact grid's end rows, so the end blocks are
     read."""
     rng = np.random.default_rng(7)
-    spec = ZERO_SPEED if shape is None else _random_spec(rng, *shape)
+    spec = EDGE_SPECS[shape] if shape in EDGE_SPECS else _random_spec(rng, *shape)
     grid = Grid1D(L=10.0, N=96, bc=bc)
     sim = LinearSim(spec=spec, grid=grid)
     U = rng.standard_normal((grid.N, spec.n))
     step = compile_step(sim, sim.dt)
     V = np.ascontiguousarray(U.T)
-    _assert_roundoff_close(step(V).T, _transposed_view_step(U, sim, sim.dt))
+    kernels, correlate = [], np.correlate
+
+    def counted(a, v):
+        kernels.append(v.shape)
+        return correlate(a, v)
+
+    with monkeypatch.context() as m:
+        m.setattr(np, "correlate", counted)
+        first = step(V)
+    assert kernels == [(2 * REACH + 1,)] * spec.n
+    _assert_roundoff_close(first.T, _transposed_view_step(U, sim, sim.dt))
     if grid.periodic:
         want = U
         for _ in range(20):
@@ -754,7 +774,8 @@ def test_psystem_kernels_keep_rk4_amplification_at_most_one(nu):
 @pytest.mark.parametrize("bc", ["periodic", "compact_support"])
 def test_compiled_step_build_checks_fire(monkeypatch, bc):
     """The build refuses a response outside its band, an interior row that
-    is not the kernel, and a kernel grid whose dx is not the run's."""
+    is not the kernel, a kernel grid whose dx is not the run's, and
+    characteristic factors that miss the kernel."""
     sim = LinearSim(spec=STANDARD, grid=Grid1D(L=10.0, N=96, bc=bc))
     compile_step(sim, sim.dt)
     with monkeypatch.context() as m:  # four RK4 stages reach 4 cells, not 3
@@ -782,6 +803,24 @@ def test_compiled_step_build_checks_fire(monkeypatch, bc):
         m.setattr(linear_module, "Grid1D", lambda L, N: Grid1D(L=1.5 * L, N=N))
         with pytest.raises(AssertionError, match="dx"):
             compile_step(sim, sim.dt)
+
+    speed_kernels, eigensystem = linear_module._speed_kernels, linear_module.jacobi_eigensystem
+
+    def nudged_speed_kernels(*args):  # one tap off by 2^-40 of itself
+        r = speed_kernels(*args)
+        r[0, REACH + 1] *= 1.0 + 2.0**-40
+        return r
+
+    def swapped_eigensystem(M):  # the speeds paired with the wrong vectors
+        w, V = eigensystem(M)
+        return w, V[:, ::-1]
+
+    for name, fake in [("_speed_kernels", nudged_speed_kernels),
+                       ("jacobi_eigensystem", swapped_eigensystem)]:
+        with monkeypatch.context() as m:
+            m.setattr(linear_module, name, fake)
+            with pytest.raises(AssertionError, match="factorization: .* misses the kernel"):
+                compile_step(sim, sim.dt)
 
 
 def test_linear_operands_are_c_contiguous():
