@@ -7,18 +7,23 @@ The augmented functional adds cross terms
 to the H^1 energy.  The strengths eps_k = base_eps^{m_k} are chosen so
 that four families of smallness constraints hold, making the functional
 monotone along the flow while staying equivalent to the plain H^1 energy
-(coercivity bracket [1/2, 3/2]).
+(coercivity bracket [1/2, 3/2]).  Each family member is one monomial
+inequality, linear in l = log eps, and every one tightens as base_eps
+grows: the largest feasible base_eps is a closed form, found and checked
+in log space.  Only the coercivity cap needs a 1-D solve, and a system
+whose caps leave eps_{n-1} below the smallest normal double is refused.
 
 The time weight eta0 is deliberately linear in the safety factor: the
-base_eps search runs twice, once against the actual budget eps0 =
+closed form is taken at two budgets, once at the actual eps0 =
 kappa/2 * safety (those coefficients are stored and self-validated) and
-once against the fixed reference budget kappa/4, whose eps* feeds eta0 =
-safety * eps*_ref / (4 C_K).  Both searches coincide at the default
-safety 0.5, and the strict bound eta0 < eps*/(4 C_K) holds for the
-stored coefficients because each eps_k is concave-through-origin as a
-function of the budget.
+once at the fixed reference budget kappa/4, whose eps* feeds eta0 =
+safety * eps*_ref / (4 C_K).  Both coincide at the default safety 0.5,
+and the strict bound eta0 < eps*/(4 C_K) holds for the stored
+coefficients because each eps_k is concave-through-origin as a function
+of the budget.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,6 +41,7 @@ REFERENCE_SAFETY = 0.5
 DELTA = 0.1
 # Roundoff allowed on each constraint, here and in the runner's `margins`.
 CONSTRAINT_TOL = 1e-12
+TINY = np.finfo(float).tiny
 
 
 def select_exponents(n, delta):
@@ -52,6 +58,27 @@ def select_exponents(n, delta):
     return 1.0 + delta + np.cumsum(steps)
 
 
+def _family_table(n):
+    """Each family's rows W, one per member C eps_a eps_b <= eps_c eps_d / 8
+    (eps_0 the budget), as log(8C) + W . l <= 0 for l = log eps."""
+    members = {"e1a": [(1, 1, 0, 0)], "e1b": [(k, k, k, 0) for k in range(1, n)],
+               "e11": [(k, k, k - 1, k + 1) for k in range(2, n - 1)],
+               "e2": [(n - 1, n - 1, j, n - 2) for j in range(n)]}
+    table = {}
+    for family, quads in members.items():
+        W = table[family] = np.zeros((len(quads), n))
+        for w, idx in zip(W, quads):
+            np.add.at(w, list(idx), (1.0, 1.0, -1.0, -1.0))
+    return table
+
+
+def _log_margins(C_bound, eps0, eps):
+    """Each family's largest log(LHS/RHS); a family with no member reads -inf."""
+    l = np.log(np.concatenate(([eps0], eps)))
+    return {f: float((math.log(8.0 * C_bound) + W @ l).max(initial=-math.inf))
+            for f, W in _family_table(l.size).items()}
+
+
 def constraint_margins(C_bound, eps0, eps):
     """Max LHS/RHS ratio of each constraint family (feasible iff all <= 1).
 
@@ -60,23 +87,15 @@ def constraint_margins(C_bound, eps0, eps):
       e1b:  C * eps_k^2        <= eps_k * eps0 / 8          (all k)
       e11:  C * eps_k^2        <= eps_{k-1} * eps_{k+1} / 8 (k = 2..n-2)
       e2:   C * eps_{n-1}^2    <= eps_j * eps_{n-2} / 8     (j = 0..n-1)
+    The ratios are taken in log space; e11 reads 0.0 for n < 4.
     """
-    eps = np.asarray(eps, dtype=float)
-    nm1 = eps.size
-    out = {"e1a": C_bound * eps[0] ** 2 / (eps0**2 / 8.0)}
-    out["e1b"] = max(C_bound * ek / (eps0 / 8.0) for ek in eps)
-    if nm1 >= 3:
-        out["e11"] = max(
-            C_bound * eps[k] ** 2 / (eps[k - 1] * eps[k + 1] / 8.0)
-            for k in range(1, nm1 - 1)
-        )
-    else:
-        out["e11"] = 0.0
-    top = eps[-1]
-    prev = eps[-2] if nm1 >= 2 else eps0
-    ladder = np.concatenate(([eps0], eps))
-    out["e2"] = max(C_bound * top**2 / (ej * prev / 8.0) for ej in ladder)
-    return out
+    return {k: math.exp(v) for k, v in _log_margins(C_bound, eps0, eps).items()}
+
+
+def _log_roots(W, log8c, l0, m):
+    """Per row, the log base where log(8C) + W . (l0, m log base) = 0; each
+    slope W[1:] . m is summed exactly, the weights being small integers."""
+    return -(log8c + W[:, 0] * l0) / np.array([math.fsum(w[1:] * m) for w in W])
 
 
 @dataclass(frozen=True)
@@ -115,37 +134,21 @@ class CorrectorCoeffs:
             concavity = m[1:-1] - 0.5 * (m[:-2] + m[2:])
             if np.any(concavity < DELTA - CONSTRAINT_TOL):
                 problems.append("exponent ladder concavity margin below DELTA")
-        margins = constraint_margins(self.C_bound, self.eps0, eps)
-        for name, ratio in margins.items():
-            if ratio > 1.0 + CONSTRAINT_TOL:
-                problems.append(f"family {name} violated (ratio {ratio:.3e})")
+        if not np.all(eps >= TINY):
+            problems.append(f"eps={eps.min():.3e} below the smallest normal double")
+        else:
+            for name, v in _log_margins(self.C_bound, self.eps0, eps).items():
+                if v > math.log1p(CONSTRAINT_TOL):
+                    problems.append(f"family {name} violated (ratio exp({v:.4g}))")
         if self.coercivity_sum > 0.5 + CONSTRAINT_TOL:
-            problems.append(
-                f"coercivity sum {self.coercivity_sum:.3e} exceeds 1/2"
-            )
+            problems.append(f"coercivity sum {self.coercivity_sum:.3e} exceeds 1/2")
         if not 0.0 < self.eta0 < self.eps_star / (4.0 * self.C_K):
-            problems.append(
-                f"eta0={self.eta0:.3e} outside (0, eps*/(4 C_K))"
-            )
+            problems.append(f"eta0={self.eta0:.3e} outside (0, eps*/(4 C_K))")
         if problems:
             raise ConstraintSearchFailed("; ".join(problems))
 
     def margins(self):
         return constraint_margins(self.C_bound, self.eps0, self.eps)
-
-
-def _norm_products(spec):
-    """(||B A^{k-1}||_2 * ||B A^k||_2)_{k=1..n-1} for the coercivity cap."""
-    norms = spec.damped_power_norms
-    return np.array([norms[k - 1] * norms[k] for k in range(1, spec.n)])
-
-
-def _feasible(base, m, C_bound, eps0, products):
-    eps = base**m
-    margins = constraint_margins(C_bound, eps0, eps)
-    if max(margins.values()) > 1.0:
-        return False
-    return float(products @ eps) <= 0.5
 
 
 def _bisect(ok, lo, hi):
@@ -159,17 +162,27 @@ def _bisect(ok, lo, hi):
     return lo
 
 
-def _search_base(m, C_bound, eps0, products):
-    """Largest base_eps in (0, eps0] passing every family (bisection)."""
-    if _feasible(eps0, m, C_bound, eps0, products):
-        return eps0
-    lo = eps0 * 1e-40
-    if not _feasible(lo, m, C_bound, eps0, products):
+def _ladder(m, C_bound, eps0, products):
+    """(base_eps, base_eps^m) for the largest base_eps <= eps0 that every
+    family (in closed form) and the coercivity cap sum_k p_k eps_k <= 1/2
+    allow; refused, before the cap is solved, where eps_{n-1} underflows."""
+    W = np.vstack(list(_family_table(m.size + 1).values()))
+    l0 = math.log(eps0)
+    beta = min(l0, float(_log_roots(W, math.log(8.0 * C_bound), l0, m).min()))
+    floor = math.log(TINY) / m[-1]  # eps_{n-1} is the smallest normal double
+
+    def coercive(b):
+        return float(products @ np.exp(m * b)) <= 0.5
+
+    if beta < floor or not coercive(floor):
         raise ConstraintSearchFailed(
-            f"no feasible base_eps down to {lo:.3e} "
-            f"(C_bound={C_bound:.3e}, eps0={eps0:.3e})"
-        )
-    return _bisect(lambda base: _feasible(base, m, C_bound, eps0, products), lo, eps0)
+            f"eps_{m.size} underflows: nothing above log base_eps = {floor:.4g}, where it "
+            f"is the smallest normal double, meets the families (log base_eps <= "
+            f"{beta:.4g}) and the coercivity cap (C_bound={C_bound:.3e}, eps0={eps0:.3e})")
+    if not coercive(beta):
+        beta = _bisect(coercive, floor, beta)
+    base = min(eps0, math.exp(beta))  # exp(log eps0) may round above eps0
+    return base, base**m
 
 
 def estimate_c_bound(spec):
@@ -196,34 +209,24 @@ def estimate_ck(spec):
 def select_coefficients(spec, safety=0.5):
     """Full coefficient pipeline: budget, families, C_K, time weight."""
     if not spec.sk_holds:
-        raise SKConditionFails(
-            f"stacked-matrix rank {spec.kalman_rank} < n = {spec.n}"
-        )
+        raise SKConditionFails(f"stacked-matrix rank {spec.kalman_rank} < n = {spec.n}")
     if not 0.0 < safety < 1.0:
         raise ValueError("safety must lie in (0, 1)")
     eps0 = 0.5 * spec.kappa * safety
     C_bound = estimate_c_bound(spec)
     m = select_exponents(spec.n, DELTA)
-    products = _norm_products(spec)
-    base = _search_base(m, C_bound, eps0, products)
-    eps = base**m
+    norms = np.array(spec.damped_power_norms)
+    products = norms[:-1] * norms[1:]  # ||B A^{k-1}|| ||B A^k||, k = 1..n-1
+    base, eps = _ladder(m, C_bound, eps0, products)
 
-    base_ref = _search_base(m, C_bound, 0.5 * spec.kappa * REFERENCE_SAFETY, products)
-    eps_star_ref = float(min(spec.kappa, (base_ref**m).min()))
+    _, eps_ref = _ladder(m, C_bound, 0.5 * spec.kappa * REFERENCE_SAFETY, products)
+    eps_star_ref = float(min(spec.kappa, eps_ref.min()))
 
     C_K = estimate_ck(spec)
     eta0 = safety * eps_star_ref / (4.0 * C_K)
-    return CorrectorCoeffs(
-        kappa=spec.kappa,
-        eps0=eps0,
-        base_eps=base,
-        m=m,
-        eps=eps,
-        eta0=eta0,
-        C_bound=C_bound,
-        C_K=C_K,
-        coercivity_sum=float(products @ eps),
-    )
+    return CorrectorCoeffs(kappa=spec.kappa, eps0=eps0, base_eps=base, m=m, eps=eps,
+                           eta0=eta0, C_bound=C_bound, C_K=C_K,
+                           coercivity_sum=float(products @ eps))
 
 
 def cross_matrix(spec, eps):
@@ -286,27 +289,16 @@ def select_weighted_coefficients(spec, mu):
     if not spec.sk_holds:
         raise SKConditionFails("weighted estimates need full stacked-matrix rank")
     C_tilde = estimate_c_tilde(spec, mu)
-    nm1 = spec.n - 1
-    if nm1 == 1:
-        eps_t = np.array([0.125])
-    else:
-        m = select_exponents(spec.n, DELTA)
-        dm = m - m[0]  # dm[0] = 0, increasing
-
-        def ladder(t):
-            return 0.125 * t**dm
-
-        def ok(t):
-            e = ladder(t)
-            for k in range(1, nm1 - 1):
-                if 8.0 * C_tilde * e[k] ** 2 > e[k - 1] * e[k + 1]:
-                    return False
-            return all(8.0 * C_tilde * e[-1] ** 2 <= ej * e[-2] for ej in e)
-
-        lo = 1e-280
-        if not ok(lo):
-            raise ConstraintSearchFailed("weighted family search underflowed")
-        eps_t = ladder(_bisect(ok, lo, 1.0))
+    m = select_exponents(spec.n, DELTA)
+    dm = m - m[0]
+    # the rows that do not read eps_0 (e11, and e2 for j >= 1) on the ladder
+    # 0.125 t^dm: their weights sum to 0, so the 0.125 cancels
+    W = np.vstack(list(_family_table(spec.n).values()))
+    roots = _log_roots(W[W[:, 0] == 0.0], math.log(8.0 * C_tilde), 0.0, dm)
+    eps_t = 0.125 * np.exp(dm * min([0.0, *roots]))
+    if eps_t[-1] < TINY:
+        raise ConstraintSearchFailed(f"weighted ladder underflows: eps~_{spec.n - 1} = "
+                                     f"{eps_t[-1]:.3e} (C_tilde={C_tilde:.3e})")
     kappa0 = float(np.sqrt(4.0 * C_tilde / eps_t[0]))
     return WeightedCoeffs(mu=mu, C_tilde=C_tilde, eps_tilde=eps_t, kappa0=kappa0)
 

@@ -34,7 +34,8 @@ class SKConditionFails(HypodecayError):
 
 
 class ConstraintSearchFailed(HypodecayError):
-    """Corrector coefficient search underflowed; carries diagnostics."""
+    """No corrector: its caps put the last strength, plain or weighted, below
+    the smallest normal double, or given coefficients fail their re-check."""
 
 
 class HypothesisViolated(HypodecayError):

@@ -355,9 +355,12 @@ def _check_decay_inequality(claim, ctx):
     if np.any(E1 <= 0.0):
         raise HypothesisViolated(
             f"augmented energy is not positive: min_e1 = {float(E1.min())!r}")
+    denom = E1[1:-1] ** (1.0 + 1.0 / mu)
+    if np.any(denom < np.finfo(float).tiny):
+        raise HypothesisViolated(
+            f"E1^(1 + 1/mu) underflows: min_e1 = {float(E1.min())!r}")
     F = E1 + coeffs.eta0 * t * E2
     dF = (F[2:] - F[:-2]) / (t[2:] - t[:-2])
-    denom = E1[1:-1] ** (1.0 + 1.0 / mu)
     rj = (-dF - a2 * E2[1:-1]) / denom
     min_rj = float(rj.min())
     if min_rj <= 0.0:

@@ -1309,7 +1309,26 @@ def test_cli_rejects_scenario_with_other_system_kind(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+# An order-8 system whose families cap base_eps at 10^-42.8, where
+# eps_7 = base_eps^7.4 is far below the smallest normal double.
+UNDERFLOWING_SYSTEM = json.dumps({
+    "kind": "linear", "n1": 5,
+    "A": [[0.9, -0.1, 0.7, -0.3, -0.1, -1.1, -0.4, -0.1],
+          [-0.1, 0.4, -1.3, -0.7, -0.4, 0.9, -0.2, 0.6],
+          [0.7, -1.3, 0.1, 1.3, 0.6, -0.8, 0.4, -0.6],
+          [-0.3, -0.7, 1.3, 1.5, 1.2, 0.8, 0.3, 0.8],
+          [-0.1, -0.4, 0.6, 1.2, -1.7, 0.4, -0.8, 0.9],
+          [-1.1, 0.9, -0.8, 0.8, 0.4, -1.6, 0.0, 0.0],
+          [-0.4, -0.2, 0.4, 0.3, -0.8, 0.0, -1.4, -0.7],
+          [-0.1, 0.6, -0.6, 0.8, 0.9, 0.0, -0.7, -1.6]],
+    "D": [[1.0, -0.9, -0.3], [-0.9, 1.1, 0.2], [-0.3, 0.2, 0.3]],
+})
+
+
 @pytest.mark.parametrize("scenario, key, value", [
+    # a corrector whose strengths underflow
+    pytest.param("thm1_linear", "system", UNDERFLOWING_SYSTEM,
+                 id="thm1_linear-system-underflowing-corrector"),
     # a wave weight of the family the system does not take
     ("thm3_wave", "weights.0.kind", "log"),
     ("thm5_euler_weighted", "weights.1.kind", "log"),
@@ -1430,7 +1449,11 @@ def test_cli_run_rejects_an_uncreatable_output_directory(tmp_path, capsys):
     # A asymmetric by 5e-13 of its largest entry, within validation's SYM_TOL
     ("thm1_linear", ["grid.N=64", "system.A=[[0,1],[1.0000000000005,0]]", "time.T=2",
                      "outputs.snapshots=[]"]),
-], ids=["D-1e6", "A-1e155", "A-asymmetric"])
+    # a corrector at base_eps = 10^-42.4, whose eps_3 = 10^-110.2 is a normal double
+    ("thm1_linear", ["grid.N=64", "system.A=[[0,8,0,0],[8,0,8,0],[0,8,0,8],[0,0,8,0]]",
+                     "system.D=[[1,0,0],[0,1,0],[0,0,1]]", "time.T=0.5",
+                     "outputs.snapshots=[]"]),
+], ids=["D-1e6", "A-1e155", "A-asymmetric", "base-1e-42"])
 def test_cli_steps_extreme_linear_systems_and_fails_only_their_claims(tmp_path, capsys,
                                                                       scenario, settings_):
     """The compiled step builds and runs at each extreme: the run exits 4
@@ -1558,6 +1581,9 @@ def test_cli_rejects_data_that_reach_the_boundary_at_t0(tmp_path, capsys):
     # zero data: the fine run's residual is 0, and no ratio exists
     ("convergence_order", ["time.T=20", "grid.N=256", "data.0.amp=0", "data.1.amp=0"],
      "convergence_order:residual_ratio", "the fine energy-law residual is 0"),
+    # data so small that E1^2 underflows: no absorption rate is a double
+    ("thm2_weighted", ["grid.N=256", "data.0.amp=1e-100"],
+     "thm2_weighted:decay_inequality", "E1^(1 + 1/mu) underflows"),
 ])
 def test_cli_claim_that_cannot_be_evaluated_fails_its_certificate(
         tmp_path, capsys, scenario, settings, cert_id, error):

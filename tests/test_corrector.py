@@ -1,15 +1,18 @@
+import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import hypodecay
 from hypodecay.corrector import (
+    CONSTRAINT_TOL,
     CorrectorCoeffs,
     constraint_margins,
     cross_matrix,
@@ -144,10 +147,10 @@ def test_selected_constants_stiff():
 def test_registry_coefficients_are_pinned_bit_for_bit():
     """Values of the registry systems' coefficients, to the last bit."""
     std = select_coefficients(STANDARD, safety=0.5)
-    assert std.eta0 == 0.00024414062499999997
-    assert std.eps.tolist() == [0.0039062499999999996]
+    assert std.eta0 == 0.0002441406250000001
+    assert std.eps.tolist() == [0.003906250000000002]
     stiff = select_coefficients(STIFF, safety=0.125)
-    assert stiff.eta0 == 0.001953125
+    assert stiff.eta0 == 0.0019531250000000013
     assert stiff.eps.tolist() == [3.0517578125e-05]
     assert select_weighted_coefficients(STIFF, 1.0).C_tilde == 24.0
 
@@ -230,6 +233,118 @@ def test_oversized_time_weight_raises():
 def test_margins_helper_matches_dataclass():
     c = select_coefficients(STANDARD)
     assert c.margins() == constraint_margins(c.C_bound, c.eps0, c.eps)
+
+
+TINY = np.finfo(float).tiny
+
+
+@st.composite
+def sk_specs(draw, orders, a11_zero=False):
+    """A SystemSpec with random symmetric A (entries in [-4, 4], the
+    undamped block zeroed if asked) and D = R R^T + c I, full Kalman rank."""
+    n = draw(st.integers(*orders))
+    n1 = draw(st.integers(1, n - 1))
+    entry = st.floats(-4.0, 4.0, allow_subnormal=False)
+    A = np.array([[draw(entry) for _ in range(n)] for _ in range(n)])
+    A = A + A.T
+    if a11_zero:
+        A[:n1, :n1] = 0.0
+    R = np.array([[draw(entry) for _ in range(n - n1)] for _ in range(n - n1)])
+    spec = SystemSpec(A=A, D=R @ R.T + draw(st.floats(0.05, 40.0)) * np.eye(n - n1), n1=n1)
+    assume(spec.sk_holds)
+    return spec
+
+
+def _excess(C, l, with_budget=True):
+    """Largest log(LHS / RHS) over the families, each member
+    C eps_a eps_b <= eps_c eps_d / 8 as `constraint_margins` states it,
+    summed exactly from the logs l = (log eps_0, ..., log eps_{n-1}).
+
+    Without the budget, only the members that do not read eps_0 count
+    (e11, and e2 with j >= 1 for n >= 3): the weighted families.
+    """
+    n = len(l)
+    members = ([(1, 1, 0, 0)]                                     # e1a
+               + [(k, k, k, 0) for k in range(1, n)]              # e1b
+               + [(k, k, k - 1, k + 1) for k in range(2, n - 1)]  # e11
+               + [(n - 1, n - 1, j, n - 2) for j in range(n)])    # e2
+    if not with_budget:
+        members = [q for q in members if 0 not in q]
+    l = [Fraction(v) for v in l]
+    return max(Fraction(math.log(8.0 * C)) + l[a] + l[b] - l[c] - l[d]
+               for a, b, c, d in members)
+
+
+def _coercivity(spec, eps):
+    norms = spec.damped_power_norms
+    return math.fsum(norms[k] * norms[k + 1] * e for k, e in enumerate(eps))
+
+
+@settings(max_examples=200, deadline=None)
+@given(spec=sk_specs((2, 8)), safety=st.floats(0.05, 0.5))
+def test_selected_base_is_the_largest_the_families_allow(spec, safety):
+    """An accepted spec meets every family and the coercivity cap, and
+    b (1 + 1e-12) breaks one of them; a refused one breaks a family or the
+    cap already at the base where eps_{n-1} is the smallest normal double."""
+    C = estimate_c_bound(spec)
+    eps0 = 0.5 * spec.kappa * safety
+    m = select_exponents(spec.n, 0.1)
+
+    def broken(log_base):
+        l = [math.log(eps0)] + [Fraction(mk) * Fraction(log_base) for mk in m]
+        eps = [math.exp(mk * log_base) for mk in m]
+        return _excess(C, l) > 0 or _coercivity(spec, eps) > 0.5
+
+    try:
+        c = select_coefficients(spec, safety=safety)
+    except ConstraintSearchFailed as exc:
+        assert "underflows" in str(exc)
+        assert broken(math.log(TINY) / m[-1])
+        return
+    assert c.eps.min() >= TINY
+    assert _excess(C, [math.log(v) for v in [eps0, *c.eps]]) <= math.log1p(CONSTRAINT_TOL)
+    assert _coercivity(spec, c.eps) <= 0.5
+    b = c.base_eps * (1.0 + 1e-12)
+    assert b > eps0 or broken(math.log(b))
+
+
+@settings(max_examples=100, deadline=None)
+@given(spec=sk_specs((3, 8), a11_zero=True))
+def test_weighted_ladder_is_the_largest_the_families_allow(spec):
+    """The weighted ladder 0.125 t^(m - m_1) meets the families that do not
+    read the budget, with C~ for C; t (1 + 1e-12) breaks one unless t = 1;
+    a refused spec breaks one already where eps~_{n-1} is the smallest
+    normal double."""
+    C = estimate_c_tilde(spec, 1.0)
+    m = select_exponents(spec.n, 0.1)
+    dm = m - m[0]
+
+    def broken(log_t):
+        return _excess(C, [0.0] + [math.log(0.125) + Fraction(d) * Fraction(log_t)
+                                   for d in dm], with_budget=False) > 0
+
+    try:
+        w = select_weighted_coefficients(spec, 1.0)
+    except ConstraintSearchFailed as exc:
+        assert "underflows" in str(exc)
+        assert broken((math.log(TINY) - math.log(0.125)) / dm[-1])
+        return
+    e = w.eps_tilde
+    assert e[0] == 0.125 and e.min() >= TINY
+    l = [0.0] + [math.log(v) for v in e]
+    assert _excess(C, l, with_budget=False) <= math.log1p(CONSTRAINT_TOL)
+    log_t = (math.log(e[-1]) - math.log(0.125)) / dm[-1]
+    assert log_t > -1e-12 or broken(log_t + 1e-12)
+
+
+def test_families_are_read_past_the_underflow_of_their_terms():
+    """At n = 8 the e2 ratio's terms underflow as doubles; in log space
+    it reads 1.5e-3 with no warning, and e11 binds."""
+    A = np.diag(np.ones(7), 1)
+    c = select_coefficients(SystemSpec(A=A + A.T, D=np.eye(7), n1=1))
+    margins = c.margins()
+    assert margins["e2"] == pytest.approx(1.509e-3, rel=1e-3)
+    assert margins["e11"] == pytest.approx(1.0, rel=1e-12)
 
 
 def _gram(grid, U):
