@@ -3,15 +3,17 @@
 Periodic grids omit the duplicate endpoint (dx = 2L/N) so trapezoid
 quadrature and centered differences satisfy summation-by-parts exactly.
 Compact-support grids include both endpoints (dx = 2L/(N-1)) with the
-usual half-weight trapezoid ends; derivative stencils fall back to
-second-order one-sided forms there.  A grid builds its nodes `x` and
-weights `qw` on first use; `nodes` and `weights` give any block of them.
+usual half-weight trapezoid ends.  A compact grid is a finite window of
+the real line whose runs `check_escape` stops before anything reaches
+its ends, so its stencils never need a closure there: they step it as a
+ring of its N nodes, as they step a periodic grid.  A grid builds its
+nodes `x` and weights `qw` on first use; `nodes` and `weights` give any
+block of them.
 
-Every stencil is one engine: `ghost_pad` pads a periodic field with wrap
-cells (a compact field is its own pad), `correlate` applies a kernel
-to the pad with `np.correlate`, and `unpad` trims a wider pad to the
-cells a stencil has left.  `d_dx` and `fourth_difference` lift it to
-(N, k) fields one column at a time.
+Every stencil is one engine: `ghost_pad` pads a field with wrap cells,
+`correlate` applies a kernel to the pad with `np.correlate`, and `unpad`
+trims a wider pad to the cells a stencil has left.  `d_dx` and
+`fourth_difference` lift it to (N, k) fields one column at a time.
 """
 
 import math
@@ -29,6 +31,15 @@ _BCS = ("periodic", "compact_support")
 
 @dataclass(frozen=True)
 class Grid1D:
+    """N nodes on [-L, L]: `bc` "periodic" leaves out x = L, and
+    "compact_support" keeps it, with half-weight trapezoid ends.
+
+    The stencils read both as a ring of their N nodes.  `bc` decides the
+    nodes and dx, the quadrature's end weights (`gram`'s end columns too),
+    whether `check_escape` watches the ends, the heat solve's Dirichlet
+    branch and which grids `check_ckn` takes.
+    """
+
     L: float
     N: int
     bc: str = "periodic"
@@ -105,90 +116,47 @@ FOURTH_DIFFERENCE = np.array([1.0, -4.0, 6.0, -4.0, 1.0])
 GHOSTS = 2
 
 
-def _one_sided_ends(f, out, scale):
-    """Second-order one-sided end rows of scale * (f[i+1] - f[i-1]) on a compact grid."""
-    out[0] = scale * (-3.0 * f[0] + 4.0 * f[1] - f[2])
-    out[-1] = scale * (3.0 * f[-1] - 4.0 * f[-2] + f[-3])
-
-
-def ghost_pad(grid, f, g=GHOSTS):
-    """f with g wrap cells per end of its last axis on a periodic grid, else f itself."""
+def ghost_pad(f, g=GHOSTS):
+    """f with g wrap cells per end of its last axis."""
     f = np.asarray(f, dtype=float)
-    if grid.periodic:
-        return np.concatenate((f[..., -g:], f, f[..., :g]), axis=-1)
-    return f
+    return np.concatenate((f[..., -g:], f, f[..., :g]), axis=-1)
 
 
-def unpad(grid, f, g):
-    """f without g cells at each end of its last axis on a periodic grid, else
-    f itself: the cells of a `ghost_pad` of f that a stage has not used up."""
-    return f[..., g:f.shape[-1] - g] if grid.periodic else f
+def unpad(f, g):
+    """f without g cells at each end of its last axis: the cells of a
+    `ghost_pad` of f that a stage has not used up."""
+    return f[..., g:f.shape[-1] - g]
 
 
-def correlate(grid, pad, kernel):
-    """sum_j kernel[j] f[i + j - h], h = len(kernel) // 2, of the field padded by
-    `ghost_pad`; compact grids leave the h end rows zero."""
+def correlate(pad, kernel):
+    """sum_j kernel[j] f[i + j - h], h = len(kernel) // 2, of the field padded
+    by `ghost_pad`: GHOSTS cells shorter at each end than the pad."""
     h = len(kernel) // 2
-    if grid.periodic:
-        return np.correlate(pad[GHOSTS - h:len(pad) - GHOSTS + h], kernel)
-    out = np.correlate(pad, kernel, "same")
-    out[:h] = 0.0
-    out[-h:] = 0.0
-    return out
+    return np.correlate(pad[GHOSTS - h:len(pad) - GHOSTS + h], kernel)
 
 
-def derivative(grid, pad, kernel):
-    """`correlate` with the kernel s * CENTERED, one-sided at compact ends: s (f[i+1] - f[i-1])."""
-    out = correlate(grid, pad, kernel)
-    if not grid.periodic:
-        _one_sided_ends(pad, out, kernel[2])
-    return out
-
-
-def floored_derivative(grid, pad, kernel, s, c):
-    """`correlate` with the five-tap kernel c * (0, 0, 1, 0, 0) + s * (0, -1, 0, 1, 0)
-    minus a floor.
-
-    A periodic pad may be wider than GHOSTS: the result is two cells shorter
-    at each end than the pad.  Compact grids leave the floor off their two end
-    rows on each side: rows 1 and N-2 take c f[i] + s (f[i+1] - f[i-1]), and
-    rows 0 and N-1 the same with its one-sided form.
-    """
-    out = correlate(grid, pad, kernel)
-    if not grid.periodic:
-        out[1] = s * (pad[2] - pad[0])
-        out[-2] = s * (pad[-1] - pad[-3])
-        _one_sided_ends(pad, out, s)
-        ends = [0, 1, -2, -1]
-        out[ends] += c * pad[ends]
-    return out
-
-
-def _columns(grid, f, stencil, kernel):
-    """stencil(grid, ghost_pad(grid, c), kernel) of the (N,) field f, or of
-    each column c of an (N, k) one, filled into one output."""
+def _columns(f, kernel):
+    """correlate(ghost_pad(c), kernel) of the (N,) field f, or of each
+    column c of an (N, k) one, filled into one output."""
     f = np.asarray(f, dtype=float)
     if f.ndim == 1:
-        return stencil(grid, ghost_pad(grid, f), kernel)
+        return correlate(ghost_pad(f), kernel)
     out = np.empty_like(f)
     for k in range(f.shape[1]):
-        out[:, k] = stencil(grid, ghost_pad(grid, f[:, k]), kernel)
+        out[:, k] = correlate(ghost_pad(f[:, k]), kernel)
     return out
 
 
 def d_dx(grid, f):
     """Second-order first derivative along axis 0 of (N,) or (N, k) arrays:
-    (f[i+1] - f[i-1]) / (2 dx), one-sided at compact ends."""
-    return _columns(grid, f, derivative, CENTERED / (2.0 * grid.dx))
+    (f[i+1] - f[i-1]) / (2 dx), wrapping at the grid's ends."""
+    return _columns(f, CENTERED / (2.0 * grid.dx))
 
 
 def fourth_difference(grid, f):
-    """Undivided fourth difference, the stabilization stencil.
-
-    Periodic grids wrap; compact grids apply it on interior nodes only
-    (two zero rows at each end), keeping the boundary stencils untouched.
-    """
-    return _columns(grid, f, correlate, FOURTH_DIFFERENCE)
+    """Undivided fourth difference, the stabilization stencil, wrapping at
+    the grid's ends."""
+    return _columns(f, FOURTH_DIFFERENCE)
 
 
 @dataclass(frozen=True)

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import CflViolation, SmallnessBreached, VacuumApproached, rejected
-from ..grids import (CENTERED, FOURTH_DIFFERENCE, check_escape, correlate, d_dx, derivative,
-                     escape_tol, ghost_pad, l2_norm)
+from ..grids import (CENTERED, FOURTH_DIFFERENCE, check_escape, correlate, d_dx, escape_tol,
+                     ghost_pad, l2_norm)
 from .march import CFL, CFL_MAX, check_nu, march, rk4, step_size
 from .waves import check_zero_mass
 
@@ -99,9 +99,9 @@ def simulate_euler(espec, grid, rho0, u0, T, nu=0.0, sample_stride=1,
 
     def rhs(state):
         ct, u = state
-        pc, pu = ghost_pad(grid, ct), ghost_pad(grid, u)
-        ctx = derivative(grid, pc, plus_dx)
-        ux = derivative(grid, pu, plus_dx)
+        pc, pu = ghost_pad(ct), ghost_pad(u)
+        ctx = correlate(pc, plus_dx)
+        ux = correlate(pu, plus_dx)
         # -(u ctx + half_g c ux) and its partner, bit for bit, in place
         hc = ct + c_bar
         hc *= half_g
@@ -113,8 +113,8 @@ def simulate_euler(espec, grid, rho0, u0, T, nu=0.0, sample_stride=1,
         np.multiply(hc, ctx, out=tmp)
         du -= tmp
         if nu > 0.0:
-            dct -= correlate(grid, pc, floor_kernel)
-            du -= correlate(grid, pu, floor_kernel)
+            dct -= correlate(pc, floor_kernel)
+            du -= correlate(pu, floor_kernel)
         return dct, du
 
     def step(state):

@@ -3,10 +3,12 @@
 Serves as the reference diffusive decay machine: unconditionally stable
 at dt = dx, second order, mass-conserving on periodic grids.  The
 explicit half u + (dt/2) Lap u is one `correlate` of the ghost-padded
-field with the kernel (dt / (2 dx^2)) [1, -2, 1], built once per run;
-compact grids leave its end rows at u.  The implicit operator I - (dt/2) Lap is diagonal in the discrete Fourier
-modes of the grid, with eigenvalues 1 + 2 (dt/dx^2) sin^2(pi k / M), so
-each step divides the real FFT of its right-hand side by them.  Periodic
+field with the kernel (dt / (2 dx^2)) [1, -2, 1], built once per run.
+It wraps on either grid, and compact grids overwrite its end rows with
+0.  The implicit operator I - (dt/2) Lap is diagonal in the discrete
+Fourier modes of the grid, with eigenvalues 1 + 2 (dt/dx^2)
+sin^2(pi k / M), so each step divides the real FFT of its right-hand
+side by them.  Periodic
 grids transform the right-hand side itself (M = N).  Compact grids pin
 both end values to zero and transform the odd extension of length
 M = 2 (N - 1), which is the sine transform of the interior.
@@ -36,7 +38,7 @@ def heat_solve(grid, u0, T, sample_stride=1, weight=None, snapshot_times=()):
     w2 = None if weight is None else weight.values(grid.x) ** 2
 
     def step(u):
-        b = u + correlate(grid, ghost_pad(grid, u), explicit)
+        b = u + correlate(ghost_pad(u), explicit)
         if grid.periodic:
             return np.fft.irfft(np.fft.rfft(b) / lam, n=M)
         b[0] = 0.0

@@ -7,10 +7,10 @@ order overall, with no time-step restriction from the damping strength.
 `reference_step` writes it out on an (N, n) state with the undamped
 components first; its right-hand side is d_dx(U) @ -A^T.
 
-That step is one linear, translation-invariant map, so `compile_step`
-reads it once per (sim, dt) off the reference step's impulse responses:
-an n x n block of (2b+1)-tap kernels, b = REACH, and on compact grids
-one dense block for the b end rows at each side.  A is symmetric, so the
+That step is one linear, translation-invariant map on the ring of the
+grid's N nodes, compact grids included, so `compile_step` reads it once
+per (sim, dt) off the reference step's impulse responses: an n x n block
+of (2b+1)-tap kernels, b = REACH.  A is symmetric, so the
 advection is diagonal in A's eigenbasis and only the damping couples the
 components: the kernel factors as H P diag(r) P^-1 H, H = exp(-B dt/2)
 and r[i] the scalar RK4 kernel of the characteristic speed w[i], read
@@ -84,29 +84,22 @@ def reference_step(U, sim, dt, half):
     return rk4(lambda V: (advection_rhs(sim, V[0]),), (U @ half,), dt)[0] @ half
 
 
-def _responses(sim, dt, half, j, q, period):
-    """The reference step of unit impulses in component j at rows q, q + period, ..."""
+def _responses(sim, dt, half, j, period):
+    """The reference step of unit impulses in component j at rows 0, period, ..."""
     U = np.zeros((sim.grid.N, sim.spec.n))
-    U[q::period, j] = 1.0
+    U[::period, j] = 1.0
     return reference_step(U, sim, dt, half)
 
 
-def _reads(grid, q, period, b):
-    """(k, hit) per row i for impulses at rows m = q (mod period).
+def _reads(grid, period, b):
+    """(k, hit) per row i for impulses at rows m = 0 (mod period).
 
-    Row i reads rows i - b..i + b, or rows 0..2b-1 (N-2b..N-1) if it is
-    one of the b end rows of a compact grid.  hit[i] says whether an
-    impulse lies in that window, k[i] = m - i for the one that does: the
-    period exceeds every window.
+    Row i reads rows i - b..i + b of the ring, and grid.N is a multiple of
+    the period.  hit[i] says whether an impulse lies in that window, k[i] =
+    m - i for the one that does: the period exceeds the window.
     """
-    i = np.arange(grid.N)
-    if grid.periodic:  # grid.N is a multiple of the period
-        k = (q - i + period // 2) % period - period // 2
-        return k, np.abs(k) <= b
-    lo = np.clip(i - b, 0, grid.N - 2 * b)
-    end = (i < b) | (i >= grid.N - b)
-    m = lo + (q - lo) % period
-    return m - i, m < lo + np.where(end, 2 * b, 2 * b + 1)
+    k = (period // 2 - np.arange(grid.N)) % period - period // 2
+    return k, np.abs(k) <= b
 
 
 def _check_band(R, hit, where):
@@ -116,7 +109,7 @@ def _check_band(R, hit, where):
 
 def _check_kernel(R, kernel, where):
     if not np.array_equal(R, kernel):
-        raise AssertionError(f"{where}: an interior row differs from the kernel")
+        raise AssertionError(f"{where}: a row differs from the kernel")
 
 
 def _kernel_grid(sim, b):
@@ -135,7 +128,7 @@ def _taps(small, R, b, where):
     """(..., 2b+1) taps of each column of R, the response to impulses at
     rows 0 and `period` of `_kernel_grid`: tap b + k is what row i + k adds
     to row i.  Both impulses must give the same taps."""
-    k, hit = _reads(small, 0, small.N // 2, b)
+    k, hit = _reads(small, small.N // 2, b)
     _check_band(R, hit, where)
     taps = np.zeros(R.shape[1:] + (2 * b + 1,))
     taps[..., b + k[hit]] = R[hit].T
@@ -149,7 +142,7 @@ def _kernels(small, sim, dt, half, b):
     small_sim = replace(sim, grid=small)
     K = np.zeros((sim.spec.n, sim.spec.n, 2 * b + 1))
     for j in range(sim.spec.n):
-        K[:, j] = _taps(small, _responses(small_sim, dt, half, j, 0, small.N // 2), b,
+        K[:, j] = _taps(small, _responses(small_sim, dt, half, j, small.N // 2), b,
                         "kernel")
     return K
 
@@ -176,33 +169,6 @@ def _check_factors(M1, r, M2, K):
         raise AssertionError(f"factorization: M1 diag(r) M2 misses the kernel by {err:.3e}")
 
 
-def _end_blocks(sim, dt, half, b, K):
-    """The (n b, 2 n b) blocks of the b end rows at each side of a compact grid.
-
-    Row c b + i of the left block holds what rows 0..2b-1 of each
-    component add to row i of component c, component-major; the right
-    block does the same for the last b rows.  Every interior response
-    must equal the kernel bit for bit.
-    """
-    n, N = sim.spec.n, sim.grid.N
-    left, right = np.zeros((n, b, n, 2 * b)), np.zeros((n, b, n, 2 * b))
-    period = 2 * b + 2
-    for q in range(period):
-        k, hit = _reads(sim.grid, q, period, b)
-        rows = np.flatnonzero(hit)
-        inner = (rows >= b) & (rows < N - b)
-        for j in range(n):
-            R = _responses(sim, dt, half, j, q, period)
-            _check_band(R, hit, "end blocks")
-            _check_kernel(R[rows[inner]], K[:, j, b + k[rows[inner]]].T, "end blocks")
-            for i in rows[~inner]:
-                if i < b:
-                    left[:, i, j, i + k[i]] = R[i]
-                else:
-                    right[:, i - (N - b), j, i + k[i] - (N - 2 * b)] = R[i]
-    return left.reshape(n * b, 2 * n * b), right.reshape(n * b, 2 * n * b)
-
-
 def compile_step(sim, dt):
     """The reference step of size dt as a map of C-contiguous (n, N) rows.
 
@@ -210,48 +176,39 @@ def compile_step(sim, dt):
     H = exp(-B dt/2), the step's kernel is
     K = M1 diag(r) M2, M1 = H P and M2 = P^-1 H: RK4 transports each
     characteristic variable on its own, with the scalar kernel r[i] of
-    speed w[i].  A step mixes V into Z = M2 V, pads Z once, makes n
-    `np.correlate` calls and mixes back with M1; compact grids keep the
-    end blocks, applied to V.  P^-1 is P^T after one Newton step,
-    P^T (2I - P P^T): P P^T misses I by an ulp, which the mass mode
-    would compound step by step, and no run then maps LAPACK's LU code.
+    speed w[i].  A step mixes V into Z = M2 V, pads Z once with wrap cells,
+    makes n `np.correlate` calls and mixes back with M1, on either grid.
+    P^-1 is P^T after one Newton step, P^T (2I - P P^T): P P^T misses I by
+    an ulp, which the mass mode would compound step by step, and no run
+    then maps LAPACK's LU code.
 
-    Every kernel and end block is an impulse response of `reference_step`
-    or of `rk4` on `d_dx`; building them asserts that each response
-    outside the band is exactly 0, each interior row equals the kernel
-    bit for bit, and M1 diag(r) M2 is K to n 5e-16 max|K|.  Raises
-    CflViolation when dt exceeds the advective limit.
+    Every kernel is an impulse response of `reference_step` or of `rk4` on
+    `d_dx`; building them asserts that each response outside the band is
+    exactly 0, each row inside it equals the kernel bit for bit, and
+    M1 diag(r) M2 is K to n 5e-16 max|K|.  Raises CflViolation when dt
+    exceeds the advective limit.
     """
     if dt > sim.dt * (1.0 + 1e-12):
         raise CflViolation(f"dt {dt:.3e} exceeds the advective limit {sim.dt:.3e}")
     half = damping_half_step(sim.spec, dt)
-    b, n, N, periodic = REACH, sim.spec.n, sim.grid.N, sim.grid.periodic
+    b, n, N = REACH, sim.spec.n, sim.grid.N
     small = _kernel_grid(sim, b)
     K = _kernels(small, sim, dt, half, b)
     w, P = jacobi_eigensystem(-sim.advection)
     r = _speed_kernels(small, dt, w, b)
     M1, M2 = half.T @ P, P.T @ (2.0 * np.eye(n) - P @ P.T) @ half.T
     _check_factors(M1, r, M2, K)
-    ends = None if periodic else _end_blocks(sim, dt, half, b, K)
-    width = N if periodic else N - 2 * b
 
     def step(V):
-        out = np.empty_like(V)
-        # Z = M2 V, with b wrap cells per end on a periodic grid; row i then
-        # holds its correlation with r[i] in its first `width` cells.
-        pad = np.empty((n, N + 2 * b if periodic else N))
-        np.matmul(M2, V, out=pad[:, b:N + b] if periodic else pad)
-        if periodic:
-            pad[:, :b] = pad[:, N:N + b]
-            pad[:, N + b:] = pad[:, b:2 * b]
-        else:
-            out[:, :b] = (ends[0] @ V[:, :2 * b].reshape(-1)).reshape(n, b)
-            out[:, N - b:] = (ends[1] @ V[:, N - 2 * b:].reshape(-1)).reshape(n, b)
-        if width:  # a compact grid of 2b rows is all ends
-            for i in range(n):
-                pad[i, :width] = np.correlate(pad[i], r[i])
-            np.matmul(M1, pad[:, :width], out=out if periodic else out[:, b:N - b])
-        return out
+        # Z = M2 V with b wrap cells per end: row i then holds its
+        # correlation with r[i] in its first N cells.
+        pad = np.empty((n, N + 2 * b))
+        np.matmul(M2, V, out=pad[:, b:N + b])
+        pad[:, :b] = pad[:, N:N + b]
+        pad[:, N + b:] = pad[:, b:2 * b]
+        for i in range(n):
+            pad[i, :N] = np.correlate(pad[i], r[i])
+        return M1 @ pad[:, :N]
 
     return step
 

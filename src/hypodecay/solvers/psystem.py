@@ -32,8 +32,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import RBandViolation
-from ..grids import (CENTERED, FOURTH_DIFFERENCE, GHOSTS, check_escape, d_dx, escape_tol,
-                     floored_derivative, ghost_pad, unpad)
+from ..grids import (CENTERED, FOURTH_DIFFERENCE, GHOSTS, check_escape, correlate, d_dx,
+                     escape_tol, ghost_pad, unpad)
 from .march import CFL, check_nu, march, step_size
 from .waves import check_zero_mass
 
@@ -62,10 +62,9 @@ def compile_step(grid, r, nu, dt):
         y4 = y + corr(y3, h K) -+ h g(y3)
         y+ = corr(y4, I/3 + (h/6) K) + (y2 + 2 y3 - y)/3 -+ (h/6) g(y4)
 
-    A periodic field is padded once per step with 4 * GHOSTS wrap cells, and
-    each stage's valid correlation is GHOSTS cells shorter at each end than
-    the last.  A compact field is its own pad, and every stage keeps its N
-    rows, the end rows in `floored_derivative`'s forms.
+    A field is padded once per step with 4 * GHOSTS wrap cells, on either
+    grid, and each stage's valid correlation is GHOSTS cells shorter at each
+    end than the last.
     """
     half = 1.0 / (2.0 * grid.dx)
     d_kernel = half * np.pad(CENTERED, 1)
@@ -78,38 +77,38 @@ def compile_step(grid, r, nu, dt):
         kp[2] += c
         km[2] += c
         # w g(u) = |v|^(r-1) v with v = u w^(1/r): the weight rides in u's scale pass
-        stages.append((kp, km, -w * half, w * half, c, 0.5 * w ** (1.0 / r)))
+        stages.append((kp, km, 0.5 * w ** (1.0 / r)))
 
     def stage(y, weights):
-        """corr(y, kernel) -+ w g(y), GHOSTS cells shorter at each periodic end."""
-        kp, km, sp, sm, c, scale = weights
+        """corr(y, kernel) -+ w g(y), GHOSTS cells shorter at each end."""
+        kp, km, scale = weights
         p, m = y
-        v = unpad(grid, p, GHOSTS) - unpad(grid, m, GHOSTS)
+        v = unpad(p, GHOSTS) - unpad(m, GHOSTS)
         v *= scale
         g = np.abs(v)
         if r != 2.0:  # pow(x, 1.0) is x: skip a full pass
             g **= r - 1.0
         g *= v
-        dp = floored_derivative(grid, p, kp, sp, c)
-        dm = floored_derivative(grid, m, km, sm, c)
+        dp = correlate(p, kp)
+        dm = correlate(m, km)
         dp -= g
         dm += g
         return dp, dm
 
     def step(state):
-        y = [ghost_pad(grid, f, 4 * GHOSTS) for f in state]
+        y = [ghost_pad(f, 4 * GHOSTS) for f in state]
         y2 = stage(y, stages[0])
         y3 = stage(y2, stages[1])
         for f3, f in zip(y3, y):
-            f3 += unpad(grid, f, 2 * GHOSTS)
+            f3 += unpad(f, 2 * GHOSTS)
         y4 = stage(y3, stages[2])
         for f4, f in zip(y4, y):
-            f4 += unpad(grid, f, 3 * GHOSTS)
+            f4 += unpad(f, 3 * GHOSTS)
         out = stage(y4, stages[3])
         for f_out, f2, f3, f in zip(out, y2, y3, y):
-            rest = 2.0 * unpad(grid, f3, 2 * GHOSTS)
-            rest += unpad(grid, f2, 3 * GHOSTS)
-            rest -= unpad(grid, f, 4 * GHOSTS)
+            rest = 2.0 * unpad(f3, 2 * GHOSTS)
+            rest += unpad(f2, 3 * GHOSTS)
+            rest -= unpad(f, 4 * GHOSTS)
             rest *= 1.0 / 3.0  # a multiply: a divide pass costs about four
             f_out += rest
         return out

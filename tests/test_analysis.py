@@ -30,7 +30,7 @@ from hypodecay.errors import (
     NonpositiveValues,
     WindowTooSmall,
 )
-from hypodecay.grids import Grid1D, d_dx
+from hypodecay.grids import Grid1D
 
 
 def _series(t, **channels):
@@ -228,13 +228,17 @@ def test_ckn_inequality_for_bumps(mu, width, center):
 
 
 def _ckn_one_pass(grid, h, mu):
-    """The quadratures over the whole grid at once: qw . (w h^2), qw . (|x|^2mu h'^2)."""
+    """The quadratures over the whole grid at once: qw . (w h^2), qw . (|x|^2mu h'^2),
+    h' centred inside and second-order one-sided at the two ends."""
     ax = np.abs(grid.x)
     with np.errstate(divide="ignore"):
         wl = ax ** (2.0 * (mu - 1.0))
     if mu < 1.0:
         wl[ax == 0.0] = 0.0
-    dh = d_dx(grid, h)
+    dh = np.empty_like(h)
+    dh[1:-1] = (h[2:] - h[:-2]) / (2.0 * grid.dx)
+    dh[0] = (-3.0 * h[0] + 4.0 * h[1] - h[2]) / (2.0 * grid.dx)
+    dh[-1] = (3.0 * h[-1] - 4.0 * h[-2] + h[-3]) / (2.0 * grid.dx)
     return grid.qw @ (wl * h * h), grid.qw @ (ax ** (2.0 * mu) * dh * dh)
 
 
@@ -258,6 +262,19 @@ def test_ckn_blocks_match_one_block(mu, block, monkeypatch):
     out = check_ckn(grid, field, mu)
     for key in ("lhs", "rhs", "ratio"):
         assert out[key] == pytest.approx(whole[key], rel=1e-13, abs=0.0), key
+
+
+@pytest.mark.parametrize("block", [4096, 16, 3])
+def test_ckn_one_sided_ends_exact_for_quadratics(block, monkeypatch):
+    """The derivative in the rhs is exact for a quadratic at every node, the
+    grid's ends included, where its one-sided rows read no node past +-L:
+    h = x^2 has h' = 2x there, not a difference across the window."""
+    grid = Grid1D(L=5.0, N=64, bc="compact_support")
+    monkeypatch.setattr(analysis, "CKN_BLOCK", block)
+    mu = 1.0
+    out = check_ckn(grid, lambda x: x**2, mu)
+    want = grid.qw @ (np.abs(grid.x) ** (2.0 * mu) * (2.0 * grid.x) ** 2)
+    assert out["rhs"] == pytest.approx(2.0 / (2.0 * mu - 1.0) * np.sqrt(want), rel=1e-12)
 
 
 def test_ckn_evaluates_a_field_function_block_by_block(monkeypatch):

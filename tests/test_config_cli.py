@@ -1515,12 +1515,9 @@ def small_linear_docs(draw):
     }
 
 
-@settings(max_examples=150, deadline=None)
-@given(doc=small_linear_docs())
-def test_cli_runs_small_linear_documents_to_a_documented_exit(doc):
-    """Every small linear document exits 0, 2, 3 or 4; an exit of 3 is a
-    numerical failure, never an internal error such as a tripped build
-    check of the compiled step; and exits 2 and 3 leave nothing on disk."""
+def _cli_run_doc(doc):
+    """(exit code, stderr) of `run --config` on doc, asserting that the code
+    is documented and that exits 2 and 3 leave no output directory."""
     with tempfile.TemporaryDirectory() as tmp:
         path, out = Path(tmp) / "doc.json", Path(tmp) / "o"
         path.write_text(json.dumps(doc))
@@ -1529,11 +1526,77 @@ def test_cli_runs_small_linear_documents_to_a_documented_exit(doc):
             code = main(["run", "--config", str(path), "--out", str(out)])
         err = err.getvalue()
         assert code in (0, 2, 3, 4), err
-        assert "internal error" not in err, err
-        if code == 3:
-            assert "numerical failure: " in err, err
         if code in (2, 3):
             assert not out.exists(), err
+    return code, err
+
+
+@settings(max_examples=150, deadline=None)
+@given(doc=small_linear_docs())
+def test_cli_runs_small_linear_documents_to_a_documented_exit(doc):
+    """Every small linear document exits 0, 2, 3 or 4; an exit of 3 is a
+    numerical failure, never an internal error such as a tripped build
+    check of the compiled step; and exits 2 and 3 leave nothing on disk."""
+    code, err = _cli_run_doc(doc)
+    assert "internal error" not in err, err
+    if code == 3:
+        assert "numerical failure: " in err, err
+
+
+FIELD_SCENARIOS = {kind: [f"fuzz_{kind}"] + [name for name in EXPECTED_SCENARIOS
+                                             if scenario_doc(name)["system"]["kind"] == kind]
+                   for kind in ("euler", "psystem")}
+FIELD_SYSTEMS = {
+    "euler": {"gamma": st.floats(1.05, 3.0), "rho_bar": st.floats(0.2, 4.0),
+              "lam": st.floats(0.05, 20.0), "smallness_cap": st.floats(0.01, 2.0)},
+    "psystem": {"r": st.floats(1.0, 3.0, exclude_min=True, exclude_max=True)},
+}
+WEIGHT_VALUES = {"mu": st.floats(0.5, 1.0), "q": st.floats(0.1, 2.0)}
+# amplitudes within 0.5, so that most Euler densities stay positive
+FIELD_DATA_VALUES = {**DATA_VALUES, "amp": st.floats(-0.5, 0.5)}
+
+
+@st.composite
+def small_field_docs(draw):
+    """An Euler or p-system document on N <= 128 nodes of either `grid.bc` up
+    to T <= 1, under its own or a registry scenario's claims, with weights
+    from its kind's roles and data drawn from the kind table."""
+    kind = draw(st.sampled_from(sorted(FIELD_SYSTEMS)))
+    system = {"kind": kind, **{k: draw(v) for k, v in FIELD_SYSTEMS[kind].items()}}
+    weights = []
+    for role, kinds in SYSTEM_KINDS[kind].roles.items():
+        if draw(st.booleans()):
+            wkind = draw(st.sampled_from(kinds))
+            weights.append({"role": role, "kind": wkind,
+                            **{f: draw(WEIGHT_VALUES[f]) for f in WEIGHT_FIELDS[role, wkind]}})
+    data = []
+    for _ in range(draw(st.integers(0, 3))):
+        dkind = draw(st.sampled_from(sorted(config.DATA_FIELDS)))
+        data.append({"kind": dkind, "component": draw(st.integers(0, 1)),
+                     **{f: draw(FIELD_DATA_VALUES[f]) for f in config.DATA_FIELDS[dkind]}})
+    T = draw(st.floats(1e-3, 1.0))
+    return {
+        "scenario": draw(st.sampled_from(FIELD_SCENARIOS[kind])),
+        "system": system,
+        "grid": {"L": draw(st.floats(10.0, 60.0)), "N": draw(st.integers(16, 128)),
+                 "bc": draw(st.sampled_from(["periodic", "compact_support"]))},
+        "time": {"T": T, "sample_stride": draw(st.integers(1, 4)),
+                 "nu": draw(st.sampled_from([0.0, 0.01, 0.1]))},
+        "data": data,
+        "weights": weights,
+        "outputs": {"snapshots": [0.0, T]},
+        "seed": draw(st.integers(0, 2**31)),
+    }
+
+
+@settings(max_examples=60, deadline=None)
+@given(doc=small_field_docs())
+def test_cli_runs_small_euler_and_psystem_documents_to_a_documented_exit(doc):
+    """Every small Euler or p-system document, stepped on a ring of its N
+    nodes on either grid, exits 0, 2, 3 or 4; exits 2 and 3 leave nothing
+    on disk; and only an exit of 3 prints a traceback."""
+    code, err = _cli_run_doc(doc)
+    assert code == 3 or "Traceback" not in err, err
 
 
 def _compact_smoke_run(tmp_path, L):

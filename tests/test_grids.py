@@ -13,7 +13,6 @@ from hypodecay.grids import (
     check_escape,
     correlate,
     d_dx,
-    derivative,
     fourth_difference,
     ghost_pad,
     gram,
@@ -112,18 +111,18 @@ def test_derivative_second_order():
     assert errs[1] / errs[2] == pytest.approx(4.0, abs=0.1)
 
 
-def test_one_sided_ends_exact_for_quadratics():
-    g = Grid1D(L=5.0, N=64, bc="compact_support")
-    assert np.abs(d_dx(g, g.x**2) - 2.0 * g.x).max() < 1e-11
-
-
 def test_fourth_difference_oracles():
     g = Grid1D(L=5.0, N=80, bc="compact_support")
     # cubic lies in the stencil kernel; quartic gives the constant 24 dx^4
     assert np.abs(fourth_difference(g, g.x**3)[2:-2]).max() < 1e-9
-    quartic = fourth_difference(g, g.x**4)
+    f = g.x**4
+    quartic = fourth_difference(g, f)
     assert quartic[2:-2] == pytest.approx(24.0 * g.dx**4, rel=1e-6)
-    assert np.all(quartic[:2] == 0.0) and np.all(quartic[-2:] == 0.0)
+    # the two end rows at each side read across x = +-L, round the ring of the N nodes
+    ends = [0, 1, -2, -1]
+    ring = np.roll(f, 2) - 4.0 * np.roll(f, 1) + 6.0 * f - 4.0 * np.roll(f, -1) + np.roll(f, -2)
+    assert quartic[ends] == pytest.approx(ring[ends], rel=1e-13)
+    assert np.all(np.abs(quartic[ends]) > 1.0)
 
 
 def test_fourth_difference_periodic_wraps():
@@ -152,70 +151,58 @@ def test_periodic_stencils_match_roll_reference(N, k):
 
     _assert_close(d_dx(g, f), (s(-1) - s(1)) / (2.0 * g.dx))
     _assert_close(fourth_difference(g, f), s(-2) - 4.0 * s(-1) + 6.0 * f - 4.0 * s(1) + s(2))
-    _assert_close(_columns(g, f, correlate, HEAT), 0.3 * (s(-1) - 2.0 * f + s(1)))
+    _assert_close(_columns(f, HEAT), 0.3 * (s(-1) - 2.0 * f + s(1)))
 
 
 @pytest.mark.parametrize("N", [16, 63])
 @pytest.mark.parametrize("k", [None, 2])
 def test_compact_stencils_match_slice_reference(N, k):
+    """A compact grid's stencils read its N nodes as a ring: slices inside,
+    and rows that reach past x = +-L take the nodes at the other end."""
     g = Grid1D(L=3.0, N=N, bc="compact_support")
     rng = np.random.default_rng(N)
     f = rng.standard_normal(N if k is None else (N, k))
     dx = g.dx
+    ring = np.concatenate((f[-2:], f, f[:2]))
 
-    d = np.empty_like(f)
-    d[1:-1] = (f[2:] - f[:-2]) / (2.0 * dx)
-    d[0] = (-3.0 * f[0] + 4.0 * f[1] - f[2]) / (2.0 * dx)
-    d[-1] = (3.0 * f[-1] - 4.0 * f[-2] + f[-3]) / (2.0 * dx)
-    _assert_close(d_dx(g, f), d)
+    _assert_close(d_dx(g, f), (ring[3:-1] - ring[1:-3]) / (2.0 * dx))
 
-    d2 = np.zeros_like(f)
-    d2[1:-1] = 0.3 * (f[2:] - 2.0 * f[1:-1] + f[:-2])
-    _assert_close(_columns(g, f, correlate, HEAT), d2)
+    _assert_close(_columns(f, HEAT), 0.3 * (ring[3:-1] - 2.0 * f + ring[1:-3]))
 
-    d4 = np.zeros_like(f)
-    d4[2:-2] = f[4:] - 4.0 * f[3:-1] + 6.0 * f[2:-2] - 4.0 * f[1:-3] + f[:-4]
-    _assert_close(fourth_difference(g, f), d4)
+    _assert_close(fourth_difference(g, f),
+                  ring[4:] - 4.0 * ring[3:-1] + 6.0 * f - 4.0 * ring[1:-3] + ring[:-4])
 
 
 @pytest.mark.parametrize("bc", ["periodic", "compact_support"])
 @pytest.mark.parametrize("N", [16, 63])
 def test_correlate_engine_matches_roll_and_slice_oracles(bc, N):
-    """One ghost pad gives both pre-scaled stencils of a field: the derivative
-    s (f[i+1] - f[i-1]) with one-sided compact ends, and the fourth difference
-    with zero compact end rows, each aligned on its centre node."""
+    """One ghost pad of a grid's N values gives both pre-scaled stencils of the
+    field: the derivative s (f[i+1] - f[i-1]) and the fourth difference, each
+    aligned on its centre node and wrapping at the ends on either grid."""
     g = Grid1D(L=3.0, N=N, bc=bc)
-    f = np.random.default_rng(N).standard_normal(N)
+    f = np.random.default_rng(N).standard_normal(g.N)
     s, c = -0.7, 0.3
-    pad = ghost_pad(g, f)
-    if g.periodic:
-        assert pad.shape == (N + 4,)
+    pad = ghost_pad(f)
+    assert pad.shape == (N + 4,)
 
-        def shift(k):
-            return np.roll(f, -k)
+    def shift(k):
+        return np.roll(f, -k)
 
-        want1 = s * (shift(1) - shift(-1))
-        want4 = c * (shift(-2) - 4.0 * shift(-1) + 6.0 * f - 4.0 * shift(1) + shift(2))
-    else:
-        assert pad is f
-        want1 = np.empty(N)
-        want1[1:-1] = s * (f[2:] - f[:-2])
-        want1[0] = s * (-3.0 * f[0] + 4.0 * f[1] - f[2])
-        want1[-1] = s * (3.0 * f[-1] - 4.0 * f[-2] + f[-3])
-        want4 = np.zeros(N)
-        want4[2:-2] = c * (f[4:] - 4.0 * f[3:-1] + 6.0 * f[2:-2] - 4.0 * f[1:-3] + f[:-4])
-    _assert_close(derivative(g, pad, s * CENTERED), want1)
-    got4 = correlate(g, pad, c * FOURTH_DIFFERENCE)
-    _assert_close(got4, want4)
-    if not g.periodic:
-        assert np.all(got4[:2] == 0.0) and np.all(got4[-2:] == 0.0)
-        assert np.all(correlate(g, pad, CENTERED)[[0, -1]] == 0.0)
-    # a unit impulse reads back the kernel, centred on the impulse
+    want1 = s * (shift(1) - shift(-1))
+    want4 = c * (shift(-2) - 4.0 * shift(-1) + 6.0 * f - 4.0 * shift(1) + shift(2))
+    _assert_close(correlate(pad, s * CENTERED), want1)
+    _assert_close(correlate(pad, c * FOURTH_DIFFERENCE), want4)
+    # a unit impulse reads back the kernel, centred on the impulse, and an
+    # impulse at the last node reaches the first two across the end
     e = np.zeros(N)
     e[5] = 1.0
-    assert np.array_equal(correlate(g, ghost_pad(g, e), FOURTH_DIFFERENCE)[3:8],
+    assert np.array_equal(correlate(ghost_pad(e), FOURTH_DIFFERENCE)[3:8],
                           FOURTH_DIFFERENCE[::-1])
-    assert np.array_equal(correlate(g, ghost_pad(g, e), CENTERED)[4:7], CENTERED[::-1])
+    assert np.array_equal(correlate(ghost_pad(e), CENTERED)[4:7], CENTERED[::-1])
+    last = np.zeros(N)
+    last[-1] = 1.0
+    got = correlate(ghost_pad(last), FOURTH_DIFFERENCE)
+    assert np.array_equal(got[:2], FOURTH_DIFFERENCE[[1, 0]])
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
@@ -348,7 +335,7 @@ def test_d_dx_of_a_field_is_d_dx_of_each_column_bitwise(bc):
 def test_d_dx_is_the_derivative_of_the_ghost_pad_bitwise(bc):
     g = Grid1D(L=7.0, N=97, bc=bc)
     f = np.random.default_rng(1).standard_normal(97)
-    assert np.array_equal(d_dx(g, f), derivative(g, ghost_pad(g, f), CENTERED / (2.0 * g.dx)))
+    assert np.array_equal(d_dx(g, f), correlate(ghost_pad(f), CENTERED / (2.0 * g.dx)))
 
 
 @pytest.mark.parametrize("bc", ["periodic", "compact_support"])
@@ -382,11 +369,9 @@ def test_grid_keeps_abs_x_and_the_origin_node():
 def test_ghost_pad_pads_the_last_axis(bc):
     g = Grid1D(L=7.0, N=40, bc=bc)
     rows = np.random.default_rng(6).standard_normal((3, 40))
-    pad = ghost_pad(g, rows, 4)
-    if not g.periodic:
-        assert pad is rows
-        return
+    assert rows.shape[-1] == g.N
+    pad = ghost_pad(rows, 4)
     assert pad.shape == (3, 48) and pad.flags.c_contiguous
     for r, p in zip(rows, pad):
         assert np.array_equal(p, np.concatenate((r[-4:], r, r[:4])))
-    assert np.array_equal(ghost_pad(g, rows[0]), pad[0, 2:-2])
+    assert np.array_equal(ghost_pad(rows[0]), pad[0, 2:-2])

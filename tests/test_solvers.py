@@ -21,7 +21,7 @@ from hypodecay.errors import (
 )
 from hypodecay.corrector import select_coefficients
 from hypodecay.grids import (CENTERED, FOURTH_DIFFERENCE, Grid1D, WeightSpec, correlate, d_dx,
-                             derivative, ghost_pad, inner, l2_norm)
+                             ghost_pad, inner, l2_norm)
 from hypodecay.linalg import SystemSpec, expm_sym
 from hypodecay.solvers import euler as euler_module
 from hypodecay.solvers import heat as heat_module
@@ -379,9 +379,9 @@ def test_psystem_damping_at_r2_skips_the_unit_power_bitwise():
 def test_psystem_invariant_steps_match_the_rho_u_scheme(bc, r, nu):
     """Stepping p = rho + u and m = rho - u is the RK4 scheme of the (rho, u)
     right-hand side up to roundoff.  The data put tails of about 1e-11 on the end
-    rows of a compact grid, where the combined kernels need their D-only and
-    one-sided rows; p's tail sits on the left and m's on the right, so both
-    flow inward and the run never escapes."""
+    rows of a compact grid, which both schemes step as a ring of its nodes;
+    p's tail sits on the left and m's on the right, so both flow inward and
+    the run never escapes."""
     grid = Grid1D(L=10.0, N=256, bc=bc)
     p0 = np.exp(-(((grid.x + 4.0) / 1.19) ** 2))
     m0 = -0.5 * np.exp(-(((grid.x - 4.0) / 1.19) ** 2))
@@ -392,10 +392,9 @@ def test_psystem_invariant_steps_match_the_rho_u_scheme(bc, r, nu):
 
     def rhs(state):
         rho, u = state
-        pr, pu = ghost_pad(grid, rho), ghost_pad(grid, u)
-        drho = derivative(grid, pu, minus_dx) - correlate(grid, pr, floor)
-        du = (derivative(grid, pr, minus_dx) - np.abs(u) ** (r - 1.0) * u
-              - correlate(grid, pu, floor))
+        pr, pu = ghost_pad(rho), ghost_pad(u)
+        drho = correlate(pu, minus_dx) - correlate(pr, floor)
+        du = correlate(pr, minus_dx) - np.abs(u) ** (r - 1.0) * u - correlate(pu, floor)
         return drho, du
 
     nsteps, dt = step_size(T, 0.4 * grid.dx, grid.N)
@@ -428,11 +427,11 @@ def test_euler_in_place_rhs_is_the_plain_grouping_bitwise(bc):
 
     def rhs(state):
         ct, u = state
-        pc, pu = ghost_pad(grid, ct), ghost_pad(grid, u)
-        ctx, ux = derivative(grid, pc, plus_dx), derivative(grid, pu, plus_dx)
+        pc, pu = ghost_pad(ct), ghost_pad(u)
+        ctx, ux = correlate(pc, plus_dx), correlate(pu, plus_dx)
         c = ct + c_bar
-        return (-(u * ctx + half_g * c * ux) - correlate(grid, pc, floor),
-                -(u * ux + half_g * c * ctx) - correlate(grid, pu, floor))
+        return (-(u * ctx + half_g * c * ux) - correlate(pc, floor),
+                -(u * ux + half_g * c * ctx) - correlate(pu, floor))
 
     def step(state):
         ct, u = rk4(rhs, (state[0], state[1] * decay), dt)
@@ -644,13 +643,10 @@ EDGE_SPECS = {
 def test_compiled_step_matches_transposed_views(monkeypatch, shape, bc):
     """One compiled step within the operand bound of the reference written
     with `@ M.T`, made with one `np.correlate` call per characteristic
-    variable: n, not the n^2 of a kernel per pair of components.  On a
-    periodic grid the step is a contraction (||G|| = 1), so 20 steps stay
-    within 20 times that bound of 20 reference steps.  On a compact grid
-    ||G|| reaches about 2 and ||G^20|| a few hundred, so each of the 20
-    steps is checked against the reference from the same state.  The
-    random data fill the compact grid's end rows, so the end blocks are
-    read."""
+    variable: n, not the n^2 of a kernel per pair of components.  The step
+    is a contraction (||G|| = 1) on either grid, so 20 steps stay within 20
+    times that bound of 20 reference steps.  The random data fill the
+    compact grid's end rows, so its ring closure is read."""
     rng = np.random.default_rng(7)
     spec = EDGE_SPECS[shape] if shape in EDGE_SPECS else _random_spec(rng, *shape)
     grid = Grid1D(L=10.0, N=96, bc=bc)
@@ -669,17 +665,42 @@ def test_compiled_step_matches_transposed_views(monkeypatch, shape, bc):
         first = step(V)
     assert kernels == [(2 * REACH + 1,)] * spec.n
     _assert_roundoff_close(first.T, _transposed_view_step(U, sim, sim.dt))
-    if grid.periodic:
-        want = U
-        for _ in range(20):
-            V = step(V)
-            want = _transposed_view_step(want, sim, sim.dt)
-        assert np.abs(V.T - want).max() <= 20 * 1e-15 * np.abs(want).max()
-    else:
-        for _ in range(20):
-            want = _transposed_view_step(V.T, sim, sim.dt)
-            V = step(V)
-            _assert_roundoff_close(V.T, want)
+    want = U
+    for _ in range(20):
+        V = step(V)
+        want = _transposed_view_step(want, sim, sim.dt)
+    assert np.abs(V.T - want).max() <= 20 * 1e-15 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("system", ["standard", "stiff"])
+def test_compact_linear_step_is_a_contraction(system):
+    """The compiled step on a compact grid, read impulse by impulse, has
+    ||G^k||_2 <= 1 + 1e-12 for every k <= 2000: the dense G and G^2000
+    directly, and every k in between by modes.  Each impulse response is
+    the one from row 0 rolled to its row, bit for bit, so G is block
+    circulant: the DFT of that response splits it into one n x n block
+    G(theta) per mode, and ||G^k||_2 is the largest ||G(theta)^k||_2."""
+    spec = REGISTRY_SYSTEMS[system]
+    sim = LinearSim(spec=spec, grid=Grid1D(L=10.0, N=96, bc="compact_support"))
+    step = compile_step(sim, sim.dt)
+    n, N = spec.n, sim.grid.N
+    G = np.empty((n, N, n, N))  # G[c, i, j, q]: row i of c after an impulse at row q of j
+    for j in range(n):
+        for q in range(N):
+            V = np.zeros((n, N))
+            V[j, q] = 1.0
+            G[:, :, j, q] = step(V)
+    dense = G.reshape(n * N, n * N)
+    for k in (1, 2000):
+        assert np.linalg.norm(np.linalg.matrix_power(dense, k), 2) <= 1.0 + 1e-12
+    for q in range(N):
+        assert np.array_equal(G[:, :, :, q], np.roll(G[:, :, :, 0], q, axis=1))
+    blocks = np.fft.fft(G[:, :, :, 0], axis=1).transpose(1, 0, 2)
+    power, worst = blocks, 0.0
+    for _ in range(2000):
+        worst = max(worst, np.linalg.norm(power, 2, axis=(1, 2)).max())
+        power = blocks @ power
+    assert worst <= 1.0 + 1e-12
 
 
 def _symbol(sim, dt, theta):
@@ -773,9 +794,9 @@ def test_psystem_kernels_keep_rk4_amplification_at_most_one(nu):
 
 @pytest.mark.parametrize("bc", ["periodic", "compact_support"])
 def test_compiled_step_build_checks_fire(monkeypatch, bc):
-    """The build refuses a response outside its band, an interior row that
-    is not the kernel, a kernel grid whose dx is not the run's, and
-    characteristic factors that miss the kernel."""
+    """The build refuses a response outside its band, a row that is not the
+    kernel, a kernel grid whose dx is not the run's, and characteristic
+    factors that miss the kernel."""
     sim = LinearSim(spec=STANDARD, grid=Grid1D(L=10.0, N=96, bc=bc))
     compile_step(sim, sim.dt)
     with monkeypatch.context() as m:  # four RK4 stages reach 4 cells, not 3
@@ -784,21 +805,16 @@ def test_compiled_step_build_checks_fire(monkeypatch, bc):
             compile_step(sim, sim.dt)
 
     rhs = linear_module.advection_rhs
-    uneven = [(None, "kernel")]  # a periodic build never steps the run's grid
-    if bc == "compact_support":
-        uneven.append((sim.grid.N, "end blocks"))
-    for rows, where in uneven:
 
-        def uneven_rhs(sim_, V):  # no longer translation invariant at row 20
-            dV = rhs(sim_, V)
-            if rows in (None, len(V)):
-                dV[20] *= 1.0 + 2.0**-40
-            return dV
+    def uneven_rhs(sim_, V):  # no longer translation invariant at row 20
+        dV = rhs(sim_, V)
+        dV[20] *= 1.0 + 2.0**-40
+        return dV
 
-        with monkeypatch.context() as m:
-            m.setattr(linear_module, "advection_rhs", uneven_rhs)
-            with pytest.raises(AssertionError, match=f"{where}: an interior row differs"):
-                compile_step(sim, sim.dt)
+    with monkeypatch.context() as m:
+        m.setattr(linear_module, "advection_rhs", uneven_rhs)
+        with pytest.raises(AssertionError, match="kernel: a row differs"):
+            compile_step(sim, sim.dt)
     with monkeypatch.context() as m:
         m.setattr(linear_module, "Grid1D", lambda L, N: Grid1D(L=1.5 * L, N=N))
         with pytest.raises(AssertionError, match="dx"):
