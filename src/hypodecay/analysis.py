@@ -192,7 +192,7 @@ def check_ckn(grid, h, mu):
     if mu <= 0.5:
         raise MuOutOfRange(f"need mu > 1/2, got {mu}")
     if grid.periodic:
-        raise ValueError("check_ckn needs a compact-support grid")
+        raise HypothesisViolated("check_ckn needs a compact-support grid")
     N = grid.N
     expo = 2.0 * (mu - 1.0)
     s = 1.0 / (2.0 * grid.dx)

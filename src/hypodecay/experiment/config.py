@@ -85,7 +85,9 @@ KEYS = {
     "lam": (float, (">", 0)),
     "smallness_cap": (float, (">", 0)),
     "r": (float,),
-    "L": (float, (">", 0)),
+    # 2500 times the registry's largest domain: past some 1e154, dx**2 and
+    # x**2 overflow, and at 1e308 dx itself, before any guard can refuse the run
+    "L": (float, (">", 0), ("<=", 1e6)),
     # 128 times the registry's largest grid, bounded before any field is built
     "N": (int, (">=", 16), ("<=", 2**20)),
     "bc": (("periodic", "compact_support"),),

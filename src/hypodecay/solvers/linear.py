@@ -8,23 +8,22 @@ order overall, with no time-step restriction from the damping strength.
 components first; its right-hand side is d_dx(U) @ -A^T.
 
 That step is one linear, translation-invariant map on the ring of the
-grid's N nodes, compact grids included, so `compile_step` reads it once
-per (sim, dt) off the reference step's impulse responses: an n x n block
-of (2b+1)-tap kernels, b = REACH.  A is symmetric, so the
-advection is diagonal in A's eigenbasis and only the damping couples the
-components: the kernel factors as H P diag(r) P^-1 H, H = exp(-B dt/2)
-and r[i] the scalar RK4 kernel of the characteristic speed w[i], read
-off `rk4` on `d_dx`.  No coefficient is derived by hand.  The scheme has no
-fourth-difference floor: it would damp u1 too, which decays only through
-its coupling to the damped components.  `simulate_linear` carries the
-state as C-contiguous (n, N) rows and steps it with two n x n mixes and
-n `np.correlate` calls after one ghost pad.  Its `record` reads U as the
-free `.T` view and fills one preallocated stack of rows [U; d_x U; W],
-W (the antiderivative of U1) only under a wave monitor.  Every quadratic
-channel, the Lyapunov functional and the wave pair included, is a
-contraction of that stack's one quadrature Gram, read as Python floats,
-plus one weighted Gram per wave weight that is not a constant
-(`waves.power_wave_record`).
+grid's N nodes, compact grids included.  A is symmetric, so the advection
+is diagonal in A's eigenbasis and only the damping couples the
+components: `compile_step` builds the step once per (sim, dt) as
+H P diag(r) P^-1 H, H = exp(-B dt/2) and r[i] the (2b+1)-tap RK4 kernel
+of the characteristic speed w[i], b = REACH, read off `rk4` on `d_dx`.
+No coefficient is derived by hand, and the build checks the step against
+`reference_step`.  The scheme has no fourth-difference floor: it would
+damp u1 too, which decays only through its coupling to the damped
+components.  `simulate_linear` carries the state as C-contiguous (n, N)
+rows and steps it with two n x n mixes and n `np.correlate` calls after
+one ghost pad.  Its `record` reads U as the free `.T` view and fills one
+preallocated stack of rows [U; d_x U; W], W (the antiderivative of U1)
+only under a wave monitor.  Every quadratic channel, the Lyapunov
+functional and the wave pair included, is a contraction of that stack's
+one quadrature Gram, read as Python floats, plus one weighted Gram per
+wave weight that is not a constant (`waves.power_wave_record`).
 """
 
 import math
@@ -84,39 +83,10 @@ def reference_step(U, sim, dt, half):
     return rk4(lambda V: (advection_rhs(sim, V[0]),), (U @ half,), dt)[0] @ half
 
 
-def _responses(sim, dt, half, j, period):
-    """The reference step of unit impulses in component j at rows 0, period, ..."""
-    U = np.zeros((sim.grid.N, sim.spec.n))
-    U[::period, j] = 1.0
-    return reference_step(U, sim, dt, half)
-
-
-def _reads(grid, period, b):
-    """(k, hit) per row i for impulses at rows m = 0 (mod period).
-
-    Row i reads rows i - b..i + b of the ring, and grid.N is a multiple of
-    the period.  hit[i] says whether an impulse lies in that window, k[i] =
-    m - i for the one that does: the period exceeds the window.
-    """
-    k = (period // 2 - np.arange(grid.N)) % period - period // 2
-    return k, np.abs(k) <= b
-
-
-def _check_band(R, hit, where):
-    if R[~hit].any():
-        raise AssertionError(f"{where}: a response outside the band is not 0")
-
-
-def _check_kernel(R, kernel, where):
-    if not np.array_equal(R, kernel):
-        raise AssertionError(f"{where}: a row differs from the kernel")
-
-
 def _kernel_grid(sim, b):
-    """The periodic grid the kernels are read on: two periods, impulses at
-    rows 0 and `period`.  The period is a power of two, so the grid's
-    dx = 2 (period dx) / (2 period) is the run's exactly, and it exceeds
-    2b + 1, so some rows lie outside both bands."""
+    """The periodic grid the step is checked on: two periods of a power of
+    two above 2b + 1, so its dx = 2 (period dx) / (2 period) is the run's
+    exactly and responses to impulses at rows 0 and `period` do not meet."""
     period = 1 << (2 * b + 1).bit_length()
     small = Grid1D(L=period * sim.grid.dx, N=2 * period)
     if small.dx != sim.grid.dx:
@@ -124,80 +94,19 @@ def _kernel_grid(sim, b):
     return small
 
 
-def _taps(small, R, b, where):
-    """(..., 2b+1) taps of each column of R, the response to impulses at
-    rows 0 and `period` of `_kernel_grid`: tap b + k is what row i + k adds
-    to row i.  Both impulses must give the same taps."""
-    k, hit = _reads(small, small.N // 2, b)
-    _check_band(R, hit, where)
-    taps = np.zeros(R.shape[1:] + (2 * b + 1,))
-    taps[..., b + k[hit]] = R[hit].T
-    _check_kernel(R[hit], taps[..., b + k[hit]].T, where)
-    return taps
-
-
-def _kernels(small, sim, dt, half, b):
-    """(n, n, 2b+1) taps: K[c, j, b + k] is what row i + k of component j
-    adds to row i of component c, read off the reference step."""
-    small_sim = replace(sim, grid=small)
-    K = np.zeros((sim.spec.n, sim.spec.n, 2 * b + 1))
-    for j in range(sim.spec.n):
-        K[:, j] = _taps(small, _responses(small_sim, dt, half, j, small.N // 2), b,
-                        "kernel")
-    return K
-
-
 def _speed_kernels(small, dt, w, b):
-    """(n, 2b+1) taps: r[i] is the RK4 step of u_t = -w[i] u_x, the
-    transport along the characteristic of speed w[i], read off `rk4` on
-    `d_dx` as `_kernels` reads K."""
+    """(n, 2b+1) taps: r[i] is the RK4 step of u_t = -w[i] u_x along the
+    characteristic of speed w[i].  Tap b + k is what row i + k adds to row
+    i, so r[i] is rows 2b..0 of the `rk4` response to an impulse at row b."""
     e = np.zeros(small.N)
-    e[::small.N // 2] = 1.0
-    return np.array([_taps(small, rk4(lambda y: (-s * d_dx(small, y[0]),), (e,), dt)[0],
-                           b, "speed kernel") for s in w])
+    e[b] = 1.0
+    return np.array([rk4(lambda y: (-s * d_dx(small, y[0]),), (e,), dt)[0][2 * b::-1]
+                     for s in w])
 
 
-def _check_factors(M1, r, M2, K):
-    """M1 diag(r) M2 must be the kernel K tap by tap, to n 5e-16 max|K|.
-
-    Both sides sum n products per tap (the mixes and the RK4 stages), so
-    their rounding grows with n: random systems measured at most 3.4e-16
-    max|K| at n = 2, 5.8e-16 at n = 5..8 and 6.7e-16 at n = 32.
-    """
-    err = np.abs(M1 @ (r.T[:, :, None] * M2) - np.moveaxis(K, -1, 0)).max()
-    if not err <= len(M1) * 5e-16 * np.abs(K).max():
-        raise AssertionError(f"factorization: M1 diag(r) M2 misses the kernel by {err:.3e}")
-
-
-def compile_step(sim, dt):
-    """The reference step of size dt as a map of C-contiguous (n, N) rows.
-
-    With A = P diag(w) P^T, the symmetric A of `LinearSim.advection`, and
-    H = exp(-B dt/2), the step's kernel is
-    K = M1 diag(r) M2, M1 = H P and M2 = P^-1 H: RK4 transports each
-    characteristic variable on its own, with the scalar kernel r[i] of
-    speed w[i].  A step mixes V into Z = M2 V, pads Z once with wrap cells,
-    makes n `np.correlate` calls and mixes back with M1, on either grid.
-    P^-1 is P^T after one Newton step, P^T (2I - P P^T): P P^T misses I by
-    an ulp, which the mass mode would compound step by step, and no run
-    then maps LAPACK's LU code.
-
-    Every kernel is an impulse response of `reference_step` or of `rk4` on
-    `d_dx`; building them asserts that each response outside the band is
-    exactly 0, each row inside it equals the kernel bit for bit, and
-    M1 diag(r) M2 is K to n 5e-16 max|K|.  Raises CflViolation when dt
-    exceeds the advective limit.
-    """
-    if dt > sim.dt * (1.0 + 1e-12):
-        raise CflViolation(f"dt {dt:.3e} exceeds the advective limit {sim.dt:.3e}")
-    half = damping_half_step(sim.spec, dt)
-    b, n, N = REACH, sim.spec.n, sim.grid.N
-    small = _kernel_grid(sim, b)
-    K = _kernels(small, sim, dt, half, b)
-    w, P = jacobi_eigensystem(-sim.advection)
-    r = _speed_kernels(small, dt, w, b)
-    M1, M2 = half.T @ P, P.T @ (2.0 * np.eye(n) - P @ P.T) @ half.T
-    _check_factors(M1, r, M2, K)
+def _factored_step(M1, r, M2, N):
+    """V -> M1 (M2 V correlated row by row with r) on (n, N) rows of a ring."""
+    n, b = len(r), len(r[0]) // 2
 
     def step(V):
         # Z = M2 V with b wrap cells per end: row i then holds its
@@ -211,6 +120,57 @@ def compile_step(sim, dt):
         return M1 @ pad[:, :N]
 
     return step
+
+
+def _check_step(sim, dt, half, step):
+    """`step` on the kernel grid `sim.grid` must be the reference step.
+
+    Per component, the reference response to impulses at rows 0 and N/2
+    must be its own roll by N/2 bit for bit, and `step` must miss it by at
+    most n 5e-16 of the largest response of any component (both sides sum
+    n products per entry; a strongly damped component's own maximum can
+    be 1e-31, or 0).
+    """
+    N, n = sim.grid.N, sim.spec.n
+    err = top = 0.0
+    for j in range(n):
+        U = np.zeros((N, n))
+        U[::N // 2, j] = 1.0
+        R = reference_step(U, sim, dt, half)
+        if not np.array_equal(R, np.roll(R, N // 2, axis=0)):
+            raise AssertionError("reference step: a response depends on the impulse's row")
+        err = max(err, np.abs(step(np.ascontiguousarray(U.T)).T - R).max())
+        top = max(top, np.abs(R).max())
+    if not err <= n * 5e-16 * top:
+        raise AssertionError(f"factored step misses the reference step by {err:.3e}")
+
+
+def compile_step(sim, dt):
+    """The reference step of size dt as a map of C-contiguous (n, N) rows.
+
+    With A = P diag(w) P^T, the symmetric A of `LinearSim.advection`, and
+    H = exp(-B dt/2), the step is M1 diag(r) M2, M1 = H P and M2 = P^-1 H:
+    RK4 transports each characteristic variable on its own, with the
+    scalar kernel r[i] of speed w[i].  A step mixes V into Z = M2 V, pads
+    Z once with wrap cells, makes n `np.correlate` calls and mixes back
+    with M1, on either grid.  P^-1 is P^T after one Newton step,
+    P^T (2I - P P^T): P P^T misses I by an ulp, which the mass mode would
+    compound step by step, and no run then maps LAPACK's LU code.
+
+    The build runs the factored step on `_kernel_grid` and asserts there
+    (`_check_step`) that it is `reference_step` to n 5e-16 of the largest
+    response, and that the reference step is translation invariant bit
+    for bit.  Raises CflViolation when dt exceeds the advective limit.
+    """
+    if dt > sim.dt * (1.0 + 1e-12):
+        raise CflViolation(f"dt {dt:.3e} exceeds the advective limit {sim.dt:.3e}")
+    half = damping_half_step(sim.spec, dt)
+    n, small = sim.spec.n, _kernel_grid(sim, REACH)
+    w, P = jacobi_eigensystem(-sim.advection)
+    r = _speed_kernels(small, dt, w, REACH)
+    M1, M2 = half.T @ P, P.T @ (2.0 * np.eye(n) - P @ P.T) @ half.T
+    _check_step(replace(sim, grid=small), dt, half, _factored_step(M1, r, M2, small.N))
+    return _factored_step(M1, r, M2, sim.grid.N)
 
 
 def _trace(G, lo, hi):

@@ -1228,13 +1228,17 @@ def test_cli_refuses_a_run_too_costly_before_its_first_step(tmp_path, capsys, se
     ("grid.N=1048577", "grid.N"),
     ("grid.N=134217728", "grid.N"),
     ("time.T.x.y=1", "time.T"),
+    ("grid.L=1000000.5", "grid.L"),
+    ("grid.L=1e160", "grid.L"),
+    ("grid.L=1e308", "grid.L"),
 ])
 def test_cli_refuses_keys_no_run_reads_and_grids_past_the_bound(tmp_path, capsys, setting,
                                                                 path):
     """The linear scheme has no floor strength, no config names its output
-    directory, a grid of more than 2^20 nodes is refused before its nodes
-    and fields are built, and an override cannot walk into a number: each
-    exits 2 at its path, at once, and writes nothing."""
+    directory, a grid of more than 2^20 nodes or a domain wider than 1e6 is
+    refused before its nodes and fields are built (dx**2 overflows at
+    L = 1e160, and dx itself at 1e308), and an override cannot walk into a
+    number: each exits 2 at its path, at once, and writes nothing."""
     out = tmp_path / "never"
     started = time.perf_counter()
     code = main(["run", "--scenario", "thm1_linear", "--set", setting, "--out", str(out)])
@@ -1599,6 +1603,47 @@ def test_cli_runs_small_euler_and_psystem_documents_to_a_documented_exit(doc):
     assert code == 3 or "Traceback" not in err, err
 
 
+@st.composite
+def small_heat_and_none_docs(draw):
+    """A heat or `none` document on N <= 128 nodes of either `grid.bc` up to
+    T <= 1, under its own or a registry scenario's claims: heat with
+    spatial weights and data in its one field, `none` with neither."""
+    kind = draw(st.sampled_from(["heat", "none"]))
+    T = draw(st.floats(1e-3, 1.0))
+    doc = {
+        "scenario": draw(st.sampled_from(
+            [f"fuzz_{kind}"] + [name for name in EXPECTED_SCENARIOS
+                                if scenario_doc(name)["system"]["kind"] == kind])),
+        "system": {"kind": kind},
+        "grid": {"L": draw(st.floats(10.0, 60.0)), "N": draw(st.integers(16, 128)),
+                 "bc": draw(st.sampled_from(["periodic", "compact_support"]))},
+        "time": {"T": T},
+        "seed": draw(st.integers(0, 2**31)),
+    }
+    if kind == "heat":
+        doc["time"]["sample_stride"] = draw(st.integers(1, 4))
+        doc["weights"] = [{"role": "spatial", "kind": wkind,
+                           **{f: draw(WEIGHT_VALUES[f]) for f in WEIGHT_FIELDS["spatial", wkind]}}
+                          for wkind in draw(st.lists(st.sampled_from(["power", "log"]),
+                                                     max_size=1))]
+        doc["data"] = [{"kind": dkind, "component": 0,
+                        **{f: draw(DATA_VALUES[f]) for f in config.DATA_FIELDS[dkind]}}
+                       for dkind in draw(st.lists(st.sampled_from(sorted(config.DATA_FIELDS)),
+                                                  max_size=3))]
+        doc["outputs"] = {"snapshots": [0.0, T]}
+    return doc
+
+
+@settings(max_examples=60, deadline=None)
+@given(doc=small_heat_and_none_docs())
+def test_cli_runs_small_heat_and_none_documents_to_a_documented_exit(doc):
+    """Every small heat or `none` document, `ckn_sweep` on a periodic grid
+    included, exits 0, 2, 3 or 4; exits 2 and 3 leave nothing on disk; and
+    only an exit of 3 prints a traceback."""
+    code, err = _cli_run_doc(doc)
+    assert code == 3 or "Traceback" not in err, err
+
+
 def _compact_smoke_run(tmp_path, L):
     doc = smoke_doc()
     doc["grid"]["bc"] = "compact_support"
@@ -1647,6 +1692,9 @@ def test_cli_rejects_data_that_reach_the_boundary_at_t0(tmp_path, capsys):
     # data so small that E1^2 underflows: no absorption rate is a double
     ("thm2_weighted", ["grid.N=256", "data.0.amp=1e-100"],
      "thm2_weighted:decay_inequality", "E1^(1 + 1/mu) underflows"),
+    # the CKN quadrature reads a compact-support grid's ends
+    ("ckn_sweep", ["grid.bc=periodic"], "ckn_sweep:random_bumps",
+     "check_ckn needs a compact-support grid"),
 ])
 def test_cli_claim_that_cannot_be_evaluated_fails_its_certificate(
         tmp_path, capsys, scenario, settings, cert_id, error):
@@ -1660,7 +1708,7 @@ def test_cli_claim_that_cannot_be_evaluated_fails_its_certificate(
     certificate = next(c for c in report["certificates"] if c["id"] == cert_id)
     assert certificate["passed"] is False
     assert error in certificate["measured"]["error"]
-    assert (out / "series.csv").exists()
+    assert (out / report["series"]).exists()
     assert "numerical failure" not in capsys.readouterr().err
 
 
