@@ -45,12 +45,13 @@ def step_size(T, dt_limit, N):
     """Fewest uniform steps reaching T with dt <= dt_limit: (nsteps, dt).
 
     Raises RunTooCostly when the run of N grid points would take more than
-    MAX_POINT_STEPS point-steps (nsteps * N), before anything is built.
+    MAX_POINT_STEPS point-steps (nsteps * N), or a count that is not a
+    number (a NaN dt_limit), before anything is built.
     """
     if not T > 0.0:
         raise ValueError("T must be positive")
     steps = T / dt_limit - 1e-12
-    if steps * N > MAX_POINT_STEPS:  # an infinite count too, before ceil meets it
+    if not steps * N <= MAX_POINT_STEPS:  # an infinite or NaN count too, before ceil
         raise RunTooCostly(f"the run needs {steps:.3g} steps x N = {N}, "
                            f"{steps * N:.3g} point-steps, over the bound of "
                            f"{MAX_POINT_STEPS:.0e}")

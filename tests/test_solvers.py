@@ -16,6 +16,7 @@ from hypodecay.errors import (
     InitialDataRejected,
     NonFiniteState,
     RBandViolation,
+    RunTooCostly,
     SmallnessBreached,
     VacuumApproached,
 )
@@ -279,6 +280,59 @@ def test_euler_step_guards():
         simulate_euler(es, grid, ones, np.zeros(128), T=1.0)
     with pytest.raises(ValueError):
         simulate_euler(es, grid, ones, np.zeros(256), T=-1.0)
+
+
+def test_euler_vacuum_guard_fires_mid_run():
+    """A velocity that pulls the gas apart at x = 0 drives the density to the
+    floor after the first step: the step's own guard raises, not the t = 0
+    check of the initial data."""
+    grid = Grid1D(L=20.0, N=256, bc="periodic")
+    u0 = 4.0 * np.tanh(2.0 * grid.x) * np.exp(-((grid.x / 8.0) ** 2))
+    with pytest.raises(VacuumApproached, match="density reached the floor 1.000e-06") as info:
+        simulate_euler(EulerSpec(lam=0.01), grid, np.ones(256), u0, T=4.0, nu=0.01,
+                       smallness_cap=1e9)
+    assert not isinstance(info.value, InitialDataRejected)
+
+
+def _euler_symbol_residual(eps):
+    """Relative L2 distance at T between a periodic Euler run from
+    rho0 = 1 + eps exp(-(x/3)^2), u0 = 0 and its scheme's linearization:
+    the Fourier symbol G(theta) = E R4(dt L(theta)) E applied n_steps times,
+    with E = diag(1, exp(-lam dt/2)) and, in (c~, u),
+    L = [[-F, -i h cbar S], [-i h cbar S, -F]], h = (gamma - 1)/2,
+    S = sin(theta)/dx, F = (nu/dx)(2 - 2 cos(theta))^2."""
+    es, nu, T = EulerSpec(gamma=2.0, lam=1.0), 0.01, 20.0
+    grid = Grid1D(L=40.0, N=512, bc="periodic")
+    rho0 = 1.0 + eps * np.exp(-((grid.x / 3.0) ** 2))
+    series, snaps = simulate_euler(es, grid, rho0, np.zeros(grid.N), T=T, nu=nu,
+                                   sample_stride=10**9, snapshot_times=(T,))
+    dt, nsteps = series.meta["dt_step"], series.meta["n_steps"]
+    n, u = snaps[T].T
+    c_bar, h, dx = es.c_bar, 0.5 * (es.gamma - 1.0), grid.dx
+    theta = 2.0 * np.pi * np.fft.fftfreq(grid.N)
+    L = np.zeros((grid.N, 2, 2), dtype=complex)
+    L[:, 0, 0] = L[:, 1, 1] = -(nu / dx) * (2.0 - 2.0 * np.cos(theta)) ** 2
+    L[:, 0, 1] = L[:, 1, 0] = -1j * h * c_bar * np.sin(theta) / dx
+    Z, I = dt * L, np.eye(2)
+    E = np.diag([1.0, np.exp(-0.5 * es.lam * dt)])
+    G = E @ (I + Z @ (I + Z @ (I / 2 + Z @ (I / 6 + Z / 24)))) @ E
+    y0 = np.stack([np.fft.fft(es.sound(rho0) - c_bar), np.zeros(grid.N)], axis=1)
+    want = np.fft.ifft(np.einsum("mij,mj->mi", np.linalg.matrix_power(G, nsteps), y0),
+                       axis=0).real
+    got = np.stack([es.sound(es.rho_bar + n) - c_bar, u], axis=1)
+    return np.linalg.norm(got - want) / np.linalg.norm(want)
+
+
+def test_small_euler_runs_are_their_fourier_symbol():
+    """At amplitude eps a periodic run is its scheme's linearization plus the
+    quadratic terms' residual, of relative order eps: doubling eps doubles
+    the residual (2.0001 measured at eps = 1e-5, the residual 1.2e-6).  A
+    wrong linear coefficient leaves a residual that does not shrink with
+    eps; at eps = 1e-5 the floor scaled by 2 gives a ratio of 1.91.  Below
+    eps = 1e-6 the roundoff, about 2e-8 of the state, takes over."""
+    r1, r2 = _euler_symbol_residual(1e-5), _euler_symbol_residual(2e-5)
+    assert r1 < 2e-6
+    assert r2 / r1 == pytest.approx(2.0, abs=0.01)
 
 
 # --- degenerate-damping wave pair -----------------------------------------
@@ -1036,6 +1090,13 @@ DRIVEN = {"linear": _linear_run, "euler": _euler_run,
           "psystem": _psystem_run, "heat": _heat_run}
 SOLVER_MODULES = {"linear": linear_module, "euler": euler_module,
                   "psystem": psystem_module, "heat": heat_module}
+
+
+def test_step_size_refuses_a_nan_count():
+    """A NaN step limit gives a NaN count, which no comparison passes: it is
+    refused at the cost bound and never reaches math.ceil."""
+    with pytest.raises(RunTooCostly):
+        step_size(1.0, float("nan"), 64)
 
 
 @pytest.mark.parametrize("name", DRIVEN)
