@@ -10,7 +10,12 @@ symmetric and keeps the quadratic coupling explicit:
 with c~ = c - cbar the deviation from the background.  Friction is
 split off and applied exactly (half-step factors exp(-lambda dt/2));
 RK4 handles the advective part.  A fourth-difference floor keeps the
-quadratic terms from ringing at the grid scale.
+quadratic terms from ringing at the grid scale.  `compile_step` builds
+the step once per run, as the p-system's is built: RK4 runs as
+`march.staged_rk4`'s four pre-weighted stages, each with one 5-tap
+kernel (identity and floor) and one derivative kernel, read from one
+wide ghost pad per field and step.  This is the plain RK4 scheme of the
+right-hand side up to roundoff.
 """
 
 import math
@@ -19,9 +24,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import CflViolation, SmallnessBreached, VacuumApproached, rejected
-from ..grids import (CENTERED, FOURTH_DIFFERENCE, check_escape, correlate, d_dx, escape_tol,
-                     ghost_pad, l2_norm)
-from .march import CFL, CFL_MAX, check_nu, march, rk4, step_size
+from ..grids import (CENTERED, FOURTH_DIFFERENCE, GHOSTS, check_escape, correlate, d_dx,
+                     escape_tol, l2_norm, unpad)
+from .march import CFL, CFL_MAX, check_nu, march, stage_weights, staged_rk4, step_size
 from .waves import check_zero_mass
 
 VACUUM_FLOOR_REL = 1e-6
@@ -60,6 +65,67 @@ class EulerSpec:
         return base ** (2.0 / (self.gamma - 1.0))
 
 
+def compile_step(grid, espec, nu, dt):
+    """The step of size h = dt of the state (c~, u), as a map of the state.
+
+    The friction half-steps u *= e, e = exp(-lam h/2), wrap RK4 on the
+    advective part.  With D the centered d/dx, F the nu/dx fourth-difference
+    floor and hc = (gamma-1)/2 (c~ + cbar), RK4 runs as `march.staged_rk4`'s
+    four pre-weighted stages.  A stage with weights (w, c) forms
+
+        c~' = corr(c~, k) + u A + hc B,   u' = corr(u, k) + u B + hc A,
+
+    with k = c I - w F, A = corr(c~, -w D) and B = corr(u, -w D), so the
+    identity and the floor ride in one 5-tap kernel at every nu.  c~ and
+    e u are padded once per step with 4 * GHOSTS wrap cells, on either grid.
+    A step whose c~ reaches the vacuum floor raises VacuumApproached before
+    its second friction half-step.
+    """
+    floor = VACUUM_FLOOR_REL * espec.rho_bar
+    half_g = 0.5 * (espec.gamma - 1.0)
+    c_bar = espec.c_bar
+    c_floor = espec.sound(floor) - c_bar
+    decay_half = math.exp(-0.5 * espec.lam * dt)
+    d_kernel = (1.0 / (2.0 * grid.dx)) * CENTERED
+    floor_kernel = (nu / grid.dx) * FOURTH_DIFFERENCE
+    stages = []
+    for w, c in stage_weights(dt):
+        k = -w * floor_kernel
+        k[2] += c
+        stages.append((k, -w * d_kernel))
+
+    def stage(y, weights):
+        """The stage's (c~', u'), GHOSTS cells shorter at each end than y."""
+        k, kd = weights
+        pc, pu = y
+        a = correlate(pc, kd)
+        b = correlate(pu, kd)
+        dc = correlate(pc, k)
+        du = correlate(pu, k)
+        u = unpad(pu, GHOSTS)
+        hc = unpad(pc, GHOSTS) + c_bar
+        hc *= half_g
+        tmp = u * a
+        dc += tmp
+        np.multiply(hc, b, out=tmp)
+        dc += tmp
+        b *= u
+        du += b
+        a *= hc
+        du += a
+        return dc, du
+
+    def step(state):
+        ct, u = state
+        ct, u = staged_rk4(stage, stages, (ct, u * decay_half))
+        if float(ct.min()) <= c_floor:
+            raise VacuumApproached(f"density reached the floor {floor:.3e}")
+        u *= decay_half
+        return ct, u
+
+    return step
+
+
 def simulate_euler(espec, grid, rho0, u0, T, nu=0.0, sample_stride=1,
                    smallness_cap=0.5, weight=None, wave=None, snapshot_times=()):
     """Integrate to T; record decay channels on the (rho - rho_bar, u) pair.
@@ -82,47 +148,15 @@ def simulate_euler(espec, grid, rho0, u0, T, nu=0.0, sample_stride=1,
     half_g = 0.5 * (espec.gamma - 1.0)
     c_bar = espec.c_bar
     ct = espec.sound(rho) - c_bar
-    c_floor = espec.sound(floor) - c_bar
 
     speed0 = float((np.abs(u) + half_g * (ct + c_bar)).max())
     speed_ref = SPEED_HEADROOM * max(speed0, half_g * c_bar)
     nsteps, dt = step_size(T, CFL * grid.dx / speed_ref, grid.N)
-    decay_half = math.exp(-0.5 * espec.lam * dt)
     dx = grid.dx
 
     if wave is not None:
         check_zero_mass(grid, rho - espec.rho_bar)
-
-    # d/dx and the nu/dx floor, pre-scaled: each field is padded once per stage
-    plus_dx = (1.0 / (2.0 * dx)) * CENTERED
-    floor_kernel = (nu / dx) * FOURTH_DIFFERENCE
-
-    def rhs(state):
-        ct, u = state
-        pc, pu = ghost_pad(ct), ghost_pad(u)
-        ctx = correlate(pc, plus_dx)
-        ux = correlate(pu, plus_dx)
-        # -(u ctx + half_g c ux) and its partner, bit for bit, in place
-        hc = ct + c_bar
-        hc *= half_g
-        dct = np.negative(u)
-        du = dct * ux
-        dct *= ctx
-        tmp = hc * ux
-        dct -= tmp
-        np.multiply(hc, ctx, out=tmp)
-        du -= tmp
-        if nu > 0.0:
-            dct -= correlate(pc, floor_kernel)
-            du -= correlate(pu, floor_kernel)
-        return dct, du
-
-    def step(state):
-        ct, u = state
-        ct, u = rk4(rhs, (ct, u * decay_half), dt)
-        if float(ct.min()) <= c_floor:
-            raise VacuumApproached(f"density reached the floor {floor:.3e}")
-        return ct, u * decay_half
+    step = compile_step(grid, espec, nu, dt)
 
     tol = escape_tol(rho - espec.rho_bar, u)
     w2 = None if weight is None else weight.values(grid.x) ** 2

@@ -33,8 +33,8 @@ import numpy as np
 
 from ..errors import RBandViolation
 from ..grids import (CENTERED, FOURTH_DIFFERENCE, GHOSTS, check_escape, correlate, d_dx,
-                     escape_tol, ghost_pad, unpad)
-from .march import CFL, check_nu, march, step_size
+                     escape_tol, unpad)
+from .march import CFL, check_nu, march, stage_weights, staged_rk4, step_size
 from .waves import check_zero_mass
 
 # The cross term's weight in the energy pair.
@@ -55,7 +55,7 @@ def compile_step(grid, r, nu, dt):
 
     With y the step's start, K each invariant's combined kernel and g(y) the
     damping |u|^(r-1) u, subtracted from p's rate and added to m's (the -+),
-    the stages are classical RK4 regrouped into four pre-weighted stencils:
+    the stages are `march.staged_rk4`'s four pre-weighted stencils:
 
         y2 = corr(y, I + (h/2) K) -+ (h/2) g(y)
         y3 = y + corr(y2, (h/2) K) -+ (h/2) g(y2)
@@ -72,7 +72,7 @@ def compile_step(grid, r, nu, dt):
     p_kernel = -d_kernel - floor_kernel
     m_kernel = d_kernel - floor_kernel
     stages = []
-    for w, c in ((0.5 * dt, 1.0), (0.5 * dt, 0.0), (dt, 0.0), (dt / 6.0, 1.0 / 3.0)):
+    for w, c in stage_weights(dt):
         kp, km = w * p_kernel, w * m_kernel
         kp[2] += c
         km[2] += c
@@ -96,22 +96,7 @@ def compile_step(grid, r, nu, dt):
         return dp, dm
 
     def step(state):
-        y = [ghost_pad(f, 4 * GHOSTS) for f in state]
-        y2 = stage(y, stages[0])
-        y3 = stage(y2, stages[1])
-        for f3, f in zip(y3, y):
-            f3 += unpad(f, 2 * GHOSTS)
-        y4 = stage(y3, stages[2])
-        for f4, f in zip(y4, y):
-            f4 += unpad(f, 3 * GHOSTS)
-        out = stage(y4, stages[3])
-        for f_out, f2, f3, f in zip(out, y2, y3, y):
-            rest = 2.0 * unpad(f3, 2 * GHOSTS)
-            rest += unpad(f2, 3 * GHOSTS)
-            rest -= unpad(f, 4 * GHOSTS)
-            rest *= 1.0 / 3.0  # a multiply: a divide pass costs about four
-            f_out += rest
-        return out
+        return staged_rk4(stage, stages, state)
 
     return step
 

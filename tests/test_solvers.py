@@ -462,15 +462,17 @@ def test_psystem_invariant_steps_match_the_rho_u_scheme(bc, r, nu):
 
 
 @pytest.mark.parametrize("bc", ["periodic", "compact_support"])
-def test_euler_in_place_rhs_is_the_plain_grouping_bitwise(bc):
-    """The in-place right-hand side forms (-u) ctx - hc ux with hc = half_g c;
-    negation is exact and rounding symmetric, so the run matches the plain
-    -(u ctx + half_g c ux) and its partner bit for bit."""
-    es = EulerSpec(gamma=1.4)  # half_g = 0.2: scaling by it rounds, unlike by 0.5
+@pytest.mark.parametrize("gamma, nu", [(1.4, 0.0), (1.4, 0.01), (2.0, 0.0), (2.0, 0.01)])
+def test_euler_staged_steps_match_the_plain_rk4_scheme(bc, gamma, nu):
+    """The compiled step's four pre-weighted stages, with the identity and the
+    floor folded into one kernel, are the plain RK4 scheme of
+    -(u ctx + half_g c ux) and its partner up to roundoff: within 1e-13 of
+    each component's largest value (1.6e-14 measured)."""
+    es = EulerSpec(gamma=gamma)  # half_g = 0.2 at 1.4: scaling by it rounds
     grid = Grid1D(L=20.0, N=128, bc=bc)
     rho0 = 1.0 + 0.05 * np.exp(-grid.x**2)
     u0 = 0.03 * grid.x * np.exp(-grid.x**2)
-    nu, T, cfl = 0.01, 0.5, 0.4
+    T, cfl = 0.5, 0.4
     half_g, c_bar = 0.5 * (es.gamma - 1.0), es.c_bar
     ct0 = es.sound(rho0) - c_bar
     speed = 1.25 * max(float((np.abs(u0) + half_g * (ct0 + c_bar)).max()), half_g * c_bar)
@@ -495,7 +497,28 @@ def test_euler_in_place_rhs_is_the_plain_grouping_bitwise(bc):
                    lambda s: np.column_stack([es.density_of_sound(s[0] + c_bar) - es.rho_bar,
                                               s[1]]), {})
     _, snaps = simulate_euler(es, grid, rho0, u0, T=T, nu=nu, snapshot_times=(T,))
-    assert snaps[T].tobytes() == ref[T].tobytes()
+    err = np.abs(snaps[T] - ref[T]).max(axis=0) / np.abs(ref[T]).max(axis=0)
+    assert np.all(err <= 1e-13), err
+
+
+def test_euler_step_pads_once_and_makes_sixteen_correlations(monkeypatch):
+    """One step pads c~ and e u once each and makes four correlations per
+    stage: the 5-tap kernel and the derivative, on each field."""
+    grid = Grid1D(L=20.0, N=128, bc="periodic")
+    es = EulerSpec()
+    step = euler_module.compile_step(grid, es, 0.01, 0.01)
+    counts = {"pad": 0, "correlate": 0}
+
+    def counted(name, fn):
+        def call(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(march_module, "ghost_pad", counted("pad", march_module.ghost_pad))
+    monkeypatch.setattr(np, "correlate", counted("correlate", np.correlate))
+    step((es.sound(1.0 + 0.01 * np.exp(-grid.x**2)) - es.c_bar, np.zeros(grid.N)))
+    assert counts == {"pad": 2, "correlate": 16}
 
 
 def _psystem_balance_resid(N):
