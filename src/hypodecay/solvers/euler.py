@@ -11,11 +11,9 @@ with c~ = c - cbar the deviation from the background.  Friction is
 split off and applied exactly (half-step factors exp(-lambda dt/2));
 RK4 handles the advective part.  A fourth-difference floor keeps the
 quadratic terms from ringing at the grid scale.  `compile_step` builds
-the step once per run, as the p-system's is built: RK4 runs as
-`march.staged_rk4`'s four pre-weighted stages, each with one 5-tap
-kernel (identity and floor) and one derivative kernel, read from one
-wide ghost pad per field and step.  This is the plain RK4 scheme of the
-right-hand side up to roundoff.
+the step once per run, as the p-system's is built: RK4 as four
+pre-weighted stages read from one wide ghost pad per field and step,
+the plain RK4 scheme up to roundoff.
 """
 
 import math
@@ -66,20 +64,14 @@ class EulerSpec:
 
 
 def compile_step(grid, espec, nu, dt):
-    """The step of size h = dt of the state (c~, u), as a map of the state.
+    """The step of size dt of the state (c~, u): friction half-steps
+    u *= exp(-lam dt/2) around `march.staged_rk4`'s four stages.
 
-    The friction half-steps u *= e, e = exp(-lam h/2), wrap RK4 on the
-    advective part.  With D the centered d/dx, F the nu/dx fourth-difference
-    floor and hc = (gamma-1)/2 (c~ + cbar), RK4 runs as `march.staged_rk4`'s
-    four pre-weighted stages.  A stage with weights (w, c) forms
-
-        c~' = corr(c~, k) + u A + hc B,   u' = corr(u, k) + u B + hc A,
-
-    with k = c I - w F, A = corr(c~, -w D) and B = corr(u, -w D), so the
-    identity and the floor ride in one 5-tap kernel at every nu.  c~ and
-    e u are padded once per step with 4 * GHOSTS wrap cells, on either grid.
-    A step whose c~ reaches the vacuum floor raises VacuumApproached before
-    its second friction half-step.
+    A stage of weights (w, c) forms corr(c~, k) + u A + hc B and
+    corr(u, k) + u B + hc A, with k = c I - w (nu/dx) [1, -4, 6, -4, 1],
+    A and B the correlations of c~ and u with -w [-1, 0, 1]/(2 dx), and
+    hc = (gamma-1)/2 (c~ + cbar).  A step whose c~ reaches the vacuum
+    floor raises VacuumApproached before its second friction half-step.
     """
     floor = VACUUM_FLOOR_REL * espec.rho_bar
     half_g = 0.5 * (espec.gamma - 1.0)

@@ -6,10 +6,10 @@ the cost before the solver builds its one-step map for dt; it hands
 driver owns everything else about a run: the sampling stride, the
 snapshot steps, the assembly of the recorded series, the process's heap
 setting and the floating-point mode the steps and observers run in.
-`rk4` is the plain classical Runge-Kutta stage sequence, and `staged_rk4`
-the same sequence regrouped into four pre-weighted stencil stages.  `CFL` is every
-explicit solver's CFL number, and `check_nu` the one check of the Euler
-and p-system fourth-difference floor strength.
+`rk4` is the plain classical Runge-Kutta stage sequence and `staged_rk4`
+the same one regrouped into four pre-weighted stencil stages.  `CFL` is
+every explicit solver's CFL number, and `check_nu` the one check of the
+Euler and p-system fourth-difference floor strength.
 """
 
 import contextlib
@@ -98,19 +98,14 @@ def stage_weights(dt):
 
 
 def staged_rk4(stage, weights, state):
-    """One classical RK4 step as four pre-weighted stages: the sequence that
-    the compiled Euler and p-system steps share.
+    """One classical RK4 step as four pre-weighted stages, from one pad of
+    4 * GHOSTS wrap cells per field: the sequence of the compiled Euler and
+    p-system steps.
 
-    Each field of the state is padded once with 4 * GHOSTS wrap cells.
-    `stage(y, weights[i])` returns corr(y, c_i I + w_i K) plus w_i times the
-    stage's nonlinear terms, GHOSTS cells shorter at each end than y, with
-    `stage_weights`' (w_i, c_i) folded into weights[i].  The stages are then
-
-        y2 = stage(y);  y3 = stage(y2) + y;  y4 = stage(y3) + y
-        y+ = stage(y4) + (2 y3 + y2 - y)/3,
-
-    which is y + (h/6)(k1 + 2 k2 + 2 k3 + k4) regrouped.  `rk4` stays the
-    plain sequence that the linear build and the tests read.
+    `stage(y, weights[i])` returns corr(y, c I + w K) plus w times the
+    nonlinear terms, for the i-th (w, c) of `stage_weights`, GHOSTS cells
+    shorter at each end than y.  Then y2 = stage(y), y3 = stage(y2) + y,
+    y4 = stage(y3) + y and y+ = stage(y4) + (2 y3 + y2 - y)/3.
     """
     y = [ghost_pad(f, 4 * GHOSTS) for f in state]
     y2 = stage(y, weights[0])

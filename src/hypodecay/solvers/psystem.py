@@ -61,10 +61,6 @@ def compile_step(grid, r, nu, dt):
         y3 = y + corr(y2, (h/2) K) -+ (h/2) g(y2)
         y4 = y + corr(y3, h K) -+ h g(y3)
         y+ = corr(y4, I/3 + (h/6) K) + (y2 + 2 y3 - y)/3 -+ (h/6) g(y4)
-
-    A field is padded once per step with 4 * GHOSTS wrap cells, on either
-    grid, and each stage's valid correlation is GHOSTS cells shorter at each
-    end than the last.
     """
     half = 1.0 / (2.0 * grid.dx)
     d_kernel = half * np.pad(CENTERED, 1)
