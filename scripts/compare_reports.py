@@ -6,22 +6,25 @@
 Each tree is one that `scripts/run_registry.py --out DIR` writes, with a
 `<scenario>/report.json` and the run's `*.csv` files per scenario.
 
-Comparing: both trees must hold the same scenarios.  In each scenario
-every certificate's `measured` block must stay within perfbench's drift
-rule of the old one: `_drift` from `perfbench/run.py`, at the rtol and
-atol of `perfbench/reference.json` (1e-8 and 1e-11).  Its `passed` must
-be equal, and every other field of `report.json` must serialise to the
-same bytes.  Both scenario directories must hold the same `*.csv` files;
-each file must keep its header and row count, and every value must stay
-within the same drift rule.  Prints one line per difference (one per
-file for CSV values) and exits 1 on any, else 0.
+One rule compares them: perfbench's drift rule, `_drift` from
+`perfbench/run.py`, at the rtol and atol of `perfbench/reference.json`
+(1e-8 and 1e-11).  Every number must stay within rtol of the old one
+plus atol; every string, bool, key set and list length must be equal.
+
+Comparing: both trees must hold the same scenarios.  Each scenario's
+`report.json` is held to the rule as a whole, with its certificates
+keyed by `id`, so that a message names the scenario and the
+certificate.  Both scenario directories must hold the same `*.csv`
+files; each file must keep its header and row count, and every value
+must stay within the rule.  Prints one line per difference (one per file
+for CSV values) and exits 1 on any, else 0.
 
 Regenerating: writes `tests/data/registry_measured.json`, each
 certificate's `passed` and `measured` by scenario, from DIR.  The tier-1
-suite checks the registry it runs against that file by the same rule
-(`check_reference`), so a change that moves a certified value beyond
-roundoff fails there.  Regenerate only on purpose, from a tree of the
-code that should be the new reference.
+suite holds every certificate of the registry it runs to that file by
+the same rule (`check_reference`), so a change that moves a certified
+value beyond roundoff fails there.  Regenerate only on purpose, from a
+tree of the code that should be the new reference.
 """
 
 import argparse
@@ -45,43 +48,19 @@ def _perfbench_run():
 
 
 def drift_rule():
-    """(drift, rtol, atol, seed-dependent certificate ids) of perfbench."""
+    """(drift, rtol, atol) of perfbench."""
     ref = json.loads((PERFBENCH / "reference.json").read_text())
-    return _perfbench_run()._drift, ref["rtol"], ref["atol"], frozenset(ref["seed_dependent"])
+    return _perfbench_run()._drift, ref["rtol"], ref["atol"]
 
 
 def reports(root):
-    return {p.parent.name: json.loads(p.read_text())
-            for p in sorted(Path(root).glob("*/report.json"))}
-
-
-def _certificates(report):
-    return {c["id"]: c for c in report.get("certificates", [])}
-
-
-def compare_certificates(name, old, new, rule, measured_too=True):
-    """Differences between two reports' certificates: passed, and measured by the rule."""
-    drift, rtol, atol, seed_dependent = rule
-    old, new = _certificates(old), _certificates(new)
-    problems = []
-    for cid in sorted(set(old) & set(new)):
-        if measured_too or cid not in seed_dependent:
-            problems += [f"{name}: {p}" for p in drift(new[cid].get("measured"),
-                                                       old[cid].get("measured"),
-                                                       rtol, atol, cid)]
-    old_passed = {cid: c["passed"] for cid, c in old.items()}
-    new_passed = {cid: c["passed"] for cid, c in new.items()}
-    if old_passed != new_passed:
-        problems.append(f"{name}: passed {new_passed} != {old_passed}")
-    return problems
-
-
-def _rest(report):
-    """The report without its certificates' measured blocks, as bytes to compare."""
-    report = json.loads(json.dumps(report))
-    for c in report.get("certificates", []):
-        c.pop("measured", None)
-    return json.dumps(report, sort_keys=True)
+    """{scenario: its report.json, with the certificates keyed by id}."""
+    found = {}
+    for path in sorted(Path(root).glob("*/report.json")):
+        report = json.loads(path.read_text())
+        report["certificates"] = {c["id"]: c for c in report.get("certificates", [])}
+        found[path.parent.name] = report
+    return found
 
 
 def _cells(row):
@@ -102,7 +81,7 @@ def _read_csv(path):
 
 def compare_csvs(name, old_dir, new_dir, rule):
     """Differences between the `*.csv` files of two scenario directories."""
-    drift, rtol, atol, _ = rule
+    drift, rtol, atol = rule
     old = {p.name for p in old_dir.glob("*.csv")}
     new = {p.name for p in new_dir.glob("*.csv")}
     problems = [f"{name}/{f}: in only one tree" for f in sorted(old ^ new)]
@@ -122,38 +101,29 @@ def compare_csvs(name, old_dir, new_dir, rule):
 
 def compare(old_root, new_root, rule):
     """Every difference between the two trees, and the number of scenarios seen."""
+    drift, rtol, atol = rule
     old, new = reports(old_root), reports(new_root)
     problems = [f"{name}: report.json in only one tree"
                 for name in sorted(set(old) ^ set(new))]
     if not old and not new:
         problems.append("no <scenario>/report.json in either tree")
     for name in sorted(set(old) & set(new)):
-        problems += compare_certificates(name, old[name], new[name], rule)
-        if _rest(old[name]) != _rest(new[name]):
-            problems.append(f"{name}: report.json differs outside the measured blocks")
+        problems += drift(new[name], old[name], rtol, atol, name)
         problems += compare_csvs(name, Path(old_root) / name, Path(new_root) / name, rule)
     return problems, len(set(old) | set(new))
 
 
 def reference_of(tree_reports):
     """{scenario: {certificate id: {passed, measured}}}: what the reference file holds."""
-    return {name: {c["id"]: {"passed": c["passed"], "measured": c.get("measured")}
-                   for c in report.get("certificates", [])}
+    return {name: {cid: {"passed": c["passed"], "measured": c.get("measured")}
+                   for cid, c in report["certificates"].items()}
             for name, report in sorted(tree_reports.items())}
 
 
 def check_reference(reference, tree_reports, rule):
-    """Differences of a tree's reports from the reference file.
-
-    Seed-dependent certificates are held to `passed` only.
-    """
-    problems = [f"{name}: in only one of the reference and the tree"
-                for name in sorted(set(reference) ^ set(tree_reports))]
-    for name in sorted(set(reference) & set(tree_reports)):
-        want = {"certificates": [{"id": cid, **c} for cid, c in reference[name].items()]}
-        problems += compare_certificates(name, want, tree_reports[name], rule,
-                                         measured_too=False)
-    return problems
+    """Differences of a tree's reports from the reference file, by the same rule."""
+    drift, rtol, atol = rule
+    return drift(reference_of(tree_reports), reference, rtol, atol, "tree")
 
 
 def main():

@@ -2,9 +2,11 @@
 
 Walks <root>/*/report.json, pulls every power-law-fit certificate, and
 prints an aligned table: scenario, channel, fitted exponent, allowed
-band, fit window, verdict.  Also writes <root>/rates.csv for downstream
-plotting.  Run scripts/run_registry.py first (or point --root at any
-batch output directory).
+band, fit window, verdict.  After the table it lists every failed
+certificate that has no fitted exponent, with its error, so a fit that
+raised (a window with too few samples, say) still shows.  Also writes
+<root>/rates.csv for downstream plotting.  Run scripts/run_registry.py
+first (or point --root at any batch output directory).
 """
 
 import argparse
@@ -15,12 +17,16 @@ from pathlib import Path
 
 
 def collect(root):
-    rows = []
+    """(table rows, (scenario, certificate id, error) of each failed
+    certificate with no `alpha`)."""
+    rows, failed = [], []
     for report_path in sorted(root.glob("*/report.json")):
         rep = json.loads(report_path.read_text())
         for cert in rep["certificates"]:
             m = cert["measured"]
             if "alpha" not in m:
+                if not cert["passed"]:
+                    failed.append((rep["scenario"], cert["id"], m.get("error", "failed")))
                 continue
             alphas = m["alpha"] if isinstance(m["alpha"], dict) else {"l2": m["alpha"]}
             for channel, alpha in sorted(alphas.items()):
@@ -34,7 +40,7 @@ def collect(root):
                     "t1": m["window"][1],
                     "passed": cert["passed"],
                 })
-    return rows
+    return rows, failed
 
 
 def main():
@@ -43,11 +49,19 @@ def main():
     args = ap.parse_args()
     root = Path(args.root)
 
-    rows = collect(root)
-    if not rows:
+    rows, failed = collect(root)
+    if rows:
+        _table(root, rows)
+    elif not failed:
         print(f"no fit certificates under {root}", file=sys.stderr)
-        return 1
+    if failed:
+        print("\nfailed with no fitted exponent:")
+        for scenario, cid, error in failed:
+            print(f"{scenario:22s} {cid}: {error}")
+    return 0 if rows else 1
 
+
+def _table(root, rows):
     print(f"{'scenario':22s} {'channel':8s} {'alpha':>8s} {'band':>16s} "
           f"{'window':>12s}  verdict")
     for r in rows:
@@ -63,7 +77,6 @@ def main():
         writer.writeheader()
         writer.writerows(rows)
     print(f"\nwrote {out_csv}")
-    return 0
 
 
 if __name__ == "__main__":

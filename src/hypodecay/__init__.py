@@ -9,32 +9,4 @@ Layers:
 * experiment          — scenario registry, runner, and CLI
 """
 
-from .corrector import (
-    CorrectorCoeffs,
-    WeightedCoeffs,
-    select_coefficients,
-    select_exponents,
-    select_weighted_coefficients,
-)
-from .grids import Grid1D, WeightSpec, antiderivative, d_dx, h1_norm, l2_norm
-from .linalg import SystemSpec, kalman_matrix, kalman_seminorm, numerical_rank
-
-__all__ = [
-    "CorrectorCoeffs",
-    "Grid1D",
-    "SystemSpec",
-    "WeightSpec",
-    "WeightedCoeffs",
-    "antiderivative",
-    "d_dx",
-    "h1_norm",
-    "kalman_matrix",
-    "kalman_seminorm",
-    "l2_norm",
-    "numerical_rank",
-    "select_coefficients",
-    "select_exponents",
-    "select_weighted_coefficients",
-]
-
 __version__ = "0.1.0"

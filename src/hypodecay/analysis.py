@@ -103,15 +103,15 @@ def fit_power(series, channel, t_min, t_max):
     )
 
 
-def bounded_product(series, channel, q, t0=BOUNDED_T0):
-    """Boundedness record for log^q(1+t) * channel on t >= t0.
+def bounded_product(series, channel, q):
+    """Boundedness record for log^q(1+t) * channel on t >= t0 = BOUNDED_T0.
 
     The ratio of the max of the weighted product over the last quarter of
     the observation window to its max over the first quarter past t0; a
     bounded (or decaying) product keeps it near or below 1.  With q = 0
     this is a plain sup/ratio monitor.
     """
-    t = series.t
+    t, t0 = series.t, BOUNDED_T0
     v = series.channel(channel)
     T = t[-1]
     if T <= t0:
@@ -127,19 +127,19 @@ def bounded_product(series, channel, q, t0=BOUNDED_T0):
     return {"sup": sup, "ratio_late_early": ratio, "t0": t0}
 
 
-def check_energy_law(series, norm_channel="l2", dissipation_channel="dissipation"):
+def check_energy_law(series):
     """Residual of d/dt ||.||^2 + dissipation = 0 on the sample grid.
 
-    The norm channel is squared before central differencing; the recorded
-    dissipation channel is taken as-is.  Sampling must be fine enough to
+    The `l2` channel is squared before central differencing; the recorded
+    `dissipation` channel is taken as-is.  Sampling must be fine enough to
     differentiate: max sample gap <= 10 * dt_step when the step size is
     recorded in the series metadata, else HypothesisViolated.
     """
     t = series.t
     if t.size < 3:
         raise WindowTooSmall(f"the energy law needs 3 samples, got {t.size}")
-    E = series.channel(norm_channel) ** 2
-    D = series.channel(dissipation_channel)
+    E = series.channel("l2") ** 2
+    D = series.channel("dissipation")
     dt_step = series.meta.get("dt_step")
     max_gap = float(np.diff(t).max())
     if dt_step is not None and max_gap > 10.0 * dt_step * (1.0 + 1e-9):

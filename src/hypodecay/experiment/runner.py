@@ -64,20 +64,20 @@ OUT_ENV = "HYPODECAY_OUT"
 
 
 def resolve_out_dir(cfg, out_dir=None):
-    """Output directory precedence: explicit arg > env var > default."""
+    """Output directory precedence: explicit arg > env var > default.
+
+    An empty $HYPODECAY_OUT counts as unset, here and for a batch.
+    """
     if out_dir is not None:
         return Path(out_dir)
-    env = os.environ.get(OUT_ENV)
-    if env:
-        return Path(env) / cfg["scenario"]
-    return Path("runs") / cfg["scenario"]
+    return Path(os.environ.get(OUT_ENV) or "runs") / cfg["scenario"]
 
 
 def resolve_out_dir_for_batch(out_root=None):
     """Batch root precedence: explicit arg > env var > default."""
     if out_root is not None:
         return Path(out_root)
-    return Path(os.environ.get(OUT_ENV, "runs")) / "batch"
+    return Path(os.environ.get(OUT_ENV) or "runs") / "batch"
 
 
 def _make_dir(out):

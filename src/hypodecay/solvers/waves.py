@@ -34,6 +34,7 @@ DEFAULT_MASS_TOL = 1e-8
 ETA3 = 0.25
 _COND_TOL = 1e-12
 _MAX_DOUBLINGS = 60
+_OFFSET_SAMPLES = 4097
 
 
 def _power(x, e):
@@ -147,9 +148,9 @@ def weight_conditions_ok(wspec, kappa1, s):
     return bool(np.all(margin > 0))
 
 
-def default_offset(kind, s_max, kappa1=1.0, mu=1.0, q=1.0, r=2.0, n_sample=4097):
+def default_offset(kind, s_max, kappa1=1.0, mu=1.0, q=1.0, r=2.0):
     """Smallest power-of-two offset valid on a dense sample of [0, s_max]."""
-    s = np.linspace(0.0, s_max, n_sample)
+    s = np.linspace(0.0, s_max, _OFFSET_SAMPLES)
     for k in range(_MAX_DOUBLINGS):
         a = float(2**k)
         w = WaveWeightSpec(kind=kind, mu=mu, q=q, r=r, a=a)

@@ -269,8 +269,9 @@ def test_criterion_12_comparison_inequality(registry):
 def test_registry_matches_the_committed_reference(registry):
     """Every certificate keeps its `passed` and, within perfbench's drift rule,
     its `measured` block of `tests/data/registry_measured.json`, which
-    `scripts/compare_reports.py --regenerate` writes; seed-dependent
-    certificates keep `passed` only."""
+    `scripts/compare_reports.py --regenerate` writes.  `ckn_sweep`'s random
+    bumps are drawn at the registry's fixed seed, so their values are held
+    too."""
     module = _compare_reports()
     reference = json.loads(module.REFERENCE.read_text())
     problems = module.check_reference(reference, module.reports(registry["out"]),

@@ -1,5 +1,5 @@
 """`scripts/compare_reports.py` holds two registry trees, or a tree and the
-committed reference, to perfbench's drift rule."""
+committed reference, to perfbench's drift rule, each report as a whole."""
 
 import copy
 import importlib.util
@@ -14,7 +14,8 @@ SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "compare_reports.py"
 REPORT = {
     "scenario": "thm6_psystem_log",
     "passed": True,
-    "manifest": {"wave": {"kind": "log", "a": 32.0, "q": 1.0, "r": 2.0}},
+    "manifest": {"wave": {"kind": "log", "a": 32.0, "q": 1.0, "r": 2.0},
+                 "coefficients": {"eta0": 0.0002441406250000001, "eps": [0.003906250000000002]}},
     "certificates": [
         {"id": "thm6:bounded", "measured": {"ratio": 0.327, "N": [1024, 2048]}, "passed": True},
         {"id": "thm6:monotone", "measured": {"max_increase": -5.1e-08}, "passed": True},
@@ -71,14 +72,15 @@ def test_roundoff_moves_pass(compare_reports, monkeypatch, capsys, tmp_path):
 
 @pytest.mark.parametrize("edit, message", [
     (lambda r: r["certificates"][0]["measured"].update(ratio=0.327 * (1 + 1e-6)),
-     "thm6:bounded.ratio: 0.327"),
+     "bounded.measured.ratio: 0.327"),
     (lambda r: r["certificates"][1]["measured"].update(max_increase=-5.1e-08 + 1e-10),
-     "thm6:monotone.max_increase"),
+     "monotone.measured.max_increase"),
     (lambda r: r["certificates"][0]["measured"].update(N=[1024]), "length 1 != 2"),
     (lambda r: r["certificates"][1]["measured"].update(extra=1.0), "keys"),
     (lambda r: r["certificates"][1].update(passed=False), "passed"),
-    (lambda r: r["manifest"]["wave"].update(a=16.0), "outside the measured blocks"),
-    (lambda r: r.update(passed=False), "outside the measured blocks"),
+    (lambda r: r["manifest"]["wave"].update(a=16.0), "log.manifest.wave.a: 16.0"),
+    (lambda r: r["manifest"]["wave"].update(kind="power"), "manifest.wave.kind: 'power'"),
+    (lambda r: r.update(passed=False), "log.passed: False != True"),
 ])
 def test_any_other_difference_fails(compare_reports, monkeypatch, capsys, tmp_path,
                                     edit, message):
@@ -87,6 +89,30 @@ def test_any_other_difference_fails(compare_reports, monkeypatch, capsys, tmp_pa
     code, out = _run(compare_reports, monkeypatch, capsys, old, new)
     assert code == 1
     assert message in out
+
+
+def test_manifest_numbers_are_held_to_the_drift_rule(compare_reports, monkeypatch, capsys,
+                                                     tmp_path):
+    """A move of a few ulp in the corrector's coefficients is roundoff; a
+    move beyond rtol is a difference named by its path."""
+    def moved(rel):
+        def edit(r):
+            coefficients = r["manifest"]["coefficients"]
+            coefficients["eta0"] *= 1 + rel
+            coefficients["eps"] = [coefficients["eps"][0] * (1 - rel)]
+        return _edited(edit)
+
+    old = _tree(tmp_path / "old", {"thm6_psystem_log": REPORT})
+    new = _tree(tmp_path / "ulps", {"thm6_psystem_log": moved(4 * 2.0**-52)})
+    code, out = _run(compare_reports, monkeypatch, capsys, old, new)
+    assert code == 0, out
+    assert "1 scenarios compared, 0 differences" in out
+    new = _tree(tmp_path / "far", {"thm6_psystem_log": moved(1e-6)})
+    code, out = _run(compare_reports, monkeypatch, capsys, old, new)
+    assert code == 1
+    assert "thm6_psystem_log.manifest.coefficients.eta0: " in out
+    assert "thm6_psystem_log.manifest.coefficients.eps[0]: " in out
+    assert "2 differences" in out
 
 
 def test_a_scenario_in_one_tree_only_fails(compare_reports, monkeypatch, capsys, tmp_path):
@@ -131,8 +157,8 @@ def test_csv_roundoff_moves_pass(compare_reports, monkeypatch, capsys, tmp_path)
 
 
 def test_regenerated_reference_checks_a_tree(compare_reports, monkeypatch, capsys, tmp_path):
-    """`--regenerate` writes what `check_reference` reads; seed-dependent
-    certificates are held to `passed` only."""
+    """`--regenerate` writes what `check_reference` reads, and every
+    certificate is held to its measured values, a seeded one too."""
     tree = _tree(tmp_path / "tree", {"thm6_psystem_log": REPORT})
     monkeypatch.setattr(compare_reports, "REFERENCE", tmp_path / "data" / "reference.json")
     monkeypatch.setattr(sys, "argv", ["compare_reports.py", "--regenerate", str(tree)])
@@ -141,15 +167,20 @@ def test_regenerated_reference_checks_a_tree(compare_reports, monkeypatch, capsy
     assert reference["thm6_psystem_log"]["thm6:monotone"] == {
         "measured": {"max_increase": -5.1e-08}, "passed": True}
 
-    drift, rtol, atol, _ = compare_reports.drift_rule()
-    rule = (drift, rtol, atol, frozenset({"thm6:bounded"}))
+    rule = compare_reports.drift_rule()
     check = compare_reports.check_reference
-    reports = {"thm6_psystem_log": REPORT}
-    assert check(reference, reports, rule) == []
-    reseeded = _edited(lambda r: r["certificates"][0]["measured"].update(ratio=0.5))
-    assert check(reference, {"thm6_psystem_log": reseeded}, rule) == []
-    drifted = _edited(lambda r: r["certificates"][1]["measured"].update(max_increase=-5e-08))
-    assert "max_increase" in check(reference, {"thm6_psystem_log": drifted}, rule)[0]
-    failed = _edited(lambda r: r["certificates"][0].update(passed=False))
-    assert "passed" in check(reference, {"thm6_psystem_log": failed}, rule)[0]
-    assert "in only one" in check(reference, {}, rule)[0]
+    assert check(reference, compare_reports.reports(tree), rule) == []
+
+    def problems(edit):
+        report = _edited(edit)
+        report["certificates"] = {c["id"]: c for c in report["certificates"]}
+        return check(reference, {"thm6_psystem_log": report}, rule)
+
+    reseeded = problems(lambda r: r["certificates"][0]["measured"].update(ratio=0.5))
+    assert reseeded == ["tree.thm6_psystem_log.thm6:bounded.measured.ratio: "
+                        "0.5 drifted from 0.327"]
+    drifted = problems(lambda r: r["certificates"][1]["measured"].update(max_increase=-5e-08))
+    assert "thm6:monotone.measured.max_increase" in drifted[0]
+    failed = problems(lambda r: r["certificates"][0].update(passed=False))
+    assert "thm6:bounded.passed: False != True" in failed[0]
+    assert "keys [] != ['thm6_psystem_log']" in check(reference, {}, rule)[0]

@@ -39,7 +39,7 @@ from hypodecay.experiment import runner
 from hypodecay.experiment.cli import main
 from hypodecay.experiment import config
 from hypodecay.experiment.config import DATA_FIELDS, KEYS, SYSTEM_KINDS, WEIGHT_FIELDS
-from hypodecay.experiment.runner import resolve_out_dir
+from hypodecay.experiment.runner import resolve_out_dir, resolve_out_dir_for_batch
 from hypodecay.grids import Grid1D
 from hypodecay.solvers import default_offset
 
@@ -581,6 +581,20 @@ def test_out_dir_precedence(monkeypatch, tmp_path):
     monkeypatch.setenv("HYPODECAY_OUT", str(tmp_path / "env"))
     assert resolve_out_dir(cfg) == tmp_path / "env" / "smoke_custom"
     assert resolve_out_dir(cfg, tmp_path / "arg") == tmp_path / "arg"
+
+
+@pytest.mark.parametrize("env, root", [(None, Path("runs")), ("", Path("runs")),
+                                       ("elsewhere", Path("elsewhere"))])
+def test_run_and_batch_read_the_out_variable_alike(monkeypatch, env, root):
+    """An empty HYPODECAY_OUT is unset for a run and for a batch alike."""
+    cfg = parse_config(smoke_doc())
+    if env is None:
+        monkeypatch.delenv("HYPODECAY_OUT", raising=False)
+    else:
+        monkeypatch.setenv("HYPODECAY_OUT", env)
+    assert resolve_out_dir(cfg) == root / "smoke_custom"
+    assert resolve_out_dir_for_batch() == root / "batch"
+    assert resolve_out_dir_for_batch("arg") == Path("arg")
 
 
 # --- runner --------------------------------------------------------------
@@ -1642,6 +1656,31 @@ def test_cli_runs_small_heat_and_none_documents_to_a_documented_exit(doc):
     only an exit of 3 prints a traceback."""
     code, err = _cli_run_doc(doc)
     assert code == 3 or "Traceback" not in err, err
+
+
+def _read_keys(cfg):
+    """{path: keys read} of each object of a parsed document; parsing fills
+    every default, and only `outputs.snapshots` has none."""
+    sections = {"": cfg, "system": cfg["system"], "grid": cfg["grid"], "time": cfg["time"],
+                "outputs": {"snapshots": None}, "corrector": cfg["corrector"]}
+    for name in ("data", "weights"):
+        sections.update((f"{name}.{i}", entry) for i, entry in enumerate(cfg[name]))
+    return {at: set(keys) for at, keys in sections.items() if keys is not None}
+
+
+@settings(max_examples=100, deadline=None)
+@given(doc=st.one_of(small_linear_docs(), small_field_docs(), small_heat_and_none_docs()),
+       data=st.data())
+def test_cli_refuses_a_known_key_where_it_is_not_read(doc, data):
+    """A key of `config.KEYS` in an object that does not read it exits 2,
+    named by its path, and leaves nothing on disk."""
+    reads = _read_keys(parse_config(doc))
+    at = data.draw(st.sampled_from(sorted(reads)), label="object")
+    key = data.draw(st.sampled_from(sorted(set(KEYS) - reads[at])), label="key")
+    path = f"{at}.{key}".lstrip(".")
+    code, err = _cli_run_doc(apply_override(doc, path, "1"))
+    assert code == 2, err
+    assert f"invalid config at {path}: " in err and "does not read it" in err, err
 
 
 def _compact_smoke_run(tmp_path, L):
