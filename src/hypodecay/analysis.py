@@ -109,7 +109,8 @@ def bounded_product(series, channel, q):
     The ratio of the max of the weighted product over the last quarter of
     the observation window to its max over the first quarter past t0; a
     bounded (or decaying) product keeps it near or below 1.  With q = 0
-    this is a plain sup/ratio monitor.
+    this is a plain sup/ratio monitor.  An early max that is not positive
+    raises NonpositiveValues.
     """
     t, t0 = series.t, BOUNDED_T0
     v = series.channel(channel)
@@ -123,7 +124,11 @@ def bounded_product(series, channel, q):
     if not early.any() or not late.any():
         raise WindowTooSmall("quarter windows past t0 are empty")
     sup = float(g[t >= t0].max())
-    ratio = float(g[late].max() / g[early].max())
+    peak = float(g[early].max())
+    if not peak > 0.0:
+        raise NonpositiveValues(f"the early-window max of log^q(1+t) * {channel} "
+                                f"is {peak!r}; the late/early ratio needs it positive")
+    ratio = float(g[late].max()) / peak
     return {"sup": sup, "ratio_late_early": ratio, "t0": t0}
 
 
@@ -221,15 +226,18 @@ def check_ckn(grid, h, mu):
 
 def check_decay_inequality(series, e1_channel, e2_channel, a1, a2, mu, eta0,
                            slack_rel=1e-6):
-    """The comparison lemma on E1 + eta0 t E2: its hypothesis and conclusion.
+    """The comparison lemma on F = E1 + eta0 t E2: its hypothesis and conclusion.
 
-    Hypothesis: d/dt(E1 + eta0 t E2) + a1 E1^{1 + 1/mu} + a2 E2 <= 0,
-    checked by central differences with tolerance slack_rel times the
-    initial value of E1; a larger residual raises HypothesisFails.
-    conclusion_margin = max (E1 + eta0 t E2) / (C a1^{-mu} t^{-mu}) with
-    the proof constant C = mu^mu (exponent choice p = mu + 1, which
-    requires p < a2/eta0).  Parameters or channels outside these
-    conditions raise HypothesisViolated.
+    Hypothesis: dF/dt + a1 E1^{1 + 1/mu} + a2 E2 <= 0, checked by central
+    differences with tolerance slack_rel times the initial value of E1; a
+    larger residual raises HypothesisFails.  An a1 of None takes 0.999
+    times min_rj, the least rate r_j = (-dF/dt - a2 E2) / E1^{1 + 1/mu}
+    the interior samples admit, and records both; it raises
+    HypothesisViolated where E1^{1 + 1/mu} underflows or no rate is
+    positive.  conclusion_margin = max F / (C a1^{-mu} t^{-mu}) with the
+    proof constant C = mu^mu (exponent choice p = mu + 1, which requires
+    p < a2/eta0).  Parameters or channels outside these conditions raise
+    HypothesisViolated, and fewer than 3 samples WindowTooSmall.
     """
     if mu <= 0:
         raise HypothesisViolated("mu must be positive")
@@ -241,6 +249,8 @@ def check_decay_inequality(series, e1_channel, e2_channel, a1, a2, mu, eta0,
             f"conclusion constant needs p = mu+1 = {p} < a2/eta0 = {a2 / eta0}"
         )
     t = series.t
+    if t.size < 3:
+        raise WindowTooSmall(f"the decay inequality needs 3 samples, got {t.size}")
     E1 = series.channel(e1_channel)
     E2 = series.channel(e2_channel)
     if np.any(E1 < 0) or np.any(E2 < 0):
@@ -249,7 +259,19 @@ def check_decay_inequality(series, e1_channel, e2_channel, a1, a2, mu, eta0,
     tol = slack_rel * scale
     F = E1 + eta0 * t * E2
     dF = (F[2:] - F[:-2]) / (t[2:] - t[:-2])
-    resid = dF + a1 * E1[1:-1] ** (1.0 + 1.0 / mu) + a2 * E2[1:-1]
+    denom = E1[1:-1] ** (1.0 + 1.0 / mu)
+    rate = {}
+    if a1 is None:
+        if np.any(denom < np.finfo(float).tiny):
+            raise HypothesisViolated(
+                f"E1^(1 + 1/mu) underflows: min_e1 = {float(E1.min())!r}")
+        min_rj = float(((-dF - a2 * E2[1:-1]) / denom).min())
+        if min_rj <= 0.0:
+            raise HypothesisViolated(
+                f"no positive quadratic-absorption rate exists: min_rj = {min_rj!r}")
+        a1 = 0.999 * min_rj
+        rate = {"a1": a1, "min_rj": min_rj}
+    resid = dF + a1 * denom + a2 * E2[1:-1]
     slack = float(np.maximum(resid, 0.0).max())
     if slack > tol:
         first = int(np.argmax(resid > tol))
@@ -267,6 +289,7 @@ def check_decay_inequality(series, e1_channel, e2_channel, a1, a2, mu, eta0,
         "conclusion_margin": margin,
         "C": float(C),
         "p": p,
+        **rate,
     }
 
 

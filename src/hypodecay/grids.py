@@ -36,8 +36,8 @@ class Grid1D:
 
     The stencils read both as a ring of their N nodes.  `bc` decides the
     nodes and dx, the quadrature's end weights (`gram`'s end columns too),
-    whether `check_escape` watches the ends, the heat solve's Dirichlet
-    branch and which grids `check_ckn` takes.
+    whether `check_escape` watches the ends and which grids `check_ckn`
+    takes; it forks no stepping code.
     """
 
     L: float

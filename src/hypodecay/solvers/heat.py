@@ -1,52 +1,36 @@
-"""Heat-equation oracle: Crank-Nicolson with a spectral implicit solve.
+"""Heat-equation oracle: Crank-Nicolson as one Fourier multiplier.
 
 Serves as the reference diffusive decay machine: unconditionally stable
-at dt = dx, second order, mass-conserving on periodic grids.  The
-explicit half u + (dt/2) Lap u is one `correlate` of the ghost-padded
-field with the kernel (dt / (2 dx^2)) [1, -2, 1], built once per run.
-It wraps on either grid, and compact grids overwrite its end rows with
-0.  The implicit operator I - (dt/2) Lap is diagonal in the discrete
-Fourier modes of the grid, with eigenvalues 1 + 2 (dt/dx^2)
-sin^2(pi k / M), so each step divides the real FFT of its right-hand
-side by them.  Periodic
-grids transform the right-hand side itself (M = N).  Compact grids pin
-both end values to zero and transform the odd extension of length
-M = 2 (N - 1), which is the sine transform of the interior.
+at dt = dx, second order, mass-conserving.  It steps either grid as the
+ring of its N nodes, as every solver does, and `check_escape` stops a
+compact run before anything reaches the ends.  On the ring the discrete
+Laplacian is diagonal in the Fourier modes k, with eigenvalues
+-(4/dx^2) s^2, s = sin(pi k / N).  So the explicit half u + (dt/2) Lap u
+has eigenvalues 1 - 2 rho s^2 and the implicit operator I - (dt/2) Lap
+has 1 + 2 rho s^2, rho = dt/dx^2, and each step multiplies the real FFT
+of u by their ratio, which lies in [-1, 1].
 """
 
 import numpy as np
 
-from ..grids import correlate, d_dx, ghost_pad, l2_norm
+from ..grids import check_escape, d_dx, escape_tol, l2_norm
 from .march import march, step_size
 
 
 def heat_solve(grid, u0, T, sample_stride=1, weight=None, snapshot_times=()):
-    """March the diffusion equation to T; record l2, dx_l2, mass channels.
-
-    Non-periodic grids carry homogeneous boundary values (the data is
-    compactly supported well inside the domain).
-    """
+    """March the diffusion equation to T; record l2, dx_l2, mass channels."""
     u = np.array(u0, dtype=float)
     if u.shape != (grid.N,):
         raise ValueError("u0 must be a scalar field on the grid")
-    dx = grid.dx
-    nsteps, dt = step_size(T, dx, grid.N)
     N = grid.N
-    M = N if grid.periodic else 2 * (N - 1)
-    lam = 1.0 + 2.0 * dt / dx**2 * np.sin(np.pi * np.arange(M // 2 + 1) / M) ** 2
-    explicit = (0.5 * dt / dx**2) * np.array([1.0, -2.0, 1.0])
+    nsteps, dt = step_size(T, grid.dx, N)
+    a = 2.0 * dt / grid.dx**2 * np.sin(np.pi * np.arange(N // 2 + 1) / N) ** 2
+    multiplier = (1.0 - a) / (1.0 + a)
+    tol = escape_tol(u)
     w2 = None if weight is None else weight.values(grid.x) ** 2
 
     def step(u):
-        b = u + correlate(ghost_pad(u), explicit)
-        if grid.periodic:
-            return np.fft.irfft(np.fft.rfft(b) / lam, n=M)
-        b[0] = 0.0
-        b[-1] = 0.0
-        u = np.fft.irfft(np.fft.rfft(np.concatenate((b, -b[-2:0:-1]))) / lam, n=M)[:N]
-        u[0] = 0.0
-        u[-1] = 0.0
-        return u
+        return np.fft.irfft(np.fft.rfft(u) * multiplier, n=N)
 
     def record(t, u):
         row = {
@@ -56,6 +40,7 @@ def heat_solve(grid, u0, T, sample_stride=1, weight=None, snapshot_times=()):
         }
         if weight is not None:
             row["weighted_l2"] = l2_norm(grid, u, w2)
+        check_escape(grid, t, tol, u)
         return row
 
     return march(u, nsteps, dt, step, record, sample_stride, snapshot_times,

@@ -908,7 +908,7 @@ def test_claim_without_the_runs_inputs_fails_with_its_error(
     assert ctx.coeffs is None and ctx.x0 is None
     [certificate] = runner.run_certificates(ctx)
     assert certificate["passed"] is False
-    assert certificate["measured"] == {"error": error}
+    assert certificate["measured"] == {"error": f"HypothesisViolated: {error}"}
 
 
 def test_cli_run_maps_an_internal_error_to_exit_3(monkeypatch, tmp_path, capsys):
@@ -1710,6 +1710,10 @@ def test_cli_rejects_data_that_reach_the_boundary_at_t0(tmp_path, capsys):
     assert "config error" in err and "at t=0 " in err
 
 
+def _refuse_constant(name):
+    raise ValueError(f"report.json holds the non-JSON constant {name}")
+
+
 @pytest.mark.parametrize("scenario, settings, cert_id, error", [
     # sampled too coarsely for the energy law's central differences
     ("convergence_order", ["time.sample_stride=20", "grid.L=50", "grid.N=256"],
@@ -1734,16 +1738,23 @@ def test_cli_rejects_data_that_reach_the_boundary_at_t0(tmp_path, capsys):
     # the CKN quadrature reads a compact-support grid's ends
     ("ckn_sweep", ["grid.bc=periodic"], "ckn_sweep:random_bumps",
      "check_ckn needs a compact-support grid"),
+    # the error names its class, as `runner.failure` does
+    ("thm1_linear", ["time.T=20", "outputs.snapshots=[0,10]"], "thm1_linear:decay_exponents",
+     "WindowTooSmall: window [25.0, 100.0] holds 0 samples"),
+    # zero data: the early-window max of the log-compensated norm is 0, so no ratio exists
+    ("thm6_psystem_log", ["data.0.amp=0", "time.T=40", "grid.N=1024"],
+     "thm6_psystem_log:log_bounded", "NonpositiveValues: the early-window max"),
 ])
 def test_cli_claim_that_cannot_be_evaluated_fails_its_certificate(
         tmp_path, capsys, scenario, settings, cert_id, error):
-    """The run itself succeeded, so it exits 4 with its outputs written."""
+    """The run itself succeeded, so it exits 4 with its outputs written,
+    and its report is strict JSON: no NaN or Infinity."""
     out = tmp_path / "o"
     args = ["run", "--scenario", scenario, "--set", "time.T=10", "--out", str(out)]
     for setting in settings:
         args += ["--set", setting]
     assert main(args) == 4
-    report = json.loads((out / "report.json").read_text())
+    report = json.loads((out / "report.json").read_text(), parse_constant=_refuse_constant)
     certificate = next(c for c in report["certificates"] if c["id"] == cert_id)
     assert certificate["passed"] is False
     assert error in certificate["measured"]["error"]

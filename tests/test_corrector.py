@@ -117,7 +117,8 @@ def test_experiment_import_skips_scipy_stats():
         "from hypodecay.grids import Grid1D\n"
         "from hypodecay.solvers.heat import heat_solve\n"
         "for bc in ('periodic', 'compact_support'):\n"
-        "    heat_solve(Grid1D(L=4.0, N=16, bc=bc), np.ones(16), T=0.5)\n"
+        "    grid = Grid1D(L=40.0, N=64, bc=bc)\n"
+        "    heat_solve(grid, np.exp(-grid.x**2), T=0.5)\n"
         "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))\n"
     )
     out = subprocess.run([sys.executable, "-c", code], env=env,

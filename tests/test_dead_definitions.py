@@ -1,7 +1,9 @@
-"""Every top-level function and class, and every annotated class field,
-under src/ is named somewhere else.
+"""Every top-level function, class and constant, and every annotated class
+field, under src/ is named somewhere else.
 
 A definition that no code, script, benchmark or test names is dead code.
+A constant is a name a module-level assignment binds; dunders such as
+`__version__` are exempt.
 A name counts as a Name, an Attribute, a part of an import, or a string
 constant that is the name or a dotted path through it (perfbench wraps
 functions by their names as strings).  A definition's own body does not
@@ -33,6 +35,18 @@ def _named(node):
     return set()
 
 
+def _bound(stmt):
+    """The names a top-level statement defines: a function's or class's
+    name, or the non-dunder names an assignment binds."""
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return {stmt.name}
+    if isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+        targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+        return {node.id for target in targets for node in ast.walk(target)
+                if isinstance(node, ast.Name) and not re.fullmatch(r"__\w+__", node.id)}
+    return set()
+
+
 def _scan():
     """(top-level definitions under src/ as {name: file}, every name used)."""
     defined, used = {}, set()
@@ -40,13 +54,12 @@ def _scan():
         for path in sorted((ROOT / tree).rglob("*.py")):
             module = ast.parse(path.read_text(), filename=str(path))
             for stmt in module.body:
-                own = None
-                if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                    own = stmt.name
-                    if tree == "src":
-                        defined.setdefault(own, path.relative_to(ROOT))
+                own = _bound(stmt)
+                if tree == "src":
+                    for name in own:
+                        defined.setdefault(name, path.relative_to(ROOT))
                 for node in ast.walk(stmt):
-                    used |= _named(node) - {own}
+                    used |= _named(node) - own
     return defined, used
 
 

@@ -23,8 +23,9 @@ from hypodecay.grids import (
     _component_sum,
 )
 
-# the heat solver's explicit-half kernel at a sample dt / (2 dx^2)
-HEAT = 0.3 * np.array([1.0, -2.0, 1.0])
+# a scaled second difference: a three-tap kernel beside the two that d_dx
+# and fourth_difference build
+SECOND_DIFFERENCE = 0.3 * np.array([1.0, -2.0, 1.0])
 
 
 def test_constructor_guards():
@@ -151,7 +152,7 @@ def test_periodic_stencils_match_roll_reference(N, k):
 
     _assert_close(d_dx(g, f), (s(-1) - s(1)) / (2.0 * g.dx))
     _assert_close(fourth_difference(g, f), s(-2) - 4.0 * s(-1) + 6.0 * f - 4.0 * s(1) + s(2))
-    _assert_close(_columns(f, HEAT), 0.3 * (s(-1) - 2.0 * f + s(1)))
+    _assert_close(_columns(f, SECOND_DIFFERENCE), 0.3 * (s(-1) - 2.0 * f + s(1)))
 
 
 @pytest.mark.parametrize("N", [16, 63])
@@ -167,7 +168,7 @@ def test_compact_stencils_match_slice_reference(N, k):
 
     _assert_close(d_dx(g, f), (ring[3:-1] - ring[1:-3]) / (2.0 * dx))
 
-    _assert_close(_columns(f, HEAT), 0.3 * (ring[3:-1] - 2.0 * f + ring[1:-3]))
+    _assert_close(_columns(f, SECOND_DIFFERENCE), 0.3 * (ring[3:-1] - 2.0 * f + ring[1:-3]))
 
     _assert_close(fourth_difference(g, f),
                   ring[4:] - 4.0 * ring[3:-1] + 6.0 * f - 4.0 * ring[1:-3] + ring[:-4])

@@ -28,7 +28,8 @@ def test_a_fit_that_raised_is_listed_after_the_table(monkeypatch, capsys, tmp_pa
     doc["time"]["T"] = 20.0
     doc["outputs"]["snapshots"] = [0.0, 10.0]
     run(parse_config(doc), tmp_path / "short")
-    listed = "thm1_linear:decay_exponents: window [25.0, 100.0] holds 0 samples; need 20"
+    listed = ("thm1_linear:decay_exponents: WindowTooSmall: "
+              "window [25.0, 100.0] holds 0 samples; need 20")
 
     code, out = _rate_table(tmp_path, monkeypatch, capsys)
     assert code == 0

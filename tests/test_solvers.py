@@ -7,6 +7,8 @@ import platform
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from hypodecay.analysis import check_energy_law, check_monotone
@@ -593,14 +595,20 @@ def test_heat_zero_data():
     assert np.all(series.channel("l2") == 0.0)
 
 
-def test_heat_compact_boundary_pinned():
+def test_heat_compact_run_obeys_the_window():
+    """A compact run steps the ring until its data reach the ends, and then
+    stops with DomainEscape, as every solver's does."""
     grid = Grid1D(L=30.0, N=512, bc="compact_support")
     series, snaps = heat_solve(grid, np.exp(-grid.x**2), T=5.0,
                                snapshot_times=(5.0,))
     uT = snaps[5.0]
-    assert abs(uT[0]) < 1e-20 and abs(uT[-1]) < 1e-20
+    assert max(abs(uT[0]), abs(uT[-1])) <= 1e-10
     l2 = series.channel("l2")
     assert l2[-1] < 0.5 * l2[0]
+    with pytest.raises(DomainEscape, match="boundary amplitude"):
+        heat_solve(grid, np.exp(-grid.x**2), T=40.0)
+    with pytest.raises(DomainEscape, match="t=0"):
+        heat_solve(grid, np.ones(grid.N), T=1.0)
 
 
 def test_heat_weighted_channel():
@@ -613,30 +621,69 @@ def test_heat_weighted_channel():
 @pytest.mark.parametrize("N", [16, 63])
 @pytest.mark.parametrize("bc", ["periodic", "compact_support"])
 def test_heat_matches_dense_crank_nicolson(bc, N):
-    """Three steps against (I - r L) u' = (I + r L) u solved densely."""
-    grid = Grid1D(L=10.0, N=N, bc=bc)
-    u0 = 1.0 + np.random.default_rng(N).random(N)
+    """Three steps against (I - r L) u' = (I + r L) u solved densely, L the
+    ring's Laplacian on either grid.
+
+    Compact data are a bump at the middle node of a window wide enough
+    (dt / dx^2 = 1 / dx small) that the three steps keep its ends under
+    the escape budget.
+    """
+    rng = np.random.default_rng(N)
+    if bc == "periodic":
+        grid = Grid1D(L=10.0, N=N, bc=bc)
+        u0 = 1.0 + rng.random(N)
+    else:
+        grid = Grid1D(L=25.0 * N, N=N, bc=bc)
+        u0 = (1.0 + rng.random(N)) * np.exp(-4.0 * (np.arange(N) - N // 2) ** 2.0)
     T = 3.0 * grid.dx
     series, snaps = heat_solve(grid, u0, T=T, snapshot_times=(T,))
     assert series.meta["n_steps"] == 3
     r = 0.5 * series.meta["dt_step"] / grid.dx**2
     L = np.eye(N, k=1) + np.eye(N, k=-1) - 2.0 * np.eye(N)
-    if grid.periodic:
-        L[0, -1] = L[-1, 0] = 1.0
-    else:
-        L[[0, -1]] = 0.0
+    L[0, -1] = L[-1, 0] = 1.0
     u = u0
     for _ in range(3):
-        b = u + r * (L @ u)
-        if not grid.periodic:
-            b[[0, -1]] = 0.0
-        u = np.linalg.solve(np.eye(N) - r * L, b)
-    got = snaps[T]
-    if not grid.periodic:
-        # the dense solve leaves roundoff in the identity end rows
-        assert got[0] == got[-1] == 0.0
-        got, u = got[1:-1], u[1:-1]
-    np.testing.assert_allclose(got, u, rtol=1e-12)
+        u = np.linalg.solve(np.eye(N) - r * L, u + r * (L @ u))
+    np.testing.assert_allclose(snaps[T], u, rtol=1e-12, atol=1e-15 * np.abs(u).max())
+
+
+@st.composite
+def one_heat_step(draw):
+    """(grid, u0, T): one step of dt = T = rho dx^2 <= dx.  A compact grid
+    has N >= 64 nodes, rho <= 1 and data on its middle 8 nodes, so that the
+    step keeps its ends under the escape budget."""
+    bc = draw(st.sampled_from(["periodic", "compact_support"]))
+    compact = bc == "compact_support"
+    N = draw(st.integers(64 if compact else 16, 256))
+    dx = draw(st.floats(0.01, 1.0))
+    grid = Grid1D(L=0.5 * dx * (N - compact), N=N, bc=bc)
+    rho = draw(st.floats(1e-6, 1.0 if compact else 1.0 / grid.dx))
+    values = st.floats(-1.0, 1.0, allow_subnormal=False)
+    u0 = np.zeros(N)
+    if compact:
+        u0[N // 2 - 4:N // 2 + 4] = draw(st.lists(values, min_size=8, max_size=8))
+    else:
+        u0[:] = draw(st.lists(values, min_size=N, max_size=N))
+    return grid, u0, rho * grid.dx**2
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=one_heat_step())
+def test_heat_step_multipliers_lie_in_the_unit_interval(case):
+    """Each mode's multiplier, read off one step of a unit impulse at the
+    middle node, lies in [-1, 1]; and one step of any data inside the
+    window leaves the L2 norm no larger."""
+    grid, u0, T = case
+    c = grid.N // 2
+    impulse = np.zeros(grid.N)
+    impulse[c] = 1.0
+    series, snaps = heat_solve(grid, impulse, T=T, snapshot_times=(T,))
+    assert series.meta["n_steps"] == 1
+    m = np.fft.rfft(np.roll(snaps[T], -c))
+    assert np.abs(m.imag).max() <= 1e-14
+    assert np.abs(m.real).max() <= 1.0 + 1e-14
+    l2 = heat_solve(grid, u0, T=T)[0].channel("l2")
+    assert l2[-1] <= l2[0] * (1.0 + 1e-14)
 
 
 def test_heat_guards():
