@@ -4,11 +4,11 @@ Periodic grids omit the duplicate endpoint (dx = 2L/N) so trapezoid
 quadrature and centered differences satisfy summation-by-parts exactly.
 Compact-support grids include both endpoints (dx = 2L/(N-1)) with the
 usual half-weight trapezoid ends.  A compact grid is a finite window of
-the real line whose runs `check_escape` stops before anything reaches
-its ends, so its stencils never need a closure there: they step it as a
-ring of its N nodes, as they step a periodic grid.  A grid builds its
-nodes `x` and weights `qw` on first use; `nodes` and `weights` give any
-block of them.
+the real line whose runs `march` stops (`check_escape`) before anything
+reaches its ends, so its stencils never need a closure there: they step
+it as a ring of its N nodes, as they step a periodic grid.  A grid
+builds its nodes `x` and weights `qw` on first use; `nodes` and
+`weights` give any block of them.
 
 Every stencil is one engine: `ghost_pad` pads a field with wrap cells,
 `correlate` applies a kernel to the pad with `np.correlate`, and `unpad`

@@ -22,8 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import CflViolation, SmallnessBreached, VacuumApproached, rejected
-from ..grids import (CENTERED, FOURTH_DIFFERENCE, GHOSTS, check_escape, correlate, d_dx,
-                     escape_tol, l2_norm, unpad)
+from ..grids import CENTERED, FOURTH_DIFFERENCE, GHOSTS, correlate, d_dx, l2_norm, unpad
 from .march import CFL, CFL_MAX, check_nu, march, stage_weights, staged_rk4, step_size
 from .waves import check_zero_mass
 
@@ -126,7 +125,7 @@ def simulate_euler(espec, grid, rho0, u0, T, nu=0.0, sample_stride=1,
     variables), h2_raw (physical perturbation, smallness-monitored),
     x_func (a-priori functional with trapezoid time quadrature), mass_n,
     plus optional weighted and wave-energy channels.  Aborts with
-    SmallnessBreached / VacuumApproached / DomainEscape diagnostics.
+    SmallnessBreached / VacuumApproached / CflViolation diagnostics.
     """
     check_nu(nu)
     rho = np.array(rho0, dtype=float)
@@ -144,13 +143,11 @@ def simulate_euler(espec, grid, rho0, u0, T, nu=0.0, sample_stride=1,
     speed0 = float((np.abs(u) + half_g * (ct + c_bar)).max())
     speed_ref = SPEED_HEADROOM * max(speed0, half_g * c_bar)
     nsteps, dt = step_size(T, CFL * grid.dx / speed_ref, grid.N)
-    dx = grid.dx
 
     if wave is not None:
         check_zero_mass(grid, rho - espec.rho_bar)
     step = compile_step(grid, espec, nu, dt)
 
-    tol = escape_tol(rho - espec.rho_bar, u)
     w2 = None if weight is None else weight.values(grid.x) ** 2
     x_integral = 0.0
     prev_integrand = None
@@ -204,18 +201,17 @@ def simulate_euler(espec, grid, rho0, u0, T, nu=0.0, sample_stride=1,
                 f"perturbation size {h2_raw:.4f} exceeds cap {smallness_cap} at t={t:.4g}"
             )
         speed = float((np.abs(u) + half_g * c).max())
-        if speed * dt / dx > CFL_MAX:
+        if speed * dt / grid.dx > CFL_MAX:
             raise CflViolation(
                 f"wave speed {speed:.3f} at t={t:.4g} violates the step budget"
             )
-        check_escape(grid, t, tol, n, u)
         return row
 
-    def snapshot(state):
+    def fields(state):
+        """(n, u): the density perturbation rho - rho_bar and the velocity."""
         ct, u = state
-        n = espec.density_of_sound(ct + c_bar) - espec.rho_bar
-        return np.column_stack([n, u])
+        return espec.density_of_sound(ct + c_bar) - espec.rho_bar, u
 
     meta = {"scheme": "strang-exp/rk4-centered", "nu": nu, "smallness_cap": smallness_cap}
-    return march((ct, u), nsteps, dt, step, record, sample_stride, snapshot_times,
-                 snapshot, meta)
+    return march(grid, (ct, u), nsteps, dt, step, record, fields, sample_stride,
+                 snapshot_times, meta)

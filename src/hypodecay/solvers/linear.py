@@ -18,22 +18,24 @@ No coefficient is derived by hand, and the build checks the step against
 damp u1 too, which decays only through its coupling to the damped
 components.  `simulate_linear` carries the state as C-contiguous (n, N)
 rows and steps it with two n x n mixes and n `np.correlate` calls after
-one ghost pad.  Its `record` reads U as the free `.T` view and fills one
-preallocated stack of rows [U; d_x U; W], W (the antiderivative of U1)
-only under a wave monitor.  Every quadratic channel, the Lyapunov
-functional and the wave pair included, is a contraction of that stack's
-one quadrature Gram, read as Python floats, plus one weighted Gram per
-wave weight that is not a constant (`waves.power_wave_record`).
+one ghost pad.  Its `record` and its `march` field map read U as the
+free `.T` view; the record fills one preallocated stack of rows
+[U; d_x U; W], W (the antiderivative of U1) only under a wave monitor.
+Every quadratic channel, the Lyapunov functional and the wave pair
+included, is a contraction of that stack's one quadrature Gram, read as
+Python floats, plus one weighted Gram per wave weight that is not a
+constant (`waves.power_wave_record`).
 """
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
 from ..corrector import cross_matrix, lyapunov_value
 from ..errors import CflViolation
-from ..grids import Grid1D, antiderivative, check_escape, d_dx, escape_tol, gram, l2_norm
+from ..grids import Grid1D, antiderivative, d_dx, gram, l2_norm
 from ..linalg import jacobi_eigensystem, expm_sym
 from .march import CFL, march, rk4, step_size
 from .waves import check_zero_mass
@@ -48,7 +50,6 @@ REACH = 4
 class LinearSim:
     spec: object
     grid: object
-    dt: float = field(init=False)
     advection: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -58,11 +59,17 @@ class LinearSim:
         # first, the sum cannot overflow, and a symmetric A with no entry
         # below 4.5e-308 is its own symmetric part bit for bit.
         A = 0.5 * self.spec.A + 0.5 * self.spec.A.T
-        w, _ = jacobi_eigensystem(A)
-        rho = float(np.abs(w).max())
-        speed = rho if rho > 0.0 else 1.0
-        object.__setattr__(self, "dt", CFL * self.grid.dx / speed)
         object.__setattr__(self, "advection", np.ascontiguousarray(-A))
+
+    @cached_property
+    def characteristics(self):
+        """(w, P), A = P diag(w) P^T: the one eigensolve `dt` and `compile_step` share."""
+        return jacobi_eigensystem(-self.advection)
+
+    @cached_property
+    def dt(self):
+        rho = float(np.abs(self.characteristics[0]).max())
+        return CFL * self.grid.dx / (rho if rho > 0.0 else 1.0)
 
 
 def damping_half_step(spec, dt):
@@ -148,12 +155,12 @@ def _check_step(sim, dt, half, step):
 def compile_step(sim, dt):
     """The reference step of size dt as a map of C-contiguous (n, N) rows.
 
-    With A = P diag(w) P^T, the symmetric A of `LinearSim.advection`, and
-    H = exp(-B dt/2), the step is M1 diag(r) M2, M1 = H P and M2 = P^-1 H:
-    RK4 transports each characteristic variable on its own, with the
-    scalar kernel r[i] of speed w[i].  A step mixes V into Z = M2 V, pads
-    Z once with wrap cells, makes n `np.correlate` calls and mixes back
-    with M1, on either grid.  P^-1 is P^T after one Newton step,
+    With A = P diag(w) P^T, `sim.characteristics` of the symmetric
+    A = -`sim.advection`, and H = exp(-B dt/2), the step is M1 diag(r) M2,
+    M1 = H P and M2 = P^-1 H: RK4 transports each characteristic variable
+    on its own, with the scalar kernel r[i] of speed w[i].  A step mixes V
+    into Z = M2 V, pads Z once with wrap cells, makes n `np.correlate` calls
+    and mixes back with M1, on either grid.  P^-1 is P^T after one Newton step,
     P^T (2I - P P^T): P P^T misses I by an ulp, which the mass mode would
     compound step by step, and no run then maps LAPACK's LU code.
 
@@ -166,7 +173,7 @@ def compile_step(sim, dt):
         raise CflViolation(f"dt {dt:.3e} exceeds the advective limit {sim.dt:.3e}")
     half = damping_half_step(sim.spec, dt)
     n, small = sim.spec.n, _kernel_grid(sim, REACH)
-    w, P = jacobi_eigensystem(-sim.advection)
+    w, P = sim.characteristics
     r = _speed_kernels(small, dt, w, REACH)
     M1, M2 = half.T @ P, P.T @ (2.0 * np.eye(n) - P @ P.T) @ half.T
     _check_step(replace(sim, grid=small), dt, half, _factored_step(M1, r, M2, small.N))
@@ -188,7 +195,7 @@ def simulate_linear(sim, U0, T, sample_stride=1, coeffs=None, weight=None,
     Optional observers: `coeffs` adds the modified-energy channel,
     `weight` a spatially weighted norm, `wave` the antiderivative
     wave-energy monitor (requires zero-mean undamped data).  Returns the
-    recorded series and a dict of state snapshots keyed by time.
+    recorded series and a dict of (N, n) state snapshots keyed by time.
     """
     spec, grid = sim.spec, sim.grid
     U = np.asarray(U0, dtype=float)
@@ -198,7 +205,6 @@ def simulate_linear(sim, U0, T, sample_stride=1, coeffs=None, weight=None,
     step = compile_step(sim, dt)
     if wave is not None:
         check_zero_mass(grid, U[:, : spec.n1])
-    tol = escape_tol(U)
     n, n1 = spec.n, spec.n1
     w2 = None if weight is None else weight.values(grid.x) ** 2
     C = None if coeffs is None else cross_matrix(spec, coeffs.eps).tolist()
@@ -207,7 +213,6 @@ def simulate_linear(sim, U0, T, sample_stride=1, coeffs=None, weight=None,
     R = np.empty((2 * n + (0 if wave is None else n1), grid.N))
 
     def record(t, V):
-        U = V.T
         R[:n] = V
         for c in range(n):
             R[n + c] = d_dx(grid, V[c])
@@ -228,11 +233,11 @@ def simulate_linear(sim, U0, T, sample_stride=1, coeffs=None, weight=None,
         if coeffs is not None:
             row["lyapunov"] = lyapunov_value(C, coeffs.eta0, G, t)
         if weight is not None:
-            row["weighted_l2"] = l2_norm(grid, U, w2)
+            row["weighted_l2"] = l2_norm(grid, V.T, w2)
         if wave is not None:
             row["wave_energy"], row["wave_dissipation"] = wave.record(grid, t, R, G)
-        check_escape(grid, t, tol, U)
         return row
 
-    return march(np.ascontiguousarray(U.T), nsteps, dt, step, record, sample_stride,
-                 snapshot_times, lambda V: V.T.copy(), {"scheme": "strang-exp/rk4-centered"})
+    return march(grid, np.ascontiguousarray(U.T), nsteps, dt, step, record,
+                 lambda V: (V.T,), sample_stride, snapshot_times,
+                 {"scheme": "strang-exp/rk4-centered"})

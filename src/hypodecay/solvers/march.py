@@ -2,10 +2,11 @@
 
 Each solver's one `step_size` call sets its run's (nsteps, dt), bounding
 the cost before the solver builds its one-step map for dt; it hands
-`march` that pair, the map and its `record(t, state)` observer.  The
-driver owns everything else about a run: the sampling stride, the
-snapshot steps, the assembly of the recorded series, the process's heap
-setting and the floating-point mode the steps and observers run in.
+`march` that pair, the map, its `record(t, state)` observer and its map
+to the physical fields.  The driver owns everything else about a run:
+the sampling stride, the compact-window guard, the snapshots, the
+assembly of the recorded series, the process's heap setting and the
+floating-point mode the steps and observers run in.
 `rk4` is the plain classical Runge-Kutta stage sequence and `staged_rk4`
 the same one regrouped into four pre-weighted stencil stages.  `CFL` is
 every explicit solver's CFL number, and `check_nu` the one check of the
@@ -22,7 +23,7 @@ import numpy as np
 
 from ..analysis import TimeSeries
 from ..errors import HypodecayError, NonFiniteState, RunTooCostly, rejected
-from ..grids import GHOSTS, ghost_pad, unpad
+from ..grids import GHOSTS, check_escape, escape_tol, ghost_pad, unpad
 
 # The CFL number each explicit solver steps at, and the largest one a
 # running Euler solution may reach before it is a CflViolation.
@@ -206,19 +207,21 @@ def _flush_subnormals():
         _fesetenv(env)
 
 
-def march(state, nsteps, dt, step, record, sample_stride, snapshot_times,
-          snapshot, meta):
-    """Advance `state` by nsteps uniform steps of dt, the pair `step_size`
-    gave the solver that built `step`.
+def march(grid, state, nsteps, dt, step, record, fields, sample_stride,
+          snapshot_times, meta):
+    """Advance `state` on `grid` by nsteps uniform steps of dt, the pair
+    `step_size` gave the solver that built `step`.
 
     `step(state)` returns the next state.  `record(t, state)` returns
     a dict of channel values; it runs at step 0, at every multiple of
     `sample_stride` and at the last step, and raises to abort the run.
-    A NaN or infinite channel value raises NonFiniteState at that sample.
-    A guard that trips at the step-0 sample raises `rejected` of its
-    exception: the initial data are refused.
-    `snapshot(state)` returns the array stored at the step nearest each
-    of `snapshot_times`, which must be one of steps 0..nsteps.  Returns the
+    `fields(state)` returns the physical fields, a tuple of (N,) or (N, k)
+    arrays.  After each record `check_escape` holds them to the
+    `escape_tol` of the initial fields, then a NaN or infinite channel
+    value raises NonFiniteState.  A guard that trips at the step-0 sample
+    raises `rejected` of its exception: the initial data are refused.
+    The fields' columns are stored at the step nearest each of
+    `snapshot_times`, which must be one of steps 0..nsteps.  Returns the
     recorded TimeSeries, whose meta is `meta` plus dt_step, n_steps and
     sample_stride, and the snapshots keyed by time.
     """
@@ -229,8 +232,8 @@ def march(state, nsteps, dt, step, record, sample_stride, snapshot_times,
         if not 0 <= j <= nsteps:
             raise ValueError(f"snapshot time {ts} lies outside steps 0..{nsteps} of {dt}")
         snap_steps.setdefault(j, []).append(float(ts))
-    snapshots = {}
-    times, chans = [], {}
+    snapshots, times, chans = {}, [], {}
+    tol = escape_tol(*fields(state))
 
     with _flush_subnormals():
         for j in range(nsteps + 1):
@@ -240,6 +243,7 @@ def march(state, nsteps, dt, step, record, sample_stride, snapshot_times,
                 t = j * dt
                 try:
                     row = record(t, state)
+                    check_escape(grid, t, tol, *fields(state))
                     bad = [k for k, v in row.items() if not math.isfinite(v)]
                     if bad:
                         raise NonFiniteState(
@@ -252,7 +256,7 @@ def march(state, nsteps, dt, step, record, sample_stride, snapshot_times,
                 for k, v in row.items():
                     chans.setdefault(k, []).append(v)
             for ts in snap_steps.get(j, ()):
-                snapshots[ts] = snapshot(state)
+                snapshots[ts] = np.column_stack(fields(state))
 
     series = TimeSeries(
         t=np.array(times),

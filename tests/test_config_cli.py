@@ -42,6 +42,7 @@ from hypodecay.experiment.config import DATA_FIELDS, KEYS, SYSTEM_KINDS, WEIGHT_
 from hypodecay.experiment.runner import resolve_out_dir, resolve_out_dir_for_batch
 from hypodecay.grids import Grid1D
 from hypodecay.solvers import default_offset
+from hypodecay.solvers import march as march_module
 
 EXPECTED_SCENARIOS = [
     "ckn_sweep",
@@ -1708,6 +1709,52 @@ def test_cli_rejects_data_that_reach_the_boundary_at_t0(tmp_path, capsys):
     assert _compact_smoke_run(tmp_path, 10.0) == 2
     err = capsys.readouterr().err
     assert "config error" in err and "at t=0 " in err
+
+
+def _window_doc(kind, L, stride):
+    """edge_doc(kind) on a compact grid of half-width L, with one width-3
+    pulse at x = 0 (small enough for Euler's smallness cap) and no weights,
+    run to T = 30 at `stride`."""
+    doc = edge_doc(kind)
+    doc["grid"].update(L=L, bc="compact_support")
+    doc["time"].update(T=30.0, sample_stride=stride)
+    doc["data"] = [{"kind": "gaussian", "component": 0, "amp": 0.01 if kind == "euler" else 1.0,
+                    "width": 3.0, "center": 0.0}]
+    doc["weights"] = []
+    doc["outputs"] = {"snapshots": []}
+    return doc
+
+
+@pytest.mark.parametrize("kind", ["linear", "euler", "psystem", "heat"])
+def test_march_stops_every_kind_at_the_compact_window(monkeypatch, kind):
+    """`march`'s escape check stops a run at its first sample past the step
+    where the data reach the ends: exit 3, not a rejection.  Data already
+    over the budget on the end rows at t = 0 are refused: exit 2.  Either
+    way nothing is written (`_cli_run_doc`)."""
+    calls = []  # (t, raised) of each check march makes
+    check = march_module.check_escape
+
+    def watched(grid, t, tol, *fields):
+        calls.append((t, True))
+        check(grid, t, tol, *fields)
+        calls[-1] = (t, False)
+
+    monkeypatch.setattr(march_module, "check_escape", watched)
+    code, err = _cli_run_doc(_window_doc(kind, 20.0, 1))
+    assert code == 3 and "numerical failure: DomainEscape" in err, err
+    assert [raised for _, raised in calls] == [False] * (len(calls) - 1) + [True]
+    crossing, dt = len(calls) - 1, calls[1][0]  # stride 1: the j-th check is at j dt
+    stride = next(s for s in (3, 4, 5, 7) if crossing % s)
+    calls.clear()
+    code, err = _cli_run_doc(_window_doc(kind, 20.0, stride))
+    first_past = -(-crossing // stride) * stride
+    assert code == 3 and calls[-1] == (first_past * dt, True), (calls[-1], first_past)
+    assert f"at t={first_past * dt:.4g} " in err, err
+
+    calls.clear()
+    code, err = _cli_run_doc(_window_doc(kind, 10.0, 1))
+    assert code == 2 and "config error" in err and "at t=0 " in err, err
+    assert calls == [(0.0, True)]
 
 
 def _refuse_constant(name):

@@ -11,6 +11,10 @@ count, so a function that only calls itself is still dead.  A field
 counts as read only where an Attribute loads it; its declaration, a
 keyword argument that fills it and a store through `object.__setattr__`
 do not, so a field that is only ever stored is dead too.
+
+The same scan holds the compact-window guard in one place: under src/,
+only `grids.py`, which defines it, and `solvers/march.py`, which runs it
+at every sample, name `check_escape` or `escape_tol`.
 """
 
 import ast
@@ -90,3 +94,17 @@ def test_every_annotated_class_field_under_src_is_read():
     dead = sorted(f"{path}: {cls}.{name}" for (cls, name), path in fields.items()
                   if name not in read)
     assert dead == []
+
+
+GUARD = {"check_escape", "escape_tol"}
+
+
+def test_only_the_grid_and_march_name_the_window_guard():
+    """march names the guard, and no module but grids.py may besides."""
+    named = set()
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        module = ast.parse(path.read_text(), filename=str(path))
+        if any(_named(node) & GUARD for node in ast.walk(module)):
+            named.add(path.relative_to(ROOT))
+    named.discard(Path("src/hypodecay/grids.py"))
+    assert named == {Path("src/hypodecay/solvers/march.py")}

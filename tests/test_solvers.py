@@ -386,7 +386,7 @@ def test_psystem_record_matches_its_written_out_formulas_bitwise(r):
 
 def _rho_u(state):
     p, m = state
-    return np.column_stack(((p + m) * 0.5, (p - m) * 0.5))
+    return (p + m) * 0.5, (p - m) * 0.5
 
 
 def test_psystem_damping_at_r2_skips_the_unit_power_bitwise():
@@ -423,8 +423,8 @@ def test_psystem_damping_at_r2_skips_the_unit_power_bitwise():
                 m5 + (2.0 * m3[4:-4] + m2[6:-6] - m[8:-8]) * (1.0 / 3.0))
 
     nsteps, dt = step_size(T, CFL * grid.dx, grid.N)
-    _, ref = march((rho0 + u0, rho0 - u0), nsteps, dt, lambda s: step(s, dt),
-                   lambda t, s: {}, 1, (T,), _rho_u, {})
+    _, ref = march(grid, (rho0 + u0, rho0 - u0), nsteps, dt, lambda s: step(s, dt),
+                   lambda t, s: {}, _rho_u, 1, (T,), {})
     _, snaps = simulate_psystem(PSystemSpec(r=r), grid, rho0, u0, T=T, nu=nu,
                                 snapshot_times=(T,))
     assert snaps[T].tobytes() == ref[T].tobytes()
@@ -454,8 +454,8 @@ def test_psystem_invariant_steps_match_the_rho_u_scheme(bc, r, nu):
         return drho, du
 
     nsteps, dt = step_size(T, 0.4 * grid.dx, grid.N)
-    _, ref = march((rho0, u0), nsteps, dt, lambda s: rk4(rhs, s, dt),
-                   lambda t, s: {}, 1, (T,), np.column_stack, {})
+    _, ref = march(grid, (rho0, u0), nsteps, dt, lambda s: rk4(rhs, s, dt),
+                   lambda t, s: {}, lambda s: s, 1, (T,), {})
     _, snaps = simulate_psystem(PSystemSpec(r=r), grid, rho0, u0, T=T, nu=nu,
                                 snapshot_times=(T,))
     assert np.abs(ref[T]).max() > 0.1
@@ -495,9 +495,9 @@ def test_euler_staged_steps_match_the_plain_rk4_scheme(bc, gamma, nu):
         ct, u = rk4(rhs, (state[0], state[1] * decay), dt)
         return ct, u * decay
 
-    _, ref = march((ct0, u0), nsteps, dt, step, lambda t, s: {}, 1, (T,),
-                   lambda s: np.column_stack([es.density_of_sound(s[0] + c_bar) - es.rho_bar,
-                                              s[1]]), {})
+    _, ref = march(grid, (ct0, u0), nsteps, dt, step, lambda t, s: {},
+                   lambda s: (es.density_of_sound(s[0] + c_bar) - es.rho_bar, s[1]),
+                   1, (T,), {})
     _, snaps = simulate_euler(es, grid, rho0, u0, T=T, nu=nu, snapshot_times=(T,))
     err = np.abs(snaps[T] - ref[T]).max(axis=0) / np.abs(ref[T]).max(axis=0)
     assert np.all(err <= 1e-13), err
@@ -601,7 +601,7 @@ def test_heat_compact_run_obeys_the_window():
     grid = Grid1D(L=30.0, N=512, bc="compact_support")
     series, snaps = heat_solve(grid, np.exp(-grid.x**2), T=5.0,
                                snapshot_times=(5.0,))
-    uT = snaps[5.0]
+    uT = snaps[5.0][:, 0]
     assert max(abs(uT[0]), abs(uT[-1])) <= 1e-10
     l2 = series.channel("l2")
     assert l2[-1] < 0.5 * l2[0]
@@ -644,7 +644,7 @@ def test_heat_matches_dense_crank_nicolson(bc, N):
     u = u0
     for _ in range(3):
         u = np.linalg.solve(np.eye(N) - r * L, u + r * (L @ u))
-    np.testing.assert_allclose(snaps[T], u, rtol=1e-12, atol=1e-15 * np.abs(u).max())
+    np.testing.assert_allclose(snaps[T][:, 0], u, rtol=1e-12, atol=1e-15 * np.abs(u).max())
 
 
 @st.composite
@@ -679,7 +679,7 @@ def test_heat_step_multipliers_lie_in_the_unit_interval(case):
     impulse[c] = 1.0
     series, snaps = heat_solve(grid, impulse, T=T, snapshot_times=(T,))
     assert series.meta["n_steps"] == 1
-    m = np.fft.rfft(np.roll(snaps[T], -c))
+    m = np.fft.rfft(np.roll(snaps[T][:, 0], -c))
     assert np.abs(m.imag).max() <= 1e-14
     assert np.abs(m.real).max() <= 1.0 + 1e-14
     l2 = heat_solve(grid, u0, T=T)[0].channel("l2")
@@ -961,8 +961,24 @@ def test_compiled_step_build_checks_fire(monkeypatch, bc):
                        ("jacobi_eigensystem", swapped_eigensystem)]:
         with monkeypatch.context() as m:
             m.setattr(linear_module, name, fake)
+            fresh = LinearSim(spec=STANDARD, grid=sim.grid)  # solves its eigensystem here
             with pytest.raises(AssertionError, match=miss):
-                compile_step(sim, sim.dt)
+                compile_step(fresh, fresh.dt)
+
+
+def test_a_linear_run_solves_its_eigensystem_once(monkeypatch):
+    """The step limit and the compiled step share the sim's one eigensolve;
+    the build check's copy on the kernel grid needs none."""
+    calls, eigensystem = [], linear_module.jacobi_eigensystem
+
+    def counted(M):
+        calls.append(M)
+        return eigensystem(M)
+
+    monkeypatch.setattr(linear_module, "jacobi_eigensystem", counted)
+    grid = Grid1D(L=10.0, N=96)
+    simulate_linear(LinearSim(spec=STANDARD, grid=grid), np.zeros((96, 2)), T=1.0)
+    assert len(calls) == 1
 
 
 def test_linear_operands_are_c_contiguous():
@@ -1005,6 +1021,8 @@ def test_linear_record_matches_inner_formulas(n, n1):
 
 # --- shared time-marching driver --------------------------------------------
 
+RING = Grid1D(L=1.0, N=16)
+
 
 def test_march_stops_at_first_non_finite_sample():
     def step(state):
@@ -1015,29 +1033,38 @@ def test_march_stops_at_first_non_finite_sample():
 
     # ten steps of 0.1, sampled every other step: step 3 is skipped, step 4 trips
     with pytest.raises(NonFiniteState, match="'l2'") as info:
-        march(np.zeros(1), 10, 0.1, step, record, 2, (), np.copy, {})
+        march(RING, np.zeros(16), 10, 0.1, step, record, lambda s: (s,), 2, (), {})
     assert info.value.time == pytest.approx(0.4, rel=1e-14)
 
 
 def test_march_rejects_the_initial_data_a_step_0_guard_refuses():
-    """A guard tripped at the t = 0 sample stays an instance of its own
-    class, with its fields, and is also an InitialDataRejected; one tripped
-    after a step is not."""
+    """A guard tripped at the t = 0 sample, `march`'s own escape check
+    included, stays an instance of its own class, with its fields, and is
+    also an InitialDataRejected; one tripped after a step is not.  The
+    escape check runs after the record and before the finiteness check."""
+    grid = Grid1D(L=1.0, N=16, bc="compact_support")
+    middle, end = np.zeros(16), np.zeros(16)
+    middle[8] = end[-1] = 1.0
 
     def record(t, state):
-        if state[0] >= 1.0:
-            raise DomainEscape(f"escaped at t={t:.4g}")
-        return {"l2": np.inf if state[1] else 1.0}
+        if state[4]:
+            raise SmallnessBreached(f"too large at t={t:.4g}")
+        return {"l2": np.inf if state[8] else 1.0}
+
+    def run(state, step=lambda s: s):
+        march(grid, state, 10, 0.1, step, record, lambda s: (s,), 1, (), {})
 
     with pytest.raises(NonFiniteState, match="'l2'") as info:
-        march(np.array([0.0, 1.0]), 10, 0.1, lambda s: s, record, 1, (), np.copy, {})
+        run(middle)
     assert isinstance(info.value, InitialDataRejected)
     assert info.value.time == 0.0
-    with pytest.raises(DomainEscape, match="t=0$") as info:
-        march(np.array([1.0, 0.0]), 10, 0.1, lambda s: s, record, 1, (), np.copy, {})
+    with pytest.raises(DomainEscape, match="t=0 ") as info:
+        run(middle + end)
     assert isinstance(info.value, InitialDataRejected)
-    with pytest.raises(DomainEscape, match="t=0.1$") as info:
-        march(np.zeros(2), 10, 0.1, lambda s: s + 1.0, record, 1, (), np.copy, {})
+    with pytest.raises(SmallnessBreached):
+        run(np.roll(middle, -4) + end)
+    with pytest.raises(DomainEscape, match="t=0.1 ") as info:
+        run(np.zeros(16), lambda s: s + end)
     assert not isinstance(info.value, InitialDataRejected)
 
 
@@ -1072,7 +1099,7 @@ def _march_products(record_raises=False):
             raise RuntimeError("abort")
         return {"v": 0.0}
 
-    march(np.zeros(1), 2, 0.5, step, record, 1, (), np.copy, {})
+    march(RING, np.zeros(16), 2, 0.5, step, record, lambda s: (s,), 1, (), {})
     return seen
 
 
