@@ -68,9 +68,7 @@ class TimeSeries:
 @dataclass(frozen=True)
 class DecayFit:
     alpha: float
-    logC: float
     r2: float
-    n_samples: int
 
 
 def fit_power(series, channel, t_min, t_max):
@@ -90,17 +88,11 @@ def fit_power(series, channel, t_min, t_max):
     Y = np.log(vv)
     A = np.column_stack([X, np.ones_like(X)])
     coef, _, _, _ = np.linalg.lstsq(A, Y, rcond=None)
-    alpha, logC = float(coef[0]), float(coef[1])
     resid = Y - A @ coef
     ss_res = float(resid @ resid)
     ss_tot = float(((Y - Y.mean()) ** 2).sum())
     r2 = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
-    return DecayFit(
-        alpha=alpha,
-        logC=logC,
-        r2=r2,
-        n_samples=int(mask.sum()),
-    )
+    return DecayFit(alpha=float(coef[0]), r2=r2)
 
 
 def bounded_product(series, channel, q):
@@ -234,8 +226,11 @@ def check_decay_inequality(series, e1_channel, e2_channel, a1, a2, mu, eta0,
     times min_rj, the least rate r_j = (-dF/dt - a2 E2) / E1^{1 + 1/mu}
     the interior samples admit, and records both; it raises
     HypothesisViolated where E1^{1 + 1/mu} underflows or no rate is
-    positive.  conclusion_margin = max F / (C a1^{-mu} t^{-mu}) with the
-    proof constant C = mu^mu (exponent choice p = mu + 1, which requires
+    positive.  With that derived a1 every interior residual is
+    E1^{1 + 1/mu} (a1 - r_j) < 0, so slack is 0 up to roundoff, and the
+    live checks are min_rj > 0 and conclusion_margin <= 1.
+    conclusion_margin = max F / (C a1^{-mu} t^{-mu}) with the proof
+    constant C = mu^mu (exponent choice p = mu + 1, which requires
     p < a2/eta0).  Parameters or channels outside these conditions raise
     HypothesisViolated, and fewer than 3 samples WindowTooSmall.
     """

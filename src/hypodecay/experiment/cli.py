@@ -42,10 +42,19 @@ def _load_doc(args):
     return doc
 
 
+def _out(args):
+    """The --out value, refused when empty: "" would name the current
+    directory, whose files a run's stale-output cleanup may delete."""
+    if args.out == "":
+        raise ConfigError("--out is empty; name an output directory")
+    return args.out
+
+
 def _cmd_run(args):
+    out = _out(args)
     cfg = parse_config(_load_doc(args))
     try:
-        report = run(cfg, out_dir=args.out)
+        report = run(cfg, out_dir=out)
     except Exception as exc:  # a bug, too, exits 3 with its traceback, not 1
         code, message = failure(exc)
         print(message, file=sys.stderr)
@@ -64,11 +73,12 @@ def _cmd_list(_args):
 
 
 def _cmd_batch(args):
+    out = _out(args)
     paths = sorted(Path(args.dir).glob("*.json"))
     if not paths:
         print(f"no *.json configs under {args.dir}", file=sys.stderr)
         return 2
-    out_root = resolve_out_dir_for_batch(args.out)
+    out_root = resolve_out_dir_for_batch(out)
     aggregate = batch(paths, out_root, jobs=args.jobs)
     for r in aggregate["runs"]:
         status = r.get("error") or ("ok" if r["exit_code"] == 0 else "certificate failure")

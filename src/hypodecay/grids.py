@@ -36,8 +36,8 @@ class Grid1D:
 
     The stencils read both as a ring of their N nodes.  `bc` decides the
     nodes and dx, the quadrature's end weights (`gram`'s end columns too),
-    whether `check_escape` watches the ends and which grids `check_ckn`
-    takes; it forks no stepping code.
+    whether `march` runs `check_escape` on the ends and which grids
+    `check_ckn` takes; it forks no stepping code.
     """
 
     L: float
@@ -255,11 +255,9 @@ def escape_tol(*fields):
     return BOUNDARY_TOL * max(1.0, *(float(np.abs(f).max()) for f in fields))
 
 
-def check_escape(grid, t, tol, *fields):
-    """Raise DomainEscape once an (N,) or (N, k) field on a compact-support
-    grid reaches the ends; each field's two end rows are read as floats."""
-    if grid.periodic:
-        return
+def check_escape(t, tol, *fields):
+    """Raise DomainEscape once an (N,) or (N, k) field of a compact-support
+    run reaches the grid's ends; each field's two end rows are read as floats."""
     b = 0.0
     for f in fields:
         for row in f.reshape(len(f), -1)[::len(f) - 1].tolist():

@@ -155,31 +155,20 @@ def kalman_matrix(A, B):
     return np.vstack([B @ P for P in powers])
 
 
-def numerical_rank(M, rank_tol=RANK_TOL):
-    """Rank by singular-value thresholding at rank_tol * sigma_max."""
+def numerical_rank(M):
+    """Rank by singular-value thresholding at RANK_TOL * sigma_max."""
     s = np.linalg.svd(np.asarray(M, dtype=float), compute_uv=False)
     if s.size == 0 or s[0] == 0.0:
         return 0
-    return int((s > rank_tol * s[0]).sum())
-
-
-def kalman_seminorm(spec, y):
-    """N(y) = sqrt(sum_k |B A^k y|^2), k = 0..n-1.
-
-    Vanishes exactly on the unobservable subspace; positive definite
-    iff the stacked matrix has full rank.
-    """
-    y = np.asarray(y, dtype=float)
-    if y.shape != (spec.n,):
-        raise DimensionMismatch(f"y must have shape ({spec.n},)")
-    total = 0.0
-    for BAk in spec.damped_powers:
-        v = BAk @ y
-        total += float(v @ v)
-    return float(np.sqrt(total))
+    return int((s > RANK_TOL * s[0]).sum())
 
 
 def kalman_gram(spec):
-    """K^T K for the stacked matrix, so that N(y)^2 = y^T (K^T K) y."""
+    """K^T K for the stacked matrix K, so that the Kalman seminorm
+    N(y) = |K y| = sqrt(sum_k |B A^k y|^2) has N(y)^2 = y^T (K^T K) y.
+
+    N vanishes exactly on the unobservable subspace, and it is a norm
+    iff K has full rank.
+    """
     G = spec.kalman.T @ spec.kalman
     return 0.5 * (G + G.T)

@@ -216,10 +216,12 @@ def march(grid, state, nsteps, dt, step, record, fields, sample_stride,
     a dict of channel values; it runs at step 0, at every multiple of
     `sample_stride` and at the last step, and raises to abort the run.
     `fields(state)` returns the physical fields, a tuple of (N,) or (N, k)
-    arrays.  After each record `check_escape` holds them to the
-    `escape_tol` of the initial fields, then a NaN or infinite channel
-    value raises NonFiniteState.  A guard that trips at the step-0 sample
-    raises `rejected` of its exception: the initial data are refused.
+    arrays.  On a compact grid, after each record `check_escape` holds
+    them to the `escape_tol` of the initial fields; a periodic grid has
+    no ends, so there `fields` runs only for snapshots.  Then a NaN or
+    infinite channel value raises NonFiniteState.  A guard that trips at
+    the step-0 sample raises `rejected` of its exception: the initial
+    data are refused.
     The fields' columns are stored at the step nearest each of
     `snapshot_times`, which must be one of steps 0..nsteps.  Returns the
     recorded TimeSeries, whose meta is `meta` plus dt_step, n_steps and
@@ -233,7 +235,8 @@ def march(grid, state, nsteps, dt, step, record, fields, sample_stride,
             raise ValueError(f"snapshot time {ts} lies outside steps 0..{nsteps} of {dt}")
         snap_steps.setdefault(j, []).append(float(ts))
     snapshots, times, chans = {}, [], {}
-    tol = escape_tol(*fields(state))
+    if not grid.periodic:
+        tol = escape_tol(*fields(state))
 
     with _flush_subnormals():
         for j in range(nsteps + 1):
@@ -243,7 +246,8 @@ def march(grid, state, nsteps, dt, step, record, fields, sample_stride,
                 t = j * dt
                 try:
                     row = record(t, state)
-                    check_escape(grid, t, tol, *fields(state))
+                    if not grid.periodic:
+                        check_escape(t, tol, *fields(state))
                     bad = [k for k, v in row.items() if not math.isfinite(v)]
                     if bad:
                         raise NonFiniteState(

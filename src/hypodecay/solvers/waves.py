@@ -19,7 +19,7 @@ rows.  Two weight families:
 
 Both carry validity conditions on the offset `a`; `default_offset` picks
 the smallest power of two satisfying them on the run's s-range.  Every
-monitor refuses data whose mass exceeds DEFAULT_MASS_TOL, and the log
+monitor refuses data whose mass exceeds MASS_TOL, and the log
 energy's correction terms carry the weight ETA3.
 """
 
@@ -30,7 +30,7 @@ import numpy as np
 from ..errors import MassNotZero, MuOutOfRange
 from ..grids import antiderivative, gram
 
-DEFAULT_MASS_TOL = 1e-8
+MASS_TOL = 1e-8
 ETA3 = 0.25
 _COND_TOL = 1e-12
 _MAX_DOUBLINGS = 60
@@ -159,20 +159,20 @@ def default_offset(kind, s_max, kappa1=1.0, mu=1.0, q=1.0, r=2.0):
     raise ValueError(f"no valid offset up to 2^{_MAX_DOUBLINGS} for s_max={s_max}")
 
 
-def check_zero_mass(grid, f, mass_tol=DEFAULT_MASS_TOL):
-    """Total integral of every component must vanish for a decaying antiderivative."""
+def check_zero_mass(grid, f):
+    """Raise MassNotZero unless the total integral of every component of f
+    is within MASS_TOL of 0, as a decaying antiderivative needs."""
     f = np.atleast_2d(np.asarray(f, dtype=float).T).T
     masses = grid.qw @ f
     worst = float(np.abs(masses).max())
-    if worst > mass_tol:
+    if worst > MASS_TOL:
         raise MassNotZero(
-            f"component mass {worst:.3e} exceeds tolerance {mass_tol:.1e}; "
+            f"component mass {worst:.3e} exceeds tolerance {MASS_TOL:.1e}; "
             "the antiderivative would not decay"
         )
-    return worst
 
 
-def power_forms(a12a21, a12_d_a12inv, T=None):
+def power_forms(a12a21, a12_d_a12inv, T):
     """The power family's energy and dissipation as quadratic forms, per weight.
 
     With M = a12a21, the stiffness coefficient of the wave reformulation,
@@ -183,11 +183,11 @@ def power_forms(a12a21, a12_d_a12inv, T=None):
         h = phi W_t.Md W_t + phi'/2 W_x.M W_x + phi'''/2 (|W|^2 - W.M W)
 
     and h carries the point mass -phi''(t) W(0).M W(0) at the |x|-kink.
-    Source rows S give the wave fields [W; W_t; W_x] = T S (T = I: S is
-    those rows).  Returns (terms, point): terms[c] lists the nonzero
-    entries (i, j, e_ij, h_ij) of T^T E_c T and T^T H_c T, the forms on S
-    of the c-th weight of `power_terms` (phi, phi', phi'', phi'''), and
-    point the entries (i, j, p_ij) of the point-mass form on S.
+    Source rows S give the wave fields [W; W_t; W_x] = T S.  Returns
+    (terms, point): terms[c] lists the nonzero entries (i, j, e_ij, h_ij)
+    of T^T E_c T and T^T H_c T, the forms on S of the c-th weight of
+    `power_terms` (phi, phi', phi'', phi'''), and point the entries
+    (i, j, p_ij) of the point-mass form on S.
     """
     M = np.asarray(a12a21, dtype=float)
     Md = np.asarray(a12_d_a12inv, dtype=float)
@@ -205,7 +205,6 @@ def power_forms(a12a21, a12_d_a12inv, T=None):
     H[3, w, w] = 0.5 * (one - M)
     P = np.zeros((3 * k, 3 * k))
     P[w, w] = M
-    T = np.eye(3 * k) if T is None else T
     E, H, P = T.T @ E @ T, T.T @ H @ T, T.T @ P @ T
     terms = tuple([(int(i), int(j), float(Ec[i, j]), float(Hc[i, j]))
                    for i, j in np.argwhere((Ec != 0.0) | (Hc != 0.0))]
@@ -214,21 +213,18 @@ def power_forms(a12a21, a12_d_a12inv, T=None):
     return terms, point
 
 
-def power_wave_record(grid, t, wspec, forms, R, G=None, at=None):
+def power_wave_record(grid, t, wspec, forms, R, G, at):
     """Weighted wave energy and dissipation rate for the power family.
 
     `forms` is `power_forms` of the source rows S, and S_i is row at[i]
-    of the C-ordered stack R (every row of R, in order, when at is None).
-    G is R's unweighted quadrature Gram as nested lists, taken here when
-    None.  Each weight of `power_terms(t + |x|)` that is a constant reads
-    G times that constant, and adds nothing when it is 0; each other
-    weight takes one Gram of the rows of R from the first to the last
-    one its forms meet.  At mu = 1, where the weights are (a + s, 1, 0,
+    of the C-ordered stack R.  G is R's unweighted quadrature Gram as
+    nested lists, taken here when None.  Each weight of
+    `power_terms(t + |x|)` that is a constant reads G times that
+    constant, and adds nothing when it is 0; each other weight takes one
+    Gram of the rows of R from the first to the last one its forms meet.  At mu = 1, where the weights are (a + s, 1, 0,
     0), that is one weighted Gram, of phi, and the point mass is 0.
     """
     terms, point = forms
-    if at is None:
-        at = range(len(R))
     if G is None:
         G = gram(grid, R).tolist()
     e = h = 0.0

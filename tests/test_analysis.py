@@ -68,9 +68,7 @@ def test_fit_recovers_exact_power_law():
     s = _series(t, v=3.7 * (1.0 + t) ** -0.55)
     fit = fit_power(s, "v", 0.0, 100.0)
     assert fit.alpha == pytest.approx(-0.55, abs=1e-12)
-    assert fit.logC == pytest.approx(np.log(3.7), abs=1e-12)
     assert fit.r2 == pytest.approx(1.0, abs=1e-12)
-    assert fit.n_samples == 501
 
 
 @settings(max_examples=30, deadline=None)
@@ -79,13 +77,12 @@ def test_fit_recovers_exact_power_law():
     amp=st.floats(min_value=1e-3, max_value=1e3, allow_nan=False),
 )
 def test_fit_amplitude_equivariance(alpha, amp):
-    """Rescaling the channel moves logC, never the exponent."""
+    """Rescaling the channel never moves the exponent."""
     t = np.linspace(0.0, 80.0, 201)
     base = (1.0 + t) ** alpha
     f1 = fit_power(_series(t, v=base), "v", 5.0, 80.0)
     f2 = fit_power(_series(t, v=amp * base), "v", 5.0, 80.0)
     assert f2.alpha == pytest.approx(f1.alpha, abs=1e-10)
-    assert f2.logC - f1.logC == pytest.approx(np.log(amp), abs=1e-9)
 
 
 def test_fit_constant_channel_is_flat():

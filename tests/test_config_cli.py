@@ -1734,9 +1734,9 @@ def test_march_stops_every_kind_at_the_compact_window(monkeypatch, kind):
     calls = []  # (t, raised) of each check march makes
     check = march_module.check_escape
 
-    def watched(grid, t, tol, *fields):
+    def watched(t, tol, *fields):
         calls.append((t, True))
-        check(grid, t, tol, *fields)
+        check(t, tol, *fields)
         calls[-1] = (t, False)
 
     monkeypatch.setattr(march_module, "check_escape", watched)
@@ -1857,6 +1857,29 @@ def test_cli_batch_rejects_an_uncreatable_output_root(tmp_path, capsys):
     assert "config error" in err and "cannot create output directory" in err
     assert blocker.read_text() == ""
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cfgs", "file"]
+
+
+@pytest.mark.parametrize("command", ["run", "batch"])
+def test_cli_refuses_an_empty_out(monkeypatch, tmp_path, capsys, command):
+    """An empty --out would name the current directory, where a run deletes
+    the CSVs it does not write: both commands exit 2 on it and touch
+    nothing."""
+    cfg_dir = tmp_path / "cfgs"
+    cfg_dir.mkdir()
+    (cfg_dir / "good.json").write_text(json.dumps(smoke_doc("smoke_good")))
+    cwd = tmp_path / "cwd"
+    cwd.mkdir()
+    decoys = {"series_notes.csv": "t,notes\n", "results.csv": "a,b\n"}
+    for name, text in decoys.items():
+        (cwd / name).write_text(text)
+    monkeypatch.chdir(cwd)
+    monkeypatch.delenv("HYPODECAY_OUT", raising=False)
+    args = {"run": ["run", "--scenario", "heat_oracle", "--set", "time.T=5"],
+            "batch": ["batch", "--dir", str(cfg_dir)]}[command]
+    assert main([*args, "--out", ""]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "--out" in err, err
+    assert {p.name: p.read_text() for p in cwd.iterdir()} == decoys
 
 
 def test_batch_worker_count_invariance(tmp_path):

@@ -1,7 +1,9 @@
 """Every top-level function, class and constant, and every annotated class
-field, under src/ is named somewhere else.
+field, under src/ is named by the program: src/, scripts/ or perfbench/.
 
-A definition that no code, script, benchmark or test names is dead code.
+A definition that nothing there names is dead code.  Tests do not count
+as users: a definition that only a test reaches is not reached by any
+run, so it does not belong in src/.
 A constant is a name a module-level assignment binds; dunders such as
 `__version__` are exempt.
 A name counts as a Name, an Attribute, a part of an import, or a string
@@ -14,7 +16,7 @@ do not, so a field that is only ever stored is dead too.
 
 The same scan holds the compact-window guard in one place: under src/,
 only `grids.py`, which defines it, and `solvers/march.py`, which runs it
-at every sample, name `check_escape` or `escape_tol`.
+at every sample of a compact run, name `check_escape` or `escape_tol`.
 """
 
 import ast
@@ -22,7 +24,7 @@ import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-TREES = ("src", "scripts", "perfbench", "tests")
+TREES = ("src", "scripts", "perfbench")
 
 
 def _named(node):

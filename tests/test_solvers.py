@@ -453,7 +453,7 @@ def test_psystem_invariant_steps_match_the_rho_u_scheme(bc, r, nu):
         du = correlate(pr, minus_dx) - np.abs(u) ** (r - 1.0) * u - correlate(pu, floor)
         return drho, du
 
-    nsteps, dt = step_size(T, 0.4 * grid.dx, grid.N)
+    nsteps, dt = step_size(T, CFL * grid.dx, grid.N)
     _, ref = march(grid, (rho0, u0), nsteps, dt, lambda s: rk4(rhs, s, dt),
                    lambda t, s: {}, lambda s: s, 1, (T,), {})
     _, snaps = simulate_psystem(PSystemSpec(r=r), grid, rho0, u0, T=T, nu=nu,
@@ -474,11 +474,12 @@ def test_euler_staged_steps_match_the_plain_rk4_scheme(bc, gamma, nu):
     grid = Grid1D(L=20.0, N=128, bc=bc)
     rho0 = 1.0 + 0.05 * np.exp(-grid.x**2)
     u0 = 0.03 * grid.x * np.exp(-grid.x**2)
-    T, cfl = 0.5, 0.4
+    T = 0.5
     half_g, c_bar = 0.5 * (es.gamma - 1.0), es.c_bar
     ct0 = es.sound(rho0) - c_bar
-    speed = 1.25 * max(float((np.abs(u0) + half_g * (ct0 + c_bar)).max()), half_g * c_bar)
-    nsteps, dt = step_size(T, cfl * grid.dx / speed, grid.N)
+    speed = euler_module.SPEED_HEADROOM * max(
+        float((np.abs(u0) + half_g * (ct0 + c_bar)).max()), half_g * c_bar)
+    nsteps, dt = step_size(T, CFL * grid.dx / speed, grid.N)
     decay = np.exp(-0.5 * es.lam * dt)
     plus_dx = (1.0 / (2.0 * grid.dx)) * CENTERED
     floor = (nu / grid.dx) * FOURTH_DIFFERENCE
@@ -1066,6 +1067,28 @@ def test_march_rejects_the_initial_data_a_step_0_guard_refuses():
     with pytest.raises(DomainEscape, match="t=0.1 ") as info:
         run(np.zeros(16), lambda s: s + end)
     assert not isinstance(info.value, InitialDataRejected)
+
+
+def test_march_builds_the_fields_only_where_the_run_reads_them():
+    """A periodic grid has no ends, so without snapshots `fields` never runs
+    and with one it runs once.  On a compact grid it runs once for the
+    escape tolerance and once per sample for the escape check."""
+    calls = []
+
+    def fields(state):
+        calls.append(state)
+        return (state,)
+
+    def run(grid, snapshot_times=()):
+        calls.clear()
+        series, _ = march(grid, np.zeros(16), 10, 0.1, lambda s: s, lambda t, s: {"l2": 1.0},
+                          fields, 3, snapshot_times, {})
+        assert len(series.t) == 5  # steps 0, 3, 6, 9 and the last
+        return len(calls)
+
+    assert run(RING) == 0
+    assert run(RING, (0.5,)) == 1
+    assert run(Grid1D(L=1.0, N=16, bc="compact_support")) == 1 + 5
 
 
 # 1e-160 * 1e-160 = 1e-320 is subnormal: it reads 0.0 exactly when
