@@ -6,11 +6,12 @@ certificate failed (outputs written for inspection).
 """
 
 import argparse
+import json
 import sys
 from pathlib import Path
 
 from .config import ConfigError, apply_override, parse_config, read_config
-from .runner import batch, failure, resolve_out_dir_for_batch, run
+from .runner import batch, failure, resolve_out_dir, run
 from .scenarios import describe, scenario_doc, scenario_names
 
 
@@ -42,19 +43,10 @@ def _load_doc(args):
     return doc
 
 
-def _out(args):
-    """The --out value, refused when empty: "" would name the current
-    directory, whose files a run's stale-output cleanup may delete."""
-    if args.out == "":
-        raise ConfigError("--out is empty; name an output directory")
-    return args.out
-
-
 def _cmd_run(args):
-    out = _out(args)
     cfg = parse_config(_load_doc(args))
     try:
-        report = run(cfg, out_dir=out)
+        report = run(cfg, out_dir=args.out)
     except Exception as exc:  # a bug, too, exits 3 with its traceback, not 1
         code, message = failure(exc)
         print(message, file=sys.stderr)
@@ -72,19 +64,39 @@ def _cmd_list(_args):
     return 0
 
 
-def _cmd_batch(args):
-    out = _out(args)
-    paths = sorted(Path(args.dir).glob("*.json"))
-    if not paths:
-        print(f"no *.json configs under {args.dir}", file=sys.stderr)
+def run_batch(out, jobs, configs):
+    """The batch front end of `hypodecay batch` and scripts/run_registry.py:
+    run the configs `configs(root)` returns into the root `out` resolves
+    to, then print one status line per job and the batch's wall time and
+    largest job peak RSS from batch_timing.json.  Returns the batch's exit
+    code, or 2 for a ConfigError, raised before anything is written.
+    """
+    try:
+        root = resolve_out_dir(out, "batch")
+        aggregate = batch(configs(root), root, jobs=jobs)
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
         return 2
-    out_root = resolve_out_dir_for_batch(out)
-    aggregate = batch(paths, out_root, jobs=args.jobs)
+    timing = json.loads((root / "batch_timing.json").read_text())
     for r in aggregate["runs"]:
         status = r.get("error") or ("ok" if r["exit_code"] == 0 else "certificate failure")
-        print(f"[{r['exit_code']}] {r['name']}: {status}")
-    print(f"batch report: {Path(out_root) / 'batch_report.json'}")
+        job = timing["runs"][r["name"]]
+        print(f"[{r['exit_code']}] {r['name']}: {status} "
+              f"({job['wall_s']:.1f} s, {job['rss_peak_mb']:.1f} MB)")
+    line = f"batch wall time: {timing['wall_s']:.1f} s at --jobs {jobs}"
+    if timing["runs"]:
+        top = max(timing["runs"], key=lambda name: timing["runs"][name]["rss_peak_mb"])
+        line += f", largest peak RSS {timing['runs'][top]['rss_peak_mb']:.1f} MB ({top})"
+    print(line)
+    print(f"batch report: {root / 'batch_report.json'}")
     return aggregate["exit_code"]
+
+
+def _cmd_batch(args):
+    paths = sorted(Path(args.dir).glob("*.json"))
+    if not paths:
+        raise ConfigError(f"no *.json configs under {args.dir}")
+    return run_batch(args.out, args.jobs, lambda _root: paths)
 
 
 def build_parser():

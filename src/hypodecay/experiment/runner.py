@@ -63,24 +63,22 @@ OUT_ENV = "HYPODECAY_OUT"
 # --- output plumbing ---------------------------------------------------
 
 
-def resolve_out_dir(cfg, out_dir=None):
-    """Output directory precedence: explicit arg > env var > default.
+def resolve_out_dir(out, leaf):
+    """Where a run (`leaf` its scenario) or a batch (`leaf` "batch")
+    writes: `out`, else $HYPODECAY_OUT/<leaf>, else runs/<leaf>.
 
-    An empty $HYPODECAY_OUT counts as unset, here and for a batch.
+    An empty $HYPODECAY_OUT counts as unset.  An empty `out` is refused
+    with a ConfigError: it would name the current directory, where a run
+    deletes the CSVs it does not write.
     """
-    if out_dir is not None:
-        return Path(out_dir)
-    return Path(os.environ.get(OUT_ENV) or "runs") / cfg["scenario"]
+    if out == "":
+        raise ConfigError("the output path (--out, out_dir, out_root) is empty; name a directory")
+    if out is not None:
+        return Path(out)
+    return Path(os.environ.get(OUT_ENV) or "runs") / leaf
 
 
-def resolve_out_dir_for_batch(out_root=None):
-    """Batch root precedence: explicit arg > env var > default."""
-    if out_root is not None:
-        return Path(out_root)
-    return Path(os.environ.get(OUT_ENV) or "runs") / "batch"
-
-
-def _make_dir(out):
+def make_dir(out):
     """Create the directory `out`; a failure is a ConfigError."""
     try:
         out.mkdir(parents=True, exist_ok=True)
@@ -610,7 +608,7 @@ def _remove_stale(out, keep):
 def run(cfg, out_dir=None):
     """Execute one configured scenario; write series, snapshots, report."""
     started = time.perf_counter()
-    out = resolve_out_dir(cfg, out_dir)
+    out = resolve_out_dir(out_dir, cfg["scenario"])
     grid = build_grid(cfg)
     ctx = RunContext(cfg=cfg, grid=grid)
     ctx.manifest["config"] = cfg
@@ -624,7 +622,7 @@ def run(cfg, out_dir=None):
 
     certs = run_certificates(ctx)
     # nothing is written until the numerics, sub-runs included, have succeeded
-    _make_dir(out)
+    make_dir(out)
     snapshot_names = {ts: f"snapshot_{repr(ts).removesuffix('.0')}.csv" for ts in snapshots}
     series_path = "results.csv" if series is None else "series.csv"
     _remove_stale(out, {series_path, *snapshot_names.values(),
@@ -737,12 +735,14 @@ def batch(config_paths, out_root, jobs=1):
     job inherits another's heap.  Results are keyed and ordered by config
     file stem, so the aggregate report does not depend on completion
     order or worker count.  Two configs with one stem would share an
-    output directory and a result key, and a root that cannot be created
-    holds no output: either raises ConfigError before anything is written.
+    output directory and a result key, and a root (`resolve_out_dir`'s,
+    leaf "batch") that is empty or cannot be created holds no output: each
+    raises ConfigError before anything is written.
     Wall times, the batch's and each job's, and each job's peak RSS go to
     batch_timing.json only.
     """
     started = time.perf_counter()
+    out_root = resolve_out_dir(out_root, "batch")
     paths = sorted(Path(p) for p in config_paths)
     by_stem = {}
     for path in paths:
@@ -750,8 +750,7 @@ def batch(config_paths, out_root, jobs=1):
         if other is not path:
             raise ConfigError(f"configs {other} and {path} share the stem "
                               f"{path.stem!r}, which names their output directory")
-    out_root = Path(out_root)
-    _make_dir(out_root)
+    make_dir(out_root)
     jobs_list = [(str(p), str(out_root)) for p in sorted(paths, key=_cost)]
     workers = max(1, min(jobs, len(jobs_list)))
     with get_context("fork").Pool(processes=workers, maxtasksperchild=1) as pool:

@@ -165,12 +165,13 @@ _FTZ_DAZ = (1 << 15) | (1 << 6)
 def _keep_freed_heap():
     """Keep freed memory in the process's heap; glibc only, else a no-op.
 
-    A step allocates and frees many field-sized arrays.  Under glibc's
-    default thresholds the freed top of the heap can go back to the
-    system after each step and be faulted in again by the next one:
-    about 80 page faults per p-system step at N = 8192, a quarter of its
-    step time.  The values are the ceilings glibc's own dynamic
-    thresholds reach on 64-bit systems.
+    A step allocates and frees many field-sized arrays.  Measured
+    without this setting, perfbench's `psystem_long` (p-system, N = 8192)
+    ran 7-12 % longer, slower in 9 or 10 of 10 pairs, at the same peak RSS.
+    Page faults do not explain it: a 5120-step run of that size makes
+    about 280 minor faults with the setting and 340 without.  The
+    values are the ceilings glibc's own dynamic thresholds reach on
+    64-bit systems.
     """
     if _mallopt is None:
         return

@@ -36,10 +36,11 @@ from hypodecay.experiment import (
     scenario_names,
 )
 from hypodecay.experiment import runner
+from hypodecay.experiment import cli
 from hypodecay.experiment.cli import main
 from hypodecay.experiment import config
 from hypodecay.experiment.config import DATA_FIELDS, KEYS, SYSTEM_KINDS, WEIGHT_FIELDS
-from hypodecay.experiment.runner import resolve_out_dir, resolve_out_dir_for_batch
+from hypodecay.experiment.runner import resolve_out_dir
 from hypodecay.grids import Grid1D
 from hypodecay.solvers import default_offset
 from hypodecay.solvers import march as march_module
@@ -576,26 +577,26 @@ def test_ckn_bump_field_draws_count_then_each_bump_from_one_stream():
 
 
 def test_out_dir_precedence(monkeypatch, tmp_path):
-    cfg = parse_config(smoke_doc())
     monkeypatch.delenv("HYPODECAY_OUT", raising=False)
-    assert resolve_out_dir(cfg) == Path("runs") / "smoke_custom"
+    assert resolve_out_dir(None, "smoke_custom") == Path("runs") / "smoke_custom"
     monkeypatch.setenv("HYPODECAY_OUT", str(tmp_path / "env"))
-    assert resolve_out_dir(cfg) == tmp_path / "env" / "smoke_custom"
-    assert resolve_out_dir(cfg, tmp_path / "arg") == tmp_path / "arg"
+    assert resolve_out_dir(None, "smoke_custom") == tmp_path / "env" / "smoke_custom"
+    assert resolve_out_dir(tmp_path / "arg", "smoke_custom") == tmp_path / "arg"
+    with pytest.raises(ConfigError, match="empty"):
+        resolve_out_dir("", "smoke_custom")
 
 
 @pytest.mark.parametrize("env, root", [(None, Path("runs")), ("", Path("runs")),
                                        ("elsewhere", Path("elsewhere"))])
 def test_run_and_batch_read_the_out_variable_alike(monkeypatch, env, root):
     """An empty HYPODECAY_OUT is unset for a run and for a batch alike."""
-    cfg = parse_config(smoke_doc())
     if env is None:
         monkeypatch.delenv("HYPODECAY_OUT", raising=False)
     else:
         monkeypatch.setenv("HYPODECAY_OUT", env)
-    assert resolve_out_dir(cfg) == root / "smoke_custom"
-    assert resolve_out_dir_for_batch() == root / "batch"
-    assert resolve_out_dir_for_batch("arg") == Path("arg")
+    assert resolve_out_dir(None, "smoke_custom") == root / "smoke_custom"
+    assert resolve_out_dir(None, "batch") == root / "batch"
+    assert resolve_out_dir("arg", "batch") == Path("arg")
 
 
 # --- runner --------------------------------------------------------------
@@ -1934,7 +1935,7 @@ def test_run_registry_batches_only_the_configs_it_writes(monkeypatch, tmp_path):
         (Path(out_root) / "batch_timing.json").write_text('{"wall_s": 0.5, "runs": {}}')
         return {"runs": [], "exit_code": 0}
 
-    monkeypatch.setattr(module, "batch", fake_batch)
+    monkeypatch.setattr(cli, "batch", fake_batch)
     monkeypatch.setattr(sys, "argv", ["run_registry.py", "--out", str(tmp_path),
                                       "thm1_linear", "heat_oracle"])
     assert module.main() == 0
@@ -1943,6 +1944,7 @@ def test_run_registry_batches_only_the_configs_it_writes(monkeypatch, tmp_path):
 
 
 def test_run_registry_prints_each_wall_time_and_the_batch_s(monkeypatch, tmp_path, capsys):
+    """The script and `hypodecay batch` print through one front end."""
     module = _run_registry_module()
 
     def fake_batch(paths, out_root, jobs=1):
@@ -1953,15 +1955,58 @@ def test_run_registry_prints_each_wall_time_and_the_batch_s(monkeypatch, tmp_pat
         return {"runs": [{"name": "heat_oracle", "exit_code": 0},
                          {"name": "thm1_linear", "exit_code": 4}], "exit_code": 4}
 
-    monkeypatch.setattr(module, "batch", fake_batch)
+    monkeypatch.setattr(cli, "batch", fake_batch)
     monkeypatch.setattr(sys, "argv", ["run_registry.py", "--out", str(tmp_path), "--jobs", "2",
                                       "thm1_linear", "heat_oracle"])
     assert module.main() == 4
     lines = capsys.readouterr().out.splitlines()
-    assert lines[:3] == ["[0] heat_oracle: ok (1.2 s, 36.9 MB)",
-                         "[4] thm1_linear: certificate failure (11.8 s, 40.2 MB)",
-                         "batch wall time: 12.5 s at --jobs 2, "
-                         "largest peak RSS 40.2 MB (thm1_linear)"]
+    assert lines == ["[0] heat_oracle: ok (1.2 s, 36.9 MB)",
+                     "[4] thm1_linear: certificate failure (11.8 s, 40.2 MB)",
+                     "batch wall time: 12.5 s at --jobs 2, "
+                     "largest peak RSS 40.2 MB (thm1_linear)",
+                     f"batch report: {tmp_path / 'batch_report.json'}"]
+    assert main(["batch", "--dir", str(tmp_path / "configs"), "--out", str(tmp_path),
+                 "--jobs", "2"]) == 4
+    assert capsys.readouterr().out.splitlines() == lines
+
+
+@pytest.mark.parametrize("case", ["run", "batch", "script_empty", "script_under_a_file"])
+def test_every_front_end_refuses_an_empty_or_uncreatable_out(monkeypatch, tmp_path, capsys,
+                                                             case):
+    """`runner.run`, `runner.batch` and scripts/run_registry.py refuse an
+    empty output path, which would name the current directory, and the
+    script an output root under a regular file: a ConfigError or exit 2,
+    with nothing written."""
+    cfg_dir = tmp_path / "cfgs"
+    cfg_dir.mkdir()
+    (cfg_dir / "good.json").write_text(json.dumps(smoke_doc("smoke_good")))
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    cwd = tmp_path / "cwd"
+    cwd.mkdir()
+    decoys = {"series_notes.csv": "t,notes\n", "results.csv": "a,b\n"}
+    for name, text in decoys.items():
+        (cwd / name).write_text(text)
+    monkeypatch.chdir(cwd)
+    monkeypatch.delenv("HYPODECAY_OUT", raising=False)
+    if case == "run":
+        with pytest.raises(ConfigError, match="empty"):
+            run(parse_config(smoke_doc()), out_dir="")
+    elif case == "batch":
+        with pytest.raises(ConfigError, match="empty"):
+            batch([cfg_dir / "good.json"], "")
+    else:
+        module = _run_registry_module()
+        out = "" if case == "script_empty" else str(blocker / "x")
+        monkeypatch.setattr(sys, "argv", ["run_registry.py", "--out", out, "--jobs", "1",
+                                          "heat_oracle"])
+        assert module.main() == 2
+        err = capsys.readouterr().err
+        want = "empty" if case == "script_empty" else "cannot create output directory"
+        assert err.startswith("config error: ") and want in err, err
+    assert {p.name: p.read_text() for p in cwd.iterdir()} == decoys
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfgs", "cwd", "file"]
+    assert blocker.read_text() == ""
 
 
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc heap thresholds")
@@ -1969,8 +2014,10 @@ def test_run_keeps_freed_step_memory_resident():
     """A direct solver call gets march's heap setting: stepping does not
     fault pages back in.
 
-    Under glibc's default thresholds these 256 p-system steps take about
-    20,000 minor page faults, from the heap top being trimmed and regrown.
+    These 256 p-system steps take about 280 minor page faults, as many as
+    5120 steps do, so they are the run's setup, not its steps; under
+    glibc's default thresholds they take about 350.  The bound fails if
+    each step faults its field-sized arrays in again.
     """
     src = str(Path(runner.__file__).resolve().parents[2])
     code = (

@@ -1,15 +1,16 @@
-"""Every top-level function, class and constant, and every annotated class
-field, under src/ is named by the program: src/, scripts/ or perfbench/.
+"""Every top-level function, class and constant, every method and property
+and every annotated class field under src/ is named by the program: src/,
+scripts/ or perfbench/.
 
 A definition that nothing there names is dead code.  Tests do not count
 as users: a definition that only a test reaches is not reached by any
 run, so it does not belong in src/.
 A constant is a name a module-level assignment binds; dunders such as
-`__version__` are exempt.
+`__version__` and `__post_init__` are exempt.
 A name counts as a Name, an Attribute, a part of an import, or a string
 constant that is the name or a dotted path through it (perfbench wraps
 functions by their names as strings).  A definition's own body does not
-count, so a function that only calls itself is still dead.  A field
+count, so a function or method that only calls itself is still dead.  A field
 counts as read only where an Attribute loads it; its declaration, a
 keyword argument that fills it and a store through `object.__setattr__`
 do not, so a field that is only ever stored is dead too.
@@ -72,6 +73,36 @@ def _scan():
 def test_every_top_level_definition_under_src_is_named_elsewhere():
     defined, used = _scan()
     dead = sorted(f"{path}: {name}" for name, path in defined.items() if name not in used)
+    assert dead == []
+
+
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def _method_scan():
+    """(methods and properties of classes under src/ as {(class, name):
+    file}, every name used outside the body of a function of that name)."""
+    methods, used = {}, set()
+    for tree in TREES:
+        for path in sorted((ROOT / tree).rglob("*.py")):
+            stack = [(ast.parse(path.read_text(), filename=str(path)), frozenset())]
+            while stack:
+                node, own = stack.pop()
+                if isinstance(node, ast.ClassDef) and tree == "src":
+                    for stmt in node.body:
+                        if isinstance(stmt, FUNCTIONS) and not re.fullmatch(r"__\w+__", stmt.name):
+                            methods[node.name, stmt.name] = path.relative_to(ROOT)
+                if isinstance(node, FUNCTIONS):
+                    own = own | {node.name}
+                used |= _named(node) - own
+                stack.extend((child, own) for child in ast.iter_child_nodes(node))
+    return methods, used
+
+
+def test_every_method_under_src_is_named_elsewhere():
+    methods, used = _method_scan()
+    dead = sorted(f"{path}: {cls}.{name}" for (cls, name), path in methods.items()
+                  if name not in used)
     assert dead == []
 
 

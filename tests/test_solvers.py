@@ -1164,6 +1164,16 @@ def test_march_keeps_a_callers_flush_to_zero():
     assert TINY * TINY != 0.0
 
 
+@pytest.mark.skipif(march_module._mallopt is None, reason="no mallopt in this C library")
+def test_march_sets_the_glibc_heap_thresholds(monkeypatch):
+    """`march` raises glibc's mmap threshold to 32 MiB and its trim
+    threshold to 64 MiB before it steps."""
+    calls = []
+    monkeypatch.setattr(march_module, "_mallopt", lambda param, value: calls.append((param, value)))
+    _march_products()
+    assert calls == [(-3, 32 << 20), (-1, 64 << 20)]
+
+
 @pytest.mark.filterwarnings("ignore:overflow")
 def test_linear_blow_up_raises_non_finite_state():
     grid = Grid1D(L=20.0, N=64)
