@@ -12,8 +12,11 @@ import math
 import os
 import random
 import resource
+import shutil
+import tempfile
 import time
 import traceback
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
@@ -40,20 +43,12 @@ from ..errors import (HypodecayError, HypothesisViolated, InitialDataRejected,
                       NonpositiveValues, RunTooCostly, SKConditionFails, WindowTooSmall)
 from ..grids import Grid1D, WeightSpec
 from ..linalg import SystemSpec, min_eig_sym
-from ..solvers import (
-    EulerSpec,
-    LinearSim,
-    LinearWaveMonitor,
-    LogWaveMonitor,
-    PSystemSpec,
-    WaveWeightSpec,
-    default_offset,
-    heat_solve,
-    linear_wave_monitor,
-    simulate_euler,
-    simulate_linear,
-    simulate_psystem,
-)
+from ..solvers.euler import EulerSpec, simulate_euler
+from ..solvers.heat import heat_solve
+from ..solvers.linear import LinearSim, simulate_linear
+from ..solvers.psystem import PSystemSpec, simulate_psystem
+from ..solvers.waves import (LinearWaveMonitor, LogWaveMonitor, WaveWeightSpec, default_offset,
+                             linear_wave_monitor)
 from .config import ConfigError, build_fields, parse_config, read_config
 from .scenarios import scenario_claims
 
@@ -67,9 +62,8 @@ def resolve_out_dir(out, leaf):
     """Where a run (`leaf` its scenario) or a batch (`leaf` "batch")
     writes: `out`, else $HYPODECAY_OUT/<leaf>, else runs/<leaf>.
 
-    An empty $HYPODECAY_OUT counts as unset.  An empty `out` is refused
-    with a ConfigError: it would name the current directory, where a run
-    deletes the CSVs it does not write.
+    An empty $HYPODECAY_OUT counts as unset.  An empty `out` names no
+    directory and is refused with a ConfigError.
     """
     if out == "":
         raise ConfigError("the output path (--out, out_dir, out_root) is empty; name a directory")
@@ -85,6 +79,52 @@ def make_dir(out):
     except OSError as exc:
         raise ConfigError(
             f"cannot create output directory {out}: {exc.strerror or exc}") from exc
+
+
+def _replaceable(out):
+    """`out`, if a run may replace it whole; else a ConfigError, raised
+    before any numerics.
+
+    A run replaces neither the current directory nor one that holds it,
+    nor a non-empty directory without an earlier run's report.json.  A
+    path under a regular file cannot be created.
+    """
+    path, cwd = out.resolve(), Path.cwd()
+    if path == cwd or path in cwd.parents:
+        raise ConfigError(f"output directory {out} holds the current directory, "
+                          "which a run may not replace; name a directory below it")
+    base = next(p for p in (path, *path.parents) if p.exists())
+    if not base.is_dir():
+        raise ConfigError(f"cannot create output directory {out}: {base} is not a directory")
+    if base == path and not (path / "report.json").is_file() and any(path.iterdir()):
+        raise ConfigError(f"output directory {out} is not empty and holds no report.json "
+                          "of an earlier run, which a run may replace whole")
+    return out
+
+
+@contextmanager
+def _fresh_dir(out):
+    """A fresh hidden sibling of `out` to write into, renamed onto `out`
+    (an earlier run's directory there removed first) when the block ends.
+    If the block raises, the sibling is removed and `out` left as it was.
+    """
+    try:
+        out.parent.mkdir(parents=True, exist_ok=True)
+        tmp = Path(tempfile.mkdtemp(prefix=f".{out.name}.", dir=out.parent))
+    except OSError as exc:
+        raise ConfigError(
+            f"cannot create output directory {out}: {exc.strerror or exc}") from exc
+    try:
+        umask = os.umask(0)
+        os.umask(umask)
+        tmp.chmod(0o777 & ~umask)  # mkdtemp makes 0700; a plain mkdir honours the umask
+        yield tmp
+        if out.exists():
+            shutil.rmtree(out)
+        tmp.rename(out)
+    except BaseException:
+        shutil.rmtree(tmp, ignore_errors=True)
+        raise
 
 
 def _f(x):
@@ -592,23 +632,10 @@ def _rss_peak_mb():
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
 
-# The outputs a run owns in its directory: it deletes those it does not
-# write, so no other run's stay beside its report.
-_VARYING_OUTPUTS = ("series*.csv", "snapshot_*.csv", "results.csv")
-
-
-def _remove_stale(out, keep):
-    """Delete the files of `out` named by `_VARYING_OUTPUTS` that are not in `keep`."""
-    for pattern in _VARYING_OUTPUTS:
-        for path in out.glob(pattern):
-            if path.name not in keep:
-                path.unlink()
-
-
 def run(cfg, out_dir=None):
     """Execute one configured scenario; write series, snapshots, report."""
     started = time.perf_counter()
-    out = resolve_out_dir(out_dir, cfg["scenario"])
+    out = _replaceable(resolve_out_dir(out_dir, cfg["scenario"]))
     grid = build_grid(cfg)
     ctx = RunContext(cfg=cfg, grid=grid)
     ctx.manifest["config"] = cfg
@@ -621,45 +648,43 @@ def run(cfg, out_dir=None):
         ctx.manifest["series_meta"] = dict(series.meta)
 
     certs = run_certificates(ctx)
-    # nothing is written until the numerics, sub-runs included, have succeeded
-    make_dir(out)
-    snapshot_names = {ts: f"snapshot_{repr(ts).removesuffix('.0')}.csv" for ts in snapshots}
-    series_path = "results.csv" if series is None else "series.csv"
-    _remove_stale(out, {series_path, *snapshot_names.values(),
-                        *(f"{n}.csv" for n in ctx.extra_series)})
+    # nothing is written until the numerics, sub-runs included, have
+    # succeeded, and then all of it at once
+    with _fresh_dir(out) as tmp:
+        series_path = "results.csv" if series is None else "series.csv"
+        snapshot_paths = []
+        if series is not None:
+            write_series_csv(tmp / series_path, series)
+            for ts in sorted(snapshots):
+                name = f"snapshot_{repr(ts).removesuffix('.0')}.csv"
+                write_snapshot_csv(tmp / name, grid, snapshots[ts])
+                snapshot_paths.append(name)
+            for name in sorted(ctx.extra_series):
+                write_series_csv(tmp / f"{name}.csv", ctx.extra_series[name])
+        else:
+            _write_csv(tmp / series_path, ["trial", "n_bumps", "mu", "ratio"], ctx.ckn_rows)
 
-    snapshot_paths = []
-    if series is not None:
-        write_series_csv(out / series_path, series)
-        for ts in sorted(snapshots):
-            write_snapshot_csv(out / snapshot_names[ts], grid, snapshots[ts])
-            snapshot_paths.append(snapshot_names[ts])
-        for name in sorted(ctx.extra_series):
-            write_series_csv(out / f"{name}.csv", ctx.extra_series[name])
-    else:
-        _write_csv(out / series_path, ["trial", "n_bumps", "mu", "ratio"], ctx.ckn_rows)
-
-    passed = all(c["passed"] for c in certs)
-    timing = {
-        "wall_s": time.perf_counter() - started,
-        "rss_peak_mb": _rss_peak_mb(),
-    }
-    if series is not None:
-        n_steps = int(series.meta["n_steps"])
-        timing.update(simulate_s=ctx.simulate_s, n_steps=n_steps,
-                      ns_per_point_step=ctx.simulate_s * 1e9 / (n_steps * grid.N))
-    report = RunReport(
-        scenario=cfg["scenario"],
-        out_dir=str(out),
-        passed=passed,
-        certificates=certs,
-        manifest=ctx.manifest,
-        series_path=series_path,
-        snapshot_paths=snapshot_paths,
-        timing=timing,
-    )
-    _write_json(out / "report.json", report.doc())
-    _write_json(out / "timing.json", report.timing)
+        passed = all(c["passed"] for c in certs)
+        timing = {
+            "wall_s": time.perf_counter() - started,
+            "rss_peak_mb": _rss_peak_mb(),
+        }
+        if series is not None:
+            n_steps = int(series.meta["n_steps"])
+            timing.update(simulate_s=ctx.simulate_s, n_steps=n_steps,
+                          ns_per_point_step=ctx.simulate_s * 1e9 / (n_steps * grid.N))
+        report = RunReport(
+            scenario=cfg["scenario"],
+            out_dir=str(out),
+            passed=passed,
+            certificates=certs,
+            manifest=ctx.manifest,
+            series_path=series_path,
+            snapshot_paths=snapshot_paths,
+            timing=timing,
+        )
+        _write_json(tmp / "report.json", report.doc())
+        _write_json(tmp / "timing.json", report.timing)
     return report
 
 

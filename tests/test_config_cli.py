@@ -42,7 +42,7 @@ from hypodecay.experiment import config
 from hypodecay.experiment.config import DATA_FIELDS, KEYS, SYSTEM_KINDS, WEIGHT_FIELDS
 from hypodecay.experiment.runner import resolve_out_dir
 from hypodecay.grids import Grid1D
-from hypodecay.solvers import default_offset
+from hypodecay.solvers.waves import default_offset
 from hypodecay.solvers import march as march_module
 
 EXPECTED_SCENARIOS = [
@@ -682,8 +682,9 @@ def test_run_writes_deterministic_outputs(tmp_path):
 
 
 def test_rerun_removes_the_outputs_it_does_not_write(tmp_path):
-    """A rerun into the same directory leaves no series, snapshot or
-    results file of the old run beside its report, and no other file goes."""
+    """A rerun replaces an earlier run's directory whole: no series,
+    snapshot or results file of the old run stays beside its report, and
+    neither does a file that no run wrote."""
     doc = scenario_doc("heat_oracle")
     doc.update(scenario="tiny", grid={"L": 100.0, "N": 64, "bc": "periodic"},
                time={"T": 1.0, "sample_stride": 8})
@@ -696,9 +697,7 @@ def test_rerun_removes_the_outputs_it_does_not_write(tmp_path):
     doc["outputs"] = {"snapshots": []}
     report = run(parse_config(doc), out_dir=out)
     assert report.doc()["snapshots"] == []
-    assert sorted(p.name for p in out.iterdir()) == [
-        "notes.txt", "report.json", "series.csv", "timing.json"]
-    assert (out / "notes.txt").read_text() == "old\n"
+    assert sorted(p.name for p in out.iterdir()) == ["report.json", "series.csv", "timing.json"]
 
 
 def test_run_over_another_scenarios_outputs_keeps_none_of_its_csvs(tmp_path):
@@ -713,6 +712,141 @@ def test_run_over_another_scenarios_outputs_keeps_none_of_its_csvs(tmp_path):
     report = run(parse_config(linear), out_dir=out)
     assert report.doc()["series"] == "series.csv" and report.doc()["snapshots"] == []
     assert sorted(p.name for p in out.iterdir()) == ["report.json", "series.csv", "timing.json"]
+
+
+def _tree(root):
+    """Every path under `root`, with a file's bytes or None for a directory."""
+    return {p.relative_to(root): p.read_bytes() if p.is_file() else None
+            for p in sorted(root.rglob("*"))}
+
+
+def _never_simulate(*args, **kwargs):
+    raise AssertionError("the run reached _simulate")
+
+
+@pytest.mark.parametrize("out", ["", ".", "..", "tmp_path"])
+def test_run_refuses_the_cwd_and_every_directory_that_holds_it(monkeypatch, tmp_path, out):
+    """`runner.run` refuses, before any numerics, an output path that is
+    the current directory or holds it, `Path("")` included: it could not
+    replace that directory whole.  The CSVs there stay byte for byte."""
+    cwd = tmp_path / "cwd"
+    cwd.mkdir()
+    decoys = {"series_notes.csv": b"t,notes\n", "results.csv": b"a,b\n"}
+    for name, data in decoys.items():
+        (cwd / name).write_bytes(data)
+    monkeypatch.chdir(cwd)
+    monkeypatch.setattr(runner, "_simulate", _never_simulate)
+    out_dir = tmp_path if out == "tmp_path" else Path(out)
+    with pytest.raises(ConfigError, match="holds the current directory"):
+        run(parse_config(smoke_doc()), out_dir=out_dir)
+    assert {p.name: p.read_bytes() for p in cwd.iterdir()} == decoys
+    assert [p.name for p in tmp_path.iterdir()] == ["cwd"]
+
+
+@pytest.mark.parametrize("case, message", [
+    ("cwd", "holds the current directory"),
+    ("parent", "holds the current directory"),
+    ("not_a_run", "holds no report.json"),
+    ("file", "cannot create output directory"),
+    ("under_a_file", "cannot create output directory"),
+])
+def test_cli_refuses_an_out_a_run_may_not_replace_before_any_numerics(
+        monkeypatch, tmp_path, capsys, case, message):
+    """An output path that a run may not replace whole exits 2 through the
+    CLI before `_simulate`, and everything under it stays as it was."""
+    cwd = tmp_path / "cwd"
+    cwd.mkdir()
+    (cwd / "series_notes.csv").write_text("t,notes\n")
+    (tmp_path / "foreign").mkdir()
+    (tmp_path / "foreign" / "notes.txt").write_text("not a run's\n")
+    (tmp_path / "file").write_text("a regular file\n")
+    monkeypatch.chdir(cwd)
+    monkeypatch.setattr(runner, "_simulate", _never_simulate)
+    out = {"cwd": ".", "parent": "..", "not_a_run": str(tmp_path / "foreign"),
+           "file": str(tmp_path / "file"), "under_a_file": str(tmp_path / "file" / "x")}[case]
+    before = _tree(tmp_path)
+    assert main(["run", "--scenario", "heat_oracle", "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and message in err, err
+    assert _tree(tmp_path) == before
+
+
+@pytest.mark.parametrize("rerun", [False, True])
+def test_a_failed_write_leaves_the_output_directory_as_it_was(monkeypatch, tmp_path, rerun):
+    """An OSError at the second CSV write leaves nothing at `out` on a first
+    run and the earlier run's files byte for byte on a rerun, and no
+    hidden sibling either way."""
+    out = tmp_path / "out"
+    if rerun:
+        earlier = smoke_doc()
+        earlier["data"][0]["amp"] = 0.5
+        run(parse_config(earlier), out_dir=out)
+    before = _tree(tmp_path)
+    written = []
+    write_csv = runner._write_csv
+
+    def failing(path, header, rows):
+        written.append(path.name)
+        if len(written) == 2:
+            raise OSError(28, "No space left on device")
+        write_csv(path, header, rows)
+
+    monkeypatch.setattr(runner, "_write_csv", failing)
+    with pytest.raises(OSError, match="No space left"):
+        run(parse_config(smoke_doc()), out_dir=out)
+    assert written == ["series.csv", "snapshot_0.csv"]
+    assert _tree(tmp_path) == before
+
+
+@pytest.mark.parametrize("rerun", [False, True])
+def test_a_run_killed_while_writing_leaves_the_output_directory_as_it_was(tmp_path, rerun):
+    """A process killed while it writes report.json leaves nothing at `out`
+    on a first run and the earlier run's files byte for byte on a rerun.
+    Its hidden sibling (`.out.*`, beside `out`) is left behind: nothing
+    runs after a SIGKILL to remove it."""
+    out = tmp_path / "out"
+    if rerun:
+        earlier = smoke_doc()
+        earlier["data"][0]["amp"] = 0.5
+        run(parse_config(earlier), out_dir=out)
+    before = _tree(out) if rerun else None
+    src = str(Path(runner.__file__).resolve().parents[2])
+    code = (
+        "import json, os, signal\n"
+        "from pathlib import Path\n"
+        "from hypodecay.experiment import parse_config, runner\n"
+        "write = runner._write_json\n"
+        "def dying(path, obj):\n"
+        "    if path.name == 'report.json':\n"
+        "        path.write_text('{\"scenario\": ')\n"
+        "        os.kill(os.getpid(), signal.SIGKILL)\n"
+        "    write(path, obj)\n"
+        "runner._write_json = dying\n"
+        f"runner.run(parse_config(json.loads({json.dumps(smoke_doc())!r})),\n"
+        f"           out_dir=Path({str(out)!r}))\n"
+    )
+    done = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == -9, done.stderr
+    if rerun:
+        assert _tree(out) == before
+    else:
+        assert not out.exists()
+    hidden = [p.name for p in tmp_path.iterdir() if p.name != "out"]
+    assert len(hidden) == 1 and hidden[0].startswith(".out."), hidden
+
+
+def test_a_run_directory_has_the_mode_of_a_plain_mkdir(tmp_path):
+    """The published directory is made with 0700 and renamed into place;
+    it ends with the mode a plain mkdir gives under the process umask."""
+    umask = os.umask(0o027)
+    try:
+        (tmp_path / "plain").mkdir()
+        run(parse_config(smoke_doc()), out_dir=tmp_path / "out")
+    finally:
+        os.umask(umask)
+    modes = {p.name: p.stat().st_mode & 0o777 for p in tmp_path.iterdir()}
+    assert modes == {"plain": 0o750, "out": 0o750}
 
 
 @pytest.mark.filterwarnings("ignore:overflow")
@@ -1862,9 +1996,8 @@ def test_cli_batch_rejects_an_uncreatable_output_root(tmp_path, capsys):
 
 @pytest.mark.parametrize("command", ["run", "batch"])
 def test_cli_refuses_an_empty_out(monkeypatch, tmp_path, capsys, command):
-    """An empty --out would name the current directory, where a run deletes
-    the CSVs it does not write: both commands exit 2 on it and touch
-    nothing."""
+    """An empty --out names no directory: both commands exit 2 on it and
+    touch nothing in the current directory."""
     cfg_dir = tmp_path / "cfgs"
     cfg_dir.mkdir()
     (cfg_dir / "good.json").write_text(json.dumps(smoke_doc("smoke_good")))
@@ -2024,7 +2157,7 @@ def test_run_keeps_freed_step_memory_resident():
         "import resource\n"
         "import numpy as np\n"
         "from hypodecay.grids import Grid1D\n"
-        "from hypodecay.solvers import PSystemSpec, simulate_psystem\n"
+        "from hypodecay.solvers.psystem import PSystemSpec, simulate_psystem\n"
         "grid = Grid1D(L=400.0, N=8192)\n"
         "rho0 = -0.025 * grid.x * np.exp(-(grid.x / 10.0) ** 2)\n"
         "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"

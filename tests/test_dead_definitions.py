@@ -18,6 +18,9 @@ do not, so a field that is only ever stored is dead too.
 The same scan holds the compact-window guard in one place: under src/,
 only `grids.py`, which defines it, and `solvers/march.py`, which runs it
 at every sample of a compact run, name `check_escape` or `escape_tol`.
+It also holds deletion in one place: under src/, only
+`experiment/runner.py`, which replaces a run's directory whole, calls
+`shutil.rmtree`, `.unlink`, `.rmdir`, `os.remove` or `os.unlink`.
 """
 
 import ast
@@ -141,3 +144,30 @@ def test_only_the_grid_and_march_name_the_window_guard():
             named.add(path.relative_to(ROOT))
     named.discard(Path("src/hypodecay/grids.py"))
     assert named == {Path("src/hypodecay/solvers/march.py")}
+
+
+DELETERS = {"rmtree", "unlink", "rmdir"}
+
+
+def _deletes(node):
+    """Whether `node` calls `rmtree`, `unlink` or `rmdir` (as a name or an
+    attribute) or `os.remove`."""
+    if not isinstance(node, ast.Call):
+        return False
+    func = node.func
+    if isinstance(func, ast.Name):
+        return func.id in DELETERS
+    return isinstance(func, ast.Attribute) and (
+        func.attr in DELETERS
+        or func.attr == "remove" and isinstance(func.value, ast.Name) and func.value.id == "os")
+
+
+def test_only_the_runner_deletes_files():
+    """The runner removes an earlier run's directory and a failed run's
+    sibling, and no module but the runner deletes anything."""
+    deleting = set()
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        module = ast.parse(path.read_text(), filename=str(path))
+        if any(_deletes(node) for node in ast.walk(module)):
+            deleting.add(path.relative_to(ROOT))
+    assert deleting == {Path("src/hypodecay/experiment/runner.py")}
