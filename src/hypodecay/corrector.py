@@ -49,11 +49,8 @@ def select_exponents(n, delta):
 
     m_k = 1 + delta + sum_{j=1..k} (2*delta*(n-j) + delta); every m_k > 1
     and the concavity margin m_k - (m_{k-1}+m_{k+1})/2 equals delta exactly.
+    Its callers pass DELTA and a SystemSpec's n, which is at least 2.
     """
-    if n < 2:
-        raise ValueError("need n >= 2")
-    if delta <= 0:
-        raise ValueError("delta must be positive")
     steps = np.array([2.0 * delta * (n - j) + delta for j in range(1, n)])
     return 1.0 + delta + np.cumsum(steps)
 
@@ -196,10 +193,8 @@ def estimate_ck(spec):
 
     N(y)^2 = y^T (K^T K) y, so the supremum is 1 / lambda_min(K^T K); the
     result carries a 2x safety factor.  Requires full Kalman rank, which
-    is exactly when K^T K is positive definite.
+    is exactly when K^T K is positive definite (`select_coefficients` checks it).
     """
-    if not spec.sk_holds:
-        raise SKConditionFails("seminorm degenerates: stacked matrix is rank deficient")
     n2_min = min_eig_sym(kalman_gram(spec))
     if n2_min <= 0.0:
         raise SKConditionFails("seminorm minimum collapsed to zero on the sphere")
@@ -207,11 +202,10 @@ def estimate_ck(spec):
 
 
 def select_coefficients(spec, safety=0.5):
-    """Full coefficient pipeline: budget, families, C_K, time weight."""
+    """Full coefficient pipeline: budget, families, C_K, time weight;
+    0 < safety < 1 as the config bounds it."""
     if not spec.sk_holds:
         raise SKConditionFails(f"stacked-matrix rank {spec.kalman_rank} < n = {spec.n}")
-    if not 0.0 < safety < 1.0:
-        raise ValueError("safety must lie in (0, 1)")
     eps0 = 0.5 * spec.kappa * safety
     C_bound = estimate_c_bound(spec)
     m = select_exponents(spec.n, DELTA)

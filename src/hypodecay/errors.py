@@ -44,10 +44,6 @@ class HypothesisViolated(HypodecayError):
     inputs (coefficients, weighted data size) outside what it accepts."""
 
 
-class RBandViolation(HypodecayError):
-    """Nonlinear damping exponent outside the admissible band (1, 3)."""
-
-
 class MuOutOfRange(HypodecayError):
     """Weight exponent outside the admissible range (needs mu > 1/2)."""
 

@@ -84,7 +84,7 @@ KEYS = {
     "rho_bar": (float, (">", 0)),
     "lam": (float, (">", 0)),
     "smallness_cap": (float, (">", 0)),
-    "r": (float,),
+    "r": (float, (">", 1), ("<", 3)),
     # 2500 times the registry's largest domain: past some 1e154, dx**2 and
     # x**2 overflow, and at 1e308 dx itself, before any guard can refuse the run
     "L": (float, (">", 0), ("<=", 1e6)),
@@ -99,8 +99,8 @@ KEYS = {
     "width": (float, (">", 0)),
     "center": (float,),
     "count": (int, (">=", 1)),
-    "mu": (float,),
-    "q": (float,),
+    "mu": (float, (">=", 0)),
+    "q": (float, (">", 0)),
     "safety": (float, (">", 0), ("<", 1)),
     "snapshots": (list,),
 }

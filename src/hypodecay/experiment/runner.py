@@ -46,7 +46,7 @@ from ..linalg import SystemSpec, min_eig_sym
 from ..solvers.euler import EulerSpec, simulate_euler
 from ..solvers.heat import heat_solve
 from ..solvers.linear import LinearSim, simulate_linear
-from ..solvers.psystem import PSystemSpec, simulate_psystem
+from ..solvers.psystem import simulate_psystem
 from ..solvers.waves import (LinearWaveMonitor, LogWaveMonitor, WaveWeightSpec, default_offset,
                              linear_wave_monitor)
 from .config import ConfigError, build_fields, parse_config, read_config
@@ -63,13 +63,18 @@ def resolve_out_dir(out, leaf):
     writes: `out`, else $HYPODECAY_OUT/<leaf>, else runs/<leaf>.
 
     An empty $HYPODECAY_OUT counts as unset.  An empty `out` names no
-    directory and is refused with a ConfigError.
+    directory, and neither a run nor a batch writes into the current
+    directory or one that holds it (`Path("")`, "." and ".." among them):
+    each is refused with a ConfigError.
     """
     if out == "":
         raise ConfigError("the output path (--out, out_dir, out_root) is empty; name a directory")
-    if out is not None:
-        return Path(out)
-    return Path(os.environ.get(OUT_ENV) or "runs") / leaf
+    path = Path(out) if out is not None else Path(os.environ.get(OUT_ENV) or "runs") / leaf
+    resolved, cwd = path.resolve(), Path.cwd()
+    if resolved == cwd or resolved in cwd.parents:
+        raise ConfigError(f"output directory {path} holds the current directory, "
+                          "which a run or a batch may not write into; name a directory below it")
+    return path
 
 
 def make_dir(out):
@@ -82,17 +87,13 @@ def make_dir(out):
 
 
 def _replaceable(out):
-    """`out`, if a run may replace it whole; else a ConfigError, raised
-    before any numerics.
+    """`out`, from `resolve_out_dir`, if a run may replace it whole; else a
+    ConfigError, raised before any numerics.
 
-    A run replaces neither the current directory nor one that holds it,
-    nor a non-empty directory without an earlier run's report.json.  A
-    path under a regular file cannot be created.
+    A run does not replace a non-empty directory without an earlier run's
+    report.json.  A path under a regular file cannot be created.
     """
-    path, cwd = out.resolve(), Path.cwd()
-    if path == cwd or path in cwd.parents:
-        raise ConfigError(f"output directory {out} holds the current directory, "
-                          "which a run may not replace; name a directory below it")
+    path = out.resolve()
     base = next(p for p in (path, *path.parents) if p.exists())
     if not base.is_dir():
         raise ConfigError(f"cannot create output directory {out}: {base} is not a directory")
@@ -285,12 +286,12 @@ def _build_euler(cfg, grid, ctx, weight):
 
 
 def _build_psystem(cfg, grid, ctx, weight):
-    pspec = PSystemSpec(r=float(cfg["system"]["r"]))
+    r = float(cfg["system"]["r"])
     fields_ = build_fields(cfg, grid, 2)
-    ctx.manifest["system"].update(r=pspec.r)
+    ctx.manifest["system"].update(r=r)
     wsp = _wave_spec(cfg, ctx)
     wave = None if wsp is None else LogWaveMonitor(wspec=wsp)
-    return partial(simulate_psystem, pspec, grid, fields_[:, 0], fields_[:, 1],
+    return partial(simulate_psystem, r, grid, fields_[:, 0], fields_[:, 1],
                    nu=float(cfg["time"]["nu"]), wave=wave)
 
 
@@ -314,8 +315,8 @@ _SYSTEMS = {
 def _simulate(cfg, grid, ctx):
     """Build the configured system into ctx, then integrate it: (series, snapshots).
 
-    Whatever construction rejects, parameter ranges included, is a
-    ConfigError raised before any step.
+    Whatever construction rejects is a ConfigError raised before any
+    step; `parse_config` has already held every key to its range.
     """
     kind = cfg["system"]["kind"]
     ctx.manifest["system"] = {"kind": kind}
@@ -760,8 +761,8 @@ def batch(config_paths, out_root, jobs=1):
     job inherits another's heap.  Results are keyed and ordered by config
     file stem, so the aggregate report does not depend on completion
     order or worker count.  Two configs with one stem would share an
-    output directory and a result key, and a root (`resolve_out_dir`'s,
-    leaf "batch") that is empty or cannot be created holds no output: each
+    output directory and a result key, and a root that `resolve_out_dir`
+    (leaf "batch") refuses or that cannot be created holds no output: each
     raises ConfigError before anything is written.
     Wall times, the batch's and each job's, and each job's peak RSS go to
     batch_timing.json only.

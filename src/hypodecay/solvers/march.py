@@ -9,8 +9,8 @@ assembly of the recorded series, the process's heap setting and the
 floating-point mode the steps and observers run in.
 `rk4` is the plain classical Runge-Kutta stage sequence and `staged_rk4`
 the same one regrouped into four pre-weighted stencil stages.  `CFL` is
-every explicit solver's CFL number, and `check_nu` the one check of the
-Euler and p-system fourth-difference floor strength.
+every explicit solver's CFL number.  `config.KEYS` bounds T, nu and the
+snapshot times before a run reaches the driver.
 """
 
 import contextlib
@@ -35,15 +35,6 @@ CFL_MAX = 0.7
 MAX_POINT_STEPS = 1e11
 
 
-def check_nu(nu):
-    """Raise ValueError unless the fourth-difference floor strength nu is >= 0.
-
-    A NaN fails too: no comparison with it is true.
-    """
-    if not nu >= 0.0:
-        raise ValueError(f"stabilization strength nu must be nonnegative, got {nu}")
-
-
 def step_size(T, dt_limit, N):
     """Fewest uniform steps reaching T with dt <= dt_limit: (nsteps, dt).
 
@@ -51,8 +42,6 @@ def step_size(T, dt_limit, N):
     MAX_POINT_STEPS point-steps (nsteps * N), or a count that is not a
     number (a NaN dt_limit), before anything is built.
     """
-    if not T > 0.0:
-        raise ValueError("T must be positive")
     steps = T / dt_limit - 1e-12
     if not steps * N <= MAX_POINT_STEPS:  # an infinite or NaN count too, before ceil
         raise RunTooCostly(f"the run needs {steps:.3g} steps x N = {N}, "
@@ -224,17 +213,14 @@ def march(grid, state, nsteps, dt, step, record, fields, sample_stride,
     the step-0 sample raises `rejected` of its exception: the initial
     data are refused.
     The fields' columns are stored at the step nearest each of
-    `snapshot_times`, which must be one of steps 0..nsteps.  Returns the
+    `snapshot_times`, which the config bounds to [0, T].  Returns the
     recorded TimeSeries, whose meta is `meta` plus dt_step, n_steps and
     sample_stride, and the snapshots keyed by time.
     """
     _keep_freed_heap()
     snap_steps = {}
     for ts in snapshot_times:
-        j = int(round(ts / dt)) if 0.0 <= ts < math.inf else -1
-        if not 0 <= j <= nsteps:
-            raise ValueError(f"snapshot time {ts} lies outside steps 0..{nsteps} of {dt}")
-        snap_steps.setdefault(j, []).append(float(ts))
+        snap_steps.setdefault(round(ts / dt), []).append(float(ts))
     snapshots, times, chans = {}, [], {}
     if not grid.periodic:
         tol = escape_tol(*fields(state))

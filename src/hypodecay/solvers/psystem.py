@@ -27,26 +27,15 @@ identity of the scheme (checked in the tests).
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import RBandViolation
 from ..grids import CENTERED, FOURTH_DIFFERENCE, GHOSTS, correlate, d_dx, unpad
-from .march import CFL, check_nu, march, stage_weights, staged_rk4, step_size
+from .march import CFL, march, stage_weights, staged_rk4, step_size
 from .waves import check_zero_mass
 
 # The cross term's weight in the energy pair.
 ETA2 = 0.5
-
-
-@dataclass(frozen=True)
-class PSystemSpec:
-    r: float
-
-    def __post_init__(self):
-        if not 1.0 < self.r < 3.0:
-            raise RBandViolation(f"damping exponent must satisfy 1 < r < 3, got {self.r}")
 
 
 def compile_step(grid, r, nu, dt):
@@ -96,20 +85,17 @@ def compile_step(grid, r, nu, dt):
     return step
 
 
-def simulate_psystem(pspec, grid, rho0, u0, T, nu=0.0, sample_stride=1,
+def simulate_psystem(r, grid, rho0, u0, T, nu=0.0, sample_stride=1,
                      wave=None, snapshot_times=()):
     """Integrate to T, recording the energy pair and optional log wave monitor.
 
-    The log monitor tracks w = antiderivative(rho) with w_t = -u (the
-    damped-wave reformulation); it needs zero-mean rho_0, which
-    `check_zero_mass` enforces before the first step (MassNotZero).
+    r is the damping exponent, in (1, 3).  The log monitor tracks
+    w = antiderivative(rho) with w_t = -u (the damped-wave reformulation);
+    it needs zero-mean rho_0, which `check_zero_mass` enforces before the
+    first step (MassNotZero).
     """
-    check_nu(nu)
     rho = np.array(rho0, dtype=float)
     u = np.array(u0, dtype=float)
-    if rho.shape != (grid.N,) or u.shape != (grid.N,):
-        raise ValueError("rho0, u0 must be scalar fields on the grid")
-    r = pspec.r
     nsteps, dt = step_size(T, CFL * grid.dx, grid.N)
     if wave is not None:
         check_zero_mass(grid, rho)

@@ -20,7 +20,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hypodecay.analysis import TimeSeries
@@ -369,6 +369,16 @@ REFUSED = [
     ("linear", "time.nu", 0.0),
     ("linear", "outputs.dir", "out"),
     ("linear", "grid.N", 2**20 + 1),
+    # the bounds on r, on a weight's q and on the spatial mu, and the grid's width
+    ("psystem", "system.r", 1),
+    ("psystem", "system.r", 3.0),
+    ("psystem", "system.r", -1e300),
+    ("psystem", "system.r", 7),
+    ("heat", "weights.0.q", 0.0),
+    ("psystem", "weights.0.q", 0),
+    ("linear", "weights.1.mu", -0.5),
+    ("linear", "weights.1.mu", -1e-300),
+    ("linear", "grid.L", math.nextafter(1e6, math.inf)),
 ]
 
 
@@ -386,7 +396,8 @@ def test_parse_refuses_each_rule_at_its_path(tmp_path, capsys, kind, path, value
     assert "config error" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("kind, path, value", [
+# Rows that parse: each bound at or next to its edge, and other edge values.
+ACCEPTED_EDGES = [
     ("linear", "system.n1", 1),
     ("linear", "grid.N", 16),
     ("linear", "grid.L", 5e-324),
@@ -416,13 +427,47 @@ def test_parse_refuses_each_rule_at_its_path(tmp_path, capsys, kind, path, value
     ("euler", "system.rho_bar", 5e-324),
     ("euler", "system.lam", 5e-324),
     ("euler", "system.smallness_cap", 5e-324),
-    ("psystem", "system.r", -1e300),
-    ("psystem", "system.r", 7),
+    ("psystem", "system.r", math.nextafter(1.0, 2.0)),
+    ("psystem", "system.r", math.nextafter(3.0, 0.0)),
     ("heat", "weights.0.q", 5e-324),
-])
+    ("linear", "weights.1.mu", 0),
+    ("linear", "grid.L", 1e6),
+]
+
+
+@pytest.mark.parametrize("kind, path, value", ACCEPTED_EDGES)
 def test_parse_accepts_each_edge(kind, path, value):
     cfg = parse_config(edited(kind, path, value))
     assert parse_config(cfg) == cfg
+
+
+def _next_to(kind, value, bound):
+    """`value` is a number at most one integer, or 1e-12 of the bound's
+    size, away from `bound`."""
+    if type(value) not in (int, float):
+        return False
+    return abs(value - bound) <= (1 if kind is int else 1e-12 * max(1.0, abs(bound)))
+
+
+@pytest.mark.parametrize("key, op, bound", [(key, op, bound) for key, (_, *bounds) in KEYS.items()
+                                            for op, bound in bounds])
+def test_each_keys_bound_has_a_refused_row_past_it_and_an_accepted_edge(key, op, bound):
+    """`config.KEYS` is the one range check of a run input, so each of its
+    bounds has a REFUSED row just past it, refused for that bound, and an
+    ACCEPTED_EDGES row at or next to it."""
+    kind = KEYS[key][0]
+    past = []
+    for row in REFUSED:
+        if row[1].rpartition(".")[2] == key and _next_to(kind, row[2], bound):
+            try:
+                parse_config(edited(*row))
+            except ConfigError as exc:
+                if f"at {row[1]}: {row[2]!r} is not {op} {bound}" in str(exc):
+                    past.append(row)
+    edges = [row for row in ACCEPTED_EDGES
+             if row[1].rpartition(".")[2] == key and _next_to(kind, row[2], bound)]
+    assert past, f"no REFUSED row just past {key} {op} {bound}"
+    assert edges, f"no ACCEPTED_EDGES row at or next to {key} {op} {bound}"
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 10**400, -10**400],
@@ -1703,9 +1748,11 @@ FIELD_SCENARIOS = {kind: [f"fuzz_{kind}"] + [name for name in EXPECTED_SCENARIOS
 FIELD_SYSTEMS = {
     "euler": {"gamma": st.floats(1.05, 3.0), "rho_bar": st.floats(0.2, 4.0),
               "lam": st.floats(0.05, 20.0), "smallness_cap": st.floats(0.01, 2.0)},
-    "psystem": {"r": st.floats(1.0, 3.0, exclude_min=True, exclude_max=True)},
+    # r on both sides of each of its bounds, 1 and 3 themselves included
+    "psystem": {"r": st.one_of(st.sampled_from([1.0, 3.0]), st.floats(0.5, 3.5))},
 }
-WEIGHT_VALUES = {"mu": st.floats(0.5, 1.0), "q": st.floats(0.1, 2.0)}
+# mu and q on both sides of their bounds, 0 included
+WEIGHT_VALUES = {"mu": st.floats(-0.5, 1.0), "q": st.floats(-0.5, 2.0)}
 # amplitudes within 0.5, so that most Euler densities stay positive
 FIELD_DATA_VALUES = {**DATA_VALUES, "amp": st.floats(-0.5, 0.5)}
 
@@ -1735,7 +1782,7 @@ def small_field_docs(draw):
         "grid": {"L": draw(st.floats(10.0, 60.0)), "N": draw(st.integers(16, 128)),
                  "bc": draw(st.sampled_from(["periodic", "compact_support"]))},
         "time": {"T": T, "sample_stride": draw(st.integers(1, 4)),
-                 "nu": draw(st.sampled_from([0.0, 0.01, 0.1]))},
+                 "nu": draw(st.sampled_from([-0.01, -5e-324, 0.0, 0.01, 0.1]))},
         "data": data,
         "weights": weights,
         "outputs": {"snapshots": [0.0, T]},
@@ -1743,14 +1790,38 @@ def small_field_docs(draw):
     }
 
 
+# The range of each key the fuzz draws on both sides of, written out here
+# apart from `config.KEYS`, so that a bound missing there shows.
+IN_RANGE = {"r": lambda v: 1.0 < v < 3.0, "nu": lambda v: v >= 0.0,
+            "mu": lambda v: v >= 0.0, "q": lambda v: v > 0.0}
+
+
+def _out_of_range(doc):
+    """Paths of the r, nu, mu and q values in `doc` outside their ranges."""
+    sections = {"system": doc["system"], "time": doc["time"],
+                **{f"weights.{i}": w for i, w in enumerate(doc.get("weights", []))}}
+    return [f"{at}.{key}" for at, section in sections.items() for key, v in section.items()
+            if key in IN_RANGE and not IN_RANGE[key](v)]
+
+
+def _check_documented_exit(doc):
+    """Run doc: a document with an r, nu, mu or q outside its range exits 2
+    at that value's path; exits 2 and 3 leave nothing on disk, and only an
+    exit of 3 prints a traceback."""
+    code, err = _cli_run_doc(doc)
+    bad = _out_of_range(doc)
+    if bad:
+        assert code == 2 and any(f"invalid config at {p}: " in err for p in bad), (bad, err)
+    assert code == 3 or "Traceback" not in err, err
+
+
 @settings(max_examples=60, deadline=None)
 @given(doc=small_field_docs())
 def test_cli_runs_small_euler_and_psystem_documents_to_a_documented_exit(doc):
     """Every small Euler or p-system document, stepped on a ring of its N
-    nodes on either grid, exits 0, 2, 3 or 4; exits 2 and 3 leave nothing
-    on disk; and only an exit of 3 prints a traceback."""
-    code, err = _cli_run_doc(doc)
-    assert code == 3 or "Traceback" not in err, err
+    nodes on either grid, exits 0, 2, 3 or 4, and 2 at once where r, nu or
+    a weight's mu or q lies outside its range (`_check_documented_exit`)."""
+    _check_documented_exit(doc)
 
 
 @st.composite
@@ -1788,10 +1859,9 @@ def small_heat_and_none_docs(draw):
 @given(doc=small_heat_and_none_docs())
 def test_cli_runs_small_heat_and_none_documents_to_a_documented_exit(doc):
     """Every small heat or `none` document, `ckn_sweep` on a periodic grid
-    included, exits 0, 2, 3 or 4; exits 2 and 3 leave nothing on disk; and
-    only an exit of 3 prints a traceback."""
-    code, err = _cli_run_doc(doc)
-    assert code == 3 or "Traceback" not in err, err
+    included, exits 0, 2, 3 or 4, and 2 at once where a weight's mu or q
+    lies outside its range (`_check_documented_exit`)."""
+    _check_documented_exit(doc)
 
 
 def _read_keys(cfg):
@@ -1810,6 +1880,7 @@ def _read_keys(cfg):
 def test_cli_refuses_a_known_key_where_it_is_not_read(doc, data):
     """A key of `config.KEYS` in an object that does not read it exits 2,
     named by its path, and leaves nothing on disk."""
+    assume(not _out_of_range(doc))
     reads = _read_keys(parse_config(doc))
     at = data.draw(st.sampled_from(sorted(reads)), label="object")
     key = data.draw(st.sampled_from(sorted(set(KEYS) - reads[at])), label="key")
@@ -2142,6 +2213,37 @@ def test_every_front_end_refuses_an_empty_or_uncreatable_out(monkeypatch, tmp_pa
     assert blocker.read_text() == ""
 
 
+@pytest.mark.parametrize("case", ["batch", "run_batch", "cli", "script"])
+def test_every_batch_front_end_refuses_the_cwd(monkeypatch, tmp_path, capsys, case):
+    """`runner.batch`, `cli.run_batch`, `hypodecay batch` and
+    scripts/run_registry.py refuse an output root that is the current
+    directory (`Path("")`, "."): a ConfigError or exit 2, and a decoy
+    batch_report.json there stays byte for byte."""
+    cfg_dir = tmp_path / "cfgs"
+    cfg_dir.mkdir()
+    (cfg_dir / "good.json").write_text(json.dumps(smoke_doc("smoke_good")))
+    cwd = tmp_path / "cwd"
+    cwd.mkdir()
+    (cwd / "batch_report.json").write_text("a decoy\n")
+    monkeypatch.chdir(cwd)
+    if case == "batch":
+        with pytest.raises(ConfigError, match="holds the current directory"):
+            batch([cfg_dir / "good.json"], Path(""))
+    else:
+        if case == "run_batch":
+            code = cli.run_batch(Path(""), 1, lambda _root: [cfg_dir / "good.json"])
+        elif case == "cli":
+            code = main(["batch", "--dir", str(cfg_dir), "--out", "."])
+        else:
+            monkeypatch.setattr(sys, "argv", ["run_registry.py", "--out", ".", "--jobs", "1",
+                                              "heat_oracle"])
+            code = _run_registry_module().main()
+        err = capsys.readouterr().err
+        assert code == 2 and "holds the current directory" in err, err
+    assert [p.name for p in cwd.iterdir()] == ["batch_report.json"]
+    assert (cwd / "batch_report.json").read_text() == "a decoy\n"
+
+
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc heap thresholds")
 def test_run_keeps_freed_step_memory_resident():
     """A direct solver call gets march's heap setting: stepping does not
@@ -2157,11 +2259,11 @@ def test_run_keeps_freed_step_memory_resident():
         "import resource\n"
         "import numpy as np\n"
         "from hypodecay.grids import Grid1D\n"
-        "from hypodecay.solvers.psystem import PSystemSpec, simulate_psystem\n"
+        "from hypodecay.solvers.psystem import simulate_psystem\n"
         "grid = Grid1D(L=400.0, N=8192)\n"
         "rho0 = -0.025 * grid.x * np.exp(-(grid.x / 10.0) ** 2)\n"
         "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
-        "series, _ = simulate_psystem(PSystemSpec(r=2.0), grid, rho0, 0.0 * rho0,\n"
+        "series, _ = simulate_psystem(2.0, grid, rho0, 0.0 * rho0,\n"
         "                             T=10.0, nu=0.01, sample_stride=25)\n"
         "after = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
         "print(series.meta['n_steps'], after - before)\n"

@@ -53,13 +53,6 @@ def test_exponent_ladder_n3():
     assert select_exponents(3, 0.1) == pytest.approx([1.6, 1.9])
 
 
-def test_exponent_ladder_guards():
-    with pytest.raises(ValueError):
-        select_exponents(1, 0.1)
-    with pytest.raises(ValueError):
-        select_exponents(3, 0.0)
-
-
 @settings(max_examples=30, deadline=None)
 @given(
     n=st.integers(min_value=3, max_value=6),
@@ -192,11 +185,10 @@ def test_select_rejects_rank_deficiency():
         select_coefficients(DECOUPLED)
 
 
-def test_select_rejects_bad_safety():
-    with pytest.raises(ValueError):
-        select_coefficients(STANDARD, safety=0.0)
-    with pytest.raises(ValueError):
-        select_coefficients(STANDARD, safety=1.0)
+def test_select_rejects_bad_safety(assert_refused):
+    """0 < safety < 1 is held where it enters, by the config."""
+    for safety in (0.0, 1.0):
+        assert_refused("thm1_linear", {"corrector.safety": safety}, "corrector.safety")
 
 
 def test_infeasible_combination_raises():

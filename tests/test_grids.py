@@ -28,13 +28,10 @@ from hypodecay.grids import (
 SECOND_DIFFERENCE = 0.3 * np.array([1.0, -2.0, 1.0])
 
 
-def test_constructor_guards():
-    with pytest.raises(ValueError):
-        Grid1D(L=0.0, N=64)
-    with pytest.raises(ValueError):
-        Grid1D(L=10.0, N=8)
-    with pytest.raises(ValueError):
-        Grid1D(L=10.0, N=64, bc="dirichlet")
+def test_constructor_guards(assert_refused):
+    """L > 0, N >= 16 and the two bcs are held where they enter, by the config."""
+    for path, value in (("grid.L", 0.0), ("grid.N", 8), ("grid.bc", "dirichlet")):
+        assert_refused("heat_oracle", {path: value}, path)
 
 
 def test_periodic_layout():
@@ -225,13 +222,13 @@ def test_weight_values():
     assert wl.values(np.array([np.e - 1.0])) == pytest.approx([1.0])
 
 
-def test_weight_guards():
-    with pytest.raises(ValueError):
-        WeightSpec("power", mu=-0.5)
-    with pytest.raises(ValueError):
-        WeightSpec("log", q=0.0)
-    with pytest.raises(ValueError):
-        WeightSpec("tent")
+def test_weight_guards(assert_refused):
+    """A power weight's mu >= 0, a log weight's q > 0 and the kind are held
+    where they enter, by the config."""
+    for weight, at in (({"kind": "power", "mu": -0.5}, "weights.0.mu"),
+                       ({"kind": "log", "q": 0.0}, "weights.0.q"),
+                       ({"kind": "tent"}, "weights.0.kind")):
+        assert_refused("heat_oracle", {"weights": [{"role": "spatial", **weight}]}, at)
 
 
 def test_weighted_norm_squares_weight():

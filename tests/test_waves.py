@@ -14,7 +14,7 @@ from hypodecay.grids import Grid1D, WeightSpec, antiderivative, d_dx, gram, inne
 from hypodecay.linalg import SystemSpec
 from hypodecay.solvers.linear import LinearSim, simulate_linear
 from hypodecay.solvers import linear, waves
-from hypodecay.solvers.psystem import PSystemSpec, simulate_psystem
+from hypodecay.solvers.psystem import simulate_psystem
 from hypodecay.solvers.waves import (
     ETA3,
     LinearWaveMonitor,
@@ -34,16 +34,10 @@ STANDARD = SystemSpec(A=np.array([[0.0, 1.0], [1.0, 0.0]]),
 
 
 def test_weight_spec_validation():
-    with pytest.raises(ValueError):
-        WaveWeightSpec(kind="cone")
     with pytest.raises(MuOutOfRange):
         WaveWeightSpec(kind="power", mu=0.4)
     with pytest.raises(MuOutOfRange):
         WaveWeightSpec(kind="power", mu=1.1)
-    with pytest.raises(ValueError):
-        WaveWeightSpec(kind="log", q=0.0)
-    with pytest.raises(ValueError):
-        WaveWeightSpec(kind="power", a=0.0)
 
 
 @pytest.mark.parametrize("mu", [0.5, 0.75, 1.0])
@@ -164,7 +158,7 @@ def test_psystem_monitor_mass_gate_inside_simulation():
     mon = LogWaveMonitor(WaveWeightSpec(kind="log", q=1.0, r=2.0, a=32.0))
     rho0 = np.exp(-grid.x**2)
     with pytest.raises(MassNotZero):
-        simulate_psystem(PSystemSpec(r=2.0), grid, rho0, 0.0 * rho0, T=1.0, wave=mon)
+        simulate_psystem(2.0, grid, rho0, 0.0 * rho0, T=1.0, wave=mon)
 
 
 def test_monitor_requires_invertible_coupling():
